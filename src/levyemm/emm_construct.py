@@ -63,8 +63,17 @@ class GirsanovKernelH1:
     sigma_plus_sq: float
     sigma_minus_sq: float
     xi: float
+    m_plus: float  # first moments of F on (a, b) and -(a, b)
+    m_minus: float
 
     kind = "h1"
+
+    def excess_rate(self, y) -> np.ndarray:
+        """int (alpha(y, x) - 1) F(dx), elementwise in y; alpha does not
+        preserve the band mass, so the density carries a compensator."""
+        d = np.asarray(y, dtype=float) + self.xi
+        return (np.maximum(-d, 0.0) * self.m_plus / self.sigma_plus_sq
+                - np.maximum(d, 0.0) * self.m_minus / self.sigma_minus_sq)
 
     def evaluate(self, y: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -86,7 +95,10 @@ def alpha_h1(k: GirsanovKernelH1, y_t: float, x) -> np.ndarray:
 
 def make_h1_kernel(triplet: LevyTriplet, a: float, b: float) -> GirsanovKernelH1:
     s_plus, s_minus = sigma_pm(triplet.F, a, b)
-    return GirsanovKernelH1(a, b, s_plus, s_minus, triplet.xi())
+    ident = lambda x: x  # noqa: E731
+    m_plus = levy_integrate(triplet.F, ident, [Interval(a, b, True, True)])
+    m_minus = levy_integrate(triplet.F, ident, [Interval(-b, -a, True, True)])
+    return GirsanovKernelH1(a, b, s_plus, s_minus, triplet.xi(), m_plus, m_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +119,6 @@ class TailLaw:
 
     def partial_mean_below(self, z: float) -> float:
         raise NotImplementedError
-
-    def zeta_in_range(self, z: float) -> bool:
-        return self.zeta_lo < z < self.zeta_hi
 
 
 class DiscreteTailLaw(TailLaw):
@@ -249,6 +258,9 @@ class GirsanovKernelH2:
     b_h: float  # drift w.r.t. the inside-a truncation
 
     kind = "h2"
+    # alpha keeps the tail mass, so int (alpha - 1) dF is identically zero
+    # and the density has no compensator
+    excess_rate = None
 
     def zeta(self, y: float) -> float:
         return -(y + self.b_h) / self.lam

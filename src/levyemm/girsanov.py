@@ -10,13 +10,12 @@ tail kernel).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .emm_construct import (
-    GirsanovKernelH1,
     GirsanovKernelH2,
     _reweight_region,
 )
@@ -26,23 +25,21 @@ from .errors import (
     NonIntegrable,
     NonPositiveAlpha,
     UnsupportedModel,
-    ZetaOutOfRange,
 )
 from .kernel import Kernel
 from .levy_model import (
-    DensityMeasure,
     DiscreteMeasure,
-    Interval,
     LevyTriplet,
     levy_integrate,
 )
 from .path_sim import (
+    KernelResponse,
     LatticePath,
     MovingAveragePath,
     PathSimulator,
     SimConfig,
+    _cell_index,
     moving_average,
-    y_at,
 )
 
 
@@ -103,24 +100,33 @@ class DensityProcess:
         return float(np.max(np.abs(np.log(self.Z) - log_prod - self.compensator_drift)))
 
 
-def _h1_excess_rate(gk: GirsanovKernelH1, triplet: LevyTriplet, y: float) -> float:
-    """int (alpha(y, x) - 1) F(dx); linear in the split parts of y + xi."""
-    F = triplet.F
-    d = y + gk.xi
-    pos, neg = max(d, 0.0), max(-d, 0.0)
-    m_pos = levy_integrate(F, lambda x: x, [Interval(gk.a, gk.b, True, True)])
-    m_neg = levy_integrate(F, lambda x: x, [Interval(-gk.b, -gk.a, True, True)])
-    return neg * m_pos / gk.sigma_plus_sq - pos * m_neg / gk.sigma_minus_sq
+def density_terms(gk, y_pre, marks, y_left, dt):
+    """Jump factors alpha(Y_{T_n-}, Z_n) and the compensator drift.
+
+    y_left holds Y at the left nodes of the grid cells of width dt; the
+    drift -int_0^t int (alpha - 1) dF ds is a left-point sum over them,
+    returned at every node (starting at 0). A mass-preserving kernel
+    (excess_rate None) has a zero drift, so y_left may then be empty.
+    """
+    factors = np.array(
+        [float(np.asarray(gk.evaluate(y, z)).reshape(())) for y, z in zip(y_pre, marks)]
+    )
+    if (factors <= 0.0).any():
+        raise NonPositiveAlpha("alpha factor <= 0 at a jump")
+    comp = np.zeros(len(y_left) + 1)
+    if gk.excess_rate is not None:
+        comp[1:] = -np.cumsum(gk.excess_rate(y_left) * dt)
+    return factors, comp
 
 
 def density_process(
     gk,
     ma_path: MovingAveragePath,
     jumps: tuple[np.ndarray, np.ndarray],
-    triplet: LevyTriplet,
     y_at_jumps: np.ndarray | None = None,
 ) -> DensityProcess:
-    """Z on the grid of ma_path from the per-jump factors alpha(Y_{T_n-}, Z_n).
+    """Z on the grid of ma_path from the per-jump factors alpha(Y_{T_n-}, Z_n)
+    and the left-point compensator along the grid values of Y.
 
     jumps are the explicit (T_n, Z_n) in (0, T]. y_at_jumps supplies the
     predictable pre-jump drift values; defaults to grid interpolation of Y.
@@ -130,26 +136,8 @@ def density_process(
     if y_at_jumps is None:
         idx = np.clip(np.searchsorted(times, jt, side="left") - 1, 0, len(times) - 1)
         y_at_jumps = ma_path.Y[idx]
-    factors = np.array(
-        [float(np.asarray(gk.evaluate(y, z)).reshape(())) for y, z in zip(y_at_jumps, jz)]
-    )
-    if np.any(factors <= 0.0):
-        raise NonPositiveAlpha("alpha factor <= 0 at a jump")
-
-    if gk.kind == "h2":
-        comp = np.zeros_like(times)
-    else:
-        # left-point integral of the excess intensity along the grid
-        m_pos = levy_integrate(triplet.F, lambda x: x,
-                               [Interval(gk.a, gk.b, True, True)])
-        m_neg = levy_integrate(triplet.F, lambda x: x,
-                               [Interval(-gk.b, -gk.a, True, True)])
-        d = ma_path.Y + gk.xi
-        rate = (np.maximum(-d, 0.0) * m_pos / gk.sigma_plus_sq
-                - np.maximum(d, 0.0) * m_neg / gk.sigma_minus_sq)
-        dt = np.diff(times)
-        comp = -np.concatenate([[0.0], np.cumsum(rate[:-1] * dt)])
-
+    factors, comp = density_terms(gk, y_at_jumps, jz, ma_path.Y[:-1],
+                                  np.diff(times))
     log_z = comp.copy()
     for t_n, f in zip(jt, factors):
         log_z[times >= t_n] += math.log(f)
@@ -424,31 +412,23 @@ def simulate_under_q(
     sampler = _TailMarkSamplerQ(gk, triplet.F)
 
     # sequential marks: Y_{T_n-} sees everything strictly before T_n
-    part = LatticePath(base.times, inc.copy(), kept_t, kept_z)
+    resp = KernelResponse(kernel, LatticePath(base.times, inc, kept_t, kept_z),
+                          diffuse=inc)
     q_t, q_z, y_pre = [], [], []
     for t_n in arr:
-        y = y_at(kernel, part, float(t_n), diffuse=inc)
+        y = resp.y_pre(float(t_n))
         z = sampler.sample(y, rng)
         q_t.append(float(t_n))
         q_z.append(z)
         y_pre.append(y)
-        jt = np.concatenate([part.jump_times, [t_n]])
-        jz = np.concatenate([part.jump_sizes, [z]])
-        order = np.argsort(jt)
-        part = LatticePath(base.times, inc, jt[order], jz[order])
+        resp.add_jump(t_n, z)
 
     ma = None
     if want_ma:
         final_inc = inc.copy()
-        all_t = part.jump_times
-        all_z = part.jump_sizes
-        if len(all_t):
-            from .path_sim import _cell_index
-
-            idx = _cell_index(all_t, float(base.times[0]), base.dt,
-                              len(final_inc))
-            np.add.at(final_inc, idx, all_z)
-        full = LatticePath(base.times, final_inc, all_t, all_z)
+        idx = _cell_index(resp.jump_times, float(base.times[0]), base.dt, len(inc))
+        np.add.at(final_inc, idx, resp.jump_sizes)
+        full = LatticePath(base.times, final_inc, resp.jump_times, resp.jump_sizes)
         ma = moving_average(kernel, full, m_cells=config.m_cells)
     return QPathRecord(
         ma,

@@ -40,9 +40,6 @@ class Interval:
         right = x < self.hi if self.open_hi else x <= self.hi
         return left & right
 
-    def touches_zero(self) -> bool:
-        return self.lo < 0.0 < self.hi or self.lo == 0.0 or self.hi == 0.0
-
 
 def ball_complement(a: float, *, open_ends: bool = True) -> list[Interval]:
     """Region [-a, a]^c, i.e. |x| > a."""
@@ -128,10 +125,6 @@ def indicator_inside(a: float) -> TruncationFunction:
 
 def indicator_outside_band(a: float, b: float) -> TruncationFunction:
     return TruncationFunction("outside-band", a=a, b=b)
-
-
-def custom_truncation(func, identity_radius: float) -> TruncationFunction:
-    return TruncationFunction("custom", func=func, identity_radius_custom=identity_radius)
 
 
 # ---------------------------------------------------------------------------

@@ -346,35 +346,57 @@ def moving_average(kernel: Kernel, path: LatticePath, m_cells: int | None = None
     )
 
 
-def moving_average_batch(kernel: Kernel, diffuse: np.ndarray, m_cells: int,
-                         dt: float, weight_fn) -> np.ndarray:
-    """Batched correlation of diffuse increments (B, N) with a kernel map."""
-    n = diffuse.shape[1]
-    w = _weight_table(weight_fn, n, dt)
-    return _backend.ma_correlate(np.ascontiguousarray(diffuse), w, n - m_cells + 1,
-                                 m_cells)
+class KernelResponse:
+    """Exact kernel responses of one path at arbitrary times.
+
+    The diffuse part is a left-point sum over the cells whose left node
+    lies before t; each explicit jump adds its exact response. Whether the
+    path has any diffuse activity is decided once, at construction.
+    """
+
+    def __init__(self, kernel: Kernel, path: LatticePath,
+                 diffuse: np.ndarray | None = None):
+        self.kernel = kernel
+        self.left = path.times[:-1]
+        self.diffuse = path.diffuse_increments() if diffuse is None else diffuse
+        self.have_diffuse = bool(self.diffuse.any())
+        self.jump_times = path.jump_times
+        self.jump_sizes = path.jump_sizes
+
+    def x_at(self, t) -> float:
+        """X_t: kernel responses of the jumps at or before t."""
+        return self._at(self.kernel, t, self.jump_times <= t)
+
+    def y_pre(self, t) -> float:
+        """Y_{t-}: phi' responses of the jumps strictly before t."""
+        return self._at(self.kernel.dphi, t, self.jump_times < t)
+
+    def add_jump(self, t: float, z: float) -> None:
+        """Insert one explicit jump, keeping the jump list sorted."""
+        jt = np.concatenate([self.jump_times, [t]])
+        jz = np.concatenate([self.jump_sizes, [z]])
+        order = np.argsort(jt)
+        self.jump_times, self.jump_sizes = jt[order], jz[order]
+
+    def _at(self, fn, t, jumps) -> float:
+        total = 0.0
+        if self.have_diffuse:
+            m = self.left < t
+            if m.any():
+                total += float(np.dot(np.asarray(fn(t - self.left[m]), dtype=float),
+                                      self.diffuse[m]))
+        if jumps.any():
+            total += float(np.dot(
+                np.asarray(fn(t - self.jump_times[jumps]), dtype=float),
+                self.jump_sizes[jumps]))
+        return total
 
 
 def y_at(kernel: Kernel, path: LatticePath, t: float,
          diffuse: np.ndarray | None = None) -> float:
     """Predictable drift value Y_{t-}: diffuse cells with left node < t plus
     exact responses of jumps strictly before t."""
-    if diffuse is None:
-        diffuse = path.diffuse_increments()
-    left = path.times[:-1]
-    total = 0.0
-    mask = left < t
-    if np.any(diffuse[mask]):
-        total += float(np.sum(
-            np.asarray(kernel.dphi(t - left[mask]), dtype=float) * diffuse[mask]
-        ))
-    jm = path.jump_times < t
-    if np.any(jm):
-        total += float(np.sum(
-            np.asarray(kernel.dphi(t - path.jump_times[jm]), dtype=float)
-            * path.jump_sizes[jm]
-        ))
-    return total
+    return KernelResponse(kernel, path, diffuse).y_pre(t)
 
 
 def extract_jump_measure(path: LatticePath, window: tuple[float, float]

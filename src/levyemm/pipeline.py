@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import emm_construct, girsanov, kernel as kernel_mod, verify
-from .errors import ConfigError, TruncationViolated, ZetaOutOfRange
+from . import _backend, emm_construct, girsanov, kernel as kernel_mod, verify
+from .errors import ConfigError
 from .kernel import Kernel, emm_classify
 from .levy_model import (
     DiscreteMeasure,
     LevyTriplet,
     TruncationFunction,
-    ZeroMeasure,
     gaussian_only,
     indicator_inside,
     indicator_outside_band,
@@ -37,9 +36,10 @@ from .levy_model import (
     uniform_band,
 )
 from .path_sim import (
-    LatticePath,
+    KernelResponse,
     PathSimulator,
     SimConfig,
+    _weight_table,
     moving_average,
     write_jumps_csv,
     write_path_csv,
@@ -132,10 +132,52 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ConfigError(f"unknown hypothesis {hyp!r}")
     if hyp == "h2" and t["measure"]["type"] == "zero":
         raise ConfigError("h2 requires two-sided tail mass; measure is zero")
+    for knob, hyps in _KNOBS.items():
+        if knob in emm and hyp not in hyps:
+            raise ConfigError(f"emm.{knob} does not apply to hypothesis {hyp!r}")
+    ver = dict(d.get("verify", {}))
+    if hyp != "none":
+        _battery_tests(emm, ver)
     return Scenario(
         name=d["name"], triplet=t, kernel=k, sim=dict(d["sim"]),
-        emm=dict(emm), verify=dict(d.get("verify", {})),
+        emm=dict(emm), verify=ver,
     )
+
+
+# the tests each battery computes correctly, by hypothesis and verify mode,
+# and the ones it runs when the scenario names none
+_BATTERIES = {
+    ("h1", "weighted"): (("mean_density", "q_martingale"), ["mean_density"]),
+    ("h2", "weighted"): (("mean_density", "q_martingale", "jump_intensity"),
+                         ["mean_density"]),
+    ("h2", "direct-q"): (("jump_intensity", "conditional_jump_law"), []),
+    ("gaussian", "weighted"): (("mean_density", "brownian_invariance"),
+                               ["brownian_invariance"]),
+    # the lm style, not the test list, decides what runs
+    ("lm", "weighted"): (("lm_criterion", "finite_expect"), ["lm_criterion"]),
+}
+
+# negative-control knobs and the hypotheses whose battery reads them
+_KNOBS = {"frozen_zeta": ("h2",), "break_positive_factor": ("h1", "h2"),
+          "declared_intensity_factor": ("h2",), "declared_phi0": ("gaussian",)}
+
+
+def _battery_tests(emm: dict, ver: dict) -> list:
+    """The scenario's test list; ConfigError when it is empty or names a
+    test its battery has no correct implementation of."""
+    hyp = emm["hypothesis"]
+    mode = ver.get("mode", "weighted")
+    if (hyp, mode) not in _BATTERIES:
+        raise ConfigError(f"hypothesis {hyp!r} has no {mode!r} battery")
+    accepted, default = _BATTERIES[hyp, mode]
+    tests = list(ver.get("tests", default))
+    if not tests:
+        raise ConfigError(f"the {hyp} {mode} battery needs at least one test")
+    for name in tests:
+        if name not in accepted:
+            raise ConfigError(f"the {hyp} {mode} battery has no test {name!r}; "
+                              f"it runs {list(accepted)}")
+    return tests
 
 
 def load_scenario(path: str) -> Scenario:
@@ -373,17 +415,23 @@ def run_check_kernel(scn: Scenario) -> dict:
     }
 
 
-class _BrokenAlpha:
-    """Negative-control wrapper: inflates positive-tail factors."""
+class _KernelWrapper:
+    """Negative-control base: replaces evaluate and delegates every other
+    attribute to the wrapped Girsanov kernel."""
+
+    def __init__(self, gk):
+        self._gk = gk
+
+    def __getattr__(self, name):
+        return getattr(self._gk, name)
+
+
+class _BrokenAlpha(_KernelWrapper):
+    """Inflates positive-tail factors."""
 
     def __init__(self, gk, factor):
-        self._gk = gk
+        super().__init__(gk)
         self._factor = factor
-        self.kind = gk.kind
-        self.a = gk.a
-        self.lam = gk.lam
-        self.tail = gk.tail
-        self.b_h = gk.b_h
 
     def evaluate(self, y, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -392,16 +440,11 @@ class _BrokenAlpha:
         return out if np.ndim(x) else float(out[0])
 
 
-class _FrozenZeta:
+class _FrozenZeta(_KernelWrapper):
     """h2 kernel evaluated at a fixed zeta (state-independent alpha)."""
 
     def __init__(self, gk, zeta):
-        self._gk = gk
-        self.kind = gk.kind
-        self.a = gk.a
-        self.lam = gk.lam
-        self.tail = gk.tail
-        self.b_h = gk.b_h
+        super().__init__(gk)
         self._y = -zeta * gk.lam - gk.b_h
 
     def evaluate(self, y, x):
@@ -439,28 +482,13 @@ def run_construct(scn: Scenario, n_y: int = 100) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-path evaluation helpers (exact jump responses, no full-grid pass)
+# per-block workers (exact jump responses, no full-grid pass)
 # ---------------------------------------------------------------------------
 
 
-def _response_at(kernel, t, jt, jz, left, diffuse, have_diffuse, derivative,
-                 strict):
-    total = 0.0
-    if have_diffuse:
-        m = left < t
-        fn = kernel.dphi if derivative else kernel
-        if np.any(m):
-            total += float(np.dot(np.asarray(fn(t - left[m]), dtype=float),
-                                  diffuse[m]))
-    m = (jt < t) if strict else (jt <= t)
-    if np.any(m):
-        fn = kernel.dphi if derivative else kernel
-        total += float(np.dot(np.asarray(fn(t - jt[m]), dtype=float), jz[m]))
-    return total
-
-
-def _h2_chunk(scn_dict: dict, start: int, stop: int) -> dict:
-    """Weighted-P statistics for a contiguous block of path indices."""
+def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
+    """Weighted-P statistics (h1 or h2) for a contiguous block of path
+    indices."""
     scn = scenario_from_dict(scn_dict)
     triplet = build_triplet(scn.triplet)
     kern = build_kernel(scn.kernel)
@@ -468,38 +496,27 @@ def _h2_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     gk = make_girsanov_kernel(scn, triplet)
     sim = PathSimulator(triplet, cfg)
     probes = [0.0] + [float(t) for t in scn.verify.get("probe_times", [cfg.T])]
-    left = sim.times[:-1]
+    # left nodes of the compensator sum on [0, T); none for a mass-preserving alpha
+    grid = sim.times[cfg.m_cells:-1] if gk.excess_rate is not None else ()
 
     n = stop - start
     z_T = np.empty(n)
     x_probe = np.empty((n, len(probes)))
     counts = np.zeros(n, dtype=np.int64)
-    y_pre_all, marks_all = [], []
     for i, idx in enumerate(range(start, stop)):
         path = sim.simulate(sim.rng_for(idx))
-        jt, jz = path.jump_times, path.jump_sizes
-        diffuse = path.diffuse_increments()
-        have_diffuse = bool(np.any(diffuse))
-        z = 1.0
-        win = (jt > 0.0) & (np.abs(jz) > gk.a)
-        counts[i] = int(np.sum(win))
-        for t_n, z_n in zip(jt[win], jz[win]):
-            y = _response_at(kern, t_n, jt, jz, left, diffuse, have_diffuse,
-                             derivative=True, strict=True)
-            f = float(np.asarray(gk.evaluate(y, z_n)).reshape(()))
-            z *= f
-            y_pre_all.append(y)
-            marks_all.append(z_n)
-        z_T[i] = z
+        resp = KernelResponse(kern, path)
+        win = (path.jump_times > 0.0) & (np.abs(path.jump_sizes) > gk.a)
+        marks = path.jump_sizes[win]
+        y_pre = [resp.y_pre(t_n) for t_n in path.jump_times[win]]
+        factors, comp = girsanov.density_terms(
+            gk, y_pre, marks, [resp.y_pre(t) for t in grid], cfg.dt)
+        z_T[i] = math.prod(factors) * math.exp(comp[-1])
+        counts[i] = len(marks)
         for j, t_p in enumerate(probes):
-            x_probe[i, j] = _response_at(kern, t_p, jt, jz, left, diffuse,
-                                         have_diffuse, derivative=False,
-                                         strict=False)
-    return {
-        "z_T": z_T, "x_probe": x_probe, "counts": counts,
-        "y_pre": np.asarray(y_pre_all), "marks": np.asarray(marks_all),
-        "probes": np.asarray(probes),
-    }
+            x_probe[i, j] = resp.x_at(t_p)
+    return {"z_T": z_T, "x_probe": x_probe, "counts": counts,
+            "probes": np.asarray(probes)}
 
 
 def _q_chunk(scn_dict: dict, start: int, stop: int) -> dict:
@@ -538,9 +555,6 @@ def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     xi = triplet.xi()
     probes = [float(t) for t in scn.verify.get("probe_times", [0.0, cfg.T])]
     p_idx = [round(t / cfg.dt) for t in probes]
-
-    from . import _backend
-    from .path_sim import _weight_table
 
     n_cells = cfg.n_cells
     w_phi = _weight_table(kern, n_cells, cfg.dt)
@@ -598,55 +612,39 @@ def _run_chunked(worker, scn: Scenario, n_paths: int, workers: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _battery_h2(scn: Scenario, n_paths: int, seed: int, workers: int) -> dict:
-    data = _run_chunked(_h2_chunk, scn, n_paths, workers)
-    tests = scn.verify.get("tests", ["mean_density"])
-    lam_factor = float(scn.emm.get("declared_intensity_factor", 1.0))
-    triplet = build_triplet(scn.triplet)
-    gk = make_girsanov_kernel(scn, triplet)
+def _battery_jumps(scn: Scenario, n_paths: int, seed: int,
+                   workers: int) -> dict:
+    """Weighted-P (h1, h2) or direct-Q (h2) battery of a jump measure change;
+    under direct Q the paths carry no weights."""
+    direct = scn.verify.get("mode") == "direct-q"
+    data = _run_chunked(_q_chunk if direct else _weighted_chunk, scn, n_paths,
+                        workers)
+    z = data.get("z_T")
+    tests = _battery_tests(scn.emm, scn.verify)
+    gk = make_girsanov_kernel(scn, build_triplet(scn.triplet))
     reports = []
     if "mean_density" in tests:
-        reports.append(verify.mean_density_test(data["z_T"], seed=seed))
+        reports.append(verify.mean_density_test(z, seed=seed))
     if "q_martingale" in tests:
         reports.append(verify.q_martingale_test(
-            data["x_probe"][:, 1:], data["x_probe"][:, 0], data["z_T"],
+            data["x_probe"][:, 1:], data["x_probe"][:, 0], z,
             data["probes"][1:], seed=seed,
         ))
     if "jump_intensity" in tests:
-        T = float(scn.sim["T"])
-        reports.append(verify.jump_intensity_test(
-            data["counts"], gk.lam * lam_factor, T, weights=data["z_T"],
-            seed=seed,
-        ))
-    if "conditional_jump_law" in tests and scn.verify.get("mode") != "direct-q":
-        reports.append(verify.conditional_jump_law_test(
-            data["y_pre"], data["marks"], gk,
-            n_state_bins=int(scn.verify.get("state_bins", 1)), seed=seed,
-        ))
-    out = {"reports": reports}
-    out["plot"] = _plot_rows(data["probes"], data["x_probe"], data["z_T"])
-    return out
-
-
-def _battery_direct_q(scn: Scenario, n_paths: int, seed: int,
-                      workers: int) -> dict:
-    data = _run_chunked(_q_chunk, scn, n_paths, workers)
-    triplet = build_triplet(scn.triplet)
-    gk = make_girsanov_kernel(scn, triplet)
-    lam_factor = float(scn.emm.get("declared_intensity_factor", 1.0))
-    tests = scn.verify.get("tests", [])
-    reports = []
-    if "jump_intensity" in tests:
+        lam_factor = float(scn.emm.get("declared_intensity_factor", 1.0))
         reports.append(verify.jump_intensity_test(
             data["counts"], gk.lam * lam_factor, float(scn.sim["T"]),
-            seed=seed,
+            weights=z, seed=seed,
         ))
     if "conditional_jump_law" in tests:
         reports.append(verify.conditional_jump_law_test(
             data["y_pre"], data["marks"], gk,
             n_state_bins=int(scn.verify.get("state_bins", 1)), seed=seed,
         ))
-    return {"reports": reports, "n_marks": int(len(data["marks"]))}
+    out = {"reports": reports}
+    if z is not None:
+        out["plot"] = _plot_rows(data["probes"], data["x_probe"], z)
+    return out
 
 
 def _battery_gaussian(scn: Scenario, n_paths: int, seed: int,
@@ -657,7 +655,7 @@ def _battery_gaussian(scn: Scenario, n_paths: int, seed: int,
     phi0 = float(scn.emm.get("declared_phi0", kern.phi0))
     probes = data["probes"]
     pairs = [(j, j + 1) for j in range(len(probes) - 1)]
-    tests = scn.verify.get("tests", ["brownian_invariance"])
+    tests = _battery_tests(scn.emm, scn.verify)
     reports = []
     if "mean_density" in tests:
         reports.append(verify.mean_density_test(data["z_T"], seed=seed))
@@ -744,11 +742,8 @@ def run_verify(scn: Scenario, n_paths=None, seed=None, workers: int = 1) -> dict
             "sim": {**scn.sim, "n_paths": n, "seed": sd},
         })
     hyp = scn.emm["hypothesis"]
-    mode = scn.verify.get("mode", "weighted")
-    if hyp == "h2" and mode == "direct-q":
-        out = _battery_direct_q(scn, n, sd, workers)
-    elif hyp in ("h1", "h2"):
-        out = _battery_h2(scn, n, sd, workers)
+    if hyp in ("h1", "h2"):
+        out = _battery_jumps(scn, n, sd, workers)
     elif hyp == "gaussian":
         out = _battery_gaussian(scn, n, sd, workers)
     elif hyp == "lm":
@@ -801,17 +796,11 @@ def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None,
         "n_paths": cfg.n_paths,
         "seed": cfg.seed,
         "n_jumps_in_window": len(jump_records),
-        "backend": _backend_name(),
+        "backend": _backend.backend_name(),
     }
     with open(os.path.join(out_dir, "simulate.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary
-
-
-def _backend_name() -> str:
-    from . import _backend
-
-    return _backend.backend_name()
 
 
 def write_report_files(doc: dict, out_dir: str, stem: str) -> None:

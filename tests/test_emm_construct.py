@@ -92,6 +92,15 @@ class TestH1Kernel:
         assert res["ok"], res
         assert res["max_drift_violation"] < 1e-6
 
+    def test_excess_rate_is_band_integral(self):
+        # int (alpha(y, x) - 1) F(dx) on an asymmetric measure, both signs
+        F = DiscreteMeasure([(-1.5, 2.0), (1.2, 3.0), (1.8, 0.5), (3.0, 0.5)])
+        k = make_h1_kernel(_triplet(F, b=0.2), 1.0, 2.0)
+        ys = np.array([-3.0, -0.4, 0.0, 0.7, 2.5])
+        exact = [float(np.sum((alpha_h1(k, y, F.x) - 1.0) * F.w)) for y in ys]
+        np.testing.assert_allclose(k.excess_rate(ys), exact, atol=1e-12)
+        assert make_h2_kernel(_triplet(F), 1.0).excess_rate is None
+
     def test_xi_requires_integrable_tail(self):
         # h1 needs xi; a non-integrable tail cannot supply it
         from levyemm.errors import NonIntegrable

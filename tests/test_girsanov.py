@@ -81,7 +81,7 @@ class TestDensityProcess:
         gk = make_h2_kernel(t, 0.5)
         times = np.linspace(0.0, 1.0, 5)
         jumps = (np.array([0.3, 0.7]), np.array([-1.0, 1.0]))
-        dp = density_process(gk, _flat_ma(times), jumps, t,
+        dp = density_process(gk, _flat_ma(times), jumps,
                              y_at_jumps=np.array([-1.0, -1.0]))
         # zeta(-1) = 0.5: levels 0.5 below, 1.5 above
         np.testing.assert_allclose(dp.jump_factors, [0.5, 1.5], atol=1e-12)
@@ -95,7 +95,7 @@ class TestDensityProcess:
         gk = make_h2_kernel(t, 0.5)
         times = np.linspace(0.0, 1.0, 5)
         jumps = (np.array([0.5]), np.array([1.0]))
-        dp = density_process(gk, _flat_ma(times), jumps, t,
+        dp = density_process(gk, _flat_ma(times), jumps,
                              y_at_jumps=np.array([0.0]))
         np.testing.assert_allclose(dp.Z, 1.0, atol=1e-12)
 
@@ -105,7 +105,7 @@ class TestDensityProcess:
         gk = make_h1_kernel(t, 1.0, 2.0)
         times = np.linspace(0.0, 1.0, 5)
         dp = density_process(gk, _flat_ma(times, y=0.0),
-                             (np.empty(0), np.empty(0)), t)
+                             (np.empty(0), np.empty(0)))
         np.testing.assert_allclose(dp.Z, 1.0, atol=1e-12)
 
     def test_h1_compensator_accumulates(self):
@@ -115,7 +115,7 @@ class TestDensityProcess:
         times = np.linspace(0.0, 1.0, 5)
         y = -2.0  # raises the positive band side
         dp = density_process(gk, _flat_ma(times, y=y),
-                             (np.empty(0), np.empty(0)), t)
+                             (np.empty(0), np.empty(0)))
         # rate = (-y) * m_pos / sigma_plus^2 with m_pos = 1.5, s+^2 = 2.25
         rate = 2.0 * 1.5 / 2.25
         np.testing.assert_allclose(dp.compensator_drift, -rate * times, atol=1e-12)
@@ -131,8 +131,7 @@ class TestDensityProcess:
         times = np.linspace(0.0, 1.0, 3)
         with pytest.raises(NonPositiveAlpha):
             density_process(Bad(), _flat_ma(times),
-                            (np.array([0.5]), np.array([1.0])),
-                            _two_atom_triplet())
+                            (np.array([0.5]), np.array([1.0])))
 
     def test_matches_stoch_exp_route(self):
         t = _two_atom_triplet()
@@ -140,7 +139,7 @@ class TestDensityProcess:
         times = np.linspace(0.0, 1.0, 9)
         jumps = (np.array([0.25, 0.6]), np.array([1.0, -1.0]))
         y_pre = np.array([-0.4, 0.8])
-        dp = density_process(gk, _flat_ma(times), jumps, t, y_at_jumps=y_pre)
+        dp = density_process(gk, _flat_ma(times), jumps, y_at_jumps=y_pre)
         # same object as the stochastic exponential of the jump martingale
         dM = dp.jump_factors - 1.0
         M = np.zeros_like(times)

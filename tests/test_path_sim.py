@@ -16,6 +16,7 @@ from levyemm.levy_model import (
     symmetric_alpha_stable,
 )
 from levyemm.path_sim import (
+    KernelResponse,
     LatticePath,
     PathSimulator,
     SimConfig,
@@ -176,6 +177,35 @@ class TestMovingAverage:
         assert y_at(k, path, 0.75) == pytest.approx(
             -kappa * math.exp(-kappa * 0.25), abs=1e-12
         )
+
+    def test_kernel_response_matches_grid_moving_average(self):
+        # off the jump times, X_t and Y_{t-} equal the grid values
+        k = exponential_kernel(0.7)
+        F = DiscreteMeasure([(-1.0, 2.0), (1.0, 2.0)])
+        triplet = LevyTriplet(1.0, F, 0.3, indicator_inside(0.5))
+        sim = PathSimulator(triplet, _cfg(M=2.0, eps_jump=0.25))
+        path = sim.simulate_index(4)
+        assert len(path.jump_times) and np.any(path.diffuse_increments())
+        ma = moving_average(k, path, sim.config.m_cells)
+        resp = KernelResponse(k, path)
+        for t, x, y in zip(ma.times, ma.X, ma.Y):
+            assert resp.x_at(t) == pytest.approx(x, abs=1e-12)
+            assert resp.y_pre(t) == pytest.approx(y, abs=1e-12)
+            assert resp.y_pre(t) == y_at(k, path, t)
+
+    def test_kernel_response_at_a_jump(self):
+        # X_t includes a jump at t, Y_{t-} leaves it out
+        k = exponential_kernel(0.7)
+        times = np.linspace(-1.0, 1.0, 9)
+        inc = np.zeros(8)
+        inc[5] = 2.0  # jump at 0.5 lives in cell (0.25, 0.5]
+        path = LatticePath(times, inc, np.array([0.5]), np.array([2.0]))
+        resp = KernelResponse(k, path)
+        assert resp.x_at(0.5) == 2.0 and resp.y_pre(0.5) == 0.0
+        resp.add_jump(0.25, 1.0)
+        np.testing.assert_array_equal(resp.jump_times, [0.25, 0.5])
+        assert resp.y_pre(0.5) == pytest.approx(-0.7 * math.exp(-0.7 * 0.25),
+                                                abs=1e-15)
 
     def test_decomposition_residual_first_order_in_dt(self):
         k = exponential_kernel(1.0)

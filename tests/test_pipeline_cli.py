@@ -18,10 +18,73 @@ from levyemm.pipeline import (
 )
 
 
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
 def _two_atom_dict(**emm_extra):
     d = pipeline._two_atom_base(n_paths=500, seed=12)
     d["emm"].update(emm_extra)
     return d
+
+
+def _h1_dict():
+    with open(os.path.join(SCENARIOS, "h1-two-atom.yaml")) as fh:
+        return yaml.safe_load(fh)
+
+
+def _with(base, section, **changes):
+    d = base()
+    d[section].update(changes)
+    return d
+
+
+def _without_tests(base):
+    d = base()
+    del d["verify"]["tests"]
+    return d
+
+
+def _q_dict():
+    return builtin_scenario("q-two-atom-zeta05").to_dict()
+
+
+# (scenario builder, what the refusal message names); each combination ran
+# before with a wrong verdict, an empty battery or a mid-run AttributeError
+REFUSED = {
+    "h2-misspelt-test": (lambda: _with(_two_atom_dict, "verify",
+                                       tests=["mean_densty"]), "mean_densty"),
+    "h2-empty-tests": (lambda: _with(_two_atom_dict, "verify", tests=[]),
+                       "at least one test"),
+    "h2-weighted-jump-law": (lambda: _with(
+        _two_atom_dict, "verify", tests=["conditional_jump_law"]),
+        "conditional_jump_law"),
+    "h2-unknown-mode": (lambda: _with(_two_atom_dict, "verify",
+                                      mode="direct_q"), "direct_q"),
+    "direct-q-no-tests": (lambda: _without_tests(_q_dict),
+                          "at least one test"),
+    "direct-q-mean-density": (lambda: _with(_q_dict, "verify",
+                                            tests=["mean_density"]),
+                              "mean_density"),
+    "gaussian-q-martingale": (lambda: _with(
+        pipeline._builtin_gaussian_baseline, "verify",
+        tests=["q_martingale"]), "q_martingale"),
+    "gaussian-direct-q": (lambda: _with(pipeline._builtin_gaussian_baseline,
+                                        "verify", mode="direct-q"), "direct-q"),
+    "h1-jump-intensity": (lambda: _with(_h1_dict, "verify",
+                                        tests=["jump_intensity"]),
+                          "jump_intensity"),
+    "h1-jump-law": (lambda: _with(_h1_dict, "verify",
+                                  tests=["conditional_jump_law"]),
+                    "conditional_jump_law"),
+    "h1-direct-q": (lambda: _with(_h1_dict, "verify", mode="direct-q"),
+                    "direct-q"),
+    "h1-frozen-zeta": (lambda: _with(_h1_dict, "emm", frozen_zeta=0.5),
+                       "frozen_zeta"),
+    "h2-declared-phi0": (lambda: _with(_two_atom_dict, "emm",
+                                       declared_phi0=1.2), "declared_phi0"),
+    "lm-q-martingale": (lambda: _with(pipeline._builtin_bremaud, "verify",
+                                      tests=["q_martingale"]), "q_martingale"),
+}
 
 
 class TestScenarioSchema:
@@ -79,6 +142,19 @@ class TestScenarioSchema:
         for f in files:
             load_scenario(os.path.join(base, f))
 
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_battery_without_correct_implementation_refused(self, case):
+        build, named = REFUSED[case]
+        with pytest.raises(ConfigError, match=named):
+            scenario_from_dict(build())
+
+    @pytest.mark.parametrize("tests", [["lm_criterion"], ["finite_expect"],
+                                       ["lm_criterion", "finite_expect"]])
+    def test_lm_battery_accepts_its_tests(self, tests):
+        scn = scenario_from_dict(_with(pipeline._builtin_lmrelax, "verify",
+                                       tests=tests))
+        assert scn.verify["tests"] == tests
+
 
 class TestPipelines:
     def test_check_kernel_admissible(self):
@@ -117,6 +193,33 @@ class TestPipelines:
         doc = run_verify(builtin_scenario("lmrelax"))
         assert doc["reports"][0]["verdict"] == "diverging"
         assert doc["overall"] == "fail"
+
+    @pytest.mark.parametrize("name", ["h2-two-atom", "h1-two-atom",
+                                      "q-two-atom-zeta05"])
+    def test_verify_json_independent_of_workers(self, name):
+        scn = load_scenario(os.path.join(SCENARIOS, f"{name}.yaml"))
+        one = run_verify(scn, n_paths=2000, workers=1)
+        two = run_verify(scn, n_paths=2000, workers=2)
+        assert json.dumps(one) == json.dumps(two)
+
+
+class TestH1TwoAtom:
+    """The band kernel does not preserve mass, so Z_T needs the compensator
+    exp(-int int (alpha - 1) dF ds); without it E[Z_T] is about 1.2."""
+
+    def test_battery_passes_at_pinned_seed(self):
+        scn = load_scenario(os.path.join(SCENARIOS, "h1-two-atom.yaml"))
+        doc = run_verify(scn)
+        assert doc["n_paths"] == 4000 and doc["seed"] == 20261017
+        verdicts = {r["name"]: r["verdict"] for r in doc["reports"]}
+        assert verdicts == {"mean_density": "pass", "q_martingale": "pass"}
+
+    def test_broken_alpha_fails_mean_density(self):
+        d = _with(_h1_dict, "emm", break_positive_factor=1.2)
+        doc = run_verify(scenario_from_dict(d))
+        md = {r["name"]: r for r in doc["reports"]}["mean_density"]
+        assert md["verdict"] == "fail"
+        assert md["estimate"] > 1.0
 
 
 class TestCli:
@@ -208,6 +311,14 @@ class TestCli:
         code = cli.main(["verify", "--scenario", str(tmp_path / "nope.yaml"),
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
+
+    def test_refused_battery_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "refused.yaml"
+        p.write_text(yaml.safe_dump(REFUSED["h1-jump-intensity"][0]()))
+        code = cli.main(["verify", "--scenario", str(p),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "jump_intensity" in capsys.readouterr().err
 
     def test_bad_scenario_schema(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
