@@ -1,4 +1,10 @@
-"""Pure-numpy fallback for the correlation kernel (FFT convolution)."""
+"""Correlation kernel of the moving-average evaluation (FFT convolution).
+
+out[b, k] = sum_{j=1}^{k+m} w[j] * inc[b, k+m-j]
+
+where inc holds per-cell increments on the two-sided lattice and w[j] is
+the kernel sampled at lag j*dt.
+"""
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -15,3 +21,12 @@ def ma_correlate(inc: np.ndarray, w: np.ndarray, n_out: int, m: int) -> np.ndarr
     w2[0] = 0.0  # lag-0 weight never enters the left-point sum
     full = fftconvolve(inc, w2[None, :], axes=1)
     return np.ascontiguousarray(full[:, m : m + n_out])
+
+
+def backend_name() -> str:
+    """The correlation implementation every call uses."""
+    return "numpy"
+
+
+def available_backends() -> list:
+    return ["numpy"]

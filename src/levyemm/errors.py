@@ -38,7 +38,8 @@ class DominanceViolated(LevyEmmError):
 
 
 class InsufficientSamples(LevyEmmError):
-    """A state bin holds fewer samples than the configured floor."""
+    """The samples cannot support the test at all, e.g. marks of a tail
+    that is not discrete given to the conditional law test."""
 
 
 class KernelDomain(LevyEmmError):

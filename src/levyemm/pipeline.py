@@ -144,8 +144,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     )
 
 
-# the tests each battery computes correctly, by hypothesis and verify mode,
-# and the ones it runs when the scenario names none
+# the tests each battery computes correctly, by hypothesis and verify mode
+# (and emm.style for lm), and the ones it runs when the scenario names none
 _BATTERIES = {
     ("h1", "weighted"): (("mean_density", "q_martingale"), ["mean_density"]),
     ("h2", "weighted"): (("mean_density", "q_martingale", "jump_intensity"),
@@ -153,8 +153,9 @@ _BATTERIES = {
     ("h2", "direct-q"): (("jump_intensity", "conditional_jump_law"), []),
     ("gaussian", "weighted"): (("mean_density", "brownian_invariance"),
                                ["brownian_invariance"]),
-    # the lm style, not the test list, decides what runs
-    ("lm", "weighted"): (("lm_criterion", "finite_expect"), ["lm_criterion"]),
+    ("lm", "weighted", "bremaud"): (("lm_criterion", "finite_expect"),
+                                    ["lm_criterion"]),
+    ("lm", "weighted", "lmrelax"): (("finite_expect",), ["finite_expect"]),
 }
 
 # negative-control knobs and the hypotheses whose battery reads them
@@ -167,15 +168,17 @@ def _battery_tests(emm: dict, ver: dict) -> list:
     test its battery has no correct implementation of."""
     hyp = emm["hypothesis"]
     mode = ver.get("mode", "weighted")
-    if (hyp, mode) not in _BATTERIES:
-        raise ConfigError(f"hypothesis {hyp!r} has no {mode!r} battery")
-    accepted, default = _BATTERIES[hyp, mode]
+    key = (hyp, mode, emm.get("style")) if hyp == "lm" else (hyp, mode)
+    battery = " ".join(map(str, key))
+    if key not in _BATTERIES:
+        raise ConfigError(f"there is no {battery!r} battery")
+    accepted, default = _BATTERIES[key]
     tests = list(ver.get("tests", default))
     if not tests:
-        raise ConfigError(f"the {hyp} {mode} battery needs at least one test")
+        raise ConfigError(f"the {battery} battery needs at least one test")
     for name in tests:
         if name not in accepted:
-            raise ConfigError(f"the {hyp} {mode} battery has no test {name!r}; "
+            raise ConfigError(f"the {battery} battery has no test {name!r}; "
                               f"it runs {list(accepted)}")
     return tests
 
@@ -227,175 +230,21 @@ def build_sim_config(spec: dict, n_paths=None, seed=None) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 
+# every file in the catalogue directory is a builtin, named by its stem
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "scenarios")
+
+
+def builtin_names() -> list:
+    return sorted(f[:-5] for f in os.listdir(SCENARIO_DIR) if f.endswith(".yaml"))
+
+
 def builtin_scenario(name: str) -> Scenario:
-    try:
-        return scenario_from_dict(_BUILTINS[name]())
-    except KeyError:
-        raise ConfigError(
-            f"unknown builtin scenario {name!r}; known: {sorted(_BUILTINS)}"
-        )
-
-
-def _two_atom_base(n_paths=100_000, seed=20260823):
-    return {
-        "name": "h2-two-atom",
-        "triplet": {
-            "c": 0.0, "b_h": 0.0, "integrable": True,
-            "truncation": {"kind": "inside", "a": 0.5},
-            "measure": {"type": "discrete", "atoms": [[-1.0, 1.0], [1.0, 1.0]]},
-        },
-        "kernel": {"type": "exponential", "kappa": 0.05, "amplitude": 1.0},
-        "sim": {"T": 1.0, "M": 60.0, "dt": 0.25, "eps_jump": 0.25,
-                "n_paths": n_paths, "seed": seed,
-                "small_jump_mode": "gaussian-approx"},
-        "emm": {"hypothesis": "h2", "a": 0.5, "tolerance": 1e-9},
-        "verify": {
-            "tail_regime": "second-moment-finite",
-            "tests": ["mean_density", "q_martingale", "jump_intensity"],
-            "probe_times": [0.25, 0.5, 1.0],
-        },
-    }
-
-
-def _builtin_h2_two_atom():
-    return _two_atom_base()
-
-
-def _builtin_q_two_atom_zeta05():
-    d = _two_atom_base(n_paths=50_000, seed=91)
-    d["name"] = "q-two-atom-zeta05"
-    d["emm"]["frozen_zeta"] = 0.5
-    d["verify"]["tests"] = ["jump_intensity", "conditional_jump_law"]
-    d["verify"]["mode"] = "direct-q"
-    return d
-
-
-def _builtin_gaussian_baseline():
-    return {
-        "name": "gaussian-baseline",
-        "triplet": {
-            "c": 1.0, "b_h": 0.0, "integrable": True,
-            "truncation": {"kind": "inside", "a": 1.0},
-            "measure": {"type": "zero"},
-        },
-        "kernel": {"type": "exponential", "kappa": 1.0, "amplitude": 1.0},
-        # T = 0.5 keeps the Girsanov exposure int theta^2 dt near 0.25, so
-        # Z_T has a light enough tail for raw 3-s.e. tests at 1e5 paths;
-        # at T = 1 the exposure doubles and E[Z^2] becomes seed-unstable
-        "sim": {"T": 0.5, "M": 10.0, "dt": 1.0 / 512, "eps_jump": 0.5,
-                "n_paths": 100_000, "seed": 3117},
-        "emm": {"hypothesis": "gaussian"},
-        "verify": {
-            "tail_regime": "second-moment-finite",
-            "tests": ["mean_density", "brownian_invariance"],
-            "probe_times": [0.0, 0.125, 0.25, 0.5],
-        },
-    }
-
-
-def _builtin_bremaud():
-    return {
-        "name": "bremaud",
-        "triplet": {
-            "c": 0.0, "b_h": 0.0, "integrable": True,
-            "truncation": {"kind": "inside", "a": 0.5},
-            "measure": {"type": "discrete", "atoms": [[1.0, 1.0]]},
-        },
-        "kernel": {"type": "constant", "value": 1.0},
-        "sim": {"T": 1.0, "M": 0.0, "dt": 1.0 / 64, "eps_jump": 0.5,
-                "n_paths": 16_384, "seed": 5150},
-        "emm": {"hypothesis": "lm", "style": "bremaud",
-                "K1": 1.0, "K2": 1.0, "gamma": 2.0, "eps": 0.05},
-        "verify": {"tests": ["lm_criterion"]},
-    }
-
-
-def _builtin_lmrelax():
-    return {
-        "name": "lmrelax",
-        "triplet": {
-            "c": 0.0, "b_h": 0.0, "integrable": True,
-            "truncation": {"kind": "inside", "a": 0.5},
-            "measure": {"type": "discrete", "atoms": [[1.0, 1.0]]},
-        },
-        "kernel": {"type": "constant", "value": 1.0},
-        "sim": {"T": 1.0, "M": 0.0, "dt": 1.0, "eps_jump": 0.5,
-                "n_paths": 16_384, "seed": 7001},
-        "emm": {"hypothesis": "lm", "style": "lmrelax", "eps": 3.0,
-                "cp_rate": 1.0},
-        "verify": {"tests": ["finite_expect"]},
-    }
-
-
-def _builtin_negative_broken_alpha():
-    d = _two_atom_base(n_paths=20_000, seed=404)
-    d["name"] = "negative-broken-alpha"
-    d["emm"]["break_positive_factor"] = 1.2
-    d["verify"]["tests"] = ["mean_density"]
-    return d
-
-
-def _builtin_negative_wrong_intensity():
-    d = _two_atom_base(n_paths=20_000, seed=405)
-    d["name"] = "negative-wrong-intensity"
-    d["emm"]["declared_intensity_factor"] = 1.5
-    d["verify"]["tests"] = ["jump_intensity"]
-    return d
-
-
-def _builtin_negative_phi0():
-    d = _builtin_gaussian_baseline()
-    d["name"] = "negative-phi0-misdeclared"
-    d["sim"]["n_paths"] = 20_000
-    d["sim"]["seed"] = 406
-    d["emm"]["declared_phi0"] = 1.2
-    d["verify"]["tests"] = ["brownian_invariance"]
-    return d
-
-
-def _builtin_classify(alpha=None, kernel_type="exponential"):
-    if alpha is not None:
-        measure = {"type": "symmetric-alpha-stable", "alpha": alpha, "scale": 1.0}
-        c = 0.0
-    else:
-        measure = {"type": "symmetric-alpha-stable", "alpha": 1.5, "scale": 1.0}
-        c = 1.0
-    if kernel_type == "exponential":
-        kern = {"type": "exponential", "kappa": 1.0}
-    elif kernel_type == "zero-start":
-        kern = {"type": "zero-start", "kappa": 1.0}
-    else:
-        kern = {"type": "power-density", "q": 0.4, "phi0": 1.0}
-    return {
-        "name": f"classify-{kernel_type}-{alpha}",
-        "triplet": {
-            "c": c, "b_h": 0.0, "integrable": alpha is None or alpha > 1.0,
-            "truncation": {"kind": "inside", "a": 1.0},
-            "measure": measure,
-        },
-        "kernel": kern,
-        "sim": {"T": 1.0, "M": 10.0, "dt": 0.125, "eps_jump": 0.1,
-                "n_paths": 1000, "seed": 1},
-        "emm": {"hypothesis": "none"},
-        "verify": {"tail_regime": "regularly-varying"},
-    }
-
-
-_BUILTINS = {
-    "h2-two-atom": _builtin_h2_two_atom,
-    "q-two-atom-zeta05": _builtin_q_two_atom_zeta05,
-    "gaussian-baseline": _builtin_gaussian_baseline,
-    "bremaud": _builtin_bremaud,
-    "lmrelax": _builtin_lmrelax,
-    "negative-broken-alpha": _builtin_negative_broken_alpha,
-    "negative-wrong-intensity": _builtin_negative_wrong_intensity,
-    "negative-phi0-misdeclared": _builtin_negative_phi0,
-    "classify-sas-1.2": lambda: _builtin_classify(alpha=1.2),
-    "classify-sas-1.5": lambda: _builtin_classify(alpha=1.5),
-    "classify-sas-1.9": lambda: _builtin_classify(alpha=1.9),
-    "classify-zero-start": lambda: _builtin_classify(kernel_type="zero-start"),
-    "classify-power-density": lambda: _builtin_classify(kernel_type="power-density"),
-}
+    """Parse the catalogue file of `name` afresh; `name` must be one of
+    `builtin_names()`, so it never reaches the file system unchecked."""
+    known = builtin_names()
+    if name not in known:
+        raise ConfigError(f"unknown builtin scenario {name!r}; known: {known}")
+    return load_scenario(os.path.join(SCENARIO_DIR, f"{name}.yaml"))
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +519,10 @@ def _battery_gaussian(scn: Scenario, n_paths: int, seed: int,
 
 
 def _battery_lm(scn: Scenario, n_paths: int, seed: int, workers: int) -> dict:
-    style = scn.emm.get("style")
+    tests = _battery_tests(scn.emm, scn.verify)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     reports = []
-    details = {}
-    if style == "bremaud":
+    if scn.emm["style"] == "bremaud":
         K1 = float(scn.emm["K1"])
         K2 = float(scn.emm["K2"])
         gamma = float(scn.emm["gamma"])
@@ -697,15 +545,16 @@ def _battery_lm(scn: Scenario, n_paths: int, seed: int, workers: int) -> dict:
             times, P, lambda x: np.ones_like(np.asarray(x, dtype=float)),
             triplet, eps=eps, w_fn=w_fn,
         )
-        details["lm"] = lm.to_dict()
-        verdict = "pass" if lm.certified else "fail"
-        reports.append(verify.StatReport(
-            "lm_criterion", lm.condition_b, 0.0, n_paths, verdict,
-            "dominance + condition (b) + cell exponential moments", seed,
-            details["lm"],
-        ))
-        reports.append(lm.finite_expect)
-    elif style == "lmrelax":
+        if "lm_criterion" in tests:
+            reports.append(verify.StatReport(
+                "lm_criterion", lm.condition_b, 0.0, n_paths,
+                "pass" if lm.certified else "fail",
+                "dominance + condition (b) + cell exponential moments", seed,
+                lm.to_dict(),
+            ))
+        if "finite_expect" in tests:
+            reports.append(lm.finite_expect)
+    else:  # lmrelax, the only other style _battery_tests accepts
         eps = float(scn.emm["eps"])
         rate = float(scn.emm.get("cp_rate", 1.0))
         counts = rng.poisson(rate, size=n_paths)
@@ -713,10 +562,7 @@ def _battery_lm(scn: Scenario, n_paths: int, seed: int, workers: int) -> dict:
             float(np.sum(rng.exponential(1.0, k))) if k else 0.0
             for k in counts
         ])
-        fe = verify.finite_expect(y, eps, seed=seed)
-        reports.append(fe)
-    else:
-        raise ConfigError(f"unknown lm style {style!r}")
+        reports.append(verify.finite_expect(y, eps, seed=seed))
     return {"reports": reports}
 
 

@@ -8,6 +8,8 @@ from levyemm import cli, pipeline
 from levyemm.errors import ConfigError
 from levyemm.pipeline import (
     Scenario,
+    SCENARIO_DIR,
+    builtin_names,
     builtin_scenario,
     load_scenario,
     run_check_kernel,
@@ -18,18 +20,20 @@ from levyemm.pipeline import (
 )
 
 
-SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+def _builtin(name):
+    """Builder of a fresh scenario dict of the builtin `name`."""
+    return lambda: builtin_scenario(name).to_dict()
 
 
 def _two_atom_dict(**emm_extra):
-    d = pipeline._two_atom_base(n_paths=500, seed=12)
+    d = builtin_scenario("h2-two-atom").to_dict()
+    d["sim"].update(n_paths=500, seed=12)
     d["emm"].update(emm_extra)
     return d
 
 
-def _h1_dict():
-    with open(os.path.join(SCENARIOS, "h1-two-atom.yaml")) as fh:
-        return yaml.safe_load(fh)
+_h1_dict = _builtin("h1-two-atom")
+_q_dict = _builtin("q-two-atom-zeta05")
 
 
 def _with(base, section, **changes):
@@ -42,10 +46,6 @@ def _without_tests(base):
     d = base()
     del d["verify"]["tests"]
     return d
-
-
-def _q_dict():
-    return builtin_scenario("q-two-atom-zeta05").to_dict()
 
 
 # (scenario builder, what the refusal message names); each combination ran
@@ -66,9 +66,9 @@ REFUSED = {
                                             tests=["mean_density"]),
                               "mean_density"),
     "gaussian-q-martingale": (lambda: _with(
-        pipeline._builtin_gaussian_baseline, "verify",
+        _builtin("gaussian-baseline"), "verify",
         tests=["q_martingale"]), "q_martingale"),
-    "gaussian-direct-q": (lambda: _with(pipeline._builtin_gaussian_baseline,
+    "gaussian-direct-q": (lambda: _with(_builtin("gaussian-baseline"),
                                         "verify", mode="direct-q"), "direct-q"),
     "h1-jump-intensity": (lambda: _with(_h1_dict, "verify",
                                         tests=["jump_intensity"]),
@@ -82,14 +82,22 @@ REFUSED = {
                        "frozen_zeta"),
     "h2-declared-phi0": (lambda: _with(_two_atom_dict, "emm",
                                        declared_phi0=1.2), "declared_phi0"),
-    "lm-q-martingale": (lambda: _with(pipeline._builtin_bremaud, "verify",
+    "lm-q-martingale": (lambda: _with(_builtin("bremaud"), "verify",
                                       tests=["q_martingale"]), "q_martingale"),
+    # lmrelax computes no Lepingle-Memin certificate
+    "lmrelax-lm-criterion": (lambda: _with(_builtin("lmrelax"), "verify",
+                                           tests=["lm_criterion"]),
+                             "lm_criterion"),
+    "lm-unknown-style": (lambda: _with(_builtin("bremaud"), "emm",
+                                       style="bremaud2"), "bremaud2"),
 }
 
 
 class TestScenarioSchema:
-    def test_yaml_round_trip_identity(self, tmp_path):
-        scn = builtin_scenario("h2-two-atom")
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_yaml_round_trip_identity(self, name, tmp_path):
+        scn = builtin_scenario(name)
+        assert scn.name == name
         path = tmp_path / "scn.yaml"
         save_scenario(scn, str(path))
         back = load_scenario(str(path))
@@ -135,12 +143,18 @@ class TestScenarioSchema:
         with pytest.raises(ConfigError, match="unknown builtin"):
             builtin_scenario("nope")
 
+    @pytest.mark.parametrize("name", [
+        "../scenarios/h2-two-atom", "../levyemm/scenarios/h2-two-atom",
+        "./h2-two-atom", "h2-two-atom/..", "..", "/h2-two-atom"])
+    def test_path_as_name_refused(self, name):
+        with pytest.raises(ConfigError, match="unknown builtin"):
+            builtin_scenario(name)
+
     def test_shipped_scenarios_load(self):
-        base = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-        files = [f for f in os.listdir(base) if f.endswith(".yaml")]
+        files = [f for f in os.listdir(SCENARIO_DIR) if f.endswith(".yaml")]
         assert len(files) >= 10
         for f in files:
-            load_scenario(os.path.join(base, f))
+            load_scenario(os.path.join(SCENARIO_DIR, f))
 
     @pytest.mark.parametrize("case", sorted(REFUSED))
     def test_battery_without_correct_implementation_refused(self, case):
@@ -151,7 +165,7 @@ class TestScenarioSchema:
     @pytest.mark.parametrize("tests", [["lm_criterion"], ["finite_expect"],
                                        ["lm_criterion", "finite_expect"]])
     def test_lm_battery_accepts_its_tests(self, tests):
-        scn = scenario_from_dict(_with(pipeline._builtin_lmrelax, "verify",
+        scn = scenario_from_dict(_with(_builtin("bremaud"), "verify",
                                        tests=tests))
         assert scn.verify["tests"] == tests
 
@@ -189,6 +203,27 @@ class TestPipelines:
         assert a["reports"][0]["estimate"] != b["reports"][0]["estimate"]
         assert a["reports"][0]["estimate"] == c["reports"][0]["estimate"]
 
+    @pytest.mark.parametrize("tests", [["finite_expect"],
+                                       ["finite_expect", "lm_criterion"]])
+    def test_verify_bremaud_reports_its_tests(self, tests):
+        scn = scenario_from_dict(_with(_builtin("bremaud"), "verify",
+                                       tests=tests))
+        doc = run_verify(scn, n_paths=1024)
+        assert sorted(r["name"] for r in doc["reports"]) == sorted(tests)
+
+    def test_verify_bremaud_has_one_report(self):
+        doc = run_verify(builtin_scenario("bremaud"), n_paths=1024)
+        assert [r["name"] for r in doc["reports"]] == ["lm_criterion"]
+
+    def test_verify_direct_q_below_mark_floor_inconclusive(self):
+        doc = run_verify(builtin_scenario("q-two-atom-zeta05"), n_paths=200)
+        law = {r["name"]: r for r in doc["reports"]}["conditional_jump_law"]
+        assert law["verdict"] == "inconclusive"
+        assert law["n_samples"] < 500
+        assert law["details"]["bins"] == [
+            {"bin": 0, "n": law["n_samples"], "skipped": True}]
+        assert doc["overall"] != "pass"
+
     def test_verify_lmrelax_diverges(self):
         doc = run_verify(builtin_scenario("lmrelax"))
         assert doc["reports"][0]["verdict"] == "diverging"
@@ -197,7 +232,7 @@ class TestPipelines:
     @pytest.mark.parametrize("name", ["h2-two-atom", "h1-two-atom",
                                       "q-two-atom-zeta05"])
     def test_verify_json_independent_of_workers(self, name):
-        scn = load_scenario(os.path.join(SCENARIOS, f"{name}.yaml"))
+        scn = builtin_scenario(name)
         one = run_verify(scn, n_paths=2000, workers=1)
         two = run_verify(scn, n_paths=2000, workers=2)
         assert json.dumps(one) == json.dumps(two)
@@ -208,8 +243,7 @@ class TestH1TwoAtom:
     exp(-int int (alpha - 1) dF ds); without it E[Z_T] is about 1.2."""
 
     def test_battery_passes_at_pinned_seed(self):
-        scn = load_scenario(os.path.join(SCENARIOS, "h1-two-atom.yaml"))
-        doc = run_verify(scn)
+        doc = run_verify(builtin_scenario("h1-two-atom"))
         assert doc["n_paths"] == 4000 and doc["seed"] == 20261017
         verdicts = {r["name"]: r["verdict"] for r in doc["reports"]}
         assert verdicts == {"mean_density": "pass", "q_martingale": "pass"}
@@ -242,8 +276,16 @@ class TestCli:
              "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_OK
 
+    def test_check_kernel_report_named_by_builtin(self, tmp_path, capsys):
+        code, out = self._run(
+            ["check-kernel", "--builtin", "classify-sas-1.5",
+             "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["scenario"] == "classify-sas-1.5"
+        assert (tmp_path / "classify-sas-1.5_check_kernel.json").exists()
+
     def test_check_kernel_indeterminate(self, tmp_path, capsys):
-        d = pipeline._builtin_classify(alpha=1.5)
+        d = builtin_scenario("classify-sas-1.5").to_dict()
         d["verify"]["tail_regime"] = "other"
         p = tmp_path / "scn.yaml"
         p.write_text(yaml.safe_dump(d))

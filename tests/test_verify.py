@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,10 +169,24 @@ class TestConditionalJumpLaw:
         marks = rng.choice([-1.0, 1.0], size=5000, p=[0.5, 0.5])
         assert conditional_jump_law_test(y, marks, gk).verdict == "fail"
 
-    def test_insufficient_samples_raises(self):
+    def test_insufficient_samples_inconclusive(self):
         gk = self._gk()
-        with pytest.raises(InsufficientSamples):
-            conditional_jump_law_test(np.zeros(10), np.ones(10), gk, floor=500)
+        rep = conditional_jump_law_test(np.zeros(10), np.ones(10), gk,
+                                        n_state_bins=2, floor=500)
+        assert rep.verdict == "inconclusive"
+        assert rep.n_samples == 10
+        assert rep.details["bins"] == [{"bin": 0, "n": 0, "skipped": True},
+                                       {"bin": 1, "n": 10, "skipped": True}]
+
+    def test_no_marks_inconclusive(self):
+        rep = conditional_jump_law_test([], [], self._gk(), floor=500)
+        assert rep.verdict == "inconclusive"
+        assert rep.details["bins"] == [{"bin": 0, "n": 0, "skipped": True}]
+
+    def test_non_discrete_tail_raises(self):
+        with pytest.raises(InsufficientSamples, match="discrete tail"):
+            conditional_jump_law_test(np.zeros(10), np.ones(10),
+                                      SimpleNamespace(tail=None))
 
     def test_state_bins_reported(self):
         gk = self._gk()
