@@ -78,7 +78,7 @@ def _effective_n(scn, args):
 
 def _emit(doc: dict, out_dir: str, stem: str) -> None:
     pipeline.write_report_files(doc, out_dir, stem)
-    json.dump(doc, sys.stdout, indent=2)
+    pipeline.dump_json(doc, sys.stdout)
     sys.stdout.write("\n")
 
 
@@ -122,7 +122,7 @@ def cmd_simulate(args) -> int:
     doc = pipeline.run_simulate(
         scn, args.out, n_paths=_effective_n(scn, args), seed=args.seed
     )
-    json.dump(doc, sys.stdout, indent=2)
+    pipeline.dump_json(doc, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK
 

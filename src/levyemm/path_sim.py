@@ -333,8 +333,9 @@ def moving_average(kernel: Kernel, path: LatticePath, m_cells: int | None = None
     w_dphi = _weight_table(kernel.dphi, n, dt)
     if np.any(diffuse):
         row = np.ascontiguousarray(diffuse[None, :])
-        X = _backend.ma_correlate(row, w_phi, n_out, m_cells)[0]
-        Y = _backend.ma_correlate(row, w_dphi, n_out, m_cells)[0]
+        r_phi, r_dphi = kernel.recursion(dt)
+        X = _backend.ma_correlate(row, w_phi, n_out, m_cells, r_phi)[0]
+        Y = _backend.ma_correlate(row, w_dphi, n_out, m_cells, r_dphi)[0]
     else:
         X = np.zeros(n_out)
         Y = np.zeros(n_out)

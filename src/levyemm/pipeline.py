@@ -128,7 +128,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         _require(emm, ["a", "b", "tolerance"], "emm (h1)")
     elif hyp == "h2":
         _require(emm, ["a", "tolerance"], "emm (h2)")
-    elif hyp not in ("gaussian", "lm", "none"):
+    elif hyp == "lm":
+        style = emm.get("style")
+        _require(emm, _LM_STYLE_KEYS.get(style, ()), f"emm (lm {style})")
+    elif hyp not in ("gaussian", "none"):
         raise ConfigError(f"unknown hypothesis {hyp!r}")
     if hyp == "h2" and t["measure"]["type"] == "zero":
         raise ConfigError("h2 requires two-sided tail mass; measure is zero")
@@ -157,6 +160,9 @@ _BATTERIES = {
                                     ["lm_criterion"]),
     ("lm", "weighted", "lmrelax"): (("finite_expect",), ["finite_expect"]),
 }
+
+# the emm keys each lm style reads
+_LM_STYLE_KEYS = {"bremaud": ("K1", "K2", "gamma", "eps"), "lmrelax": ("eps",)}
 
 # negative-control knobs and the hypotheses whose battery reads them
 _KNOBS = {"frozen_zeta": ("h2",), "break_positive_factor": ("h1", "h2"),
@@ -408,6 +414,7 @@ def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     n_cells = cfg.n_cells
     w_phi = _weight_table(kern, n_cells, cfg.dt)
     w_dphi = _weight_table(kern.dphi, n_cells, cfg.dt)
+    r_phi, r_dphi = kern.recursion(cfg.dt)
 
     block = 512
     z_parts, x_parts = [], []
@@ -416,8 +423,8 @@ def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
         inc = np.empty((hi - lo, n_cells))
         for r, idx in enumerate(range(lo, hi)):
             inc[r] = sim.simulate(sim.rng_for(idx)).increments
-        X = _backend.ma_correlate(inc, w_phi, n_out, m)
-        Y = _backend.ma_correlate(inc, w_dphi, n_out, m)
+        X = _backend.ma_correlate(inc, w_phi, n_out, m, r_phi)
+        Y = _backend.ma_correlate(inc, w_dphi, n_out, m, r_dphi)
         theta = -(Y + phi0 * xi) / (phi0 * sqc)
         dB = (inc[:, m:] - sim.drift_rate * cfg.dt) / sqc
         log_z = np.sum(theta[:, :-1] * dB, axis=1) \
@@ -643,16 +650,32 @@ def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None,
         "seed": cfg.seed,
         "n_jumps_in_window": len(jump_records),
         "backend": _backend.backend_name(),
+        "correlation": "fft" if kern.iir is None else "recursion",
     }
     with open(os.path.join(out_dir, "simulate.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+        dump_json(summary, fh)
     return summary
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def dump_json(doc: dict, fh) -> None:
+    """Write doc as strict JSON: NaN and infinities become null."""
+    json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
 
 
 def write_report_files(doc: dict, out_dir: str, stem: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{stem}.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
+        dump_json(doc, fh)
     if "plot" in doc:
         with open(os.path.join(out_dir, f"{stem}_plot.csv"), "w",
                   newline="") as fh:

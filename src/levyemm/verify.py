@@ -170,6 +170,11 @@ def jump_intensity_test(counts, lam, T, weights=None, seed=None) -> StatReport:
     counts = np.asarray(counts, dtype=float)
     n = len(counts)
     mu = lam * T
+    rule = "|mean - lam T| <= 3 s.e. and chi-square p >= 0.01"
+    if n < 2:
+        # no sample variance, so no standard error to judge the mean by
+        return StatReport("jump_intensity", math.nan, math.nan, n,
+                          "inconclusive", rule, seed, {"target": mu})
     if weights is None:
         weights = np.ones(n)
     w = np.asarray(weights, dtype=float)
@@ -197,8 +202,7 @@ def jump_intensity_test(counts, lam, T, weights=None, seed=None) -> StatReport:
 
     return StatReport(
         "jump_intensity", est, se, n,
-        "pass" if (mean_ok and chi_ok) else "fail",
-        "|mean - lam T| <= 3 s.e. and chi-square p >= 0.01", seed,
+        "pass" if (mean_ok and chi_ok) else "fail", rule, seed,
         {"target": mu, "chi2": chi2, "df": df, "p_value": pval,
          "mean_pass": mean_ok, "chi2_pass": chi_ok},
     )

@@ -2,6 +2,22 @@ import numpy as np
 import pytest
 
 from levyemm import _backend
+from levyemm.kernel import constant_kernel, exponential_kernel, zero_start_kernel
+
+_KERNELS = {
+    "exponential": exponential_kernel(0.3, 1.7),
+    "constant": constant_kernel(0.8),
+    "zero-start": zero_start_kernel(0.6),
+}
+# the FFT path, and the recursion of each part (phi, phi') of each kernel
+PATHS = ["fft"] + [f"{k}-{part}" for k in _KERNELS for part in ("phi", "dphi")]
+SHAPES = [(1, 4, 3), (3, 0, 5), (2, 7, 1), (4, 5, 8)]  # (B, m, n_out)
+# FFT cases keep their plain shape id
+REFERENCE_CASES = [
+    pytest.param(path, *shape, id="-".join(
+        map(str, shape if path == "fft" else (path, *shape))))
+    for path in PATHS for shape in SHAPES
+]
 
 
 def _reference(inc, w, n_out, m):
@@ -15,41 +31,77 @@ def _reference(inc, w, n_out, m):
     return out
 
 
-def _case(B, m, n_out, seed=0):
+def _case(B, m, n_out, path="fft", seed=0):
+    """Increments, weight table and recursion (None for the FFT path)."""
     rng = np.random.default_rng(seed)
     N = n_out - 1 + m
     inc = np.ascontiguousarray(rng.standard_normal((B, N)))
-    w = np.exp(-0.3 * np.arange(N + 1)) * rng.uniform(0.5, 1.5, N + 1)
-    return inc, w
+    if path == "fft":
+        w = np.exp(-0.3 * np.arange(N + 1)) * rng.uniform(0.5, 1.5, N + 1)
+        return inc, w, None
+    name, part = path.rsplit("-", 1)
+    k = _KERNELS[name]
+    lags = np.arange(N + 1) * 0.25
+    r_phi, r_dphi = k.recursion(0.25)
+    if part == "phi":
+        return inc, k(lags), r_phi
+    return inc, k.dphi(lags), r_dphi
 
 
 class TestContract:
-    @pytest.mark.parametrize("B,m,n_out", [(1, 4, 3), (3, 0, 5), (2, 7, 1), (4, 5, 8)])
-    def test_numpy_matches_reference(self, B, m, n_out):
-        inc, w = _case(B, m, n_out)
-        got = _backend.ma_correlate(inc, w, n_out, m)
+    @pytest.mark.parametrize("path,B,m,n_out", REFERENCE_CASES)
+    def test_numpy_matches_reference(self, path, B, m, n_out):
+        inc, w, rec = _case(B, m, n_out, path)
+        got = _backend.ma_correlate(inc, w, n_out, m, rec)
         np.testing.assert_allclose(got, _reference(inc, w, n_out, m), atol=1e-12)
 
-    def test_lag_zero_weight_never_enters(self):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_lag_zero_weight_never_enters(self, path):
         # left-point sums exclude the i = k + m cell, so w[0] is irrelevant
-        inc, w = _case(2, 3, 4)
+        inc, w, rec = _case(2, 3, 4, path)
         w_alt = w.copy()
         w_alt[0] = 123.0
-        a = _backend.ma_correlate(inc, w, 4, 3)
-        b = _backend.ma_correlate(inc, w_alt, 4, 3)
+        a = _backend.ma_correlate(inc, w, 4, 3, rec)
+        b = _backend.ma_correlate(inc, w_alt, 4, 3, rec)
         np.testing.assert_allclose(a, b, atol=0)
+
+    def test_recursion_matches_fft_on_a_long_lattice(self):
+        # 5376 cells at dt = 2^-9, the gaussian-baseline lattice
+        rng = np.random.default_rng(1)
+        inc = rng.standard_normal((3, 5376)) * 2.0 ** -4.5
+        lags = np.arange(5377) * 2.0 ** -9
+        for k in (*_KERNELS.values(), zero_start_kernel(0.2)):
+            for fn, rec in zip((k, k.dphi), k.recursion(2.0 ** -9)):
+                w = fn(lags)
+                got = _backend.ma_correlate(inc, w, 257, 5120, rec)
+                want = _backend.ma_correlate(inc, w, 257, 5120)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestValidation:
     def test_shape_mismatch_raises(self):
-        inc, w = _case(2, 3, 4)
+        inc, w, _ = _case(2, 3, 4)
         with pytest.raises(ValueError):
             _backend.ma_correlate(inc, w, 4, 5)
 
     def test_short_weight_table_raises(self):
-        inc, w = _case(2, 3, 4)
+        inc, w, _ = _case(2, 3, 4)
         with pytest.raises(ValueError):
             _backend.ma_correlate(inc, w[:-2], 4, 3)
+
+    @pytest.mark.parametrize("path", PATHS[1:])
+    def test_recursion_not_matching_weights_raises(self, path):
+        inc, w, rec = _case(2, 30, 4, path)
+        w_off = w.copy()
+        w_off[17] += 1e-9 * np.max(np.abs(w)) + 1e-9
+        with pytest.raises(ValueError, match="recursion"):
+            _backend.ma_correlate(inc, w_off, 4, 30, rec)
+
+    def test_recursion_of_another_kernel_raises(self):
+        inc, _, rec = _case(2, 3, 4, "exponential-phi")
+        w = exponential_kernel(0.31, 1.7)(np.arange(7) * 0.25)
+        with pytest.raises(ValueError, match="recursion"):
+            _backend.ma_correlate(inc, w, 4, 3, rec)
 
     def test_backend_name_known(self):
         assert _backend.backend_name() == "numpy"

@@ -1,11 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from levyemm import _backend
 from levyemm.errors import InvalidConfig
-from levyemm.kernel import constant_kernel, exponential_kernel
+from levyemm.kernel import (
+    constant_kernel,
+    exponential_kernel,
+    power_kernel,
+    zero_start_kernel,
+)
 from levyemm.levy_model import (
     DiscreteMeasure,
     Interval,
@@ -224,6 +231,36 @@ class TestMovingAverage:
         err_f = np.max(np.abs(r_f))
         err_c = np.max(np.abs(r_c[: len(r_f)]))
         assert err_f < err_c / 1.5
+
+    @pytest.mark.parametrize("k", [exponential_kernel(0.7, 1.3),
+                                   constant_kernel(0.8), zero_start_kernel(0.6)],
+                             ids=lambda k: k.name)
+    def test_recursion_matches_fft(self, k):
+        F = DiscreteMeasure([(-1.0, 2.0), (1.0, 2.0)])
+        triplet = LevyTriplet(1.0, F, 0.3, indicator_inside(0.5))
+        sim = PathSimulator(triplet, _cfg(M=4.0, eps_jump=0.25))
+        path = sim.simulate_index(4)
+        assert len(path.jump_times) and np.any(path.diffuse_increments())
+        assert k.recursion(sim.config.dt)[0] is not None
+        got = moving_average(k, path, sim.config.m_cells)
+        fft = moving_average(dataclasses.replace(k, iir=None), path,
+                             sim.config.m_cells)
+        np.testing.assert_allclose(got.X, fft.X, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.Y, fft.Y, rtol=0, atol=1e-12)
+
+    def test_power_kernel_takes_the_fft(self):
+        k = power_kernel(1.5)
+        assert k.recursion(0.125) == (None, None)
+        cfg = _cfg(M=2.0)
+        path = PathSimulator(_gauss_triplet(), cfg).simulate_index(0)
+        ma = moving_average(k, path, cfg.m_cells)
+        lags = np.arange(len(path.increments) + 1) * cfg.dt
+        row = path.increments[None, :]
+        np.testing.assert_array_equal(
+            ma.X, _backend.ma_correlate(row, k(lags), cfg.n_out, cfg.m_cells)[0])
+        np.testing.assert_array_equal(
+            ma.Y, _backend.ma_correlate(row, k.dphi(lags), cfg.n_out,
+                                        cfg.m_cells)[0])
 
     def test_truncation_bias_bound_attached(self):
         cfg = _cfg(M=2.0)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 import yaml
@@ -14,6 +15,7 @@ from levyemm.pipeline import (
     load_scenario,
     run_check_kernel,
     run_construct,
+    run_simulate,
     run_verify,
     save_scenario,
     scenario_from_dict,
@@ -42,9 +44,9 @@ def _with(base, section, **changes):
     return d
 
 
-def _without_tests(base):
+def _without(base, section, key):
     d = base()
-    del d["verify"]["tests"]
+    del d[section][key]
     return d
 
 
@@ -60,7 +62,7 @@ REFUSED = {
         "conditional_jump_law"),
     "h2-unknown-mode": (lambda: _with(_two_atom_dict, "verify",
                                       mode="direct_q"), "direct_q"),
-    "direct-q-no-tests": (lambda: _without_tests(_q_dict),
+    "direct-q-no-tests": (lambda: _without(_q_dict, "verify", "tests"),
                           "at least one test"),
     "direct-q-mean-density": (lambda: _with(_q_dict, "verify",
                                             tests=["mean_density"]),
@@ -90,6 +92,12 @@ REFUSED = {
                              "lm_criterion"),
     "lm-unknown-style": (lambda: _with(_builtin("bremaud"), "emm",
                                        style="bremaud2"), "bremaud2"),
+    # each key the lm style reads (a KeyError mid-run before)
+    **{f"bremaud-no-{key}": (
+        lambda key=key: _without(_builtin("bremaud"), "emm", key), f"'{key}'")
+       for key in ("K1", "K2", "gamma", "eps")},
+    "lmrelax-no-eps": (lambda: _without(_builtin("lmrelax"), "emm", "eps"),
+                       "'eps'"),
 }
 
 
@@ -224,6 +232,19 @@ class TestPipelines:
             {"bin": 0, "n": law["n_samples"], "skipped": True}]
         assert doc["overall"] != "pass"
 
+    def test_verify_direct_q_one_path_inconclusive(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc = run_verify(builtin_scenario("q-two-atom-zeta05"), n_paths=1)
+        verdicts = {r["name"]: r["verdict"] for r in doc["reports"]}
+        assert verdicts["jump_intensity"] == "inconclusive"
+        assert doc["overall"] != "pass"
+
+    def test_simulate_power_density_kernel_takes_the_fft(self, tmp_path):
+        doc = run_simulate(builtin_scenario("classify-power-density"),
+                           str(tmp_path), n_paths=2)
+        assert doc["correlation"] == "fft"
+
     def test_verify_lmrelax_diverges(self):
         doc = run_verify(builtin_scenario("lmrelax"))
         assert doc["reports"][0]["verdict"] == "diverging"
@@ -318,6 +339,22 @@ class TestCli:
         assert (tmp_path / "h2-two-atom_verify.json").exists()
         assert (tmp_path / "h2-two-atom_verify_plot.csv").exists()
 
+    def test_verify_output_is_strict_json(self, tmp_path, capsys):
+        # brownian_invariance has a NaN estimate in memory
+        code, out = self._run(
+            ["verify", "--builtin", "gaussian-baseline", "--n-paths", "512",
+             "--out", str(tmp_path)], capsys)
+        assert code in (cli.EXIT_OK, cli.EXIT_FAIL)
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        saved = (tmp_path / "gaussian-baseline_verify.json").read_text()
+        for text in (out, saved):
+            doc = json.loads(text, parse_constant=refuse)
+            est = {r["name"]: r["estimate"] for r in doc["reports"]}
+            assert est["brownian_invariance"] is None
+
     def test_verify_negative_control_fails(self, tmp_path, capsys):
         code, out = self._run(
             ["verify", "--builtin", "negative-broken-alpha",
@@ -333,6 +370,8 @@ class TestCli:
         assert (tmp_path / "path_0.csv").exists()
         assert (tmp_path / "jumps.csv").exists()
         assert (tmp_path / "simulate.json").exists()
+        summary = json.loads((tmp_path / "simulate.json").read_text())
+        assert summary["correlation"] == "recursion"  # exponential kernel
         header = (tmp_path / "path_0.csv").read_text().splitlines()[0]
         assert header == "time,L,X,Y"
         jheader = (tmp_path / "jumps.csv").read_text().splitlines()[0]

@@ -134,6 +134,13 @@ class TestJumpIntensity:
         assert rep.verdict == "pass"
 
 
+    @pytest.mark.parametrize("counts", [[], [3.0]])
+    def test_fewer_than_two_paths_inconclusive(self, counts):
+        rep = jump_intensity_test(counts, lam=2.0, T=2.0)
+        assert rep.verdict == "inconclusive"
+        assert rep.n_samples == len(counts)
+
+
 class TestMergeTailBins:
     def test_merges_small_expected(self):
         obs = np.array([50.0, 30.0, 2.0, 1.0, 0.0])
