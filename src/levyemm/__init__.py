@@ -11,7 +11,6 @@ from .emm_construct import (
     lambda_of_zeta,
     make_h1_kernel,
     make_h2_kernel,
-    make_tail_law,
     sigma_pm,
     validate_girsanov_kernel,
 )
@@ -49,6 +48,7 @@ from .levy_model import (
     levy_integrate,
     retriplet,
     symmetric_alpha_stable,
+    tail_law,
     tempered_stable,
     uniform_band,
 )

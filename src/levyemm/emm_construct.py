@@ -21,6 +21,7 @@ from .levy_model import (
     Interval,
     LevyMeasure,
     LevyTriplet,
+    TailLaw,
     ball_complement,
     band_region,
     band_masses,
@@ -28,10 +29,9 @@ from .levy_model import (
     indicator_outside_band,
     levy_integrate,
     retriplet,
+    tail_law,
     tail_mass,
 )
-
-_MASS_FLOOR = 1e-12
 
 
 def sigma_pm(F: LevyMeasure, a: float, b: float) -> tuple[float, float]:
@@ -102,123 +102,6 @@ def make_h1_kernel(triplet: LevyTriplet, a: float, b: float) -> GirsanovKernelH1
 
 
 # ---------------------------------------------------------------------------
-# tail laws (normalized restriction of F to |x| > a)
-# ---------------------------------------------------------------------------
-
-
-class TailLaw:
-    """Probability law of a tail mark, with the partial-moment queries that
-    lambda_of_zeta needs: P(X < z) and E[X 1_{X < z}]."""
-
-    mean: float
-    zeta_lo: float
-    zeta_hi: float
-
-    def mass_below(self, z: float) -> float:
-        raise NotImplementedError
-
-    def partial_mean_below(self, z: float) -> float:
-        raise NotImplementedError
-
-
-class DiscreteTailLaw(TailLaw):
-    def __init__(self, x: np.ndarray, w: np.ndarray):
-        order = np.argsort(x)
-        self.x = np.asarray(x, dtype=float)[order]
-        self.p = np.asarray(w, dtype=float)[order]
-        self.p = self.p / self.p.sum()
-        self.cum_p = np.cumsum(self.p)
-        self.cum_xp = np.cumsum(self.x * self.p)
-        self.mean = float(self.cum_xp[-1])
-        self.zeta_lo = float(self.x[0])
-        self.zeta_hi = float(self.x[-1])
-
-    def mass_below(self, z: float) -> float:
-        i = np.searchsorted(self.x, z, side="left")
-        return float(self.cum_p[i - 1]) if i > 0 else 0.0
-
-    def partial_mean_below(self, z: float) -> float:
-        i = np.searchsorted(self.x, z, side="left")
-        return float(self.cum_xp[i - 1]) if i > 0 else 0.0
-
-
-class GridTailLaw(TailLaw):
-    """Cached cumulative mass and first moment on a log-spaced grid, for
-    density measures with two-sided tail mass beyond a."""
-
-    def __init__(self, F: DensityMeasure, a: float,
-                 pts_per_decade: int = 400, rel_tol: float = 1e-10):
-        from scipy.integrate import quad
-
-        if F.tail_integrable is False:
-            raise UnsupportedModel(
-                "tail law needs a finite first moment beyond a"
-            )
-        xs, dens = [], []
-        for sgn in (-1.0, 1.0):
-            lo, hi, total = a, 2.0 * a, 0.0
-            top = hi
-            for _ in range(200):
-                seg, _ = quad(lambda r: abs(r) * float(F.density(np.asarray(sgn * r))),
-                              lo, hi, limit=100)
-                total += seg
-                top = hi
-                if seg <= rel_tol * max(total, 1e-300):
-                    break
-                lo, hi = hi, 2.0 * hi
-            else:
-                raise UnsupportedModel("tail first moment did not localize")
-            n = max(64, int(pts_per_decade * math.log10(top / a)))
-            mags = np.geomspace(a, top, n)
-            xs.append(sgn * mags)
-            dens.append(np.asarray(F.density(sgn * mags), dtype=float))
-        # ascending x over both sides
-        x = np.concatenate([xs[0][::-1], xs[1]])
-        d = np.concatenate([dens[0][::-1], dens[1]])
-        dx = np.diff(x)
-        mid_mass = 0.5 * (d[1:] + d[:-1]) * dx
-        # no mass across the gap (-a, a)
-        gap = np.searchsorted(x, 0.0)
-        mid_mass[gap - 1] = 0.0
-        mid_moment = 0.5 * (x[1:] * d[1:] + x[:-1] * d[:-1]) * dx
-        mid_moment[gap - 1] = 0.0
-        self.x = x
-        self.cum_p = np.concatenate([[0.0], np.cumsum(mid_mass)])
-        self.lam_grid = float(self.cum_p[-1])
-        self.cum_p /= self.lam_grid
-        self.cum_xp = np.concatenate([[0.0], np.cumsum(mid_moment)]) / self.lam_grid
-        self.mean = float(self.cum_xp[-1])
-        # admissible zeta keeps both conditional masses bounded away from 0
-        lo_q = np.searchsorted(self.cum_p, _MASS_FLOOR)
-        hi_q = np.searchsorted(self.cum_p, 1.0 - _MASS_FLOOR)
-        self.zeta_lo = float(self.x[min(lo_q, len(x) - 1)])
-        self.zeta_hi = float(self.x[min(hi_q, len(x) - 1)])
-
-    def mass_below(self, z: float) -> float:
-        return float(np.interp(z, self.x, self.cum_p, left=0.0, right=1.0))
-
-    def partial_mean_below(self, z: float) -> float:
-        return float(np.interp(z, self.x, self.cum_xp,
-                               left=0.0, right=self.mean))
-
-
-def make_tail_law(F: LevyMeasure, a: float) -> TailLaw:
-    if F.is_zero:
-        raise TruncationViolated("zero measure has no tail beyond a")
-    if isinstance(F, DiscreteMeasure):
-        mask = np.abs(F.x) > a
-        x, w = F.x[mask], F.w[mask]
-        if not (np.any(x > 0) and np.any(x < 0)):
-            raise TruncationViolated("tail beyond a must be two-sided")
-        return DiscreteTailLaw(x, w)
-    assert isinstance(F, DensityMeasure)
-    law = GridTailLaw(F, a)
-    if not law.zeta_lo < 0.0 < law.zeta_hi:
-        raise TruncationViolated("tail beyond a must be two-sided")
-    return law
-
-
-# ---------------------------------------------------------------------------
 # h2: the two-level tail kernel
 # ---------------------------------------------------------------------------
 
@@ -283,7 +166,11 @@ def make_h2_kernel(triplet: LevyTriplet, a: float) -> GirsanovKernelH2:
     lam = tail_mass(triplet.F, a)
     if lam <= 0.0:
         raise TruncationViolated("no tail mass beyond a")
-    tail = make_tail_law(triplet.F, a)
+    tail = tail_law(triplet.F, ball_complement(a))
+    if tail is None or not tail.zeta_lo < 0.0 < tail.zeta_hi:
+        raise TruncationViolated("tail beyond a must be two-sided")
+    if math.isnan(tail.mean):
+        raise UnsupportedModel("tail law needs a finite first moment beyond a")
     b_h = retriplet(triplet, indicator_inside(a)).b_h
     return GirsanovKernelH2(a, lam, tail, b_h)
 

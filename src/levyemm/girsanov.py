@@ -29,6 +29,7 @@ from .errors import (
 from .kernel import Kernel
 from .levy_model import (
     DiscreteMeasure,
+    DiscreteTailLaw,
     LevyTriplet,
     levy_integrate,
 )
@@ -38,9 +39,8 @@ from .path_sim import (
     MovingAveragePath,
     PathSimulator,
     SimConfig,
-    _cell_index,
-    moving_average,
 )
+from .verify import doubling_estimates, doubling_verdict, finite_expect
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +261,6 @@ def lm_criterion_check(
     g is the jump-size factor of the dominating product W <= |P_t| g(x).
     When w_fn(p, x) is supplied the dominance itself is spot-checked.
     """
-    from .verify import finite_expect
-
     F = triplet.F
     cond_b = levy_integrate(
         F, lambda x: g(x) * (1.0 + np.log1p(g(x))), g_quadratic_near_zero=True
@@ -303,13 +301,13 @@ def lm_criterion_check(
     for k in range(n_cells):
         in_cell = (times[:-1] >= edges[k] - 1e-12) & (times[:-1] < edges[k + 1] - 1e-12)
         a_inc = np.sum(h_of_p[:, :-1][:, in_cell] * dt[in_cell], axis=1)
-        stats = _doubling_estimates(np.exp(a_inc))
-        ok = stats["verdict"] == "pass"
-        all_cells_ok = all_cells_ok and ok
+        _, estimates = doubling_estimates(np.exp(a_inc))
+        verdict = doubling_verdict(estimates)
+        all_cells_ok = all_cells_ok and verdict == "pass"
         cell_reports.append({
             "cell": [float(edges[k]), float(edges[k + 1])],
-            "estimate": stats["estimates"][-1],
-            "verdict": stats["verdict"],
+            "estimate": estimates[-1],
+            "verdict": verdict,
         })
 
     certified = (
@@ -327,17 +325,6 @@ def _default_x_probes(F):
     return np.array([-5.0, -1.0, -0.1, 0.1, 1.0, 5.0])
 
 
-def _doubling_estimates(samples: np.ndarray, doublings: int = 4) -> dict:
-    """Running means on nested prefixes of doubling size, with a
-    stabilization verdict (see verify.finite_expect for the rules)."""
-    from .verify import doubling_verdict
-
-    n = len(samples)
-    sizes = [max(8, n // 2 ** (doublings - k)) for k in range(doublings)] + [n]
-    ests = [float(np.mean(samples[:s])) for s in sizes]
-    return {"estimates": ests, "verdict": doubling_verdict(ests)}
-
-
 # ---------------------------------------------------------------------------
 # direct simulation under Q
 # ---------------------------------------------------------------------------
@@ -345,33 +332,10 @@ def _doubling_estimates(samples: np.ndarray, doublings: int = 4) -> dict:
 
 @dataclass
 class QPathRecord:
-    ma: MovingAveragePath | None
     jump_times: np.ndarray  # tail jumps in (0, T]
     jump_sizes: np.ndarray
     y_pre: np.ndarray  # Y_{T_n-} at those jumps
     n_tail_jumps: int
-
-
-class _TailMarkSamplerQ:
-    """Draws one tail mark from alpha(y, .) F^a / lam by rejection against
-    the P-law of the mark; the two-level structure of f_zeta bounds the
-    acceptance ratio."""
-
-    def __init__(self, gk: GirsanovKernelH2, F):
-        self.gk = gk
-        if isinstance(F, DiscreteMeasure):
-            mask = np.abs(F.x) > gk.a
-            self.x = F.x[mask]
-            self.w = F.w[mask]
-        else:
-            raise UnsupportedModel(
-                "direct Q mark sampling is implemented for discrete measures"
-            )
-
-    def sample(self, y: float, rng: np.random.Generator) -> float:
-        weights = self.w * np.asarray(self.gk.evaluate(y, self.x), dtype=float)
-        p = weights / weights.sum()
-        return float(rng.choice(self.x, p=p))
 
 
 def simulate_under_q(
@@ -381,7 +345,6 @@ def simulate_under_q(
     config: SimConfig,
     path_index: int,
     sim: PathSimulator | None = None,
-    want_ma: bool = True,
 ) -> QPathRecord:
     """One path with the tail jumps on (0, T] resampled under Q.
 
@@ -389,12 +352,18 @@ def simulate_under_q(
     on (0, T] is drawn sequentially from alpha(Y_{T_n-}, .) F^a / lam. The
     Gaussian part, the sub-threshold approximation and all pre-0 jumps keep
     their P-law. Requires eps_jump <= a so no tail jump hides in the
-    Gaussian approximation.
+    Gaussian approximation, and a discrete tail, whose atoms the marks are
+    drawn from.
     """
     if gk.kind != "h2":
         raise UnsupportedModel("direct Q simulation needs the tail kernel")
     if config.eps_jump > gk.a:
         raise UnsupportedModel("eps_jump must not exceed the tail threshold a")
+    tail = gk.tail
+    if not isinstance(tail, DiscreteTailLaw):
+        raise UnsupportedModel(
+            "direct Q mark sampling is implemented for discrete measures"
+        )
 
     if sim is None:
         sim = PathSimulator(triplet, config)
@@ -409,7 +378,6 @@ def simulate_under_q(
 
     n_arr = rng.poisson(gk.lam * config.T)
     arr = np.sort(rng.uniform(0.0, config.T, n_arr))
-    sampler = _TailMarkSamplerQ(gk, triplet.F)
 
     # sequential marks: Y_{T_n-} sees everything strictly before T_n
     resp = KernelResponse(kernel, LatticePath(base.times, inc, kept_t, kept_z),
@@ -417,20 +385,13 @@ def simulate_under_q(
     q_t, q_z, y_pre = [], [], []
     for t_n in arr:
         y = resp.y_pre(float(t_n))
-        z = sampler.sample(y, rng)
+        weights = tail.w * np.asarray(gk.evaluate(y, tail.x), dtype=float)
+        z = float(rng.choice(tail.x, p=weights / weights.sum()))
         q_t.append(float(t_n))
         q_z.append(z)
         y_pre.append(y)
         resp.add_jump(t_n, z)
 
-    ma = None
-    if want_ma:
-        final_inc = inc.copy()
-        idx = _cell_index(resp.jump_times, float(base.times[0]), base.dt, len(inc))
-        np.add.at(final_inc, idx, resp.jump_sizes)
-        full = LatticePath(base.times, final_inc, resp.jump_times, resp.jump_sizes)
-        ma = moving_average(kernel, full, m_cells=config.m_cells)
     return QPathRecord(
-        ma,
         np.asarray(q_t), np.asarray(q_z), np.asarray(y_pre), len(q_t),
     )

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate as _sciint
 
-from .errors import InvalidRegion, NonIntegrable
+from .errors import InvalidRegion, NonIntegrable, UnsupportedModel
 
 # quadrature defaults (see module design notes in README)
 ABS_TOL = 1e-10
@@ -438,6 +438,192 @@ def first_abs_moment_tail(F: LevyMeasure, r: float = 1.0) -> float:
                 "density measure has no declared tail integrability flag"
             )
     return levy_integrate(F, lambda x: np.abs(x), ball_complement(r))
+
+
+# ---------------------------------------------------------------------------
+# tail laws: F restricted beyond a threshold, normalized
+# ---------------------------------------------------------------------------
+
+_MASS_FLOOR = 1e-12  # least conditional mass an admissible zeta leaves
+_GRID_PTS_PER_DECADE = 512
+_GRID_REL_TOL = 1e-10  # share of the tail a side may leave beyond its grid
+
+
+class TailLaw:
+    """Normalized restriction of F to |x| > r (open region) or |x| >= r
+    (closed), with its total mass as `rate`.
+
+    sample draws marks; mass_below(z) = P(X < z) and partial_mean_below(z)
+    = E[X 1_{X < z}] are the queries lambda_of_zeta needs. mean is NaN when
+    the tail has no first moment. zeta_lo < zeta_hi bound the levels that
+    leave both conditional masses above _MASS_FLOOR.
+    """
+
+    rate: float
+    mean: float
+    zeta_lo: float
+    zeta_hi: float
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        raise NotImplementedError
+
+    def mass_below(self, z: float) -> float:
+        raise NotImplementedError
+
+    def partial_mean_below(self, z: float) -> float:
+        raise NotImplementedError
+
+
+class DiscreteTailLaw(TailLaw):
+    """The atoms x (ascending) in the region with their raw weights w."""
+
+    def __init__(self, x: np.ndarray, w: np.ndarray):
+        self.x = np.asarray(x, dtype=float)
+        self.w = np.asarray(w, dtype=float)
+        self.rate = float(np.sum(self.w))
+        self.p = self.w / np.sum(self.w)
+        self.cum_p = np.cumsum(self.p)
+        self.cum_xp = np.cumsum(self.x * self.p)
+        self.mean = float(self.cum_xp[-1])
+        self.zeta_lo = float(self.x[0])
+        self.zeta_hi = float(self.x[-1])
+
+    def sample(self, n, rng):
+        return rng.choice(self.x, size=n, p=self.p)
+
+    def mass_below(self, z: float) -> float:
+        i = np.searchsorted(self.x, z, side="left")
+        return float(self.cum_p[i - 1]) if i > 0 else 0.0
+
+    def partial_mean_below(self, z: float) -> float:
+        i = np.searchsorted(self.x, z, side="left")
+        return float(self.cum_xp[i - 1]) if i > 0 else 0.0
+
+
+class StableTailLaw(TailLaw):
+    """F(dx) = scale |x|^{-alpha-1} dx beyond r in closed form: each side
+    holds half the mass, |X| = r U^{-1/alpha} is Pareto, and the partial
+    first moments exist for alpha > 1."""
+
+    def __init__(self, alpha: float, scale: float, r: float):
+        self.alpha = alpha
+        self.r = r
+        self.rate = 2.0 * scale * r ** (-alpha) / alpha
+        # E[X 1_{X < -r}] = -c; NaN when the tail has no first moment
+        self._c = alpha * r / (2.0 * (alpha - 1.0)) if alpha > 1.0 else math.nan
+        self.mean = 0.0 if alpha > 1.0 else math.nan
+        self.zeta_hi = r * (2.0 * _MASS_FLOOR) ** (-1.0 / alpha)
+        self.zeta_lo = -self.zeta_hi
+
+    def sample(self, n, rng):
+        u = rng.uniform(size=n)
+        mag = self.r * u ** (-1.0 / self.alpha)
+        sign = rng.choice([-1.0, 1.0], size=n)
+        return sign * mag
+
+    def mass_below(self, z: float) -> float:
+        if z <= -self.r:
+            return 0.5 * (-z / self.r) ** (-self.alpha)
+        if z <= self.r:
+            return 0.5
+        return 1.0 - 0.5 * (z / self.r) ** (-self.alpha)
+
+    def partial_mean_below(self, z: float) -> float:
+        if abs(z) <= self.r:
+            return -self._c
+        return -self._c * (abs(z) / self.r) ** (1.0 - self.alpha)
+
+
+class GridTailLaw(TailLaw):
+    """Simpson cumulative mass and first moment on one two-sided,
+    log-spaced grid; marks by inverse-CDF interpolation.
+
+    Every breakpoint of F beyond r is a node, and the density is taken as
+    its one-sided limit at each node, so a piecewise-constant density is
+    integrated exactly.
+    """
+
+    def __init__(self, F: DensityMeasure, r: float):
+        moment = F.tail_integrable is not False
+        sides = []
+        for sgn in (-1.0, 1.0):
+            top = _tail_extent(F, r, sgn, moment)
+            n = 1 if top <= r else max(
+                64, int(_GRID_PTS_PER_DECADE * math.log10(top / r)))
+            bps = [sgn * b for b in F.breakpoints if r < sgn * b < top]
+            sides.append(np.union1d(np.geomspace(r, top, n), bps))
+        x = np.concatenate([-sides[0][::-1], sides[1]])
+        gap = len(sides[0]) - 1  # the segment (-r, r) holds no mass
+        mid = 0.5 * (x[:-1] + x[1:])
+        mid[gap] = r  # keeps the density away from 0
+        d_lo, d_mid, d_hi = (np.asarray(F.density(v), dtype=float) for v in (
+            np.nextafter(x[:-1], math.inf), mid, np.nextafter(x[1:], -math.inf)))
+        dx = np.diff(x) / 6.0
+        mass = (d_lo + 4.0 * d_mid + d_hi) * dx
+        first = (x[:-1] * d_lo + 4.0 * mid * d_mid + x[1:] * d_hi) * dx
+        mass[gap] = first[gap] = 0.0
+        cum = np.concatenate([[0.0], np.cumsum(mass)])
+        self.x = x
+        self.rate = float(cum[-1])
+        if self.rate <= 0.0:
+            return
+        self.cum_p = cum / self.rate
+        self.cum_xp = np.concatenate([[0.0], np.cumsum(first)]) / self.rate
+        self.mean = float(self.cum_xp[-1]) if moment else math.nan
+        lo_q = np.searchsorted(self.cum_p, _MASS_FLOOR)
+        hi_q = np.searchsorted(self.cum_p, 1.0 - _MASS_FLOOR)
+        self.zeta_lo = float(x[min(lo_q, len(x) - 1)])
+        self.zeta_hi = float(x[min(hi_q, len(x) - 1)])
+
+    def sample(self, n, rng):
+        return np.interp(rng.uniform(size=n), self.cum_p, self.x)
+
+    def mass_below(self, z: float) -> float:
+        return float(np.interp(z, self.x, self.cum_p, left=0.0, right=1.0))
+
+    def partial_mean_below(self, z: float) -> float:
+        return float(np.interp(z, self.x, self.cum_xp, left=0.0, right=self.mean))
+
+
+def _tail_extent(F: DensityMeasure, r: float, sgn: float, moment: bool) -> float:
+    """Magnitude past which one side of the tail beyond r is negligible.
+
+    Doubles [lo, 2 lo] from lo = r. Stops at the edge of the support, or
+    once the side has mass, its last breakpoint is passed and a step adds
+    less than _GRID_REL_TOL of the first moment (of the mass when the tail
+    is not integrable).
+    """
+    edge = F.support[1] if sgn > 0 else -F.support[0]
+    last = max([sgn * b for b in F.breakpoints], default=r)
+    weight = (lambda x: np.abs(x)) if moment else 1.0
+    lo, total = r, 0.0
+    for _ in range(200):
+        if lo >= edge:
+            return max(r, edge)
+        hi = 2.0 * lo
+        seg = Interval(lo, hi) if sgn > 0 else Interval(-hi, -lo)
+        step = levy_integrate(F, weight, [seg])
+        total += step
+        lo = hi
+        if total > 0.0 and lo >= last and step < _GRID_REL_TOL * total:
+            return lo
+    raise UnsupportedModel("the tail beyond the threshold did not localize")
+
+
+def tail_law(F: LevyMeasure, region: list[Interval]) -> TailLaw | None:
+    """Law of the jumps of F in region = ball_complement(r, open_ends=...);
+    None when the region holds no mass. Interval.contains decides whether
+    atoms at +-r belong to it."""
+    if F.is_zero:
+        return None
+    if isinstance(F, DiscreteMeasure):
+        mask = np.any([iv.contains(F.x) for iv in region], axis=0)
+        return DiscreteTailLaw(F.x[mask], F.w[mask]) if mask.any() else None
+    r = region[-1].lo
+    if F.name == "symmetric-alpha-stable":
+        return StableTailLaw(F.params["alpha"], F.params["scale"], r)
+    law = GridTailLaw(F, r)
+    return law if law.rate > 0.0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _backend
-from .errors import InvalidConfig, KernelDomain, UnsupportedModel
+from .errors import InvalidConfig, KernelDomain
 from .kernel import Kernel
 from .levy_model import (
-    DensityMeasure,
-    DiscreteMeasure,
     Interval,
-    LevyMeasure,
     LevyTriplet,
     ball_complement,
     levy_integrate,
+    tail_law,
 )
 
 
@@ -104,116 +102,6 @@ def _cell_index(times, t_lo, dt, n_cells):
 
 
 # ---------------------------------------------------------------------------
-# jump mark samplers
-# ---------------------------------------------------------------------------
-
-
-class JumpSampler:
-    """Samples sizes of jumps with |x| >= eps from the normalized restriction
-    of the Levy measure; carries the restricted total rate."""
-
-    def __init__(self, rate: float):
-        self.rate = rate
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _DiscreteJumpSampler(JumpSampler):
-    def __init__(self, x, w):
-        super().__init__(float(np.sum(w)))
-        self.x = x
-        self.p = w / np.sum(w)
-
-    def sample(self, n, rng):
-        return rng.choice(self.x, size=n, p=self.p)
-
-
-class _StableJumpSampler(JumpSampler):
-    def __init__(self, alpha, scale, eps):
-        side = scale * eps ** (-alpha) / alpha
-        super().__init__(2.0 * side)
-        self.alpha = alpha
-        self.eps = eps
-
-    def sample(self, n, rng):
-        u = rng.uniform(size=n)
-        mag = self.eps * u ** (-1.0 / self.alpha)
-        sign = rng.choice([-1.0, 1.0], size=n)
-        return sign * mag
-
-
-class _GridJumpSampler(JumpSampler):
-    """Numeric inverse-CDF sampler for a density restricted to |x| >= eps."""
-
-    def __init__(self, F: DensityMeasure, eps: float):
-        grids, cdfs, masses = [], [], []
-        for sgn in (-1.0, 1.0):
-            g, c = _side_cdf_grid(F, eps, sgn)
-            grids.append(g)
-            cdfs.append(c)
-            masses.append(c[-1] if len(c) else 0.0)
-        super().__init__(float(sum(masses)))
-        self.grids = grids
-        self.cdfs = cdfs
-        self.masses = np.asarray(masses, dtype=float)
-
-    def sample(self, n, rng):
-        p = self.masses / self.masses.sum()
-        side = rng.choice(2, size=n, p=p)
-        u = rng.uniform(size=n)
-        out = np.empty(n)
-        for s in (0, 1):
-            mask = side == s
-            if np.any(mask):
-                c = self.cdfs[s]
-                out[mask] = np.interp(u[mask] * c[-1], c, self.grids[s])
-        return out
-
-
-def _side_cdf_grid(F: DensityMeasure, eps: float, sgn: float,
-                   pts_per_decade: int = 512, rel_tol: float = 1e-10):
-    """Log-spaced magnitude grid on one side with cumulative mass."""
-    lo, hi = eps, 2.0 * eps
-    total = 0.0
-    spans = []
-    from scipy.integrate import quad
-
-    def dens_mag(r):
-        return float(F.density(np.asarray(sgn * r)))
-
-    for _ in range(200):
-        seg, _ = quad(dens_mag, lo, hi, limit=100)
-        spans.append((lo, hi, seg))
-        total += seg
-        if seg <= rel_tol * max(total, 1e-300):
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise UnsupportedModel("jump-size tail mass did not converge")
-    top = spans[-1][1]
-    n = max(64, int(pts_per_decade * math.log10(top / eps)))
-    mags = np.geomspace(eps, top, n)
-    dens = np.array([dens_mag(r) for r in mags])
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(mags))])
-    return sgn * mags, cdf
-
-
-def make_jump_sampler(F: LevyMeasure, eps: float) -> JumpSampler | None:
-    if F.is_zero:
-        return None
-    if isinstance(F, DiscreteMeasure):
-        mask = np.abs(F.x) >= eps
-        if not np.any(mask):
-            return None
-        return _DiscreteJumpSampler(F.x[mask], F.w[mask])
-    assert isinstance(F, DensityMeasure)
-    if F.name == "symmetric-alpha-stable":
-        return _StableJumpSampler(F.params["alpha"], F.params["scale"], eps)
-    return _GridJumpSampler(F, eps)
-
-
-# ---------------------------------------------------------------------------
 # the simulator
 # ---------------------------------------------------------------------------
 
@@ -233,8 +121,8 @@ class PathSimulator:
             raise InvalidConfig(
                 "eps_jump must not exceed the truncation identity radius"
             )
-        self.sampler = make_jump_sampler(triplet.F, eps)
-        self.jump_rate = self.sampler.rate if self.sampler else 0.0
+        self.tail = tail_law(triplet.F, ball_complement(eps, open_ends=False))
+        self.jump_rate = self.tail.rate if self.tail else 0.0
 
         F = triplet.F
         if F.is_zero:
@@ -268,10 +156,10 @@ class PathSimulator:
             inc += rng.normal(0.0, math.sqrt(self.triplet.c * dt), n)
         if self.small_var_rate > 0.0 and cfg.small_jump_mode == "gaussian-approx":
             inc += rng.normal(0.0, math.sqrt(self.small_var_rate * dt), n)
-        if self.sampler is not None:
+        if self.tail is not None:
             count = rng.poisson(self.jump_rate * (cfg.T + cfg.M))
             jt = np.sort(rng.uniform(-cfg.M, cfg.T, count))
-            jz = self.sampler.sample(count, rng)
+            jz = self.tail.sample(count, rng)
             idx = _cell_index(jt, -cfg.M, dt, n)
             np.add.at(inc, idx, jz)
         else:

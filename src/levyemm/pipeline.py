@@ -385,8 +385,7 @@ def _q_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     counts = np.zeros(stop - start, dtype=np.int64)
     y_pre, marks = [], []
     for i, idx in enumerate(range(start, stop)):
-        rec = girsanov.simulate_under_q(gk, triplet, kern, cfg, idx, sim=sim,
-                                        want_ma=False)
+        rec = girsanov.simulate_under_q(gk, triplet, kern, cfg, idx, sim=sim)
         counts[i] = rec.n_tail_jumps
         y_pre.extend(rec.y_pre.tolist())
         marks.extend(rec.jump_sizes.tolist())

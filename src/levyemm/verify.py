@@ -16,6 +16,7 @@ import numpy as np
 from scipy import stats as _scistats
 
 from .errors import InsufficientSamples
+from .levy_model import DiscreteTailLaw
 
 CHI2_LEVEL = 0.01
 _ALPHA_3SE = 2.0 * _scistats.norm.sf(3.0)  # two-sided level of the 3-s.e. rule
@@ -217,8 +218,6 @@ def conditional_jump_law_test(
     fewer than `floor` marks are skipped; when all are, the verdict is
     inconclusive.
     """
-    from .emm_construct import DiscreteTailLaw
-
     if not isinstance(gk.tail, DiscreteTailLaw):
         raise InsufficientSamples("conditional law test needs a discrete tail")
     atoms = gk.tail.x
@@ -290,6 +289,14 @@ def doubling_verdict(estimates) -> str:
     return "inconclusive"
 
 
+def doubling_estimates(stat, doublings: int = 4) -> tuple[list, list]:
+    """Nested prefix sizes n / 2^doublings, ..., n / 2, n (at least 8) of
+    the samples stat (n,) or (n, k), and the largest column mean on each."""
+    n = len(stat)
+    sizes = [max(8, n >> (doublings - k)) for k in range(doublings)] + [n]
+    return sizes, [float(np.max(np.mean(stat[:s], axis=0))) for s in sizes]
+
+
 def finite_expect(p_ensemble, eps, doublings=4, seed=None) -> StatReport:
     """Estimate sup_t E[exp(eps |P_t| log(1 + |P_t|))] across doubling
     sample sizes; pass only when the running estimates stabilize."""
@@ -299,8 +306,7 @@ def finite_expect(p_ensemble, eps, doublings=4, seed=None) -> StatReport:
     n = p.shape[0]
     with np.errstate(over="ignore"):
         stat = np.exp(eps * p * np.log1p(p))
-    sizes = [max(8, n >> (doublings - k)) for k in range(doublings)] + [n]
-    estimates = [float(np.max(np.mean(stat[:s], axis=0))) for s in sizes]
+    sizes, estimates = doubling_estimates(stat, doublings)
     verdict = doubling_verdict(estimates)
     rs = RunningStats().add(stat[:, int(np.argmax(np.mean(stat, axis=0)))])
     return StatReport(

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyemm.emm_construct import (
-    DiscreteTailLaw,
     GirsanovKernelH2,
     alpha_h1,
     alpha_h2,
@@ -14,16 +13,18 @@ from levyemm.emm_construct import (
     lambda_of_zeta,
     make_h1_kernel,
     make_h2_kernel,
-    make_tail_law,
     sigma_pm,
     validate_girsanov_kernel,
 )
-from levyemm.errors import TruncationViolated, ZetaOutOfRange
+from levyemm.errors import TruncationViolated, UnsupportedModel, ZetaOutOfRange
 from levyemm.levy_model import (
     DiscreteMeasure,
+    DiscreteTailLaw,
     LevyTriplet,
+    ball_complement,
     indicator_inside,
     symmetric_alpha_stable,
+    tail_law,
     uniform_band,
 )
 
@@ -123,11 +124,11 @@ class TestTailLaw:
     def test_one_sided_tail_rejected(self):
         F = DiscreteMeasure([(1.0, 1.0), (0.2, 5.0)])
         with pytest.raises(TruncationViolated):
-            make_tail_law(F, 0.5)
+            make_h2_kernel(_triplet(F), 0.5)
 
     def test_grid_law_matches_uniform_band(self):
         F = uniform_band(1.0, 2.0, 0.3)
-        law = make_tail_law(F, 1.0)
+        law = tail_law(F, ball_complement(1.0))
         assert law.mean == pytest.approx(0.0, abs=1e-9)
         assert law.mass_below(0.0) == pytest.approx(0.5, abs=1e-6)
         # E[X 1_{X<0}] = -0.3 * (2^2-1)/2 normalized by mass 0.6
@@ -207,6 +208,37 @@ class TestH2Kernel:
         assert res["ok"], res
         assert res["max_drift_violation"] < 1e-4
         assert res["max_mass_violation"] < 1e-4
+
+    def test_stable_closed_form_drift_identity(self):
+        F = symmetric_alpha_stable(1.5)
+        t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0), integrable=False)
+        k = make_h2_kernel(t, 1.0)
+        res = validate_girsanov_kernel(k, t, np.linspace(-1.0, 1.0, 9))
+        assert res["max_drift_violation"] < 1e-9
+        assert res["max_mass_violation"] < 1e-9
+
+    def test_stable_without_first_moment_refused(self):
+        F = symmetric_alpha_stable(0.9)
+        t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0), integrable=False)
+        with pytest.raises(UnsupportedModel):
+            make_h2_kernel(t, 1.0)
+
+    def test_uniform_band_tail_below_the_band(self):
+        # the first doubling [a, 2a] = [0.25, 0.5] holds no mass
+        t = _triplet(uniform_band(0.5, 2.0))
+        k = make_h2_kernel(t, 0.25)
+        assert k.tail.rate == pytest.approx(3.0, rel=1e-12)
+        res = validate_girsanov_kernel(k, t, np.linspace(-0.5, 0.5, 9))
+        assert res["ok"], res
+        assert res["max_drift_violation"] < 1e-12
+
+    def test_uniform_band_grid_mass_exact(self):
+        # a breakpoint (b = 2) falls inside a doubling of a = 0.75
+        k = make_h2_kernel(_triplet(uniform_band(0.5, 2.0)), 0.75)
+        assert k.lam == pytest.approx(2.5, rel=1e-12)
+        assert k.tail.rate == pytest.approx(2.5, rel=1e-12)
+        assert k.tail.partial_mean_below(0.0) == pytest.approx(
+            -(2.0**2 - 0.75**2) / 2.0 / 2.5, rel=1e-12)
 
     def test_no_tail_mass_rejected(self):
         F = DiscreteMeasure([(0.2, 1.0), (-0.2, 1.0)])

@@ -297,7 +297,7 @@ class TestSimulateUnderQ:
 
         sim = PathSimulator(t, cfg)
         for i in range(300):
-            rec = simulate_under_q(gk, t, k, cfg, i, sim=sim, want_ma=False)
+            rec = simulate_under_q(gk, t, k, cfg, i, sim=sim)
             sizes.extend(rec.jump_sizes)
             counts.append(rec.n_tail_jumps)
             np.testing.assert_allclose(rec.y_pre, 0.0, atol=1e-12)
@@ -310,7 +310,7 @@ class TestSimulateUnderQ:
     def test_reproducible(self):
         t, gk, cfg = self._setup()
         k = exponential_kernel(1.0)
-        a = simulate_under_q(gk, t, k, cfg, 3, want_ma=False)
-        b = simulate_under_q(gk, t, k, cfg, 3, want_ma=False)
+        a = simulate_under_q(gk, t, k, cfg, 3)
+        b = simulate_under_q(gk, t, k, cfg, 3)
         assert np.array_equal(a.jump_times, b.jump_times)
         assert np.array_equal(a.jump_sizes, b.jump_sizes)

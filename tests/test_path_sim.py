@@ -17,17 +17,21 @@ from levyemm.levy_model import (
     DiscreteMeasure,
     Interval,
     LevyTriplet,
+    ball_complement,
     gaussian_only,
     indicator_inside,
     levy_integrate,
     symmetric_alpha_stable,
+    tail_law,
+    tail_mass,
+    tempered_stable,
+    uniform_band,
 )
 from levyemm.path_sim import (
     KernelResponse,
     LatticePath,
     PathSimulator,
     SimConfig,
-    _StableJumpSampler,
     decomposition_residual,
     extract_jump_measure,
     moving_average,
@@ -92,7 +96,8 @@ class TestJumps:
         assert abs(np.mean(counts) - lam) < 4 * se
 
     def test_stable_sampler_tail_law(self):
-        s = _StableJumpSampler(alpha=1.5, scale=1.0, eps=0.25)
+        s = tail_law(symmetric_alpha_stable(1.5),
+                     ball_complement(0.25, open_ends=False))
         rng = np.random.default_rng(8)
         z = np.abs(s.sample(40_000, rng))
         # P(|Z| > 2 eps) = 2^{-alpha}
@@ -267,6 +272,41 @@ class TestMovingAverage:
         path = PathSimulator(_gauss_triplet(), cfg).simulate_index(0)
         ma = moving_average(exponential_kernel(1.0), path, cfg.m_cells)
         assert ma.truncation_bias_bound == pytest.approx(math.exp(-2.0), rel=1e-9)
+
+
+class TestDensityTails:
+    """Explicit jumps of density measures drawn from the grid tail law."""
+
+    @pytest.mark.parametrize("F", [tempered_stable(1.0, 1.0, 1.5),
+                                   uniform_band(0.5, 2.0)],
+                             ids=["tempered-stable", "uniform-band"])
+    def test_rate_and_mean_size(self, F):
+        eps = 0.25
+        t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0))
+        sim = PathSimulator(t, _cfg(eps_jump=eps, seed=23))
+        assert sim.jump_rate == pytest.approx(tail_mass(F, eps), rel=1e-4)
+        z = np.abs(np.concatenate([sim.simulate_index(i).jump_sizes
+                                   for i in range(500)]))
+        assert np.all(z >= eps)
+        target = levy_integrate(F, np.abs, ball_complement(eps, open_ends=False))
+        target /= sim.jump_rate
+        assert abs(z.mean() - target) < 4 * z.std(ddof=1) / math.sqrt(len(z))
+
+    def test_zero_mass_first_doubling(self):
+        # [eps, 2 eps] = [0.25, 0.5] holds no mass; the grid must go on
+        F = uniform_band(0.5, 2.0)
+        t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0))
+        sim = PathSimulator(t, _cfg(eps_jump=0.25))
+        assert sim.jump_rate == pytest.approx(3.0, rel=1e-12)
+        z = np.abs(sim.simulate_index(0).jump_sizes)
+        assert len(z) and np.all((z >= 0.5) & (z <= 2.0))
+
+    def test_stable_below_one_still_simulates(self):
+        t = LevyTriplet(0.0, symmetric_alpha_stable(0.9), 0.0,
+                        indicator_inside(1.0), integrable=False)
+        sim = PathSimulator(t, _cfg(eps_jump=0.5))
+        assert sim.jump_rate == pytest.approx(2.0 * 0.5**-0.9 / 0.9, rel=1e-12)
+        assert np.all(np.abs(sim.simulate_index(0).jump_sizes) >= 0.5)
 
 
 class TestVarianceBudget:
