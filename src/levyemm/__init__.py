@@ -5,8 +5,6 @@ from ._backend import available_backends, backend_name
 from .emm_construct import (
     GirsanovKernelH1,
     GirsanovKernelH2,
-    alpha_h1,
-    alpha_h2,
     f_zeta,
     lambda_of_zeta,
     make_h1_kernel,

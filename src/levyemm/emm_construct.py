@@ -89,10 +89,6 @@ class GirsanovKernelH1:
         )
 
 
-def alpha_h1(k: GirsanovKernelH1, y_t: float, x) -> np.ndarray:
-    return k.evaluate(y_t, x)
-
-
 def make_h1_kernel(triplet: LevyTriplet, a: float, b: float) -> GirsanovKernelH1:
     s_plus, s_minus = sigma_pm(triplet.F, a, b)
     ident = lambda x: x  # noqa: E731
@@ -106,34 +102,48 @@ def make_h1_kernel(triplet: LevyTriplet, a: float, b: float) -> GirsanovKernelH1
 # ---------------------------------------------------------------------------
 
 
-def lambda_of_zeta(tail: TailLaw, zeta: float) -> float:
-    """(zeta - E[X|X<zeta]) / (E[X|X>=zeta] - E[X|X<zeta]), in (0, 1)."""
+def _split(tail: TailLaw, zeta):
+    """(P(X < zeta), lambda(zeta)), elementwise in zeta."""
     p_lo = tail.mass_below(zeta)
     p_hi = 1.0 - p_lo
-    if p_lo <= 0.0 or p_hi <= 0.0:
+    # .all() rather than np.all: the weighted battery calls this once per
+    # tail jump with a scalar zeta
+    if not ((p_lo > 0.0) & (p_hi > 0.0)).all():
         raise ZetaOutOfRange(f"zeta={zeta} leaves an empty conditional block")
-    m_lo = tail.partial_mean_below(zeta) / p_lo
-    m_hi = (tail.mean - tail.partial_mean_below(zeta)) / p_hi
-    if not m_lo < zeta < m_hi:
+    below = tail.partial_mean_below(zeta)
+    m_lo = below / p_lo
+    m_hi = (tail.mean - below) / p_hi
+    if not ((m_lo < zeta) & (zeta < m_hi)).all():
         raise ZetaOutOfRange(
             f"conditional means do not bracket zeta: {m_lo} / {zeta} / {m_hi}"
         )
-    return (zeta - m_lo) / (m_hi - m_lo)
+    return p_lo, (zeta - m_lo) / (m_hi - m_lo)
 
 
-def f_zeta(tail: TailLaw, zeta: float, x) -> np.ndarray:
+def lambda_of_zeta(tail: TailLaw, zeta):
+    """(zeta - E[X|X<zeta]) / (E[X|X>=zeta] - E[X|X<zeta]), in (0, 1)."""
+    return _split(tail, zeta)[1]
+
+
+def f_zeta(tail: TailLaw, zeta, x) -> np.ndarray:
     """Two-level step density w.r.t. the tail law with mean zeta."""
-    lam_z = lambda_of_zeta(tail, zeta)
-    p_lo = tail.mass_below(zeta)
-    lo_level = (1.0 - lam_z) / p_lo
-    hi_level = lam_z / (1.0 - p_lo)
+    p_lo, lam_z = _split(tail, zeta)
     x = np.asarray(x, dtype=float)
-    return np.where(x < zeta, lo_level, hi_level)
+    return np.where(x < zeta, (1.0 - lam_z) / p_lo, lam_z / (1.0 - p_lo))
 
 
 @dataclass(frozen=True)
 class GirsanovKernelH2:
-    """alpha(y, x) = f_{-(y + b_h)/lam}(x) for |x| > a, 1 otherwise."""
+    """alpha(y, x) = f_{zeta(y)}(x) for |x| > a, 1 otherwise, with
+    zeta(y) = -(y + b_h)/lam.
+
+    Under Q the tail marks follow alpha(y, .) F^a / lam: the tail law
+    conditioned below zeta(y) with weight 1 - lambda(zeta), and at or above
+    it with weight lambda. That law is the tail law's cumulative mass G
+    sent through the piecewise-linear map with knot (P(X < zeta),
+    1 - lambda); mark_mass_below and mark_quantile apply the map and its
+    inverse.
+    """
 
     a: float
     lam: float  # F([-a, a]^c)
@@ -145,21 +155,31 @@ class GirsanovKernelH2:
     # and the density has no compensator
     excess_rate = None
 
-    def zeta(self, y: float) -> float:
+    def zeta(self, y):
         return -(y + self.b_h) / self.lam
 
     def evaluate(self, y: float, x) -> np.ndarray:
-        return alpha_h2(self, y, self.b_h, x)
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.ones_like(arr)
+        tail_mask = np.abs(arr) > self.a
+        if tail_mask.any():
+            out[tail_mask] = f_zeta(self.tail, self.zeta(y), arr[tail_mask])
+        return out if np.ndim(x) else float(out[0])
 
+    def mark_mass_below(self, y, z):
+        """Q(Z < z | Y_- = y), elementwise in (y, z)."""
+        p_lo, lam_z = _split(self.tail, self.zeta(y))
+        g = self.tail.mass_below(z)
+        return np.where(g <= p_lo, g * ((1.0 - lam_z) / p_lo),
+                        1.0 - lam_z + (g - p_lo) * (lam_z / (1.0 - p_lo)))
 
-def alpha_h2(k: GirsanovKernelH2, y_t: float, b_h: float, x):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    zeta = -(y_t + b_h) / k.lam
-    out = np.ones_like(arr)
-    tail_mask = np.abs(arr) > k.a
-    if np.any(tail_mask):
-        out[tail_mask] = f_zeta(k.tail, zeta, arr[tail_mask])
-    return out if np.ndim(x) else float(out[0])
+    def mark_quantile(self, y, u):
+        """The Q mark law at Y_- = y inverted at u in [0, 1)."""
+        p_lo, lam_z = _split(self.tail, self.zeta(y))
+        u = np.asarray(u, dtype=float)
+        g = np.where(u < 1.0 - lam_z, u * (p_lo / (1.0 - lam_z)),
+                     p_lo + (u - (1.0 - lam_z)) * ((1.0 - p_lo) / lam_z))
+        return self.tail.quantile(np.clip(g, 0.0, 1.0))
 
 
 def make_h2_kernel(triplet: LevyTriplet, a: float) -> GirsanovKernelH2:

@@ -37,11 +37,6 @@ class DominanceViolated(LevyEmmError):
     """Sampled W(t,x) exceeded |P_t| g(x) at a probed point."""
 
 
-class InsufficientSamples(LevyEmmError):
-    """The samples cannot support the test at all, e.g. marks of a tail
-    that is not discrete given to the conditional law test."""
-
-
 class KernelDomain(LevyEmmError):
     """phi is not evaluable at a required lag."""
 
@@ -51,7 +46,7 @@ class InvalidConfig(LevyEmmError):
 
 
 class UnsupportedModel(LevyEmmError):
-    """No sampler is available for the requested mark law."""
+    """The model is outside what the requested construction supports."""
 
 
 class ConfigError(LevyEmmError):

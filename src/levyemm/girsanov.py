@@ -29,7 +29,6 @@ from .errors import (
 from .kernel import Kernel
 from .levy_model import (
     DiscreteMeasure,
-    DiscreteTailLaw,
     LevyTriplet,
     levy_integrate,
 )
@@ -349,21 +348,15 @@ def simulate_under_q(
     """One path with the tail jumps on (0, T] resampled under Q.
 
     Arrivals stay Poisson with the P-intensity lam = F([-a,a]^c); each mark
-    on (0, T] is drawn sequentially from alpha(Y_{T_n-}, .) F^a / lam. The
-    Gaussian part, the sub-threshold approximation and all pre-0 jumps keep
-    their P-law. Requires eps_jump <= a so no tail jump hides in the
-    Gaussian approximation, and a discrete tail, whose atoms the marks are
-    drawn from.
+    on (0, T] is drawn sequentially from alpha(Y_{T_n-}, .) F^a / lam, as
+    gk.mark_quantile at one uniform. The Gaussian part, the sub-threshold
+    approximation and all pre-0 jumps keep their P-law. Requires
+    eps_jump <= a so no tail jump hides in the Gaussian approximation.
     """
     if gk.kind != "h2":
         raise UnsupportedModel("direct Q simulation needs the tail kernel")
     if config.eps_jump > gk.a:
         raise UnsupportedModel("eps_jump must not exceed the tail threshold a")
-    tail = gk.tail
-    if not isinstance(tail, DiscreteTailLaw):
-        raise UnsupportedModel(
-            "direct Q mark sampling is implemented for discrete measures"
-        )
 
     if sim is None:
         sim = PathSimulator(triplet, config)
@@ -385,8 +378,7 @@ def simulate_under_q(
     q_t, q_z, y_pre = [], [], []
     for t_n in arr:
         y = resp.y_pre(float(t_n))
-        weights = tail.w * np.asarray(gk.evaluate(y, tail.x), dtype=float)
-        z = float(rng.choice(tail.x, p=weights / weights.sum()))
+        z = float(gk.mark_quantile(y, rng.random()))
         q_t.append(float(t_n))
         q_z.append(z)
         y_pre.append(y)

@@ -453,10 +453,12 @@ class TailLaw:
     """Normalized restriction of F to |x| > r (open region) or |x| >= r
     (closed), with its total mass as `rate`.
 
-    sample draws marks; mass_below(z) = P(X < z) and partial_mean_below(z)
-    = E[X 1_{X < z}] are the queries lambda_of_zeta needs. mean is NaN when
-    the tail has no first moment. zeta_lo < zeta_hi bound the levels that
-    leave both conditional masses above _MASS_FLOOR.
+    quantile(u) inverts the law at u in [0, 1) and sample draws marks
+    through it; mass_below(z) = P(X < z) and partial_mean_below(z)
+    = E[X 1_{X < z}] are the queries lambda_of_zeta needs. All three take
+    arrays. mean is NaN when the tail has no first moment. zeta_lo <
+    zeta_hi bound the levels that leave both conditional masses above
+    _MASS_FLOOR.
     """
 
     rate: float
@@ -465,12 +467,15 @@ class TailLaw:
     zeta_hi: float
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.quantile(rng.random(n))
+
+    def quantile(self, u):
         raise NotImplementedError
 
-    def mass_below(self, z: float) -> float:
+    def mass_below(self, z):
         raise NotImplementedError
 
-    def partial_mean_below(self, z: float) -> float:
+    def partial_mean_below(self, z):
         raise NotImplementedError
 
 
@@ -482,22 +487,25 @@ class DiscreteTailLaw(TailLaw):
         self.w = np.asarray(w, dtype=float)
         self.rate = float(np.sum(self.w))
         self.p = self.w / np.sum(self.w)
-        self.cum_p = np.cumsum(self.p)
-        self.cum_xp = np.cumsum(self.x * self.p)
-        self.mean = float(self.cum_xp[-1])
+        cum_p = np.cumsum(self.p)
+        # P(X < x_i), and the cumulative mass renormalised the way
+        # Generator.choice does, so quantile reproduces its draws
+        self._below = np.concatenate([[0.0], cum_p])
+        self._cdf = cum_p / cum_p[-1]
+        self._xp_below = np.concatenate([[0.0], np.cumsum(self.x * self.p)])
+        self.mean = float(self._xp_below[-1])
         self.zeta_lo = float(self.x[0])
         self.zeta_hi = float(self.x[-1])
 
-    def sample(self, n, rng):
-        return rng.choice(self.x, size=n, p=self.p)
+    def quantile(self, u):
+        i = np.searchsorted(self._cdf, u, side="right")
+        return self.x[np.minimum(i, len(self.x) - 1)]
 
-    def mass_below(self, z: float) -> float:
-        i = np.searchsorted(self.x, z, side="left")
-        return float(self.cum_p[i - 1]) if i > 0 else 0.0
+    def mass_below(self, z):
+        return self._below[np.searchsorted(self.x, z, side="left")]
 
-    def partial_mean_below(self, z: float) -> float:
-        i = np.searchsorted(self.x, z, side="left")
-        return float(self.cum_xp[i - 1]) if i > 0 else 0.0
+    def partial_mean_below(self, z):
+        return self._xp_below[np.searchsorted(self.x, z, side="left")]
 
 
 class StableTailLaw(TailLaw):
@@ -516,22 +524,24 @@ class StableTailLaw(TailLaw):
         self.zeta_lo = -self.zeta_hi
 
     def sample(self, n, rng):
+        # a Pareto magnitude and a sign: two draws, kept for the stream
         u = rng.uniform(size=n)
         mag = self.r * u ** (-1.0 / self.alpha)
         sign = rng.choice([-1.0, 1.0], size=n)
         return sign * mag
 
-    def mass_below(self, z: float) -> float:
-        if z <= -self.r:
-            return 0.5 * (-z / self.r) ** (-self.alpha)
-        if z <= self.r:
-            return 0.5
-        return 1.0 - 0.5 * (z / self.r) ** (-self.alpha)
+    def quantile(self, u):
+        u = np.asarray(u, dtype=float)
+        side = np.minimum(u, 1.0 - u)  # P(|X| >= |x|) / 2 on x's side
+        return np.where(u < 0.5, -1.0, 1.0) * self.r * (2.0 * side) ** (-1.0 / self.alpha)
 
-    def partial_mean_below(self, z: float) -> float:
-        if abs(z) <= self.r:
-            return -self._c
-        return -self._c * (abs(z) / self.r) ** (1.0 - self.alpha)
+    def mass_below(self, z):
+        # half of P(|X| >= max(|z|, r)) on the side of z
+        share = 0.5 * (np.maximum(np.abs(z), self.r) / self.r) ** (-self.alpha)
+        return np.where(np.asarray(z) < 0.0, share, 1.0 - share)
+
+    def partial_mean_below(self, z):
+        return -self._c * (np.maximum(np.abs(z), self.r) / self.r) ** (1.0 - self.alpha)
 
 
 class GridTailLaw(TailLaw):
@@ -575,14 +585,14 @@ class GridTailLaw(TailLaw):
         self.zeta_lo = float(x[min(lo_q, len(x) - 1)])
         self.zeta_hi = float(x[min(hi_q, len(x) - 1)])
 
-    def sample(self, n, rng):
-        return np.interp(rng.uniform(size=n), self.cum_p, self.x)
+    def quantile(self, u):
+        return np.interp(u, self.cum_p, self.x)
 
-    def mass_below(self, z: float) -> float:
-        return float(np.interp(z, self.x, self.cum_p, left=0.0, right=1.0))
+    def mass_below(self, z):
+        return np.interp(z, self.x, self.cum_p, left=0.0, right=1.0)
 
-    def partial_mean_below(self, z: float) -> float:
-        return float(np.interp(z, self.x, self.cum_xp, left=0.0, right=self.mean))
+    def partial_mean_below(self, z):
+        return np.interp(z, self.x, self.cum_xp, left=0.0, right=self.mean)
 
 
 def _tail_extent(F: DensityMeasure, r: float, sgn: float, moment: bool) -> float:

@@ -139,6 +139,12 @@ def scenario_from_dict(d: dict) -> Scenario:
         if knob in emm and hyp not in hyps:
             raise ConfigError(f"emm.{knob} does not apply to hypothesis {hyp!r}")
     ver = dict(d.get("verify", {}))
+    if "state_bins" in ver:
+        raise ConfigError("verify.state_bins is not a setting: conditional_"
+                          "jump_law tests each mark at its own pre-jump state")
+    if ver.get("mode") == "direct-q" and "break_positive_factor" in emm:
+        raise ConfigError("emm.break_positive_factor changes alpha, which "
+                          "direct-q marks are not drawn from")
     if hyp != "none":
         _battery_tests(emm, ver)
     return Scenario(
@@ -270,23 +276,16 @@ def run_check_kernel(scn: Scenario) -> dict:
     }
 
 
-class _KernelWrapper:
-    """Negative-control base: replaces evaluate and delegates every other
-    attribute to the wrapped Girsanov kernel."""
+class _BrokenAlpha:
+    """Negative control: inflates positive-tail factors and delegates
+    every other attribute to the wrapped Girsanov kernel."""
 
-    def __init__(self, gk):
+    def __init__(self, gk, factor):
         self._gk = gk
+        self._factor = factor
 
     def __getattr__(self, name):
         return getattr(self._gk, name)
-
-
-class _BrokenAlpha(_KernelWrapper):
-    """Inflates positive-tail factors."""
-
-    def __init__(self, gk, factor):
-        super().__init__(gk)
-        self._factor = factor
 
     def evaluate(self, y, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -295,15 +294,14 @@ class _BrokenAlpha(_KernelWrapper):
         return out if np.ndim(x) else float(out[0])
 
 
-class _FrozenZeta(_KernelWrapper):
-    """h2 kernel evaluated at a fixed zeta (state-independent alpha)."""
+@dataclass(frozen=True)
+class _FrozenZeta(emm_construct.GirsanovKernelH2):
+    """h2 kernel with a fixed zeta (state-independent alpha and Q law)."""
 
-    def __init__(self, gk, zeta):
-        super().__init__(gk)
-        self._y = -zeta * gk.lam - gk.b_h
+    frozen_zeta: float
 
-    def evaluate(self, y, x):
-        return self._gk.evaluate(self._y, x)
+    def zeta(self, y):
+        return self.frozen_zeta
 
 
 def make_girsanov_kernel(scn: Scenario, triplet: LevyTriplet):
@@ -315,7 +313,8 @@ def make_girsanov_kernel(scn: Scenario, triplet: LevyTriplet):
     else:
         raise ConfigError(f"no Girsanov kernel for hypothesis {hyp!r}")
     if "frozen_zeta" in scn.emm:
-        gk = _FrozenZeta(gk, float(scn.emm["frozen_zeta"]))
+        gk = _FrozenZeta(gk.a, gk.lam, gk.tail, gk.b_h,
+                         float(scn.emm["frozen_zeta"]))
     if "break_positive_factor" in scn.emm:
         gk = _BrokenAlpha(gk, float(scn.emm["break_positive_factor"]))
     return gk
@@ -493,8 +492,7 @@ def _battery_jumps(scn: Scenario, n_paths: int, seed: int,
         ))
     if "conditional_jump_law" in tests:
         reports.append(verify.conditional_jump_law_test(
-            data["y_pre"], data["marks"], gk,
-            n_state_bins=int(scn.verify.get("state_bins", 1)), seed=seed,
+            data["y_pre"], data["marks"], gk, seed=seed,
         ))
     out = {"reports": reports}
     if z is not None:
@@ -632,8 +630,8 @@ def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None,
     jump_records = []
     for idx in range(cfg.n_paths):
         path = sim.simulate(sim.rng_for(idx))
-        ma = moving_average(kern, path, m_cells=cfg.m_cells)
         if idx < max_path_csv:
+            ma = moving_average(kern, path, m_cells=cfg.m_cells)
             with open(os.path.join(out_dir, f"path_{idx}.csv"), "w",
                       newline="") as fh:
                 write_path_csv(fh, path, ma, cfg.m_cells)

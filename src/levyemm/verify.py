@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scistats
 
-from .errors import InsufficientSamples
-from .levy_model import DiscreteTailLaw
-
 CHI2_LEVEL = 0.01
+PIT_MIN_MARKS = 50  # 5 expected per decile
 _ALPHA_3SE = 2.0 * _scistats.norm.sf(3.0)  # two-sided level of the 3-s.e. rule
 
 
@@ -209,58 +207,41 @@ def jump_intensity_test(counts, lam, T, weights=None, seed=None) -> StatReport:
     )
 
 
-def conditional_jump_law_test(
-    y_pre, marks, gk, n_state_bins=1, floor=500, seed=None
-) -> StatReport:
-    """Empirical tail-mark law vs alpha(y, .) F^a / lam within state bins.
+def conditional_jump_law_test(y_pre, marks, gk, seed=None) -> StatReport:
+    """Tail marks vs the Q law alpha(y, .) F^a / lam at each mark's own
+    pre-jump state, by the randomised probability integral transform
+    (Czado, Gneiting & Held 2009).
 
-    Discrete tails only; marks are matched to the nearest atom. Bins with
-    fewer than `floor` marks are skipped; when all are, the verdict is
-    inconclusive.
+    u_n = F(Z_n- | y_n) + V_n (F(Z_n | y_n) - F(Z_n- | y_n)), with V_n
+    uniform from SeedSequence((seed, 1)), is iid U(0, 1) under the law for
+    atoms and densities alike; the test is a chi-square over its deciles.
+    Fewer than PIT_MIN_MARKS marks give inconclusive.
     """
-    if not isinstance(gk.tail, DiscreteTailLaw):
-        raise InsufficientSamples("conditional law test needs a discrete tail")
-    atoms = gk.tail.x
-    base_p = gk.tail.p
     y_pre = np.asarray(y_pre, dtype=float)
     marks = np.asarray(marks, dtype=float)
-    mark_idx = np.argmin(np.abs(marks[:, None] - atoms[None, :]), axis=1)
-
-    edges = np.quantile(y_pre, np.linspace(0.0, 1.0, n_state_bins + 1)) \
-        if len(y_pre) else np.zeros(n_state_bins + 1)
-    edges[-1] += 1e-12
-    bins = []
-    usable = 0
-    all_pass = True
-    for b in range(n_state_bins):
-        sel = (y_pre >= edges[b]) & (y_pre < edges[b + 1])
-        m = int(np.sum(sel))
-        if m < floor:
-            bins.append({"bin": b, "n": m, "skipped": True})
-            continue
-        usable += 1
-        y_c = float(np.mean(y_pre[sel]))
-        probs = np.asarray(gk.evaluate(y_c, atoms), dtype=float) * base_p
-        probs = probs / probs.sum()
-        observed = np.bincount(mark_idx[sel], minlength=len(atoms)).astype(float)
-        expected = m * probs
-        obs_m, exp_m = _merge_tail_bins(observed, expected)
-        chi2 = float(np.sum((obs_m - exp_m) ** 2 / exp_m))
-        df = max(1, len(obs_m) - 1)
-        pval = float(_scistats.chi2.sf(chi2, df))
-        ok = pval >= CHI2_LEVEL / max(1, n_state_bins)  # Bonferroni
-        all_pass = all_pass and ok
-        bins.append({
-            "bin": b, "n": m, "y_center": y_c, "chi2": chi2,
-            "p_value": pval, "pass": ok,
-            "observed_freq": (observed / m).tolist(),
-            "expected_freq": probs.tolist(),
-        })
-    verdict = "inconclusive" if usable == 0 else "pass" if all_pass else "fail"
+    n = len(marks)
+    rule = f"randomised PIT, chi-square over deciles at level {CHI2_LEVEL}"
+    if n < PIT_MIN_MARKS:
+        return StatReport("conditional_jump_law", math.nan, math.nan, n,
+                          "inconclusive", rule, seed,
+                          {"bins": [{"bin": 0, "n": n, "skipped": True}]})
+    below = gk.mark_mass_below(y_pre, marks)
+    at_or_below = gk.mark_mass_below(y_pre, np.nextafter(marks, math.inf))
+    ss = np.random.SeedSequence((0 if seed is None else seed, 1))
+    v = np.random.default_rng(ss).random(n)
+    u = below + v * (at_or_below - below)
+    observed = np.bincount(np.clip((u * 10.0).astype(int), 0, 9), minlength=10)
+    expected = n / 10.0
+    chi2 = float(np.sum((observed - expected) ** 2) / expected)
+    pval = float(_scistats.chi2.sf(chi2, 9))
+    ok = pval >= CHI2_LEVEL
+    # details.bins keeps one entry because perfbench/gate.py reads each
+    # bin's p_value
     return StatReport(
-        "conditional_jump_law", float("nan"), float("nan"), len(marks), verdict,
-        f"per-bin chi-square at level {CHI2_LEVEL}/{n_state_bins}", seed,
-        {"bins": bins},
+        "conditional_jump_law", math.nan, math.nan, n,
+        "pass" if ok else "fail", rule, seed,
+        {"bins": [{"bin": 0, "n": n, "chi2": chi2, "df": 9, "p_value": pval,
+                   "pass": ok, "decile_counts": observed.tolist()}]},
     )
 
 

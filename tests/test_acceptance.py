@@ -12,8 +12,6 @@ import pytest
 from scipy import stats as scistats
 
 from levyemm.emm_construct import (
-    alpha_h1,
-    alpha_h2,
     f_zeta,
     lambda_of_zeta,
     make_h1_kernel,
@@ -42,6 +40,7 @@ from levyemm.path_sim import (
     decomposition_residual,
     moving_average,
 )
+from levyemm import verify
 from levyemm.pipeline import builtin_scenario, run_verify
 
 EXACT = 1e-12
@@ -56,7 +55,7 @@ def test_criterion_1_exact_oracles():
     t0 = time.perf_counter()
     ok = True
 
-    # sigma_pm and alpha_h1 on an asymmetric discrete measure
+    # sigma_pm and the h1 alpha on an asymmetric discrete measure
     F = DiscreteMeasure([(-1.5, 2.0), (1.2, 3.0), (5.0, 1.0)])
     t = LevyTriplet(0.0, F, 0.3, indicator_inside(1.0))
     s_plus, s_minus = sigma_pm(F, 1.0, 2.0)
@@ -68,11 +67,11 @@ def test_criterion_1_exact_oracles():
 
     b_band = retriplet(t, indicator_outside_band(1.0, 2.0)).b_h
     for y in (-2.0, -0.4, 0.0, 1.3):
-        drift = levy_integrate(F, lambda x: x * alpha_h1(gk1, y, x),
+        drift = levy_integrate(F, lambda x: x * gk1.evaluate(y, x),
                                band_region(1.0, 2.0))
         ok &= abs(drift + y + b_band) <= EXACT
 
-    # lambda(zeta), f_zeta, alpha_h2, both tail identities
+    # lambda(zeta), f_zeta, the h2 alpha, both tail identities
     F2 = DiscreteMeasure([(-1.0, 1.0), (1.0, 1.0)])
     t2 = LevyTriplet(0.0, F2, 0.0, indicator_inside(0.5))
     gk2 = make_h2_kernel(t2, 0.5)
@@ -81,7 +80,7 @@ def test_criterion_1_exact_oracles():
     dens = f_zeta(gk2.tail, 0.5, np.array([-1.0, 1.0]))
     ok &= np.allclose(dens, [0.5, 1.5], atol=EXACT)
     for y in (-1.5, -0.7, 0.0, 0.9, 1.5):
-        a_vals = alpha_h2(gk2, y, gk2.b_h, F2.x)
+        a_vals = gk2.evaluate(y, F2.x)
         mass = float(np.sum(a_vals * F2.w))
         drift = float(np.sum(F2.x * a_vals * F2.w))
         ok &= abs(mass - gk2.lam) <= EXACT          # mass identity
@@ -132,15 +131,24 @@ def test_criterion_3_classification_table():
     _line(3, "kernel classification table", ok)
 
 
-def test_criterion_4_q_jump_law():
+def test_criterion_4_q_jump_law(monkeypatch):
+    # the marks as the battery hands them to the mark-law test
+    seen = {}
+    law_test = verify.conditional_jump_law_test
+
+    def spy(y_pre, marks, gk, seed=None):
+        seen["marks"] = np.asarray(marks)
+        return law_test(y_pre, marks, gk, seed=seed)
+
+    monkeypatch.setattr(verify, "conditional_jump_law_test", spy)
     doc = run_verify(builtin_scenario("q-two-atom-zeta05"))
     reports = {r["name"]: r for r in doc["reports"]}
     law = reports["conditional_jump_law"]
     ji = reports["jump_intensity"]
-    b = law["details"]["bins"][0]
-    n = b["n"]
-    obs = b["observed_freq"]  # ordered by atoms (-1, +1)
-    ok = n >= 90_000
+    marks = seen["marks"]
+    n = len(marks)
+    obs = [float(np.mean(marks == atom)) for atom in (-1.0, 1.0)]
+    ok = n >= 90_000 and law["n_samples"] == n and law["verdict"] == "pass"
     for p_obs, p in zip(obs, (0.25, 0.75)):
         ok &= abs(p_obs - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
     ok &= ji["details"]["chi2_pass"] is True

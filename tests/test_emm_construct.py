@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from levyemm.emm_construct import (
     GirsanovKernelH2,
-    alpha_h1,
-    alpha_h2,
     f_zeta,
     lambda_of_zeta,
     make_h1_kernel,
@@ -60,20 +58,20 @@ class TestH1Kernel:
 
     def test_alpha_is_one_outside_band(self):
         k = self._sym()
-        vals = alpha_h1(k, 3.0, np.array([0.5, -0.5, 2.5, -2.5]))
+        vals = k.evaluate(3.0, np.array([0.5, -0.5, 2.5, -2.5]))
         np.testing.assert_allclose(vals, 1.0, atol=0)
 
     def test_alpha_at_least_one_on_raised_side(self):
         k = self._sym()
         for y in (-4.0, -1.0, 0.0, 1.0, 4.0):
-            vals = alpha_h1(k, y, np.linspace(-1.99, 1.99, 101))
+            vals = k.evaluate(y, np.linspace(-1.99, 1.99, 101))
             assert np.min(vals) >= 1.0 - 1e-12
 
     def test_only_one_side_raised(self):
         k = self._sym()
         # y + xi > 0: negative side raised, positive side untouched
-        vals_pos = alpha_h1(k, 2.0, np.array([1.5]))
-        vals_neg = alpha_h1(k, 2.0, np.array([-1.5]))
+        vals_pos = k.evaluate(2.0, np.array([1.5]))
+        vals_neg = k.evaluate(2.0, np.array([-1.5]))
         assert vals_pos[0] == 1.0
         assert vals_neg[0] > 1.0
 
@@ -98,7 +96,7 @@ class TestH1Kernel:
         F = DiscreteMeasure([(-1.5, 2.0), (1.2, 3.0), (1.8, 0.5), (3.0, 0.5)])
         k = make_h1_kernel(_triplet(F, b=0.2), 1.0, 2.0)
         ys = np.array([-3.0, -0.4, 0.0, 0.7, 2.5])
-        exact = [float(np.sum((alpha_h1(k, y, F.x) - 1.0) * F.w)) for y in ys]
+        exact = [float(np.sum((k.evaluate(y, F.x) - 1.0) * F.w)) for y in ys]
         np.testing.assert_allclose(k.excess_rate(ys), exact, atol=1e-12)
         assert make_h2_kernel(_triplet(F), 1.0).excess_rate is None
 
@@ -182,7 +180,7 @@ class TestH2Kernel:
 
     def test_alpha_inside_ball_is_one(self):
         _, k = self._two_atom()
-        assert alpha_h2(k, 0.3, k.b_h, 0.25) == 1.0
+        assert k.evaluate(0.3, 0.25) == 1.0
 
     def test_mass_and_drift_identities(self):
         t, k = self._two_atom()
@@ -251,7 +249,7 @@ class TestH2Kernel:
         F = DiscreteMeasure([(-1.0, 1.0), (2.0, 1.0)])
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(0.5))
         k = make_h2_kernel(t, 0.5)
-        vals = alpha_h2(k, -k.b_h, k.b_h, np.array([-1.0, 2.0]))
+        vals = k.evaluate(-k.b_h, np.array([-1.0, 2.0]))
         assert not np.allclose(vals, 1.0)
         drift = float(np.sum(np.array([-1.0, 2.0]) * vals))
         assert drift == pytest.approx(0.0, abs=1e-12)

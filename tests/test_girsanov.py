@@ -307,6 +307,20 @@ class TestSimulateUnderQ:
         lam_t = gk.lam * cfg.T
         assert abs(np.mean(counts) - lam_t) < 4 * math.sqrt(lam_t / len(counts))
 
+    def test_marks_reproduce_reweighted_choice(self):
+        # the Q-law quantile at one uniform draws what rng.choice draws from
+        # the atoms reweighted by alpha, and leaves the stream where it does
+        F = DiscreteMeasure([(-2.0, 0.3), (-1.0, 1.0), (0.7, 0.8), (1.5, 0.6),
+                             (3.0, 0.1)])
+        gk = make_h2_kernel(LevyTriplet(0.0, F, 0.0, indicator_inside(0.5)), 0.5)
+        x, w = gk.tail.x, gk.tail.w
+        ys = np.random.default_rng(0).uniform(-1.0, 1.0, 2000)
+        for seed, y in enumerate(ys):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = w * gk.evaluate(y, x)
+            assert gk.mark_quantile(y, a.random()) == b.choice(x, p=p / p.sum())
+            assert a.random() == b.random()
+
     def test_reproducible(self):
         t, gk, cfg = self._setup()
         k = exponential_kernel(1.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from levyemm.errors import InvalidRegion, NonIntegrable
 from levyemm.levy_model import (
+    DensityMeasure,
     DiscreteMeasure,
     Interval,
     LevyTriplet,
@@ -14,6 +15,7 @@ from levyemm.levy_model import (
     ball_complement,
     band_masses,
     drift_xi,
+    first_abs_moment_tail,
     gaussian_only,
     indicator_inside,
     indicator_outside_band,
@@ -21,6 +23,7 @@ from levyemm.levy_model import (
     retriplet,
     support_probe,
     symmetric_alpha_stable,
+    tail_law,
     tail_mass,
     tempered_stable,
     uniform_band,
@@ -114,6 +117,65 @@ class TestMasses:
         n1, p1 = band_masses(F, 1.0, 2.0)
         n2, p2 = band_masses(F, 1.0, 4.0)
         assert n2 >= n1 and p2 >= p1
+
+
+class TestFirstAbsMomentTail:
+    def test_discrete_atom_sum(self):
+        # |x| > 1 is open: the atom at 1 stays out
+        F = DiscreteMeasure([(-3.0, 0.5), (-0.5, 2.0), (1.0, 1.5), (2.5, 0.2)])
+        assert first_abs_moment_tail(F, 1.0) == 3.0 * 0.5 + 2.5 * 0.2
+
+    def test_stable_closed_form(self):
+        alpha, scale, r = 1.5, 2.0, 0.8
+        exact = 2.0 * scale * r ** (1.0 - alpha) / (alpha - 1.0)
+        got = first_abs_moment_tail(symmetric_alpha_stable(alpha, scale), r)
+        assert got == pytest.approx(exact, rel=1e-8)
+
+    def test_declared_non_integrable_is_inf(self):
+        assert first_abs_moment_tail(symmetric_alpha_stable(0.9)) == math.inf
+
+    def test_undeclared_tail_raises(self):
+        F = DensityMeasure(lambda x: np.exp(-np.abs(x)), tail_integrable=None)
+        with pytest.raises(NonIntegrable, match="declared"):
+            first_abs_moment_tail(F)
+
+
+class TestTailLawQuantile:
+    def test_discrete_sample_is_choice(self):
+        F = DiscreteMeasure([(-2.0, 0.3), (-1.0, 1.1), (1.0, 0.7), (3.0, 0.2)])
+        law = tail_law(F, ball_complement(0.5))
+        for seed in range(20):
+            got = law.sample(500, np.random.default_rng(seed))
+            want = np.random.default_rng(seed).choice(law.x, size=500, p=law.p)
+            np.testing.assert_array_equal(got, want)
+
+    def test_grid_sample_is_interpolated_inverse(self):
+        law = tail_law(tempered_stable(1.0, 1.0, 1.5), ball_complement(0.5))
+        for seed in range(5):
+            got = law.sample(500, np.random.default_rng(seed))
+            u = np.random.default_rng(seed).uniform(size=500)
+            np.testing.assert_array_equal(got, np.interp(u, law.cum_p, law.x))
+
+    @pytest.mark.parametrize("F", [symmetric_alpha_stable(1.5, 2.0),
+                                   uniform_band(0.5, 2.0)],
+                             ids=["stable", "grid"])
+    def test_quantile_inverts_mass_below(self, F):
+        law = tail_law(F, ball_complement(0.75))
+        u = np.linspace(0.001, 0.999, 99)
+        np.testing.assert_allclose(law.mass_below(law.quantile(u)), u,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("F", [
+        DiscreteMeasure([(-2.0, 0.3), (-1.0, 1.1), (1.0, 0.7), (3.0, 0.2)]),
+        symmetric_alpha_stable(1.5), uniform_band(0.5, 2.0)],
+        ids=["discrete", "stable", "grid"])
+    def test_array_queries_match_scalar(self, F):
+        law = tail_law(F, ball_complement(0.75))
+        z = np.array([-3.0, -1.0, -0.8, 0.0, 0.9, 1.0, 2.5])
+        for query in (law.mass_below, law.partial_mean_below):
+            np.testing.assert_array_equal(query(z), [query(v) for v in z])
+        np.testing.assert_array_equal(law.quantile(np.array([0.1, 0.6])),
+                                      [law.quantile(0.1), law.quantile(0.6)])
 
 
 class TestDriftXi:

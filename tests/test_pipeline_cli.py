@@ -5,7 +5,7 @@ import warnings
 import pytest
 import yaml
 
-from levyemm import cli, pipeline
+from levyemm import cli, emm_construct, pipeline, verify
 from levyemm.errors import ConfigError
 from levyemm.pipeline import (
     Scenario,
@@ -98,6 +98,12 @@ REFUSED = {
        for key in ("K1", "K2", "gamma", "eps")},
     "lmrelax-no-eps": (lambda: _without(_builtin("lmrelax"), "emm", "eps"),
                        "'eps'"),
+    # the mark-law test has no state bins, so an old file is not reread
+    "state-bins": (lambda: _with(_q_dict, "verify", state_bins=4),
+                   "state_bins"),
+    # direct-Q marks come from the Q law, not from evaluate
+    "direct-q-break-positive-factor": (lambda: _with(
+        _q_dict, "emm", break_positive_factor=1.2), "break_positive_factor"),
 }
 
 
@@ -224,10 +230,10 @@ class TestPipelines:
         assert [r["name"] for r in doc["reports"]] == ["lm_criterion"]
 
     def test_verify_direct_q_below_mark_floor_inconclusive(self):
-        doc = run_verify(builtin_scenario("q-two-atom-zeta05"), n_paths=200)
+        doc = run_verify(builtin_scenario("q-two-atom-zeta05"), n_paths=20)
         law = {r["name"]: r for r in doc["reports"]}["conditional_jump_law"]
         assert law["verdict"] == "inconclusive"
-        assert law["n_samples"] < 500
+        assert law["n_samples"] < 50
         assert law["details"]["bins"] == [
             {"bin": 0, "n": law["n_samples"], "skipped": True}]
         assert doc["overall"] != "pass"
@@ -257,6 +263,45 @@ class TestPipelines:
         one = run_verify(scn, n_paths=2000, workers=1)
         two = run_verify(scn, n_paths=2000, workers=2)
         assert json.dumps(one) == json.dumps(two)
+
+
+def _direct_q_on(measure):
+    """q-two-atom-zeta05 with the live kernel on another measure."""
+    d = _q_dict()
+    d["triplet"]["measure"] = measure
+    del d["emm"]["frozen_zeta"]
+    d["sim"].update(n_paths=2000, seed=7)
+    return scenario_from_dict(d)
+
+
+class TestDirectQ:
+    """Direct-Q marks are drawn from, and tested against, one Q mark law
+    for atoms and densities alike."""
+
+    MEASURES = {
+        "sas-1.5": {"type": "symmetric-alpha-stable", "alpha": 1.5},
+        "uniform-band": {"type": "uniform-band", "a": 0.25, "b": 2.0},
+    }
+
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    def test_density_measure_passes(self, measure):
+        scn = _direct_q_on(self.MEASURES[measure])
+        one = run_verify(scn, workers=1)
+        verdicts = {r["name"]: r["verdict"] for r in one["reports"]}
+        assert verdicts == {"jump_intensity": "pass",
+                            "conditional_jump_law": "pass"}
+        two = run_verify(scn, workers=2)
+        assert json.dumps(one) == json.dumps(two)
+
+    def test_frozen_zeta_marks_fail_the_live_law(self):
+        scn = builtin_scenario("q-two-atom-zeta05")
+        data = pipeline._run_chunked(pipeline._q_chunk, scn, 500, 1)
+        triplet = pipeline.build_triplet(scn.triplet)
+        frozen = pipeline.make_girsanov_kernel(scn, triplet)
+        live = emm_construct.make_h2_kernel(triplet, scn.emm["a"])
+        law = verify.conditional_jump_law_test
+        assert law(data["y_pre"], data["marks"], frozen, seed=1).verdict == "pass"
+        assert law(data["y_pre"], data["marks"], live, seed=1).verdict == "fail"
 
 
 class TestH1TwoAtom:

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +7,15 @@ from hypothesis import strategies as st
 from scipy import stats as scistats
 
 from levyemm.emm_construct import make_h2_kernel
-from levyemm.errors import InsufficientSamples
-from levyemm.levy_model import DiscreteMeasure, LevyTriplet, indicator_inside
+from levyemm.levy_model import (
+    DiscreteMeasure,
+    LevyTriplet,
+    indicator_inside,
+    symmetric_alpha_stable,
+    uniform_band,
+)
 from levyemm.verify import (
+    PIT_MIN_MARKS,
     RunningStats,
     _merge_tail_bins,
     bonferroni_crit,
@@ -178,32 +183,57 @@ class TestConditionalJumpLaw:
 
     def test_insufficient_samples_inconclusive(self):
         gk = self._gk()
-        rep = conditional_jump_law_test(np.zeros(10), np.ones(10), gk,
-                                        n_state_bins=2, floor=500)
+        rep = conditional_jump_law_test(np.zeros(10), np.ones(10), gk)
         assert rep.verdict == "inconclusive"
         assert rep.n_samples == 10
-        assert rep.details["bins"] == [{"bin": 0, "n": 0, "skipped": True},
-                                       {"bin": 1, "n": 10, "skipped": True}]
+        assert rep.details["bins"] == [{"bin": 0, "n": 10, "skipped": True}]
+
+    def test_mark_floor_is_fifty(self):
+        gk = self._gk()
+        y = np.zeros(PIT_MIN_MARKS)
+        marks = np.tile([-1.0, 1.0], PIT_MIN_MARKS // 2)
+        assert PIT_MIN_MARKS == 50
+        assert conditional_jump_law_test(y[1:], marks[1:], gk).verdict == "inconclusive"
+        assert conditional_jump_law_test(y, marks, gk).verdict == "pass"
 
     def test_no_marks_inconclusive(self):
-        rep = conditional_jump_law_test([], [], self._gk(), floor=500)
+        rep = conditional_jump_law_test([], [], self._gk())
         assert rep.verdict == "inconclusive"
         assert rep.details["bins"] == [{"bin": 0, "n": 0, "skipped": True}]
 
-    def test_non_discrete_tail_raises(self):
-        with pytest.raises(InsufficientSamples, match="discrete tail"):
-            conditional_jump_law_test(np.zeros(10), np.ones(10),
-                                      SimpleNamespace(tail=None))
-
-    def test_state_bins_reported(self):
+    def test_state_dependent_marks_pass(self):
         gk = self._gk()
         rng = np.random.default_rng(11)
         y = rng.uniform(-1.2, 1.2, 8000)
-        p_plus = (y / 2.0 + 1.0) / 2.0  # exact conditional law at each y
-        marks = np.where(rng.uniform(size=8000) < p_plus, -1.0, 1.0)
-        rep = conditional_jump_law_test(y, marks, gk, n_state_bins=4, floor=500)
-        assert len(rep.details["bins"]) == 4
+        p_minus = (y / 2.0 + 1.0) / 2.0  # exact conditional law at each y
+        marks = np.where(rng.uniform(size=8000) < p_minus, -1.0, 1.0)
+        rep = conditional_jump_law_test(y, marks, gk, seed=11)
         assert rep.verdict == "pass"
+        assert sum(rep.details["bins"][0]["decile_counts"]) == 8000
+
+    def test_randomisation_follows_the_seed(self):
+        gk = self._gk()
+        rng = np.random.default_rng(12)
+        marks = rng.choice([-1.0, 1.0], size=2000, p=[0.25, 0.75])
+        y = np.full(2000, -1.0)
+        a, b, c = (conditional_jump_law_test(y, marks, gk, seed=s).details
+                   for s in (1, 2, 1))
+        assert a == c
+        assert a != b
+
+    @pytest.mark.parametrize("measure", ["stable", "grid"])
+    def test_density_tail_marks(self, measure):
+        F = symmetric_alpha_stable(1.5) if measure == "stable" \
+            else uniform_band(0.25, 2.0)
+        gk = make_h2_kernel(LevyTriplet(0.0, F, 0.0, indicator_inside(0.5),
+                                        integrable=measure == "grid"), 0.5)
+        rng = np.random.default_rng(13)
+        y = rng.uniform(1.5, 2.5, 4000)
+        marks = gk.mark_quantile(y, rng.random(4000))
+        assert conditional_jump_law_test(y, marks, gk, seed=13).verdict == "pass"
+        # marks of the law at y = 0 fail at the states they are tested at
+        flat = gk.mark_quantile(np.zeros(4000), rng.random(4000))
+        assert conditional_jump_law_test(y, flat, gk, seed=13).verdict == "fail"
 
 
 class TestDoublingVerdict:
