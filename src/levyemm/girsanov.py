@@ -37,7 +37,6 @@ from .path_sim import (
     LatticePath,
     MovingAveragePath,
     PathSimulator,
-    SimConfig,
 )
 from .verify import doubling_estimates, doubling_verdict, finite_expect
 
@@ -339,11 +338,9 @@ class QPathRecord:
 
 def simulate_under_q(
     gk: GirsanovKernelH2,
-    triplet: LevyTriplet,
     kernel: Kernel,
-    config: SimConfig,
+    sim: PathSimulator,
     path_index: int,
-    sim: PathSimulator | None = None,
 ) -> QPathRecord:
     """One path with the tail jumps on (0, T] resampled under Q.
 
@@ -353,13 +350,12 @@ def simulate_under_q(
     approximation and all pre-0 jumps keep their P-law. Requires
     eps_jump <= a so no tail jump hides in the Gaussian approximation.
     """
+    config = sim.config
     if gk.kind != "h2":
         raise UnsupportedModel("direct Q simulation needs the tail kernel")
     if config.eps_jump > gk.a:
         raise UnsupportedModel("eps_jump must not exceed the tail threshold a")
 
-    if sim is None:
-        sim = PathSimulator(triplet, config)
     rng = sim.rng_for(path_index)
     base = sim.simulate(rng)
 

@@ -39,6 +39,7 @@ from .path_sim import (
     KernelResponse,
     PathSimulator,
     SimConfig,
+    _is_multiple,
     _weight_table,
     moving_average,
     write_jumps_csv,
@@ -142,6 +143,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     if "state_bins" in ver:
         raise ConfigError("verify.state_bins is not a setting: conditional_"
                           "jump_law tests each mark at its own pre-jump state")
+    if "probe_times" in ver:
+        _check_probe_times(ver["probe_times"], d["sim"])
     if ver.get("mode") == "direct-q" and "break_positive_factor" in emm:
         raise ConfigError("emm.break_positive_factor changes alpha, which "
                           "direct-q marks are not drawn from")
@@ -176,8 +179,9 @@ _KNOBS = {"frozen_zeta": ("h2",), "break_positive_factor": ("h1", "h2"),
 
 
 def _battery_tests(emm: dict, ver: dict) -> list:
-    """The scenario's test list; ConfigError when it is empty or names a
-    test its battery has no correct implementation of."""
+    """The scenario's tests in the battery's accepted order; ConfigError when
+    the list is empty or names a test its battery has no correct
+    implementation of."""
     hyp = emm["hypothesis"]
     mode = ver.get("mode", "weighted")
     key = (hyp, mode, emm.get("style")) if hyp == "lm" else (hyp, mode)
@@ -192,7 +196,24 @@ def _battery_tests(emm: dict, ver: dict) -> list:
         if name not in accepted:
             raise ConfigError(f"the {battery} battery has no test {name!r}; "
                               f"it runs {list(accepted)}")
-    return tests
+    return [name for name in accepted if name in tests]
+
+
+def _check_probe_times(probes, sim: dict) -> None:
+    """ConfigError unless probes is a non-empty, strictly increasing list of
+    multiples of dt in (0, T]; 0 is always the first probe, so it is not one."""
+    T, dt = float(sim["T"]), float(sim["dt"])
+    ts = [float(t) for t in probes] if isinstance(probes, (list, tuple)) else []
+    if (not ts or any(b <= a for a, b in zip(ts, ts[1:]))
+            or not all(0.0 < t <= T and _is_multiple(t, dt) for t in ts)):
+        raise ConfigError(f"verify.probe_times {probes} must be a non-empty, "
+                          f"strictly increasing list of multiples of dt = {dt} "
+                          f"in (0, T = {T}]")
+
+
+def _probe_times(scn: Scenario) -> list:
+    """The times X is read at: 0, then verify.probe_times (default [T])."""
+    return [0.0] + [float(t) for t in scn.verify.get("probe_times", [scn.sim["T"]])]
 
 
 def load_scenario(path: str) -> Scenario:
@@ -227,14 +248,20 @@ def build_kernel(spec: dict) -> Kernel:
     return _KERNEL_BUILDERS[spec["type"]](spec)
 
 
-def build_sim_config(spec: dict, n_paths=None, seed=None) -> SimConfig:
+def build_sim_config(spec: dict) -> SimConfig:
     return SimConfig(
         T=float(spec["T"]), M=float(spec["M"]), dt=float(spec["dt"]),
-        eps_jump=float(spec["eps_jump"]),
-        n_paths=int(n_paths if n_paths is not None else spec["n_paths"]),
-        seed=int(seed if seed is not None else spec["seed"]),
+        eps_jump=float(spec["eps_jump"]), n_paths=int(spec["n_paths"]),
+        seed=int(spec["seed"]),
         small_jump_mode=spec.get("small_jump_mode", "gaussian-approx"),
     )
+
+
+def _override_sim(scn: Scenario, n_paths=None, seed=None) -> Scenario:
+    """scn rebuilt with sim.n_paths and sim.seed replaced where given."""
+    over = {k: int(v) for k, v in (("n_paths", n_paths), ("seed", seed))
+            if v is not None}
+    return scenario_from_dict({**scn.to_dict(), "sim": {**scn.sim, **over}})
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +367,22 @@ def run_construct(scn: Scenario, n_y: int = 100) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _model(scn_dict: dict):
+    """Scenario, triplet, kernel, sim config and simulator of a worker. Each
+    worker rebuilds them from the dict because kernels hold lambdas that do
+    not pickle."""
+    scn = scenario_from_dict(scn_dict)
+    triplet = build_triplet(scn.triplet)
+    cfg = build_sim_config(scn.sim)
+    return scn, triplet, build_kernel(scn.kernel), cfg, PathSimulator(triplet, cfg)
+
+
 def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     """Weighted-P statistics (h1 or h2) for a contiguous block of path
     indices."""
-    scn = scenario_from_dict(scn_dict)
-    triplet = build_triplet(scn.triplet)
-    kern = build_kernel(scn.kernel)
-    cfg = build_sim_config(scn.sim)
+    scn, triplet, kern, cfg, sim = _model(scn_dict)
     gk = make_girsanov_kernel(scn, triplet)
-    sim = PathSimulator(triplet, cfg)
-    probes = [0.0] + [float(t) for t in scn.verify.get("probe_times", [cfg.T])]
+    probes = _probe_times(scn)
     # left nodes of the compensator sum on [0, T); none for a mass-preserving alpha
     grid = sim.times[cfg.m_cells:-1] if gk.excess_rate is not None else ()
 
@@ -369,45 +402,33 @@ def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
         counts[i] = len(marks)
         for j, t_p in enumerate(probes):
             x_probe[i, j] = resp.x_at(t_p)
-    return {"z_T": z_T, "x_probe": x_probe, "counts": counts,
-            "probes": np.asarray(probes)}
+    return {"z_T": z_T, "x_probe": x_probe, "counts": counts}
 
 
 def _q_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     """Direct-Q mark and count statistics for a block of path indices."""
-    scn = scenario_from_dict(scn_dict)
-    triplet = build_triplet(scn.triplet)
-    kern = build_kernel(scn.kernel)
-    cfg = build_sim_config(scn.sim)
+    scn, triplet, kern, cfg, sim = _model(scn_dict)
     gk = make_girsanov_kernel(scn, triplet)
-    sim = PathSimulator(triplet, cfg)
     counts = np.zeros(stop - start, dtype=np.int64)
     y_pre, marks = [], []
     for i, idx in enumerate(range(start, stop)):
-        rec = girsanov.simulate_under_q(gk, triplet, kern, cfg, idx, sim=sim)
+        rec = girsanov.simulate_under_q(gk, kern, sim, idx)
         counts[i] = rec.n_tail_jumps
         y_pre.extend(rec.y_pre.tolist())
         marks.extend(rec.jump_sizes.tolist())
-    return {
-        "counts": counts, "y_pre": np.asarray(y_pre),
-        "marks": np.asarray(marks),
-    }
+    return {"counts": counts, "y_pre": np.asarray(y_pre), "marks": np.asarray(marks)}
 
 
 def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     """Classical-Girsanov statistics for the pure-Gaussian baseline."""
-    scn = scenario_from_dict(scn_dict)
-    triplet = build_triplet(scn.triplet)
-    kern = build_kernel(scn.kernel)
-    cfg = build_sim_config(scn.sim)
-    sim = PathSimulator(triplet, cfg)
+    scn, triplet, kern, cfg, sim = _model(scn_dict)
     m = cfg.m_cells
     n_out = cfg.n_out
     sqc = math.sqrt(triplet.c)
     phi0 = kern.phi0
     xi = triplet.xi()
-    probes = [float(t) for t in scn.verify.get("probe_times", [0.0, cfg.T])]
-    p_idx = [round(t / cfg.dt) for t in probes]
+    # probe times are lattice multiples (checked at load)
+    p_idx = [round(t / cfg.dt) for t in _probe_times(scn)]
 
     n_cells = cfg.n_cells
     w_phi = _weight_table(kern, n_cells, cfg.dt)
@@ -429,16 +450,17 @@ def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
             - 0.5 * np.sum(theta[:, :-1] ** 2, axis=1) * cfg.dt
         z_parts.append(np.exp(log_z))
         x_parts.append(X[:, p_idx])
-    return {
-        "z_T": np.concatenate(z_parts),
-        "x_probe": np.vstack(x_parts),
-        "probes": np.asarray(probes),
-    }
+    return {"z_T": np.concatenate(z_parts), "x_probe": np.vstack(x_parts)}
+
+
+# the chunk worker of each path battery, by (hypothesis, verify mode)
+_PATH_WORKERS = {("h1", "weighted"): _weighted_chunk, ("h2", "weighted"): _weighted_chunk,
+                 ("h2", "direct-q"): _q_chunk, ("gaussian", "weighted"): _gaussian_chunk}
 
 
 def _run_chunked(worker, scn: Scenario, n_paths: int, workers: int) -> dict:
-    """Split [0, n_paths) into index blocks and merge results in index
-    order, so the ensemble is independent of scheduling."""
+    """Split [0, n_paths) into index blocks and concatenate the results in
+    index order, so the ensemble is independent of scheduling."""
     scn_dict = scn.to_dict()
     n_blocks = max(1, workers) * 4 if workers > 1 else 1
     edges = np.linspace(0, n_paths, n_blocks + 1).astype(int)
@@ -449,16 +471,7 @@ def _run_chunked(worker, scn: Scenario, n_paths: int, workers: int) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(worker, scn_dict, a, b) for a, b in spans]
             parts = [f.result() for f in futs]
-    merged = {}
-    for key in parts[0]:
-        arrs = [p[key] for p in parts]
-        if key == "probes":
-            merged[key] = arrs[0]
-        elif arrs[0].ndim == 1:
-            merged[key] = np.concatenate(arrs)
-        else:
-            merged[key] = np.vstack(arrs)
-    return merged
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -466,64 +479,60 @@ def _run_chunked(worker, scn: Scenario, n_paths: int, workers: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _battery_jumps(scn: Scenario, n_paths: int, seed: int,
-                   workers: int) -> dict:
-    """Weighted-P (h1, h2) or direct-Q (h2) battery of a jump measure change;
-    under direct Q the paths carry no weights."""
-    direct = scn.verify.get("mode") == "direct-q"
-    data = _run_chunked(_q_chunk if direct else _weighted_chunk, scn, n_paths,
-                        workers)
-    z = data.get("z_T")
-    tests = _battery_tests(scn.emm, scn.verify)
-    gk = make_girsanov_kernel(scn, build_triplet(scn.triplet))
-    reports = []
-    if "mean_density" in tests:
-        reports.append(verify.mean_density_test(z, seed=seed))
-    if "q_martingale" in tests:
-        reports.append(verify.q_martingale_test(
-            data["x_probe"][:, 1:], data["x_probe"][:, 0], z,
-            data["probes"][1:], seed=seed,
-        ))
-    if "jump_intensity" in tests:
-        lam_factor = float(scn.emm.get("declared_intensity_factor", 1.0))
-        reports.append(verify.jump_intensity_test(
-            data["counts"], gk.lam * lam_factor, float(scn.sim["T"]),
-            weights=z, seed=seed,
-        ))
-    if "conditional_jump_law" in tests:
-        reports.append(verify.conditional_jump_law_test(
-            data["y_pre"], data["marks"], gk, seed=seed,
-        ))
-    out = {"reports": reports}
-    if z is not None:
-        out["plot"] = _plot_rows(data["probes"], data["x_probe"], z)
-    return out
+def _girsanov_kernel(scn: Scenario):
+    return make_girsanov_kernel(scn, build_triplet(scn.triplet))
 
 
-def _battery_gaussian(scn: Scenario, n_paths: int, seed: int,
-                      workers: int) -> dict:
-    data = _run_chunked(_gaussian_chunk, scn, n_paths, workers)
-    kern = build_kernel(scn.kernel)
-    triplet = build_triplet(scn.triplet)
-    phi0 = float(scn.emm.get("declared_phi0", kern.phi0))
-    probes = data["probes"]
+def _brownian_invariance(scn: Scenario, data: dict, seed: int):
+    probes = _probe_times(scn)
     pairs = [(j, j + 1) for j in range(len(probes) - 1)]
+    phi0 = float(scn.emm.get("declared_phi0", build_kernel(scn.kernel).phi0))
+    return verify.brownian_invariance_test(
+        data["x_probe"], probes, data["z_T"], pairs, phi0,
+        build_triplet(scn.triplet).c, seed=seed)
+
+
+def _jump_intensity(scn: Scenario, data: dict, seed: int):
+    lam = _girsanov_kernel(scn).lam * float(
+        scn.emm.get("declared_intensity_factor", 1.0))
+    return verify.jump_intensity_test(
+        data["counts"], lam, float(scn.sim["T"]), weights=data.get("z_T"),
+        seed=seed)
+
+
+# each path test as a function of the scenario, the merged chunk arrays
+# and the seed
+_PATH_TESTS = {
+    "mean_density": lambda scn, data, seed: verify.mean_density_test(
+        data["z_T"], seed=seed),
+    "q_martingale": lambda scn, data, seed: verify.q_martingale_test(
+        data["x_probe"][:, 1:], data["x_probe"][:, 0], data["z_T"],
+        _probe_times(scn)[1:], seed=seed),
+    "jump_intensity": _jump_intensity,
+    "conditional_jump_law": lambda scn, data, seed:
+        verify.conditional_jump_law_test(data["y_pre"], data["marks"],
+                                         _girsanov_kernel(scn), seed=seed),
+    "brownian_invariance": _brownian_invariance,
+}
+
+
+def _battery_paths(scn: Scenario, workers: int) -> dict:
+    """Weighted-P (h1, h2, Gaussian) or direct-Q (h2) battery over simulated
+    paths; under direct Q the paths carry no weights and give no plot."""
     tests = _battery_tests(scn.emm, scn.verify)
-    reports = []
-    if "mean_density" in tests:
-        reports.append(verify.mean_density_test(data["z_T"], seed=seed))
-    if "brownian_invariance" in tests:
-        reports.append(verify.brownian_invariance_test(
-            data["x_probe"], probes, data["z_T"], pairs, phi0, triplet.c,
-            seed=seed,
-        ))
-    out = {"reports": reports}
-    out["plot"] = _plot_rows(probes, data["x_probe"], data["z_T"])
+    worker = _PATH_WORKERS[(scn.emm["hypothesis"],
+                            scn.verify.get("mode", "weighted"))]
+    seed = int(scn.sim["seed"])
+    data = _run_chunked(worker, scn, int(scn.sim["n_paths"]), workers)
+    out = {"reports": [_PATH_TESTS[name](scn, data, seed) for name in tests]}
+    if "z_T" in data:
+        out["plot"] = _plot_rows(_probe_times(scn), data["x_probe"], data["z_T"])
     return out
 
 
-def _battery_lm(scn: Scenario, n_paths: int, seed: int, workers: int) -> dict:
+def _battery_lm(scn: Scenario) -> dict:
     tests = _battery_tests(scn.emm, scn.verify)
+    n_paths, seed = int(scn.sim["n_paths"]), int(scn.sim["seed"])
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     reports = []
     if scn.emm["style"] == "bremaud":
@@ -533,7 +542,7 @@ def _battery_lm(scn: Scenario, n_paths: int, seed: int, workers: int) -> dict:
         eps = float(scn.emm["eps"])
         triplet = build_triplet(scn.triplet)
         lam = float(np.sum(triplet.F.w))
-        cfg = build_sim_config(scn.sim, n_paths=n_paths, seed=seed)
+        cfg = build_sim_config(scn.sim)
         times = np.arange(cfg.n_out) * cfg.dt
         # Poisson counting paths on the grid
         incs = rng.poisson(lam * cfg.dt, size=(n_paths, cfg.n_out - 1))
@@ -575,38 +584,27 @@ def _plot_rows(times, x_probe, z):
     rows = []
     zbar = float(np.mean(z))
     for j, t in enumerate(np.asarray(times, dtype=float)):
-        rs = verify.RunningStats().add(z * x_probe[:, j])
-        mean = rs.mean / zbar
-        half = 3.0 * rs.stderr / zbar
+        mean, se = verify.mean_se(z * x_probe[:, j])
+        mean /= zbar
+        half = 3.0 * se / zbar
         rows.append((t, mean, mean - half, mean + half))
     return rows
 
 
 def run_verify(scn: Scenario, n_paths=None, seed=None, workers: int = 1) -> dict:
     """Run the scenario's test battery and assemble the report document."""
-    n = int(n_paths if n_paths is not None else scn.sim["n_paths"])
-    sd = int(seed if seed is not None else scn.sim["seed"])
-    if seed is not None or n_paths is not None:
-        scn = scenario_from_dict({
-            **scn.to_dict(),
-            "sim": {**scn.sim, "n_paths": n, "seed": sd},
-        })
-    hyp = scn.emm["hypothesis"]
-    if hyp in ("h1", "h2"):
-        out = _battery_jumps(scn, n, sd, workers)
-    elif hyp == "gaussian":
-        out = _battery_gaussian(scn, n, sd, workers)
-    elif hyp == "lm":
-        out = _battery_lm(scn, n, sd, workers)
+    scn = _override_sim(scn, n_paths, seed)
+    if scn.emm["hypothesis"] == "lm":
+        out = _battery_lm(scn)
     else:
-        raise ConfigError(f"hypothesis {hyp!r} has no verification battery")
+        out = _battery_paths(scn, workers)
     reports = out["reports"]
     overall = all(r.verdict == "pass" for r in reports)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": scn.name,
-        "seed": sd,
-        "n_paths": n,
+        "seed": int(scn.sim["seed"]),
+        "n_paths": int(scn.sim["n_paths"]),
         "overall": "pass" if overall else "fail",
         "reports": [r.to_dict() for r in reports],
     }
@@ -622,7 +620,8 @@ def run_verify(scn: Scenario, n_paths=None, seed=None, workers: int = 1) -> dict
 
 def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None,
                  max_path_csv: int = 5) -> dict:
-    cfg = build_sim_config(scn.sim, n_paths=n_paths, seed=seed)
+    scn = _override_sim(scn, n_paths, seed)
+    cfg = build_sim_config(scn.sim)
     triplet = build_triplet(scn.triplet)
     kern = build_kernel(scn.kernel)
     sim = PathSimulator(triplet, cfg)

@@ -49,44 +49,16 @@ class StatReport:
         }
 
 
-class RunningStats:
-    """Mergeable first/second-moment accumulator (Chan et al. update)."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, values) -> "RunningStats":
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
-            return self
-        other = RunningStats()
-        other.n = int(values.size)
-        other.mean = float(np.mean(values))
-        other.m2 = float(np.sum((values - other.mean) ** 2))
-        return self.merge(other)
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
-            return self
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        self.m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / n
-        self.mean = self.mean + delta * other.n / n
-        self.n = n
-        return self
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stderr(self) -> float:
-        return math.sqrt(self.variance / self.n) if self.n > 0 else math.inf
+def mean_se(values) -> tuple[float, float]:
+    """Sample mean and its standard error sqrt(var / n), var with ddof 1
+    (0 for a single value); (0.0, inf) for no values."""
+    values = np.asarray(values, dtype=float).ravel()
+    n = values.size
+    if n == 0:
+        return 0.0, math.inf
+    mean = float(np.mean(values))
+    var = float(np.sum((values - mean) ** 2)) / (n - 1) if n > 1 else 0.0
+    return mean, math.sqrt(var / n)
 
 
 def _gauss_verdict(estimate, target, stderr, crit):
@@ -102,10 +74,10 @@ def _gauss_verdict(estimate, target, stderr, crit):
 
 def mean_density_test(z_values, seed=None) -> StatReport:
     """E[Z_T] = 1 within 3 standard errors."""
-    rs = RunningStats().add(z_values)
-    verdict = _gauss_verdict(rs.mean, 1.0, rs.stderr, 3.0)
+    mean, se = mean_se(z_values)
+    verdict = _gauss_verdict(mean, 1.0, se, 3.0)
     return StatReport(
-        "mean_density", rs.mean, rs.stderr, rs.n, verdict,
+        "mean_density", mean, se, int(np.size(z_values)), verdict,
         "|mean - 1| <= 3 s.e.", seed,
     )
 
@@ -121,15 +93,15 @@ def q_martingale_test(x_at_probes, x0, z_values, probe_times, seed=None) -> Stat
     worst = (0.0, math.inf)
     all_pass = True
     for j in range(k):
-        rs = RunningStats().add(z * (x_at_probes[:, j] - x0))
-        ok = _gauss_verdict(rs.mean, 0.0, rs.stderr, crit) == "pass"
+        mean, se = mean_se(z * (x_at_probes[:, j] - x0))
+        ok = _gauss_verdict(mean, 0.0, se, crit) == "pass"
         all_pass = all_pass and ok
         probes.append({
-            "t": float(probe_times[j]), "estimate": rs.mean,
-            "stderr": rs.stderr, "pass": ok,
+            "t": float(probe_times[j]), "estimate": mean,
+            "stderr": se, "pass": ok,
         })
-        if rs.stderr > 0 and abs(rs.mean) / rs.stderr > abs(worst[0]) / max(worst[1], 1e-300):
-            worst = (rs.mean, rs.stderr)
+        if se > 0 and abs(mean) / se > abs(worst[0]) / max(worst[1], 1e-300):
+            worst = (mean, se)
     return StatReport(
         "q_martingale", worst[0], worst[1], len(z),
         "pass" if all_pass else "fail",
@@ -289,9 +261,9 @@ def finite_expect(p_ensemble, eps, doublings=4, seed=None) -> StatReport:
         stat = np.exp(eps * p * np.log1p(p))
     sizes, estimates = doubling_estimates(stat, doublings)
     verdict = doubling_verdict(estimates)
-    rs = RunningStats().add(stat[:, int(np.argmax(np.mean(stat, axis=0)))])
+    _, se = mean_se(stat[:, int(np.argmax(np.mean(stat, axis=0)))])
     return StatReport(
-        "finite_expect", estimates[-1], rs.stderr, n, verdict,
+        "finite_expect", estimates[-1], se, n, verdict,
         "doubling-sample stabilization (Cauchy test)", seed,
         {"eps": eps, "estimates": estimates, "sizes": sizes},
     )
@@ -316,17 +288,17 @@ def brownian_invariance_test(
     for (i, j) in probe_pairs:
         d = x[:, j] - x[:, i]
         delta = float(times[j] - times[i])
-        rs1 = RunningStats().add(z * d)
-        ok1 = _gauss_verdict(rs1.mean, 0.0, rs1.stderr, crit) == "pass"
+        mean1, se1 = mean_se(z * d)
+        ok1 = _gauss_verdict(mean1, 0.0, se1, crit) == "pass"
         target = phi0 * phi0 * c * delta
-        rs2 = RunningStats().add(z * d * d)
-        ok2 = _gauss_verdict(rs2.mean, target, rs2.stderr, crit) == "pass"
+        mean2, se2 = mean_se(z * d * d)
+        ok2 = _gauss_verdict(mean2, target, se2, crit) == "pass"
         all_pass = all_pass and ok1 and ok2
         probes.append({
             "t0": float(times[i]), "t1": float(times[j]),
-            "mean": rs1.mean, "mean_se": rs1.stderr, "mean_pass": ok1,
-            "second_moment": rs2.mean, "target": target,
-            "second_moment_se": rs2.stderr, "var_pass": ok2,
+            "mean": mean1, "mean_se": se1, "mean_pass": ok1,
+            "second_moment": mean2, "target": target,
+            "second_moment_se": se2, "var_pass": ok2,
         })
     return StatReport(
         "brownian_invariance", float("nan"), float("nan"), x.shape[0],

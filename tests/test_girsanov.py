@@ -24,7 +24,7 @@ from levyemm.girsanov import (
 )
 from levyemm.kernel import constant_kernel, exponential_kernel
 from levyemm.levy_model import DiscreteMeasure, LevyTriplet, indicator_inside
-from levyemm.path_sim import MovingAveragePath, SimConfig
+from levyemm.path_sim import MovingAveragePath, PathSimulator, SimConfig
 
 F_LM_AT_ONE = 2.0 * math.log(2.0) - 1.0
 
@@ -277,7 +277,7 @@ class TestSimulateUnderQ:
         gk = make_h1_kernel(t, 1.0, 2.0)
         cfg = SimConfig(T=1.0, M=0.0, dt=0.25, eps_jump=0.5, n_paths=1, seed=1)
         with pytest.raises(UnsupportedModel):
-            simulate_under_q(gk, t, exponential_kernel(1.0), cfg, 0)
+            simulate_under_q(gk, exponential_kernel(1.0), PathSimulator(t, cfg), 0)
 
     def test_eps_jump_bound(self):
         t, gk, _ = self._setup()
@@ -286,18 +286,16 @@ class TestSimulateUnderQ:
                         n_paths=1, seed=1)
         # eps_jump > truncation radius is already rejected upstream
         with pytest.raises(Exception):
-            simulate_under_q(gk, t, exponential_kernel(1.0), cfg, 0)
+            simulate_under_q(gk, exponential_kernel(1.0), PathSimulator(t, cfg), 0)
 
     def test_constant_kernel_gives_uniform_marks(self):
         # constant kernel: Y = 0 and zeta = 0, so marks keep the P-law
         t, gk, cfg = self._setup()
         k = constant_kernel(1.0)
         sizes, counts = [], []
-        from levyemm.path_sim import PathSimulator
-
         sim = PathSimulator(t, cfg)
         for i in range(300):
-            rec = simulate_under_q(gk, t, k, cfg, i, sim=sim)
+            rec = simulate_under_q(gk, k, sim, i)
             sizes.extend(rec.jump_sizes)
             counts.append(rec.n_tail_jumps)
             np.testing.assert_allclose(rec.y_pre, 0.0, atol=1e-12)
@@ -324,7 +322,7 @@ class TestSimulateUnderQ:
     def test_reproducible(self):
         t, gk, cfg = self._setup()
         k = exponential_kernel(1.0)
-        a = simulate_under_q(gk, t, k, cfg, 3)
-        b = simulate_under_q(gk, t, k, cfg, 3)
+        a = simulate_under_q(gk, k, PathSimulator(t, cfg), 3)
+        b = simulate_under_q(gk, k, PathSimulator(t, cfg), 3)
         assert np.array_equal(a.jump_times, b.jump_times)
         assert np.array_equal(a.jump_sizes, b.jump_sizes)

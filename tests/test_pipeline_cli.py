@@ -104,6 +104,23 @@ REFUSED = {
     # direct-Q marks come from the Q law, not from evaluate
     "direct-q-break-positive-factor": (lambda: _with(
         _q_dict, "emm", break_positive_factor=1.2), "break_positive_factor"),
+    # probe times lie on the dt lattice in (0, T] and increase; 0 is always
+    # the first probe (an IndexError mid-run, a verdict on unsimulated jumps,
+    # a silently moved probe and a degenerate probe before)
+    "gaussian-probe-past-T": (lambda: _with(
+        _builtin("gaussian-baseline"), "verify", probe_times=[0.0, 0.75]),
+        "probe_times"),
+    "h2-probe-past-T": (lambda: _with(_two_atom_dict, "verify",
+                                      probe_times=[0.5, 3.0]), "probe_times"),
+    "gaussian-probe-off-lattice": (lambda: _with(
+        _builtin("gaussian-baseline"), "verify", probe_times=[0.1]),
+        "probe_times"),
+    "h2-probe-at-zero": (lambda: _with(_two_atom_dict, "verify",
+                                       probe_times=[0.0, 0.5]), "probe_times"),
+    "h2-probes-decreasing": (lambda: _with(
+        _two_atom_dict, "verify", probe_times=[0.5, 0.25]), "probe_times"),
+    "h2-no-probes": (lambda: _with(_two_atom_dict, "verify", probe_times=[]),
+                     "probe_times"),
 }
 
 
@@ -225,6 +242,14 @@ class TestPipelines:
         doc = run_verify(scn, n_paths=1024)
         assert sorted(r["name"] for r in doc["reports"]) == sorted(tests)
 
+    def test_reports_in_battery_order(self):
+        scn = scenario_from_dict(_with(
+            _two_atom_dict, "verify",
+            tests=["jump_intensity", "q_martingale", "mean_density"]))
+        doc = run_verify(scn, n_paths=200)
+        assert [r["name"] for r in doc["reports"]] == [
+            "mean_density", "q_martingale", "jump_intensity"]
+
     def test_verify_bremaud_has_one_report(self):
         doc = run_verify(builtin_scenario("bremaud"), n_paths=1024)
         assert [r["name"] for r in doc["reports"]] == ["lm_criterion"]
@@ -257,7 +282,7 @@ class TestPipelines:
         assert doc["overall"] == "fail"
 
     @pytest.mark.parametrize("name", ["h2-two-atom", "h1-two-atom",
-                                      "q-two-atom-zeta05"])
+                                      "q-two-atom-zeta05", "gaussian-baseline"])
     def test_verify_json_independent_of_workers(self, name):
         scn = builtin_scenario(name)
         one = run_verify(scn, n_paths=2000, workers=1)

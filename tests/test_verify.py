@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats as scistats
 
 from levyemm.emm_construct import make_h2_kernel
@@ -16,7 +14,6 @@ from levyemm.levy_model import (
 )
 from levyemm.verify import (
     PIT_MIN_MARKS,
-    RunningStats,
     _merge_tail_bins,
     bonferroni_crit,
     brownian_invariance_test,
@@ -25,37 +22,19 @@ from levyemm.verify import (
     finite_expect,
     jump_intensity_test,
     mean_density_test,
+    mean_se,
     q_martingale_test,
 )
 
 
-class TestRunningStats:
+class TestMeanSe:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(1000)
-        rs = RunningStats().add(x)
-        assert rs.mean == pytest.approx(np.mean(x), abs=1e-12)
-        assert rs.variance == pytest.approx(np.var(x, ddof=1), rel=1e-12)
-        assert rs.stderr == pytest.approx(np.std(x, ddof=1) / math.sqrt(1000),
-                                          rel=1e-12)
-
-    @given(st.integers(1, 200))
-    @settings(max_examples=30, deadline=None)
-    def test_merge_equals_pooled(self, split):
-        rng = np.random.default_rng(split)
-        x = rng.standard_normal(250)
-        a = RunningStats().add(x[:split])
-        b = RunningStats().add(x[split:])
-        merged = a.merge(b)
-        pooled = RunningStats().add(x)
-        assert merged.n == pooled.n
-        assert merged.mean == pytest.approx(pooled.mean, abs=1e-10)
-        assert merged.m2 == pytest.approx(pooled.m2, rel=1e-9, abs=1e-9)
-
-    def test_empty_merge_noop(self):
-        rs = RunningStats().add([1.0, 2.0])
-        rs.merge(RunningStats())
-        assert rs.n == 2
+        mean, se = mean_se(x)
+        assert mean == pytest.approx(np.mean(x), abs=1e-12)
+        assert se == pytest.approx(np.std(x, ddof=1) / math.sqrt(1000),
+                                   rel=1e-12)
 
 
 class TestBonferroni:
