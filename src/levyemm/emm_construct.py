@@ -75,11 +75,12 @@ class GirsanovKernelH1:
         return (np.maximum(-d, 0.0) * self.m_plus / self.sigma_plus_sq
                 - np.maximum(d, 0.0) * self.m_minus / self.sigma_minus_sq)
 
-    def evaluate(self, y: float, x) -> np.ndarray:
+    def evaluate(self, y, x) -> np.ndarray:
+        """alpha(y, x), elementwise in y paired with x."""
         x = np.asarray(x, dtype=float)
-        d = y + self.xi
-        pos = max(d, 0.0)
-        neg = max(-d, 0.0)
+        d = np.asarray(y, dtype=float) + self.xi
+        pos = np.maximum(d, 0.0)
+        neg = np.maximum(-d, 0.0)
         in_pos = (x > self.a) & (x < self.b)
         in_neg = (-x > self.a) & (-x < self.b)
         return (
@@ -106,8 +107,6 @@ def _split(tail: TailLaw, zeta):
     """(P(X < zeta), lambda(zeta)), elementwise in zeta."""
     p_lo = tail.mass_below(zeta)
     p_hi = 1.0 - p_lo
-    # .all() rather than np.all: the weighted battery calls this once per
-    # tail jump with a scalar zeta
     if not ((p_lo > 0.0) & (p_hi > 0.0)).all():
         raise ZetaOutOfRange(f"zeta={zeta} leaves an empty conditional block")
     below = tail.partial_mean_below(zeta)
@@ -158,12 +157,15 @@ class GirsanovKernelH2:
     def zeta(self, y):
         return -(y + self.b_h) / self.lam
 
-    def evaluate(self, y: float, x) -> np.ndarray:
+    def evaluate(self, y, x) -> np.ndarray:
+        """alpha(y, x), elementwise in y paired with x; a float for a
+        scalar x."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.ones_like(arr)
         tail_mask = np.abs(arr) > self.a
         if tail_mask.any():
-            out[tail_mask] = f_zeta(self.tail, self.zeta(y), arr[tail_mask])
+            y_tail = y if np.ndim(y) == 0 else np.asarray(y, dtype=float)[tail_mask]
+            out[tail_mask] = f_zeta(self.tail, self.zeta(y_tail), arr[tail_mask])
         return out if np.ndim(x) else float(out[0])
 
     def mark_mass_below(self, y, z):

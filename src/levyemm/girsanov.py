@@ -33,9 +33,8 @@ from .levy_model import (
     levy_integrate,
 )
 from .path_sim import (
-    KernelResponse,
-    LatticePath,
     MovingAveragePath,
+    PathBlock,
     PathSimulator,
 )
 from .verify import doubling_estimates, doubling_verdict, finite_expect
@@ -101,19 +100,21 @@ class DensityProcess:
 def density_terms(gk, y_pre, marks, y_left, dt):
     """Jump factors alpha(Y_{T_n-}, Z_n) and the compensator drift.
 
-    y_left holds Y at the left nodes of the grid cells of width dt; the
-    drift -int_0^t int (alpha - 1) dF ds is a left-point sum over them,
-    returned at every node (starting at 0). A mass-preserving kernel
+    y_left holds Y at the left nodes of the grid cells of width dt, one
+    path per row (its last axis runs over the cells); the drift
+    -int_0^t int (alpha - 1) dF ds is a left-point running sum along that
+    axis, returned at every node (starting at 0). A mass-preserving kernel
     (excess_rate None) has a zero drift, so y_left may then be empty.
     """
-    factors = np.array(
-        [float(np.asarray(gk.evaluate(y, z)).reshape(())) for y, z in zip(y_pre, marks)]
-    )
+    factors = np.atleast_1d(np.asarray(
+        gk.evaluate(np.asarray(y_pre, dtype=float),
+                    np.asarray(marks, dtype=float)), dtype=float))
     if (factors <= 0.0).any():
         raise NonPositiveAlpha("alpha factor <= 0 at a jump")
-    comp = np.zeros(len(y_left) + 1)
+    y_left = np.asarray(y_left, dtype=float)
+    comp = np.zeros(y_left.shape[:-1] + (y_left.shape[-1] + 1,))
     if gk.excess_rate is not None:
-        comp[1:] = -np.cumsum(gk.excess_rate(y_left) * dt)
+        comp[..., 1:] = -np.cumsum(gk.excess_rate(y_left) * dt, axis=-1)
     return factors, comp
 
 
@@ -342,13 +343,27 @@ def simulate_under_q(
     sim: PathSimulator,
     path_index: int,
 ) -> QPathRecord:
-    """One path with the tail jumps on (0, T] resampled under Q.
+    """One path with the tail jumps on (0, T] resampled under Q; the
+    one-path view of draw_under_q."""
+    counts, jt, jz, y_pre = draw_under_q(gk, kernel, sim,
+                                         [sim.rng_for(path_index)])
+    return QPathRecord(jt, jz, y_pre, int(counts[0]))
+
+
+def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
+                 rngs) -> tuple:
+    """One path per generator with the tail jumps on (0, T] resampled under
+    Q: per path, the number of Q tail jumps, and flat over all paths (path
+    by path, in time) their times, marks and Y_{T_n-}.
 
     Arrivals stay Poisson with the P-intensity lam = F([-a,a]^c); each mark
-    on (0, T] is drawn sequentially from alpha(Y_{T_n-}, .) F^a / lam, as
-    gk.mark_quantile at one uniform. The Gaussian part, the sub-threshold
-    approximation and all pre-0 jumps keep their P-law. Requires
-    eps_jump <= a so no tail jump hides in the Gaussian approximation.
+    on (0, T] is drawn from alpha(Y_{T_n-}, .) F^a / lam, as
+    gk.mark_quantile at one uniform. Y_{T_n-} sees every jump strictly
+    before T_n, the earlier Q marks included, so the marks are drawn by
+    rank: the rank-k marks of all paths at once, from the ranks below k.
+    The Gaussian part, the sub-threshold approximation and all pre-0 jumps
+    keep their P-law. Requires eps_jump <= a so no tail jump hides in the
+    Gaussian approximation.
     """
     config = sim.config
     if gk.kind != "h2":
@@ -356,30 +371,43 @@ def simulate_under_q(
     if config.eps_jump > gk.a:
         raise UnsupportedModel("eps_jump must not exceed the tail threshold a")
 
-    rng = sim.rng_for(path_index)
-    base = sim.simulate(rng)
+    base = sim.draw(rngs)
+    # each path's arrivals and mark uniforms come after its P draws
+    arr, u = [], []
+    for rng in rngs:
+        n_arr = rng.poisson(gk.lam * config.T)
+        arr.append(np.sort(rng.uniform(0.0, config.T, n_arr)))
+        u.append(rng.random(n_arr))
+    counts = np.array([len(a) for a in arr], dtype=np.int64)
+    q_off = np.concatenate([[0], np.cumsum(counts)])
+    q_t = np.concatenate([np.empty(0)] + arr)
+    q_u = np.concatenate([np.empty(0)] + u)
+    q_rows = np.repeat(np.arange(len(rngs)), counts)
 
-    # keep pre-0 jumps and sub-a jumps; drop P tail jumps on (0, T]
+    # keep pre-0 jumps and sub-a jumps, drop the P tail jumps on (0, T], and
+    # merge the arrivals in, in time order per path, with marks still 0;
+    # complex keys row + i time compare (path, time) exactly, in that order
     keep = (base.jump_times <= 0.0) | (np.abs(base.jump_sizes) <= gk.a)
-    kept_t = base.jump_times[keep]
-    kept_z = base.jump_sizes[keep]
-    inc = base.diffuse_increments()
+    k_rows = base.jump_rows()[keep]
+    q_slot = np.searchsorted(k_rows + 1j * base.jump_times[keep],
+                             q_rows + 1j * q_t) + np.arange(len(q_t))
+    is_kept = np.ones(len(k_rows) + len(q_t), dtype=bool)
+    is_kept[q_slot] = False
+    times = np.empty(len(is_kept))
+    times[is_kept] = base.jump_times[keep]
+    times[q_slot] = q_t
+    sizes = np.zeros(len(is_kept))
+    sizes[is_kept] = base.jump_sizes[keep]
+    merged = PathBlock(base.times, base.dt, base.diffuse, times, sizes,
+                       np.concatenate([[0], np.cumsum(
+                           np.bincount(k_rows, minlength=len(rngs)) + counts)]))
 
-    n_arr = rng.poisson(gk.lam * config.T)
-    arr = np.sort(rng.uniform(0.0, config.T, n_arr))
-
-    # sequential marks: Y_{T_n-} sees everything strictly before T_n
-    resp = KernelResponse(kernel, LatticePath(base.times, inc, kept_t, kept_z),
-                          diffuse=inc)
-    q_t, q_z, y_pre = [], [], []
-    for t_n in arr:
-        y = resp.y_pre(float(t_n))
-        z = float(gk.mark_quantile(y, rng.random()))
-        q_t.append(float(t_n))
-        q_z.append(z)
-        y_pre.append(y)
-        resp.add_jump(t_n, z)
-
-    return QPathRecord(
-        np.asarray(q_t), np.asarray(q_z), np.asarray(y_pre), len(q_t),
-    )
+    q_z = np.empty(len(q_t))
+    y_pre = np.empty(len(q_t))
+    for k in range(int(counts.max(initial=0))):
+        at = q_off[:-1][counts > k] + k
+        y = merged.response(kernel.dphi, q_rows[at], q_t[at], strict=True)
+        q_z[at] = gk.mark_quantile(y, q_u[at])
+        y_pre[at] = y
+        merged.jump_sizes[q_slot[at]] = q_z[at]
+    return counts, q_t, q_z, y_pre

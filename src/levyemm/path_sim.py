@@ -101,6 +101,107 @@ def _cell_index(times, t_lo, dt, n_cells):
     return np.clip(idx, 0, n_cells - 1)
 
 
+# bound on the elements of one temporary of PathBlock.response
+_RESPONSE_ELEMS = 1 << 13
+
+
+@dataclass
+class PathBlock:
+    """Paths drawn together, one row each.
+
+    diffuse holds every path's cell increments before any explicit jump is
+    embedded. The explicit jumps of all paths sit in one flat array: path
+    b's, in increasing time, at offsets[b]:offsets[b + 1].
+    """
+
+    times: np.ndarray  # nodes -M = t_0 < ... < t_N = T
+    dt: float
+    diffuse: np.ndarray  # (B, N)
+    jump_times: np.ndarray
+    jump_sizes: np.ndarray
+    offsets: np.ndarray  # (B + 1,)
+
+    @classmethod
+    def of_path(cls, path: LatticePath, diffuse: np.ndarray | None = None
+                ) -> PathBlock:
+        """The one-row block of path (diffuse defaults to its increments
+        with the jumps taken out)."""
+        row = path.diffuse_increments() if diffuse is None else diffuse
+        return cls(path.times, path.dt, np.asarray(row)[None, :],
+                   path.jump_times, path.jump_sizes,
+                   np.array([0, len(path.jump_times)]))
+
+    def jump_rows(self) -> np.ndarray:
+        """The path of each flat jump."""
+        return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
+
+    def increments(self) -> np.ndarray:
+        """(B, N) increments with the jumps embedded in their cells: the
+        diffuse array itself when there are none (no second copy of a
+        large block), a copy otherwise."""
+        if not len(self.jump_times):
+            return self.diffuse
+        out = self.diffuse.copy()
+        np.add.at(out, (self.jump_rows(), self._cells(self.jump_times)),
+                  self.jump_sizes)
+        return out
+
+    def path(self, b: int) -> LatticePath:
+        lo, hi = self.offsets[b], self.offsets[b + 1]
+        jt, jz = self.jump_times[lo:hi], self.jump_sizes[lo:hi]
+        inc = self.diffuse[b].copy()
+        np.add.at(inc, self._cells(jt), jz)
+        return LatticePath(self.times, inc, jt, jz)
+
+    def _cells(self, jump_times):
+        return _cell_index(jump_times, float(self.times[0]), self.dt,
+                           self.diffuse.shape[1])
+
+    def response(self, fn, rows, t, *, strict: bool) -> np.ndarray:
+        """For each query q, sum_j fn(t_q - T_j) Z_j over the jumps of path
+        rows[q] before t_q (T_j < t_q when strict, for Y_{t-}; T_j <= t_q
+        otherwise, for X_t), plus the diffuse left-point sum over the cells
+        whose left node lies before t_q.
+
+        Each row is summed in its own order (cells, then jumps in time,
+        each by a running sum), so the value depends only on that path and
+        never on the block or the slice it is evaluated in. Queries go in
+        slices that keep every temporary below _RESPONSE_ELEMS elements.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        t = np.asarray(t, dtype=float)
+        counts = np.diff(self.offsets)
+        left = self.times[:-1]
+        with_diffuse = bool(self.diffuse.any())
+        width = max(int(counts[rows].max(initial=0)),
+                    len(left) if with_diffuse else 1)
+        step = max(1, _RESPONSE_ELEMS // width)
+        before = np.less if strict else np.less_equal
+        out = np.zeros(len(t))
+        for lo in range(0, len(t), step):
+            r, tq = rows[lo:lo + step], t[lo:lo + step, None]
+            if with_diffuse:
+                out[lo:lo + step] = _running_sum(fn, tq, left, self.diffuse[r],
+                                                 left < tq)
+            n_r = counts[r]
+            k = np.arange(int(n_r.max(initial=0)))
+            if len(k):
+                valid = k < n_r[:, None]
+                idx = np.where(valid, self.offsets[r, None] + k, 0)
+                jt = self.jump_times[idx]
+                out[lo:lo + step] += _running_sum(
+                    fn, tq, jt, self.jump_sizes[idx], valid & before(jt, tq))
+        return out
+
+
+def _running_sum(fn, tq, at, weights, m):
+    """Row sums of fn(tq - at) * weights over the entries m selects, each
+    row added up left to right; fn sees lag 0 where m is False, so never a
+    lag it is not defined at."""
+    terms = np.where(m, fn(np.where(m, tq - at, 0.0)), 0.0)
+    return np.cumsum(terms * weights, axis=1)[:, -1]
+
+
 # ---------------------------------------------------------------------------
 # the simulator
 # ---------------------------------------------------------------------------
@@ -147,25 +248,37 @@ class PathSimulator:
             np.random.SeedSequence((self.config.seed, path_index))
         )
 
-    def simulate(self, rng: np.random.Generator) -> LatticePath:
+    def draw(self, rngs) -> PathBlock:
+        """One path per generator. Each row takes the same calls of its own
+        generator in the same order (Gaussian part, small-jump
+        approximation, jump count, times, sizes), so it does not depend on
+        the block it is drawn in; simulate is the one-row case."""
         cfg = self.config
         n = cfg.n_cells
         dt = cfg.dt
-        inc = np.full(n, self.drift_rate * dt)
-        if self.triplet.c > 0.0:
-            inc += rng.normal(0.0, math.sqrt(self.triplet.c * dt), n)
-        if self.small_var_rate > 0.0 and cfg.small_jump_mode == "gaussian-approx":
-            inc += rng.normal(0.0, math.sqrt(self.small_var_rate * dt), n)
-        if self.tail is not None:
-            count = rng.poisson(self.jump_rate * (cfg.T + cfg.M))
-            jt = np.sort(rng.uniform(-cfg.M, cfg.T, count))
-            jz = self.tail.sample(count, rng)
-            idx = _cell_index(jt, -cfg.M, dt, n)
-            np.add.at(inc, idx, jz)
-        else:
-            jt = np.empty(0)
-            jz = np.empty(0)
-        return LatticePath(self.times, inc, jt, jz)
+        diffuse = np.full((len(rngs), n), self.drift_rate * dt)
+        sd_c = math.sqrt(self.triplet.c * dt) if self.triplet.c > 0.0 else None
+        sd_small = (math.sqrt(self.small_var_rate * dt)
+                    if self.small_var_rate > 0.0
+                    and cfg.small_jump_mode == "gaussian-approx" else None)
+        mean_count = self.jump_rate * (cfg.T + cfg.M)
+        jt_parts, jz_parts = [np.empty(0)], [np.empty(0)]
+        counts = np.zeros(len(rngs), dtype=np.intp)
+        for b, rng in enumerate(rngs):
+            if sd_c is not None:
+                diffuse[b] += rng.normal(0.0, sd_c, n)
+            if sd_small is not None:
+                diffuse[b] += rng.normal(0.0, sd_small, n)
+            if self.tail is not None:
+                counts[b] = rng.poisson(mean_count)
+                jt_parts.append(np.sort(rng.uniform(-cfg.M, cfg.T, counts[b])))
+                jz_parts.append(self.tail.sample(counts[b], rng))
+        return PathBlock(self.times, dt, diffuse, np.concatenate(jt_parts),
+                         np.concatenate(jz_parts),
+                         np.concatenate([[0], np.cumsum(counts)]))
+
+    def simulate(self, rng: np.random.Generator) -> LatticePath:
+        return self.draw([rng]).path(0)
 
     def simulate_index(self, path_index: int) -> LatticePath:
         return self.simulate(self.rng_for(path_index))
@@ -235,57 +348,12 @@ def moving_average(kernel: Kernel, path: LatticePath, m_cells: int | None = None
     )
 
 
-class KernelResponse:
-    """Exact kernel responses of one path at arbitrary times.
-
-    The diffuse part is a left-point sum over the cells whose left node
-    lies before t; each explicit jump adds its exact response. Whether the
-    path has any diffuse activity is decided once, at construction.
-    """
-
-    def __init__(self, kernel: Kernel, path: LatticePath,
-                 diffuse: np.ndarray | None = None):
-        self.kernel = kernel
-        self.left = path.times[:-1]
-        self.diffuse = path.diffuse_increments() if diffuse is None else diffuse
-        self.have_diffuse = bool(self.diffuse.any())
-        self.jump_times = path.jump_times
-        self.jump_sizes = path.jump_sizes
-
-    def x_at(self, t) -> float:
-        """X_t: kernel responses of the jumps at or before t."""
-        return self._at(self.kernel, t, self.jump_times <= t)
-
-    def y_pre(self, t) -> float:
-        """Y_{t-}: phi' responses of the jumps strictly before t."""
-        return self._at(self.kernel.dphi, t, self.jump_times < t)
-
-    def add_jump(self, t: float, z: float) -> None:
-        """Insert one explicit jump, keeping the jump list sorted."""
-        jt = np.concatenate([self.jump_times, [t]])
-        jz = np.concatenate([self.jump_sizes, [z]])
-        order = np.argsort(jt)
-        self.jump_times, self.jump_sizes = jt[order], jz[order]
-
-    def _at(self, fn, t, jumps) -> float:
-        total = 0.0
-        if self.have_diffuse:
-            m = self.left < t
-            if m.any():
-                total += float(np.dot(np.asarray(fn(t - self.left[m]), dtype=float),
-                                      self.diffuse[m]))
-        if jumps.any():
-            total += float(np.dot(
-                np.asarray(fn(t - self.jump_times[jumps]), dtype=float),
-                self.jump_sizes[jumps]))
-        return total
-
-
 def y_at(kernel: Kernel, path: LatticePath, t: float,
          diffuse: np.ndarray | None = None) -> float:
     """Predictable drift value Y_{t-}: diffuse cells with left node < t plus
     exact responses of jumps strictly before t."""
-    return KernelResponse(kernel, path, diffuse).y_pre(t)
+    return float(PathBlock.of_path(path, diffuse).response(
+        kernel.dphi, [0], [t], strict=True)[0])
 
 
 def extract_jump_measure(path: LatticePath, window: tuple[float, float]

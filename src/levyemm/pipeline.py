@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +37,6 @@ from .levy_model import (
     uniform_band,
 )
 from .path_sim import (
-    KernelResponse,
     PathSimulator,
     SimConfig,
     _is_multiple,
@@ -47,6 +47,11 @@ from .path_sim import (
 )
 
 REPORT_SCHEMA_VERSION = "1"
+
+# paths drawn and evaluated together by the path workers and run_simulate;
+# results do not depend on it, since every path keeps its own (seed, i)
+# generator and is summed on its own
+_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +107,26 @@ def _require(d: dict, keys, where: str):
             raise ConfigError(f"missing required key {k!r} in {where}")
 
 
+def _require_numbers(d: dict, keys, where: str, integral: bool = False):
+    """ConfigError unless each of keys that d holds is a number (a bool is
+    not one), with an integral value where asked."""
+    for k in keys:
+        if k not in d:
+            continue
+        v = d[k]
+        ok = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if ok and integral:
+            ok = isinstance(v, numbers.Integral) or float(v).is_integer()
+        if not ok:
+            kind = "an integer" if integral else "a number"
+            raise ConfigError(f"{where}.{k} must be {kind}, not {v!r}")
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     _require(d, ["name", "triplet", "kernel", "sim", "emm"], "scenario")
     t = d["triplet"]
     _require(t, ["c", "b_h", "measure", "truncation"], "triplet")
+    _require_numbers(t, ["c", "b_h"], "triplet")
     _require(t["measure"], ["type"], "triplet.measure")
     if t["measure"]["type"] not in _MEASURE_BUILDERS:
         raise ConfigError(f"unknown measure type {t['measure']['type']!r}")
@@ -117,11 +138,14 @@ def scenario_from_dict(d: dict) -> Scenario:
         _require(trunc, ["a", "b"], "triplet.truncation")
     else:
         raise ConfigError(f"unknown truncation kind {trunc['kind']!r}")
+    _require_numbers(trunc, ["a", "b"], "triplet.truncation")
     k = d["kernel"]
     _require(k, ["type"], "kernel")
     if k["type"] not in _KERNEL_BUILDERS:
         raise ConfigError(f"unknown kernel type {k['type']!r}")
     _require(d["sim"], ["T", "M", "dt", "eps_jump", "n_paths", "seed"], "sim")
+    _require_numbers(d["sim"], ["T", "M", "dt", "eps_jump"], "sim")
+    _require_numbers(d["sim"], ["n_paths", "seed"], "sim", integral=True)
     emm = d["emm"]
     _require(emm, ["hypothesis"], "emm")
     hyp = emm["hypothesis"]
@@ -134,6 +158,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         _require(emm, _LM_STYLE_KEYS.get(style, ()), f"emm (lm {style})")
     elif hyp not in ("gaussian", "none"):
         raise ConfigError(f"unknown hypothesis {hyp!r}")
+    _require_numbers(emm, ["a", "b", "tolerance"], "emm")
     if hyp == "h2" and t["measure"]["type"] == "zero":
         raise ConfigError("h2 requires two-sided tail mass; measure is zero")
     for knob, hyps in _KNOBS.items():
@@ -377,31 +402,47 @@ def _model(scn_dict: dict):
     return scn, triplet, build_kernel(scn.kernel), cfg, PathSimulator(triplet, cfg)
 
 
+def _blocks(sim: PathSimulator, start: int, stop: int):
+    """The generators of [start, stop) in blocks of _BLOCK paths, with each
+    block's first index."""
+    for lo in range(start, stop, _BLOCK):
+        yield lo, [sim.rng_for(i) for i in range(lo, min(lo + _BLOCK, stop))]
+
+
 def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     """Weighted-P statistics (h1 or h2) for a contiguous block of path
     indices."""
     scn, triplet, kern, cfg, sim = _model(scn_dict)
     gk = make_girsanov_kernel(scn, triplet)
-    probes = _probe_times(scn)
+    probes = np.array(_probe_times(scn))
     # left nodes of the compensator sum on [0, T); none for a mass-preserving alpha
-    grid = sim.times[cfg.m_cells:-1] if gk.excess_rate is not None else ()
+    grid = sim.times[cfg.m_cells:-1] if gk.excess_rate is not None else np.empty(0)
 
-    n = stop - start
-    z_T = np.empty(n)
-    x_probe = np.empty((n, len(probes)))
-    counts = np.zeros(n, dtype=np.int64)
-    for i, idx in enumerate(range(start, stop)):
-        path = sim.simulate(sim.rng_for(idx))
-        resp = KernelResponse(kern, path)
-        win = (path.jump_times > 0.0) & (np.abs(path.jump_sizes) > gk.a)
-        marks = path.jump_sizes[win]
-        y_pre = [resp.y_pre(t_n) for t_n in path.jump_times[win]]
+    z_T = np.empty(stop - start)
+    x_probe = np.empty((stop - start, len(probes)))
+    counts = np.empty(stop - start, dtype=np.int64)
+    for lo, rngs in _blocks(sim, start, stop):
+        block = sim.draw(rngs)
+        n = len(rngs)
+        out = slice(lo - start, lo - start + n)
+        paths = np.arange(n)
+        win = (block.jump_times > 0.0) & (np.abs(block.jump_sizes) > gk.a)
+        w_rows = block.jump_rows()[win]
+        y_pre = block.response(kern.dphi, w_rows, block.jump_times[win],
+                               strict=True)
+        y_left = block.response(kern.dphi, np.repeat(paths, len(grid)),
+                                np.tile(grid, n), strict=True)
         factors, comp = girsanov.density_terms(
-            gk, y_pre, marks, [resp.y_pre(t) for t in grid], cfg.dt)
-        z_T[i] = math.prod(factors) * math.exp(comp[-1])
-        counts[i] = len(marks)
-        for j, t_p in enumerate(probes):
-            x_probe[i, j] = resp.x_at(t_p)
+            gk, y_pre, block.jump_sizes[win], y_left.reshape(n, len(grid)),
+            cfg.dt)
+        # the factors of each path multiplied in jump order, as math.prod does
+        z = np.ones(n)
+        np.multiply.at(z, w_rows, factors)
+        z_T[out] = z * np.exp(comp[:, -1])
+        x_probe[out] = block.response(kern, np.repeat(paths, len(probes)),
+                                      np.tile(probes, n), strict=False
+                                      ).reshape(n, len(probes))
+        counts[out] = np.bincount(w_rows, minlength=n)
     return {"z_T": z_T, "x_probe": x_probe, "counts": counts}
 
 
@@ -409,14 +450,14 @@ def _q_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     """Direct-Q mark and count statistics for a block of path indices."""
     scn, triplet, kern, cfg, sim = _model(scn_dict)
     gk = make_girsanov_kernel(scn, triplet)
-    counts = np.zeros(stop - start, dtype=np.int64)
-    y_pre, marks = [], []
-    for i, idx in enumerate(range(start, stop)):
-        rec = girsanov.simulate_under_q(gk, kern, sim, idx)
-        counts[i] = rec.n_tail_jumps
-        y_pre.extend(rec.y_pre.tolist())
-        marks.extend(rec.jump_sizes.tolist())
-    return {"counts": counts, "y_pre": np.asarray(y_pre), "marks": np.asarray(marks)}
+    counts, y_pre, marks = [], [], []
+    for _, rngs in _blocks(sim, start, stop):
+        n_q, _, z, y = girsanov.draw_under_q(gk, kern, sim, rngs)
+        counts.append(n_q)
+        y_pre.append(y)
+        marks.append(z)
+    return {"counts": np.concatenate(counts), "y_pre": np.concatenate(y_pre),
+            "marks": np.concatenate(marks)}
 
 
 def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
@@ -439,9 +480,7 @@ def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     z_parts, x_parts = [], []
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
-        inc = np.empty((hi - lo, n_cells))
-        for r, idx in enumerate(range(lo, hi)):
-            inc[r] = sim.simulate(sim.rng_for(idx)).increments
+        inc = sim.draw([sim.rng_for(i) for i in range(lo, hi)]).increments()
         X = _backend.ma_correlate(inc, w_phi, n_out, m, r_phi)
         Y = _backend.ma_correlate(inc, w_dphi, n_out, m, r_dphi)
         theta = -(Y + phi0 * xi) / (phi0 * sqc)
@@ -627,16 +666,18 @@ def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None,
     sim = PathSimulator(triplet, cfg)
     os.makedirs(out_dir, exist_ok=True)
     jump_records = []
-    for idx in range(cfg.n_paths):
-        path = sim.simulate(sim.rng_for(idx))
-        if idx < max_path_csv:
+    for lo, rngs in _blocks(sim, 0, cfg.n_paths):
+        block = sim.draw(rngs)
+        for b in range(min(len(rngs), max_path_csv - lo)):
+            path = block.path(b)
             ma = moving_average(kern, path, m_cells=cfg.m_cells)
-            with open(os.path.join(out_dir, f"path_{idx}.csv"), "w",
+            with open(os.path.join(out_dir, f"path_{lo + b}.csv"), "w",
                       newline="") as fh:
                 write_path_csv(fh, path, ma, cfg.m_cells)
-        w = path.jump_times > 0.0
-        for t, z in zip(path.jump_times[w], path.jump_sizes[w]):
-            jump_records.append((idx, float(t), float(z)))
+        w = block.jump_times > 0.0
+        jump_records.extend(zip((lo + block.jump_rows()[w]).tolist(),
+                                block.jump_times[w].tolist(),
+                                block.jump_sizes[w].tolist()))
     with open(os.path.join(out_dir, "jumps.csv"), "w", newline="") as fh:
         write_jumps_csv(fh, jump_records)
     summary = {

@@ -163,6 +163,20 @@ class TestLambdaOfZeta:
             assert float(np.sum(law.x * dens * law.p)) == pytest.approx(zeta, abs=1e-12)
 
 
+@pytest.mark.parametrize("hyp", ["h1", "h2"])
+def test_evaluate_pairs_an_array_of_y_with_x(hyp):
+    # elementwise equal to the scalar calls, which still give floats
+    t = _triplet(DiscreteMeasure([(-1.0, 1.0), (1.0, 1.0)]), b=0.3,
+                 a_trunc=0.5)
+    gk = make_h1_kernel(t, 0.5, 1.5) if hyp == "h1" else make_h2_kernel(t, 0.5)
+    ys = np.linspace(-0.8, 0.8, 9)
+    xs = np.tile([-1.0, 1.0, 0.3], 3)
+    got = gk.evaluate(ys, xs)
+    assert got.shape == (9,)
+    assert list(got) == [gk.evaluate(y, x) for y, x in zip(ys, xs)]
+    assert isinstance(gk.evaluate(0.1, 1.0), float)
+
+
 class TestH2Kernel:
     def _two_atom(self):
         F = DiscreteMeasure([(-1.0, 1.0), (1.0, 1.0)])

@@ -14,6 +14,7 @@ from levyemm.errors import (
 )
 from levyemm.girsanov import (
     density_process,
+    density_terms,
     f_lm,
     fit_envelope,
     lm_compensator,
@@ -132,6 +133,24 @@ class TestDensityProcess:
         with pytest.raises(NonPositiveAlpha):
             density_process(Bad(), _flat_ma(times),
                             (np.array([0.5]), np.array([1.0])))
+
+    def test_density_terms_evaluates_alpha_once(self):
+        # one array call over every jump, equal to the scalar calls
+        gk = make_h2_kernel(_two_atom_triplet(), 0.5)
+        calls = []
+
+        class Counting:
+            excess_rate = None
+
+            def evaluate(self, y, x):
+                calls.append(np.size(x))
+                return gk.evaluate(y, x)
+
+        ys, zs = np.array([-0.3, 0.0, 0.2]), np.array([1.0, -1.0, 1.0])
+        factors, comp = density_terms(Counting(), ys, zs, np.empty(0), 0.25)
+        assert calls == [3]
+        assert list(factors) == [gk.evaluate(y, z) for y, z in zip(ys, zs)]
+        assert list(comp) == [0.0]
 
     def test_matches_stoch_exp_route(self):
         t = _two_atom_triplet()

@@ -28,8 +28,8 @@ from levyemm.levy_model import (
     uniform_band,
 )
 from levyemm.path_sim import (
-    KernelResponse,
     LatticePath,
+    PathBlock,
     PathSimulator,
     SimConfig,
     decomposition_residual,
@@ -199,11 +199,13 @@ class TestMovingAverage:
         path = sim.simulate_index(4)
         assert len(path.jump_times) and np.any(path.diffuse_increments())
         ma = moving_average(k, path, sim.config.m_cells)
-        resp = KernelResponse(k, path)
-        for t, x, y in zip(ma.times, ma.X, ma.Y):
-            assert resp.x_at(t) == pytest.approx(x, abs=1e-12)
-            assert resp.y_pre(t) == pytest.approx(y, abs=1e-12)
-            assert resp.y_pre(t) == y_at(k, path, t)
+        block = PathBlock.of_path(path)
+        rows = np.zeros(len(ma.times), dtype=int)
+        x_at = block.response(k, rows, ma.times, strict=False)
+        y_pre = block.response(k.dphi, rows, ma.times, strict=True)
+        np.testing.assert_allclose(x_at, ma.X, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y_pre, ma.Y, rtol=0, atol=1e-12)
+        assert list(y_pre) == [y_at(k, path, t) for t in ma.times]
 
     def test_kernel_response_at_a_jump(self):
         # X_t includes a jump at t, Y_{t-} leaves it out
@@ -212,12 +214,14 @@ class TestMovingAverage:
         inc = np.zeros(8)
         inc[5] = 2.0  # jump at 0.5 lives in cell (0.25, 0.5]
         path = LatticePath(times, inc, np.array([0.5]), np.array([2.0]))
-        resp = KernelResponse(k, path)
-        assert resp.x_at(0.5) == 2.0 and resp.y_pre(0.5) == 0.0
-        resp.add_jump(0.25, 1.0)
-        np.testing.assert_array_equal(resp.jump_times, [0.25, 0.5])
-        assert resp.y_pre(0.5) == pytest.approx(-0.7 * math.exp(-0.7 * 0.25),
-                                                abs=1e-15)
+        block = PathBlock.of_path(path)
+        assert block.response(k, [0], [0.5], strict=False)[0] == 2.0
+        assert block.response(k.dphi, [0], [0.5], strict=True)[0] == 0.0
+        two = PathBlock.of_path(LatticePath(times, inc, np.array([0.25, 0.5]),
+                                            np.array([1.0, 2.0])),
+                                diffuse=np.zeros(8))
+        assert two.response(k.dphi, [0], [0.5], strict=True)[0] == \
+            pytest.approx(-0.7 * math.exp(-0.7 * 0.25), abs=1e-15)
 
     def test_decomposition_residual_first_order_in_dt(self):
         k = exponential_kernel(1.0)

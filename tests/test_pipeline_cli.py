@@ -121,6 +121,13 @@ REFUSED = {
         _two_atom_dict, "verify", probe_times=[0.5, 0.25]), "probe_times"),
     "h2-no-probes": (lambda: _with(_two_atom_dict, "verify", probe_times=[]),
                      "probe_times"),
+    # values are type-checked at load (a ValueError mid-run, exit 1, before)
+    "h2-eps-jump-word": (lambda: _with(_two_atom_dict, "sim",
+                                       eps_jump="quarter"), "eps_jump"),
+    "h2-tolerance-bool": (lambda: _with(_two_atom_dict, "emm", tolerance=True),
+                          "tolerance"),
+    "h2-fractional-n-paths": (lambda: _with(_two_atom_dict, "sim",
+                                            n_paths=2.5), "n_paths"),
 }
 
 
@@ -282,7 +289,8 @@ class TestPipelines:
         assert doc["overall"] == "fail"
 
     @pytest.mark.parametrize("name", ["h2-two-atom", "h1-two-atom",
-                                      "q-two-atom-zeta05", "gaussian-baseline"])
+                                      "q-two-atom-zeta05", "gaussian-baseline",
+                                      "negative-broken-alpha"])
     def test_verify_json_independent_of_workers(self, name):
         scn = builtin_scenario(name)
         one = run_verify(scn, n_paths=2000, workers=1)
