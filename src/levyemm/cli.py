@@ -34,11 +34,6 @@ _PROFILES = {
 }
 
 
-def _env(name, cast=str):
-    val = os.environ.get(name)
-    return cast(val) if val is not None else None
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="levyemm",
@@ -52,15 +47,16 @@ def build_parser() -> argparse.ArgumentParser:
             g = sp.add_mutually_exclusive_group(required=True)
             g.add_argument("--scenario", help="scenario YAML path")
             g.add_argument("--builtin", help="named builtin scenario")
-        sp.add_argument("--seed", type=int,
-                        default=_env("LEVYEMM_SEED", int))
-        sp.add_argument("--n-paths", type=int,
-                        default=_env("LEVYEMM_N_PATHS", int))
-        sp.add_argument("--out", default=_env("LEVYEMM_OUT") or "out")
+        # argparse applies type to a string default, so a bad LEVYEMM_*
+        # value gives the same usage error as the flag would
+        env = os.environ.get
+        sp.add_argument("--seed", type=int, default=env("LEVYEMM_SEED"))
+        sp.add_argument("--n-paths", type=int, default=env("LEVYEMM_N_PATHS"))
+        sp.add_argument("--out", default=env("LEVYEMM_OUT") or "out")
         sp.add_argument("--profile", choices=sorted(_PROFILES),
-                        default=_env("LEVYEMM_PROFILE") or "full")
+                        default=env("LEVYEMM_PROFILE") or "full")
         sp.add_argument("--workers", type=int,
-                        default=_env("LEVYEMM_WORKERS", int) or 1)
+                        default=env("LEVYEMM_WORKERS") or "1")
     return p
 
 

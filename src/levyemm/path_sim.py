@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,10 +89,15 @@ class LatticePath:
             np.subtract.at(out, idx, self.jump_sizes)
         return out
 
-    def levy_values_from_zero(self, m_cells: int) -> np.ndarray:
-        """L_t - L_0 on the output grid [0, T] (node m_cells onwards)."""
-        out = np.concatenate([[0.0], np.cumsum(self.increments[m_cells:])])
-        return out
+    def levy_values_from_zero(self) -> np.ndarray:
+        """L_t - L_0 on the output grid [0, T]."""
+        m = _zero_node(self.times, self.dt)
+        return np.concatenate([[0.0], np.cumsum(self.increments[m:])])
+
+
+def _zero_node(times, dt) -> int:
+    """The index of node 0 on a lattice starting at -M."""
+    return round(-float(times[0]) / dt)
 
 
 def _cell_index(times, t_lo, dt, n_cells):
@@ -101,7 +106,7 @@ def _cell_index(times, t_lo, dt, n_cells):
     return np.clip(idx, 0, n_cells - 1)
 
 
-# bound on the elements of one temporary of PathBlock.response
+# bound on the elements of one temporary of a query slice (_slices)
 _RESPONSE_ELEMS = 1 << 13
 
 
@@ -135,17 +140,6 @@ class PathBlock:
         """The path of each flat jump."""
         return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
-    def increments(self) -> np.ndarray:
-        """(B, N) increments with the jumps embedded in their cells: the
-        diffuse array itself when there are none (no second copy of a
-        large block), a copy otherwise."""
-        if not len(self.jump_times):
-            return self.diffuse
-        out = self.diffuse.copy()
-        np.add.at(out, (self.jump_rows(), self._cells(self.jump_times)),
-                  self.jump_sizes)
-        return out
-
     def path(self, b: int) -> LatticePath:
         lo, hi = self.offsets[b], self.offsets[b + 1]
         jt, jz = self.jump_times[lo:hi], self.jump_sizes[lo:hi]
@@ -165,33 +159,61 @@ class PathBlock:
 
         Each row is summed in its own order (cells, then jumps in time,
         each by a running sum), so the value depends only on that path and
-        never on the block or the slice it is evaluated in. Queries go in
-        slices that keep every temporary below _RESPONSE_ELEMS elements.
+        never on the block or the slice it is evaluated in.
         """
         rows = np.asarray(rows, dtype=np.intp)
         t = np.asarray(t, dtype=float)
-        counts = np.diff(self.offsets)
-        left = self.times[:-1]
-        with_diffuse = bool(self.diffuse.any())
-        width = max(int(counts[rows].max(initial=0)),
-                    len(left) if with_diffuse else 1)
-        step = max(1, _RESPONSE_ELEMS // width)
-        before = np.less if strict else np.less_equal
         out = np.zeros(len(t))
-        for lo in range(0, len(t), step):
-            r, tq = rows[lo:lo + step], t[lo:lo + step, None]
-            if with_diffuse:
-                out[lo:lo + step] = _running_sum(fn, tq, left, self.diffuse[r],
-                                                 left < tq)
+        if self.diffuse.any():
+            left = self.times[:-1]
+            for q, r, tq in _slices(rows, t, len(left)):
+                out[q] = _running_sum(fn, tq, left, self.diffuse[r], left < tq)
+        self._add_jumps(fn, rows, t, out, strict=strict)
+        return out
+
+    def moving_average(self, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+        """X and Y = phi'-average of every path on the grid [0, T], each of
+        shape (B, n_out): the diffuse left-point sums by one correlation of
+        the block per weight table, plus each jump's exact response at the
+        nodes at or after it."""
+        B, n = self.diffuse.shape
+        m = _zero_node(self.times, self.dt)
+        grid = self.times[m:]
+        fns = (kernel, kernel.dphi)
+        X, Y = (_backend.ma_correlate(self.diffuse, _weight_table(fn, n, self.dt),
+                                      len(grid), m, rec)
+                for fn, rec in zip(fns, kernel.recursion(self.dt)))
+        # the queries are built after the correlations have freed their
+        # temporaries, so they do not raise the peak memory of a block
+        rows, t = np.repeat(np.arange(B), len(grid)), np.tile(grid, B)
+        for fn, v in zip(fns, (X, Y)):
+            self._add_jumps(fn, rows, t, v.reshape(-1), strict=False)
+        return X, Y
+
+    def _add_jumps(self, fn, rows, t, out, *, strict: bool) -> None:
+        """Add to out[q] the running sum of fn(t_q - T_j) Z_j over the jumps
+        of path rows[q] before t_q (strictly when strict)."""
+        counts = np.diff(self.offsets)
+        before = np.less if strict else np.less_equal
+        for q, r, tq in _slices(rows, t, int(counts.max(initial=0))):
             n_r = counts[r]
             k = np.arange(int(n_r.max(initial=0)))
             if len(k):
                 valid = k < n_r[:, None]
                 idx = np.where(valid, self.offsets[r, None] + k, 0)
                 jt = self.jump_times[idx]
-                out[lo:lo + step] += _running_sum(
-                    fn, tq, jt, self.jump_sizes[idx], valid & before(jt, tq))
-        return out
+                out[q] += _running_sum(fn, tq, jt, self.jump_sizes[idx],
+                                       valid & before(jt, tq))
+
+
+def _slices(rows, t, width):
+    """The queries in slices whose (slice, width) temporaries stay below
+    _RESPONSE_ELEMS elements: each slice, its rows and its times as a
+    column."""
+    step = max(1, _RESPONSE_ELEMS // max(width, 1))
+    for lo in range(0, len(t), step):
+        q = slice(lo, lo + step)
+        yield q, rows[q], t[q, None]
 
 
 def _running_sum(fn, tq, at, weights, m):
@@ -313,37 +335,12 @@ def _weight_table(fn, n_lags: int, dt: float) -> np.ndarray:
     return w
 
 
-def _jump_response(fn, out_times, jt, jz, out):
-    for t_n, z_n in zip(jt, jz):
-        mask = out_times >= t_n
-        out[mask] += z_n * np.asarray(fn(out_times[mask] - t_n), dtype=float)
-
-
-def moving_average(kernel: Kernel, path: LatticePath, m_cells: int | None = None
-                   ) -> MovingAveragePath:
-    """X and Y = phi'-average on the output grid [0, T]."""
-    dt = path.dt
-    n = len(path.increments)
-    if m_cells is None:
-        m_cells = int(round(-path.times[0] / dt))
-    n_out = n - m_cells + 1
-    out_times = path.times[m_cells:]
-
-    diffuse = path.diffuse_increments()
-    w_phi = _weight_table(kernel, n, dt)
-    w_dphi = _weight_table(kernel.dphi, n, dt)
-    if np.any(diffuse):
-        row = np.ascontiguousarray(diffuse[None, :])
-        r_phi, r_dphi = kernel.recursion(dt)
-        X = _backend.ma_correlate(row, w_phi, n_out, m_cells, r_phi)[0]
-        Y = _backend.ma_correlate(row, w_dphi, n_out, m_cells, r_dphi)[0]
-    else:
-        X = np.zeros(n_out)
-        Y = np.zeros(n_out)
-    _jump_response(kernel, out_times, path.jump_times, path.jump_sizes, X)
-    _jump_response(kernel.dphi, out_times, path.jump_times, path.jump_sizes, Y)
+def moving_average(kernel: Kernel, path: LatticePath) -> MovingAveragePath:
+    """X and Y = phi'-average on the output grid [0, T]: the one-row case of
+    PathBlock.moving_average."""
+    X, Y = PathBlock.of_path(path).moving_average(kernel)
     return MovingAveragePath(
-        out_times, X, Y, float(X[0]),
+        path.times[_zero_node(path.times, path.dt):], X[0], Y[0], float(X[0, 0]),
         truncation_bias_bound=kernel.truncation_bias_bound(-float(path.times[0])),
     )
 
@@ -365,11 +362,10 @@ def extract_jump_measure(path: LatticePath, window: tuple[float, float]
 
 
 def decomposition_residual(kernel: Kernel, path: LatticePath,
-                           ma: MovingAveragePath, m_cells: int) -> np.ndarray:
+                           ma: MovingAveragePath) -> np.ndarray:
     """Per grid point: X_t - X_0 - phi(0) L_t - sum_{s<t} Y_s dt."""
-    dt = path.dt
-    L = path.levy_values_from_zero(m_cells)
-    drift = np.concatenate([[0.0], np.cumsum(ma.Y[:-1]) * dt])
+    L = path.levy_values_from_zero()
+    drift = np.concatenate([[0.0], np.cumsum(ma.Y[:-1]) * path.dt])
     return ma.X - ma.X0 - kernel.phi0 * L - drift
 
 
@@ -378,11 +374,10 @@ def decomposition_residual(kernel: Kernel, path: LatticePath,
 # ---------------------------------------------------------------------------
 
 
-def write_path_csv(fobj, path: LatticePath, ma: MovingAveragePath,
-                   m_cells: int) -> None:
+def write_path_csv(fobj, path: LatticePath, ma: MovingAveragePath) -> None:
     writer = csv.writer(fobj)
     writer.writerow(["time", "L", "X", "Y"])
-    L = path.levy_values_from_zero(m_cells)
+    L = path.levy_values_from_zero()
     for t, l, x, y in zip(ma.times, L, ma.X, ma.Y):
         writer.writerow([f"{t:.10g}", f"{l:.10g}", f"{x:.10g}", f"{y:.10g}"])
 

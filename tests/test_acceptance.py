@@ -201,8 +201,7 @@ def test_criterion_7_convergence_studies():
                 p.jump_times, p.jump_sizes,
             )
         for lev, p in paths.items():
-            m = int(round(2.0 / p.dt))
-            r = decomposition_residual(k, p, moving_average(k, p, m), m)
+            r = decomposition_residual(k, p, moving_average(k, p))
             errs[lev].append(float(np.sqrt(np.mean(r * r))))
     e = {lev: float(np.mean(v)) for lev, v in errs.items()}
     order = math.log2(e[8] / e[1]) / 3.0
@@ -219,7 +218,7 @@ def test_criterion_7_convergence_studies():
                           n_paths=1, seed=777)
         sim_e = PathSimulator(ts, cfg_e)
         xs = np.array([
-            moving_average(k, sim_e.simulate_index(i), cfg_e.m_cells).X[-1]
+            moving_average(k, sim_e.simulate_index(i)).X[-1]
             for i in range(3000)
         ])
         means.append((float(np.mean(xs)), float(np.std(xs, ddof=1)) / 54.77))

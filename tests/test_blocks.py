@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from levyemm import girsanov, pipeline
+from levyemm.kernel import exponential_kernel, power_kernel
 from levyemm.levy_model import (
     LevyTriplet,
     indicator_inside,
@@ -15,9 +16,11 @@ from levyemm.levy_model import (
 )
 from levyemm.path_sim import (
     LatticePath,
+    PathBlock,
     PathSimulator,
     SimConfig,
     _cell_index,
+    moving_average,
     y_at,
 )
 
@@ -49,6 +52,9 @@ CHUNK_CASES = {
     "q-two-atom-zeta05": (pipeline._q_chunk,
                           lambda: _builtin("q-two-atom-zeta05")),
     "direct-q-sas-1.5": (pipeline._q_chunk, _direct_q_sas),
+    # 512-path blocks: every part of SPLIT starts inside a block of the whole
+    "gaussian-baseline": (pipeline._gaussian_chunk,
+                          lambda: _builtin("gaussian-baseline")),
 }
 
 
@@ -58,7 +64,10 @@ def test_chunk_arrays_independent_of_the_split(case):
     d = build()
     whole = worker(d, 0, 2000)
     parts = [worker(d, a, b) for a, b in SPLIT]
-    assert len(whole["counts"]) == 2000 and whole["counts"].sum() > 0
+    if worker is pipeline._gaussian_chunk:
+        assert len(whole["z_T"]) == 2000
+    else:
+        assert len(whole["counts"]) == 2000 and whole["counts"].sum() > 0
     for key, arr in whole.items():
         assert np.array_equal(arr, np.concatenate([p[key] for p in parts])), key
 
@@ -98,6 +107,45 @@ def _sas_gauss_sim():
     t = LevyTriplet(0.5, symmetric_alpha_stable(1.5), 0.1, indicator_inside(1.0))
     cfg = SimConfig(T=1.0, M=4.0, dt=0.125, eps_jump=0.2, n_paths=1, seed=5)
     return PathSimulator(t, cfg)
+
+
+_GRID_KERNELS = [exponential_kernel(0.7, 1.3), power_kernel(1.5)]
+
+
+@pytest.mark.parametrize("k", _GRID_KERNELS, ids=lambda k: k.name)
+def test_grid_moving_average_rows_are_one_row_blocks(k):
+    sim = _sas_gauss_sim()
+    block = sim.draw([sim.rng_for(i) for i in range(150)])
+    assert block.diffuse.any() and np.diff(block.offsets).min() > 0
+    X, Y = block.moving_average(k)
+    assert X.shape == Y.shape == (150, sim.config.n_out)
+    for b in range(150):
+        path = block.path(b)
+        x1, y1 = PathBlock.of_path(path, block.diffuse[b]).moving_average(k)
+        assert np.array_equal(x1[0], X[b]) and np.array_equal(y1[0], Y[b])
+        # the path's own diffuse cells come back from its embedded
+        # increments, so they can differ from the block's in the last bit
+        ma = moving_average(k, path)
+        scale = np.max(np.abs(X[b]))
+        np.testing.assert_allclose(ma.X, X[b], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(ma.Y, Y[b], rtol=0, atol=1e-12 * scale)
+        assert ma.X0 == ma.X[0]
+
+
+@pytest.mark.parametrize("k", _GRID_KERNELS, ids=lambda k: k.name)
+def test_grid_moving_average_equals_response_off_jump_times(k):
+    sim = _sas_gauss_sim()
+    block = sim.draw([sim.rng_for(i) for i in range(40)])
+    grid = sim.times[sim.config.m_cells:]
+    assert not np.isin(block.jump_times, grid).any()
+    X, Y = block.moving_average(k)
+    rows, t = np.repeat(np.arange(40), len(grid)), np.tile(grid, 40)
+    x_at = block.response(k, rows, t, strict=False).reshape(X.shape)
+    y_pre = block.response(k.dphi, rows, t, strict=True).reshape(Y.shape)
+    np.testing.assert_allclose(X, x_at, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(x_at)))
+    np.testing.assert_allclose(Y, y_pre, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(y_pre)))
 
 
 @pytest.mark.parametrize("which", ["h2-two-atom", "sas-gauss"])

@@ -151,8 +151,8 @@ class TestMovingAverage:
         t = LevyTriplet(1.0, DiscreteMeasure([(1.0, 0.5)]), 0.3, indicator_inside(0.5))
         sim = PathSimulator(t, _cfg(T=2.0, M=1.0, dt=0.25, seed=7))
         path = sim.simulate_index(0)
-        ma = moving_average(constant_kernel(1.0), path, cfg.m_cells)
-        L = path.levy_values_from_zero(cfg.m_cells)
+        ma = moving_average(constant_kernel(1.0), path)
+        L = path.levy_values_from_zero()
         np.testing.assert_allclose(ma.X - ma.X0, L, atol=1e-12)
         np.testing.assert_allclose(ma.Y, 0.0, atol=1e-15)
 
@@ -167,7 +167,7 @@ class TestMovingAverage:
             jump_times=np.array([-0.3]),
             jump_sizes=np.array([2.0]),
         )
-        ma = moving_average(exponential_kernel(kappa), path, 4)
+        ma = moving_average(exponential_kernel(kappa), path)
         expect = 2.0 * np.exp(-kappa * (ma.times + 0.3))
         np.testing.assert_allclose(ma.X, expect, atol=1e-12)
         np.testing.assert_allclose(ma.Y, -kappa * expect, atol=1e-12)
@@ -198,7 +198,7 @@ class TestMovingAverage:
         sim = PathSimulator(triplet, _cfg(M=2.0, eps_jump=0.25))
         path = sim.simulate_index(4)
         assert len(path.jump_times) and np.any(path.diffuse_increments())
-        ma = moving_average(k, path, sim.config.m_cells)
+        ma = moving_average(k, path)
         block = PathBlock.of_path(path)
         rows = np.zeros(len(ma.times), dtype=int)
         x_at = block.response(k, rows, ma.times, strict=False)
@@ -235,8 +235,8 @@ class TestMovingAverage:
             jump_times=fine.jump_times,
             jump_sizes=fine.jump_sizes,
         )
-        r_f = decomposition_residual(k, fine, moving_average(k, fine, 512), 512)
-        r_c = decomposition_residual(k, coarse, moving_average(k, coarse, 256), 256)
+        r_f = decomposition_residual(k, fine, moving_average(k, fine))
+        r_c = decomposition_residual(k, coarse, moving_average(k, coarse))
         err_f = np.max(np.abs(r_f))
         err_c = np.max(np.abs(r_c[: len(r_f)]))
         assert err_f < err_c / 1.5
@@ -251,9 +251,8 @@ class TestMovingAverage:
         path = sim.simulate_index(4)
         assert len(path.jump_times) and np.any(path.diffuse_increments())
         assert k.recursion(sim.config.dt)[0] is not None
-        got = moving_average(k, path, sim.config.m_cells)
-        fft = moving_average(dataclasses.replace(k, iir=None), path,
-                             sim.config.m_cells)
+        got = moving_average(k, path)
+        fft = moving_average(dataclasses.replace(k, iir=None), path)
         np.testing.assert_allclose(got.X, fft.X, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.Y, fft.Y, rtol=0, atol=1e-12)
 
@@ -262,7 +261,7 @@ class TestMovingAverage:
         assert k.recursion(0.125) == (None, None)
         cfg = _cfg(M=2.0)
         path = PathSimulator(_gauss_triplet(), cfg).simulate_index(0)
-        ma = moving_average(k, path, cfg.m_cells)
+        ma = moving_average(k, path)
         lags = np.arange(len(path.increments) + 1) * cfg.dt
         row = path.increments[None, :]
         np.testing.assert_array_equal(
@@ -274,7 +273,7 @@ class TestMovingAverage:
     def test_truncation_bias_bound_attached(self):
         cfg = _cfg(M=2.0)
         path = PathSimulator(_gauss_triplet(), cfg).simulate_index(0)
-        ma = moving_average(exponential_kernel(1.0), path, cfg.m_cells)
+        ma = moving_average(exponential_kernel(1.0), path)
         assert ma.truncation_bias_bound == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
@@ -362,7 +361,7 @@ class TestStationarity:
         sim = PathSimulator(t, cfg)
         x0, xT = [], []
         for i in range(400):
-            ma = moving_average(k, sim.simulate_index(i), cfg.m_cells)
+            ma = moving_average(k, sim.simulate_index(i))
             (x0 if i % 2 == 0 else xT).append(ma.X[0] if i % 2 == 0 else ma.X[-1])
         res = stats.ks_2samp(np.asarray(x0), np.asarray(xT))
         assert res.pvalue > 0.01

@@ -1,0 +1,36 @@
+"""The benchmark under perfbench/ reaches into the package by name: its
+traced run wraps the callables `spans.layer_targets` lists, and `micro.run`
+times single layers through their public functions. A refactor that
+renames or removes one of them breaks `perfbench/run.py --trace 1`, so
+these checks run with the unit tests."""
+
+import math
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import micro
+    import spans
+    return spans, micro
+
+
+def test_every_layer_target_resolves(perfbench):
+    spans, _ = perfbench
+    targets = spans.layer_targets(1.0, 1.0)
+    assert targets
+    for name, owner, attr, _ in targets:
+        assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr}"
+
+
+def test_micro_run_completes(perfbench):
+    _, micro = perfbench
+    out = micro.run({})
+    assert out
+    for name, value in out.items():
+        assert math.isfinite(value) and value >= 0.0, name

@@ -128,6 +128,20 @@ REFUSED = {
                           "tolerance"),
     "h2-fractional-n-paths": (lambda: _with(_two_atom_dict, "sim",
                                             n_paths=2.5), "n_paths"),
+    # an IndexError (no chunks) and a SeedSequence ValueError, exit 1, before
+    "h2-zero-paths": (lambda: _with(_two_atom_dict, "sim", n_paths=0),
+                      "n_paths"),
+    "h2-negative-paths": (lambda: _with(_two_atom_dict, "sim", n_paths=-3),
+                          "n_paths"),
+    "h2-negative-seed": (lambda: _with(_two_atom_dict, "sim", seed=-1), "seed"),
+    # Z_T reads every increment as Brownian: with jumps mean_density passed
+    # at E[Z_T] = 19.6, and c = 0 divided by zero
+    "gaussian-with-jumps": (lambda: _with(
+        _builtin("gaussian-baseline"), "triplet",
+        measure={"type": "discrete", "atoms": [[-1.0, 1.0], [1.0, 1.0]]}),
+        "pure Brownian"),
+    "gaussian-no-diffusion": (lambda: _with(_builtin("gaussian-baseline"),
+                                            "triplet", c=0.0), "pure Brownian"),
 }
 
 
@@ -471,13 +485,34 @@ class TestCli:
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
-    def test_refused_battery_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("case", ["h1-jump-intensity", "gaussian-with-jumps",
+                                      "gaussian-no-diffusion"])
+    def test_refused_battery_is_config_error(self, case, tmp_path, capsys):
+        build, named = REFUSED[case]
         p = tmp_path / "refused.yaml"
-        p.write_text(yaml.safe_dump(REFUSED["h1-jump-intensity"][0]()))
+        p.write_text(yaml.safe_dump(build()))
         code = cli.main(["verify", "--scenario", str(p),
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
-        assert "jump_intensity" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--n-paths", "0"], ["--n-paths", "-3"],
+                                       ["--seed", "-1"]])
+    def test_out_of_range_sim_flags_are_config_errors(self, flags, tmp_path,
+                                                       capsys):
+        code = cli.main(["verify", "--builtin", "h2-two-atom",
+                         "--out", str(tmp_path)] + flags)
+        assert code == cli.EXIT_CONFIG
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_bad_env_integer_is_a_usage_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("LEVYEMM_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--builtin", "h2-two-atom",
+                      "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
 
     def test_bad_scenario_schema(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
