@@ -1,7 +1,10 @@
 """Levy-driven moving averages, explicit equivalent-martingale-measure
-construction, and Monte Carlo verification of the measure-change claims."""
+construction, and Monte Carlo verification of the measure-change claims.
 
-from ._backend import available_backends, backend_name
+The first group of imports is the user API. The second holds one-line
+wrappers that only the tests and the benchmark call.
+"""
+
 from .emm_construct import (
     GirsanovKernelH1,
     GirsanovKernelH2,
@@ -40,7 +43,6 @@ from .levy_model import (
     LevyTriplet,
     TruncationFunction,
     ZeroMeasure,
-    drift_xi,
     indicator_inside,
     indicator_outside_band,
     levy_integrate,
@@ -55,10 +57,7 @@ from .path_sim import (
     MovingAveragePath,
     PathSimulator,
     SimConfig,
-    extract_jump_measure,
     moving_average,
-    simulate_levy,
-    y_at,
 )
 from .verify import (
     StatReport,
@@ -68,6 +67,12 @@ from .verify import (
     jump_intensity_test,
     mean_density_test,
     q_martingale_test,
+    weight_diagnostics,
 )
+
+# helpers for the tests and the benchmark
+from ._backend import available_backends, backend_name
+from .levy_model import drift_xi
+from .path_sim import extract_jump_measure, simulate_levy, y_at
 
 __version__ = "0.1.0"

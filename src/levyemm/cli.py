@@ -34,6 +34,13 @@ _PROFILES = {
 }
 
 
+def _profile(name: str) -> str:
+    if name not in _PROFILES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(sorted(_PROFILES))})")
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="levyemm",
@@ -53,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=env("LEVYEMM_SEED"))
         sp.add_argument("--n-paths", type=int, default=env("LEVYEMM_N_PATHS"))
         sp.add_argument("--out", default=env("LEVYEMM_OUT") or "out")
-        sp.add_argument("--profile", choices=sorted(_PROFILES),
+        sp.add_argument("--profile", type=_profile,
                         default=env("LEVYEMM_PROFILE") or "full")
         sp.add_argument("--workers", type=int,
                         default=env("LEVYEMM_WORKERS") or "1")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as _scistats
+from scipy.special import xlogy
 
 CHI2_LEVEL = 0.01
 PIT_MIN_MARKS = 50  # 5 expected per decile
@@ -61,6 +62,25 @@ def mean_se(values) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def weight_diagnostics(z) -> dict:
+    """How far to trust the importance weights z: the Kish effective sample
+    size (sum z)^2 / sum z^2 and its share of n, the largest weight's share
+    of sum z, and the KL estimate mean(z log z) / mean(z) with exp(KL), the
+    order of the sample size the weights need (Chatterjee & Diaconis 2018).
+    """
+    z = np.asarray(z, dtype=float).ravel()
+    total = float(np.sum(z))
+    if not total > 0.0:
+        return {"ess": math.nan, "ess_fraction": math.nan,
+                "max_weight_share": math.nan, "kl": math.nan,
+                "exp_kl": math.nan}
+    ess = total ** 2 / float(np.sum(z * z))
+    kl = float(np.sum(xlogy(z, z))) / total
+    return {"ess": ess, "ess_fraction": ess / z.size,
+            "max_weight_share": float(np.max(z)) / total, "kl": kl,
+            "exp_kl": math.exp(kl)}
+
+
 def _gauss_verdict(estimate, target, stderr, crit):
     if stderr == 0.0:
         return "pass" if abs(estimate - target) <= 1e-12 else "fail"
@@ -78,7 +98,7 @@ def mean_density_test(z_values, seed=None) -> StatReport:
     verdict = _gauss_verdict(mean, 1.0, se, 3.0)
     return StatReport(
         "mean_density", mean, se, int(np.size(z_values)), verdict,
-        "|mean - 1| <= 3 s.e.", seed,
+        "|mean - 1| <= 3 s.e.", seed, {"weights": weight_diagnostics(z_values)},
     )
 
 
@@ -106,7 +126,7 @@ def q_martingale_test(x_at_probes, x0, z_values, probe_times, seed=None) -> Stat
         "q_martingale", worst[0], worst[1], len(z),
         "pass" if all_pass else "fail",
         f"per-probe |mean| <= {crit:.3f} s.e. (Bonferroni over {k})",
-        seed, {"probes": probes},
+        seed, {"probes": probes, "weights": weight_diagnostics(z)},
     )
 
 
@@ -146,16 +166,15 @@ def jump_intensity_test(counts, lam, T, weights=None, seed=None) -> StatReport:
         # no sample variance, so no standard error to judge the mean by
         return StatReport("jump_intensity", math.nan, math.nan, n,
                           "inconclusive", rule, seed, {"target": mu})
-    if weights is None:
-        weights = np.ones(n)
-    w = np.asarray(weights, dtype=float)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    diag = weight_diagnostics(w)
     wbar = float(np.mean(w))
     est = float(np.mean(w * counts)) / wbar
     resid = w * (counts - est) / wbar
     se = float(np.std(resid, ddof=1)) / math.sqrt(n)
     mean_ok = _gauss_verdict(est, mu, se, 3.0) == "pass"
 
-    n_eff = float(np.sum(w)) ** 2 / float(np.sum(w * w))
+    n_eff = diag["ess"]
     kmax = int(np.max(counts))
     freq = np.array([
         float(np.sum(w[counts == k])) / float(np.sum(w)) for k in range(kmax + 1)
@@ -171,11 +190,13 @@ def jump_intensity_test(counts, lam, T, weights=None, seed=None) -> StatReport:
     pval = float(_scistats.chi2.sf(chi2, df))
     chi_ok = pval >= CHI2_LEVEL
 
+    details = {"target": mu, "chi2": chi2, "df": df, "p_value": pval,
+               "mean_pass": mean_ok, "chi2_pass": chi_ok}
+    if weights is not None:
+        details["weights"] = diag
     return StatReport(
         "jump_intensity", est, se, n,
-        "pass" if (mean_ok and chi_ok) else "fail", rule, seed,
-        {"target": mu, "chi2": chi2, "df": df, "p_value": pval,
-         "mean_pass": mean_ok, "chi2_pass": chi_ok},
+        "pass" if (mean_ok and chi_ok) else "fail", rule, seed, details,
     )
 
 

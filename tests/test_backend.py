@@ -78,6 +78,51 @@ class TestContract:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+class TestFold:
+    """The recursion starts each section in the state the pre-history
+    leaves it in and filters only the n_out output columns."""
+
+    @pytest.mark.parametrize("n_out,m,dt", [
+        (6, 0, 0.25), (6, 1, 0.25), (6, 2, 0.25), (257, 5120, 2.0 ** -9)],
+        ids=["m0", "m1", "m2", "gaussian-lattice"])
+    @pytest.mark.parametrize("name", _KERNELS)
+    def test_fold_matches_fft(self, name, n_out, m, dt):
+        k = _KERNELS[name]
+        N = n_out - 1 + m
+        inc = np.random.default_rng(2).standard_normal((3, N)) * dt ** 0.5
+        lags = np.arange(N + 1) * dt
+        for fn, rec in zip((k, k.dphi), k.recursion(dt)):
+            w = fn(lags)
+            got = _backend.ma_correlate(inc, w, n_out, m, rec)
+            want = _backend.ma_correlate(inc, w, n_out, m)
+            scale = np.max(np.abs(want), initial=0.0)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ["exponential", "zero-start"])
+    def test_row_bits_independent_of_the_block(self, name):
+        k = _KERNELS[name]
+        dt, n_out, m = 2.0 ** -9, 257, 5120
+        inc = np.random.default_rng(5).standard_normal((512, n_out - 1 + m))
+        lags = np.arange(n_out + m) * dt
+        for fn, rec in zip((k, k.dphi), k.recursion(dt)):
+            w = fn(lags)
+            full = _backend.ma_correlate(inc, w, n_out, m, rec)
+            part = _backend.ma_correlate(inc[200:388], w, n_out, m, rec)
+            np.testing.assert_array_equal(part, full[200:388])
+            for r in (0, 250, 511):
+                one = _backend.ma_correlate(inc[r : r + 1], w, n_out, m, rec)
+                np.testing.assert_array_equal(one[0], full[r])
+
+    def test_section_above_order_one_raises(self):
+        # the double pole of zero-start as one second-order section
+        r = np.exp(-0.25)
+        inc = np.ones((2, 8))
+        w = 0.25 * np.arange(9) * r ** np.arange(9)
+        with pytest.raises(ValueError, match="order 2"):
+            _backend.ma_correlate(inc, w, 4, 5,
+                                  [([0.0, 0.25 * r], [1.0, -2 * r, r * r])])
+
+
 class TestValidation:
     def test_shape_mismatch_raises(self):
         inc, w, _ = _case(2, 3, 4)

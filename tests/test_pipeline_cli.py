@@ -514,6 +514,19 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid int value: 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["env", "flag"])
+    def test_bad_profile_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                          source):
+        argv = ["verify", "--builtin", "h2-two-atom", "--out", str(tmp_path)]
+        if source == "env":
+            monkeypatch.setenv("LEVYEMM_PROFILE", "bogus")
+        else:
+            argv += ["--profile", "bogus"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_bad_scenario_schema(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
         p.write_text(yaml.safe_dump({"name": "x"}))

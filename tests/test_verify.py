@@ -12,6 +12,7 @@ from levyemm.levy_model import (
     symmetric_alpha_stable,
     uniform_band,
 )
+from levyemm.pipeline import builtin_scenario, run_verify
 from levyemm.verify import (
     PIT_MIN_MARKS,
     _merge_tail_bins,
@@ -24,6 +25,7 @@ from levyemm.verify import (
     mean_density_test,
     mean_se,
     q_martingale_test,
+    weight_diagnostics,
 )
 
 
@@ -43,6 +45,41 @@ class TestBonferroni:
 
     def test_monotone_in_probes(self):
         assert bonferroni_crit(4) > bonferroni_crit(2) > bonferroni_crit(1)
+
+
+class TestWeightDiagnostics:
+    def test_equal_weights_lose_nothing(self):
+        d = weight_diagnostics(np.full(8, 2.0))
+        assert d["ess"] == pytest.approx(8.0)
+        assert d["ess_fraction"] == pytest.approx(1.0)
+        assert d["max_weight_share"] == pytest.approx(1.0 / 8.0)
+        # mean(z log z) / mean(z) = log 2 for constant weights 2
+        assert d["kl"] == pytest.approx(math.log(2.0))
+        assert d["exp_kl"] == pytest.approx(2.0)
+
+    def test_one_weight_carries_all(self):
+        d = weight_diagnostics([0.0, 0.0, 4.0, 0.0])
+        assert d["ess"] == pytest.approx(1.0)
+        assert d["ess_fraction"] == pytest.approx(0.25)
+        assert d["max_weight_share"] == 1.0
+        assert d["exp_kl"] == pytest.approx(4.0)
+
+    def test_no_weight_gives_nan(self):
+        for z in ([], [0.0, 0.0]):
+            assert all(math.isnan(v) for v in weight_diagnostics(z).values())
+
+    @pytest.mark.parametrize("name,n_paths,low,high", [
+        ("gaussian-baseline", 1024, 0.0, 0.5),
+        ("h2-two-atom", 2000, 0.9, 1.0),
+    ])
+    def test_builtin_weights_at_the_pinned_seed(self, name, n_paths, low, high):
+        doc = run_verify(builtin_scenario(name), n_paths=n_paths)
+        reports = {r["name"]: r for r in doc["reports"]}
+        d = reports["mean_density"]["details"]["weights"]
+        assert low < d["ess_fraction"] < high
+        for other in ("q_martingale", "jump_intensity"):
+            if other in reports:
+                assert reports[other]["details"]["weights"] == d
 
 
 class TestMeanDensity:
