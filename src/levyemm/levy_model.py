@@ -702,12 +702,3 @@ def retriplet(triplet: LevyTriplet, h_new: TruncationFunction) -> LevyTriplet:
         c=triplet.c, F=F, b_h=triplet.b_h + corr, h=h_new, integrable=triplet.integrable
     )
 
-
-def support_probe(F: LevyMeasure, K: float) -> dict:
-    """Mass probes at +-K, +-2K used to cross-check the asserted descriptor."""
-    probes = {
-        "beyond_K": tail_mass(F, K) if not F.is_zero else 0.0,
-        "beyond_2K": tail_mass(F, 2 * K) if not F.is_zero else 0.0,
-        "descriptor": F.support_descriptor,
-    }
-    return probes

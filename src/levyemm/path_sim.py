@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import _backend
 from .errors import InvalidConfig, KernelDomain
@@ -229,11 +230,94 @@ def _running_sum(fn, tq, at, weights, m):
 # ---------------------------------------------------------------------------
 
 
+# NumPy's SeedSequence hash (O'Neill's seed_seq_fe, which NumPy documents
+# as stable), on uint32 values held in uint64 so that no product wraps
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words32(n: int) -> list:
+    """The uint32 words SeedSequence reads from the integer n >= 0, low
+    first."""
+    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
+    """The constants of n successive hash steps from h, as (2, n, 1)
+    columns: each step xors the value with the constant before it is
+    advanced (row 0) and multiplies it by the advanced one (row 1)."""
+    seq = [h]
+    for _ in range(n):
+        seq.append(seq[-1] * mult & _MASK32)
+    col = np.array(seq, dtype=np.uint64)[:, None]
+    return np.stack([col[:-1], col[1:]])
+
+
+def _hash(v, consts):
+    before, after = consts
+    v = (v ^ before) * after & _MASK32
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+# the pool words each pool word is mixed into
+_OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(e).generate_state(4, np.uint64) for every column e of
+    entropy, an (L, n) uint64 array of uint32 entropy words; returns (n, 4).
+
+    Every column takes the same hash constants, so each step of NumPy's
+    per-word loops runs once over all columns and all pool words it
+    touches."""
+    L, n = entropy.shape
+    pool = np.zeros((_POOL, n), dtype=np.uint64)
+    pool[:min(L, _POOL)] = entropy[:_POOL]
+    # one constant per hashed word, in NumPy's order
+    c = _hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL + max(L - _POOL, 0)))
+    pool = _hash(pool, c[:, :_POOL])
+    # mix every pool word into every other, then any entropy beyond the pool
+    for src, dst in enumerate(_OTHERS):
+        k = _POOL + (_POOL - 1) * src
+        pool[dst] = _mix(pool[dst], _hash(pool[src], c[:, k:k + _POOL - 1]))
+    for src in range(_POOL, L):
+        k = _POOL * src
+        pool = _mix(pool, _hash(entropy[src], c[:, k:k + _POOL]))
+    words = _hash(pool[np.arange(8) % _POOL], _hash_consts(_INIT_B, _MULT_B, 8))
+    # little-endian pairs of uint32 words, as generate_state views them
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence whose PCG64 state words are already generated."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("holds only PCG64's four uint64 state words")
+        return self.words
+
+
 class PathSimulator:
     """Precomputes model quantities and generates reproducible paths.
 
-    Path i uses the substream seeded by (seed, i), so results do not depend
-    on scheduling or chunking.
+    Path i uses the substream seeded by SeedSequence((seed, i)), so results
+    do not depend on scheduling or chunking. rng_for builds that generator
+    for one path; rngs builds a block's at once by a vectorised pass that
+    reproduces SeedSequence's words, checked against NumPy's own
+    SeedSequence on the first path of every block.
     """
 
     def __init__(self, triplet: LevyTriplet, config: SimConfig):
@@ -269,6 +353,35 @@ class PathSimulator:
         return np.random.default_rng(
             np.random.SeedSequence((self.config.seed, path_index))
         )
+
+    def rngs(self, lo: int, hi: int) -> list:
+        """The generators of paths lo..hi - 1, each the one rng_for gives.
+
+        An index takes one entropy word below 2**32 and two from there on,
+        so the block is hashed in one pass per word count; indices from
+        2**64 on are refused. The first path of each pass is compared with
+        NumPy's SeedSequence, and a mismatch raises RuntimeError."""
+        if hi > 1 << 64:
+            raise ValueError(f"path indices must be below 2**64, not {hi - 1}")
+        seed_words = np.array(_words32(self.config.seed), dtype=np.uint64)[:, None]
+        out = []
+        for n_words, a, b in ((1, lo, min(hi, 1 << 32)),
+                              (2, max(lo, 1 << 32), hi)):
+            if a >= b:
+                continue
+            idx = np.arange(a, b, dtype=np.uint64)
+            shifts = np.arange(0, 32 * n_words, 32, dtype=np.uint64)[:, None]
+            state = _seed_state(np.vstack([np.repeat(seed_words, b - a, axis=1),
+                                           idx >> shifts & _MASK32]))
+            want = np.random.SeedSequence((self.config.seed, a)).generate_state(
+                4, np.uint64)
+            if not np.array_equal(state[0], want):
+                raise RuntimeError(
+                    f"the block seeding of path {a} disagrees with NumPy's "
+                    f"SeedSequence ({state[0]} != {want})")
+            out += [np.random.Generator(np.random.PCG64(_StateWords(w)))
+                    for w in state]
+        return out
 
     def draw(self, rngs) -> PathBlock:
         """One path per generator. Each row takes the same calls of its own

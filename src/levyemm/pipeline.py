@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import _backend, emm_construct, girsanov, kernel as kernel_mod, verify
-from .errors import ConfigError
+from .errors import ConfigError, NonIntegrable
 from .kernel import Kernel, emm_classify
 from .levy_model import (
     DiscreteMeasure,
@@ -32,6 +32,7 @@ from .levy_model import (
     gaussian_only,
     indicator_inside,
     indicator_outside_band,
+    levy_integrate,
     symmetric_alpha_stable,
     tempered_stable,
     uniform_band,
@@ -379,6 +380,32 @@ def make_girsanov_kernel(scn: Scenario, triplet: LevyTriplet):
     return gk
 
 
+# the least reach_sd at which an h2 battery whose zeta follows Y runs
+MIN_REACH_SD = 6.0
+
+
+def h2_reach_sd(scn: Scenario, triplet: LevyTriplet, gk) -> float | None:
+    """How far E[Y] lies, in s.d. of Y, from the nearest y at which
+    zeta(y) = -(y + b_h)/lam leaves (tail.zeta_lo, tail.zeta_hi); negative
+    when E[Y] lies outside. Y is the lattice sum at T, sum_k phi'(k dt) dL_k
+    over k = 1..n_cells, so its mean is sum_k phi'(k dt) dt (b_h + lam
+    E[tail]) and its variance sum_k phi'(k dt)^2 dt (c + int x^2 F). None
+    when int x^2 F diverges: Y then has no s.d., and only a tail of
+    unbounded support gives that."""
+    cfg = build_sim_config(scn.sim)
+    w = build_kernel(scn.kernel).dphi(np.arange(1, cfg.n_cells + 1) * cfg.dt)
+    try:
+        second = levy_integrate(triplet.F, lambda x: x * x,
+                                g_quadratic_near_zero=True)
+    except NonIntegrable:
+        return None
+    mean = float(np.sum(w)) * cfg.dt * (gk.b_h + gk.lam * gk.tail.mean)
+    sd = math.sqrt(float(np.sum(w * w)) * cfg.dt * (triplet.c + second))
+    dist = min(mean + gk.lam * gk.tail.zeta_hi + gk.b_h,
+               -gk.lam * gk.tail.zeta_lo - gk.b_h - mean)
+    return dist / sd if sd > 0.0 else math.copysign(math.inf, dist)
+
+
 def run_construct(scn: Scenario, n_y: int = 100) -> dict:
     triplet = build_triplet(scn.triplet)
     gk = make_girsanov_kernel(scn, triplet)
@@ -387,11 +414,30 @@ def run_construct(scn: Scenario, n_y: int = 100) -> dict:
     report = emm_construct.validate_girsanov_kernel(
         gk, triplet, ys, abs_tol=float(scn.emm["tolerance"])
     )
-    return {
+    doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": scn.name,
         "validation": report,
     }
+    if gk.kind == "h2":
+        doc["reach_sd"] = h2_reach_sd(scn, triplet, gk)
+    return doc
+
+
+def _check_reach(scn: Scenario) -> None:
+    """ConfigError for an h2 battery whose zeta follows Y when Y reaches
+    the edge of zeta's range within MIN_REACH_SD s.d.: such a run stops
+    with ZetaOutOfRange once enough paths are drawn."""
+    if scn.emm["hypothesis"] != "h2" or "frozen_zeta" in scn.emm:
+        return
+    triplet = build_triplet(scn.triplet)
+    reach = h2_reach_sd(scn, triplet, make_girsanov_kernel(scn, triplet))
+    if reach is not None and reach < MIN_REACH_SD:
+        raise ConfigError(
+            f"Y reaches the edge of zeta's range at {reach:.2f} s.d. of its "
+            f"mean, below {MIN_REACH_SD}: zeta(y) = -(y + b_h)/lam leaves "
+            f"the tail law's range on a share of paths, so the run could "
+            f"stop with ZetaOutOfRange at a larger n_paths")
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +457,11 @@ def _model(scn_dict: dict):
 
 def _blocks(sim: PathSimulator, start: int, stop: int, size: int = _BLOCK):
     """The generators of [start, stop) in blocks of size paths, with each
-    block's first index."""
+    block's first index. A block's generators come from one pass of
+    sim.rngs, each the SeedSequence((seed, i)) generator of path i that
+    sim.rng_for gives, checked against NumPy on the block's first path."""
     for lo in range(start, stop, size):
-        yield lo, [sim.rng_for(i) for i in range(lo, min(lo + size, stop))]
+        yield lo, sim.rngs(lo, min(lo + size, stop))
 
 
 def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
@@ -634,6 +682,7 @@ def _plot_rows(times, x_probe, z):
 def run_verify(scn: Scenario, n_paths=None, seed=None, workers: int = 1) -> dict:
     """Run the scenario's test battery and assemble the report document."""
     scn = _override_sim(scn, n_paths, seed)
+    _check_reach(scn)
     if scn.emm["hypothesis"] == "lm":
         out = _battery_lm(scn)
     else:

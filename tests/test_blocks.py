@@ -3,14 +3,16 @@ summed on its own, so the chunk workers do not depend on how the path
 indices are split, and they agree with per-path references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from levyemm import girsanov, pipeline
+from levyemm import girsanov, path_sim, pipeline
 from levyemm.kernel import exponential_kernel, power_kernel
 from levyemm.levy_model import (
     LevyTriplet,
+    gaussian_only,
     indicator_inside,
     symmetric_alpha_stable,
 )
@@ -70,6 +72,65 @@ def test_chunk_arrays_independent_of_the_split(case):
         assert len(whole["counts"]) == 2000 and whole["counts"].sum() > 0
     for key, arr in whole.items():
         assert np.array_equal(arr, np.concatenate([p[key] for p in parts])), key
+
+
+# ---------------------------------------------------------------------------
+# block seeding: rngs(lo, hi) gives the generators rng_for gives
+# ---------------------------------------------------------------------------
+
+
+def _seeded_sim(seed):
+    cfg = SimConfig(T=1.0, M=1.0, dt=0.125, eps_jump=0.5, n_paths=1, seed=seed)
+    return PathSimulator(LevyTriplet(1.0, gaussian_only(), 0.0,
+                                     indicator_inside(1.0)), cfg)
+
+
+# multi-word seeds (2**32 and 2**64 + 5 take two and three entropy words),
+# and indices on both sides of 2**32, where an index takes a second word
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("lo, hi", [(0, 2), (2**32 - 1, 2**32 + 1),
+                                    (2**64 - 2, 2**64)])
+def test_block_seeding_words_equal_seed_sequence(seed, lo, hi):
+    sim = _seeded_sim(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rngs = sim.rngs(lo, hi)
+    assert len(rngs) == hi - lo
+    for i, rng in zip(range(lo, hi), rngs):
+        want = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+        assert np.array_equal(rng.bit_generator.seed_seq.words, want), i
+        assert rng.bit_generator.state == sim.rng_for(i).bit_generator.state
+
+
+def test_block_seeding_refuses_indices_from_2_64():
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        _seeded_sim(3).rngs(2**64 - 1, 2**64 + 1)
+
+
+def test_block_seeding_mismatch_raises(monkeypatch):
+    # a hash that no longer matches NumPy's SeedSequence must not pass
+    monkeypatch.setattr(path_sim, "_INIT_B", path_sim._INIT_B ^ 1)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        _seeded_sim(3).rngs(0, 4)
+
+
+@pytest.mark.parametrize("lo", [0, 4000, 123456])
+def test_block_seeding_streams_equal_rng_for(lo):
+    sim = _seeded_sim(20260823)
+    for i, rng in zip(range(lo, lo + 128), sim.rngs(lo, lo + 128)):
+        ref = sim.rng_for(i)
+        for draw in (lambda g: g.normal(0.0, 1.0, 5), lambda g: g.poisson(3.0, 5),
+                     lambda g: g.uniform(-1.0, 2.0, 5), lambda g: g.random(5)):
+            assert np.array_equal(draw(rng), draw(ref)), i
+
+
+@pytest.mark.parametrize("name", ["h2-two-atom", "gaussian-baseline"])
+def test_draw_from_block_seeding_equals_rng_for(name):
+    sim = pipeline._model(_builtin(name))[4]
+    block = sim.draw(sim.rngs(300, 428))
+    ref = sim.draw([sim.rng_for(i) for i in range(300, 428)])
+    for field in ("diffuse", "jump_times", "jump_sizes", "offsets"):
+        assert np.array_equal(getattr(block, field), getattr(ref, field)), field
 
 
 def test_sas_direct_q_has_diffuse_cells():

@@ -21,7 +21,6 @@ from levyemm.levy_model import (
     indicator_outside_band,
     levy_integrate,
     retriplet,
-    support_probe,
     symmetric_alpha_stable,
     tail_law,
     tail_mass,
@@ -265,12 +264,6 @@ class TestTypesAndProbes:
         assert symmetric_alpha_stable(1.5).support_descriptor == "unbounded-both"
         assert uniform_band(1.0, 2.0).support_descriptor == "compact"
         assert ZeroMeasure().support_descriptor == "empty"
-
-    def test_support_probe_consistency(self):
-        probe = support_probe(uniform_band(1.0, 2.0), K=2.0)
-        assert probe["beyond_K"] == pytest.approx(0.0, abs=1e-9)
-        probe2 = support_probe(symmetric_alpha_stable(1.5), K=2.0)
-        assert probe2["beyond_2K"] > 0.0
 
     def test_atom_validation(self):
         with pytest.raises(ValueError):

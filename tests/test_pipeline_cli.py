@@ -240,6 +240,42 @@ class TestPipelines:
         ))
         assert not doc["validation"]["ok"]
 
+    @pytest.mark.parametrize("name", ["h2-two-atom", "negative-broken-alpha",
+                                      "negative-wrong-intensity",
+                                      "q-two-atom-zeta05"])
+    def test_h2_builtins_reach_nine_sd_and_run(self, name):
+        # kappa = 0.05: sd(Y) = sqrt(kappa (1 - exp(-2 kappa (M + T)))) on
+        # two unit atoms, whose zeta(y) = -y/2 stays in (-1, 1) for |y| < 2
+        scn = builtin_scenario(name)
+        assert run_construct(scn)["reach_sd"] == pytest.approx(9.0, abs=0.05)
+        assert run_verify(scn, n_paths=200)["n_paths"] == 200
+
+    def test_h2_reach_below_six_refused_before_any_path(self, monkeypatch):
+        # at kappa = 0.2 this ran at 2000 paths and stopped with
+        # ZetaOutOfRange at 1e5; 0.25 stopped already at 2000
+        d = builtin_scenario("h2-two-atom").to_dict()
+        d["kernel"]["kappa"] = 0.25
+        scn = scenario_from_dict(d)
+        assert run_construct(scn)["reach_sd"] == pytest.approx(4.13, abs=0.01)
+
+        def no_paths(*args):
+            raise AssertionError("paths drawn")
+
+        monkeypatch.setattr(pipeline, "_run_chunked", no_paths)
+        with pytest.raises(ConfigError, match="4.13 s.d."):
+            run_verify(scn, n_paths=200)
+
+    def test_h2_frozen_zeta_is_not_refused_for_reach(self):
+        # a frozen zeta does not follow Y, so Y's reach does not limit it
+        d = builtin_scenario("q-two-atom-zeta05").to_dict()
+        d["kernel"]["kappa"] = 0.25
+        assert run_verify(scenario_from_dict(d), n_paths=200)["n_paths"] == 200
+
+    def test_construct_reports_no_reach_without_second_moment(self):
+        d = builtin_scenario("h2-two-atom").to_dict()
+        d["triplet"]["measure"] = {"type": "symmetric-alpha-stable", "alpha": 1.5}
+        assert run_construct(scenario_from_dict(d))["reach_sd"] is None
+
     def test_verify_smoke_h2(self):
         doc = run_verify(builtin_scenario("h2-two-atom"), n_paths=2000)
         assert doc["overall"] == "pass"
@@ -495,6 +531,16 @@ class TestCli:
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    def test_h2_short_reach_is_config_error(self, tmp_path, capsys):
+        d = builtin_scenario("h2-two-atom").to_dict()
+        d["kernel"]["kappa"] = 0.25
+        p = tmp_path / "short-reach.yaml"
+        p.write_text(yaml.safe_dump(d))
+        code = cli.main(["verify", "--scenario", str(p), "--profile", "smoke",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG == 64
+        assert "s.d." in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--n-paths", "0"], ["--n-paths", "-3"],
                                        ["--seed", "-1"]])
