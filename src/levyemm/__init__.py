@@ -20,7 +20,6 @@ from .girsanov import (
     QCharacteristics,
     density_process,
     f_lm,
-    lm_compensator,
     lm_criterion_check,
     q_characteristics,
     simulate_under_q,

@@ -22,7 +22,6 @@ from .emm_construct import (
 from .errors import (
     DomainError,
     DominanceViolated,
-    NonIntegrable,
     NonPositiveAlpha,
     UnsupportedModel,
 )
@@ -179,32 +178,6 @@ def f_lm(x):
         raise DomainError("f_lm requires x > -1")
     out = (1.0 + arr) * np.log1p(arr) - arr
     return out if np.ndim(x) else float(out)
-
-
-def lm_compensator(W, triplet: LevyTriplet, times, y_values,
-                   window: tuple[float, float]) -> float:
-    """A_t - A_s = int_s^t int f(W(u, x)) F(dx) du, left-point in u.
-
-    W(u, x) must exceed -1 on the support of F; the inner integral is
-    evaluated per grid cell with the cell's left y-value bound into W.
-    """
-    times = np.asarray(times, dtype=float)
-    s, t = window
-    total = 0.0
-    for i in range(len(times) - 1):
-        lo, hi = times[i], times[i + 1]
-        if hi <= s or lo >= t:
-            continue
-        frac = (min(hi, t) - max(lo, s))
-        u, y = times[i], y_values[i]
-        inner = levy_integrate(
-            triplet.F, lambda x: f_lm(W(u, y, x)),
-            g_quadratic_near_zero=True,
-        )
-        if not math.isfinite(inner):
-            raise NonIntegrable("inner f(W) integral diverges")
-        total += inner * frac
-    return total
 
 
 def fit_envelope(h_vals: np.ndarray, y_grid: np.ndarray) -> tuple[float, float]:

@@ -70,40 +70,29 @@ class TruncationFunction:
       * ``inside``: h(x) = x 1_{[-a,a]}(x)
       * ``outside-band``: h(x) = x 1_{(a,b)^c}(|x|); not a genuine truncation
         (unbounded), admitted only for measures with integrable large jumps
-      * ``custom``: user-supplied map, with a declared identity radius
     """
 
     kind: str
     a: float = 0.0
     b: float = 0.0
-    func: Callable[[np.ndarray], np.ndarray] | None = None
-    identity_radius_custom: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("inside", "outside-band", "custom"):
+        if self.kind not in ("inside", "outside-band"):
             raise ValueError(f"unknown truncation kind {self.kind!r}")
         if self.kind == "inside" and not self.a > 0:
             raise ValueError("inside truncation needs a > 0")
         if self.kind == "outside-band" and not 0 < self.a < self.b:
             raise ValueError("outside-band truncation needs 0 < a < b")
-        if self.kind == "custom" and (
-            self.func is None or not self.identity_radius_custom > 0
-        ):
-            raise ValueError("custom truncation needs func and identity radius")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "inside":
             return np.where(np.abs(x) <= self.a, x, 0.0)
-        if self.kind == "outside-band":
-            in_band = (np.abs(x) > self.a) & (np.abs(x) < self.b)
-            return np.where(in_band, 0.0, x)
-        return np.asarray(self.func(x), dtype=float)
+        in_band = (np.abs(x) > self.a) & (np.abs(x) < self.b)
+        return np.where(in_band, 0.0, x)
 
     @property
     def identity_radius(self) -> float:
-        if self.kind == "custom":
-            return self.identity_radius_custom
         return self.a
 
     @property
@@ -114,9 +103,7 @@ class TruncationFunction:
         """Intervals where h(x) != x (up to measure-zero endpoints)."""
         if self.kind == "inside":
             return ball_complement(self.a)
-        if self.kind == "outside-band":
-            return band_region(self.a, self.b)
-        return ball_complement(self.identity_radius_custom)
+        return band_region(self.a, self.b)
 
 
 def indicator_inside(a: float) -> TruncationFunction:

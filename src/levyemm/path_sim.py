@@ -2,9 +2,9 @@
 
 Paths live on a uniform lattice over [-M, T]. Jumps with |x| >= eps_jump
 are explicit marked-Poisson atoms embedded into their cell increment; the
-sub-threshold activity is either a matched-variance Gaussian or dropped
-(drift-only mode). The moving average uses left-point sums for the diffuse
-part and exact kernel responses phi(t - T_n) for the explicit jumps.
+sub-threshold activity is always a matched-variance Gaussian. The moving
+average uses left-point sums for the diffuse part and exact kernel
+responses phi(t - T_n) for the explicit jumps.
 """
 
 from __future__ import annotations
@@ -41,15 +41,12 @@ class SimConfig:
     eps_jump: float
     n_paths: int
     seed: int
-    small_jump_mode: str = "gaussian-approx"
 
     def __post_init__(self):
         if not (self.T > 0 and self.M >= 0 and self.dt > 0 and self.eps_jump > 0):
             raise InvalidConfig("need T > 0, M >= 0, dt > 0, eps_jump > 0")
         if self.n_paths < 1:
             raise InvalidConfig("n_paths must be >= 1")
-        if self.small_jump_mode not in ("gaussian-approx", "drift-only"):
-            raise InvalidConfig(f"unknown small_jump_mode {self.small_jump_mode!r}")
         if not (_is_multiple(self.T, self.dt) and _is_multiple(self.M, self.dt)):
             raise InvalidConfig("dt must divide both T and M")
 
@@ -394,8 +391,7 @@ class PathSimulator:
         diffuse = np.full((len(rngs), n), self.drift_rate * dt)
         sd_c = math.sqrt(self.triplet.c * dt) if self.triplet.c > 0.0 else None
         sd_small = (math.sqrt(self.small_var_rate * dt)
-                    if self.small_var_rate > 0.0
-                    and cfg.small_jump_mode == "gaussian-approx" else None)
+                    if self.small_var_rate > 0.0 else None)
         mean_count = self.jump_rate * (cfg.T + cfg.M)
         jt_parts, jz_parts = [np.empty(0)], [np.empty(0)]
         counts = np.zeros(len(rngs), dtype=np.intp)

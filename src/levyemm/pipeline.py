@@ -6,12 +6,15 @@ pipelines here run the classification, the kernel construction and the
 Monte Carlo verification batteries, and assemble the JSON report.
 
 Scientifically meaningful parameters (a, b, eps_jump, tolerance) have no
-defaults: a scenario that omits them fails to load.
+defaults: a scenario that omits them fails to load, as does one holding a
+key that no section declares.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import json
 import math
 import numbers
@@ -22,13 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import _backend, emm_construct, girsanov, kernel as kernel_mod, verify
-from .errors import ConfigError, NonIntegrable
+from . import emm_construct, girsanov, kernel as kernel_mod, verify
+from .errors import ConfigError, InvalidConfig, NonIntegrable
 from .kernel import Kernel, emm_classify
 from .levy_model import (
     DiscreteMeasure,
     LevyTriplet,
-    TruncationFunction,
     gaussian_only,
     indicator_inside,
     indicator_outside_band,
@@ -58,27 +60,54 @@ _BLOCK = 128
 # scenario schema
 # ---------------------------------------------------------------------------
 
-_MEASURE_BUILDERS = {
-    "discrete": lambda s: DiscreteMeasure([tuple(a) for a in s["atoms"]]),
-    "symmetric-alpha-stable": lambda s: symmetric_alpha_stable(
-        s["alpha"], s.get("scale", 1.0)
-    ),
-    "tempered-stable": lambda s: tempered_stable(s["eta"], s["lam"], s["alpha"]),
-    "uniform-band": lambda s: uniform_band(s["a"], s["b"], s.get("height", 1.0)),
-    "zero": lambda s: gaussian_only(),
+# the constructor each measure type, truncation kind and kernel type names;
+# the other keys of the section are its keyword arguments
+_MEASURES = {
+    "discrete": DiscreteMeasure,
+    "symmetric-alpha-stable": symmetric_alpha_stable,
+    "tempered-stable": tempered_stable,
+    "uniform-band": uniform_band,
+    "zero": gaussian_only,
+}
+_TRUNCATIONS = {"inside": indicator_inside, "outside-band": indicator_outside_band}
+_KERNELS = {
+    "exponential": kernel_mod.exponential_kernel,
+    "power": kernel_mod.power_kernel,
+    "power-density": kernel_mod.power_density_kernel,
+    "zero-start": kernel_mod.zero_start_kernel,
+    "constant": kernel_mod.constant_kernel,
 }
 
-_KERNEL_BUILDERS = {
-    "exponential": lambda s: kernel_mod.exponential_kernel(
-        s["kappa"], s.get("amplitude", 1.0)
-    ),
-    "power": lambda s: kernel_mod.power_kernel(s["gamma"]),
-    "power-density": lambda s: kernel_mod.power_density_kernel(
-        s["q"], s.get("phi0", 1.0)
-    ),
-    "zero-start": lambda s: kernel_mod.zero_start_kernel(s.get("kappa", 1.0)),
-    "constant": lambda s: kernel_mod.constant_kernel(s.get("value", 1.0)),
+# the required and the optional keys of each plain section, with the kind
+# of value each takes: a type (float any finite number, int a whole one) or
+# a tuple of the values allowed
+_SECTIONS = {
+    "scenario": ({"name": str, "triplet": dict, "kernel": dict, "sim": dict,
+                  "emm": dict}, {"verify": dict}),
+    "triplet": ({"c": float, "b_h": float, "measure": dict, "truncation": dict},
+                {"integrable": bool}),
+    "sim": ({"T": float, "M": float, "dt": float, "eps_jump": float,
+             "n_paths": int, "seed": int}, {}),
+    "verify": ({}, {"tests": list, "mode": ("weighted", "direct-q"),
+                    "probe_times": list,
+                    "tail_regime": ("second-moment-finite", "regularly-varying",
+                                    "other")}),
 }
+
+# the required and the optional emm keys of each hypothesis (and lm style),
+# all numbers; the optional ones are the knobs its battery and construct read
+_EMM = {
+    "h1": (("a", "b", "tolerance"), ("y_span", "break_positive_factor")),
+    "h2": (("a", "tolerance"), ("y_span", "frozen_zeta", "break_positive_factor",
+                                "declared_intensity_factor")),
+    "gaussian": ((), ("declared_phi0",)),
+    "none": ((), ()),
+    "lm": {"bremaud": (("K1", "K2", "gamma", "eps"), ()),
+           "lmrelax": (("eps",), ("cp_rate",))},
+}
+
+_KIND_WORDS = {float: "a finite number", int: "an integer", bool: "true or false",
+               str: "a string", list: "a list", dict: "a mapping"}
 
 
 @dataclass
@@ -101,92 +130,119 @@ class Scenario:
         }
 
 
-def _require(d: dict, keys, where: str):
-    for k in keys:
-        if k not in d:
-            raise ConfigError(f"missing required key {k!r} in {where}")
+def _check_kind(where: str, v, kind) -> None:
+    """ConfigError unless v is of kind: a type of _KIND_WORDS (a bool is not
+    a number) or a tuple of the values allowed."""
+    if isinstance(kind, tuple):
+        ok, want = v in kind, f"one of {list(kind)}"
+    elif kind in (float, int):
+        whole = isinstance(v, numbers.Integral)
+        ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and (
+            whole or math.isfinite(v) and (kind is float or float(v).is_integer()))
+        want = _KIND_WORDS[kind]
+    else:
+        ok, want = isinstance(v, kind), _KIND_WORDS[kind]
+    if not ok:
+        raise ConfigError(f"{where} must be {want}, not {v!r}")
 
 
-def _require_numbers(d: dict, keys, where: str, integral: bool = False):
-    """ConfigError unless each of keys that d holds is a number (a bool is
-    not one), with an integral value where asked."""
-    for k in keys:
+def _check_keys(d: dict, where: str, required: dict, optional: dict,
+                what: str = "") -> None:
+    """ConfigError unless d holds every key of required, no key that is in
+    neither table, and values of the kinds the tables give."""
+    what = what or where
+    for k in required:
         if k not in d:
-            continue
-        v = d[k]
-        ok = isinstance(v, numbers.Real) and not isinstance(v, bool)
-        if ok and integral:
-            ok = isinstance(v, numbers.Integral) or float(v).is_integer()
-        if not ok:
-            kind = "an integer" if integral else "a number"
-            raise ConfigError(f"{where}.{k} must be {kind}, not {v!r}")
+            raise ConfigError(f"missing required key {k!r} in {what}")
+    kinds = {**required, **optional}
+    for k, v in d.items():
+        if k not in kinds:
+            raise ConfigError(f"{where}.{k} is not a key of {what}; it takes "
+                              f"{sorted(kinds)}")
+        _check_kind(f"{where}.{k}", v, kinds[k])
+
+
+@functools.cache
+def _arguments(make) -> tuple:
+    """The keyword arguments of a constructor with the kind of each, a
+    number but DiscreteMeasure's atoms, and the required ones among them."""
+    params = inspect.signature(make).parameters.values()
+    kinds = {p.name: list if p.name == "atoms" else float for p in params}
+    return {p.name: kinds[p.name] for p in params if p.default is p.empty}, kinds
+
+
+def _build(table: dict, spec: dict, tag: str, where: str):
+    """What the constructor spec[tag] names in table gives for the other
+    keys of spec as its keyword arguments; ConfigError naming the section
+    and key when spec does not fit the constructor or the constructor
+    refuses a value."""
+    _check_kind(f"{where}.{tag}", spec.get(tag), tuple(table))
+    make = table[spec[tag]]
+    required, kinds = _arguments(make)
+    what = f"{where} of {tag} {spec[tag]}"
+    _check_keys(spec, where, {tag: str, **required}, kinds, what)
+    try:
+        return make(**{k: v for k, v in spec.items() if k != tag})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    _require(d, ["name", "triplet", "kernel", "sim", "emm"], "scenario")
-    t = d["triplet"]
-    _require(t, ["c", "b_h", "measure", "truncation"], "triplet")
-    _require_numbers(t, ["c", "b_h"], "triplet")
-    _require(t["measure"], ["type"], "triplet.measure")
-    if t["measure"]["type"] not in _MEASURE_BUILDERS:
-        raise ConfigError(f"unknown measure type {t['measure']['type']!r}")
-    trunc = t["truncation"]
-    _require(trunc, ["kind"], "triplet.truncation")
-    if trunc["kind"] == "inside":
-        _require(trunc, ["a"], "triplet.truncation")
-    elif trunc["kind"] == "outside-band":
-        _require(trunc, ["a", "b"], "triplet.truncation")
-    else:
-        raise ConfigError(f"unknown truncation kind {trunc['kind']!r}")
-    _require_numbers(trunc, ["a", "b"], "triplet.truncation")
-    k = d["kernel"]
-    _require(k, ["type"], "kernel")
-    if k["type"] not in _KERNEL_BUILDERS:
-        raise ConfigError(f"unknown kernel type {k['type']!r}")
-    _require(d["sim"], ["T", "M", "dt", "eps_jump", "n_paths", "seed"], "sim")
-    _require_numbers(d["sim"], ["T", "M", "dt", "eps_jump"], "sim")
-    _require_numbers(d["sim"], ["n_paths", "seed"], "sim", integral=True)
-    for key, least in (("n_paths", 1), ("seed", 0)):
-        if d["sim"][key] < least:
-            raise ConfigError(f"sim.{key} must be >= {least}, not {d['sim'][key]}")
-    emm = d["emm"]
-    _require(emm, ["hypothesis"], "emm")
-    hyp = emm["hypothesis"]
-    if hyp == "h1":
-        _require(emm, ["a", "b", "tolerance"], "emm (h1)")
-    elif hyp == "h2":
-        _require(emm, ["a", "tolerance"], "emm (h2)")
-    elif hyp == "lm":
-        style = emm.get("style")
-        _require(emm, _LM_STYLE_KEYS.get(style, ()), f"emm (lm {style})")
-    elif hyp not in ("gaussian", "none"):
-        raise ConfigError(f"unknown hypothesis {hyp!r}")
-    _require_numbers(emm, ["a", "b", "tolerance"], "emm")
-    if hyp == "h2" and t["measure"]["type"] == "zero":
+    """The scenario of d, refused with ConfigError unless every section
+    holds the keys its table or constructor lists, and no other."""
+    _check_keys(d, "scenario", *_SECTIONS["scenario"])
+    for section in ("triplet", "sim", "verify"):
+        _check_keys(d.get(section, {}), section, *_SECTIONS[section])
+    t, sim, emm, ver = d["triplet"], d["sim"], d["emm"], d.get("verify", {})
+    F = _build(_MEASURES, t["measure"], "type", "triplet.measure")
+    h = _build(_TRUNCATIONS, t["truncation"], "kind", "triplet.truncation")
+    build_kernel(d["kernel"])
+    try:
+        build_sim_config(sim)
+    except InvalidConfig as exc:
+        raise ConfigError(f"sim: {exc}") from None
+    for where, v, least in (("triplet.c", t["c"], 0), ("sim.seed", sim["seed"], 0)):
+        if v < least:
+            raise ConfigError(f"{where} must be >= {least}, not {v}")
+    if not h.bounded and not t.get("integrable", True):
+        raise ConfigError("the outside-band truncation needs integrable "
+                          "large jumps (triplet.integrable: true)")
+
+    hyp = emm.get("hypothesis")
+    _check_kind("emm.hypothesis", hyp, tuple(_EMM))
+    keys, tags, what = _EMM[hyp], {"hypothesis": str}, f"emm of hypothesis {hyp}"
+    if hyp == "lm":
+        _check_kind("emm.style", emm.get("style"), tuple(keys))
+        keys, tags = keys[emm["style"]], {**tags, "style": str}
+        what = f"emm of lm style {emm['style']}"
+    _check_keys(emm, "emm", {**tags, **dict.fromkeys(keys[0], float)},
+                dict.fromkeys(keys[1], float), what)
+    if hyp in ("h1", "h2") and not 0 < emm["a"] < emm.get("b", math.inf):
+        raise ConfigError(f"{what} needs 0 < a, and a < b for h1; not "
+                          f"a = {emm['a']}, b = {emm.get('b')}")
+    if hyp == "h2" and F.is_zero:
         raise ConfigError("h2 requires two-sided tail mass; measure is zero")
     # Z_T of the gaussian battery reads every increment as Brownian, dB/sqrt(c)
-    if hyp == "gaussian" and not (t["measure"]["type"] == "zero" and t["c"] > 0):
+    if hyp == "gaussian" and not (F.is_zero and t["c"] > 0):
         raise ConfigError("the gaussian battery needs a pure Brownian driver "
                           f"(measure zero and c > 0), not measure "
                           f"{t['measure']['type']!r} with c = {t['c']}")
-    for knob, hyps in _KNOBS.items():
-        if knob in emm and hyp not in hyps:
-            raise ConfigError(f"emm.{knob} does not apply to hypothesis {hyp!r}")
-    ver = dict(d.get("verify", {}))
-    if "state_bins" in ver:
-        raise ConfigError("verify.state_bins is not a setting: conditional_"
-                          "jump_law tests each mark at its own pre-jump state")
+    # check-kernel reads tail_regime for every hypothesis; only the path
+    # batteries read probe times, and none has no battery at all
+    read = {"none": (), "lm": ("tests", "mode")}.get(
+        hyp, ("tests", "mode", "probe_times"))
+    unread = sorted(set(ver) - {"tail_regime", *read})
+    if unread:
+        raise ConfigError(f"verify.{unread[0]} is not read for hypothesis {hyp}")
     if "probe_times" in ver:
-        _check_probe_times(ver["probe_times"], d["sim"])
+        _check_probe_times(ver["probe_times"], sim)
     if ver.get("mode") == "direct-q" and "break_positive_factor" in emm:
         raise ConfigError("emm.break_positive_factor changes alpha, which "
                           "direct-q marks are not drawn from")
     if hyp != "none":
         _battery_tests(emm, ver)
-    return Scenario(
-        name=d["name"], triplet=t, kernel=k, sim=dict(d["sim"]),
-        emm=dict(emm), verify=ver,
-    )
+    return Scenario(name=d["name"], triplet=t, kernel=d["kernel"], sim=dict(sim),
+                    emm=dict(emm), verify=dict(ver))
 
 
 # the tests each battery computes correctly, by hypothesis and verify mode
@@ -202,13 +258,6 @@ _BATTERIES = {
                                     ["lm_criterion"]),
     ("lm", "weighted", "lmrelax"): (("finite_expect",), ["finite_expect"]),
 }
-
-# the emm keys each lm style reads
-_LM_STYLE_KEYS = {"bremaud": ("K1", "K2", "gamma", "eps"), "lmrelax": ("eps",)}
-
-# negative-control knobs and the hypotheses whose battery reads them
-_KNOBS = {"frozen_zeta": ("h2",), "break_positive_factor": ("h1", "h2"),
-          "declared_intensity_factor": ("h2",), "declared_phi0": ("gaussian",)}
 
 
 def _battery_tests(emm: dict, ver: dict) -> list:
@@ -236,7 +285,9 @@ def _check_probe_times(probes, sim: dict) -> None:
     """ConfigError unless probes is a non-empty, strictly increasing list of
     multiples of dt in (0, T]; 0 is always the first probe, so it is not one."""
     T, dt = float(sim["T"]), float(sim["dt"])
-    ts = [float(t) for t in probes] if isinstance(probes, (list, tuple)) else []
+    for t in probes:
+        _check_kind("verify.probe_times", t, float)
+    ts = [float(t) for t in probes]
     if (not ts or any(b <= a for a, b in zip(ts, ts[1:]))
             or not all(0.0 < t <= T and _is_multiple(t, dt) for t in ts)):
         raise ConfigError(f"verify.probe_times {probes} must be a non-empty, "
@@ -250,8 +301,11 @@ def _probe_times(scn: Scenario) -> list:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: cannot read a scenario: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: scenario file must hold a mapping")
     return scenario_from_dict(data)
@@ -262,32 +316,22 @@ def save_scenario(scn: Scenario, path: str) -> None:
         yaml.safe_dump(scn.to_dict(), fh, sort_keys=False)
 
 
-def build_truncation(spec: dict) -> TruncationFunction:
-    if spec["kind"] == "inside":
-        return indicator_inside(spec["a"])
-    return indicator_outside_band(spec["a"], spec["b"])
-
-
 def build_triplet(spec: dict) -> LevyTriplet:
-    F = _MEASURE_BUILDERS[spec["measure"]["type"]](spec["measure"])
     return LevyTriplet(
-        c=float(spec["c"]), F=F, b_h=float(spec["b_h"]),
-        h=build_truncation(spec["truncation"]),
+        c=float(spec["c"]),
+        F=_build(_MEASURES, spec["measure"], "type", "triplet.measure"),
+        b_h=float(spec["b_h"]),
+        h=_build(_TRUNCATIONS, spec["truncation"], "kind", "triplet.truncation"),
         integrable=bool(spec.get("integrable", True)),
     )
 
 
 def build_kernel(spec: dict) -> Kernel:
-    return _KERNEL_BUILDERS[spec["type"]](spec)
+    return _build(_KERNELS, spec, "type", "kernel")
 
 
 def build_sim_config(spec: dict) -> SimConfig:
-    return SimConfig(
-        T=float(spec["T"]), M=float(spec["M"]), dt=float(spec["dt"]),
-        eps_jump=float(spec["eps_jump"]), n_paths=int(spec["n_paths"]),
-        seed=int(spec["seed"]),
-        small_jump_mode=spec.get("small_jump_mode", "gaussian-approx"),
-    )
+    return SimConfig(**{k: kind(spec[k]) for k, kind in _SECTIONS["sim"][0].items()})
 
 
 def _override_sim(scn: Scenario, n_paths=None, seed=None) -> Scenario:
@@ -735,7 +779,6 @@ def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None,
         "n_paths": cfg.n_paths,
         "seed": cfg.seed,
         "n_jumps_in_window": len(jump_records),
-        "backend": _backend.backend_name(),
         "correlation": "fft" if kern.iir is None else "recursion",
     }
     with open(os.path.join(out_dir, "simulate.json"), "w") as fh:

@@ -152,7 +152,7 @@ def _simulate_reference(sim, rng):
     inc = np.full(n, sim.drift_rate * dt)
     if sim.triplet.c > 0.0:
         inc += rng.normal(0.0, math.sqrt(sim.triplet.c * dt), n)
-    if sim.small_var_rate > 0.0 and cfg.small_jump_mode == "gaussian-approx":
+    if sim.small_var_rate > 0.0:
         inc += rng.normal(0.0, math.sqrt(sim.small_var_rate * dt), n)
     diffuse = inc.copy()
     jt = jz = np.empty(0)

@@ -17,7 +17,6 @@ from levyemm.girsanov import (
     density_terms,
     f_lm,
     fit_envelope,
-    lm_compensator,
     lm_criterion_check,
     q_characteristics,
     simulate_under_q,
@@ -211,30 +210,6 @@ class TestFLm:
         assert f_lm(a) >= 0.0
         mid = f_lm(0.5 * (a + b))
         assert mid <= 0.5 * (f_lm(a) + f_lm(b)) + 1e-12
-
-
-class TestLmCompensator:
-    def test_constant_w_two_atoms(self):
-        t = _two_atom_triplet()
-        times = np.linspace(0.0, 1.0, 9)
-        y = np.zeros_like(times)
-        W = lambda u, yv, x: np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
-        total = lm_compensator(W, t, times, y, (0.0, 1.0))
-        assert total == pytest.approx(2.0 * F_LM_AT_ONE, abs=1e-12)
-
-    def test_partial_window(self):
-        t = _two_atom_triplet()
-        times = np.linspace(0.0, 1.0, 9)
-        y = np.zeros_like(times)
-        W = lambda u, yv, x: np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
-        half = lm_compensator(W, t, times, y, (0.25, 0.75))
-        assert half == pytest.approx(F_LM_AT_ONE, abs=1e-12)
-
-    def test_zero_w_gives_zero(self):
-        t = _two_atom_triplet()
-        times = np.linspace(0.0, 1.0, 5)
-        W = lambda u, yv, x: np.zeros_like(np.asarray(x, dtype=float))  # noqa: E731
-        assert lm_compensator(W, t, times, np.zeros(5), (0.0, 1.0)) == 0.0
 
 
 class TestEnvelopeFit:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -7,6 +8,7 @@ import yaml
 
 from levyemm import cli, emm_construct, pipeline, verify
 from levyemm.errors import ConfigError
+from levyemm.path_sim import SimConfig
 from levyemm.pipeline import (
     Scenario,
     SCENARIO_DIR,
@@ -47,6 +49,12 @@ def _with(base, section, **changes):
 def _without(base, section, key):
     d = base()
     del d[section][key]
+    return d
+
+
+def _renamed(base, section, key, new):
+    d = base()
+    d[section][new] = d[section].pop(key)
     return d
 
 
@@ -121,6 +129,8 @@ REFUSED = {
         _two_atom_dict, "verify", probe_times=[0.5, 0.25]), "probe_times"),
     "h2-no-probes": (lambda: _with(_two_atom_dict, "verify", probe_times=[]),
                      "probe_times"),
+    "h2-probe-word": (lambda: _with(_two_atom_dict, "verify",
+                                    probe_times=["half"]), "probe_times"),
     # values are type-checked at load (a ValueError mid-run, exit 1, before)
     "h2-eps-jump-word": (lambda: _with(_two_atom_dict, "sim",
                                        eps_jump="quarter"), "eps_jump"),
@@ -142,6 +152,46 @@ REFUSED = {
         "pure Brownian"),
     "gaussian-no-diffusion": (lambda: _with(_builtin("gaussian-baseline"),
                                             "triplet", c=0.0), "pure Brownian"),
+    # a key that no table lists, passed over in silence before: a misspelt
+    # knob let negative-wrong-intensity pass
+    "h2-kernel-kapa": (lambda: _with(_two_atom_dict, "kernel", kapa=0.05),
+                       "kernel.kapa"),
+    "h2-frozen-zetta": (lambda: _with(_two_atom_dict, "emm", frozen_zetta=0.5),
+                        "emm.frozen_zetta"),
+    "wrong-intensity-factr": (lambda: _renamed(
+        _builtin("negative-wrong-intensity"), "emm",
+        "declared_intensity_factor", "declared_intensity_factr"),
+        "emm.declared_intensity_factr"),
+    "top-level-verfy": (lambda: {**_two_atom_dict(), "verfy": {}}, "verfy"),
+    "sim-small-jump-mode": (lambda: _with(_two_atom_dict, "sim",
+                                          small_jump_mode="gaussian-approx"),
+                            "sim.small_jump_mode"),
+    # a constructor's refusal or a missing argument (a traceback, exit 1,
+    # before)
+    "h2-negative-kappa": (lambda: _with(_two_atom_dict, "kernel", kappa=-1),
+                          "kappa"),
+    "h2-no-kappa": (lambda: _without(_two_atom_dict, "kernel", "kappa"),
+                    "'kappa'"),
+    "sas-no-alpha": (lambda: _with(_two_atom_dict, "triplet", measure={
+        "type": "symmetric-alpha-stable"}), "'alpha'"),
+    "sas-alpha-2.5": (lambda: _with(_two_atom_dict, "triplet", measure={
+        "type": "symmetric-alpha-stable", "alpha": 2.5}), "alpha"),
+    "negative-c": (lambda: _with(_two_atom_dict, "triplet", c=-0.1),
+                   "triplet.c"),
+    "h1-a-above-b": (lambda: _with(_h1_dict, "emm", a=2.0, b=1.0), "a < b"),
+    "h2-zero-a": (lambda: _with(_two_atom_dict, "emm", a=0.0), "0 < a"),
+    "outside-band-not-integrable": (lambda: _with(
+        _two_atom_dict, "triplet", integrable=False,
+        truncation={"kind": "outside-band", "a": 0.5, "b": 2.0}), "integrable"),
+    "unknown-tail-regime": (lambda: _with(_two_atom_dict, "verify",
+                                          tail_regime="heavy"), "tail_regime"),
+    "h2-infinite-T": (lambda: _with(_two_atom_dict, "sim", T=float("inf")),
+                      "sim.T"),
+    # verify keys that the hypothesis runs nothing to read
+    "none-tests": (lambda: _with(_builtin("classify-sas-1.5"), "verify",
+                                 tests=["mean_density"]), "verify.tests"),
+    "lm-probe-times": (lambda: _with(_builtin("bremaud"), "verify",
+                                     probe_times=[0.5]), "verify.probe_times"),
 }
 
 
@@ -207,6 +257,12 @@ class TestScenarioSchema:
         assert len(files) >= 10
         for f in files:
             load_scenario(os.path.join(SCENARIO_DIR, f))
+
+    def test_sim_takes_exactly_the_sim_config_fields(self):
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "T", "M", "dt", "eps_jump", "n_paths", "seed"]
+        assert list(pipeline._SECTIONS["sim"][0]) == [
+            f.name for f in dataclasses.fields(SimConfig)]
 
     @pytest.mark.parametrize("case", sorted(REFUSED))
     def test_battery_without_correct_implementation_refused(self, case):
@@ -521,8 +577,25 @@ class TestCli:
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("case", ["h1-jump-intensity", "gaussian-with-jumps",
-                                      "gaussian-no-diffusion"])
+    def test_unparsable_scenario_file(self, tmp_path, capsys):
+        p = tmp_path / "broken.yaml"
+        p.write_text("name: [h2-two-atom\n")
+        code = cli.main(["verify", "--scenario", str(p), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "broken.yaml" in capsys.readouterr().err
+
+    def test_scenario_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "dir.yaml").mkdir()
+        code = cli.main(["verify", "--scenario", str(tmp_path / "dir.yaml"),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "dir.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "h1-jump-intensity", "gaussian-with-jumps", "gaussian-no-diffusion",
+        "h2-kernel-kapa", "h2-frozen-zetta", "wrong-intensity-factr",
+        "top-level-verfy", "sim-small-jump-mode", "h2-negative-kappa",
+        "h2-no-kappa", "sas-no-alpha", "sas-alpha-2.5", "negative-c"])
     def test_refused_battery_is_config_error(self, case, tmp_path, capsys):
         build, named = REFUSED[case]
         p = tmp_path / "refused.yaml"
