@@ -9,6 +9,13 @@ one whose impulse response is w[1:]. The recursion runs over the n_out
 output columns only: the m - 1 pre-history cells never reach an output,
 they only set each section's state at the first output, and that state
 is one weighted sum of the pre-history per section.
+
+The Gaussian battery calls it with m = 0, on its cells of [0, T] alone:
+it draws the pre-history's part of X and Y in law instead
+(`PathSimulator.prehistory`), from r normals per path after its cells.
+That changed its random stream, and so its estimates, against a battery
+that correlated the whole lattice; `simulate` and the jump batteries still
+pass the whole lattice here.
 """
 
 import numpy as np

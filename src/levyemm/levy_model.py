@@ -255,6 +255,8 @@ def uniform_band(a: float, b: float, height: float = 1.0) -> DensityMeasure:
     """Constant density on {a < |x| < b}; compact two-sided support."""
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
+    if not height > 0:
+        raise ValueError(f"height must be > 0, not {height}")
 
     def dens(x):
         ax = np.abs(x)

@@ -22,6 +22,7 @@ from .kernel import Kernel
 from .levy_model import (
     Interval,
     LevyTriplet,
+    TruncationFunction,
     ball_complement,
     levy_integrate,
     tail_law,
@@ -169,18 +170,32 @@ class PathBlock:
         self._add_jumps(fn, rows, t, out, strict=strict)
         return out
 
-    def moving_average(self, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    def moving_average(self, kernel: Kernel, prehistory: Prehistory | None = None,
+                       eta: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
         """X and Y = phi'-average of every path on the grid [0, T], each of
         shape (B, n_out): the diffuse left-point sums by one correlation of
         the block per weight table, plus each jump's exact response at the
-        nodes at or after it."""
+        nodes at or after it.
+
+        A block drawn from 0 may take its pre-history in law instead: with
+        prehistory (`PathSimulator.prehistory` of the lattice from -M) and
+        eta, the (B, rank) normals of its paths, X and Y gain each row's
+        draw mean + factor eta. An einsum, unlike a BLAS product, sums each
+        row the same way in a block of any size.
+        """
         B, n = self.diffuse.shape
         m = _zero_node(self.times, self.dt)
+        if prehistory is not None and m:
+            raise ValueError("a pre-history in law needs a block drawn from 0")
         grid = self.times[m:]
         fns = (kernel, kernel.dphi)
         X, Y = (_backend.ma_correlate(self.diffuse, _weight_table(fn, n, self.dt),
                                       len(grid), m, rec)
                 for fn, rec in zip(fns, kernel.recursion(self.dt)))
+        if prehistory is not None:
+            for v, mean, factor in zip((X, Y), prehistory.mean, prehistory.factor):
+                v += mean + np.einsum("br,kr->bk", eta, factor)
         # the queries are built after the correlations have freed their
         # temporaries, so they do not raise the peak memory of a block
         rows, t = np.repeat(np.arange(B), len(grid)), np.tile(grid, B)
@@ -220,6 +235,42 @@ def _running_sum(fn, tq, at, weights, m):
     lag it is not defined at."""
     terms = np.where(m, fn(np.where(m, tq - at, 0.0)), 0.0)
     return np.cumsum(terms * weights, axis=1)[:, -1]
+
+
+# ---------------------------------------------------------------------------
+# the pre-history in law
+# ---------------------------------------------------------------------------
+
+
+# the residual trace, relative to the whole, at which the factor stops
+PREHISTORY_RTOL = 1e-13
+
+
+@dataclass(frozen=True)
+class Prehistory:
+    """What the cells of [-M, 0] add to X and Y on the grid [0, T], in law:
+    mean + factor eta with eta standard normal in rank dimensions. Row 0
+    of mean and factor is X, row 1 is Y."""
+
+    mean: np.ndarray  # (2, n_out)
+    factor: np.ndarray  # (2, n_out, rank)
+
+    @property
+    def rank(self) -> int:
+        return self.factor.shape[2]
+
+    def normals(self, rngs) -> np.ndarray:
+        """(B, rank) normals, row b drawn by generator b."""
+        return np.array([rng.standard_normal(self.rank) for rng in rngs]
+                        ).reshape(len(rngs), self.rank)
+
+
+def check_eps_jump(eps: float, h: TruncationFunction) -> None:
+    """InvalidConfig when eps exceeds the identity radius of h."""
+    if eps > h.identity_radius + 1e-12:
+        raise InvalidConfig(
+            "eps_jump must not exceed the truncation identity radius "
+            f"{h.identity_radius}, not {eps}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +372,7 @@ class PathSimulator:
         self.triplet = triplet
         self.config = config
         eps = config.eps_jump
-        if eps > triplet.h.identity_radius + 1e-12:
-            raise InvalidConfig(
-                "eps_jump must not exceed the truncation identity radius"
-            )
+        check_eps_jump(eps, triplet.h)
         self.tail = tail_law(triplet.F, ball_complement(eps, open_ends=False))
         self.jump_rate = self.tail.rate if self.tail else 0.0
 
@@ -407,6 +455,52 @@ class PathSimulator:
         return PathBlock(self.times, dt, diffuse, np.concatenate(jt_parts),
                          np.concatenate(jz_parts),
                          np.concatenate([[0], np.cumsum(counts)]))
+
+    def prehistory(self, kernel: Kernel) -> Prehistory:
+        """The law of what the m cells of [-M, 0] add to (X_k, Y_k),
+        k = 0..n_out - 1: sum_{p=1..m} w_a[k + p] dL_{-p}, with w_X = phi
+        and w_Y = phi' at lag p dt.
+
+        Without explicit jumps the cells are independent normals of mean
+        drift dt and variance s2 dt (Brownian plus small-jump variance), so
+        the sum has mean drift dt sum_p w_a[k + p] and covariance
+        G[(a, k), (b, l)] = s2 dt sum_p w_a[k + p] w_b[l + p]. The factor
+        is G's partial pivoted Cholesky factor (Harbrecht, Peters and
+        Schneider 2012), which reads only G's diagonal and one column per
+        pivot, each by np.correlate, and stops when the trace left is at
+        most PREHISTORY_RTOL of the whole. Explicit jumps make the
+        pre-history non-Gaussian, so they are refused with InvalidConfig.
+        """
+        if self.tail is not None:
+            raise InvalidConfig("the pre-history is Gaussian only without "
+                                "explicit jumps")
+        cfg = self.config
+        m, n_out, dt = cfg.m_cells, cfg.n_out, cfg.dt
+        if not m:
+            return Prehistory(np.zeros((2, n_out)), np.zeros((2, n_out, 0)))
+        # w[a, j - 1] is the weight at lag j dt, j = 1..n_cells
+        w = np.stack([_weight_table(fn, cfg.n_cells, dt)[1:]
+                      for fn in (kernel, kernel.dphi)])
+        ones = np.ones(m)
+        mean = self.drift_rate * dt * np.stack(
+            [np.correlate(wa, ones, "valid") for wa in w])
+        scale = (self.triplet.c + self.small_var_rate) * dt
+        resid = scale * np.concatenate(
+            [np.correlate(wa * wa, ones, "valid") for wa in w])
+        trace = resid.sum()
+        cols = []
+        while len(cols) < len(resid) and resid.sum() > PREHISTORY_RTOL * trace:
+            i = int(np.argmax(resid))
+            a, l = divmod(i, n_out)
+            col = scale * np.concatenate(
+                [np.correlate(wa, w[a, l:l + m], "valid") for wa in w])
+            for c in cols:
+                col -= c * c[i]
+            col /= math.sqrt(resid[i])
+            resid = np.maximum(resid - col * col, 0.0)
+            cols.append(col)
+        factor = np.stack(cols, axis=1) if cols else np.zeros((2 * n_out, 0))
+        return Prehistory(mean, factor.reshape(2, n_out, -1))
 
     def simulate(self, rng: np.random.Generator) -> LatticePath:
         return self.draw([rng]).path(0)

@@ -20,7 +20,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -43,6 +43,7 @@ from .path_sim import (
     PathSimulator,
     SimConfig,
     _is_multiple,
+    check_eps_jump,
     moving_average,
     write_jumps_csv,
     write_path_csv,
@@ -196,9 +197,10 @@ def scenario_from_dict(d: dict) -> Scenario:
     t, sim, emm, ver = d["triplet"], d["sim"], d["emm"], d.get("verify", {})
     F = _build(_MEASURES, t["measure"], "type", "triplet.measure")
     h = _build(_TRUNCATIONS, t["truncation"], "kind", "triplet.truncation")
-    build_kernel(d["kernel"])
+    kern = build_kernel(d["kernel"])
     try:
         build_sim_config(sim)
+        check_eps_jump(sim["eps_jump"], h)
     except InvalidConfig as exc:
         raise ConfigError(f"sim: {exc}") from None
     for where, v, least in (("triplet.c", t["c"], 0), ("sim.seed", sim["seed"], 0)):
@@ -227,6 +229,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ConfigError("the gaussian battery needs a pure Brownian driver "
                           f"(measure zero and c > 0), not measure "
                           f"{t['measure']['type']!r} with c = {t['c']}")
+    # and its theta = -(Y + phi0 xi) / (phi0 sqrt(c)) divides by phi(0)
+    if hyp == "gaussian" and kern.phi0 == 0.0:
+        raise ConfigError(f"the gaussian battery needs phi(0) != 0, and "
+                          f"kernel {d['kernel']['type']!r} has phi(0) = 0")
     # check-kernel reads tail_regime for every hypothesis; only the path
     # batteries read probe times, and none has no battery at all
     read = {"none": (), "lm": ("tests", "mode")}.get(
@@ -499,13 +505,13 @@ def _model(scn_dict: dict):
     return scn, triplet, build_kernel(scn.kernel), cfg, PathSimulator(triplet, cfg)
 
 
-def _blocks(sim: PathSimulator, start: int, stop: int, size: int = _BLOCK):
-    """The generators of [start, stop) in blocks of size paths, with each
+def _blocks(sim: PathSimulator, start: int, stop: int):
+    """The generators of [start, stop) in blocks of _BLOCK paths, with each
     block's first index. A block's generators come from one pass of
     sim.rngs, each the SeedSequence((seed, i)) generator of path i that
     sim.rng_for gives, checked against NumPy on the block's first path."""
-    for lo in range(start, stop, size):
-        yield lo, sim.rngs(lo, min(lo + size, stop))
+    for lo in range(start, stop, _BLOCK):
+        yield lo, sim.rngs(lo, min(lo + _BLOCK, stop))
 
 
 def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
@@ -561,9 +567,19 @@ def _q_chunk(scn_dict: dict, start: int, stop: int) -> dict:
 
 def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     """Classical-Girsanov statistics for the pure-Gaussian baseline, whose
-    increments are all diffuse (jumps and c = 0 are refused at load)."""
+    increments are all diffuse (jumps, c = 0 and phi(0) = 0 are refused at
+    load).
+
+    The battery reads X and Y on [0, T] only, where the cells of [-M, 0]
+    enter through one Gaussian vector of low rank r. So each path draws
+    its cells on [0, T] (the simulator of M = 0, with the same (seed, i)
+    generators) and then r normals of its own generator, which give that
+    vector exactly in law (`PathSimulator.prehistory`): 256 + r normals
+    per path at the builtin lattice instead of its 5376. This changed the
+    battery's random stream against the whole lattice's."""
     scn, triplet, kern, cfg, sim = _model(scn_dict)
-    m = cfg.m_cells
+    law = sim.prehistory(kern)
+    near = PathSimulator(triplet, replace(cfg, M=0.0))
     sqc = math.sqrt(triplet.c)
     phi0 = kern.phi0
     xi = triplet.xi()
@@ -571,13 +587,11 @@ def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     p_idx = [round(t / cfg.dt) for t in _probe_times(scn)]
 
     z_parts, x_parts = [], []
-    # 512-path blocks: at 128 the correlation costs about 15 % more per
-    # path and a 512-path chunk about 2 % more in all
-    for _, rngs in _blocks(sim, start, stop, 512):
-        block = sim.draw(rngs)
-        X, Y = block.moving_average(kern)
+    for _, rngs in _blocks(near, start, stop):
+        block = near.draw(rngs)
+        X, Y = block.moving_average(kern, law, law.normals(rngs))
         theta = -(Y + phi0 * xi) / (phi0 * sqc)
-        dB = (block.diffuse[:, m:] - sim.drift_rate * cfg.dt) / sqc
+        dB = (block.diffuse - near.drift_rate * cfg.dt) / sqc
         log_z = np.sum(theta[:, :-1] * dB, axis=1) \
             - 0.5 * np.sum(theta[:, :-1] ** 2, axis=1) * cfg.dt
         z_parts.append(np.exp(log_z))

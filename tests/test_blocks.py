@@ -54,9 +54,13 @@ CHUNK_CASES = {
     "q-two-atom-zeta05": (pipeline._q_chunk,
                           lambda: _builtin("q-two-atom-zeta05")),
     "direct-q-sas-1.5": (pipeline._q_chunk, _direct_q_sas),
-    # 512-path blocks: every part of SPLIT starts inside a block of the whole
+    # every part of SPLIT starts inside a block of the whole
     "gaussian-baseline": (pipeline._gaussian_chunk,
                           lambda: _builtin("gaussian-baseline")),
+    # a kernel without a recursion: the FFT on [0, T] and a rank-6 factor
+    "gaussian-power-2.5": (pipeline._gaussian_chunk, lambda: {
+        **_builtin("gaussian-baseline"),
+        "kernel": {"type": "power", "gamma": 2.5}}),
 }
 
 

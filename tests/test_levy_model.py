@@ -265,6 +265,11 @@ class TestTypesAndProbes:
         assert uniform_band(1.0, 2.0).support_descriptor == "compact"
         assert ZeroMeasure().support_descriptor == "empty"
 
+    @pytest.mark.parametrize("height", [0.0, -1.0])
+    def test_uniform_band_needs_positive_height(self, height):
+        with pytest.raises(ValueError, match="height"):
+            uniform_band(0.25, 2.0, height)
+
     def test_atom_validation(self):
         with pytest.raises(ValueError):
             DiscreteMeasure([(0.0, 1.0)])

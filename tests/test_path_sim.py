@@ -34,6 +34,7 @@ from levyemm.path_sim import (
     SimConfig,
     decomposition_residual,
     extract_jump_measure,
+    _weight_table,
     moving_average,
     simulate_levy,
     y_at,
@@ -365,3 +366,75 @@ class TestStationarity:
             (x0 if i % 2 == 0 else xT).append(ma.X[0] if i % 2 == 0 else ma.X[-1])
         res = stats.ks_2samp(np.asarray(x0), np.asarray(xT))
         assert res.pvalue > 0.01
+
+
+# the lattice of the Gaussian builtins
+_PRE_CFG = dict(T=0.5, M=10.0, dt=2.0 ** -9, eps_jump=0.5, n_paths=1, seed=5)
+
+
+def _prehistory_rows(kernel, cfg):
+    """A[(a, k), p - 1] = w_a[k + p], p = 1..m: the pre-history's weights in
+    X (a = 0) and Y (a = 1) at grid node k."""
+    tables = [_weight_table(fn, cfg.n_cells, cfg.dt) for fn in (kernel, kernel.dphi)]
+    win = np.lib.stride_tricks.sliding_window_view
+    return np.vstack([win(w[1:], cfg.m_cells)[:cfg.n_out] for w in tables])
+
+
+class TestPrehistory:
+    @pytest.mark.parametrize("kernel,rank", [
+        (exponential_kernel(1.0), 1), (zero_start_kernel(1.0), 2),
+        (power_kernel(1.5), 6), (power_kernel(2.5), 6)])
+    def test_factor_reproduces_the_covariance(self, kernel, rank):
+        cfg = SimConfig(**_PRE_CFG)
+        law = PathSimulator(_gauss_triplet(c=0.7), cfg).prehistory(kernel)
+        A = _prehistory_rows(kernel, cfg)
+        G = 0.7 * cfg.dt * A @ A.T
+        L = law.factor.reshape(2 * cfg.n_out, -1)
+        assert law.rank == rank
+        assert np.max(np.abs(L @ L.T - G)) <= 1e-12 * np.max(np.abs(G))
+
+    def test_mean_is_the_drift_sum(self):
+        cfg = SimConfig(**_PRE_CFG)
+        kernel = power_kernel(1.5)
+        law = PathSimulator(_gauss_triplet(b=0.3), cfg).prehistory(kernel)
+        want = 0.3 * cfg.dt * _prehistory_rows(kernel, cfg).sum(axis=1)
+        assert law.mean.shape == (2, cfg.n_out)
+        assert np.max(np.abs(law.mean.reshape(-1) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kernel", [exponential_kernel(1.0),
+                                        zero_start_kernel(1.0)])
+    def test_lattice_prehistory_lies_in_the_factor_span(self, kernel):
+        # what the cells of [-M, 0] add to a drawn path is mean + factor eta
+        # for some eta, up to the trace the factor leaves out
+        cfg = _cfg(T=2.0, M=8.0, dt=0.0625)
+        sim = PathSimulator(_gauss_triplet(b=0.2), cfg)
+        law = sim.prehistory(kernel)
+        block = sim.draw(sim.rngs(0, 8))
+        near = dataclasses.replace(block, times=block.times[cfg.m_cells:],
+                                   diffuse=block.diffuse[:, cfg.m_cells:])
+        pre = np.hstack([a - b for a, b in zip(block.moving_average(kernel),
+                                               near.moving_average(kernel))])
+        pre -= law.mean.reshape(-1)
+        L = law.factor.reshape(2 * cfg.n_out, -1)
+        eta = np.linalg.lstsq(L, pre.T, rcond=None)[0]
+        assert np.max(np.abs(L @ eta - pre.T)) <= 1e-12 * np.max(np.abs(pre))
+
+    def test_no_prehistory_without_cells(self):
+        cfg = _cfg(M=0.0)
+        law = PathSimulator(_gauss_triplet(b=0.5), cfg).prehistory(power_kernel(1.5))
+        assert law.rank == 0 and not law.mean.any()
+        rngs = PathSimulator(_gauss_triplet(), cfg).rngs(0, 3)
+        assert law.normals(rngs).shape == (3, 0)
+
+    def test_explicit_jumps_refused(self):
+        t = LevyTriplet(0.0, DiscreteMeasure([(1.0, 1.0)]), 0.0, indicator_inside(1.0))
+        with pytest.raises(InvalidConfig):
+            PathSimulator(t, _cfg()).prehistory(exponential_kernel(1.0))
+
+    def test_law_needs_a_block_drawn_from_zero(self):
+        sim = PathSimulator(_gauss_triplet(), _cfg())
+        kernel = exponential_kernel(1.0)
+        law = sim.prehistory(kernel)
+        rngs = sim.rngs(0, 2)
+        with pytest.raises(ValueError):
+            sim.draw(rngs).moving_average(kernel, law, law.normals(rngs))

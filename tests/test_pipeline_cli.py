@@ -152,6 +152,19 @@ REFUSED = {
         "pure Brownian"),
     "gaussian-no-diffusion": (lambda: _with(_builtin("gaussian-baseline"),
                                             "triplet", c=0.0), "pure Brownian"),
+    # theta divides by phi(0) (a divide-by-zero and exit 1 before)
+    "gaussian-zero-start": (lambda: {
+        **_builtin("gaussian-baseline")(),
+        "kernel": {"type": "zero-start", "kappa": 1.0}}, "needs phi"),
+    "gaussian-zero-amplitude": (lambda: _with(
+        _builtin("gaussian-baseline"), "kernel", amplitude=0.0), "needs phi"),
+    # refused only when the simulator was built (exit 2) before
+    "h2-eps-jump-past-radius": (lambda: _with(_two_atom_dict, "sim",
+                                              eps_jump=1.0), "identity radius"),
+    # a misleading TruncationViolated, exit 2, before
+    "band-negative-height": (lambda: _with(_q_dict, "triplet", measure={
+        "type": "uniform-band", "a": 0.25, "b": 2.0, "height": -1.0}),
+        "height"),
     # a key that no table lists, passed over in silence before: a misspelt
     # knob let negative-wrong-intensity pass
     "h2-kernel-kapa": (lambda: _with(_two_atom_dict, "kernel", kapa=0.05),
@@ -595,7 +608,9 @@ class TestCli:
         "h1-jump-intensity", "gaussian-with-jumps", "gaussian-no-diffusion",
         "h2-kernel-kapa", "h2-frozen-zetta", "wrong-intensity-factr",
         "top-level-verfy", "sim-small-jump-mode", "h2-negative-kappa",
-        "h2-no-kappa", "sas-no-alpha", "sas-alpha-2.5", "negative-c"])
+        "h2-no-kappa", "sas-no-alpha", "sas-alpha-2.5", "negative-c",
+        "gaussian-zero-start", "h2-eps-jump-past-radius",
+        "band-negative-height"])
     def test_refused_battery_is_config_error(self, case, tmp_path, capsys):
         build, named = REFUSED[case]
         p = tmp_path / "refused.yaml"
