@@ -32,9 +32,11 @@ from .levy_model import (
     levy_integrate,
 )
 from .path_sim import (
+    MarkedResponse,
     MovingAveragePath,
     PathBlock,
     PathSimulator,
+    sort_rows,
 )
 from .verify import doubling_estimates, doubling_verdict, finite_expect
 
@@ -346,41 +348,28 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
 
     base = sim.draw(rngs)
     # each path's arrivals and mark uniforms come after its P draws
-    arr, u = [], []
-    for rng in rngs:
-        n_arr = rng.poisson(gk.lam * config.T)
-        arr.append(np.sort(rng.uniform(0.0, config.T, n_arr)))
-        u.append(rng.random(n_arr))
-    counts = np.array([len(a) for a in arr], dtype=np.int64)
+    arr, u = [np.empty(0)], [np.empty(0)]
+    counts = np.zeros(len(rngs), dtype=np.int64)
+    for b, rng in enumerate(rngs):
+        counts[b] = rng.poisson(gk.lam * config.T)
+        arr.append(rng.uniform(0.0, config.T, counts[b]))
+        u.append(rng.random(counts[b]))
     q_off = np.concatenate([[0], np.cumsum(counts)])
-    q_t = np.concatenate([np.empty(0)] + arr)
-    q_u = np.concatenate([np.empty(0)] + u)
+    q_t = sort_rows(np.concatenate(arr), counts)
+    q_u = np.concatenate(u)
     q_rows = np.repeat(np.arange(len(rngs)), counts)
 
-    # keep pre-0 jumps and sub-a jumps, drop the P tail jumps on (0, T], and
-    # merge the arrivals in, in time order per path, with marks still 0;
-    # complex keys row + i time compare (path, time) exactly, in that order
+    # keep pre-0 jumps and sub-a jumps, drop the P tail jumps on (0, T]
     keep = (base.jump_times <= 0.0) | (np.abs(base.jump_sizes) <= gk.a)
-    k_rows = base.jump_rows()[keep]
-    q_slot = np.searchsorted(k_rows + 1j * base.jump_times[keep],
-                             q_rows + 1j * q_t) + np.arange(len(q_t))
-    is_kept = np.ones(len(k_rows) + len(q_t), dtype=bool)
-    is_kept[q_slot] = False
-    times = np.empty(len(is_kept))
-    times[is_kept] = base.jump_times[keep]
-    times[q_slot] = q_t
-    sizes = np.zeros(len(is_kept))
-    sizes[is_kept] = base.jump_sizes[keep]
-    merged = PathBlock(base.times, base.dt, base.diffuse, times, sizes,
-                       np.concatenate([[0], np.cumsum(
-                           np.bincount(k_rows, minlength=len(rngs)) + counts)]))
-
+    kept = PathBlock(base.times, base.dt, base.diffuse, base.jump_times[keep],
+                     base.jump_sizes[keep], np.concatenate([[0], np.cumsum(
+                         np.bincount(base.jump_rows()[keep], minlength=len(rngs)))]))
+    drift = MarkedResponse(kept, kernel.dphi, q_rows, q_t)
     q_z = np.empty(len(q_t))
     y_pre = np.empty(len(q_t))
     for k in range(int(counts.max(initial=0))):
         at = q_off[:-1][counts > k] + k
-        y = merged.response(kernel.dphi, q_rows[at], q_t[at], strict=True)
-        q_z[at] = gk.mark_quantile(y, q_u[at])
-        y_pre[at] = y
-        merged.jump_sizes[q_slot[at]] = q_z[at]
+        y_pre[at] = drift.before(at)
+        q_z[at] = gk.mark_quantile(y_pre[at], q_u[at])
+        drift.mark(at, q_z[at])
     return counts, q_t, q_z, y_pre

@@ -37,6 +37,16 @@ AC_TOL = 1e-6
 
 @dataclass
 class Kernel:
+    """phi with its density phi' and what is known of its shape.
+
+    iir gives the exact recursions of the weight tables on a lattice.
+    exponential = (A, kappa) declares phi(s) = A e^{-kappa s}, so that
+    phi'(s) = -kappa A e^{-kappa s} (kappa = 0 for a constant phi):
+    exponential_form reads that off phi or phi', and a path's response
+    to such a function is a state carried along its cells and its jumps
+    (`PathBlock.response`). Other kernels declare none.
+    """
+
     phi: Callable[[np.ndarray], np.ndarray]
     phi_prime: Callable[[np.ndarray], np.ndarray] | None
     phi0: float
@@ -46,6 +56,7 @@ class Kernel:
     # whose cascade has the impulse response phi(j dt), resp. phi'(j dt),
     # for j = 1, 2, ...
     iir: Callable[[float], tuple] | None = None
+    exponential: tuple[float, float] | None = None
 
     def __call__(self, t):
         return np.asarray(self.phi(np.asarray(t, dtype=float)), dtype=float)
@@ -93,6 +104,7 @@ def exponential_kernel(kappa: float, amplitude: float = 1.0) -> Kernel:
         name="exponential",
         params={"kappa": kappa, "amplitude": amplitude},
         iir=iir,
+        exponential=(amplitude, kappa),
     )
 
 
@@ -159,7 +171,24 @@ def constant_kernel(value: float = 1.0) -> Kernel:
         name="constant",
         params={"value": value},
         iir=lambda dt: ([([value], [1.0, -1.0])], [([0.0], [1.0])]),
+        exponential=(value, 0.0),
     )
+
+
+def exponential_form(fn) -> tuple[float, float] | None:
+    """(f0, kappa) with fn(s) = f0 e^{-kappa s} for s >= 0, when fn is a
+    kernel that declares its exponential form (fn is then phi) or that
+    kernel's dphi; None for any other function."""
+    kern = getattr(fn, "__self__", fn)
+    if not isinstance(kern, Kernel) or kern.exponential is None:
+        return None
+    amp, kappa = kern.exponential
+    if fn is kern:
+        return amp, kappa
+    if getattr(fn, "__func__", None) is Kernel.dphi:
+        # 0.0 rather than -0.0 for a constant phi, whose phi' is 0
+        return -kappa * amp + 0.0, kappa
+    return None
 
 
 def custom_kernel(phi, phi_prime=None, phi0=None) -> Kernel:

@@ -512,13 +512,6 @@ class StableTailLaw(TailLaw):
         self.zeta_hi = r * (2.0 * _MASS_FLOOR) ** (-1.0 / alpha)
         self.zeta_lo = -self.zeta_hi
 
-    def sample(self, n, rng):
-        # a Pareto magnitude and a sign: two draws, kept for the stream
-        u = rng.uniform(size=n)
-        mag = self.r * u ** (-1.0 / self.alpha)
-        sign = rng.choice([-1.0, 1.0], size=n)
-        return sign * mag
-
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         side = np.minimum(u, 1.0 - u)  # P(|X| >= |x|) / 2 on x's side

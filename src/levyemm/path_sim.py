@@ -4,7 +4,9 @@ Paths live on a uniform lattice over [-M, T]. Jumps with |x| >= eps_jump
 are explicit marked-Poisson atoms embedded into their cell increment; the
 sub-threshold activity is always a matched-variance Gaussian. The moving
 average uses left-point sums for the diffuse part and exact kernel
-responses phi(t - T_n) for the explicit jumps.
+responses phi(t - T_n) for the explicit jumps; for a kernel of
+exponential form both sums are carried as states along each path
+(`PathBlock.response`).
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+from scipy.signal import lfilter
 
 from . import _backend
 from .errors import InvalidConfig, KernelDomain
-from .kernel import Kernel
+from .kernel import Kernel, exponential_form
 from .levy_model import (
     Interval,
     LevyTriplet,
@@ -156,12 +160,39 @@ class PathBlock:
         otherwise, for X_t), plus the diffuse left-point sum over the cells
         whose left node lies before t_q.
 
-        Each row is summed in its own order (cells, then jumps in time,
-        each by a running sum), so the value depends only on that path and
-        never on the block or the slice it is evaluated in.
+        When fn is f0 e^{-kappa s} (`exponential_form`: phi or phi' of the
+        exponential and constant kernels), each path carries its sums as
+        states: C_l = e^{-kappa dt} C_{l-1} + dL_l from left node to left
+        node, and S_j = e^{-kappa (T_j - T_{j-1})} S_{j-1} + Z_j from jump
+        to jump in time order (`_carry`). A query reads the latest of each
+        before it: f0 (e^{-kappa (t_q - l)} C_l + e^{-kappa (t_q - T_j)} S_j).
+        Every factor is at most 1, so no kappa overflows, and a block costs
+        O(cells + jumps) plus one search per query. Any other fn is summed
+        per query, cells and then jumps in time order, by a running sum.
+        Either way a value depends only on its path and t_q: not on the
+        block, nor on the other queries.
         """
-        rows = np.asarray(rows, dtype=np.intp)
-        t = np.asarray(t, dtype=float)
+        return self.responses((fn, rows, t, strict))[0]
+
+    def responses(self, *queries) -> list:
+        """response(fn, rows, t, strict=strict) for each (fn, rows, t,
+        strict) of queries. Functions of exponential form with the same
+        kappa, such as a kernel's phi and phi', share one carry."""
+        carried, out = {}, []
+        for fn, rows, t, strict in queries:
+            rows = np.asarray(rows, dtype=np.intp)
+            t = np.asarray(t, dtype=float)
+            form = exponential_form(fn)
+            if form is None:
+                out.append(self._running(fn, rows, t, strict=strict))
+                continue
+            f0, kappa = form
+            c = carried.setdefault(kappa, _Carried(self, kappa))
+            out.append(f0 * (c.cells_at(rows, t) + c.jumps_at(rows, t, strict=strict)))
+        return out
+
+    def _running(self, fn, rows, t, *, strict: bool) -> np.ndarray:
+        """response by the per-query running sum, for any fn."""
         out = np.zeros(len(t))
         if self.diffuse.any():
             left = self.times[:-1]
@@ -196,11 +227,20 @@ class PathBlock:
         if prehistory is not None:
             for v, mean, factor in zip((X, Y), prehistory.mean, prehistory.factor):
                 v += mean + np.einsum("br,kr->bk", eta, factor)
+        if not len(self.jump_times):
+            return X, Y
         # the queries are built after the correlations have freed their
         # temporaries, so they do not raise the peak memory of a block
         rows, t = np.repeat(np.arange(B), len(grid)), np.tile(grid, B)
+        carried = {}
         for fn, v in zip(fns, (X, Y)):
-            self._add_jumps(fn, rows, t, v.reshape(-1), strict=False)
+            form = exponential_form(fn)
+            if form is None:
+                self._add_jumps(fn, rows, t, v.reshape(-1), strict=False)
+                continue
+            f0, kappa = form
+            c = carried.setdefault(kappa, _Carried(self, kappa))
+            v += f0 * c.jumps_at(rows, t, strict=False).reshape(v.shape)
         return X, Y
 
     def _add_jumps(self, fn, rows, t, out, *, strict: bool) -> None:
@@ -217,6 +257,231 @@ class PathBlock:
                 jt = self.jump_times[idx]
                 out[q] += _running_sum(fn, tq, jt, self.jump_sizes[idx],
                                        valid & before(jt, tq))
+
+
+# jump ranks per chunk of the carry (_carry); a constant, so that a row's
+# chunks, and with them its bits, never depend on the block
+_CHUNK = 16
+
+
+class _Carried:
+    """The sums of a block's paths carried as states for one decay rate
+    kappa (see `PathBlock.response`), each computed when first read."""
+
+    def __init__(self, block: PathBlock, kappa: float):
+        self.block, self.kappa = block, kappa
+
+    @cached_property
+    def cell_states(self) -> np.ndarray | None:
+        """C_l at every left node of every row; None without diffuse
+        activity."""
+        block = self.block
+        if not block.diffuse.any():
+            return None
+        return lfilter([1.0], [1.0, -math.exp(-self.kappa * block.dt)],
+                       block.diffuse, axis=1)
+
+    @cached_property
+    def jump_carry(self) -> tuple:
+        """`_carry` of S along every row's jumps: (part, prod, entering)
+        in its layout, with each row's ranks padded to whole chunks of
+        _CHUNK: jump rank k of row b sits at (k % _CHUNK, k // _CHUNK, b),
+        and the padding has decay and size 0."""
+        block = self.block
+        counts = np.diff(block.offsets)
+        starts = block.offsets[:-1][counts > 0]
+        gap = np.diff(block.jump_times, prepend=0.0)
+        gap[starts] = 0.0
+        decay = np.exp(-self.kappa * gap)
+        decay[starts] = 0.0
+        return _carry(self._chunked(decay), self._chunked(block.jump_sizes))
+
+    @cached_property
+    def _filled(self) -> np.ndarray:
+        """(row, rank) of every jump, as a mask over whole chunks."""
+        counts = np.diff(self.block.offsets)
+        n_chunks = -(-int(counts.max(initial=0)) // _CHUNK)
+        return np.arange(n_chunks * _CHUNK) < counts[:, None]
+
+    def _chunked(self, values) -> np.ndarray:
+        """Per-jump values in the (rank in chunk, chunk, row) layout of
+        jump_carry, so that each step of _carry is one contiguous slab."""
+        B, width = self._filled.shape
+        padded = np.zeros((B, width))
+        padded[self._filled] = values
+        return np.ascontiguousarray(
+            padded.reshape(B, -1, _CHUNK).transpose(2, 1, 0))
+
+    @cached_property
+    def jump_states(self) -> np.ndarray:
+        """S_j after every jump, in the flat order of the jumps."""
+        part, prod, entering = self.jump_carry
+        B = self._filled.shape[0]
+        return (part + prod * entering).transpose(2, 1, 0).reshape(B, -1)[
+            self._filled]
+
+    @cached_property
+    def jump_keys(self) -> np.ndarray:
+        """The jumps' (row, time) keys (`_row_time_keys`), in flat order."""
+        return _row_time_keys(self.block.jump_rows(), self.block.jump_times)
+
+    def cells_at(self, rows, t) -> np.ndarray:
+        """e^{-kappa (t - l)} C_l at the last left node l < t of each query."""
+        out = np.zeros(len(t))
+        if not len(t) or self.cell_states is None:
+            return out
+        left = self.block.times[:-1]
+        last = np.searchsorted(left, t) - 1
+        seen = last >= 0
+        out[seen] = np.exp(-self.kappa * (t[seen] - left[last[seen]])) \
+            * self.cell_states[rows[seen], last[seen]]
+        return out
+
+    def jumps_at(self, rows, t, *, strict: bool) -> np.ndarray:
+        """e^{-kappa (t - T_j)} S_j at the last jump T_j of each query's row
+        it sees (T_j < t when strict, T_j <= t otherwise), 0 before any."""
+        block = self.block
+        out = np.zeros(len(t))
+        if not (len(block.jump_times) and len(t)):
+            return out
+        last = np.searchsorted(self.jump_keys, _row_time_keys(rows, t),
+                               side="left" if strict else "right") - 1
+        seen = last >= block.offsets[rows]
+        j = last[seen]
+        out[seen] = np.exp(-self.kappa * (t[seen] - block.jump_times[j])) \
+            * self.jump_states[j]
+        return out
+
+
+def _row_time_keys(rows, t):
+    """Complex keys row + i t, which compare (row, time) exactly, in that
+    order."""
+    keys = np.empty(len(t), dtype=complex)
+    keys.real, keys.imag = rows, t
+    return keys
+
+
+def _carry(r, z):
+    """s[k] = r[k] s[k - 1] + z[k] along the ranks k of (rank in chunk,
+    chunk, row) arrays, from s = 0, as the triple (part, prod, entering)
+    with s = part + prod entering: each chunk's carry from 0 and the
+    product of its decays, rank by rank for all chunks at once; then the
+    state entering each chunk (chunk, row), one chunk after the other.
+    Every factor is at most 1. That takes about 3 _CHUNK + 2 chunks array
+    operations instead of 2 per rank; `_CarryCursor` continues it one
+    jump at a time with the same arithmetic."""
+    part, prod = z.copy(), r.copy()
+    for k in range(1, len(z)):
+        np.multiply(r[k], part[k - 1], out=part[k])
+        part[k] += z[k]
+        np.multiply(r[k], prod[k - 1], out=prod[k])
+    entering = np.zeros(z.shape[1:])
+    for c in range(1, len(entering)):
+        np.multiply(prod[-1, c - 1], entering[c - 1], out=entering[c])
+        entering[c] += part[-1, c - 1]
+    return part, prod, entering
+
+
+class _CarryCursor:
+    """Each row's `_carry` after its latest jump, continued one jump at a
+    time with the same arithmetic, so that a row's states are the ones
+    `_Carried` gives the row with those jumps appended."""
+
+    def __init__(self, carried: _Carried, last: np.ndarray):
+        """Row b starts after its flat jump last[b], or before any jump when
+        last[b] < offsets[b]."""
+        block, self.kappa = carried.block, carried.kappa
+        seen = last >= block.offsets[:-1]
+        self.rank = np.where(seen, last - block.offsets[:-1], -1)
+        self.time, self.part, self.prod, self.entering = np.zeros((4, len(last)))
+        self.time[seen] = block.jump_times[last[seen]]
+        part, prod, entering = carried.jump_carry
+        k, b = self.rank[seen], np.flatnonzero(seen)
+        self.part[seen] = part[k % _CHUNK, k // _CHUNK, b]
+        self.prod[seen] = prod[k % _CHUNK, k // _CHUNK, b]
+        self.entering[seen] = entering[k // _CHUNK, b]
+
+    def step(self, rows, t, z) -> None:
+        """Append a jump of size z at time t, after its latest, to each row."""
+        rank = self.rank[rows] + 1
+        later = rank > 0
+        r = np.zeros(len(rows))
+        r[later] = np.exp(-self.kappa * (t[later] - self.time[rows[later]]))
+        new = rank % _CHUNK == 0
+        part, prod, entering = self.part[rows], self.prod[rows], self.entering[rows]
+        self.entering[rows] = np.where(new, prod * entering + part, entering)
+        self.part[rows] = np.where(new, z, r * part + z)
+        self.prod[rows] = np.where(new, r, r * prod)
+        self.rank[rows], self.time[rows] = rank, t
+
+    def at(self, rows, t) -> np.ndarray:
+        """e^{-kappa (t - T)} S at each row's latest jump T, 0 before any."""
+        out = np.zeros(len(rows))
+        seen = self.rank[rows] >= 0
+        r = rows[seen]
+        out[seen] = np.exp(-self.kappa * (t[seen] - self.time[r])) \
+            * (self.part[r] + self.prod[r] * self.entering[r])
+        return out
+
+
+class MarkedResponse:
+    """fn's strict response at queries (rows, t), given row after row in
+    increasing rows and each row's in time order, over the block's jumps
+    and a mark placed at each earlier query of the row. before(q) gives it
+    at queries q, each the next query of its row, and mark(q, z) then
+    places their marks.
+
+    When fn has exponential form the values are those `PathBlock.response`
+    gives on the block with the marks inserted as jumps, bit for bit: each
+    row's carry is continued through its jumps up to the query and then
+    through the mark. Otherwise they are the block's response plus the
+    running sum over the earlier marks.
+    """
+
+    def __init__(self, block: PathBlock, fn, rows, t):
+        self.block, self.fn, self.rows, self.t = block, fn, rows, t
+        self.z = np.zeros(len(t))
+        B = len(block.offsets) - 1
+        self.first = np.searchsorted(rows, np.arange(B))
+        self.form = exponential_form(fn)
+        if self.form is None:
+            self.base = block.response(fn, rows, t, strict=True)
+            return
+        carried = _Carried(block, self.form[1])
+        self.cells = carried.cells_at(rows, t)
+        # per query, the end of its row's jumps before it; each row's carry
+        # starts at its first query
+        self.end = np.searchsorted(carried.jump_keys, _row_time_keys(rows, t))
+        has = np.bincount(rows, minlength=B) > 0
+        self.next = block.offsets[:-1].copy()
+        self.next[has] = self.end[self.first[has]]
+        self.cursor = _CarryCursor(carried, self.next - 1)
+
+    def before(self, q) -> np.ndarray:
+        rows, t = self.rows[q], self.t[q]
+        if self.form is None:
+            rank = q - self.first[rows]
+            back = np.arange(1, int(rank.max(initial=0)) + 1)
+            if not len(back):
+                return self.base[q]
+            prev = np.maximum(q[:, None] - back, 0)
+            seen = (back <= rank[:, None]) & (self.t[prev] < t[:, None])
+            return self.base[q] + _running_sum(self.fn, t[:, None], self.t[prev],
+                                               self.z[prev], seen)
+        while True:
+            go = self.next[rows] < self.end[q]
+            if not go.any():
+                break
+            r = rows[go]
+            j = self.next[r]
+            self.cursor.step(r, self.block.jump_times[j], self.block.jump_sizes[j])
+            self.next[r] += 1
+        return self.form[0] * (self.cells[q] + self.cursor.at(rows, t))
+
+    def mark(self, q, z) -> None:
+        self.z[q] = z
+        if self.form is not None:
+            self.cursor.step(self.rows[q], self.t[q], z)
 
 
 def _slices(rows, t, width):
@@ -358,6 +623,17 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
+def sort_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """values, row after row with counts[b] in row b, each row sorted: one
+    sort of the rows padded to a (B, width) array with +inf, which only
+    permutes each row's values."""
+    filled = np.arange(int(counts.max(initial=0))) < counts[:, None]
+    padded = np.full(filled.shape, np.inf)
+    padded[filled] = values
+    padded.sort(axis=1)
+    return padded[filled]
+
+
 class PathSimulator:
     """Precomputes model quantities and generates reproducible paths.
 
@@ -431,8 +707,10 @@ class PathSimulator:
     def draw(self, rngs) -> PathBlock:
         """One path per generator. Each row takes the same calls of its own
         generator in the same order (Gaussian part, small-jump
-        approximation, jump count, times, sizes), so it does not depend on
-        the block it is drawn in; simulate is the one-row case."""
+        approximation, jump count, times, mark uniforms), so it does not
+        depend on the block it is drawn in; simulate is the one-row case.
+        The rows' times are sorted, and their uniforms turned into marks
+        by the tail quantile, once for the whole block."""
         cfg = self.config
         n = cfg.n_cells
         dt = cfg.dt
@@ -441,7 +719,7 @@ class PathSimulator:
         sd_small = (math.sqrt(self.small_var_rate * dt)
                     if self.small_var_rate > 0.0 else None)
         mean_count = self.jump_rate * (cfg.T + cfg.M)
-        jt_parts, jz_parts = [np.empty(0)], [np.empty(0)]
+        jt_parts, u_parts = [np.empty(0)], [np.empty(0)]
         counts = np.zeros(len(rngs), dtype=np.intp)
         for b, rng in enumerate(rngs):
             if sd_c is not None:
@@ -450,10 +728,12 @@ class PathSimulator:
                 diffuse[b] += rng.normal(0.0, sd_small, n)
             if self.tail is not None:
                 counts[b] = rng.poisson(mean_count)
-                jt_parts.append(np.sort(rng.uniform(-cfg.M, cfg.T, counts[b])))
-                jz_parts.append(self.tail.sample(counts[b], rng))
-        return PathBlock(self.times, dt, diffuse, np.concatenate(jt_parts),
-                         np.concatenate(jz_parts),
+                jt_parts.append(rng.uniform(-cfg.M, cfg.T, counts[b]))
+                u_parts.append(rng.random(counts[b]))
+        sizes = (self.tail.quantile(np.concatenate(u_parts))
+                 if self.tail is not None else np.empty(0))
+        return PathBlock(self.times, dt, diffuse,
+                         sort_rows(np.concatenate(jt_parts), counts), sizes,
                          np.concatenate([[0], np.cumsum(counts)]))
 
     def prehistory(self, kernel: Kernel) -> Prehistory:

@@ -533,10 +533,10 @@ def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
         paths = np.arange(n)
         win = (block.jump_times > 0.0) & (np.abs(block.jump_sizes) > gk.a)
         w_rows = block.jump_rows()[win]
-        y_pre = block.response(kern.dphi, w_rows, block.jump_times[win],
-                               strict=True)
-        y_left = block.response(kern.dphi, np.repeat(paths, len(grid)),
-                                np.tile(grid, n), strict=True)
+        y_pre, y_left, x = block.responses(
+            (kern.dphi, w_rows, block.jump_times[win], True),
+            (kern.dphi, np.repeat(paths, len(grid)), np.tile(grid, n), True),
+            (kern, np.repeat(paths, len(probes)), np.tile(probes, n), False))
         factors, comp = girsanov.density_terms(
             gk, y_pre, block.jump_sizes[win], y_left.reshape(n, len(grid)),
             cfg.dt)
@@ -544,9 +544,7 @@ def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
         z = np.ones(n)
         np.multiply.at(z, w_rows, factors)
         z_T[out] = z * np.exp(comp[:, -1])
-        x_probe[out] = block.response(kern, np.repeat(paths, len(probes)),
-                                      np.tile(probes, n), strict=False
-                                      ).reshape(n, len(probes))
+        x_probe[out] = x.reshape(n, len(probes))
         counts[out] = np.bincount(w_rows, minlength=n)
     return {"z_T": z_T, "x_probe": x_probe, "counts": counts}
 

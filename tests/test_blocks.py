@@ -2,6 +2,7 @@
 summed on its own, so the chunk workers do not depend on how the path
 indices are split, and they agree with per-path references."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,8 +10,14 @@ import numpy as np
 import pytest
 
 from levyemm import girsanov, path_sim, pipeline
-from levyemm.kernel import exponential_kernel, power_kernel
+from levyemm.kernel import (
+    constant_kernel,
+    exponential_form,
+    exponential_kernel,
+    power_kernel,
+)
 from levyemm.levy_model import (
+    DiscreteMeasure,
     LevyTriplet,
     gaussian_only,
     indicator_inside,
@@ -18,11 +25,13 @@ from levyemm.levy_model import (
 )
 from levyemm.path_sim import (
     LatticePath,
+    MarkedResponse,
     PathBlock,
     PathSimulator,
     SimConfig,
     _cell_index,
     moving_average,
+    sort_rows,
     y_at,
 )
 
@@ -311,3 +320,214 @@ def test_weighted_block_matches_per_path_reference(name):
     # relative to the size of X: a probe value near 0 has no relative scale
     np.testing.assert_allclose(got["x_probe"], x_ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(x_ref)))
+
+
+def test_direct_q_marks_over_kept_jumps_match_sequential_reference():
+    """The marks of a kernel without exponential form are drawn from the
+    response over the kept jumps plus the running sum over the earlier
+    marks; that agrees with the path-by-path reference to rounding."""
+    d = _live_two_atom_q()
+    d["kernel"] = {"type": "power", "gamma": 0.5}
+    # a short pre-history keeps Y within the two atoms' reach
+    d["sim"]["M"] = 4.0
+    scn, triplet, kern, _, sim = pipeline._model(d)
+    gk = pipeline.make_girsanov_kernel(scn, triplet)
+    counts, _, marks, y_pre = girsanov.draw_under_q(
+        gk, kern, sim, [sim.rng_for(i) for i in range(100)])
+    refs = [_q_reference(gk, kern, sim, i) for i in range(100)]
+    assert counts.tolist() == [len(m) for m, _ in refs] and counts.max() > 2
+    assert np.array_equal(marks, np.concatenate([m for m, _ in refs]))
+    np.testing.assert_allclose(y_pre, np.concatenate([y for _, y in refs]),
+                               rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# block-level draw transforms
+# ---------------------------------------------------------------------------
+
+
+def test_sort_rows_sorts_each_row_on_its_own():
+    rng = np.random.default_rng(4)
+    counts = np.array([0, 5, 1, 0, 17, 3])
+    values = rng.normal(size=counts.sum())
+    got = sort_rows(values, counts)
+    ends = np.cumsum(counts)
+    want = np.concatenate([np.sort(values[e - c:e]) for c, e in zip(counts, ends)])
+    assert np.array_equal(got, want)
+    assert len(sort_rows(np.empty(0), np.zeros(3, dtype=int))) == 0
+
+
+# ---------------------------------------------------------------------------
+# carried responses of kernels of exponential form
+# ---------------------------------------------------------------------------
+
+
+def test_exponential_form_declarations():
+    s = np.linspace(0.0, 6.0, 25)
+    k = exponential_kernel(0.7, 1.3)
+    for fn in (k, k.dphi):
+        f0, kappa = exponential_form(fn)
+        np.testing.assert_allclose(f0 * np.exp(-kappa * s), fn(s), rtol=1e-15)
+    c = constant_kernel(2.5)
+    assert exponential_form(c) == (2.5, 0.0)
+    f0, kappa = exponential_form(c.dphi)
+    assert (f0, kappa) == (0.0, 0.0) and math.copysign(1.0, f0) == 1.0
+    p = power_kernel(1.5)
+    for fn in (p, p.dphi, np.exp, k.phi, k.recursion):
+        assert exponential_form(fn) is None
+
+
+def _running(kernel):
+    """The kernel without its declared exponential form, so that response
+    sums it per query by the running sum."""
+    return dataclasses.replace(kernel, exponential=None)
+
+
+def _busy_block(n_rows=40, seed=3):
+    """A block with Brownian and drift cells, rows of more than three
+    carry chunks of jumps, and two rows without any jump."""
+    F = DiscreteMeasure([(-1.0, 1.5), (0.5, 0.5), (2.0, 2.0)])
+    triplet = LevyTriplet(0.4, F, 0.3, indicator_inside(0.25))
+    cfg = SimConfig(T=1.0, M=10.0, dt=0.125, eps_jump=0.25, n_paths=1, seed=seed)
+    sim = PathSimulator(triplet, cfg)
+    block = sim.draw(sim.rngs(0, n_rows))
+    keep = ~np.isin(block.jump_rows(), [3, 7])
+    counts = np.bincount(block.jump_rows()[keep], minlength=n_rows)
+    assert counts.max() > 3 * path_sim._CHUNK and (counts == 0).sum() == 2
+    return PathBlock(block.times, block.dt, block.diffuse,
+                     block.jump_times[keep], block.jump_sizes[keep],
+                     np.concatenate([[0], np.cumsum(counts)]))
+
+
+def _queries(block, seed=0, per_row=12):
+    """Per row: times spread over [-M, T] and beyond it, every fifth jump
+    time and every seventh left node; then a few repeated, and all
+    shuffled across the rows."""
+    rng = np.random.default_rng(seed)
+    t0, t1 = float(block.times[0]), float(block.times[-1])
+    rows, t = [], []
+    for b in range(len(block.offsets) - 1):
+        own = np.concatenate([
+            rng.uniform(t0 - 0.5, t1 + 0.5, per_row),
+            block.jump_times[block.offsets[b]:block.offsets[b + 1]][::5],
+            block.times[:-1][::7]])
+        rows.append(np.full(len(own), b))
+        t.append(own)
+    rows, t = np.concatenate(rows), np.concatenate(t)
+    again = rng.choice(len(t), 40)
+    rows, t = np.concatenate([rows, rows[again]]), np.concatenate([t, t[again]])
+    order = rng.permutation(len(t))
+    return rows[order], t[order]
+
+
+def _assert_carried_matches_running(block, kernel, rows, t):
+    for fn, ref in ((kernel, _running(kernel)), (kernel.dphi, _running(kernel).dphi)):
+        for strict in (True, False):
+            got = block.response(fn, rows, t, strict=strict)
+            want = block.response(ref, rows, t, strict=strict)
+            assert np.all(np.isfinite(got))
+            scale = max(np.max(np.abs(want)), 1e-300)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("kernel", [
+    exponential_kernel(0.05), exponential_kernel(1.0, 1.7),
+    exponential_kernel(100.0), constant_kernel(1.3)],
+    ids=["kappa-0.05", "kappa-1", "kappa-100", "constant"])
+def test_carried_response_matches_running_sum(kernel):
+    block = _busy_block()
+    # kappa (T + M) reaches 1100 for kappa = 100, and nothing overflows:
+    # the suite turns RuntimeWarning into an error
+    rows, t = _queries(block)
+    _assert_carried_matches_running(block, kernel, rows, t)
+
+
+@pytest.mark.parametrize("which", ["h1-two-atom", "sas-gauss"])
+def test_carried_response_matches_running_sum_with_diffuse_cells(which):
+    if which == "sas-gauss":
+        sim = _sas_gauss_sim()
+    else:
+        sim = pipeline._model(_builtin(which))[4]
+    block = sim.draw(sim.rngs(0, 60))
+    assert block.diffuse.any() and len(block.jump_times)
+    rows, t = _queries(block, seed=1)
+    _assert_carried_matches_running(block, exponential_kernel(0.7, 1.3), rows, t)
+
+
+def test_carried_response_at_jump_times_and_left_nodes():
+    k = exponential_kernel(0.9)
+    times = np.linspace(-1.0, 1.0, 9)
+    diffuse = np.zeros(8)
+    diffuse[4] = 0.5  # the cell with left node 0.0
+    path = LatticePath(times, diffuse.copy(), np.array([-0.5, 0.25]),
+                       np.array([2.0, -1.0]))
+    block = PathBlock.of_path(path, diffuse)
+    t = np.array([0.0, 0.25, -0.5, 0.0, 0.25])
+    rows = np.zeros(len(t), dtype=int)
+    x = block.response(k, rows, t, strict=False)
+    y = block.response(k.dphi, rows, t, strict=True)
+    e = lambda s: math.exp(-0.9 * s)  # noqa: E731
+    # the cell at 0.0 is seen after its left node only, strict or not
+    want_x = [2.0 * e(0.5), 2.0 * e(0.75) + 0.5 * e(0.25) - 1.0, 2.0]
+    want_y = [2.0 * e(0.5), 2.0 * e(0.75) + 0.5 * e(0.25), 0.0]
+    np.testing.assert_allclose(x[:3], want_x, rtol=1e-15)
+    np.testing.assert_allclose(y[:3], -0.9 * np.array(want_y), rtol=1e-15)
+    assert x[3] == x[0] and x[4] == x[1] and y[3] == y[0] and y[4] == y[1]
+
+
+def test_carried_rows_are_the_same_alone_in_a_block_and_permuted():
+    sim = pipeline._model(_builtin("h1-two-atom"))[4]
+    block = sim.draw(sim.rngs(0, 128))
+    rows, t = _queries(block, seed=2, per_row=6)
+    k = exponential_kernel(0.05)
+    for fn, strict in ((k, False), (k.dphi, True)):
+        whole = block.response(fn, rows, t, strict=strict)
+        perm = np.random.default_rng(9).permutation(len(t))
+        assert np.array_equal(block.response(fn, rows[perm], t[perm],
+                                             strict=strict), whole[perm])
+        for b in (0, 1, 77, 127):
+            mine = rows == b
+            alone = PathBlock.of_path(block.path(b), block.diffuse[b])
+            got = alone.response(fn, np.zeros(mine.sum(), dtype=int), t[mine],
+                                 strict=strict)
+            assert np.array_equal(got, whole[mine]), b
+            one_by_one = [alone.response(fn, [0], [tq], strict=strict)[0]
+                          for tq in t[mine]]
+            assert np.array_equal(one_by_one, whole[mine]), b
+
+
+@pytest.mark.parametrize("kernel", [exponential_kernel(1.0, 1.3), power_kernel(1.5)],
+                         ids=["exponential", "power"])
+def test_marked_response_equals_response_with_the_marks_inserted(kernel):
+    """Each row's carry continues through its jumps and the marks, across
+    carry chunks: the values are the path-by-path responses with the
+    earlier marks inserted as jumps, to the bit for exponential form."""
+    F = DiscreteMeasure([(-1.0, 2.0), (1.0, 2.0)])
+    triplet = LevyTriplet(0.3, F, 0.2, indicator_inside(0.25))
+    cfg = SimConfig(T=8.0, M=2.0, dt=0.25, eps_jump=0.25, n_paths=1, seed=11)
+    sim = PathSimulator(triplet, cfg)
+    block = sim.draw(sim.rngs(0, 30))
+    rng = np.random.default_rng(5)
+    counts = rng.integers(0, 6, 30)
+    q_t = sort_rows(rng.uniform(0.0, cfg.T, counts.sum()), counts)
+    q_rows = np.repeat(np.arange(30), counts)
+    q_off = np.concatenate([[0], np.cumsum(counts)])
+    marks = rng.normal(size=len(q_t))
+    drift = MarkedResponse(block, kernel.dphi, q_rows, q_t)
+    got = np.empty(len(q_t))
+    for k in range(counts.max()):
+        at = q_off[:-1][counts > k] + k
+        got[at] = drift.before(at)
+        drift.mark(at, marks[at])
+    for b in range(30):
+        path = block.path(b)
+        jt, jz = path.jump_times, path.jump_sizes
+        for q in range(q_off[b], q_off[b + 1]):
+            ref = y_at(kernel, LatticePath(sim.times, block.diffuse[b], jt, jz),
+                       q_t[q], diffuse=block.diffuse[b])
+            if kernel.name == "exponential":
+                assert got[q] == ref, (b, q)
+            else:
+                assert got[q] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            at = np.searchsorted(jt, q_t[q])
+            jt, jz = np.insert(jt, at, q_t[q]), np.insert(jz, at, marks[q])
