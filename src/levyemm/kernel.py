@@ -39,12 +39,12 @@ AC_TOL = 1e-6
 class Kernel:
     """phi with its density phi' and what is known of its shape.
 
-    iir gives the exact recursions of the weight tables on a lattice.
     exponential = (A, kappa) declares phi(s) = A e^{-kappa s}, so that
     phi'(s) = -kappa A e^{-kappa s} (kappa = 0 for a constant phi):
-    exponential_form reads that off phi or phi', and a path's response
-    to such a function is a state carried along its cells and its jumps
-    (`PathBlock.response`). Other kernels declare none.
+    exponential_form reads that off phi or phi', and a path's sums of
+    such a function, on the grid (`PathBlock.moving_average`) or at any
+    time (`PathBlock.response`), are states carried along its cells and
+    its jumps. Other kernels declare none.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -52,10 +52,6 @@ class Kernel:
     phi0: float
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    # dt -> (sections of phi, sections of phi'): lists of IIR filters (b, a)
-    # whose cascade has the impulse response phi(j dt), resp. phi'(j dt),
-    # for j = 1, 2, ...
-    iir: Callable[[float], tuple] | None = None
     exponential: tuple[float, float] | None = None
 
     def __call__(self, t):
@@ -65,14 +61,6 @@ class Kernel:
         if self.phi_prime is None:
             raise MissingDensity("kernel has no phi' attached")
         return np.asarray(self.phi_prime(np.asarray(t, dtype=float)), dtype=float)
-
-    def recursion(self, dt: float) -> tuple:
-        """The exact recursions of the phi and phi' weight tables at step
-        dt, each a list of IIR sections (b, a) applied one after the other,
-        or (None, None) when the kernel has none."""
-        if self.iir is None:
-            return None, None
-        return self.iir(dt)
 
     def truncation_bias_bound(self, M: float) -> float | None:
         """Analytic bound on the mass of phi beyond lag M (named kernels)."""
@@ -91,19 +79,12 @@ def exponential_kernel(kappa: float, amplitude: float = 1.0) -> Kernel:
     """phi(t) = A e^{-kappa t}."""
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
-
-    def iir(dt):
-        r = math.exp(-kappa * dt)
-        a = [1.0, -r]
-        return [([amplitude * r], a)], [([-kappa * amplitude * r], a)]
-
     return Kernel(
         phi=lambda t: amplitude * np.exp(-kappa * t),
         phi_prime=lambda t: -amplitude * kappa * np.exp(-kappa * t),
         phi0=amplitude,
         name="exponential",
         params={"kappa": kappa, "amplitude": amplitude},
-        iir=iir,
         exponential=(amplitude, kappa),
     )
 
@@ -140,25 +121,12 @@ def power_density_kernel(q: float, phi0: float = 1.0) -> Kernel:
 
 def zero_start_kernel(kappa: float = 1.0) -> Kernel:
     """phi(t) = t e^{-kappa t}; has phi(0) = 0 (a not-admissible example)."""
-
-    def iir(dt):
-        # the double pole r = e^{-kappa dt} as two first-order sections:
-        # the one-section denominator [1, -2r, r^2] splits the pole when
-        # r^2 is rounded, and over 5376 lags at dt = 2^-9 (kappa = 1) its
-        # response misses phi(j dt) by 5e-12 of the peak
-        r = math.exp(-kappa * dt)
-        a = [1.0, -r]
-        pole = ([1.0], a)
-        return ([([dt * r], a), pole],
-                [([r * (1.0 - kappa * dt), -r * r], a), pole])
-
     return Kernel(
         phi=lambda t: t * np.exp(-kappa * t),
         phi_prime=lambda t: (1.0 - kappa * t) * np.exp(-kappa * t),
         phi0=0.0,
         name="zero-start",
         params={"kappa": kappa},
-        iir=iir,
     )
 
 
@@ -170,7 +138,6 @@ def constant_kernel(value: float = 1.0) -> Kernel:
         phi0=value,
         name="constant",
         params={"value": value},
-        iir=lambda dt: ([([value], [1.0, -1.0])], [([0.0], [1.0])]),
         exponential=(value, 0.0),
     )
 

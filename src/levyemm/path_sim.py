@@ -6,7 +6,7 @@ sub-threshold activity is always a matched-variance Gaussian. The moving
 average uses left-point sums for the diffuse part and exact kernel
 responses phi(t - T_n) for the explicit jumps; for a kernel of
 exponential form both sums are carried as states along each path
-(`PathBlock.response`).
+(`PathBlock.moving_average`, `PathBlock.response`).
 """
 
 from __future__ import annotations
@@ -205,9 +205,12 @@ class PathBlock:
                        eta: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
         """X and Y = phi'-average of every path on the grid [0, T], each of
-        shape (B, n_out): the diffuse left-point sums by one correlation of
-        the block per weight table, plus each jump's exact response at the
-        nodes at or after it.
+        shape (B, n_out): the diffuse left-point sums plus each jump's exact
+        response at the nodes at or after it. For a kernel of exponential
+        form both are f0 times one carried sum (`_Carried.on_grid`), so off
+        the jump times they are `response`'s values to the bit; any other
+        kernel takes one FFT correlation of the block per weight table
+        (`_backend.ma_correlate`) plus the jumps by running sum.
 
         A block drawn from 0 may take its pre-history in law instead: with
         prehistory (`PathSimulator.prehistory` of the lattice from -M) and
@@ -219,28 +222,24 @@ class PathBlock:
         m = _zero_node(self.times, self.dt)
         if prehistory is not None and m:
             raise ValueError("a pre-history in law needs a block drawn from 0")
-        grid = self.times[m:]
         fns = (kernel, kernel.dphi)
-        X, Y = (_backend.ma_correlate(self.diffuse, _weight_table(fn, n, self.dt),
-                                      len(grid), m, rec)
-                for fn, rec in zip(fns, kernel.recursion(self.dt)))
+        if kernel.exponential is not None:
+            s = _Carried(self, kernel.exponential[1]).on_grid(m)
+            (fx, _), (fy, _) = (exponential_form(fn) for fn in fns)
+            X, Y = fx * s, np.multiply(s, fy, out=s)  # Y reuses s's buffer
+        else:
+            grid = self.times[m:]
+            X, Y = (_backend.ma_correlate(self.diffuse, _weight_table(fn, n, self.dt),
+                                          len(grid), m) for fn in fns)
+            if len(self.jump_times):
+                # the queries are built after the correlations have freed
+                # their temporaries, so they do not raise the peak memory
+                rows, t = np.repeat(np.arange(B), len(grid)), np.tile(grid, B)
+                for fn, v in zip(fns, (X, Y)):
+                    self._add_jumps(fn, rows, t, v.reshape(-1), strict=False)
         if prehistory is not None:
             for v, mean, factor in zip((X, Y), prehistory.mean, prehistory.factor):
                 v += mean + np.einsum("br,kr->bk", eta, factor)
-        if not len(self.jump_times):
-            return X, Y
-        # the queries are built after the correlations have freed their
-        # temporaries, so they do not raise the peak memory of a block
-        rows, t = np.repeat(np.arange(B), len(grid)), np.tile(grid, B)
-        carried = {}
-        for fn, v in zip(fns, (X, Y)):
-            form = exponential_form(fn)
-            if form is None:
-                self._add_jumps(fn, rows, t, v.reshape(-1), strict=False)
-                continue
-            f0, kappa = form
-            c = carried.setdefault(kappa, _Carried(self, kappa))
-            v += f0 * c.jumps_at(rows, t, strict=False).reshape(v.shape)
         return X, Y
 
     def _add_jumps(self, fn, rows, t, out, *, strict: bool) -> None:
@@ -335,6 +334,22 @@ class _Carried:
         seen = last >= 0
         out[seen] = np.exp(-self.kappa * (t[seen] - left[last[seen]])) \
             * self.cell_states[rows[seen], last[seen]]
+        return out
+
+    def on_grid(self, m: int) -> np.ndarray:
+        """cells_at + jumps_at(strict=False) at the nodes t_m, t_{m+1}, ...
+        of every row, (B, N + 1 - m), with the cell states read by slices:
+        node t_k sees left node t_{k-1}."""
+        block, t = self.block, self.block.times
+        B, N = block.diffuse.shape
+        out = np.zeros((B, N + 1 - m))
+        if self.cell_states is not None:
+            s = max(m - 1, 0)
+            np.multiply(np.exp(-self.kappa * (t[s + 1:] - t[s:-1])),
+                        self.cell_states[:, s:], out=out[:, s + 1 - m:])
+        if len(block.jump_times):
+            rows, tq = np.repeat(np.arange(B), N + 1 - m), np.tile(t[m:], B)
+            out += self.jumps_at(rows, tq, strict=False).reshape(out.shape)
         return out
 
     def jumps_at(self, rows, t, *, strict: bool) -> np.ndarray:

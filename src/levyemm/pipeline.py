@@ -791,7 +791,7 @@ def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None,
         "n_paths": cfg.n_paths,
         "seed": cfg.seed,
         "n_jumps_in_window": len(jump_records),
-        "correlation": "fft" if kern.iir is None else "recursion",
+        "correlation": "fft" if kern.exponential is None else "recursion",
     }
     with open(os.path.join(out_dir, "simulate.json"), "w") as fh:
         dump_json(summary, fh)

@@ -66,7 +66,7 @@ CHUNK_CASES = {
     # every part of SPLIT starts inside a block of the whole
     "gaussian-baseline": (pipeline._gaussian_chunk,
                           lambda: _builtin("gaussian-baseline")),
-    # a kernel without a recursion: the FFT on [0, T] and a rank-6 factor
+    # a kernel without exponential form: the FFT on [0, T] and a rank-6 factor
     "gaussian-power-2.5": (pipeline._gaussian_chunk, lambda: {
         **_builtin("gaussian-baseline"),
         "kernel": {"type": "power", "gamma": 2.5}}),
@@ -222,6 +222,23 @@ def test_grid_moving_average_equals_response_off_jump_times(k):
                                atol=1e-12 * np.max(np.abs(y_pre)))
 
 
+@pytest.mark.parametrize("k", [exponential_kernel(0.7, 1.3), constant_kernel(0.8)],
+                         ids=lambda k: k.name)
+def test_carried_grid_moving_average_is_the_response_bit_for_bit(k):
+    # X and Y are read from the states `response` reads, with its
+    # arithmetic, so off the jump times they are its values to the bit
+    sim = _sas_gauss_sim()
+    block = sim.draw(sim.rngs(0, 40))
+    grid = sim.times[sim.config.m_cells:]
+    assert block.diffuse.any() and len(block.jump_times)
+    assert not np.isin(block.jump_times, grid).any()
+    X, Y = block.moving_average(k)
+    rows, t = np.repeat(np.arange(40), len(grid)), np.tile(grid, 40)
+    x_at, y_pre = block.responses((k, rows, t, False), (k.dphi, rows, t, True))
+    np.testing.assert_array_equal(X, x_at.reshape(X.shape))
+    np.testing.assert_array_equal(Y, y_pre.reshape(Y.shape))
+
+
 @pytest.mark.parametrize("which", ["h2-two-atom", "sas-gauss"])
 def test_draw_rows_equal_paths_drawn_one_at_a_time(which):
     if which == "sas-gauss":
@@ -373,7 +390,7 @@ def test_exponential_form_declarations():
     f0, kappa = exponential_form(c.dphi)
     assert (f0, kappa) == (0.0, 0.0) and math.copysign(1.0, f0) == 1.0
     p = power_kernel(1.5)
-    for fn in (p, p.dphi, np.exp, k.phi, k.recursion):
+    for fn in (p, p.dphi, np.exp, k.phi):
         assert exponential_form(fn) is None
 
 

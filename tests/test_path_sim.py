@@ -243,23 +243,23 @@ class TestMovingAverage:
         assert err_f < err_c / 1.5
 
     @pytest.mark.parametrize("k", [exponential_kernel(0.7, 1.3),
-                                   constant_kernel(0.8), zero_start_kernel(0.6)],
-                             ids=lambda k: k.name)
+                                   constant_kernel(0.8)], ids=lambda k: k.name)
     def test_recursion_matches_fft(self, k):
         F = DiscreteMeasure([(-1.0, 2.0), (1.0, 2.0)])
         triplet = LevyTriplet(1.0, F, 0.3, indicator_inside(0.5))
         sim = PathSimulator(triplet, _cfg(M=4.0, eps_jump=0.25))
         path = sim.simulate_index(4)
         assert len(path.jump_times) and np.any(path.diffuse_increments())
-        assert k.recursion(sim.config.dt)[0] is not None
+        assert k.exponential is not None
         got = moving_average(k, path)
-        fft = moving_average(dataclasses.replace(k, iir=None), path)
+        fft = moving_average(dataclasses.replace(k, exponential=None), path)
         np.testing.assert_allclose(got.X, fft.X, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.Y, fft.Y, rtol=0, atol=1e-12)
 
-    def test_power_kernel_takes_the_fft(self):
-        k = power_kernel(1.5)
-        assert k.recursion(0.125) == (None, None)
+    @pytest.mark.parametrize("k", [power_kernel(1.5), zero_start_kernel(0.6)],
+                             ids=lambda k: k.name)
+    def test_power_kernel_takes_the_fft(self, k):
+        assert k.exponential is None
         cfg = _cfg(M=2.0)
         path = PathSimulator(_gauss_triplet(), cfg).simulate_index(0)
         ma = moving_average(k, path)

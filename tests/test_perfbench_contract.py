@@ -1,8 +1,10 @@
 """The benchmark under perfbench/ reaches into the package by name: its
 traced run wraps the callables `spans.layer_targets` lists, and `micro.run`
 times single layers through their public functions. A refactor that
-renames or removes one of them breaks `perfbench/run.py --trace 1`, so
-these checks run with the unit tests."""
+renames or removes one of them breaks `perfbench/run.py --trace 1`, and
+every run's manifest names the correlation backend through
+`_backend.backend_name` and `available_backends`, so these checks run with
+the unit tests."""
 
 import math
 from pathlib import Path
@@ -34,3 +36,10 @@ def test_micro_run_completes(perfbench):
     assert out
     for name, value in out.items():
         assert math.isfinite(value) and value >= 0.0, name
+
+
+def test_run_manifest_names_the_backend(perfbench):
+    import run
+    doc = run.manifest("gaussian-corr", "gaussian-baseline", 3117, 512)
+    assert doc["backend_name"] == "numpy"
+    assert doc["available_backends"] == ["numpy"]

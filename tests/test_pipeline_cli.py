@@ -397,9 +397,10 @@ class TestPipelines:
         assert verdicts["jump_intensity"] == "inconclusive"
         assert doc["overall"] != "pass"
 
-    def test_simulate_power_density_kernel_takes_the_fft(self, tmp_path):
-        doc = run_simulate(builtin_scenario("classify-power-density"),
-                           str(tmp_path), n_paths=2)
+    @pytest.mark.parametrize("name", ["classify-power-density",
+                                      "classify-zero-start"])
+    def test_simulate_power_density_kernel_takes_the_fft(self, tmp_path, name):
+        doc = run_simulate(builtin_scenario(name), str(tmp_path), n_paths=2)
         assert doc["correlation"] == "fft"
 
     def test_verify_lmrelax_diverges(self):
