@@ -32,11 +32,11 @@ from .levy_model import (
     levy_integrate,
 )
 from .path_sim import (
-    MarkedResponse,
     MovingAveragePath,
     PathBlock,
     PathSimulator,
-    sort_rows,
+    _running_sum,
+    draw_arrivals,
 )
 from .verify import doubling_estimates, doubling_verdict, finite_expect
 
@@ -333,12 +333,12 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
 
     Arrivals stay Poisson with the P-intensity lam = F([-a,a]^c); each mark
     on (0, T] is drawn from alpha(Y_{T_n-}, .) F^a / lam, as
-    gk.mark_quantile at one uniform. Y_{T_n-} sees every jump strictly
-    before T_n, the earlier Q marks included, so the marks are drawn by
-    rank: the rank-k marks of all paths at once, from the ranks below k.
-    The Gaussian part, the sub-threshold approximation and all pre-0 jumps
-    keep their P-law. Requires eps_jump <= a so no tail jump hides in the
-    Gaussian approximation.
+    gk.mark_quantile at one uniform. Y_{T_n-} is the response of the kept
+    jumps and cells plus the running sum over the path's earlier Q marks,
+    so the marks are drawn by rank: the rank-k marks of all paths at once,
+    after the ranks below k. The Gaussian part, the sub-threshold
+    approximation and all pre-0 jumps keep their P-law. Requires
+    eps_jump <= a so no tail jump hides in the Gaussian approximation.
     """
     config = sim.config
     if gk.kind != "h2":
@@ -348,15 +348,8 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
 
     base = sim.draw(rngs)
     # each path's arrivals and mark uniforms come after its P draws
-    arr, u = [np.empty(0)], [np.empty(0)]
-    counts = np.zeros(len(rngs), dtype=np.int64)
-    for b, rng in enumerate(rngs):
-        counts[b] = rng.poisson(gk.lam * config.T)
-        arr.append(rng.uniform(0.0, config.T, counts[b]))
-        u.append(rng.random(counts[b]))
+    counts, q_t, q_u = draw_arrivals(rngs, gk.lam * config.T, 0.0, config.T)
     q_off = np.concatenate([[0], np.cumsum(counts)])
-    q_t = sort_rows(np.concatenate(arr), counts)
-    q_u = np.concatenate(u)
     q_rows = np.repeat(np.arange(len(rngs)), counts)
 
     # keep pre-0 jumps and sub-a jumps, drop the P tail jumps on (0, T]
@@ -364,12 +357,15 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
     kept = PathBlock(base.times, base.dt, base.diffuse, base.jump_times[keep],
                      base.jump_sizes[keep], np.concatenate([[0], np.cumsum(
                          np.bincount(base.jump_rows()[keep], minlength=len(rngs)))]))
-    drift = MarkedResponse(kept, kernel.dphi, q_rows, q_t)
+    y_pre = kept.response(kernel.dphi, q_rows, q_t, strict=True)
     q_z = np.empty(len(q_t))
-    y_pre = np.empty(len(q_t))
     for k in range(int(counts.max(initial=0))):
         at = q_off[:-1][counts > k] + k
-        y_pre[at] = drift.before(at)
+        if k:
+            # a row's arrivals are contiguous and in time order, so its k
+            # earlier marks sit just before it, the latest first
+            prev = at[:, None] - np.arange(1, k + 1)
+            y_pre[at] += _running_sum(kernel.dphi, q_t[at, None], q_t[prev],
+                                      q_z[prev], q_t[prev] < q_t[at, None])
         q_z[at] = gk.mark_quantile(y_pre[at], q_u[at])
-        drift.mark(at, q_z[at])
     return counts, q_t, q_z, y_pre

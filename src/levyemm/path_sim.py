@@ -383,8 +383,7 @@ def _carry(r, z):
     product of its decays, rank by rank for all chunks at once; then the
     state entering each chunk (chunk, row), one chunk after the other.
     Every factor is at most 1. That takes about 3 _CHUNK + 2 chunks array
-    operations instead of 2 per rank; `_CarryCursor` continues it one
-    jump at a time with the same arithmetic."""
+    operations instead of 2 per rank."""
     part, prod = z.copy(), r.copy()
     for k in range(1, len(z)):
         np.multiply(r[k], part[k - 1], out=part[k])
@@ -395,108 +394,6 @@ def _carry(r, z):
         np.multiply(prod[-1, c - 1], entering[c - 1], out=entering[c])
         entering[c] += part[-1, c - 1]
     return part, prod, entering
-
-
-class _CarryCursor:
-    """Each row's `_carry` after its latest jump, continued one jump at a
-    time with the same arithmetic, so that a row's states are the ones
-    `_Carried` gives the row with those jumps appended."""
-
-    def __init__(self, carried: _Carried, last: np.ndarray):
-        """Row b starts after its flat jump last[b], or before any jump when
-        last[b] < offsets[b]."""
-        block, self.kappa = carried.block, carried.kappa
-        seen = last >= block.offsets[:-1]
-        self.rank = np.where(seen, last - block.offsets[:-1], -1)
-        self.time, self.part, self.prod, self.entering = np.zeros((4, len(last)))
-        self.time[seen] = block.jump_times[last[seen]]
-        part, prod, entering = carried.jump_carry
-        k, b = self.rank[seen], np.flatnonzero(seen)
-        self.part[seen] = part[k % _CHUNK, k // _CHUNK, b]
-        self.prod[seen] = prod[k % _CHUNK, k // _CHUNK, b]
-        self.entering[seen] = entering[k // _CHUNK, b]
-
-    def step(self, rows, t, z) -> None:
-        """Append a jump of size z at time t, after its latest, to each row."""
-        rank = self.rank[rows] + 1
-        later = rank > 0
-        r = np.zeros(len(rows))
-        r[later] = np.exp(-self.kappa * (t[later] - self.time[rows[later]]))
-        new = rank % _CHUNK == 0
-        part, prod, entering = self.part[rows], self.prod[rows], self.entering[rows]
-        self.entering[rows] = np.where(new, prod * entering + part, entering)
-        self.part[rows] = np.where(new, z, r * part + z)
-        self.prod[rows] = np.where(new, r, r * prod)
-        self.rank[rows], self.time[rows] = rank, t
-
-    def at(self, rows, t) -> np.ndarray:
-        """e^{-kappa (t - T)} S at each row's latest jump T, 0 before any."""
-        out = np.zeros(len(rows))
-        seen = self.rank[rows] >= 0
-        r = rows[seen]
-        out[seen] = np.exp(-self.kappa * (t[seen] - self.time[r])) \
-            * (self.part[r] + self.prod[r] * self.entering[r])
-        return out
-
-
-class MarkedResponse:
-    """fn's strict response at queries (rows, t), given row after row in
-    increasing rows and each row's in time order, over the block's jumps
-    and a mark placed at each earlier query of the row. before(q) gives it
-    at queries q, each the next query of its row, and mark(q, z) then
-    places their marks.
-
-    When fn has exponential form the values are those `PathBlock.response`
-    gives on the block with the marks inserted as jumps, bit for bit: each
-    row's carry is continued through its jumps up to the query and then
-    through the mark. Otherwise they are the block's response plus the
-    running sum over the earlier marks.
-    """
-
-    def __init__(self, block: PathBlock, fn, rows, t):
-        self.block, self.fn, self.rows, self.t = block, fn, rows, t
-        self.z = np.zeros(len(t))
-        B = len(block.offsets) - 1
-        self.first = np.searchsorted(rows, np.arange(B))
-        self.form = exponential_form(fn)
-        if self.form is None:
-            self.base = block.response(fn, rows, t, strict=True)
-            return
-        carried = _Carried(block, self.form[1])
-        self.cells = carried.cells_at(rows, t)
-        # per query, the end of its row's jumps before it; each row's carry
-        # starts at its first query
-        self.end = np.searchsorted(carried.jump_keys, _row_time_keys(rows, t))
-        has = np.bincount(rows, minlength=B) > 0
-        self.next = block.offsets[:-1].copy()
-        self.next[has] = self.end[self.first[has]]
-        self.cursor = _CarryCursor(carried, self.next - 1)
-
-    def before(self, q) -> np.ndarray:
-        rows, t = self.rows[q], self.t[q]
-        if self.form is None:
-            rank = q - self.first[rows]
-            back = np.arange(1, int(rank.max(initial=0)) + 1)
-            if not len(back):
-                return self.base[q]
-            prev = np.maximum(q[:, None] - back, 0)
-            seen = (back <= rank[:, None]) & (self.t[prev] < t[:, None])
-            return self.base[q] + _running_sum(self.fn, t[:, None], self.t[prev],
-                                               self.z[prev], seen)
-        while True:
-            go = self.next[rows] < self.end[q]
-            if not go.any():
-                break
-            r = rows[go]
-            j = self.next[r]
-            self.cursor.step(r, self.block.jump_times[j], self.block.jump_sizes[j])
-            self.next[r] += 1
-        return self.form[0] * (self.cells[q] + self.cursor.at(rows, t))
-
-    def mark(self, q, z) -> None:
-        self.z[q] = z
-        if self.form is not None:
-            self.cursor.step(self.rows[q], self.t[q], z)
 
 
 def _slices(rows, t, width):
@@ -649,6 +546,20 @@ def sort_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return padded[filled]
 
 
+def draw_arrivals(rngs, mean: float, lo: float, hi: float) -> tuple:
+    """Per generator, a Poisson(mean) count of arrival times uniform on
+    [lo, hi) and a mark uniform for each, by one poisson, uniform and random
+    call in that order: the counts, the times sorted row by row (`sort_rows`)
+    and the uniforms, flat in row order."""
+    counts = np.zeros(len(rngs), dtype=np.intp)
+    times, u = [np.empty(0)], [np.empty(0)]
+    for b, rng in enumerate(rngs):
+        counts[b] = rng.poisson(mean)
+        times.append(rng.uniform(lo, hi, counts[b]))
+        u.append(rng.random(counts[b]))
+    return counts, sort_rows(np.concatenate(times), counts), np.concatenate(u)
+
+
 class PathSimulator:
     """Precomputes model quantities and generates reproducible paths.
 
@@ -722,10 +633,10 @@ class PathSimulator:
     def draw(self, rngs) -> PathBlock:
         """One path per generator. Each row takes the same calls of its own
         generator in the same order (Gaussian part, small-jump
-        approximation, jump count, times, mark uniforms), so it does not
-        depend on the block it is drawn in; simulate is the one-row case.
-        The rows' times are sorted, and their uniforms turned into marks
-        by the tail quantile, once for the whole block."""
+        approximation, then `draw_arrivals`' jump count, times and mark
+        uniforms), so it does not depend on the block it is drawn in;
+        simulate is the one-row case. The uniforms are turned into marks by
+        the tail quantile, once for the whole block."""
         cfg = self.config
         n = cfg.n_cells
         dt = cfg.dt
@@ -733,23 +644,19 @@ class PathSimulator:
         sd_c = math.sqrt(self.triplet.c * dt) if self.triplet.c > 0.0 else None
         sd_small = (math.sqrt(self.small_var_rate * dt)
                     if self.small_var_rate > 0.0 else None)
-        mean_count = self.jump_rate * (cfg.T + cfg.M)
-        jt_parts, u_parts = [np.empty(0)], [np.empty(0)]
-        counts = np.zeros(len(rngs), dtype=np.intp)
         for b, rng in enumerate(rngs):
             if sd_c is not None:
                 diffuse[b] += rng.normal(0.0, sd_c, n)
             if sd_small is not None:
                 diffuse[b] += rng.normal(0.0, sd_small, n)
-            if self.tail is not None:
-                counts[b] = rng.poisson(mean_count)
-                jt_parts.append(rng.uniform(-cfg.M, cfg.T, counts[b]))
-                u_parts.append(rng.random(counts[b]))
-        sizes = (self.tail.quantile(np.concatenate(u_parts))
-                 if self.tail is not None else np.empty(0))
-        return PathBlock(self.times, dt, diffuse,
-                         sort_rows(np.concatenate(jt_parts), counts), sizes,
-                         np.concatenate([[0], np.cumsum(counts)]))
+        offsets = np.zeros(len(rngs) + 1, dtype=np.intp)
+        jump_times = sizes = np.empty(0)
+        if self.tail is not None:
+            counts, jump_times, u = draw_arrivals(
+                rngs, self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T)
+            offsets[1:] = np.cumsum(counts)
+            sizes = self.tail.quantile(u)
+        return PathBlock(self.times, dt, diffuse, jump_times, sizes, offsets)
 
     def prehistory(self, kernel: Kernel) -> Prehistory:
         """The law of what the m cells of [-M, 0] add to (X_k, Y_k),

@@ -55,6 +55,10 @@ REPORT_SCHEMA_VERSION = "1"
 # results do not depend on it, since every path keeps its own (seed, i)
 # generator and is summed on its own
 _BLOCK = 128
+# simulate writes the path CSVs of the first _MAX_PATH_CSV paths; construct
+# checks the kernel at _CONSTRUCT_N_Y values of y over [-y_span, y_span]
+_MAX_PATH_CSV = 5
+_CONSTRUCT_N_Y = 100
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +345,9 @@ def build_sim_config(spec: dict) -> SimConfig:
 
 
 def _override_sim(scn: Scenario, n_paths=None, seed=None) -> Scenario:
-    """scn rebuilt with sim.n_paths and sim.seed replaced where given."""
-    over = {k: int(v) for k, v in (("n_paths", n_paths), ("seed", seed))
+    """scn rebuilt with sim.n_paths and sim.seed replaced where given, and
+    checked as at load: ConfigError for a value that is no integer."""
+    over = {k: v for k, v in (("n_paths", n_paths), ("seed", seed))
             if v is not None}
     return scenario_from_dict({**scn.to_dict(), "sim": {**scn.sim, **over}})
 
@@ -456,11 +461,11 @@ def h2_reach_sd(scn: Scenario, triplet: LevyTriplet, gk) -> float | None:
     return dist / sd if sd > 0.0 else math.copysign(math.inf, dist)
 
 
-def run_construct(scn: Scenario, n_y: int = 100) -> dict:
+def run_construct(scn: Scenario) -> dict:
     triplet = build_triplet(scn.triplet)
     gk = make_girsanov_kernel(scn, triplet)
     y_span = float(scn.emm.get("y_span", 1.0))
-    ys = np.linspace(-y_span, y_span, n_y)
+    ys = np.linspace(-y_span, y_span, _CONSTRUCT_N_Y)
     report = emm_construct.validate_girsanov_kernel(
         gk, triplet, ys, abs_tol=float(scn.emm["tolerance"])
     )
@@ -763,8 +768,7 @@ def run_verify(scn: Scenario, n_paths=None, seed=None, workers: int = 1) -> dict
 # ---------------------------------------------------------------------------
 
 
-def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None,
-                 max_path_csv: int = 5) -> dict:
+def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None) -> dict:
     scn = _override_sim(scn, n_paths, seed)
     cfg = build_sim_config(scn.sim)
     triplet = build_triplet(scn.triplet)
@@ -774,7 +778,7 @@ def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None,
     jump_records = []
     for lo, rngs in _blocks(sim, 0, cfg.n_paths):
         block = sim.draw(rngs)
-        for b in range(min(len(rngs), max_path_csv - lo)):
+        for b in range(min(len(rngs), _MAX_PATH_CSV - lo)):
             path = block.path(b)
             with open(os.path.join(out_dir, f"path_{lo + b}.csv"), "w",
                       newline="") as fh:

@@ -25,7 +25,6 @@ from levyemm.levy_model import (
 )
 from levyemm.path_sim import (
     LatticePath,
-    MarkedResponse,
     PathBlock,
     PathSimulator,
     SimConfig,
@@ -281,17 +280,50 @@ def _q_reference(gk, kern, sim, i):
     return np.array(marks), np.array(y_pre)
 
 
-@pytest.mark.parametrize("build", [_live_two_atom_q, _direct_q_sas],
-                         ids=["two-atom", "sas-1.5"])
-def test_direct_q_block_matches_sequential_reference(build):
-    d = build()
+def _live_q_power():
+    d = _live_two_atom_q()
+    d["kernel"] = {"type": "power", "gamma": 0.5}
+    # a short pre-history keeps Y within the two atoms' reach
+    d["sim"]["M"] = 4.0
+    return d
+
+
+def _direct_q_sas_kernel(kernel):
+    """The SaS 1.5 direct-Q case, diffuse cells included, under kernel."""
+    d = _direct_q_sas()
+    d["kernel"] = kernel
+    return d
+
+
+# Y_{T_n-} is the response of the kept block plus a running sum over the
+# earlier marks, for every kernel; the reference inserts each mark as a jump
+Q_CASES = {
+    "two-atom": _live_two_atom_q,
+    "sas-1.5": _direct_q_sas,
+    "two-atom-power": _live_q_power,
+    "sas-1.5-exponential-1": lambda: _direct_q_sas_kernel(
+        {"type": "exponential", "kappa": 1.0, "amplitude": 1.0}),
+    "sas-1.5-power-1.5": lambda: _direct_q_sas_kernel(
+        {"type": "power", "gamma": 1.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(Q_CASES))
+def test_direct_q_block_matches_sequential_reference(case):
+    d = Q_CASES[case]()
     scn, triplet, kern, _, sim = pipeline._model(d)
     gk = pipeline.make_girsanov_kernel(scn, triplet)
     counts, _, marks, y_pre = girsanov.draw_under_q(
         gk, kern, sim, [sim.rng_for(i) for i in range(150)])
+    assert sim.draw([sim.rng_for(0)]).diffuse.any() == case.startswith("sas")
     refs = [_q_reference(gk, kern, sim, i) for i in range(150)]
-    assert counts.tolist() == [len(m) for m, _ in refs]
-    assert np.array_equal(marks, np.concatenate([m for m, _ in refs]))
+    assert counts.tolist() == [len(m) for m, _ in refs] and counts.max() > 2
+    want = np.concatenate([m for m, _ in refs])
+    if isinstance(triplet.F, DiscreteMeasure):
+        # marks on atoms: a Y that moves in the last bits picks the same one
+        assert np.array_equal(marks, want)
+    else:
+        np.testing.assert_allclose(marks, want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(y_pre, np.concatenate([y for _, y in refs]),
                                rtol=1e-12, atol=1e-12)
     one = girsanov.simulate_under_q(gk, kern, sim, 7)
@@ -337,25 +369,6 @@ def test_weighted_block_matches_per_path_reference(name):
     # relative to the size of X: a probe value near 0 has no relative scale
     np.testing.assert_allclose(got["x_probe"], x_ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(x_ref)))
-
-
-def test_direct_q_marks_over_kept_jumps_match_sequential_reference():
-    """The marks of a kernel without exponential form are drawn from the
-    response over the kept jumps plus the running sum over the earlier
-    marks; that agrees with the path-by-path reference to rounding."""
-    d = _live_two_atom_q()
-    d["kernel"] = {"type": "power", "gamma": 0.5}
-    # a short pre-history keeps Y within the two atoms' reach
-    d["sim"]["M"] = 4.0
-    scn, triplet, kern, _, sim = pipeline._model(d)
-    gk = pipeline.make_girsanov_kernel(scn, triplet)
-    counts, _, marks, y_pre = girsanov.draw_under_q(
-        gk, kern, sim, [sim.rng_for(i) for i in range(100)])
-    refs = [_q_reference(gk, kern, sim, i) for i in range(100)]
-    assert counts.tolist() == [len(m) for m, _ in refs] and counts.max() > 2
-    assert np.array_equal(marks, np.concatenate([m for m, _ in refs]))
-    np.testing.assert_allclose(y_pre, np.concatenate([y for _, y in refs]),
-                               rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -511,40 +524,3 @@ def test_carried_rows_are_the_same_alone_in_a_block_and_permuted():
             one_by_one = [alone.response(fn, [0], [tq], strict=strict)[0]
                           for tq in t[mine]]
             assert np.array_equal(one_by_one, whole[mine]), b
-
-
-@pytest.mark.parametrize("kernel", [exponential_kernel(1.0, 1.3), power_kernel(1.5)],
-                         ids=["exponential", "power"])
-def test_marked_response_equals_response_with_the_marks_inserted(kernel):
-    """Each row's carry continues through its jumps and the marks, across
-    carry chunks: the values are the path-by-path responses with the
-    earlier marks inserted as jumps, to the bit for exponential form."""
-    F = DiscreteMeasure([(-1.0, 2.0), (1.0, 2.0)])
-    triplet = LevyTriplet(0.3, F, 0.2, indicator_inside(0.25))
-    cfg = SimConfig(T=8.0, M=2.0, dt=0.25, eps_jump=0.25, n_paths=1, seed=11)
-    sim = PathSimulator(triplet, cfg)
-    block = sim.draw(sim.rngs(0, 30))
-    rng = np.random.default_rng(5)
-    counts = rng.integers(0, 6, 30)
-    q_t = sort_rows(rng.uniform(0.0, cfg.T, counts.sum()), counts)
-    q_rows = np.repeat(np.arange(30), counts)
-    q_off = np.concatenate([[0], np.cumsum(counts)])
-    marks = rng.normal(size=len(q_t))
-    drift = MarkedResponse(block, kernel.dphi, q_rows, q_t)
-    got = np.empty(len(q_t))
-    for k in range(counts.max()):
-        at = q_off[:-1][counts > k] + k
-        got[at] = drift.before(at)
-        drift.mark(at, marks[at])
-    for b in range(30):
-        path = block.path(b)
-        jt, jz = path.jump_times, path.jump_sizes
-        for q in range(q_off[b], q_off[b + 1]):
-            ref = y_at(kernel, LatticePath(sim.times, block.diffuse[b], jt, jz),
-                       q_t[q], diffuse=block.diffuse[b])
-            if kernel.name == "exponential":
-                assert got[q] == ref, (b, q)
-            else:
-                assert got[q] == pytest.approx(ref, rel=1e-12, abs=1e-12)
-            at = np.searchsorted(jt, q_t[q])
-            jt, jz = np.insert(jt, at, q_t[q]), np.insert(jz, at, marks[q])

@@ -360,6 +360,23 @@ class TestPipelines:
         assert a["reports"][0]["estimate"] != b["reports"][0]["estimate"]
         assert a["reports"][0]["estimate"] == c["reports"][0]["estimate"]
 
+    # an override that is no integer is refused as the scenario key would
+    # be, never rounded to one
+    @pytest.mark.parametrize("key, value", [
+        ("n_paths", 2.5), ("n_paths", True), ("n_paths", "64"), ("seed", 3.7),
+        ("seed", "7")], ids=["n_paths-2.5", "n_paths-True", "n_paths-str",
+                             "seed-3.7", "seed-str"])
+    @pytest.mark.parametrize("run", ["verify", "simulate"])
+    def test_override_that_is_no_integer_refused(self, key, value, run,
+                                                 tmp_path):
+        scn = builtin_scenario("h2-two-atom")
+        with pytest.raises(ConfigError, match=f"sim.{key}"):
+            if run == "verify":
+                run_verify(scn, **{key: value})
+            else:
+                run_simulate(scn, str(tmp_path), **{key: value})
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("tests", [["finite_expect"],
                                        ["finite_expect", "lm_criterion"]])
     def test_verify_bremaud_reports_its_tests(self, tests):
