@@ -442,6 +442,15 @@ class Prehistory:
                         ).reshape(len(rngs), self.rank)
 
 
+def _window_sums(v: np.ndarray, m: int) -> np.ndarray:
+    """sum_{p<m} v[..., k + p] for every k with k + m <= v.shape[-1]: the
+    differences of v's reverse cumulative sums m apart, O(len) along the
+    last axis. Summed from the far end, where the weights are smallest."""
+    r = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+    r[..., :-1] = np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
+    return r[..., :-m] - r[..., m:]
+
+
 def check_eps_jump(eps: float, h: TruncationFunction) -> None:
     """InvalidConfig when eps exceeds the identity radius of h."""
     if eps > h.identity_radius + 1e-12:
@@ -547,17 +556,27 @@ def sort_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def draw_arrivals(rngs, mean: float, lo: float, hi: float) -> tuple:
-    """Per generator, a Poisson(mean) count of arrival times uniform on
-    [lo, hi) and a mark uniform for each, by one poisson, uniform and random
-    call in that order: the counts, the times sorted row by row (`sort_rows`)
-    and the uniforms, flat in row order."""
-    counts = np.zeros(len(rngs), dtype=np.intp)
-    times, u = [np.empty(0)], [np.empty(0)]
-    for b, rng in enumerate(rngs):
-        counts[b] = rng.poisson(mean)
-        times.append(rng.uniform(lo, hi, counts[b]))
-        u.append(rng.random(counts[b]))
-    return counts, sort_rows(np.concatenate(times), counts), np.concatenate(u)
+    """Per generator, a Poisson(mean) count n_b of arrival times uniform on
+    [lo, hi) and a mark uniform for each. Each generator makes one poisson
+    call and then one random(2 n_b) call: its first n_b doubles d give the
+    times as lo + (hi - lo) d, which is NumPy's uniform(lo, hi, n_b) to the
+    bit, and the last n_b are the uniforms. Returns the counts, the times
+    sorted row by row (`sort_rows`) and the uniforms, flat in row order."""
+    counts = np.array([rng.poisson(mean) for rng in rngs], dtype=np.intp)
+    ends = 2 * np.cumsum(counts)
+    d = np.empty(2 * int(counts.sum()))
+    start = 0
+    for rng, end in zip(rngs, ends.tolist()):
+        rng.random(out=d[start:end])
+        start = end
+    first = np.arange(len(d)) < np.repeat(ends - counts, 2 * counts)
+    return counts, sort_rows(lo + (hi - lo) * d[first], counts), d[~first]
+
+
+def generators(states: np.ndarray) -> list:
+    """A PCG64 generator for each row of (n, 4) seed states
+    (`PathSimulator.seed_states`)."""
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in states]
 
 
 class PathSimulator:
@@ -565,9 +584,11 @@ class PathSimulator:
 
     Path i uses the substream seeded by SeedSequence((seed, i)), so results
     do not depend on scheduling or chunking. rng_for builds that generator
-    for one path; rngs builds a block's at once by a vectorised pass that
-    reproduces SeedSequence's words, checked against NumPy's own
-    SeedSequence on the first path of every block.
+    for one path. seed_states derives the state words of a whole range of
+    paths at once, by a vectorised pass that reproduces SeedSequence's
+    words and is checked against NumPy's own SeedSequence on the first
+    path of the pass; `generators` builds the generators from any slice of
+    them, and rngs does both for one block.
     """
 
     def __init__(self, triplet: LevyTriplet, config: SimConfig):
@@ -601,17 +622,18 @@ class PathSimulator:
             np.random.SeedSequence((self.config.seed, path_index))
         )
 
-    def rngs(self, lo: int, hi: int) -> list:
-        """The generators of paths lo..hi - 1, each the one rng_for gives.
+    def seed_states(self, lo: int, hi: int) -> np.ndarray:
+        """The (hi - lo, 4) PCG64 state words SeedSequence((seed, i))
+        gives paths i = lo..hi - 1, 32 bytes a path.
 
         An index takes one entropy word below 2**32 and two from there on,
-        so the block is hashed in one pass per word count; indices from
+        so the range is hashed in one pass per word count; indices from
         2**64 on are refused. The first path of each pass is compared with
         NumPy's SeedSequence, and a mismatch raises RuntimeError."""
         if hi > 1 << 64:
             raise ValueError(f"path indices must be below 2**64, not {hi - 1}")
         seed_words = np.array(_words32(self.config.seed), dtype=np.uint64)[:, None]
-        out = []
+        out = [np.empty((0, 4), dtype=np.uint64)]
         for n_words, a, b in ((1, lo, min(hi, 1 << 32)),
                               (2, max(lo, 1 << 32), hi)):
             if a >= b:
@@ -626,29 +648,38 @@ class PathSimulator:
                 raise RuntimeError(
                     f"the block seeding of path {a} disagrees with NumPy's "
                     f"SeedSequence ({state[0]} != {want})")
-            out += [np.random.Generator(np.random.PCG64(_StateWords(w)))
-                    for w in state]
-        return out
+            out.append(state)
+        return np.concatenate(out)
+
+    def rngs(self, lo: int, hi: int) -> list:
+        """The generators of paths lo..hi - 1, each the one rng_for gives,
+        from one seed_states pass."""
+        return generators(self.seed_states(lo, hi))
 
     def draw(self, rngs) -> PathBlock:
         """One path per generator. Each row takes the same calls of its own
-        generator in the same order (Gaussian part, small-jump
-        approximation, then `draw_arrivals`' jump count, times and mark
-        uniforms), so it does not depend on the block it is drawn in;
-        simulate is the one-row case. The uniforms are turned into marks by
-        the tail quantile, once for the whole block."""
+        generator in the same order, so it does not depend on the block it
+        is drawn in; simulate is the one-row case. The Gaussian cells take
+        one standard_normal call: n normals z for the Brownian part and n
+        more for the small-jump approximation, each when it has variance,
+        so the cells are drift dt + sd_c z[:n] + sd_small z[n:], added in
+        that order, as two normal(0, sd, n) calls gave them. Then come
+        `draw_arrivals`' two calls, the jump count and then the times and
+        mark uniforms together. The uniforms are turned into marks by the
+        tail quantile, once for the whole block."""
         cfg = self.config
         n = cfg.n_cells
         dt = cfg.dt
         diffuse = np.full((len(rngs), n), self.drift_rate * dt)
-        sd_c = math.sqrt(self.triplet.c * dt) if self.triplet.c > 0.0 else None
-        sd_small = (math.sqrt(self.small_var_rate * dt)
-                    if self.small_var_rate > 0.0 else None)
-        for b, rng in enumerate(rngs):
-            if sd_c is not None:
-                diffuse[b] += rng.normal(0.0, sd_c, n)
-            if sd_small is not None:
-                diffuse[b] += rng.normal(0.0, sd_small, n)
+        sds = [math.sqrt(v * dt) for v in (self.triplet.c, self.small_var_rate)
+               if v > 0.0]
+        if sds:
+            z = np.empty((len(rngs), len(sds), n))
+            for rng, row in zip(rngs, z):
+                rng.standard_normal(out=row)
+            for k, sd in enumerate(sds):
+                z[:, k] *= sd
+                diffuse += z[:, k]
         offsets = np.zeros(len(rngs) + 1, dtype=np.intp)
         jump_times = sizes = np.empty(0)
         if self.tail is not None:
@@ -668,10 +699,11 @@ class PathSimulator:
         the sum has mean drift dt sum_p w_a[k + p] and covariance
         G[(a, k), (b, l)] = s2 dt sum_p w_a[k + p] w_b[l + p]. The factor
         is G's partial pivoted Cholesky factor (Harbrecht, Peters and
-        Schneider 2012), which reads only G's diagonal and one column per
-        pivot, each by np.correlate, and stops when the trace left is at
-        most PREHISTORY_RTOL of the whole. Explicit jumps make the
-        pre-history non-Gaussian, so they are refused with InvalidConfig.
+        Schneider 2012), which reads only G's diagonal, by `_window_sums`
+        in O(n_cells) like the mean, and one column per pivot, by
+        np.correlate, and stops when the trace left is at most
+        PREHISTORY_RTOL of the whole. Explicit jumps make the pre-history
+        non-Gaussian, so they are refused with InvalidConfig.
         """
         if self.tail is not None:
             raise InvalidConfig("the pre-history is Gaussian only without "
@@ -683,12 +715,9 @@ class PathSimulator:
         # w[a, j - 1] is the weight at lag j dt, j = 1..n_cells
         w = np.stack([_weight_table(fn, cfg.n_cells, dt)[1:]
                       for fn in (kernel, kernel.dphi)])
-        ones = np.ones(m)
-        mean = self.drift_rate * dt * np.stack(
-            [np.correlate(wa, ones, "valid") for wa in w])
+        mean = self.drift_rate * dt * _window_sums(w, m)
         scale = (self.triplet.c + self.small_var_rate) * dt
-        resid = scale * np.concatenate(
-            [np.correlate(wa * wa, ones, "valid") for wa in w])
+        resid = scale * _window_sums(w * w, m).reshape(-1)
         trace = resid.sum()
         cols = []
         while len(cols) < len(resid) and resid.sum() > PREHISTORY_RTOL * trace:

@@ -44,6 +44,7 @@ from .path_sim import (
     SimConfig,
     _is_multiple,
     check_eps_jump,
+    generators,
     moving_average,
     write_jumps_csv,
     write_path_csv,
@@ -55,6 +56,9 @@ REPORT_SCHEMA_VERSION = "1"
 # results do not depend on it, since every path keeps its own (seed, i)
 # generator and is summed on its own
 _BLOCK = 128
+# paths seeded by one hashing pass (_blocks): a whole number of blocks, few
+# enough that the pass's temporaries stay a few MB
+_SEED_PASS = 128 * _BLOCK
 # simulate writes the path CSVs of the first _MAX_PATH_CSV paths; construct
 # checks the kernel at _CONSTRUCT_N_Y values of y over [-y_span, y_span]
 _MAX_PATH_CSV = 5
@@ -512,11 +516,15 @@ def _model(scn_dict: dict):
 
 def _blocks(sim: PathSimulator, start: int, stop: int):
     """The generators of [start, stop) in blocks of _BLOCK paths, with each
-    block's first index. A block's generators come from one pass of
-    sim.rngs, each the SeedSequence((seed, i)) generator of path i that
-    sim.rng_for gives, checked against NumPy on the block's first path."""
-    for lo in range(start, stop, _BLOCK):
-        yield lo, sim.rngs(lo, min(lo + _BLOCK, stop))
+    block's first index. The seed states of up to _SEED_PASS paths come
+    from one pass of sim.seed_states, checked against NumPy's SeedSequence
+    on the pass's first path; a block's generators are built from its
+    slice of them when the block is drawn. Each is the SeedSequence((seed,
+    i)) generator of path i that sim.rng_for gives."""
+    for first in range(start, stop, _SEED_PASS):
+        states = sim.seed_states(first, min(first + _SEED_PASS, stop))
+        for lo in range(0, len(states), _BLOCK):
+            yield first + lo, generators(states[lo:lo + _BLOCK])
 
 
 def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:

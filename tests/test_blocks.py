@@ -151,6 +151,147 @@ def test_sas_direct_q_has_diffuse_cells():
     assert sim.draw([sim.rng_for(0)]).diffuse.any()
 
 
+# passes of 256 paths: a chunk of one pass, one of three, and one whose
+# pass crosses 2**32 and so hashes twice
+@pytest.mark.parametrize("start, stop, passes", [
+    (5, 250, 1), (100, 700, 3), (2**32 - 200, 2**32 + 50, 2)])
+def test_chunk_seeding_equals_rng_for(monkeypatch, start, stop, passes):
+    monkeypatch.setattr(pipeline, "_SEED_PASS", 2 * pipeline._BLOCK)
+    hashed = []
+    seed_state = path_sim._seed_state
+    monkeypatch.setattr(path_sim, "_seed_state",
+                        lambda e: hashed.append(e.shape) or seed_state(e))
+    sim = _seeded_sim(20260823)
+    blocks = list(pipeline._blocks(sim, start, stop))
+    assert len(hashed) == passes
+    assert [lo for lo, _ in blocks] == list(range(start, stop, pipeline._BLOCK))
+    for lo, rngs in blocks:
+        assert len(rngs) == min(pipeline._BLOCK, stop - lo)
+        for i, rng in zip(range(lo, lo + len(rngs)), rngs):
+            assert rng.bit_generator.state == sim.rng_for(i).bit_generator.state, i
+
+
+def test_chunk_is_seeded_in_one_pass(monkeypatch):
+    calls = []
+    seed_states = PathSimulator.seed_states
+    monkeypatch.setattr(PathSimulator, "seed_states",
+                        lambda self, lo, hi: calls.append((lo, hi))
+                        or seed_states(self, lo, hi))
+    blocks = list(pipeline._blocks(_seeded_sim(3), 40, 1040))
+    assert calls == [(40, 1040)]
+    assert [lo for lo, _ in blocks] == list(range(40, 1040, pipeline._BLOCK))
+
+
+# ---------------------------------------------------------------------------
+# merged generator calls: each row's stream is the one of the separate calls
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo, hi", [(-64.0, 1.0), (0.0, 1.0), (-3.3, 7.1),
+                                    (0.0, 0.37), (2.0, 2.5)])
+def test_numpy_uniform_is_lo_plus_range_times_random(lo, hi):
+    # draw_arrivals turns random doubles into uniform(lo, hi) times by
+    # this identity; a NumPy that fuses the multiply-add must fail here
+    got = np.random.default_rng(11).uniform(lo, hi, 20000)
+    assert np.array_equal(got, lo + (hi - lo) * np.random.default_rng(11).random(20000))
+
+
+@pytest.mark.parametrize("sd", [0.3, 1.0, 2.0 ** -5, 17.25])
+def test_numpy_normal_is_sd_times_standard_normal(sd):
+    # draw merges the Gaussian cells' normal(0, sd, n) calls by this identity
+    a, b = np.random.default_rng(12), np.random.default_rng(12)
+    got = np.concatenate([a.normal(0.0, sd, 1000), a.normal(0.0, 2 * sd, 1000)])
+    z = b.standard_normal(2000)
+    assert np.array_equal(got, np.concatenate([sd * z[:1000], 2 * sd * z[1000:]]))
+
+
+def _arrivals_reference(rngs, mean, lo, hi):
+    """draw_arrivals by three calls per generator: poisson, uniform, random."""
+    counts, times, u = [], [np.empty(0)], [np.empty(0)]
+    for rng in rngs:
+        counts.append(rng.poisson(mean))
+        times.append(np.sort(rng.uniform(lo, hi, counts[-1])))
+        u.append(rng.random(counts[-1]))
+    return np.array(counts, dtype=np.intp), np.concatenate(times), np.concatenate(u)
+
+
+@pytest.mark.parametrize("window", [(-10.0, 1.0), (0.0, 1.0)], ids=["-M..T", "0..T"])
+@pytest.mark.parametrize("rows, mean", [(60, 0.7), (60, 0.0), (1, 40.0), (1, 0.0),
+                                        (60, 40.0)])
+def test_draw_arrivals_equals_three_calls_per_generator(window, rows, mean):
+    sim = _seeded_sim(77)
+    rngs, refs = sim.rngs(100, 100 + rows), sim.rngs(100, 100 + rows)
+    got = path_sim.draw_arrivals(rngs, mean, *window)
+    want = _arrivals_reference(refs, mean, *window)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    if mean == 0.7:
+        assert 0 < (got[0] == 0).sum() < rows
+    assert (got[0].sum() == 0) == (mean == 0.0)
+    for rng, ref in zip(rngs, refs):
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_merged_gaussian_cells_equal_two_normal_calls():
+    sim = _sas_gauss_sim()
+    assert sim.triplet.c > 0.0 and sim.small_var_rate > 0.0
+    n, dt = sim.config.n_cells, sim.config.dt
+    block = sim.draw(sim.rngs(0, 20))
+    for i in range(20):
+        rng = sim.rng_for(i)
+        cells = np.full(n, sim.drift_rate * dt)
+        cells += rng.normal(0.0, math.sqrt(sim.triplet.c * dt), n)
+        cells += rng.normal(0.0, math.sqrt(sim.small_var_rate * dt), n)
+        assert np.array_equal(block.diffuse[i], cells), i
+
+
+class _Counting:
+    """A generator that records the name of each method taken from it."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._rng, name)
+
+
+def _counting(sim, n):
+    return [_Counting(rng) for rng in sim.rngs(0, n)]
+
+
+@pytest.mark.parametrize("which, want", [
+    ("h2-two-atom", ["poisson", "random"]),
+    ("gaussian-baseline", ["standard_normal"]),
+    ("sas-gauss", ["standard_normal", "poisson", "random"])])
+def test_draw_calls_per_path(which, want):
+    sim = _sas_gauss_sim() if which == "sas-gauss" else \
+        pipeline._model(_builtin(which))[4]
+    rngs = _counting(sim, 40)
+    sim.draw(rngs)
+    assert all(rng.calls == want for rng in rngs)
+
+
+def test_direct_q_calls_per_path():
+    scn, triplet, kern, _, sim = pipeline._model(_builtin("q-two-atom-zeta05"))
+    gk = pipeline.make_girsanov_kernel(scn, triplet)
+    rngs = _counting(sim, 40)
+    counts = girsanov.draw_under_q(gk, kern, sim, rngs)[0]
+    assert (counts == 0).any() and counts.max() > 1
+    assert all(rng.calls == ["poisson", "random"] * 2 for rng in rngs)
+
+
+def test_prehistory_normals_take_one_call_per_path():
+    _, _, kern, _, sim = pipeline._model(_builtin("gaussian-baseline"))
+    law = sim.prehistory(kern)
+    rngs = _counting(sim, 10)
+    eta = law.normals(rngs)
+    assert eta.shape == (10, law.rank) and law.rank > 0
+    assert all(rng.calls == ["standard_normal"] for rng in rngs)
+    refs = sim.rngs(0, 10)
+    assert np.array_equal(eta, [ref.standard_normal(law.rank) for ref in refs])
+
+
 # ---------------------------------------------------------------------------
 # per-path references
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from levyemm.path_sim import (
     decomposition_residual,
     extract_jump_measure,
     _weight_table,
+    _window_sums,
     moving_average,
     simulate_levy,
     y_at,
@@ -392,6 +393,21 @@ class TestPrehistory:
         L = law.factor.reshape(2 * cfg.n_out, -1)
         assert law.rank == rank
         assert np.max(np.abs(L @ L.T - G)) <= 1e-12 * np.max(np.abs(G))
+
+    @pytest.mark.parametrize("kernel", [
+        exponential_kernel(1.0), zero_start_kernel(1.0), power_kernel(1.5),
+        power_kernel(2.5)])
+    def test_window_sums_equal_correlations_with_ones(self, kernel):
+        # the mean and G's diagonal are window sums of w and w * w
+        cfg = SimConfig(**_PRE_CFG)
+        w = np.stack([_weight_table(fn, cfg.n_cells, cfg.dt)[1:]
+                      for fn in (kernel, kernel.dphi)])
+        ones = np.ones(cfg.m_cells)
+        for v in (w, w * w):
+            want = np.stack([np.correlate(a, ones, "valid") for a in v])
+            np.testing.assert_allclose(_window_sums(v, cfg.m_cells), want,
+                                       rtol=1e-12, atol=0.0)
+        assert np.array_equal(_window_sums(np.arange(5.0), 2), [1.0, 3.0, 5.0, 7.0])
 
     def test_mean_is_the_drift_sum(self):
         cfg = SimConfig(**_PRE_CFG)
