@@ -36,6 +36,7 @@ from .path_sim import (
     PathBlock,
     PathSimulator,
     _running_sum,
+    _slices,
     draw_arrivals,
 )
 from .verify import doubling_estimates, doubling_verdict, finite_expect
@@ -331,15 +332,24 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
     Q: per path, the number of Q tail jumps, and flat over all paths (path
     by path, in time) their times, marks and Y_{T_n-}.
 
-    Arrivals stay Poisson with the P-intensity lam = F([-a,a]^c); each mark
-    on (0, T] is drawn from alpha(Y_{T_n-}, .) F^a / lam, as
-    gk.mark_quantile at one uniform. Y_{T_n-} is the response of the kept
-    jumps and cells plus the running sum over the path's earlier Q marks,
-    so the marks are drawn by rank: the rank-k marks of all paths at once,
-    after the ranks below k. The Gaussian part, the sub-threshold
+    This is the one-block case of the two passes a chunk of blocks takes
+    (`pipeline._q_chunk`): q_arrivals for the block, then q_marks over its
+    arrivals. Arrivals stay Poisson with the P-intensity lam = F([-a,a]^c);
+    each mark on (0, T] is drawn from alpha(Y_{T_n-}, .) F^a / lam, as
+    gk.mark_quantile at one uniform. The Gaussian part, the sub-threshold
     approximation and all pre-0 jumps keep their P-law. Requires
     eps_jump <= a so no tail jump hides in the Gaussian approximation.
     """
+    counts, q_t, q_u, y_pre = q_arrivals(gk, kernel, sim, rngs)
+    return counts, q_t, q_marks(gk, kernel, counts, q_t, q_u, y_pre), y_pre
+
+
+def q_arrivals(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
+               rngs) -> tuple:
+    """draw_under_q's first pass, for one block: each path's P draw, then
+    its Q arrivals (`draw_arrivals`), and the response at every arrival of
+    the jumps and cells the paths keep, all but the P tail jumps on (0, T].
+    Returns (counts, times, mark uniforms, that response)."""
     config = sim.config
     if gk.kind != "h2":
         raise UnsupportedModel("direct Q simulation needs the tail kernel")
@@ -349,23 +359,33 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
     base = sim.draw(rngs)
     # each path's arrivals and mark uniforms come after its P draws
     counts, q_t, q_u = draw_arrivals(rngs, gk.lam * config.T, 0.0, config.T)
-    q_off = np.concatenate([[0], np.cumsum(counts)])
     q_rows = np.repeat(np.arange(len(rngs)), counts)
-
-    # keep pre-0 jumps and sub-a jumps, drop the P tail jumps on (0, T]
     keep = (base.jump_times <= 0.0) | (np.abs(base.jump_sizes) <= gk.a)
     kept = PathBlock(base.times, base.dt, base.diffuse, base.jump_times[keep],
                      base.jump_sizes[keep], np.concatenate([[0], np.cumsum(
                          np.bincount(base.jump_rows()[keep], minlength=len(rngs)))]))
-    y_pre = kept.response(kernel.dphi, q_rows, q_t, strict=True)
+    return counts, q_t, q_u, kept.response(kernel.dphi, q_rows, q_t, strict=True)
+
+
+def q_marks(gk: GirsanovKernelH2, kernel: Kernel, counts, q_t, q_u,
+            y_pre) -> np.ndarray:
+    """draw_under_q's second pass, over the arrivals q_arrivals gives for
+    one block or for a chunk's blocks concatenated: the marks, by rank (the
+    rank-k marks of all paths at once, after the ranks below k), with y_pre
+    completed in place to Y_{T_n-} by the running sum over each path's
+    earlier marks. Each rank goes in `_slices` of bounded size, so a chunk
+    of any length keeps its temporaries small. Every value depends only
+    on its own path, so a block and a chunk give the same bits."""
+    q_off = np.concatenate([[0], np.cumsum(counts)])
     q_z = np.empty(len(q_t))
     for k in range(int(counts.max(initial=0))):
         at = q_off[:-1][counts > k] + k
-        if k:
-            # a row's arrivals are contiguous and in time order, so its k
-            # earlier marks sit just before it, the latest first
-            prev = at[:, None] - np.arange(1, k + 1)
-            y_pre[at] += _running_sum(kernel.dphi, q_t[at, None], q_t[prev],
-                                      q_z[prev], q_t[prev] < q_t[at, None])
-        q_z[at] = gk.mark_quantile(y_pre[at], q_u[at])
-    return counts, q_t, q_z, y_pre
+        for _, r, tq in _slices(at, q_t[at], k):
+            if k:
+                # a row's arrivals are contiguous and in time order, so its
+                # k earlier marks sit just before it, the latest first
+                prev = r[:, None] - np.arange(1, k + 1)
+                y_pre[r] += _running_sum(kernel.dphi, tq, q_t[prev], q_z[prev],
+                                         q_t[prev] < tq)
+            q_z[r] = gk.mark_quantile(y_pre[r], q_u[r])
+    return q_z

@@ -487,8 +487,15 @@ class DiscreteTailLaw(TailLaw):
         self.zeta_hi = float(self.x[-1])
 
     def quantile(self, u):
-        i = np.searchsorted(self._cdf, u, side="right")
-        return self.x[np.minimum(i, len(self.x) - 1)]
+        """searchsorted(_cdf, u, side="right")'s atom, the last for u = 1.0
+        or NaN: each boundary above u takes one off the last index, one
+        comparison pass per boundary, which beats the search at a few
+        atoms."""
+        u = np.asarray(u, dtype=float)
+        i = np.full(u.shape, len(self.x) - 1)
+        for c in self._cdf[:-1].tolist():
+            i -= u < c
+        return self.x[i]
 
     def mass_below(self, z):
         return self._below[np.searchsorted(self.x, z, side="left")]

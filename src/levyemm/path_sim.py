@@ -265,7 +265,9 @@ _CHUNK = 16
 
 class _Carried:
     """The sums of a block's paths carried as states for one decay rate
-    kappa (see `PathBlock.response`), each computed when first read."""
+    kappa (see `PathBlock.response`), each computed when first read. The
+    jump states stay in `_carry`'s (part, prod, entering) form; jumps_at
+    combines them only at the jumps its queries read."""
 
     def __init__(self, block: PathBlock, kappa: float):
         self.block, self.kappa = block, kappa
@@ -312,14 +314,6 @@ class _Carried:
             padded.reshape(B, -1, _CHUNK).transpose(2, 1, 0))
 
     @cached_property
-    def jump_states(self) -> np.ndarray:
-        """S_j after every jump, in the flat order of the jumps."""
-        part, prod, entering = self.jump_carry
-        B = self._filled.shape[0]
-        return (part + prod * entering).transpose(2, 1, 0).reshape(B, -1)[
-            self._filled]
-
-    @cached_property
     def jump_keys(self) -> np.ndarray:
         """The jumps' (row, time) keys (`_row_time_keys`), in flat order."""
         return _row_time_keys(self.block.jump_rows(), self.block.jump_times)
@@ -354,17 +348,22 @@ class _Carried:
 
     def jumps_at(self, rows, t, *, strict: bool) -> np.ndarray:
         """e^{-kappa (t - T_j)} S_j at the last jump T_j of each query's row
-        it sees (T_j < t when strict, T_j <= t otherwise), 0 before any."""
+        it sees (T_j < t when strict, T_j <= t otherwise), 0 before any.
+        S_j = part + prod entering (`_carry`) is formed only at the jumps
+        the queries read, at their (rank in chunk, chunk, row)."""
         block = self.block
         out = np.zeros(len(t))
         if not (len(block.jump_times) and len(t)):
             return out
         last = np.searchsorted(self.jump_keys, _row_time_keys(rows, t),
                                side="left" if strict else "right") - 1
-        seen = last >= block.offsets[rows]
-        j = last[seen]
+        first = block.offsets[rows]
+        seen = last >= first
+        j, r = last[seen], rows[seen]
+        chunk, rank = np.divmod(j - first[seen], _CHUNK)
+        part, prod, entering = self.jump_carry
         out[seen] = np.exp(-self.kappa * (t[seen] - block.jump_times[j])) \
-            * self.jump_states[j]
+            * (part[rank, chunk, r] + prod[rank, chunk, r] * entering[chunk, r])
         return out
 
 

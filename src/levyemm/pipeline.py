@@ -563,17 +563,18 @@ def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
 
 
 def _q_chunk(scn_dict: dict, start: int, stop: int) -> dict:
-    """Direct-Q mark and count statistics for a block of path indices."""
+    """Direct-Q mark and count statistics for a contiguous range of path
+    indices, in two passes: girsanov.q_arrivals for each block, then one
+    girsanov.q_marks over all the chunk's arrivals, so its rank loop runs
+    once per chunk. The values equal draw_under_q's block by block."""
     scn, triplet, kern, cfg, sim = _model(scn_dict)
     gk = make_girsanov_kernel(scn, triplet)
-    counts, y_pre, marks = [], [], []
-    for _, rngs in _blocks(sim, start, stop):
-        n_q, _, z, y = girsanov.draw_under_q(gk, kern, sim, rngs)
-        counts.append(n_q)
-        y_pre.append(y)
-        marks.append(z)
-    return {"counts": np.concatenate(counts), "y_pre": np.concatenate(y_pre),
-            "marks": np.concatenate(marks)}
+    columns = [list(part) for part in zip(*(
+        girsanov.q_arrivals(gk, kern, sim, rngs) for _, rngs in _blocks(sim, start, stop)))]
+    # each column's block parts are freed as soon as they are joined
+    counts, q_t, q_u, y_pre = (np.concatenate(columns.pop(0)) for _ in range(4))
+    marks = girsanov.q_marks(gk, kern, counts, q_t, q_u, y_pre)
+    return {"counts": counts, "y_pre": y_pre, "marks": marks}
 
 
 def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:

@@ -473,6 +473,49 @@ def test_direct_q_block_matches_sequential_reference(case):
     assert np.array_equal(one.jump_sizes, marks[lo:lo + counts[7]])
 
 
+@pytest.mark.parametrize("case", sorted(Q_CASES) + ["frozen-zeta"])
+def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
+    """q_arrivals per block and one q_marks over a chunk of 128 + 128 + 44
+    rows equal draw_under_q block by block, bit for bit. Every block has a
+    row without arrivals, and the rows with the largest count go into the
+    last block only, so the chunk's rank loop runs past the ranks of the
+    other two. The rows are paths 0..149, as in the sequential reference
+    test (the power kernel's Y leaves the two atoms' reach on later
+    paths), some drawn more than once. The rank loop gives the same bits
+    in slices of 7 elements; _q_chunk agrees too."""
+    d = _builtin("q-two-atom-zeta05") if case == "frozen-zeta" else Q_CASES[case]()
+    scn, triplet, kern, _, sim = pipeline._model(d)
+    gk = pipeline.make_girsanov_kernel(scn, triplet)
+    probe = girsanov.draw_under_q(gk, kern, sim, sim.rngs(0, 150))[0]
+    zero, top = np.flatnonzero(probe == 0)[:1], np.flatnonzero(probe == probe.max())
+    fill = np.tile(np.flatnonzero((probe > 0) & (probe < probe.max())), 3)
+    rows = np.concatenate([zero, fill[:127], zero, fill[127:254], zero, top,
+                           fill[254:297 - len(top)]])
+
+    def blocks():
+        return [[sim.rng_for(int(i)) for i in rows[lo:lo + 128]]
+                for lo in (0, 128, 256)]
+
+    per_block = [girsanov.draw_under_q(gk, kern, sim, rngs) for rngs in blocks()]
+    block_counts = [c for c, *_ in per_block]
+    assert [len(c) for c in block_counts] == [128, 128, 44]
+    assert all(c[0] == 0 for c in block_counts) and probe.max() > 2
+    assert max(block_counts[0].max(), block_counts[1].max()) < block_counts[2].max()
+    counts, q_t, q_u, kept = (np.concatenate(a) for a in zip(*(
+        girsanov.q_arrivals(gk, kern, sim, rngs) for rngs in blocks())))
+    for elems in (path_sim._RESPONSE_ELEMS, 7):
+        monkeypatch.setattr(path_sim, "_RESPONSE_ELEMS", elems)
+        y_pre = kept.copy()
+        marks = girsanov.q_marks(gk, kern, counts, q_t, q_u, y_pre)
+        for got, want in zip((counts, q_t, marks, y_pre), zip(*per_block)):
+            assert np.array_equal(got, np.concatenate(want))
+    chunk = pipeline._q_chunk(d, 0, 150)
+    whole = [girsanov.draw_under_q(gk, kern, sim, sim.rngs(lo, hi))
+             for lo, hi in ((0, 128), (128, 150))]
+    for key, k in (("counts", 0), ("marks", 2), ("y_pre", 3)):
+        assert np.array_equal(chunk[key], np.concatenate([w[k] for w in whole]))
+
+
 def _weighted_reference(scn, triplet, kern, cfg, sim, gk, i):
     """z_T and X at the probes of path i from y_at and scalar alpha calls."""
     path = sim.simulate(sim.rng_for(i))
@@ -665,3 +708,37 @@ def test_carried_rows_are_the_same_alone_in_a_block_and_permuted():
             one_by_one = [alone.response(fn, [0], [tq], strict=strict)[0]
                           for tq in t[mine]]
             assert np.array_equal(one_by_one, whole[mine]), b
+
+
+def test_carried_jump_read_equals_the_materialised_states():
+    """jumps_at forms part + prod entering only where a query reads; it
+    equals the states materialised at every jump, decayed to the query,
+    bit for bit. Rows of 0, 1, 15, 16, 17 and 33 jumps straddle the chunk
+    edges; each jump is queried at its time, strictly and not, and
+    halfway to the row's next jump (a quarter past its last)."""
+    kappa, width = 0.7, path_sim._CHUNK
+    counts = np.array([16, 0, 33, 1, 17, 15])
+    rng = np.random.default_rng(5)
+    jt = sort_rows(rng.uniform(-3.0, 1.0, counts.sum()), counts)
+    times = np.linspace(-3.0, 1.0, 9)
+    block = PathBlock(times, 0.5, np.zeros((len(counts), 8)), jt,
+                      rng.normal(size=len(jt)),
+                      np.concatenate([[0], np.cumsum(counts)]))
+    carried = path_sim._Carried(block, kappa)
+    part, prod, entering = carried.jump_carry
+    assert part.shape == (width, 3, len(counts))
+    filled = np.arange(3 * width) < counts[:, None]
+    states = (part + prod * entering).transpose(2, 1, 0).reshape(len(counts), -1)[filled]
+    rows = block.jump_rows()
+    last = np.append(rows[1:] != rows[:-1], True)
+    mid = np.where(last, jt + 0.25, (jt + np.append(jt[1:], 0.0)) / 2)
+    for t, strict, shift in ((jt, False, 0), (jt, True, 1), (mid, False, 0)):
+        j = np.arange(len(jt)) - shift
+        seen = j >= block.offsets[rows]
+        want = np.zeros(len(t))
+        want[seen] = np.exp(-kappa * (t[seen] - jt[j[seen]])) * states[j[seen]]
+        got = carried.jumps_at(rows, t, strict=strict)
+        assert np.array_equal(got, want) and (got != 0).sum() == seen.sum()
+    empty = np.zeros(3)
+    assert np.array_equal(carried.jumps_at(np.ones(3, dtype=int), jt[:3] + 1.0,
+                                           strict=False), empty)

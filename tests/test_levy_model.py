@@ -9,6 +9,7 @@ from levyemm.errors import InvalidRegion, NonIntegrable
 from levyemm.levy_model import (
     DensityMeasure,
     DiscreteMeasure,
+    DiscreteTailLaw,
     Interval,
     LevyTriplet,
     ZeroMeasure,
@@ -154,6 +155,38 @@ class TestTailLawQuantile:
             got = law.sample(500, np.random.default_rng(seed))
             u = np.random.default_rng(seed).uniform(size=500)
             np.testing.assert_array_equal(got, np.interp(u, law.cum_p, law.x))
+
+    @pytest.mark.parametrize("w", [
+        [0.7], [1.0, 1.0], [0.3, 1.1, 0.7, 0.2, 0.05, 2.0, 0.4], [0.1] * 10,
+        np.linspace(0.1, 2.0, 100)],
+        ids=["1", "2", "7", "ten-of-0.1", "100"])
+    def test_discrete_quantile_is_the_search(self, w):
+        """The boundary count equals searchsorted at the atom boundaries,
+        the doubles just below them, 0 and 1 (mark_quantile's clip can pass
+        1.0); a NaN u gives the last atom, as the search does."""
+        w = np.asarray(w, dtype=float)
+        law = DiscreteTailLaw(np.arange(len(w), dtype=float) - 2.0, w)
+        if len(w) == 10:
+            # the renormalised cdf is not k / 10 to the bit
+            assert not np.array_equal(law._cdf, np.arange(1, 11) / 10)
+
+        def search(u):
+            i = np.searchsorted(law._cdf, u, side="right")
+            return law.x[np.minimum(i, len(law.x) - 1)]
+
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0), 1.0], law._cdf,
+                            np.nextafter(law._cdf, -np.inf),
+                            np.random.default_rng(4).random(200)])
+        got = law.quantile(u)
+        assert np.array_equal(got, search(u))
+        assert np.array_equal(law.quantile(u[:, None]), got[:, None])
+        for v, want in zip(u, got):
+            q = law.quantile(v)
+            assert np.ndim(q) == 0 and q == want
+        assert law.quantile(1.0) == law.x[-1] == law.quantile(math.nan)
+        assert search(math.nan) == law.x[-1]
+        assert np.array_equal(law.quantile(np.array([math.nan, 0.0])),
+                              [law.x[-1], search(0.0)])
 
     @pytest.mark.parametrize("F", [symmetric_alpha_stable(1.5, 2.0),
                                    uniform_band(0.5, 2.0)],
