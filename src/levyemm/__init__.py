@@ -71,7 +71,6 @@ from .verify import (
 
 # helpers for the tests and the benchmark
 from ._backend import available_backends, backend_name
-from .levy_model import drift_xi
-from .path_sim import extract_jump_measure, simulate_levy, y_at
+from .path_sim import extract_jump_measure, y_at
 
 __version__ = "0.1.0"

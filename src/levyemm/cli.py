@@ -147,11 +147,16 @@ def cmd_report(args) -> int:
     for name in sorted(os.listdir(args.out)) if os.path.isdir(args.out) else []:
         if not name.endswith("_verify.json"):
             continue
-        with open(os.path.join(args.out, name)) as fh:
-            doc = json.load(fh)
-        rows.append((doc["scenario"], doc["overall"],
-                     len(doc.get("reports", []))))
-        overall_ok = overall_ok and doc["overall"] == "pass"
+        path = os.path.join(args.out, name)
+        # no JSON (a ValueError, as is UnicodeError), no mapping or no key
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            scenario, verdict = doc["scenario"], doc["overall"]
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise ConfigError(f"{path}: not a verify report: {exc!r}") from None
+        rows.append((scenario, verdict, len(doc.get("reports", []))))
+        overall_ok = overall_ok and verdict == "pass"
     if not rows:
         print("no verification reports found in", args.out)
         return EXIT_CONFIG

@@ -669,11 +669,6 @@ class LevyTriplet:
         return corr + self.b_h
 
 
-def drift_xi(triplet: LevyTriplet) -> float:
-    """xi = integral of (x - h(x)) dF + b^h."""
-    return triplet.xi()
-
-
 def retriplet(triplet: LevyTriplet, h_new: TruncationFunction) -> LevyTriplet:
     """Same law of L, different truncation: b^{h'} = b^h + int (h' - h) dF."""
     F = triplet.F

@@ -739,13 +739,6 @@ class PathSimulator:
         return self.simulate(self.rng_for(path_index))
 
 
-def simulate_levy(
-    triplet: LevyTriplet, config: SimConfig, rng: np.random.Generator
-) -> LatticePath:
-    """One path; see PathSimulator for ensemble use."""
-    return PathSimulator(triplet, config).simulate(rng)
-
-
 # ---------------------------------------------------------------------------
 # moving averages
 # ---------------------------------------------------------------------------

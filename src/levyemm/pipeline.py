@@ -1,13 +1,15 @@
 """Scenario plumbing and verification pipelines.
 
 A scenario is a plain dict-shaped config (YAML on disk) naming a triplet,
-a kernel, simulation settings and the measure-change hypothesis. The
-pipelines here run the classification, the kernel construction and the
-Monte Carlo verification batteries, and assemble the JSON report.
+a kernel, simulation settings and the measure-change hypothesis. Loading
+it builds its model (`model_from_dict`): the kernel, the triplet and the
+path simulator, and on first use the Girsanov kernel. The pipelines here
+take one model per run, for the classification, the kernel construction
+and the Monte Carlo verification batteries, and assemble the JSON report.
 
 Scientifically meaningful parameters (a, b, eps_jump, tolerance) have no
 defaults: a scenario that omits them fails to load, as does one holding a
-key that no section declares.
+key that no section declares or a value that a constructor refuses.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
 
 from . import emm_construct, girsanov, kernel as kernel_mod, verify
-from .errors import ConfigError, InvalidConfig, NonIntegrable
+from .errors import ConfigError, LevyEmmError, NonIntegrable, ZetaOutOfRange
 from .kernel import Kernel, emm_classify
 from .levy_model import (
     DiscreteMeasure,
@@ -43,7 +45,6 @@ from .path_sim import (
     PathSimulator,
     SimConfig,
     _is_multiple,
-    check_eps_jump,
     generators,
     moving_average,
     write_jumps_csv,
@@ -129,14 +130,26 @@ class Scenario:
     verify: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "triplet": self.triplet,
-            "kernel": self.kernel,
-            "sim": self.sim,
-            "emm": self.emm,
-            "verify": self.verify,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass
+class Model:
+    """What a run uses of its scenario, built once by model_from_dict: the
+    kernel, the path simulator, which holds the triplet and the SimConfig,
+    and the battery's tests in order (none for hypothesis none). The h1 or
+    h2 Girsanov kernel is built on first use."""
+
+    scn: Scenario
+    kern: Kernel
+    sim: PathSimulator
+    tests: list
+    triplet = property(lambda self: self.sim.triplet)
+    cfg = property(lambda self: self.sim.config)
+
+    @functools.cached_property
+    def gk(self):
+        return make_girsanov_kernel(self.scn, self.triplet)
 
 
 def _check_kind(where: str, v, kind) -> None:
@@ -196,27 +209,30 @@ def _build(table: dict, spec: dict, tag: str, where: str):
         raise ConfigError(f"{what}: {exc}") from None
 
 
-def scenario_from_dict(d: dict) -> Scenario:
-    """The scenario of d, refused with ConfigError unless every section
-    holds the keys its table or constructor lists, and no other."""
+def _made(where: str, make):
+    """make(), with a constructor's refusal as ConfigError naming where."""
+    try:
+        return make()
+    except ConfigError:
+        raise
+    except (ValueError, LevyEmmError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def model_from_dict(d: dict) -> Model:
+    """The model of d, refused with ConfigError unless every section holds
+    the keys its table or constructor lists, and no other, and each
+    constructor takes its values; every run builds its model here, once."""
     _check_keys(d, "scenario", *_SECTIONS["scenario"])
     for section in ("triplet", "sim", "verify"):
         _check_keys(d.get(section, {}), section, *_SECTIONS[section])
     t, sim, emm, ver = d["triplet"], d["sim"], d["emm"], d.get("verify", {})
-    F = _build(_MEASURES, t["measure"], "type", "triplet.measure")
-    h = _build(_TRUNCATIONS, t["truncation"], "kind", "triplet.truncation")
-    kern = build_kernel(d["kernel"])
-    try:
-        build_sim_config(sim)
-        check_eps_jump(sim["eps_jump"], h)
-    except InvalidConfig as exc:
-        raise ConfigError(f"sim: {exc}") from None
     for where, v, least in (("triplet.c", t["c"], 0), ("sim.seed", sim["seed"], 0)):
         if v < least:
             raise ConfigError(f"{where} must be >= {least}, not {v}")
-    if not h.bounded and not t.get("integrable", True):
-        raise ConfigError("the outside-band truncation needs integrable "
-                          "large jumps (triplet.integrable: true)")
+    triplet = _made("triplet", lambda: build_triplet(t))
+    kern = build_kernel(d["kernel"])
+    simulator = _made("sim", lambda: PathSimulator(triplet, build_sim_config(sim)))
 
     hyp = emm.get("hypothesis")
     _check_kind("emm.hypothesis", hyp, tuple(_EMM))
@@ -230,10 +246,10 @@ def scenario_from_dict(d: dict) -> Scenario:
     if hyp in ("h1", "h2") and not 0 < emm["a"] < emm.get("b", math.inf):
         raise ConfigError(f"{what} needs 0 < a, and a < b for h1; not "
                           f"a = {emm['a']}, b = {emm.get('b')}")
-    if hyp == "h2" and F.is_zero:
+    if hyp == "h2" and triplet.F.is_zero:
         raise ConfigError("h2 requires two-sided tail mass; measure is zero")
     # Z_T of the gaussian battery reads every increment as Brownian, dB/sqrt(c)
-    if hyp == "gaussian" and not (F.is_zero and t["c"] > 0):
+    if hyp == "gaussian" and not (triplet.F.is_zero and t["c"] > 0):
         raise ConfigError("the gaussian battery needs a pure Brownian driver "
                           f"(measure zero and c > 0), not measure "
                           f"{t['measure']['type']!r} with c = {t['c']}")
@@ -253,10 +269,15 @@ def scenario_from_dict(d: dict) -> Scenario:
     if ver.get("mode") == "direct-q" and "break_positive_factor" in emm:
         raise ConfigError("emm.break_positive_factor changes alpha, which "
                           "direct-q marks are not drawn from")
-    if hyp != "none":
-        _battery_tests(emm, ver)
-    return Scenario(name=d["name"], triplet=t, kernel=d["kernel"], sim=dict(sim),
-                    emm=dict(emm), verify=dict(ver))
+    tests = _battery_tests(emm, ver) if hyp != "none" else []
+    scn = Scenario(name=d["name"], triplet=t, kernel=d["kernel"], sim=dict(sim),
+                   emm=dict(emm), verify=dict(ver))
+    return Model(scn, kern, simulator, tests)
+
+
+def scenario_from_dict(d: dict) -> Scenario:
+    """The scenario of d, checked by building its model."""
+    return model_from_dict(d).scn
 
 
 # the tests each battery computes correctly, by hypothesis and verify mode
@@ -348,12 +369,13 @@ def build_sim_config(spec: dict) -> SimConfig:
     return SimConfig(**{k: kind(spec[k]) for k, kind in _SECTIONS["sim"][0].items()})
 
 
-def _override_sim(scn: Scenario, n_paths=None, seed=None) -> Scenario:
-    """scn rebuilt with sim.n_paths and sim.seed replaced where given, and
-    checked as at load: ConfigError for a value that is no integer."""
+def _override_sim(scn: Scenario, n_paths=None, seed=None) -> Model:
+    """The model of scn with sim.n_paths and sim.seed replaced where given,
+    checked as at load: ConfigError for a value that is no integer. This is
+    the one load of each run_*."""
     over = {k: v for k, v in (("n_paths", n_paths), ("seed", seed))
             if v is not None}
-    return scenario_from_dict({**scn.to_dict(), "sim": {**scn.sim, **over}})
+    return model_from_dict({**scn.to_dict(), "sim": {**scn.sim, **over}})
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +406,8 @@ def builtin_scenario(name: str) -> Scenario:
 
 
 def run_check_kernel(scn: Scenario) -> dict:
-    triplet = build_triplet(scn.triplet)
-    kern = build_kernel(scn.kernel)
-    regime = scn.verify.get("tail_regime", "other")
-    cls = emm_classify(kern, triplet, regime)
+    model = _override_sim(scn)
+    cls = emm_classify(model.kern, model.triplet, scn.verify.get("tail_regime", "other"))
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": scn.name,
@@ -443,7 +463,7 @@ def make_girsanov_kernel(scn: Scenario, triplet: LevyTriplet):
 MIN_REACH_SD = 6.0
 
 
-def h2_reach_sd(scn: Scenario, triplet: LevyTriplet, gk) -> float | None:
+def h2_reach_sd(model: Model) -> float | None:
     """How far E[Y] lies, in s.d. of Y, from the nearest y at which
     zeta(y) = -(y + b_h)/lam leaves (tail.zeta_lo, tail.zeta_hi); negative
     when E[Y] lies outside. Y is the lattice sum at T, sum_k phi'(k dt) dL_k
@@ -451,8 +471,8 @@ def h2_reach_sd(scn: Scenario, triplet: LevyTriplet, gk) -> float | None:
     E[tail]) and its variance sum_k phi'(k dt)^2 dt (c + int x^2 F). None
     when int x^2 F diverges: Y then has no s.d., and only a tail of
     unbounded support gives that."""
-    cfg = build_sim_config(scn.sim)
-    w = build_kernel(scn.kernel).dphi(np.arange(1, cfg.n_cells + 1) * cfg.dt)
+    cfg, triplet, gk = model.cfg, model.triplet, model.gk
+    w = model.kern.dphi(np.arange(1, cfg.n_cells + 1) * cfg.dt)
     try:
         second = levy_integrate(triplet.F, lambda x: x * x,
                                 g_quadratic_near_zero=True)
@@ -466,31 +486,40 @@ def h2_reach_sd(scn: Scenario, triplet: LevyTriplet, gk) -> float | None:
 
 
 def run_construct(scn: Scenario) -> dict:
-    triplet = build_triplet(scn.triplet)
-    gk = make_girsanov_kernel(scn, triplet)
+    model = _override_sim(scn)
+    gk = model.gk
     y_span = float(scn.emm.get("y_span", 1.0))
     ys = np.linspace(-y_span, y_span, _CONSTRUCT_N_Y)
     report = emm_construct.validate_girsanov_kernel(
-        gk, triplet, ys, abs_tol=float(scn.emm["tolerance"])
-    )
+        gk, model.triplet, ys, abs_tol=float(scn.emm["tolerance"]))
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": scn.name,
         "validation": report,
     }
     if gk.kind == "h2":
-        doc["reach_sd"] = h2_reach_sd(scn, triplet, gk)
+        doc["reach_sd"] = h2_reach_sd(model)
     return doc
 
 
-def _check_reach(scn: Scenario) -> None:
-    """ConfigError for an h2 battery whose zeta follows Y when Y reaches
-    the edge of zeta's range within MIN_REACH_SD s.d.: such a run stops
-    with ZetaOutOfRange once enough paths are drawn."""
-    if scn.emm["hypothesis"] != "h2" or "frozen_zeta" in scn.emm:
+def _check_reach(model: Model) -> None:
+    """ConfigError for an h2 battery that would stop with ZetaOutOfRange:
+    one with a frozen zeta outside the tail law's range, at its first
+    block, and one whose zeta follows Y when Y reaches the edge of zeta's
+    range within MIN_REACH_SD s.d., once enough paths are drawn."""
+    emm = model.scn.emm
+    if emm["hypothesis"] != "h2":
         return
-    triplet = build_triplet(scn.triplet)
-    reach = h2_reach_sd(scn, triplet, make_girsanov_kernel(scn, triplet))
+    if "frozen_zeta" in emm:
+        tail = model.gk.tail
+        try:
+            emm_construct.lambda_of_zeta(tail, float(emm["frozen_zeta"]))
+        except ZetaOutOfRange as exc:
+            raise ConfigError(
+                f"emm.frozen_zeta = {emm['frozen_zeta']} lies outside the tail "
+                f"law's range ({tail.zeta_lo}, {tail.zeta_hi}): {exc}") from None
+        return
+    reach = h2_reach_sd(model)
     if reach is not None and reach < MIN_REACH_SD:
         raise ConfigError(
             f"Y reaches the edge of zeta's range at {reach:.2f} s.d. of its "
@@ -502,16 +531,6 @@ def _check_reach(scn: Scenario) -> None:
 # ---------------------------------------------------------------------------
 # per-block workers (exact jump responses, no full-grid pass)
 # ---------------------------------------------------------------------------
-
-
-def _model(scn_dict: dict):
-    """Scenario, triplet, kernel, sim config and simulator of a worker. Each
-    worker rebuilds them from the dict because kernels hold lambdas that do
-    not pickle."""
-    scn = scenario_from_dict(scn_dict)
-    triplet = build_triplet(scn.triplet)
-    cfg = build_sim_config(scn.sim)
-    return scn, triplet, build_kernel(scn.kernel), cfg, PathSimulator(triplet, cfg)
 
 
 def _blocks(sim: PathSimulator, start: int, stop: int):
@@ -527,12 +546,10 @@ def _blocks(sim: PathSimulator, start: int, stop: int):
             yield first + lo, generators(states[lo:lo + _BLOCK])
 
 
-def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
-    """Weighted-P statistics (h1 or h2) for a contiguous block of path
-    indices."""
-    scn, triplet, kern, cfg, sim = _model(scn_dict)
-    gk = make_girsanov_kernel(scn, triplet)
-    probes = np.array(_probe_times(scn))
+def _weighted_chunk(model: Model, start: int, stop: int) -> dict:
+    """Weighted-P statistics (h1 or h2) of the model's paths [start, stop)."""
+    kern, cfg, sim, gk = model.kern, model.cfg, model.sim, model.gk
+    probes = np.array(_probe_times(model.scn))
     # left nodes of the compensator sum on [0, T); none for a mass-preserving alpha
     grid = sim.times[cfg.m_cells:-1] if gk.excess_rate is not None else np.empty(0)
 
@@ -562,13 +579,12 @@ def _weighted_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     return {"z_T": z_T, "x_probe": x_probe, "counts": counts}
 
 
-def _q_chunk(scn_dict: dict, start: int, stop: int) -> dict:
-    """Direct-Q mark and count statistics for a contiguous range of path
-    indices, in two passes: girsanov.q_arrivals for each block, then one
+def _q_chunk(model: Model, start: int, stop: int) -> dict:
+    """Direct-Q mark and count statistics of the model's paths [start, stop),
+    in two passes: girsanov.q_arrivals for each block, then one
     girsanov.q_marks over all the chunk's arrivals, so its rank loop runs
     once per chunk. The values equal draw_under_q's block by block."""
-    scn, triplet, kern, cfg, sim = _model(scn_dict)
-    gk = make_girsanov_kernel(scn, triplet)
+    gk, kern, sim = model.gk, model.kern, model.sim
     columns = [list(part) for part in zip(*(
         girsanov.q_arrivals(gk, kern, sim, rngs) for _, rngs in _blocks(sim, start, stop)))]
     # each column's block parts are freed as soon as they are joined
@@ -577,10 +593,10 @@ def _q_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     return {"counts": counts, "y_pre": y_pre, "marks": marks}
 
 
-def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
-    """Classical-Girsanov statistics for the pure-Gaussian baseline, whose
-    increments are all diffuse (jumps, c = 0 and phi(0) = 0 are refused at
-    load).
+def _gaussian_chunk(model: Model, start: int, stop: int) -> dict:
+    """Classical-Girsanov statistics of the model's paths [start, stop) for
+    the pure-Gaussian baseline, whose increments are all diffuse (jumps,
+    c = 0 and phi(0) = 0 are refused at load).
 
     The battery reads X and Y on [0, T] only, where the cells of [-M, 0]
     enter through one Gaussian vector of low rank r. So each path draws
@@ -589,14 +605,14 @@ def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     vector exactly in law (`PathSimulator.prehistory`): 256 + r normals
     per path at the builtin lattice instead of its 5376. This changed the
     battery's random stream against the whole lattice's."""
-    scn, triplet, kern, cfg, sim = _model(scn_dict)
+    triplet, kern, cfg, sim = model.triplet, model.kern, model.cfg, model.sim
     law = sim.prehistory(kern)
     near = PathSimulator(triplet, replace(cfg, M=0.0))
     sqc = math.sqrt(triplet.c)
     phi0 = kern.phi0
     xi = triplet.xi()
     # probe times are lattice multiples (checked at load)
-    p_idx = [round(t / cfg.dt) for t in _probe_times(scn)]
+    p_idx = [round(t / cfg.dt) for t in _probe_times(model.scn)]
 
     z_parts, x_parts = [], []
     for _, rngs in _blocks(near, start, stop):
@@ -611,23 +627,32 @@ def _gaussian_chunk(scn_dict: dict, start: int, stop: int) -> dict:
     return {"z_T": np.concatenate(z_parts), "x_probe": np.vstack(x_parts)}
 
 
-# the chunk worker of each path battery, by (hypothesis, verify mode)
+# the chunk worker of each path battery, by (hypothesis, verify mode); each
+# takes the run's model, shared in this process, and a range of path indices
 _PATH_WORKERS = {("h1", "weighted"): _weighted_chunk, ("h2", "weighted"): _weighted_chunk,
                  ("h2", "direct-q"): _q_chunk, ("gaussian", "weighted"): _gaussian_chunk}
 
 
-def _run_chunked(worker, scn: Scenario, n_paths: int, workers: int) -> dict:
-    """Split [0, n_paths) into index blocks and concatenate the results in
-    index order, so the ensemble is independent of scheduling."""
-    scn_dict = scn.to_dict()
+def _pool_task(worker, scn_dict: dict, start: int, stop: int) -> dict:
+    """worker over [start, stop) in a pool process, on the model rebuilt from
+    scn_dict (kernels hold lambdas that do not pickle)."""
+    return worker(model_from_dict(scn_dict), start, stop)
+
+
+def _run_chunked(worker, model: Model, workers: int) -> dict:
+    """Split the model's [0, n_paths) into index blocks and concatenate the
+    results in index order, so the ensemble is independent of scheduling.
+    Workers in this process share the model."""
     n_blocks = max(1, workers) * 4 if workers > 1 else 1
-    edges = np.linspace(0, n_paths, n_blocks + 1).astype(int)
+    edges = np.linspace(0, model.cfg.n_paths, n_blocks + 1).astype(int)
     spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
     if workers <= 1 or len(spans) == 1:
-        parts = [worker(scn_dict, a, b) for a, b in spans]
+        parts = [worker(model, a, b) for a, b in spans]
     else:
+        scn_dict = model.scn.to_dict()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(worker, scn_dict, a, b) for a, b in spans]
+            futs = [pool.submit(_pool_task, worker, scn_dict, a, b)
+                    for a, b in spans]
             parts = [f.result() for f in futs]
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
@@ -637,76 +662,64 @@ def _run_chunked(worker, scn: Scenario, n_paths: int, workers: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _girsanov_kernel(scn: Scenario):
-    return make_girsanov_kernel(scn, build_triplet(scn.triplet))
-
-
-def _brownian_invariance(scn: Scenario, data: dict, seed: int):
-    probes = _probe_times(scn)
+def _brownian_invariance(model: Model, data: dict, seed: int):
+    probes = _probe_times(model.scn)
     pairs = [(j, j + 1) for j in range(len(probes) - 1)]
-    phi0 = float(scn.emm.get("declared_phi0", build_kernel(scn.kernel).phi0))
+    phi0 = float(model.scn.emm.get("declared_phi0", model.kern.phi0))
     return verify.brownian_invariance_test(
-        data["x_probe"], probes, data["z_T"], pairs, phi0,
-        build_triplet(scn.triplet).c, seed=seed)
-
-
-def _jump_intensity(scn: Scenario, data: dict, seed: int):
-    lam = _girsanov_kernel(scn).lam * float(
-        scn.emm.get("declared_intensity_factor", 1.0))
-    return verify.jump_intensity_test(
-        data["counts"], lam, float(scn.sim["T"]), weights=data.get("z_T"),
+        data["x_probe"], probes, data["z_T"], pairs, phi0, model.triplet.c,
         seed=seed)
 
 
-# each path test as a function of the scenario, the merged chunk arrays
-# and the seed
+def _jump_intensity(model: Model, data: dict, seed: int):
+    lam = model.gk.lam * float(
+        model.scn.emm.get("declared_intensity_factor", 1.0))
+    return verify.jump_intensity_test(
+        data["counts"], lam, model.cfg.T, weights=data.get("z_T"), seed=seed)
+
+
+# each path test as a function of the model, the merged chunk arrays and
+# the seed
 _PATH_TESTS = {
-    "mean_density": lambda scn, data, seed: verify.mean_density_test(
+    "mean_density": lambda model, data, seed: verify.mean_density_test(
         data["z_T"], seed=seed),
-    "q_martingale": lambda scn, data, seed: verify.q_martingale_test(
+    "q_martingale": lambda model, data, seed: verify.q_martingale_test(
         data["x_probe"][:, 1:], data["x_probe"][:, 0], data["z_T"],
-        _probe_times(scn)[1:], seed=seed),
+        _probe_times(model.scn)[1:], seed=seed),
     "jump_intensity": _jump_intensity,
-    "conditional_jump_law": lambda scn, data, seed:
+    "conditional_jump_law": lambda model, data, seed:
         verify.conditional_jump_law_test(data["y_pre"], data["marks"],
-                                         _girsanov_kernel(scn), seed=seed),
+                                         model.gk, seed=seed),
     "brownian_invariance": _brownian_invariance,
 }
 
 
-def _battery_paths(scn: Scenario, workers: int) -> dict:
+def _battery_paths(model: Model, workers: int) -> dict:
     """Weighted-P (h1, h2, Gaussian) or direct-Q (h2) battery over simulated
     paths; under direct Q the paths carry no weights and give no plot."""
-    tests = _battery_tests(scn.emm, scn.verify)
+    scn = model.scn
     worker = _PATH_WORKERS[(scn.emm["hypothesis"],
                             scn.verify.get("mode", "weighted"))]
-    seed = int(scn.sim["seed"])
-    data = _run_chunked(worker, scn, int(scn.sim["n_paths"]), workers)
-    out = {"reports": [_PATH_TESTS[name](scn, data, seed) for name in tests]}
+    data = _run_chunked(worker, model, workers)
+    out = {"reports": [_PATH_TESTS[name](model, data, model.cfg.seed)
+                       for name in model.tests]}
     if "z_T" in data:
         out["plot"] = _plot_rows(_probe_times(scn), data["x_probe"], data["z_T"])
     return out
 
 
-def _battery_lm(scn: Scenario) -> dict:
-    tests = _battery_tests(scn.emm, scn.verify)
-    n_paths, seed = int(scn.sim["n_paths"]), int(scn.sim["seed"])
+def _battery_lm(model: Model) -> dict:
+    scn, triplet, cfg, tests = model.scn, model.triplet, model.cfg, model.tests
+    n_paths, seed = cfg.n_paths, cfg.seed
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     reports = []
     if scn.emm["style"] == "bremaud":
-        K1 = float(scn.emm["K1"])
-        K2 = float(scn.emm["K2"])
-        gamma = float(scn.emm["gamma"])
-        eps = float(scn.emm["eps"])
-        triplet = build_triplet(scn.triplet)
+        K1, K2, gamma, eps = (float(scn.emm[k]) for k in ("K1", "K2", "gamma", "eps"))
         lam = float(np.sum(triplet.F.w))
-        cfg = build_sim_config(scn.sim)
         times = np.arange(cfg.n_out) * cfg.dt
         # Poisson counting paths on the grid
         incs = rng.poisson(lam * cfg.dt, size=(n_paths, cfg.n_out - 1))
-        L = np.concatenate(
-            [np.zeros((n_paths, 1)), np.cumsum(incs, axis=1)], axis=1
-        )
+        L = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(incs, axis=1)], axis=1)
         P = 2.0 + K1 + K2 * (L + lam * times[None, :])
 
         def w_fn(p, x):
@@ -714,26 +727,20 @@ def _battery_lm(scn: Scenario) -> dict:
 
         lm = girsanov.lm_criterion_check(
             times, P, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            triplet, eps=eps, w_fn=w_fn,
-        )
+            triplet, eps=eps, w_fn=w_fn)
         if "lm_criterion" in tests:
             reports.append(verify.StatReport(
                 "lm_criterion", lm.condition_b, 0.0, n_paths,
                 "pass" if lm.certified else "fail",
                 "dominance + condition (b) + cell exponential moments", seed,
-                lm.to_dict(),
-            ))
+                lm.to_dict()))
         if "finite_expect" in tests:
             reports.append(lm.finite_expect)
     else:  # lmrelax, the only other style _battery_tests accepts
-        eps = float(scn.emm["eps"])
-        rate = float(scn.emm.get("cp_rate", 1.0))
-        counts = rng.poisson(rate, size=n_paths)
-        y = np.array([
-            float(np.sum(rng.exponential(1.0, k))) if k else 0.0
-            for k in counts
-        ])
-        reports.append(verify.finite_expect(y, eps, seed=seed))
+        counts = rng.poisson(float(scn.emm.get("cp_rate", 1.0)), size=n_paths)
+        y = np.array([float(np.sum(rng.exponential(1.0, k))) if k else 0.0
+                      for k in counts])
+        reports.append(verify.finite_expect(y, float(scn.emm["eps"]), seed=seed))
     return {"reports": reports}
 
 
@@ -751,12 +758,13 @@ def _plot_rows(times, x_probe, z):
 
 def run_verify(scn: Scenario, n_paths=None, seed=None, workers: int = 1) -> dict:
     """Run the scenario's test battery and assemble the report document."""
-    scn = _override_sim(scn, n_paths, seed)
-    _check_reach(scn)
+    model = _override_sim(scn, n_paths, seed)
+    scn = model.scn
+    _check_reach(model)
     if scn.emm["hypothesis"] == "lm":
-        out = _battery_lm(scn)
+        out = _battery_lm(model)
     else:
-        out = _battery_paths(scn, workers)
+        out = _battery_paths(model, workers)
     reports = out["reports"]
     overall = all(r.verdict == "pass" for r in reports)
     doc = {
@@ -778,11 +786,8 @@ def run_verify(scn: Scenario, n_paths=None, seed=None, workers: int = 1) -> dict
 
 
 def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None) -> dict:
-    scn = _override_sim(scn, n_paths, seed)
-    cfg = build_sim_config(scn.sim)
-    triplet = build_triplet(scn.triplet)
-    kern = build_kernel(scn.kernel)
-    sim = PathSimulator(triplet, cfg)
+    model = _override_sim(scn, n_paths, seed)
+    scn, kern, cfg, sim = model.scn, model.kern, model.cfg, model.sim
     os.makedirs(out_dir, exist_ok=True)
     jump_records = []
     for lo, rngs in _blocks(sim, 0, cfg.n_paths):

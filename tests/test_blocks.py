@@ -75,9 +75,9 @@ CHUNK_CASES = {
 @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
 def test_chunk_arrays_independent_of_the_split(case):
     worker, build = CHUNK_CASES[case]
-    d = build()
-    whole = worker(d, 0, 2000)
-    parts = [worker(d, a, b) for a, b in SPLIT]
+    model = pipeline.model_from_dict(build())
+    whole = worker(model, 0, 2000)
+    parts = [worker(model, a, b) for a, b in SPLIT]
     if worker is pipeline._gaussian_chunk:
         assert len(whole["z_T"]) == 2000
     else:
@@ -138,7 +138,7 @@ def test_block_seeding_streams_equal_rng_for(lo):
 
 @pytest.mark.parametrize("name", ["h2-two-atom", "gaussian-baseline"])
 def test_draw_from_block_seeding_equals_rng_for(name):
-    sim = pipeline._model(_builtin(name))[4]
+    sim = pipeline.model_from_dict(_builtin(name)).sim
     block = sim.draw(sim.rngs(300, 428))
     ref = sim.draw([sim.rng_for(i) for i in range(300, 428)])
     for field in ("diffuse", "jump_times", "jump_sizes", "offsets"):
@@ -146,7 +146,7 @@ def test_draw_from_block_seeding_equals_rng_for(name):
 
 
 def test_sas_direct_q_has_diffuse_cells():
-    _, _, _, _, sim = pipeline._model(_direct_q_sas())
+    sim = pipeline.model_from_dict(_direct_q_sas()).sim
     assert sim.small_var_rate > 0.0
     assert sim.draw([sim.rng_for(0)]).diffuse.any()
 
@@ -266,15 +266,15 @@ def _counting(sim, n):
     ("sas-gauss", ["standard_normal", "poisson", "random"])])
 def test_draw_calls_per_path(which, want):
     sim = _sas_gauss_sim() if which == "sas-gauss" else \
-        pipeline._model(_builtin(which))[4]
+        pipeline.model_from_dict(_builtin(which)).sim
     rngs = _counting(sim, 40)
     sim.draw(rngs)
     assert all(rng.calls == want for rng in rngs)
 
 
 def test_direct_q_calls_per_path():
-    scn, triplet, kern, _, sim = pipeline._model(_builtin("q-two-atom-zeta05"))
-    gk = pipeline.make_girsanov_kernel(scn, triplet)
+    model = pipeline.model_from_dict(_builtin("q-two-atom-zeta05"))
+    gk, kern, sim = model.gk, model.kern, model.sim
     rngs = _counting(sim, 40)
     counts = girsanov.draw_under_q(gk, kern, sim, rngs)[0]
     assert (counts == 0).any() and counts.max() > 1
@@ -282,7 +282,8 @@ def test_direct_q_calls_per_path():
 
 
 def test_prehistory_normals_take_one_call_per_path():
-    _, _, kern, _, sim = pipeline._model(_builtin("gaussian-baseline"))
+    model = pipeline.model_from_dict(_builtin("gaussian-baseline"))
+    kern, sim = model.kern, model.sim
     law = sim.prehistory(kern)
     rngs = _counting(sim, 10)
     eta = law.normals(rngs)
@@ -384,7 +385,7 @@ def test_draw_rows_equal_paths_drawn_one_at_a_time(which):
     if which == "sas-gauss":
         sim = _sas_gauss_sim()
     else:
-        sim = pipeline._model(_builtin(which))[4]
+        sim = pipeline.model_from_dict(_builtin(which)).sim
     block = sim.draw([sim.rng_for(i) for i in range(150)])
     assert len(block.jump_times)
     assert block.diffuse.any() == (which == "sas-gauss")
@@ -451,9 +452,8 @@ Q_CASES = {
 
 @pytest.mark.parametrize("case", sorted(Q_CASES))
 def test_direct_q_block_matches_sequential_reference(case):
-    d = Q_CASES[case]()
-    scn, triplet, kern, _, sim = pipeline._model(d)
-    gk = pipeline.make_girsanov_kernel(scn, triplet)
+    model = pipeline.model_from_dict(Q_CASES[case]())
+    triplet, kern, sim, gk = model.triplet, model.kern, model.sim, model.gk
     counts, _, marks, y_pre = girsanov.draw_under_q(
         gk, kern, sim, [sim.rng_for(i) for i in range(150)])
     assert sim.draw([sim.rng_for(0)]).diffuse.any() == case.startswith("sas")
@@ -484,8 +484,8 @@ def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
     paths), some drawn more than once. The rank loop gives the same bits
     in slices of 7 elements; _q_chunk agrees too."""
     d = _builtin("q-two-atom-zeta05") if case == "frozen-zeta" else Q_CASES[case]()
-    scn, triplet, kern, _, sim = pipeline._model(d)
-    gk = pipeline.make_girsanov_kernel(scn, triplet)
+    model = pipeline.model_from_dict(d)
+    kern, sim, gk = model.kern, model.sim, model.gk
     probe = girsanov.draw_under_q(gk, kern, sim, sim.rngs(0, 150))[0]
     zero, top = np.flatnonzero(probe == 0)[:1], np.flatnonzero(probe == probe.max())
     fill = np.tile(np.flatnonzero((probe > 0) & (probe < probe.max())), 3)
@@ -509,7 +509,7 @@ def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
         marks = girsanov.q_marks(gk, kern, counts, q_t, q_u, y_pre)
         for got, want in zip((counts, q_t, marks, y_pre), zip(*per_block)):
             assert np.array_equal(got, np.concatenate(want))
-    chunk = pipeline._q_chunk(d, 0, 150)
+    chunk = pipeline._q_chunk(model, 0, 150)
     whole = [girsanov.draw_under_q(gk, kern, sim, sim.rngs(lo, hi))
              for lo, hi in ((0, 128), (128, 150))]
     for key, k in (("counts", 0), ("marks", 2), ("y_pre", 3)):
@@ -540,10 +540,10 @@ def _weighted_reference(scn, triplet, kern, cfg, sim, gk, i):
 
 @pytest.mark.parametrize("name", ["h1-two-atom", "h2-two-atom"])
 def test_weighted_block_matches_per_path_reference(name):
-    d = _builtin(name)
-    scn, triplet, kern, cfg, sim = pipeline._model(d)
-    gk = pipeline.make_girsanov_kernel(scn, triplet)
-    got = pipeline._weighted_chunk(d, 0, 150)
+    model = pipeline.model_from_dict(_builtin(name))
+    scn, triplet, kern, cfg, sim, gk = (model.scn, model.triplet, model.kern,
+                                        model.cfg, model.sim, model.gk)
+    got = pipeline._weighted_chunk(model, 0, 150)
     refs = [_weighted_reference(scn, triplet, kern, cfg, sim, gk, i)
             for i in range(150)]
     z_ref = np.array([z for z, _ in refs])
@@ -661,7 +661,7 @@ def test_carried_response_matches_running_sum_with_diffuse_cells(which):
     if which == "sas-gauss":
         sim = _sas_gauss_sim()
     else:
-        sim = pipeline._model(_builtin(which))[4]
+        sim = pipeline.model_from_dict(_builtin(which)).sim
     block = sim.draw(sim.rngs(0, 60))
     assert block.diffuse.any() and len(block.jump_times)
     rows, t = _queries(block, seed=1)
@@ -690,7 +690,7 @@ def test_carried_response_at_jump_times_and_left_nodes():
 
 
 def test_carried_rows_are_the_same_alone_in_a_block_and_permuted():
-    sim = pipeline._model(_builtin("h1-two-atom"))[4]
+    sim = pipeline.model_from_dict(_builtin("h1-two-atom")).sim
     block = sim.draw(sim.rngs(0, 128))
     rows, t = _queries(block, seed=2, per_row=6)
     k = exponential_kernel(0.05)

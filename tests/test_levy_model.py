@@ -15,7 +15,6 @@ from levyemm.levy_model import (
     ZeroMeasure,
     ball_complement,
     band_masses,
-    drift_xi,
     first_abs_moment_tail,
     gaussian_only,
     indicator_inside,
@@ -213,25 +212,25 @@ class TestTailLawQuantile:
 class TestDriftXi:
     def test_atom_inside_truncation(self):
         t = LevyTriplet(0.0, DiscreteMeasure([(1.0, 1.0)]), 0.0, indicator_inside(1.0))
-        assert drift_xi(t) == pytest.approx(0.0, abs=EXACT)
+        assert t.xi() == pytest.approx(0.0, abs=EXACT)
 
     def test_atom_outside_truncation(self):
         t = LevyTriplet(0.0, DiscreteMeasure([(2.0, 1.0)]), 0.0, indicator_inside(1.0))
-        assert drift_xi(t) == pytest.approx(2.0, abs=EXACT)
+        assert t.xi() == pytest.approx(2.0, abs=EXACT)
 
     def test_outside_band_truncation(self):
         t = LevyTriplet(
             0.0, DiscreteMeasure([(-1.0, 1.0), (1.0, 1.0)]), 3.0,
             indicator_outside_band(0.5, 2.0),
         )
-        assert drift_xi(t) == pytest.approx(3.0, abs=EXACT)
+        assert t.xi() == pytest.approx(3.0, abs=EXACT)
 
     def test_symmetric_F_gives_xi_equals_bh(self):
         t = LevyTriplet(
             0.0, DiscreteMeasure([(-2.0, 0.7), (2.0, 0.7)]), 1.25,
             indicator_inside(1.0),
         )
-        assert drift_xi(t) == pytest.approx(1.25, abs=EXACT)
+        assert t.xi() == pytest.approx(1.25, abs=EXACT)
 
     def test_nonintegrable_flag_enforced(self):
         with pytest.raises(NonIntegrable):

@@ -37,7 +37,6 @@ from levyemm.path_sim import (
     _weight_table,
     _window_sums,
     moving_average,
-    simulate_levy,
     y_at,
 )
 
@@ -345,13 +344,6 @@ class TestReproducibility:
         first = {i: sim.simulate_index(i).increments for i in (0, 1, 2)}
         for i in (2, 0, 1):
             assert np.array_equal(sim.simulate_index(i).increments, first[i])
-
-    def test_simulate_levy_wrapper(self):
-        cfg = _cfg(seed=1)
-        rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
-        a = simulate_levy(_gauss_triplet(), cfg, rng)
-        b = PathSimulator(_gauss_triplet(), cfg).simulate_index(0)
-        assert np.array_equal(a.increments, b.increments)
 
 
 class TestStationarity:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -8,7 +9,8 @@ import yaml
 
 from levyemm import cli, emm_construct, pipeline, verify
 from levyemm.errors import ConfigError
-from levyemm.path_sim import SimConfig
+from levyemm.levy_model import LevyTriplet
+from levyemm.path_sim import PathSimulator, SimConfig
 from levyemm.pipeline import (
     Scenario,
     SCENARIO_DIR,
@@ -340,6 +342,51 @@ class TestPipelines:
         d["kernel"]["kappa"] = 0.25
         assert run_verify(scenario_from_dict(d), n_paths=200)["n_paths"] == 200
 
+    # each zeta on or past an atom: the run stopped with ZetaOutOfRange at
+    # its first block (exit 2) before
+    @pytest.mark.parametrize("name, zeta", [
+        ("h2-two-atom", 5.0), ("h2-two-atom", 1.0),
+        ("q-two-atom-zeta05", -1.0), ("q-two-atom-zeta05", 2.0)])
+    def test_frozen_zeta_outside_range_refused_before_any_path(
+            self, name, zeta, monkeypatch):
+        d = builtin_scenario(name).to_dict()
+        d["emm"]["frozen_zeta"] = zeta
+        scn = scenario_from_dict(d)
+
+        def no_paths(*args):
+            raise AssertionError("paths drawn")
+
+        monkeypatch.setattr(pipeline, "_run_chunked", no_paths)
+        with pytest.raises(ConfigError, match="emm.frozen_zeta"):
+            run_verify(scn, n_paths=200)
+
+    @pytest.mark.parametrize("name", ["h2-two-atom", "q-two-atom-zeta05"])
+    def test_frozen_zeta_inside_range_runs(self, name):
+        d = builtin_scenario(name).to_dict()
+        d["emm"]["frozen_zeta"] = 0.5
+        assert run_verify(scenario_from_dict(d), n_paths=200)["n_paths"] == 200
+
+    # the tuple-returning worker model and the Girsanov kernel of each test
+    # built the kernel 3 times and the triplet 6 times per call before
+    @pytest.mark.parametrize("name, most", [
+        ("h2-two-atom", (1, 2, 1)), ("q-two-atom-zeta05", (1, 2, 1)),
+        ("gaussian-baseline", (0, 2, 2))])
+    def test_run_builds_its_model_once(self, name, most, monkeypatch):
+        scn = builtin_scenario(name)
+        built = collections.Counter()
+        for what, owner, attr in (("make_h2_kernel", emm_construct, "make_h2_kernel"),
+                                  ("LevyTriplet", LevyTriplet, "__post_init__"),
+                                  ("PathSimulator", PathSimulator, "__init__")):
+            def counted(*args, fn=getattr(owner, attr), what=what, **kwargs):
+                built[what] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+        run_verify(scn, n_paths=300, seed=5)
+        got = tuple(built[k] for k in ("make_h2_kernel", "LevyTriplet",
+                                       "PathSimulator"))
+        assert got[0] == most[0] and got[1] <= most[1] and got[2] <= most[2], got
+        assert got[2] >= 1
+
     def test_construct_reports_no_reach_without_second_moment(self):
         d = builtin_scenario("h2-two-atom").to_dict()
         d["triplet"]["measure"] = {"type": "symmetric-alpha-stable", "alpha": 1.5}
@@ -465,10 +512,10 @@ class TestDirectQ:
 
     def test_frozen_zeta_marks_fail_the_live_law(self):
         scn = builtin_scenario("q-two-atom-zeta05")
-        data = pipeline._run_chunked(pipeline._q_chunk, scn, 500, 1)
-        triplet = pipeline.build_triplet(scn.triplet)
-        frozen = pipeline.make_girsanov_kernel(scn, triplet)
-        live = emm_construct.make_h2_kernel(triplet, scn.emm["a"])
+        model = pipeline._override_sim(scn, n_paths=500)
+        data = pipeline._run_chunked(pipeline._q_chunk, model, 1)
+        frozen = model.gk
+        live = emm_construct.make_h2_kernel(model.triplet, scn.emm["a"])
         law = verify.conditional_jump_law_test
         assert law(data["y_pre"], data["marks"], frozen, seed=1).verdict == "pass"
         assert law(data["y_pre"], data["marks"], live, seed=1).verdict == "fail"
@@ -602,6 +649,50 @@ class TestCli:
     def test_report_empty_dir_is_config_error(self, tmp_path, capsys):
         code, _ = self._run(["report", "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_CONFIG
+
+    # a JSONDecodeError or KeyError traceback before
+    @pytest.mark.parametrize("text", ["{not json", '{"scenario": "x"}',
+                                      '{"overall": "pass"}', "[1, 2]"],
+                             ids=["not-json", "no-overall", "no-scenario",
+                                  "list"])
+    def test_malformed_report_is_config_error(self, text, tmp_path, capsys):
+        p = tmp_path / "x_verify.json"
+        p.write_text(text)
+        code = cli.main(["report", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {p}: ")
+
+    # integrable (the default) on alpha <= 1 loaded, and check-kernel
+    # exited 2 with NonIntegrable, before
+    @pytest.mark.parametrize("integrable, want", [
+        (True, cli.EXIT_CONFIG), (None, cli.EXIT_CONFIG),
+        (False, cli.EXIT_NOT_ADMISSIBLE)])
+    def test_integrable_needs_a_finite_first_moment(self, integrable, want,
+                                                     tmp_path, capsys):
+        d = builtin_scenario("classify-sas-1.2").to_dict()
+        d["triplet"]["measure"]["alpha"] = 0.8
+        d["triplet"].pop("integrable")
+        if integrable is not None:
+            d["triplet"]["integrable"] = integrable
+        p = tmp_path / "sas-0.8.yaml"
+        p.write_text(yaml.safe_dump(d))
+        code = cli.main(["check-kernel", "--scenario", str(p),
+                         "--out", str(tmp_path)])
+        assert code == want
+        if want == cli.EXIT_CONFIG:
+            assert "config error: triplet: " in capsys.readouterr().err
+
+    def test_construct_keeps_its_report_for_frozen_zeta_outside_range(
+            self, tmp_path, capsys):
+        d = builtin_scenario("q-two-atom-zeta05").to_dict()
+        d["emm"]["frozen_zeta"] = 2.0
+        p = tmp_path / "zeta-2.yaml"
+        p.write_text(yaml.safe_dump(d))
+        code, out = self._run(["construct", "--scenario", str(p),
+                               "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_NOT_ADMISSIBLE
+        validation = json.loads(out)["validation"]
+        assert not validation["ok"] and validation["failures"]
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = cli.main(["verify", "--scenario", str(tmp_path / "nope.yaml"),
