@@ -3,7 +3,8 @@
 Subcommands: check-kernel, construct, simulate, verify, report. Exit
 codes: 0 success / admissible / all tests pass, 1 verification failure,
 2 not admissible or construction failure, 3 indeterminate, 64 config
-error. Flags can also be set through LEVYEMM_* environment variables.
+error. Each subcommand takes only the flags it reads (`_FLAGS`); those
+can also be set through LEVYEMM_* environment variables.
 """
 
 from __future__ import annotations
@@ -41,29 +42,38 @@ def _profile(name: str) -> str:
     return name
 
 
+# the flags each subcommand reads, besides --scenario / --builtin
+_FLAGS = {"check-kernel": ("out",), "construct": ("out",),
+          "simulate": ("seed", "n-paths", "out", "profile"),
+          "verify": ("seed", "n-paths", "out", "profile", "workers"),
+          "report": ("out",)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="levyemm",
         description="EMM construction and verification for Levy-driven "
                     "moving averages",
     )
+    # argparse applies type to a string default, so a bad LEVYEMM_*
+    # value gives the same usage error as the flag would
+    env = os.environ.get
+    flags = {
+        "seed": dict(type=int, default=env("LEVYEMM_SEED")),
+        "n-paths": dict(type=int, default=env("LEVYEMM_N_PATHS")),
+        "out": dict(default=env("LEVYEMM_OUT") or "out"),
+        "profile": dict(type=_profile, default=env("LEVYEMM_PROFILE") or "full"),
+        "workers": dict(type=int, default=env("LEVYEMM_WORKERS") or "1"),
+    }
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("check-kernel", "construct", "simulate", "verify", "report"):
+    for name, takes in _FLAGS.items():
         sp = sub.add_parser(name)
         if name != "report":
             g = sp.add_mutually_exclusive_group(required=True)
             g.add_argument("--scenario", help="scenario YAML path")
             g.add_argument("--builtin", help="named builtin scenario")
-        # argparse applies type to a string default, so a bad LEVYEMM_*
-        # value gives the same usage error as the flag would
-        env = os.environ.get
-        sp.add_argument("--seed", type=int, default=env("LEVYEMM_SEED"))
-        sp.add_argument("--n-paths", type=int, default=env("LEVYEMM_N_PATHS"))
-        sp.add_argument("--out", default=env("LEVYEMM_OUT") or "out")
-        sp.add_argument("--profile", type=_profile,
-                        default=env("LEVYEMM_PROFILE") or "full")
-        sp.add_argument("--workers", type=int,
-                        default=env("LEVYEMM_WORKERS") or "1")
+        for flag in takes:
+            sp.add_argument(f"--{flag}", **flags[flag])
     return p
 
 

@@ -23,9 +23,10 @@ from scipy import integrate as _sciint
 from .errors import MissingDensity, NonIntegrable
 from .levy_model import (
     DensityMeasure,
-    DiscreteMeasure,
+    Interval,
     LevyMeasure,
     LevyTriplet,
+    ball_complement,
     levy_integrate,
 )
 
@@ -244,14 +245,9 @@ class DensityConditionResult:
 
 def _jump_kernel_integral(F: LevyMeasure, u: float) -> float:
     """m(u) = int min(|x| u, (x u)^2) F(dx); monotone in u >= 0."""
-    if u == 0.0 or F.is_zero:
+    if u == 0.0:
         return 0.0
-    if isinstance(F, DiscreteMeasure):
-        ax = np.abs(F.x)
-        return float(np.sum(np.minimum(ax * u, (ax * u) ** 2) * F.w))
     # split at the kink |x| = 1/u: quadratic inside, linear outside
-    from .levy_model import Interval, ball_complement
-
     r = 1.0 / u
     quad_part = u * u * levy_integrate(
         F, lambda x: x * x, [Interval(-r, r)], g_quadratic_near_zero=True

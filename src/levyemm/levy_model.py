@@ -417,8 +417,6 @@ def band_masses(F: LevyMeasure, a: float, b: float) -> tuple[float, float]:
 def first_abs_moment_tail(F: LevyMeasure, r: float = 1.0) -> float:
     """Integral of |x| over {|x| > r}; inf when the user-declared tail flag
     says the measure has non-integrable large jumps."""
-    if F.is_zero:
-        return 0.0
     if isinstance(F, DensityMeasure):
         if F.tail_integrable is False:
             return math.inf
@@ -647,41 +645,30 @@ class LevyTriplet:
             raise ValueError(
                 "the outside-band pseudo-truncation requires integrable large jumps"
             )
-        if self.integrable and not self.F.is_zero:
-            if math.isinf(first_abs_moment_tail(self.F)):
-                raise NonIntegrable(
-                    "integrable flag set but large-jump first moment diverges"
-                )
+        if self.integrable and math.isinf(first_abs_moment_tail(self.F)):
+            raise NonIntegrable(
+                "integrable flag set but large-jump first moment diverges"
+            )
 
     def xi(self) -> float:
         """Mean rate: E[L_t] = xi * t."""
         if not self.integrable:
             raise NonIntegrable("xi requires the integrable-L flag")
-        if self.F.is_zero:
-            return self.b_h
-        if isinstance(self.F, DiscreteMeasure):
-            corr = float(np.sum((self.F.x - self.h(self.F.x)) * self.F.w))
-        else:
-            h = self.h
-            corr = levy_integrate(
-                self.F, lambda x: x - h(x), h.nonidentity_region()
-            )
+        h = self.h
+        corr = levy_integrate(
+            self.F, lambda x: x - h(x), h.nonidentity_region()
+        )
         return corr + self.b_h
 
 
 def retriplet(triplet: LevyTriplet, h_new: TruncationFunction) -> LevyTriplet:
     """Same law of L, different truncation: b^{h'} = b^h + int (h' - h) dF."""
     F = triplet.F
-    if F.is_zero:
-        corr = 0.0
-    elif isinstance(F, DiscreteMeasure):
-        corr = float(np.sum((h_new(F.x) - triplet.h(F.x)) * F.w))
-    else:
-        r = min(triplet.h.identity_radius, h_new.identity_radius)
-        h_old = triplet.h
-        corr = levy_integrate(
-            F, lambda x: h_new(x) - h_old(x), ball_complement(r)
-        )
+    r = min(triplet.h.identity_radius, h_new.identity_radius)
+    h_old = triplet.h
+    corr = levy_integrate(
+        F, lambda x: h_new(x) - h_old(x), ball_complement(r)
+    )
     return LevyTriplet(
         c=triplet.c, F=F, b_h=triplet.b_h + corr, h=h_new, integrable=triplet.integrable
     )

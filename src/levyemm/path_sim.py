@@ -599,19 +599,13 @@ class PathSimulator:
         self.jump_rate = self.tail.rate if self.tail else 0.0
 
         F = triplet.F
-        if F.is_zero:
-            self.small_var_rate = 0.0
-        else:
-            self.small_var_rate = levy_integrate(
-                F, lambda x: x * x,
-                [Interval(-eps, eps, open_lo=True, open_hi=True)],
-                g_quadratic_near_zero=True,
-            )
+        self.small_var_rate = levy_integrate(
+            F, lambda x: x * x,
+            [Interval(-eps, eps, open_lo=True, open_hi=True)],
+            g_quadratic_near_zero=True,
+        )
         h = triplet.h
-        if F.is_zero:
-            comp = 0.0
-        else:
-            comp = levy_integrate(F, h, ball_complement(eps, open_ends=False))
+        comp = levy_integrate(F, h, ball_complement(eps, open_ends=False))
         self.drift_rate = triplet.b_h - comp
 
         self.times = np.linspace(-config.M, config.T, config.n_cells + 1)

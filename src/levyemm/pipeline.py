@@ -246,6 +246,15 @@ def model_from_dict(d: dict) -> Model:
     if hyp in ("h1", "h2") and not 0 < emm["a"] < emm.get("b", math.inf):
         raise ConfigError(f"{what} needs 0 < a, and a < b for h1; not "
                           f"a = {emm['a']}, b = {emm.get('b')}")
+    # the density reweights only the jumps the simulator draws, |x| >= eps_jump
+    if hyp in ("h1", "h2") and sim["eps_jump"] > emm["a"]:
+        raise ConfigError(f"sim.eps_jump = {sim['eps_jump']} exceeds emm.a = "
+                          f"{emm['a']}, so the {hyp} density would miss the jumps "
+                          f"in a < |x| < eps_jump, which are simulated as Gaussian")
+    # the bremaud battery counts the jumps of F at its total mass
+    if emm.get("style") == "bremaud":
+        _made("triplet: the bremaud battery needs a measure of finite mass",
+              lambda: levy_integrate(triplet.F, 1.0))
     if hyp == "h2" and triplet.F.is_zero:
         raise ConfigError("h2 requires two-sided tail mass; measure is zero")
     # Z_T of the gaussian battery reads every increment as Brownian, dB/sqrt(c)
@@ -715,7 +724,7 @@ def _battery_lm(model: Model) -> dict:
     reports = []
     if scn.emm["style"] == "bremaud":
         K1, K2, gamma, eps = (float(scn.emm[k]) for k in ("K1", "K2", "gamma", "eps"))
-        lam = float(np.sum(triplet.F.w))
+        lam = levy_integrate(triplet.F, 1.0)
         times = np.arange(cfg.n_out) * cfg.dt
         # Poisson counting paths on the grid
         incs = rng.poisson(lam * cfg.dt, size=(n_paths, cfg.n_out - 1))

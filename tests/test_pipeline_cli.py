@@ -60,6 +60,14 @@ def _renamed(base, section, key, new):
     return d
 
 
+def _eps_past_a(base):
+    """base on atoms at +-0.6 and +-1 with truncation radius 1.5, so that
+    eps_jump may exceed emm.a = 0.5 without passing the radius."""
+    return lambda: _with(base, "triplet", truncation={"kind": "inside", "a": 1.5},
+                         measure={"type": "discrete", "atoms": [
+                             [-0.6, 2.0], [0.6, 2.0], [-1.0, 1.0], [1.0, 1.0]]})
+
+
 # (scenario builder, what the refusal message names); each combination ran
 # before with a wrong verdict, an empty battery or a mid-run AttributeError
 REFUSED = {
@@ -163,6 +171,22 @@ REFUSED = {
     # refused only when the simulator was built (exit 2) before
     "h2-eps-jump-past-radius": (lambda: _with(_two_atom_dict, "sim",
                                               eps_jump=1.0), "identity radius"),
+    # jumps in a < |x| < eps_jump are simulated as Gaussian, out of the
+    # density's reach: h2's jump_intensity and h1's mean_density failed at
+    # 4000 paths, and direct Q stopped with UnsupportedModel, exit 2, before
+    **{f"{case}-eps-jump-past-a": (lambda base=base: _with(_eps_past_a(base), "sim",
+                                                           eps_jump=0.75),
+                                   "sim.eps_jump = 0.75 exceeds emm.a = 0.5")
+       for case, base in (("h1", _h1_dict), ("h2", _two_atom_dict),
+                          ("direct-q", _q_dict))},
+    # the battery counts the jumps of F at its total mass (an
+    # AttributeError before, and an InvalidRegion once it read the mass)
+    **{f"bremaud-{m['type']}": (lambda m=m: _with(_builtin("bremaud"), "triplet",
+                                                  measure=m),
+                                "triplet: the bremaud battery needs a measure "
+                                "of finite mass")
+       for m in ({"type": "tempered-stable", "eta": 1.0, "lam": 1.0, "alpha": 0.5},
+                 {"type": "symmetric-alpha-stable", "alpha": 1.5})},
     # a misleading TruncationViolated, exit 2, before
     "band-negative-height": (lambda: _with(_q_dict, "triplet", measure={
         "type": "uniform-band", "a": 0.25, "b": 2.0, "height": -1.0}),
@@ -284,6 +308,13 @@ class TestScenarioSchema:
         build, named = REFUSED[case]
         with pytest.raises(ConfigError, match=named):
             scenario_from_dict(build())
+
+    @pytest.mark.parametrize("base", [_h1_dict, _two_atom_dict, _q_dict],
+                             ids=["h1", "h2", "direct-q"])
+    def test_eps_jump_at_a_loads(self, base):
+        d = _with(_eps_past_a(base), "sim", eps_jump=0.5)
+        assert d["emm"]["a"] == 0.5
+        assert scenario_from_dict(d).sim["eps_jump"] == 0.5
 
     @pytest.mark.parametrize("tests", [["lm_criterion"], ["finite_expect"],
                                        ["lm_criterion", "finite_expect"]])
@@ -439,6 +470,21 @@ class TestPipelines:
         doc = run_verify(scn, n_paths=200)
         assert [r["name"] for r in doc["reports"]] == [
             "mean_density", "q_martingale", "jump_intensity"]
+
+    # a finite measure without atoms stopped with AttributeError before
+    def test_verify_bremaud_on_a_density_of_the_same_mass(self):
+        d = _with(_builtin("bremaud"), "triplet",
+                  measure={"type": "uniform-band", "a": 0.5, "b": 1.0})
+        band = run_verify(scenario_from_dict(d), n_paths=2000)
+        atom = run_verify(builtin_scenario("bremaud"), n_paths=2000)
+        (got,), (want,) = band["reports"], atom["reports"]
+        assert got["verdict"] == want["verdict"] == "pass"
+        assert got["estimate"] == pytest.approx(want["estimate"], rel=1e-12)
+
+    def test_verify_bremaud_on_the_zero_measure_runs(self):
+        d = _with(_builtin("bremaud"), "triplet", measure={"type": "zero"})
+        doc = run_verify(scenario_from_dict(d), n_paths=256)
+        assert [r["name"] for r in doc["reports"]] == ["lm_criterion"]
 
     def test_verify_bremaud_has_one_report(self):
         doc = run_verify(builtin_scenario("bremaud"), n_paths=1024)
@@ -719,6 +765,8 @@ class TestCli:
         "top-level-verfy", "sim-small-jump-mode", "h2-negative-kappa",
         "h2-no-kappa", "sas-no-alpha", "sas-alpha-2.5", "negative-c",
         "gaussian-zero-start", "h2-eps-jump-past-radius",
+        "h1-eps-jump-past-a", "h2-eps-jump-past-a", "direct-q-eps-jump-past-a",
+        "bremaud-tempered-stable", "bremaud-symmetric-alpha-stable",
         "band-negative-height"])
     def test_refused_battery_is_config_error(self, case, tmp_path, capsys):
         build, named = REFUSED[case]
@@ -747,6 +795,20 @@ class TestCli:
                          "--out", str(tmp_path)] + flags)
         assert code == cli.EXIT_CONFIG
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+
+    # each was accepted and ignored before
+    @pytest.mark.parametrize("argv", [
+        ["check-kernel", "--builtin", "classify-sas-1.5", "--seed", "3"],
+        ["construct", "--builtin", "h2-two-atom", "--n-paths", "5"],
+        ["report", "--workers", "2"],
+        ["simulate", "--builtin", "h2-two-atom", "--workers", "2"]])
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(
+            self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_env_integer_is_a_usage_error(self, tmp_path, capsys,
                                               monkeypatch):
