@@ -119,7 +119,9 @@ class PathBlock:
 
     diffuse holds every path's cell increments before any explicit jump is
     embedded. The explicit jumps of all paths sit in one flat array: path
-    b's, in increasing time, at offsets[b]:offsets[b + 1].
+    b's, in increasing time, at offsets[b]:offsets[b + 1]. A block drawn
+    with a pre-history law (`PathSimulator.draw`) keeps each path's normals
+    of that law as the rows of eta.
     """
 
     times: np.ndarray  # nodes -M = t_0 < ... < t_N = T
@@ -128,6 +130,7 @@ class PathBlock:
     jump_times: np.ndarray
     jump_sizes: np.ndarray
     offsets: np.ndarray  # (B + 1,)
+    eta: np.ndarray | None = None  # (B, rank) pre-history normals, if drawn
 
     @classmethod
     def of_path(cls, path: LatticePath, diffuse: np.ndarray | None = None
@@ -202,31 +205,34 @@ class PathBlock:
         return out
 
     def moving_average(self, kernel: Kernel, prehistory: Prehistory | None = None,
-                       eta: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """X and Y = phi'-average of every path on the grid [0, T], each of
-        shape (B, n_out): the diffuse left-point sums plus each jump's exact
-        response at the nodes at or after it. For a kernel of exponential
-        form both are f0 times one carried sum (`_Carried.on_grid`), so off
-        the jump times they are `response`'s values to the bit; any other
-        kernel takes one FFT correlation of the block per weight table
-        (`_backend.ma_correlate`) plus the jumps by running sum.
+                       x_nodes=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """X at the grid nodes x_nodes (default every node) and Y = the
+        phi'-average at every node of the grid [0, T], of shapes (B,
+        len(x_nodes)) and (B, n_out): the diffuse left-point sums plus each
+        jump's exact response at the nodes at or after it. For a kernel of
+        exponential form both are f0 times one carried sum (`_Carried.on_grid`),
+        so off the jump times they are `response`'s values to the bit; any
+        other kernel takes one FFT correlation of the block per weight table
+        (`_backend.ma_correlate`) plus the jumps by running sum, and X is
+        taken at x_nodes after them. X at some nodes is the full grid's X at
+        those nodes to the bit.
 
         A block drawn from 0 may take its pre-history in law instead: with
-        prehistory (`PathSimulator.prehistory` of the lattice from -M) and
-        eta, the (B, rank) normals of its paths, X and Y gain each row's
-        draw mean + factor eta. An einsum, unlike a BLAS product, sums each
-        row the same way in a block of any size.
+        prehistory (`PathSimulator.prehistory` of the lattice from -M), the
+        block must have been drawn with that law, and X and Y gain each
+        row's mean + factor eta at their nodes. An einsum, unlike a BLAS
+        product, sums each row the same way in a block of any size.
         """
         B, n = self.diffuse.shape
         m = _zero_node(self.times, self.dt)
-        if prehistory is not None and m:
-            raise ValueError("a pre-history in law needs a block drawn from 0")
+        if prehistory is not None and (m or self.eta is None):
+            raise ValueError("a pre-history in law needs a block drawn from 0 "
+                             "with the law")
         fns = (kernel, kernel.dphi)
         if kernel.exponential is not None:
             s = _Carried(self, kernel.exponential[1]).on_grid(m)
             (fx, _), (fy, _) = (exponential_form(fn) for fn in fns)
-            X, Y = fx * s, np.multiply(s, fy, out=s)  # Y reuses s's buffer
+            X, Y = fx * s[:, x_nodes], np.multiply(s, fy, out=s)  # Y reuses s's buffer
         else:
             grid = self.times[m:]
             X, Y = (_backend.ma_correlate(self.diffuse, _weight_table(fn, n, self.dt),
@@ -237,9 +243,13 @@ class PathBlock:
                 rows, t = np.repeat(np.arange(B), len(grid)), np.tile(grid, B)
                 for fn, v in zip(fns, (X, Y)):
                     self._add_jumps(fn, rows, t, v.reshape(-1), strict=False)
+            X = X[:, x_nodes]
         if prehistory is not None:
-            for v, mean, factor in zip((X, Y), prehistory.mean, prehistory.factor):
-                v += mean + np.einsum("br,kr->bk", eta, factor)
+            for v, mean, factor, nodes in zip((X, Y), prehistory.mean,
+                                              prehistory.factor, (x_nodes, slice(None))):
+                e = np.einsum("br,kr->bk", self.eta, factor[nodes])
+                e += mean[nodes]
+                v += e
         return X, Y
 
     def _add_jumps(self, fn, rows, t, out, *, strict: bool) -> None:
@@ -426,7 +436,9 @@ PREHISTORY_RTOL = 1e-13
 class Prehistory:
     """What the cells of [-M, 0] add to X and Y on the grid [0, T], in law:
     mean + factor eta with eta standard normal in rank dimensions. Row 0
-    of mean and factor is X, row 1 is Y."""
+    of mean and factor is X, row 1 is Y. `PathSimulator.draw` draws each
+    path's eta with its cells, and `PathBlock.moving_average` adds the
+    term."""
 
     mean: np.ndarray  # (2, n_out)
     factor: np.ndarray  # (2, n_out, rank)
@@ -434,11 +446,6 @@ class Prehistory:
     @property
     def rank(self) -> int:
         return self.factor.shape[2]
-
-    def normals(self, rngs) -> np.ndarray:
-        """(B, rank) normals, row b drawn by generator b."""
-        return np.array([rng.standard_normal(self.rank) for rng in rngs]
-                        ).reshape(len(rngs), self.rank)
 
 
 def _window_sums(v: np.ndarray, m: int) -> np.ndarray:
@@ -649,7 +656,7 @@ class PathSimulator:
         from one seed_states pass."""
         return generators(self.seed_states(lo, hi))
 
-    def draw(self, rngs) -> PathBlock:
+    def draw(self, rngs, prehistory: Prehistory | None = None) -> PathBlock:
         """One path per generator. Each row takes the same calls of its own
         generator in the same order, so it does not depend on the block it
         is drawn in; simulate is the one-row case. The Gaussian cells take
@@ -659,20 +666,35 @@ class PathSimulator:
         that order, as two normal(0, sd, n) calls gave them. Then come
         `draw_arrivals`' two calls, the jump count and then the times and
         mark uniforms together. The uniforms are turned into marks by the
-        tail quantile, once for the whole block."""
+        tail quantile, once for the whole block.
+
+        With prehistory, a law from `prehistory`, the one normal call
+        draws law.rank more normals after the cells' ones: the row's eta,
+        kept on the block for `PathBlock.moving_average`. They are the
+        normals a second standard_normal(rank) call would give, since
+        NumPy's generator draws each normal from the bit stream alone and
+        keeps nothing between calls. A law is refused with InvalidConfig
+        when the simulator has explicit jumps, as `prehistory` refuses
+        one."""
+        if prehistory is not None and self.tail is not None:
+            raise InvalidConfig("the pre-history is Gaussian only without "
+                                "explicit jumps")
         cfg = self.config
         n = cfg.n_cells
         dt = cfg.dt
         diffuse = np.full((len(rngs), n), self.drift_rate * dt)
         sds = [math.sqrt(v * dt) for v in (self.triplet.c, self.small_var_rate)
                if v > 0.0]
-        if sds:
-            z = np.empty((len(rngs), len(sds), n))
+        cells = len(sds) * n
+        rank = 0 if prehistory is None else prehistory.rank
+        z = np.empty((len(rngs), cells + rank))
+        if z.shape[1]:
             for rng, row in zip(rngs, z):
                 rng.standard_normal(out=row)
-            for k, sd in enumerate(sds):
-                z[:, k] *= sd
-                diffuse += z[:, k]
+        for k, sd in enumerate(sds):
+            zk = z[:, k * n:(k + 1) * n]
+            zk *= sd
+            diffuse += zk
         offsets = np.zeros(len(rngs) + 1, dtype=np.intp)
         jump_times = sizes = np.empty(0)
         if self.tail is not None:
@@ -680,7 +702,9 @@ class PathSimulator:
                 rngs, self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T)
             offsets[1:] = np.cumsum(counts)
             sizes = self.tail.quantile(u)
-        return PathBlock(self.times, dt, diffuse, jump_times, sizes, offsets)
+        # a copy of eta, so that the block does not keep the whole buffer z
+        eta = None if prehistory is None else np.ascontiguousarray(z[:, cells:])
+        return PathBlock(self.times, dt, diffuse, jump_times, sizes, offsets, eta)
 
     def prehistory(self, kernel: Kernel) -> Prehistory:
         """The law of what the m cells of [-M, 0] add to (X_k, Y_k),

@@ -610,10 +610,13 @@ def _gaussian_chunk(model: Model, start: int, stop: int) -> dict:
     The battery reads X and Y on [0, T] only, where the cells of [-M, 0]
     enter through one Gaussian vector of low rank r. So each path draws
     its cells on [0, T] (the simulator of M = 0, with the same (seed, i)
-    generators) and then r normals of its own generator, which give that
-    vector exactly in law (`PathSimulator.prehistory`): 256 + r normals
-    per path at the builtin lattice instead of its 5376. This changed the
-    battery's random stream against the whole lattice's."""
+    generators) and then r normals, which give that vector exactly in law
+    (`PathSimulator.prehistory`): one standard_normal call of 256 + r
+    normals per path at the builtin lattice instead of its 5376 (`draw`
+    with the law). This changed the battery's random stream against the
+    whole lattice's. X is formed at the probe nodes only; Y, and with it
+    theta = -(Y + phi0 xi) / (phi0 sqrt(c)), theta dB and theta^2 on the
+    left nodes of [0, T), at every node, each in place."""
     triplet, kern, cfg, sim = model.triplet, model.kern, model.cfg, model.sim
     law = sim.prehistory(kern)
     near = PathSimulator(triplet, replace(cfg, M=0.0))
@@ -625,14 +628,18 @@ def _gaussian_chunk(model: Model, start: int, stop: int) -> dict:
 
     z_parts, x_parts = [], []
     for _, rngs in _blocks(near, start, stop):
-        block = near.draw(rngs)
-        X, Y = block.moving_average(kern, law, law.normals(rngs))
-        theta = -(Y + phi0 * xi) / (phi0 * sqc)
-        dB = (block.diffuse - near.drift_rate * cfg.dt) / sqc
-        log_z = np.sum(theta[:, :-1] * dB, axis=1) \
-            - 0.5 * np.sum(theta[:, :-1] ** 2, axis=1) * cfg.dt
+        block = near.draw(rngs, law)
+        X, Y = block.moving_average(kern, law, p_idx)
+        theta = np.add(Y[:, :-1], phi0 * xi)
+        np.negative(theta, out=theta)
+        theta /= phi0 * sqc
+        dB = block.diffuse - near.drift_rate * cfg.dt
+        dB /= sqc
+        dB *= theta
+        np.square(theta, out=theta)
+        log_z = np.sum(dB, axis=1) - 0.5 * np.sum(theta, axis=1) * cfg.dt
         z_parts.append(np.exp(log_z))
-        x_parts.append(X[:, p_idx])
+        x_parts.append(X)
     return {"z_T": np.concatenate(z_parts), "x_probe": np.vstack(x_parts)}
 
 

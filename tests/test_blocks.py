@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from levyemm import girsanov, path_sim, pipeline
+from levyemm.errors import InvalidConfig
 from levyemm.kernel import (
     constant_kernel,
     exponential_form,
     exponential_kernel,
     power_kernel,
+    zero_start_kernel,
 )
 from levyemm.levy_model import (
     DiscreteMeasure,
@@ -281,16 +283,127 @@ def test_direct_q_calls_per_path():
     assert all(rng.calls == ["poisson", "random"] * 2 for rng in rngs)
 
 
-def test_prehistory_normals_take_one_call_per_path():
-    model = pipeline.model_from_dict(_builtin("gaussian-baseline"))
-    kern, sim = model.kern, model.sim
-    law = sim.prehistory(kern)
-    rngs = _counting(sim, 10)
-    eta = law.normals(rngs)
-    assert eta.shape == (10, law.rank) and law.rank > 0
+# the lattice of the Gaussian builtins, from -M and from 0
+_GAUSS_CFG = SimConfig(T=0.5, M=10.0, dt=2.0 ** -9, eps_jump=0.5, n_paths=1, seed=5)
+_NEAR_CFG = dataclasses.replace(_GAUSS_CFG, M=0.0)
+
+
+def _gauss_triplet():
+    return LevyTriplet(0.7, gaussian_only(), 0.2, indicator_inside(1.0))
+
+
+@pytest.mark.parametrize("cfg, kernel, rank", [
+    (_NEAR_CFG, power_kernel(2.5), 0), (_GAUSS_CFG, exponential_kernel(1.0), 1),
+    (_GAUSS_CFG, zero_start_kernel(1.0), 2), (_GAUSS_CFG, power_kernel(2.5), 6)],
+    ids=["no-cells", "exponential", "zero-start", "power-2.5"])
+def test_draw_with_a_law_equals_two_normal_calls_per_path(cfg, kernel, rank):
+    # one standard_normal(n + r) call gives the n cells' normals and then
+    # eta, as standard_normal(n) and standard_normal(r) calls did
+    law = PathSimulator(_gauss_triplet(), cfg).prehistory(kernel)
+    assert law.rank == rank
+    near = PathSimulator(_gauss_triplet(), _NEAR_CFG)
+    n, dt = _NEAR_CFG.n_cells, _NEAR_CFG.dt
+    rngs = _counting(near, 30)
+    block = near.draw(rngs, law)
     assert all(rng.calls == ["standard_normal"] for rng in rngs)
-    refs = sim.rngs(0, 10)
-    assert np.array_equal(eta, [ref.standard_normal(law.rank) for ref in refs])
+    assert block.eta.shape == (30, rank)
+    for i in range(30):
+        ref = near.rng_for(i)
+        cells = np.full(n, near.drift_rate * dt)
+        cells += math.sqrt(0.7 * dt) * ref.standard_normal(n)
+        assert np.array_equal(block.diffuse[i], cells), i
+        assert np.array_equal(block.eta[i], ref.standard_normal(rank)), i
+
+
+def test_draw_refuses_a_law_with_explicit_jumps():
+    sim = _sas_gauss_sim()
+    law = PathSimulator(_gauss_triplet(), _GAUSS_CFG).prehistory(exponential_kernel(1.0))
+    with pytest.raises(InvalidConfig):
+        sim.draw(sim.rngs(0, 2), law)
+
+
+@pytest.mark.parametrize("name", ["gaussian-baseline", "gaussian-power-2.5"])
+def test_gaussian_chunk_takes_one_generator_call_per_path(name, monkeypatch):
+    model = pipeline.model_from_dict(CHUNK_CASES[name][1]())
+    made = []
+
+    def counting(states):
+        made.extend(_Counting(rng) for rng in path_sim.generators(states))
+        return made[-len(states):]
+
+    monkeypatch.setattr(pipeline, "generators", counting)
+    pipeline._gaussian_chunk(model, 0, 300)
+    assert len(made) == 300
+    assert all(rng.calls == ["standard_normal"] for rng in made)
+
+
+def _gaussian_chunk_reference(model, start, stop):
+    """_gaussian_chunk formed the long way: the cells and then eta by a
+    second standard_normal call per path, X and Y on every node with the
+    pre-history term added as mean + einsum, and theta over every node."""
+    triplet, kern, cfg, sim = model.triplet, model.kern, model.cfg, model.sim
+    law = sim.prehistory(kern)
+    near = PathSimulator(triplet, dataclasses.replace(cfg, M=0.0))
+    sqc, phi0, xi = math.sqrt(triplet.c), kern.phi0, triplet.xi()
+    p_idx = [round(t / cfg.dt) for t in pipeline._probe_times(model.scn)]
+    rngs = near.rngs(start, stop)
+    block = near.draw(rngs)
+    eta = np.array([rng.standard_normal(law.rank) for rng in rngs]
+                   ).reshape(len(rngs), law.rank)
+    X, Y = block.moving_average(kern)
+    for v, mean, factor in zip((X, Y), law.mean, law.factor):
+        v += mean + np.einsum("br,kr->bk", eta, factor)
+    theta = -(Y + phi0 * xi) / (phi0 * sqc)
+    dB = (block.diffuse - near.drift_rate * cfg.dt) / sqc
+    log_z = np.sum(theta[:, :-1] * dB, axis=1) \
+        - 0.5 * np.sum(theta[:, :-1] ** 2, axis=1) * cfg.dt
+    return {"z_T": np.exp(log_z), "x_probe": X[:, p_idx]}
+
+
+def _gaussian_scaled():
+    """gaussian-baseline with drift, c != 1 and phi(0) != 1, so that no
+    factor of theta is 0 or 1."""
+    d = _builtin("gaussian-baseline")
+    d["triplet"].update(c=0.7, b_h=0.2)
+    d["kernel"]["amplitude"] = 1.3
+    return d
+
+
+@pytest.mark.parametrize("name", ["gaussian-baseline", "gaussian-power-2.5",
+                                  "gaussian-scaled"])
+def test_gaussian_chunk_equals_the_full_grid_reference(name):
+    build = _gaussian_scaled if name == "gaussian-scaled" else CHUNK_CASES[name][1]
+    model = pipeline.model_from_dict(build())
+    got = pipeline._gaussian_chunk(model, 100, 400)
+    want = _gaussian_chunk_reference(model, 100, 400)
+    assert got.keys() == want.keys()
+    for key in got:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+_X_NODES = [256, 3, 64, 3, 0]
+
+
+@pytest.mark.parametrize("kernel", [exponential_kernel(1.0), power_kernel(1.5),
+                                    power_kernel(2.5)],
+                         ids=["exponential", "power-1.5", "power-2.5"])
+@pytest.mark.parametrize("with_law", [False, True], ids=["alone", "law"])
+def test_x_at_nodes_is_the_full_grid_x_to_the_bit(kernel, with_law):
+    if with_law:
+        law = PathSimulator(_gauss_triplet(), _GAUSS_CFG).prehistory(kernel)
+        near = PathSimulator(_gauss_triplet(), _NEAR_CFG)
+        block = near.draw(near.rngs(0, 40), law)
+    else:
+        # paths from -M with diffuse cells and explicit jumps
+        law, sim = None, _sas_gauss_sim()
+        block = sim.draw(sim.rngs(0, 40))
+        assert len(block.jump_times)
+    X, Y = block.moving_average(kernel, law)
+    nodes = [k % X.shape[1] for k in _X_NODES]
+    x_at, y = block.moving_average(kernel, law, nodes)
+    assert x_at.shape == (40, len(nodes))
+    np.testing.assert_array_equal(x_at, X[:, nodes])
+    np.testing.assert_array_equal(y, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -431,8 +431,8 @@ class TestPrehistory:
         cfg = _cfg(M=0.0)
         law = PathSimulator(_gauss_triplet(b=0.5), cfg).prehistory(power_kernel(1.5))
         assert law.rank == 0 and not law.mean.any()
-        rngs = PathSimulator(_gauss_triplet(), cfg).rngs(0, 3)
-        assert law.normals(rngs).shape == (3, 0)
+        sim = PathSimulator(_gauss_triplet(), cfg)
+        assert sim.draw(sim.rngs(0, 3), law).eta.shape == (3, 0)
 
     def test_explicit_jumps_refused(self):
         t = LevyTriplet(0.0, DiscreteMeasure([(1.0, 1.0)]), 0.0, indicator_inside(1.0))
@@ -443,6 +443,12 @@ class TestPrehistory:
         sim = PathSimulator(_gauss_triplet(), _cfg())
         kernel = exponential_kernel(1.0)
         law = sim.prehistory(kernel)
-        rngs = sim.rngs(0, 2)
         with pytest.raises(ValueError):
-            sim.draw(rngs).moving_average(kernel, law, law.normals(rngs))
+            sim.draw(sim.rngs(0, 2), law).moving_average(kernel, law)
+
+    def test_law_needs_a_block_drawn_with_it(self):
+        kernel = exponential_kernel(1.0)
+        law = PathSimulator(_gauss_triplet(), _cfg()).prehistory(kernel)
+        near = PathSimulator(_gauss_triplet(), _cfg(M=0.0))
+        with pytest.raises(ValueError):
+            near.draw(near.rngs(0, 2)).moving_average(kernel, law)
