@@ -6,13 +6,13 @@ where inc holds per-cell increments on the two-sided lattice and w[j] is
 the kernel sampled at lag j*dt. `PathBlock.moving_average` calls it for
 every kernel that declares no exponential form (zero-start, power,
 power-density, custom); an exponential or constant kernel carries its
-sums as states instead (`path_sim._Carried`). The benchmark under
-perfbench/ calls ma_correlate, backend_name and available_backends by
-name.
+sums as states instead (`path_sim._Carried`), so scipy.signal loads at
+the first such call, not at import. The benchmark under perfbench/ calls
+ma_correlate, backend_name and available_backends by name.
 """
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy
 
 
 def ma_correlate(inc: np.ndarray, w: np.ndarray, n_out: int, m: int) -> np.ndarray:
@@ -25,7 +25,7 @@ def ma_correlate(inc: np.ndarray, w: np.ndarray, n_out: int, m: int) -> np.ndarr
         raise ValueError("weight table too short")
     w2 = np.array(w[: N + 1], dtype=np.float64)
     w2[0] = 0.0  # lag-0 weight never enters the left-point sum
-    full = fftconvolve(inc, w2[None, :], axes=1)
+    full = scipy.signal.fftconvolve(inc, w2[None, :], axes=1)
     return np.ascontiguousarray(full[:, m : m + n_out])
 
 

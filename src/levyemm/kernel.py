@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciint
+import scipy
 
 from .errors import MissingDensity, NonIntegrable
 from .levy_model import (
@@ -177,12 +177,12 @@ def integrate_halfline(f, t0: float = T_INT_DEFAULT, doublings: int = 6) -> floa
     Returns the value, math.inf when the windows do not decay, and math.nan
     when the probe is inconclusive.
     """
-    head, _ = _sciint.quad(f, 0.0, t0, limit=200)
+    head, _ = scipy.integrate.quad(f, 0.0, t0, limit=200)
     segs = []
     lo = t0
     for _ in range(doublings):
         hi = 2.0 * lo
-        s, _ = _sciint.quad(f, lo, hi, limit=200)
+        s, _ = scipy.integrate.quad(f, lo, hi, limit=200)
         segs.append(max(s, 0.0))
         lo = hi
     total = head + sum(segs)
@@ -342,7 +342,7 @@ def absolute_continuity_witness(
     dphi = kernel.phi_prime
     incs = np.empty(n_points)
     for i in range(n_points):
-        incs[i], _ = _sciint.quad(
+        incs[i], _ = scipy.integrate.quad(
             lambda t: float(dphi(np.asarray(t))), ts[i], ts[i + 1], limit=100
         )
     cum = kernel.phi0 + np.concatenate([[0.0], np.cumsum(incs)])

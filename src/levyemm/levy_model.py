@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _sciint
+import scipy
 
 from .errors import InvalidRegion, NonIntegrable, UnsupportedModel
 
@@ -293,10 +293,11 @@ def _as_intervals(region) -> list[Interval]:
 
 def _quad_raw(fn, lo, hi, abs_tol, rel_tol):
     with warnings.catch_warnings():
-        warnings.simplefilter("error", _sciint.IntegrationWarning)
+        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         try:
-            val, err = _sciint.quad(fn, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=400)
-        except _sciint.IntegrationWarning as exc:
+            val, err = scipy.integrate.quad(fn, lo, hi, epsabs=abs_tol,
+                                            epsrel=rel_tol, limit=400)
+        except scipy.integrate.IntegrationWarning as exc:
             raise NonIntegrable(f"quadrature on ({lo}, {hi}) did not converge: {exc}")
     if not math.isfinite(val):
         raise NonIntegrable(f"quadrature on ({lo}, {hi}) returned {val}")

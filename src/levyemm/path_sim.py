@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy
 from numpy.random.bit_generator import ISeedSequence
-from scipy.signal import lfilter
 
 from . import _backend
 from .errors import InvalidConfig, KernelDomain
@@ -289,8 +289,8 @@ class _Carried:
         block = self.block
         if not block.diffuse.any():
             return None
-        return lfilter([1.0], [1.0, -math.exp(-self.kappa * block.dt)],
-                       block.diffuse, axis=1)
+        return scipy.signal.lfilter(
+            [1.0], [1.0, -math.exp(-self.kappa * block.dt)], block.diffuse, axis=1)
 
     @cached_property
     def jump_carry(self) -> tuple:

@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+import concurrent.futures
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -666,7 +666,7 @@ def _run_chunked(worker, model: Model, workers: int) -> dict:
         parts = [worker(model, a, b) for a, b in spans]
     else:
         scn_dict = model.scn.to_dict()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_pool_task, worker, scn_dict, a, b)
                     for a, b in spans]
             parts = [f.result() for f in futs]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as scistats
+from scipy.special import chdtrc, gammaln, pdtrc, xlogy
 
 from levyemm.emm_construct import make_h2_kernel
 from levyemm.levy_model import (
@@ -45,6 +46,45 @@ class TestBonferroni:
 
     def test_monotone_in_probes(self):
         assert bonferroni_crit(4) > bonferroni_crit(2) > bonferroni_crit(1)
+
+    def test_equals_normal_quantile_bits(self):
+        alpha = 2.0 * scistats.norm.sf(3.0)
+        for n in range(1, 65):
+            assert bonferroni_crit(n) == float(scistats.norm.isf(alpha / (2.0 * n)))
+
+
+class TestSpecialForms:
+    """verify evaluates the Poisson and chi-square laws by the
+    scipy.special forms below; each gives the bits of the scipy.stats call
+    it stands for."""
+
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 122.0, *np.geomspace(0.01, 300.0, 13)])
+    def test_poisson_pmf_and_sf(self, mu):
+        k = np.arange(int(3 * mu) + 21)
+        pmf = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+        assert np.array_equal(pmf, scistats.poisson.pmf(k, mu))
+        assert np.array_equal(pdtrc(k, mu), scistats.poisson.sf(k, mu))
+
+    @pytest.mark.parametrize("df", range(1, 21))
+    def test_chi2_sf(self, df):
+        x = np.linspace(0.0, 120.0, 481)
+        assert np.array_equal(chdtrc(df, x), scistats.chi2.sf(x, df))
+
+    def test_jump_intensity_statistic_by_stats(self):
+        # the chi-square statistic and p-value jump_intensity_test reports,
+        # recomputed step for step through scipy.stats
+        counts = np.random.default_rng(9).poisson(4.0, 2000).astype(float)
+        rep = jump_intensity_test(counts, lam=2.0, T=2.0)
+        n_eff = weight_diagnostics(np.ones(len(counts)))["ess"]
+        kmax = int(counts.max())
+        freq = np.array([float(np.sum(counts == k)) / len(counts)
+                         for k in range(kmax + 1)])
+        expected = n_eff * scistats.poisson.pmf(np.arange(kmax + 1), 4.0)
+        expected[-1] += n_eff * float(scistats.poisson.sf(kmax, 4.0))
+        obs, exp = _merge_tail_bins(n_eff * freq, expected)
+        chi2 = float(np.sum((obs - exp) ** 2 / exp))
+        assert rep.details["chi2"] == chi2
+        assert rep.details["p_value"] == float(scistats.chi2.sf(chi2, len(obs) - 1))
 
 
 class TestWeightDiagnostics:
