@@ -77,14 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(args) -> pipeline.Scenario:
+def _load(args) -> pipeline.Model:
     if args.builtin:
         return pipeline.builtin_scenario(args.builtin)
     return pipeline.load_scenario(args.scenario)
 
 
-def _effective_n(scn, args):
-    n = args.n_paths if args.n_paths is not None else int(scn.sim["n_paths"])
+def _effective_n(model, args):
+    n = args.n_paths if args.n_paths is not None else int(model.sim["n_paths"])
     cap = _PROFILES[args.profile]
     return min(n, cap) if cap is not None else n
 
@@ -96,9 +96,9 @@ def _emit(doc: dict, out_dir: str, stem: str) -> None:
 
 
 def cmd_check_kernel(args) -> int:
-    scn = _load(args)
-    doc = pipeline.run_check_kernel(scn)
-    _emit(doc, args.out, f"{scn.name}_check_kernel")
+    model = _load(args)
+    doc = pipeline.run_check_kernel(model)
+    _emit(doc, args.out, f"{model.name}_check_kernel")
     status = doc["classification"]["status"]
     return {
         "admissible": EXIT_OK,
@@ -108,19 +108,19 @@ def cmd_check_kernel(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    scn = _load(args)
+    model = _load(args)
     try:
-        doc = pipeline.run_construct(scn)
+        doc = pipeline.run_construct(model)
     except (TruncationViolated, ZetaOutOfRange) as exc:
         doc = {
             "schema_version": pipeline.REPORT_SCHEMA_VERSION,
-            "scenario": scn.name,
+            "scenario": model.name,
             "error": type(exc).__name__,
             "message": str(exc),
         }
-        _emit(doc, args.out, f"{scn.name}_construct")
+        _emit(doc, args.out, f"{model.name}_construct")
         return EXIT_NOT_ADMISSIBLE
-    _emit(doc, args.out, f"{scn.name}_construct")
+    _emit(doc, args.out, f"{model.name}_construct")
     if doc["validation"]["ok"]:
         return EXIT_OK
     # zeta leaving the admissible range means the drift to absorb exceeds
@@ -131,9 +131,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scn = _load(args)
+    model = _load(args)
     doc = pipeline.run_simulate(
-        scn, args.out, n_paths=_effective_n(scn, args), seed=args.seed
+        model, args.out, n_paths=_effective_n(model, args), seed=args.seed
     )
     pipeline.dump_json(doc, sys.stdout)
     sys.stdout.write("\n")
@@ -141,12 +141,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scn = _load(args)
+    model = _load(args)
     doc = pipeline.run_verify(
-        scn, n_paths=_effective_n(scn, args), seed=args.seed,
+        model, n_paths=_effective_n(model, args), seed=args.seed,
         workers=args.workers,
     )
-    _emit(doc, args.out, f"{scn.name}_verify")
+    _emit(doc, args.out, f"{model.name}_verify")
     return EXIT_OK if doc["overall"] == "pass" else EXIT_FAIL
 
 
@@ -176,7 +176,10 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"argument --workers: must be at least 1, not {args.workers}")
     handler = {
         "check-kernel": cmd_check_kernel,
         "construct": cmd_construct,

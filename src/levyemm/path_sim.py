@@ -52,6 +52,8 @@ class SimConfig:
             raise InvalidConfig("need T > 0, M >= 0, dt > 0, eps_jump > 0")
         if self.n_paths < 1:
             raise InvalidConfig("n_paths must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, not {self.seed}")
         if not (_is_multiple(self.T, self.dt) and _is_multiple(self.M, self.dt)):
             raise InvalidConfig("dt must divide both T and M")
 

@@ -2,9 +2,10 @@
 
 A scenario is a plain dict-shaped config (YAML on disk) naming a triplet,
 a kernel, simulation settings and the measure-change hypothesis. Loading
-it builds its model (`model_from_dict`): the kernel, the triplet and the
+it builds its model (`model_from_dict`), which keeps the sections as they
+were given beside what is built of them: the kernel, the triplet and the
 path simulator, and on first use the Girsanov kernel. The pipelines here
-take one model per run, for the classification, the kernel construction
+take the loaded model, for the classification, the kernel construction
 and the Monte Carlo verification batteries, and assemble the JSON report.
 
 Scientifically meaningful parameters (a, b, eps_jump, tolerance) have no
@@ -14,6 +15,7 @@ key that no section declares or a value that a constructor refuses.
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import inspect
@@ -22,7 +24,7 @@ import math
 import numbers
 import os
 import concurrent.futures
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -121,35 +123,30 @@ _KIND_WORDS = {float: "a finite number", int: "an integer", bool: "true or false
 
 
 @dataclass
-class Scenario:
+class Model:
+    """A loaded scenario: its sections as given (to_dict), the kernel, the
+    path simulator, which holds the triplet (levy) and the SimConfig (cfg),
+    the battery's tests in order and, on first use, the Girsanov kernel."""
+
     name: str
     triplet: dict
     kernel: dict
     sim: dict
     emm: dict
-    verify: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
-class Model:
-    """What a run uses of its scenario, built once by model_from_dict: the
-    kernel, the path simulator, which holds the triplet and the SimConfig,
-    and the battery's tests in order (none for hypothesis none). The h1 or
-    h2 Girsanov kernel is built on first use."""
-
-    scn: Scenario
+    verify: dict
     kern: Kernel
-    sim: PathSimulator
+    simulator: PathSimulator
     tests: list
-    triplet = property(lambda self: self.sim.triplet)
-    cfg = property(lambda self: self.sim.config)
+    levy = property(lambda self: self.simulator.triplet)
+    cfg = property(lambda self: self.simulator.config)
 
     @functools.cached_property
     def gk(self):
-        return make_girsanov_kernel(self.scn, self.triplet)
+        return make_girsanov_kernel(self, self.levy)
+
+    def to_dict(self) -> dict:
+        keys = ("name", "triplet", "kernel", "sim", "emm", "verify")
+        return copy.deepcopy({k: getattr(self, k) for k in keys})
 
 
 def _check_kind(where: str, v, kind) -> None:
@@ -222,14 +219,14 @@ def _made(where: str, make):
 def model_from_dict(d: dict) -> Model:
     """The model of d, refused with ConfigError unless every section holds
     the keys its table or constructor lists, and no other, and each
-    constructor takes its values; every run builds its model here, once."""
+    constructor takes its values. This is the one builder of a model: the
+    loaders return it, and pool workers rebuild theirs from to_dict()."""
     _check_keys(d, "scenario", *_SECTIONS["scenario"])
     for section in ("triplet", "sim", "verify"):
         _check_keys(d.get(section, {}), section, *_SECTIONS[section])
     t, sim, emm, ver = d["triplet"], d["sim"], d["emm"], d.get("verify", {})
-    for where, v, least in (("triplet.c", t["c"], 0), ("sim.seed", sim["seed"], 0)):
-        if v < least:
-            raise ConfigError(f"{where} must be >= {least}, not {v}")
+    if t["c"] < 0:
+        raise ConfigError(f"triplet.c must be >= 0, not {t['c']}")
     triplet = _made("triplet", lambda: build_triplet(t))
     kern = build_kernel(d["kernel"])
     simulator = _made("sim", lambda: PathSimulator(triplet, build_sim_config(sim)))
@@ -246,6 +243,9 @@ def model_from_dict(d: dict) -> Model:
     if hyp in ("h1", "h2") and not 0 < emm["a"] < emm.get("b", math.inf):
         raise ConfigError(f"{what} needs 0 < a, and a < b for h1; not "
                           f"a = {emm['a']}, b = {emm.get('b')}")
+    # construct checks atoms at the tolerance as given: 0 fails on rounding
+    if hyp in ("h1", "h2") and not emm["tolerance"] > 0:
+        raise ConfigError(f"emm.tolerance must be > 0, not {emm['tolerance']}")
     # the density reweights only the jumps the simulator draws, |x| >= eps_jump
     if hyp in ("h1", "h2") and sim["eps_jump"] > emm["a"]:
         raise ConfigError(f"sim.eps_jump = {sim['eps_jump']} exceeds emm.a = "
@@ -279,14 +279,8 @@ def model_from_dict(d: dict) -> Model:
         raise ConfigError("emm.break_positive_factor changes alpha, which "
                           "direct-q marks are not drawn from")
     tests = _battery_tests(emm, ver) if hyp != "none" else []
-    scn = Scenario(name=d["name"], triplet=t, kernel=d["kernel"], sim=dict(sim),
-                   emm=dict(emm), verify=dict(ver))
-    return Model(scn, kern, simulator, tests)
-
-
-def scenario_from_dict(d: dict) -> Scenario:
-    """The scenario of d, checked by building its model."""
-    return model_from_dict(d).scn
+    sections = copy.deepcopy((t, d["kernel"], sim, emm, ver))
+    return Model(d["name"], *sections, kern, simulator, tests)
 
 
 # the tests each battery computes correctly, by hypothesis and verify mode
@@ -339,12 +333,12 @@ def _check_probe_times(probes, sim: dict) -> None:
                           f"in (0, T = {T}]")
 
 
-def _probe_times(scn: Scenario) -> list:
+def _probe_times(model: Model) -> list:
     """The times X is read at: 0, then verify.probe_times (default [T])."""
-    return [0.0] + [float(t) for t in scn.verify.get("probe_times", [scn.sim["T"]])]
+    return [0.0] + [float(t) for t in model.verify.get("probe_times", [model.sim["T"]])]
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str) -> Model:
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -352,12 +346,12 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(f"{path}: cannot read a scenario: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: scenario file must hold a mapping")
-    return scenario_from_dict(data)
+    return model_from_dict(data)
 
 
-def save_scenario(scn: Scenario, path: str) -> None:
+def save_scenario(model: Model, path: str) -> None:
     with open(path, "w") as fh:
-        yaml.safe_dump(scn.to_dict(), fh, sort_keys=False)
+        yaml.safe_dump(model.to_dict(), fh, sort_keys=False)
 
 
 def build_triplet(spec: dict) -> LevyTriplet:
@@ -378,13 +372,20 @@ def build_sim_config(spec: dict) -> SimConfig:
     return SimConfig(**{k: kind(spec[k]) for k, kind in _SECTIONS["sim"][0].items()})
 
 
-def _override_sim(scn: Scenario, n_paths=None, seed=None) -> Model:
-    """The model of scn with sim.n_paths and sim.seed replaced where given,
-    checked as at load: ConfigError for a value that is no integer. This is
-    the one load of each run_*."""
-    over = {k: v for k, v in (("n_paths", n_paths), ("seed", seed))
-            if v is not None}
-    return model_from_dict({**scn.to_dict(), "sim": {**scn.sim, **over}})
+def _with_sim(model: Model, n_paths=None, seed=None) -> Model:
+    """model as is, or with n_paths and seed (checked as at load) in a new
+    SimConfig that shares everything else, the Girsanov kernel once built."""
+    over = {k: v for k, v in (("n_paths", n_paths), ("seed", seed)) if v is not None}
+    if not over:
+        return model
+    sim = {**model.sim, **over}
+    _check_keys(sim, "sim", *_SECTIONS["sim"])
+    simulator = copy.copy(model.simulator)
+    simulator.config = _made("sim", lambda: build_sim_config(sim))
+    run = replace(model, sim=sim, simulator=simulator)
+    if "gk" in vars(model):
+        run.gk = model.gk
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +401,9 @@ def builtin_names() -> list:
     return sorted(f[:-5] for f in os.listdir(SCENARIO_DIR) if f.endswith(".yaml"))
 
 
-def builtin_scenario(name: str) -> Scenario:
-    """Parse the catalogue file of `name` afresh; `name` must be one of
-    `builtin_names()`, so it never reaches the file system unchecked."""
+def builtin_scenario(name: str) -> Model:
+    """The model of the catalogue file of `name`, parsed afresh; `name` must
+    be one of `builtin_names()`, so it never reaches the file system unchecked."""
     known = builtin_names()
     if name not in known:
         raise ConfigError(f"unknown builtin scenario {name!r}; known: {known}")
@@ -414,12 +415,11 @@ def builtin_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def run_check_kernel(scn: Scenario) -> dict:
-    model = _override_sim(scn)
-    cls = emm_classify(model.kern, model.triplet, scn.verify.get("tail_regime", "other"))
+def run_check_kernel(model: Model) -> dict:
+    cls = emm_classify(model.kern, model.levy, model.verify.get("tail_regime", "other"))
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": scn.name,
+        "scenario": model.name,
         "classification": cls.to_dict(),
     }
 
@@ -452,19 +452,18 @@ class _FrozenZeta(emm_construct.GirsanovKernelH2):
         return self.frozen_zeta
 
 
-def make_girsanov_kernel(scn: Scenario, triplet: LevyTriplet):
-    hyp = scn.emm["hypothesis"]
+def make_girsanov_kernel(model: Model, triplet: LevyTriplet):
+    hyp = model.emm["hypothesis"]
     if hyp == "h1":
-        gk = emm_construct.make_h1_kernel(triplet, scn.emm["a"], scn.emm["b"])
+        gk = emm_construct.make_h1_kernel(triplet, model.emm["a"], model.emm["b"])
     elif hyp == "h2":
-        gk = emm_construct.make_h2_kernel(triplet, scn.emm["a"])
+        gk = emm_construct.make_h2_kernel(triplet, model.emm["a"])
     else:
         raise ConfigError(f"no Girsanov kernel for hypothesis {hyp!r}")
-    if "frozen_zeta" in scn.emm:
-        gk = _FrozenZeta(gk.a, gk.lam, gk.tail, gk.b_h,
-                         float(scn.emm["frozen_zeta"]))
-    if "break_positive_factor" in scn.emm:
-        gk = _BrokenAlpha(gk, float(scn.emm["break_positive_factor"]))
+    if "frozen_zeta" in model.emm:
+        gk = _FrozenZeta(gk.a, gk.lam, gk.tail, gk.b_h, float(model.emm["frozen_zeta"]))
+    if "break_positive_factor" in model.emm:
+        gk = _BrokenAlpha(gk, float(model.emm["break_positive_factor"]))
     return gk
 
 
@@ -480,7 +479,7 @@ def h2_reach_sd(model: Model) -> float | None:
     E[tail]) and its variance sum_k phi'(k dt)^2 dt (c + int x^2 F). None
     when int x^2 F diverges: Y then has no s.d., and only a tail of
     unbounded support gives that."""
-    cfg, triplet, gk = model.cfg, model.triplet, model.gk
+    cfg, triplet, gk = model.cfg, model.levy, model.gk
     w = model.kern.dphi(np.arange(1, cfg.n_cells + 1) * cfg.dt)
     try:
         second = levy_integrate(triplet.F, lambda x: x * x,
@@ -494,16 +493,16 @@ def h2_reach_sd(model: Model) -> float | None:
     return dist / sd if sd > 0.0 else math.copysign(math.inf, dist)
 
 
-def run_construct(scn: Scenario) -> dict:
-    model = _override_sim(scn)
+def run_construct(model: Model) -> dict:
+    """The validation document of the model's h1 or h2 Girsanov kernel."""
     gk = model.gk
-    y_span = float(scn.emm.get("y_span", 1.0))
+    y_span = float(model.emm.get("y_span", 1.0))
     ys = np.linspace(-y_span, y_span, _CONSTRUCT_N_Y)
     report = emm_construct.validate_girsanov_kernel(
-        gk, model.triplet, ys, abs_tol=float(scn.emm["tolerance"]))
+        gk, model.levy, ys, abs_tol=float(model.emm["tolerance"]))
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": scn.name,
+        "scenario": model.name,
         "validation": report,
     }
     if gk.kind == "h2":
@@ -516,7 +515,7 @@ def _check_reach(model: Model) -> None:
     one with a frozen zeta outside the tail law's range, at its first
     block, and one whose zeta follows Y when Y reaches the edge of zeta's
     range within MIN_REACH_SD s.d., once enough paths are drawn."""
-    emm = model.scn.emm
+    emm = model.emm
     if emm["hypothesis"] != "h2":
         return
     if "frozen_zeta" in emm:
@@ -557,8 +556,8 @@ def _blocks(sim: PathSimulator, start: int, stop: int):
 
 def _weighted_chunk(model: Model, start: int, stop: int) -> dict:
     """Weighted-P statistics (h1 or h2) of the model's paths [start, stop)."""
-    kern, cfg, sim, gk = model.kern, model.cfg, model.sim, model.gk
-    probes = np.array(_probe_times(model.scn))
+    kern, cfg, sim, gk = model.kern, model.cfg, model.simulator, model.gk
+    probes = np.array(_probe_times(model))
     # left nodes of the compensator sum on [0, T); none for a mass-preserving alpha
     grid = sim.times[cfg.m_cells:-1] if gk.excess_rate is not None else np.empty(0)
 
@@ -593,7 +592,7 @@ def _q_chunk(model: Model, start: int, stop: int) -> dict:
     in two passes: girsanov.q_arrivals for each block, then one
     girsanov.q_marks over all the chunk's arrivals, so its rank loop runs
     once per chunk. The values equal draw_under_q's block by block."""
-    gk, kern, sim = model.gk, model.kern, model.sim
+    gk, kern, sim = model.gk, model.kern, model.simulator
     columns = [list(part) for part in zip(*(
         girsanov.q_arrivals(gk, kern, sim, rngs) for _, rngs in _blocks(sim, start, stop)))]
     # each column's block parts are freed as soon as they are joined
@@ -617,14 +616,14 @@ def _gaussian_chunk(model: Model, start: int, stop: int) -> dict:
     whole lattice's. X is formed at the probe nodes only; Y, and with it
     theta = -(Y + phi0 xi) / (phi0 sqrt(c)), theta dB and theta^2 on the
     left nodes of [0, T), at every node, each in place."""
-    triplet, kern, cfg, sim = model.triplet, model.kern, model.cfg, model.sim
+    triplet, kern, cfg, sim = model.levy, model.kern, model.cfg, model.simulator
     law = sim.prehistory(kern)
     near = PathSimulator(triplet, replace(cfg, M=0.0))
     sqc = math.sqrt(triplet.c)
     phi0 = kern.phi0
     xi = triplet.xi()
     # probe times are lattice multiples (checked at load)
-    p_idx = [round(t / cfg.dt) for t in _probe_times(model.scn)]
+    p_idx = [round(t / cfg.dt) for t in _probe_times(model)]
 
     z_parts, x_parts = [], []
     for _, rngs in _blocks(near, start, stop):
@@ -665,7 +664,7 @@ def _run_chunked(worker, model: Model, workers: int) -> dict:
     if workers <= 1 or len(spans) == 1:
         parts = [worker(model, a, b) for a, b in spans]
     else:
-        scn_dict = model.scn.to_dict()
+        scn_dict = model.to_dict()
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_pool_task, worker, scn_dict, a, b)
                     for a, b in spans]
@@ -679,17 +678,17 @@ def _run_chunked(worker, model: Model, workers: int) -> dict:
 
 
 def _brownian_invariance(model: Model, data: dict, seed: int):
-    probes = _probe_times(model.scn)
+    probes = _probe_times(model)
     pairs = [(j, j + 1) for j in range(len(probes) - 1)]
-    phi0 = float(model.scn.emm.get("declared_phi0", model.kern.phi0))
+    phi0 = float(model.emm.get("declared_phi0", model.kern.phi0))
     return verify.brownian_invariance_test(
-        data["x_probe"], probes, data["z_T"], pairs, phi0, model.triplet.c,
+        data["x_probe"], probes, data["z_T"], pairs, phi0, model.levy.c,
         seed=seed)
 
 
 def _jump_intensity(model: Model, data: dict, seed: int):
     lam = model.gk.lam * float(
-        model.scn.emm.get("declared_intensity_factor", 1.0))
+        model.emm.get("declared_intensity_factor", 1.0))
     return verify.jump_intensity_test(
         data["counts"], lam, model.cfg.T, weights=data.get("z_T"), seed=seed)
 
@@ -701,7 +700,7 @@ _PATH_TESTS = {
         data["z_T"], seed=seed),
     "q_martingale": lambda model, data, seed: verify.q_martingale_test(
         data["x_probe"][:, 1:], data["x_probe"][:, 0], data["z_T"],
-        _probe_times(model.scn)[1:], seed=seed),
+        _probe_times(model)[1:], seed=seed),
     "jump_intensity": _jump_intensity,
     "conditional_jump_law": lambda model, data, seed:
         verify.conditional_jump_law_test(data["y_pre"], data["marks"],
@@ -713,24 +712,23 @@ _PATH_TESTS = {
 def _battery_paths(model: Model, workers: int) -> dict:
     """Weighted-P (h1, h2, Gaussian) or direct-Q (h2) battery over simulated
     paths; under direct Q the paths carry no weights and give no plot."""
-    scn = model.scn
-    worker = _PATH_WORKERS[(scn.emm["hypothesis"],
-                            scn.verify.get("mode", "weighted"))]
+    worker = _PATH_WORKERS[(model.emm["hypothesis"],
+                            model.verify.get("mode", "weighted"))]
     data = _run_chunked(worker, model, workers)
     out = {"reports": [_PATH_TESTS[name](model, data, model.cfg.seed)
                        for name in model.tests]}
     if "z_T" in data:
-        out["plot"] = _plot_rows(_probe_times(scn), data["x_probe"], data["z_T"])
+        out["plot"] = _plot_rows(_probe_times(model), data["x_probe"], data["z_T"])
     return out
 
 
 def _battery_lm(model: Model) -> dict:
-    scn, triplet, cfg, tests = model.scn, model.triplet, model.cfg, model.tests
+    emm, triplet, cfg, tests = model.emm, model.levy, model.cfg, model.tests
     n_paths, seed = cfg.n_paths, cfg.seed
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     reports = []
-    if scn.emm["style"] == "bremaud":
-        K1, K2, gamma, eps = (float(scn.emm[k]) for k in ("K1", "K2", "gamma", "eps"))
+    if emm["style"] == "bremaud":
+        K1, K2, gamma, eps = (float(emm[k]) for k in ("K1", "K2", "gamma", "eps"))
         lam = levy_integrate(triplet.F, 1.0)
         times = np.arange(cfg.n_out) * cfg.dt
         # Poisson counting paths on the grid
@@ -753,10 +751,10 @@ def _battery_lm(model: Model) -> dict:
         if "finite_expect" in tests:
             reports.append(lm.finite_expect)
     else:  # lmrelax, the only other style _battery_tests accepts
-        counts = rng.poisson(float(scn.emm.get("cp_rate", 1.0)), size=n_paths)
+        counts = rng.poisson(float(emm.get("cp_rate", 1.0)), size=n_paths)
         y = np.array([float(np.sum(rng.exponential(1.0, k))) if k else 0.0
                       for k in counts])
-        reports.append(verify.finite_expect(y, float(scn.emm["eps"]), seed=seed))
+        reports.append(verify.finite_expect(y, float(emm["eps"]), seed=seed))
     return {"reports": reports}
 
 
@@ -772,22 +770,19 @@ def _plot_rows(times, x_probe, z):
     return rows
 
 
-def run_verify(scn: Scenario, n_paths=None, seed=None, workers: int = 1) -> dict:
-    """Run the scenario's test battery and assemble the report document."""
-    model = _override_sim(scn, n_paths, seed)
-    scn = model.scn
+def run_verify(model: Model, n_paths=None, seed=None, workers: int = 1) -> dict:
+    """The report document of the model's battery, through `_with_sim`."""
+    model = _with_sim(model, n_paths, seed)
     _check_reach(model)
-    if scn.emm["hypothesis"] == "lm":
-        out = _battery_lm(model)
-    else:
-        out = _battery_paths(model, workers)
+    lm = model.emm["hypothesis"] == "lm"
+    out = _battery_lm(model) if lm else _battery_paths(model, workers)
     reports = out["reports"]
     overall = all(r.verdict == "pass" for r in reports)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": scn.name,
-        "seed": int(scn.sim["seed"]),
-        "n_paths": int(scn.sim["n_paths"]),
+        "scenario": model.name,
+        "seed": int(model.sim["seed"]),
+        "n_paths": int(model.sim["n_paths"]),
         "overall": "pass" if overall else "fail",
         "reports": [r.to_dict() for r in reports],
     }
@@ -801,9 +796,10 @@ def run_verify(scn: Scenario, n_paths=None, seed=None, workers: int = 1) -> dict
 # ---------------------------------------------------------------------------
 
 
-def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None) -> dict:
-    model = _override_sim(scn, n_paths, seed)
-    scn, kern, cfg, sim = model.scn, model.kern, model.cfg, model.sim
+def run_simulate(model: Model, out_dir: str, n_paths=None, seed=None) -> dict:
+    """The model's paths (n_paths from seed where given) as CSVs under out_dir."""
+    model = _with_sim(model, n_paths, seed)
+    kern, cfg, sim = model.kern, model.cfg, model.simulator
     os.makedirs(out_dir, exist_ok=True)
     jump_records = []
     for lo, rngs in _blocks(sim, 0, cfg.n_paths):
@@ -821,7 +817,7 @@ def run_simulate(scn: Scenario, out_dir: str, n_paths=None, seed=None) -> dict:
         write_jumps_csv(fh, jump_records)
     summary = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": scn.name,
+        "scenario": model.name,
         "n_paths": cfg.n_paths,
         "seed": cfg.seed,
         "n_jumps_in_window": len(jump_records),

@@ -4,7 +4,8 @@ Every test reduces to a StatReport whose verdict is a deterministic
 function of (estimate, standard error, rule). Thresholds are 3 standard
 errors two-sided, Bonferroni-adjusted across simultaneous probes, and
 chi-square at the 1 percent level; nothing passes on a hard-coded
-absolute delta except exact discrete-arithmetic oracles.
+absolute delta except exact discrete-arithmetic oracles. One path gives
+no standard error, so the tests that judge by one call it inconclusive.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ class StatReport:
 
 def mean_se(values) -> tuple[float, float]:
     """Sample mean and its standard error sqrt(var / n), var with ddof 1
-    (0 for a single value); (0.0, inf) for no values."""
+    (NaN for a single value, which has no spread); (0.0, inf) for no values."""
     values = np.asarray(values, dtype=float).ravel()
     n = values.size
     if n == 0:
         return 0.0, math.inf
     mean = float(np.mean(values))
-    var = float(np.sum((values - mean) ** 2)) / (n - 1) if n > 1 else 0.0
+    var = float(np.sum((values - mean) ** 2)) / (n - 1) if n > 1 else math.nan
     return mean, math.sqrt(var / n)
 
 
@@ -94,7 +95,7 @@ def _gauss_verdict(estimate, target, stderr, crit):
 def mean_density_test(z_values, seed=None) -> StatReport:
     """E[Z_T] = 1 within 3 standard errors."""
     mean, se = mean_se(z_values)
-    verdict = _gauss_verdict(mean, 1.0, se, 3.0)
+    verdict = _gauss_verdict(mean, 1.0, se, 3.0) if np.size(z_values) > 1 else "inconclusive"
     return StatReport(
         "mean_density", mean, se, int(np.size(z_values)), verdict,
         "|mean - 1| <= 3 s.e.", seed, {"weights": weight_diagnostics(z_values)},
@@ -110,20 +111,19 @@ def q_martingale_test(x_at_probes, x0, z_values, probe_times, seed=None) -> Stat
     crit = bonferroni_crit(k)
     probes = []
     worst = (0.0, math.inf)
-    all_pass = True
     for j in range(k):
         mean, se = mean_se(z * (x_at_probes[:, j] - x0))
         ok = _gauss_verdict(mean, 0.0, se, crit) == "pass"
-        all_pass = all_pass and ok
         probes.append({
             "t": float(probe_times[j]), "estimate": mean,
             "stderr": se, "pass": ok,
         })
         if se > 0 and abs(mean) / se > abs(worst[0]) / max(worst[1], 1e-300):
             worst = (mean, se)
+    all_pass = all(p["pass"] for p in probes)
+    verdict = "inconclusive" if len(z) < 2 else "pass" if all_pass else "fail"
     return StatReport(
-        "q_martingale", worst[0], worst[1], len(z),
-        "pass" if all_pass else "fail",
+        "q_martingale", worst[0], worst[1], len(z), verdict,
         f"per-probe |mean| <= {crit:.3f} s.e. (Bonferroni over {k})",
         seed, {"probes": probes, "weights": weight_diagnostics(z)},
     )
@@ -162,7 +162,6 @@ def jump_intensity_test(counts, lam, T, weights=None, seed=None) -> StatReport:
     mu = lam * T
     rule = "|mean - lam T| <= 3 s.e. and chi-square p >= 0.01"
     if n < 2:
-        # no sample variance, so no standard error to judge the mean by
         return StatReport("jump_intensity", math.nan, math.nan, n,
                           "inconclusive", rule, seed, {"target": mu})
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
@@ -304,7 +303,6 @@ def brownian_invariance_test(
     z = np.asarray(z_values, dtype=float)
     crit = bonferroni_crit(2 * len(probe_pairs))
     probes = []
-    all_pass = True
     for (i, j) in probe_pairs:
         d = x[:, j] - x[:, i]
         delta = float(times[j] - times[i])
@@ -313,16 +311,16 @@ def brownian_invariance_test(
         target = phi0 * phi0 * c * delta
         mean2, se2 = mean_se(z * d * d)
         ok2 = _gauss_verdict(mean2, target, se2, crit) == "pass"
-        all_pass = all_pass and ok1 and ok2
         probes.append({
             "t0": float(times[i]), "t1": float(times[j]),
             "mean": mean1, "mean_se": se1, "mean_pass": ok1,
             "second_moment": mean2, "target": target,
             "second_moment_se": se2, "var_pass": ok2,
         })
+    all_pass = all(p["mean_pass"] and p["var_pass"] for p in probes)
+    verdict = "inconclusive" if len(z) < 2 else "pass" if all_pass else "fail"
     return StatReport(
-        "brownian_invariance", float("nan"), float("nan"), x.shape[0],
-        "pass" if all_pass else "fail",
+        "brownian_invariance", float("nan"), float("nan"), x.shape[0], verdict,
         f"per-probe {crit:.3f} s.e. (Bonferroni over {2 * len(probe_pairs)})",
         seed, {"probes": probes},
     )

@@ -140,7 +140,7 @@ def test_block_seeding_streams_equal_rng_for(lo):
 
 @pytest.mark.parametrize("name", ["h2-two-atom", "gaussian-baseline"])
 def test_draw_from_block_seeding_equals_rng_for(name):
-    sim = pipeline.model_from_dict(_builtin(name)).sim
+    sim = pipeline.model_from_dict(_builtin(name)).simulator
     block = sim.draw(sim.rngs(300, 428))
     ref = sim.draw([sim.rng_for(i) for i in range(300, 428)])
     for field in ("diffuse", "jump_times", "jump_sizes", "offsets"):
@@ -148,7 +148,7 @@ def test_draw_from_block_seeding_equals_rng_for(name):
 
 
 def test_sas_direct_q_has_diffuse_cells():
-    sim = pipeline.model_from_dict(_direct_q_sas()).sim
+    sim = pipeline.model_from_dict(_direct_q_sas()).simulator
     assert sim.small_var_rate > 0.0
     assert sim.draw([sim.rng_for(0)]).diffuse.any()
 
@@ -268,7 +268,7 @@ def _counting(sim, n):
     ("sas-gauss", ["standard_normal", "poisson", "random"])])
 def test_draw_calls_per_path(which, want):
     sim = _sas_gauss_sim() if which == "sas-gauss" else \
-        pipeline.model_from_dict(_builtin(which)).sim
+        pipeline.model_from_dict(_builtin(which)).simulator
     rngs = _counting(sim, 40)
     sim.draw(rngs)
     assert all(rng.calls == want for rng in rngs)
@@ -276,7 +276,7 @@ def test_draw_calls_per_path(which, want):
 
 def test_direct_q_calls_per_path():
     model = pipeline.model_from_dict(_builtin("q-two-atom-zeta05"))
-    gk, kern, sim = model.gk, model.kern, model.sim
+    gk, kern, sim = model.gk, model.kern, model.simulator
     rngs = _counting(sim, 40)
     counts = girsanov.draw_under_q(gk, kern, sim, rngs)[0]
     assert (counts == 0).any() and counts.max() > 1
@@ -341,11 +341,11 @@ def _gaussian_chunk_reference(model, start, stop):
     """_gaussian_chunk formed the long way: the cells and then eta by a
     second standard_normal call per path, X and Y on every node with the
     pre-history term added as mean + einsum, and theta over every node."""
-    triplet, kern, cfg, sim = model.triplet, model.kern, model.cfg, model.sim
+    triplet, kern, cfg, sim = model.levy, model.kern, model.cfg, model.simulator
     law = sim.prehistory(kern)
     near = PathSimulator(triplet, dataclasses.replace(cfg, M=0.0))
     sqc, phi0, xi = math.sqrt(triplet.c), kern.phi0, triplet.xi()
-    p_idx = [round(t / cfg.dt) for t in pipeline._probe_times(model.scn)]
+    p_idx = [round(t / cfg.dt) for t in pipeline._probe_times(model)]
     rngs = near.rngs(start, stop)
     block = near.draw(rngs)
     eta = np.array([rng.standard_normal(law.rank) for rng in rngs]
@@ -498,7 +498,7 @@ def test_draw_rows_equal_paths_drawn_one_at_a_time(which):
     if which == "sas-gauss":
         sim = _sas_gauss_sim()
     else:
-        sim = pipeline.model_from_dict(_builtin(which)).sim
+        sim = pipeline.model_from_dict(_builtin(which)).simulator
     block = sim.draw([sim.rng_for(i) for i in range(150)])
     assert len(block.jump_times)
     assert block.diffuse.any() == (which == "sas-gauss")
@@ -566,7 +566,7 @@ Q_CASES = {
 @pytest.mark.parametrize("case", sorted(Q_CASES))
 def test_direct_q_block_matches_sequential_reference(case):
     model = pipeline.model_from_dict(Q_CASES[case]())
-    triplet, kern, sim, gk = model.triplet, model.kern, model.sim, model.gk
+    triplet, kern, sim, gk = model.levy, model.kern, model.simulator, model.gk
     counts, _, marks, y_pre = girsanov.draw_under_q(
         gk, kern, sim, [sim.rng_for(i) for i in range(150)])
     assert sim.draw([sim.rng_for(0)]).diffuse.any() == case.startswith("sas")
@@ -598,7 +598,7 @@ def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
     in slices of 7 elements; _q_chunk agrees too."""
     d = _builtin("q-two-atom-zeta05") if case == "frozen-zeta" else Q_CASES[case]()
     model = pipeline.model_from_dict(d)
-    kern, sim, gk = model.kern, model.sim, model.gk
+    kern, sim, gk = model.kern, model.simulator, model.gk
     probe = girsanov.draw_under_q(gk, kern, sim, sim.rngs(0, 150))[0]
     zero, top = np.flatnonzero(probe == 0)[:1], np.flatnonzero(probe == probe.max())
     fill = np.tile(np.flatnonzero((probe > 0) & (probe < probe.max())), 3)
@@ -654,8 +654,8 @@ def _weighted_reference(scn, triplet, kern, cfg, sim, gk, i):
 @pytest.mark.parametrize("name", ["h1-two-atom", "h2-two-atom"])
 def test_weighted_block_matches_per_path_reference(name):
     model = pipeline.model_from_dict(_builtin(name))
-    scn, triplet, kern, cfg, sim, gk = (model.scn, model.triplet, model.kern,
-                                        model.cfg, model.sim, model.gk)
+    scn, triplet, kern, cfg, sim, gk = (model, model.levy, model.kern,
+                                        model.cfg, model.simulator, model.gk)
     got = pipeline._weighted_chunk(model, 0, 150)
     refs = [_weighted_reference(scn, triplet, kern, cfg, sim, gk, i)
             for i in range(150)]
@@ -774,7 +774,7 @@ def test_carried_response_matches_running_sum_with_diffuse_cells(which):
     if which == "sas-gauss":
         sim = _sas_gauss_sim()
     else:
-        sim = pipeline.model_from_dict(_builtin(which)).sim
+        sim = pipeline.model_from_dict(_builtin(which)).simulator
     block = sim.draw(sim.rngs(0, 60))
     assert block.diffuse.any() and len(block.jump_times)
     rows, t = _queries(block, seed=1)
@@ -803,7 +803,7 @@ def test_carried_response_at_jump_times_and_left_nodes():
 
 
 def test_carried_rows_are_the_same_alone_in_a_block_and_permuted():
-    sim = pipeline.model_from_dict(_builtin("h1-two-atom")).sim
+    sim = pipeline.model_from_dict(_builtin("h1-two-atom")).simulator
     block = sim.draw(sim.rngs(0, 128))
     rows, t = _queries(block, seed=2, per_row=6)
     k = exponential_kernel(0.05)

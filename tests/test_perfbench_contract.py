@@ -3,10 +3,13 @@ traced run wraps the callables `spans.layer_targets` lists, and `micro.run`
 times single layers through their public functions. A refactor that
 renames or removes one of them breaks `perfbench/run.py --trace 1`, and
 every run's manifest names the correlation backend through
-`_backend.backend_name` and `available_backends`, so these checks run with
-the unit tests."""
+`_backend.backend_name` and `available_backends`, and `setup_probe.py`
+builds a workload's pieces from what `pipeline.builtin_scenario` returns,
+so these checks run with the unit tests."""
 
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,13 @@ def test_run_manifest_names_the_backend(perfbench):
     doc = run.manifest("gaussian-corr", "gaussian-baseline", 3117, 512)
     assert doc["backend_name"] == "numpy"
     assert doc["available_backends"] == ["numpy"]
+
+
+def test_setup_probe_prints_two_positive_floats():
+    root = PERFBENCH.parent
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), str(root / "src"),
+         "h2-two-atom"], cwd=root, capture_output=True, text=True, check=True)
+    values = [float(v) for v in out.stdout.split()]
+    assert len(values) == 2
+    assert all(math.isfinite(v) and v > 0.0 for v in values), values
