@@ -24,7 +24,7 @@ import math
 import numbers
 import os
 import concurrent.futures
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -45,6 +45,7 @@ from .levy_model import (
 )
 from .path_sim import (
     PathSimulator,
+    Prehistory,
     SimConfig,
     _is_multiple,
     generators,
@@ -126,7 +127,16 @@ _KIND_WORDS = {float: "a finite number", int: "an integer", bool: "true or false
 class Model:
     """A loaded scenario: its sections as given (to_dict), the kernel, the
     path simulator, which holds the triplet (levy) and the SimConfig (cfg),
-    the battery's tests in order and, on first use, the Girsanov kernel."""
+    and the battery's tests in order.
+
+    What a run reads and its n_paths and seed cannot change is built when
+    first read, at most once per loaded model: the Girsanov kernel (gk),
+    the h2 reach (reach_sd), and the Gaussian battery's pre-history law
+    (prehistory) and simulator of M = 0 (window_simulator). A run on other
+    paths (`_with_sim`) keeps the loaded model as its base and reads these
+    from it, so they are built on the base, once for all its runs; the
+    window simulator of a run is a copy with the run's SimConfig. Nothing
+    is kept across models: pool workers rebuild theirs from to_dict()."""
 
     name: str
     triplet: dict
@@ -137,12 +147,29 @@ class Model:
     kern: Kernel
     simulator: PathSimulator
     tests: list
+    base: Model | None = field(default=None, repr=False, compare=False)
     levy = property(lambda self: self.simulator.triplet)
     cfg = property(lambda self: self.simulator.config)
 
     @functools.cached_property
     def gk(self):
-        return make_girsanov_kernel(self, self.levy)
+        return self.base.gk if self.base else make_girsanov_kernel(self, self.levy)
+
+    @functools.cached_property
+    def reach_sd(self) -> float | None:
+        return self.base.reach_sd if self.base else h2_reach_sd(self)
+
+    @functools.cached_property
+    def prehistory(self) -> Prehistory:
+        return self.base.prehistory if self.base else self.simulator.prehistory(self.kern)
+
+    @functools.cached_property
+    def window_simulator(self) -> PathSimulator:
+        """The simulator of the lattice on [0, T] alone (M = 0)."""
+        cfg = replace(self.cfg, M=0.0)
+        if self.base:
+            return _reconfigured(self.base.window_simulator, cfg)
+        return PathSimulator(self.levy, cfg)
 
     def to_dict(self) -> dict:
         keys = ("name", "triplet", "kernel", "sim", "emm", "verify")
@@ -372,20 +399,28 @@ def build_sim_config(spec: dict) -> SimConfig:
     return SimConfig(**{k: kind(spec[k]) for k, kind in _SECTIONS["sim"][0].items()})
 
 
+def _reconfigured(sim: PathSimulator, cfg: SimConfig) -> PathSimulator:
+    """A shallow copy of sim on cfg, which may differ from sim's config in
+    n_paths and seed only: nothing sim precomputes reads either."""
+    sim = copy.copy(sim)
+    sim.config = cfg
+    return sim
+
+
 def _with_sim(model: Model, n_paths=None, seed=None) -> Model:
-    """model as is, or with n_paths and seed (checked as at load) in a new
-    SimConfig that shares everything else, the Girsanov kernel once built."""
+    """model as is, or a run copy with n_paths and seed (checked as at load)
+    in a new SimConfig. The copy shares the loaded model's triplet, kernel,
+    tail law and tests, and keeps the loaded model as its base, from which
+    it reads the values n_paths and seed cannot change (see Model): each
+    is built on the loaded model when a run first reads it."""
     over = {k: v for k, v in (("n_paths", n_paths), ("seed", seed)) if v is not None}
     if not over:
         return model
     sim = {**model.sim, **over}
     _check_keys(sim, "sim", *_SECTIONS["sim"])
-    simulator = copy.copy(model.simulator)
-    simulator.config = _made("sim", lambda: build_sim_config(sim))
-    run = replace(model, sim=sim, simulator=simulator)
-    if "gk" in vars(model):
-        run.gk = model.gk
-    return run
+    cfg = _made("sim", lambda: build_sim_config(sim))
+    return replace(model, sim=sim, simulator=_reconfigured(model.simulator, cfg),
+                   base=model.base or model)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +541,7 @@ def run_construct(model: Model) -> dict:
         "validation": report,
     }
     if gk.kind == "h2":
-        doc["reach_sd"] = h2_reach_sd(model)
+        doc["reach_sd"] = model.reach_sd
     return doc
 
 
@@ -527,7 +562,7 @@ def _check_reach(model: Model) -> None:
                 f"emm.frozen_zeta = {emm['frozen_zeta']} lies outside the tail "
                 f"law's range ({tail.zeta_lo}, {tail.zeta_hi}): {exc}") from None
         return
-    reach = h2_reach_sd(model)
+    reach = model.reach_sd
     if reach is not None and reach < MIN_REACH_SD:
         raise ConfigError(
             f"Y reaches the edge of zeta's range at {reach:.2f} s.d. of its "
@@ -615,10 +650,12 @@ def _gaussian_chunk(model: Model, start: int, stop: int) -> dict:
     with the law). This changed the battery's random stream against the
     whole lattice's. X is formed at the probe nodes only; Y, and with it
     theta = -(Y + phi0 xi) / (phi0 sqrt(c)), theta dB and theta^2 on the
-    left nodes of [0, T), at every node, each in place."""
-    triplet, kern, cfg, sim = model.levy, model.kern, model.cfg, model.simulator
-    law = sim.prehistory(kern)
-    near = PathSimulator(triplet, replace(cfg, M=0.0))
+    left nodes of [0, T), at every node, each in place, and dB in the
+    block's own buffer of increments. The law and the simulator of M = 0
+    are the model's (`Model.prehistory`, `Model.window_simulator`), built
+    once per loaded model."""
+    triplet, kern, cfg = model.levy, model.kern, model.cfg
+    law, near = model.prehistory, model.window_simulator
     sqc = math.sqrt(triplet.c)
     phi0 = kern.phi0
     xi = triplet.xi()
@@ -630,9 +667,10 @@ def _gaussian_chunk(model: Model, start: int, stop: int) -> dict:
         block = near.draw(rngs, law)
         X, Y = block.moving_average(kern, law, p_idx)
         theta = np.add(Y[:, :-1], phi0 * xi)
-        np.negative(theta, out=theta)
-        theta /= phi0 * sqc
-        dB = block.diffuse - near.drift_rate * cfg.dt
+        # IEEE division is sign-symmetric, so these are the bits of negating first
+        theta /= -(phi0 * sqc)
+        # nothing reads the block's increments after this
+        dB = np.subtract(block.diffuse, near.drift_rate * cfg.dt, out=block.diffuse)
         dB /= sqc
         dB *= theta
         np.square(theta, out=theta)

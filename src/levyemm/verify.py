@@ -110,7 +110,6 @@ def q_martingale_test(x_at_probes, x0, z_values, probe_times, seed=None) -> Stat
     k = x_at_probes.shape[1]
     crit = bonferroni_crit(k)
     probes = []
-    worst = (0.0, math.inf)
     for j in range(k):
         mean, se = mean_se(z * (x_at_probes[:, j] - x0))
         ok = _gauss_verdict(mean, 0.0, se, crit) == "pass"
@@ -118,12 +117,15 @@ def q_martingale_test(x_at_probes, x0, z_values, probe_times, seed=None) -> Stat
             "t": float(probe_times[j]), "estimate": mean,
             "stderr": se, "pass": ok,
         })
-        if se > 0 and abs(mean) / se > abs(worst[0]) / max(worst[1], 1e-300):
-            worst = (mean, se)
+    # the probe farthest from 0 in s.e.; in value when none has a positive
+    # s.e. (one path, or no spread), with its NaN or zero s.e.
+    spread = [p for p in probes if p["stderr"] > 0]
+    worst = (max(spread, key=lambda p: abs(p["estimate"]) / p["stderr"]) if spread
+             else max(probes, key=lambda p: abs(p["estimate"])))
     all_pass = all(p["pass"] for p in probes)
     verdict = "inconclusive" if len(z) < 2 else "pass" if all_pass else "fail"
     return StatReport(
-        "q_martingale", worst[0], worst[1], len(z), verdict,
+        "q_martingale", worst["estimate"], worst["stderr"], len(z), verdict,
         f"per-probe |mean| <= {crit:.3f} s.e. (Bonferroni over {k})",
         seed, {"probes": probes, "weights": weight_diagnostics(z)},
     )

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import math
 import os
 import warnings
 
@@ -531,6 +532,12 @@ class TestPipelines:
             doc = run_verify(builtin_scenario(name), n_paths=1)
         assert {r["verdict"] for r in doc["reports"]} == {"inconclusive"}
         assert doc["overall"] == "fail"
+        # q_martingale reports its largest probe, not 0.0 and an infinite s.e.
+        for r in doc["reports"]:
+            if r["name"] == "q_martingale":
+                probes = r["details"]["probes"]
+                assert r["estimate"] != 0.0 and math.isnan(r["stderr"])
+                assert abs(r["estimate"]) == max(abs(p["estimate"]) for p in probes)
 
     def test_run_on_other_paths_shares_the_loaded_model(self, monkeypatch):
         model = model_from_dict(_two_atom_dict())
@@ -544,10 +551,40 @@ class TestPipelines:
         assert plain is model
         assert other.levy is model.levy and other.kern is model.kern
         assert other.simulator.tail is model.simulator.tail
+        assert other.gk is model.gk
         assert (other.cfg.n_paths, other.cfg.seed) == (300, 5)
         assert other.to_dict() == {**model.to_dict(),
                                    "sim": {**model.sim, "n_paths": 300, "seed": 5}}
         assert (model.cfg.n_paths, model.cfg.seed) == (500, 12)
+
+    # what n_paths and seed cannot change is built once per loaded model,
+    # not once per run; each document is the one a fresh model gives
+    @pytest.mark.parametrize("name, builders", [
+        ("gaussian-baseline", [(PathSimulator, "prehistory")]),
+        ("h2-two-atom", [(pipeline, "make_girsanov_kernel"),
+                         (pipeline, "h2_reach_sd")])])
+    def test_run_invariants_built_once(self, name, builders, monkeypatch):
+        fresh = [json.dumps(run_verify(builtin_scenario(name), n_paths=n, seed=s))
+                 for n, s in ((300, 5), (200, 6))]
+        built = collections.Counter()
+        for owner, attr in builders:
+            def counted(*args, fn=getattr(owner, attr), attr=attr):
+                built[attr] += 1
+                return fn(*args)
+            monkeypatch.setattr(owner, attr, counted)
+        model = builtin_scenario(name)
+        got = [json.dumps(run_verify(model, n_paths=n, seed=s))
+               for n, s in ((300, 5), (200, 6))]
+        if model.emm["hypothesis"] == "h2":
+            run_construct(model)
+        assert got == fresh
+        assert built == {attr: 1 for _, attr in builders}
+
+    def test_simulate_builds_no_girsanov_kernel(self, tmp_path, monkeypatch):
+        model = builtin_scenario("h2-two-atom")
+        monkeypatch.setattr(pipeline, "make_girsanov_kernel", None)
+        run_simulate(model, str(tmp_path), n_paths=3, seed=4)
+        assert "gk" not in vars(model)
 
     @pytest.mark.parametrize("name", ["classify-power-density",
                                       "classify-zero-start"])

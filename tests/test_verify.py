@@ -164,6 +164,20 @@ class TestQMartingale:
         assert rep.verdict == "fail"
         assert rep.details["probes"][1]["pass"] is False
 
+    # with no spread no probe has a positive s.e.: the report read the
+    # search's starting value (0.0, inf) before, an exact martingale
+    def test_zero_spread_reports_the_largest_probe(self):
+        n = 4
+        x = np.tile([0.5, -2.0, 1.0], (n, 1))
+        rep = q_martingale_test(x, np.zeros(n), np.ones(n), [0.25, 0.5, 1.0])
+        assert (rep.estimate, rep.stderr) == (-2.0, 0.0)
+        assert rep.verdict == "fail"
+
+    def test_one_path_reports_the_largest_probe(self):
+        rep = q_martingale_test([[0.5, -2.0]], [0.0], [2.0], [0.5, 1.0])
+        assert rep.estimate == -4.0 and math.isnan(rep.stderr)
+        assert rep.verdict == "inconclusive"
+
 
 class TestJumpIntensity:
     def test_poisson_passes(self):
