@@ -32,6 +32,7 @@ from .levy_model import (
     levy_integrate,
 )
 from .path_sim import (
+    BufferPool,
     MovingAveragePath,
     PathBlock,
     PathSimulator,
@@ -345,26 +346,26 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
 
 
 def q_arrivals(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
-               rngs) -> tuple:
+               rngs, pool: BufferPool | None = None) -> tuple:
     """draw_under_q's first pass, for one block: each path's P draw, then
     its Q arrivals (`draw_arrivals`), and the response at every arrival of
     the jumps and cells the paths keep, all but the P tail jumps on (0, T].
-    Returns (counts, times, mark uniforms, that response)."""
+    Returns (counts, times, mark uniforms, that response), arrays of the
+    caller's own; the P block and the kept one take their per-jump arrays
+    from pool when one is given."""
     config = sim.config
     if gk.kind != "h2":
         raise UnsupportedModel("direct Q simulation needs the tail kernel")
     if config.eps_jump > gk.a:
         raise UnsupportedModel("eps_jump must not exceed the tail threshold a")
 
-    base = sim.draw(rngs)
+    base = sim.draw(rngs, pool=pool)
     # each path's arrivals and mark uniforms come after its P draws
     counts, q_t, q_u = draw_arrivals(rngs, gk.lam * config.T, 0.0, config.T)
     q_rows = np.repeat(np.arange(len(rngs)), counts)
-    keep = (base.jump_times <= 0.0) | (np.abs(base.jump_sizes) <= gk.a)
-    kept = PathBlock(base.times, base.dt, base.diffuse, base.jump_times[keep],
-                     base.jump_sizes[keep], np.concatenate([[0], np.cumsum(
-                         np.bincount(base.jump_rows()[keep], minlength=len(rngs)))]))
-    return counts, q_t, q_u, kept.response(kernel.dphi, q_rows, q_t, strict=True)
+    kept = base.without(base.jumps_beyond(gk.a), pool)
+    return counts, q_t, q_u, kept.responses(
+        (kernel.dphi, q_rows, q_t, True), pool=pool)[0]
 
 
 def q_marks(gk: GirsanovKernelH2, kernel: Kernel, counts, q_t, q_u,

@@ -441,12 +441,12 @@ class TailLaw:
     """Normalized restriction of F to |x| > r (open region) or |x| >= r
     (closed), with its total mass as `rate`.
 
-    quantile(u) inverts the law at u in [0, 1) and sample draws marks
-    through it; mass_below(z) = P(X < z) and partial_mean_below(z)
-    = E[X 1_{X < z}] are the queries lambda_of_zeta needs. All three take
-    arrays. mean is NaN when the tail has no first moment. zeta_lo <
-    zeta_hi bound the levels that leave both conditional masses above
-    _MASS_FLOOR.
+    quantile(u) inverts the law at u in [0, 1), into out when given, and
+    sample draws marks through it; mass_below(z) = P(X < z) and
+    partial_mean_below(z) = E[X 1_{X < z}] are the queries lambda_of_zeta
+    needs. All three take arrays. mean is NaN when the tail has no first
+    moment. zeta_lo < zeta_hi bound the levels that leave both conditional
+    masses above _MASS_FLOOR.
     """
 
     rate: float
@@ -457,7 +457,7 @@ class TailLaw:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.quantile(rng.random(n))
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         raise NotImplementedError
 
     def mass_below(self, z):
@@ -485,16 +485,17 @@ class DiscreteTailLaw(TailLaw):
         self.zeta_lo = float(self.x[0])
         self.zeta_hi = float(self.x[-1])
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         """searchsorted(_cdf, u, side="right")'s atom, the last for u = 1.0
-        or NaN: each boundary above u takes one off the last index, one
-        comparison pass per boundary, which beats the search at a few
-        atoms."""
+        or NaN: from the last atom down, each atom whose boundary lies
+        above u replaces the one before, one comparison pass per boundary,
+        which beats the search at a few atoms."""
         u = np.asarray(u, dtype=float)
-        i = np.full(u.shape, len(self.x) - 1)
-        for c in self._cdf[:-1].tolist():
-            i -= u < c
-        return self.x[i]
+        out = np.empty(u.shape) if out is None else out
+        out.fill(self.x[-1])
+        for x, c in zip(self.x[-2::-1].tolist(), self._cdf[-2::-1].tolist()):
+            np.copyto(out, x, where=u < c)
+        return out if out.ndim else out[()]
 
     def mass_below(self, z):
         return self._below[np.searchsorted(self.x, z, side="left")]
@@ -518,10 +519,11 @@ class StableTailLaw(TailLaw):
         self.zeta_hi = r * (2.0 * _MASS_FLOOR) ** (-1.0 / alpha)
         self.zeta_lo = -self.zeta_hi
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         u = np.asarray(u, dtype=float)
         side = np.minimum(u, 1.0 - u)  # P(|X| >= |x|) / 2 on x's side
-        return np.where(u < 0.5, -1.0, 1.0) * self.r * (2.0 * side) ** (-1.0 / self.alpha)
+        return np.multiply(np.where(u < 0.5, -self.r, self.r),
+                           (2.0 * side) ** (-1.0 / self.alpha), out=out)
 
     def mass_below(self, z):
         # half of P(|X| >= max(|z|, r)) on the side of z
@@ -573,8 +575,12 @@ class GridTailLaw(TailLaw):
         self.zeta_lo = float(x[min(lo_q, len(x) - 1)])
         self.zeta_hi = float(x[min(hi_q, len(x) - 1)])
 
-    def quantile(self, u):
-        return np.interp(u, self.cum_p, self.x)
+    def quantile(self, u, out=None):
+        q = np.interp(u, self.cum_p, self.x)
+        if out is None:
+            return q
+        out[...] = q
+        return out
 
     def mass_below(self, z):
         return np.interp(z, self.x, self.cum_p, left=0.0, right=1.0)

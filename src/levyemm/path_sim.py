@@ -11,8 +11,10 @@ exponential form both sums are carried as states along each path
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,8 +113,80 @@ def _cell_index(times, t_lo, dt, n_cells):
     return np.clip(idx, 0, n_cells - 1)
 
 
-# bound on the elements of one temporary of a query slice (_slices)
+# bounds on the elements of one temporary: of a query slice (_slices), and
+# of a slice of a gather into a pooled buffer (_compress)
 _RESPONSE_ELEMS = 1 << 13
+_COMPRESS_ELEMS = 1 << 12
+
+
+class BufferPool:
+    """Grow-only NumPy buffers by name, for the per-block arrays of a run
+    that nothing keeps past its block: `PathSimulator.draw`'s jumps and
+    marks, `PathBlock.responses`' carried states (`_Carried`) and
+    `girsanov.q_arrivals`' kept block.
+
+    An array taken from the pool is valid until its name is taken again,
+    so a block drawn into the pool, and all that is read from it, is valid
+    until the next block is drawn into the pool; what a caller keeps past
+    its block must be copied into arrays it owns. A buffer that is too
+    small is replaced by one an eighth larger than asked, and none is ever
+    shrunk or freed, so after the first blocks a run allocates no per-jump
+    array. Without the pool each block allocated and freed about 1.9 MB, and
+    between runs the C allocator handed much of it back to the kernel,
+    which faulted it in again page by page on the next run."""
+
+    def __init__(self):
+        self._buffers = {}
+        self._lock = threading.Lock()
+
+    def take(self, name, shape, dtype=float) -> np.ndarray:
+        """The buffer name as an uninitialised array of shape and dtype."""
+        n = math.prod(shape) if isinstance(shape, tuple) else shape
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(n + n // 8, dtype)
+        return buf[:n].reshape(shape)
+
+    @contextlib.contextmanager
+    def lease(self):
+        """The pool for the caller alone, or None, for fresh arrays, while
+        another thread holds it."""
+        if not self._lock.acquire(blocking=False):
+            yield None
+            return
+        try:
+            yield self
+        finally:
+            self._lock.release()
+
+
+def _empty(pool: BufferPool | None, name, shape, dtype=float) -> np.ndarray:
+    """pool's buffer name as an array of shape, or a new one without a
+    pool."""
+    return np.empty(shape, dtype) if pool is None else pool.take(name, shape, dtype)
+
+
+def _compress(mask, values, out) -> np.ndarray:
+    """values[mask] written into out, a slice of _COMPRESS_ELEMS at a time,
+    so that no temporary is longer than a slice (np.compress allocates the
+    indices and a copy of the whole result, even with out)."""
+    at = 0
+    for lo in range(0, len(mask), _COMPRESS_ELEMS):
+        m = mask[lo:lo + _COMPRESS_ELEMS]
+        n = np.count_nonzero(m)
+        out[at:at + n] = values[lo:lo + _COMPRESS_ELEMS][m]
+        at += n
+    return out
+
+
+def _leading(counts: np.ndarray, widths) -> np.ndarray:
+    """Row after row, counts[b] True and then widths[b] - counts[b] False,
+    flat (widths may be one number for all rows): one boolean repeat,
+    which unlike a broadcast comparison takes no iterator buffers."""
+    runs = np.empty(2 * len(counts), dtype=np.intp)
+    runs[0::2] = counts
+    runs[1::2] = widths - counts
+    return np.repeat(np.tile([True, False], len(counts)), runs)
 
 
 @dataclass
@@ -144,9 +218,27 @@ class PathBlock:
                    path.jump_times, path.jump_sizes,
                    np.array([0, len(path.jump_times)]))
 
-    def jump_rows(self) -> np.ndarray:
-        """The path of each flat jump."""
-        return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
+    def jump_rows(self, dtype=np.intp) -> np.ndarray:
+        """The path of each flat jump, as dtype."""
+        return np.repeat(np.arange(len(self.offsets) - 1, dtype=dtype),
+                         np.diff(self.offsets))
+
+    def jumps_beyond(self, a: float) -> np.ndarray:
+        """The flat indices of the jumps after 0 of size |Z| > a."""
+        late = np.flatnonzero(self.jump_times > 0.0)
+        return late[np.abs(self.jump_sizes[late]) > a]
+
+    def without(self, drop: np.ndarray, pool: BufferPool | None = None
+                ) -> PathBlock:
+        """The block without the flat jumps at the sorted indices drop, its
+        jump arrays taken from pool when one is given."""
+        keep = np.ones(len(self.jump_times), dtype=bool)
+        keep[drop] = False
+        n = len(keep) - len(drop)
+        return PathBlock(self.times, self.dt, self.diffuse,
+                         _compress(keep, self.jump_times, _empty(pool, "kept_times", n)),
+                         _compress(keep, self.jump_sizes, _empty(pool, "kept_sizes", n)),
+                         self.offsets - np.searchsorted(drop, self.offsets))
 
     def path(self, b: int) -> LatticePath:
         lo, hi = self.offsets[b], self.offsets[b + 1]
@@ -179,10 +271,12 @@ class PathBlock:
         """
         return self.responses((fn, rows, t, strict))[0]
 
-    def responses(self, *queries) -> list:
+    def responses(self, *queries, pool: BufferPool | None = None) -> list:
         """response(fn, rows, t, strict=strict) for each (fn, rows, t,
         strict) of queries. Functions of exponential form with the same
-        kappa, such as a kernel's phi and phi', share one carry."""
+        kappa, such as a kernel's phi and phi', share one carry, whose
+        per-jump arrays are taken from pool when one is given. The values
+        returned are the caller's own either way."""
         carried, out = {}, []
         for fn, rows, t, strict in queries:
             rows = np.asarray(rows, dtype=np.intp)
@@ -192,7 +286,7 @@ class PathBlock:
                 out.append(self._running(fn, rows, t, strict=strict))
                 continue
             f0, kappa = form
-            c = carried.setdefault(kappa, _Carried(self, kappa))
+            c = carried.setdefault(kappa, _Carried(self, kappa, pool))
             out.append(f0 * (c.cells_at(rows, t) + c.jumps_at(rows, t, strict=strict)))
         return out
 
@@ -279,10 +373,16 @@ class _Carried:
     """The sums of a block's paths carried as states for one decay rate
     kappa (see `PathBlock.response`), each computed when first read. The
     jump states stay in `_carry`'s (part, prod, entering) form; jumps_at
-    combines them only at the jumps its queries read."""
+    combines them only at the jumps its queries read. Their per-jump
+    arrays are taken from pool, under names of their kappa, when one is
+    given, and are then valid until the pool's next block."""
 
-    def __init__(self, block: PathBlock, kappa: float):
-        self.block, self.kappa = block, kappa
+    def __init__(self, block: PathBlock, kappa: float,
+                 pool: BufferPool | None = None):
+        self.block, self.kappa, self.pool = block, kappa, pool
+
+    def _empty(self, name, shape, dtype=float) -> np.ndarray:
+        return _empty(self.pool, (name, self.kappa), shape, dtype)
 
     @cached_property
     def cell_states(self) -> np.ndarray | None:
@@ -301,34 +401,47 @@ class _Carried:
         _CHUNK: jump rank k of row b sits at (k % _CHUNK, k // _CHUNK, b),
         and the padding has decay and size 0."""
         block = self.block
+        jt = block.jump_times
         counts = np.diff(block.offsets)
         starts = block.offsets[:-1][counts > 0]
-        gap = np.diff(block.jump_times, prepend=0.0)
-        gap[starts] = 0.0
-        decay = np.exp(-self.kappa * gap)
+        # the gaps T_j - T_{j-1}, 0 at each row's first jump, then in place
+        # their decays
+        decay = self._empty("decay", len(jt))
+        decay[:1] = jt[:1]
+        np.subtract(jt[1:], jt[:-1], out=decay[1:])
         decay[starts] = 0.0
-        return _carry(self._chunked(decay), self._chunked(block.jump_sizes))
+        decay *= -self.kappa
+        np.exp(decay, out=decay)
+        decay[starts] = 0.0
+        return _carry(self._chunked(decay, "prod"),
+                      self._chunked(block.jump_sizes, "part"))
 
     @cached_property
     def _filled(self) -> np.ndarray:
         """(row, rank) of every jump, as a mask over whole chunks."""
         counts = np.diff(self.block.offsets)
-        n_chunks = -(-int(counts.max(initial=0)) // _CHUNK)
-        return np.arange(n_chunks * _CHUNK) < counts[:, None]
+        width = -(-int(counts.max(initial=0)) // _CHUNK) * _CHUNK
+        return _leading(counts, width).reshape(len(counts), width)
 
-    def _chunked(self, values) -> np.ndarray:
+    def _chunked(self, values, name) -> np.ndarray:
         """Per-jump values in the (rank in chunk, chunk, row) layout of
         jump_carry, so that each step of _carry is one contiguous slab."""
         B, width = self._filled.shape
-        padded = np.zeros((B, width))
+        padded = self._empty("padded", (B, width))
+        padded.fill(0.0)
         padded[self._filled] = values
-        return np.ascontiguousarray(
-            padded.reshape(B, -1, _CHUNK).transpose(2, 1, 0))
+        out = self._empty(name, (_CHUNK, width // _CHUNK, B))
+        np.copyto(out, padded.reshape(B, -1, _CHUNK).transpose(2, 1, 0))
+        return out
 
     @cached_property
     def jump_keys(self) -> np.ndarray:
         """The jumps' (row, time) keys (`_row_time_keys`), in flat order."""
-        return _row_time_keys(self.block.jump_rows(), self.block.jump_times)
+        block, jt = self.block, self.block.jump_times
+        # the rows in the least integer type that holds them: a byte a jump
+        # in a block of up to 256 paths
+        rows = block.jump_rows(np.min_scalar_type(len(block.offsets) - 2))
+        return _row_time_keys(rows, jt, self._empty("keys", len(jt), complex))
 
     def cells_at(self, rows, t) -> np.ndarray:
         """e^{-kappa (t - l)} C_l at the last left node l < t of each query."""
@@ -379,10 +492,10 @@ class _Carried:
         return out
 
 
-def _row_time_keys(rows, t):
+def _row_time_keys(rows, t, out=None):
     """Complex keys row + i t, which compare (row, time) exactly, in that
-    order."""
-    keys = np.empty(len(t), dtype=complex)
+    order (into out when given)."""
+    keys = np.empty(len(t), dtype=complex) if out is None else out
     keys.real, keys.imag = rows, t
     return keys
 
@@ -394,12 +507,15 @@ def _carry(r, z):
     product of its decays, rank by rank for all chunks at once; then the
     state entering each chunk (chunk, row), one chunk after the other.
     Every factor is at most 1. That takes about 3 _CHUNK + 2 chunks array
-    operations instead of 2 per rank."""
-    part, prod = z.copy(), r.copy()
+    operations instead of 2 per rank. part and prod are formed in place,
+    in z and r."""
+    part, prod = z, r
+    step = np.empty(z.shape[1:])
     for k in range(1, len(z)):
-        np.multiply(r[k], part[k - 1], out=part[k])
-        part[k] += z[k]
-        np.multiply(r[k], prod[k - 1], out=prod[k])
+        # r[k] is still the decay here: prod[k] is formed after it is read
+        np.multiply(r[k], part[k - 1], out=step)
+        part[k] += step
+        prod[k] *= prod[k - 1]
     entering = np.zeros(z.shape[1:])
     for c in range(1, len(entering)):
         np.multiply(prod[-1, c - 1], entering[c - 1], out=entering[c])
@@ -499,14 +615,24 @@ def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
 
 
 def _hash(v, consts):
+    """v hashed by consts, as a new array: the first step makes it, and
+    the others work in place."""
     before, after = consts
-    v = (v ^ before) * after & _MASK32
-    return v ^ (v >> 16)
+    v = v ^ before
+    v *= after
+    v &= _MASK32
+    v ^= v >> 16
+    return v
 
 
 def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return r ^ (r >> 16)
+    """x mixed with y, formed in x; y is overwritten too."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    x &= _MASK32
+    x ^= x >> 16
+    return x
 
 
 # the pool words each pool word is mixed into
@@ -519,7 +645,8 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
 
     Every column takes the same hash constants, so each step of NumPy's
     per-word loops runs once over all columns and all pool words it
-    touches."""
+    touches, in place where it can; the output words are hashed one at a
+    time, which keeps the temporaries to a few pool words."""
     L, n = entropy.shape
     pool = np.zeros((_POOL, n), dtype=np.uint64)
     pool[:min(L, _POOL)] = entropy[:_POOL]
@@ -533,9 +660,16 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
     for src in range(_POOL, L):
         k = _POOL * src
         pool = _mix(pool, _hash(entropy[src], c[:, k:k + _POOL]))
-    words = _hash(pool[np.arange(8) % _POOL], _hash_consts(_INIT_B, _MULT_B, 8))
-    # little-endian pairs of uint32 words, as generate_state views them
-    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+    # eight uint32 words from the pool words in turn, as little-endian
+    # pairs, the way generate_state views them
+    c = _hash_consts(_INIT_B, _MULT_B, 8)
+    out = np.empty((n, 4), dtype=np.uint64)
+    for i in range(4):
+        hi = _hash(pool[(2 * i + 1) % _POOL], c[:, 2 * i + 1])
+        hi <<= 32
+        hi |= _hash(pool[2 * i % _POOL], c[:, 2 * i])
+        out[:, i] = hi
+    return out
 
 
 class _StateWords(ISeedSequence):
@@ -552,33 +686,53 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def sort_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def sort_rows(values: np.ndarray, counts: np.ndarray,
+              pool: BufferPool | None = None) -> np.ndarray:
     """values, row after row with counts[b] in row b, each row sorted: one
     sort of the rows padded to a (B, width) array with +inf, which only
-    permutes each row's values."""
-    filled = np.arange(int(counts.max(initial=0))) < counts[:, None]
-    padded = np.full(filled.shape, np.inf)
+    permutes each row's values. The padded rows and the result are taken
+    from pool when one is given."""
+    width = int(counts.max(initial=0))
+    filled = _leading(counts, width).reshape(len(counts), width)
+    padded = _empty(pool, "sort_rows", filled.shape)
+    padded.fill(np.inf)
     padded[filled] = values
     padded.sort(axis=1)
-    return padded[filled]
+    return _compress(filled.ravel(), padded.ravel(),
+                     _empty(pool, "sorted", len(values)))
 
 
-def draw_arrivals(rngs, mean: float, lo: float, hi: float) -> tuple:
+def draw_arrivals(rngs, mean: float, lo: float, hi: float,
+                  pool: BufferPool | None = None) -> tuple:
     """Per generator, a Poisson(mean) count n_b of arrival times uniform on
     [lo, hi) and a mark uniform for each. Each generator makes one poisson
     call and then one random(2 n_b) call: its first n_b doubles d give the
     times as lo + (hi - lo) d, which is NumPy's uniform(lo, hi, n_b) to the
     bit, and the last n_b are the uniforms. Returns the counts, the times
-    sorted row by row (`sort_rows`) and the uniforms, flat in row order."""
+    sorted row by row (`sort_rows`) and the uniforms, flat in row order;
+    with a pool, the times and uniforms are its buffers."""
     counts = np.array([rng.poisson(mean) for rng in rngs], dtype=np.intp)
-    ends = 2 * np.cumsum(counts)
-    d = np.empty(2 * int(counts.sum()))
+    n = int(counts.sum())
+    d = _empty(pool, "arrivals", 2 * n)
     start = 0
-    for rng, end in zip(rngs, ends.tolist()):
+    for rng, end in zip(rngs, (2 * np.cumsum(counts)).tolist()):
         rng.random(out=d[start:end])
         start = end
-    first = np.arange(len(d)) < np.repeat(ends - counts, 2 * counts)
-    return counts, sort_rows(lo + (hi - lo) * d[first], counts), d[~first]
+    times, u = _halves(d, counts, pool)
+    times *= hi - lo
+    times += lo
+    return counts, sort_rows(times, counts, pool), u
+
+
+def _halves(d, counts, pool):
+    """The first and the last counts[b] values of each row b of d, whose
+    row b holds 2 counts[b] values, each flat in row order (in the pool's
+    buffers when one is given)."""
+    n = len(d) // 2
+    first = _leading(counts, 2 * counts)
+    head = _compress(first, d, _empty(pool, "heads", n))
+    tail = _compress(np.logical_not(first, out=first), d, _empty(pool, "tails", n))
+    return head, tail
 
 
 def generators(states: np.ndarray) -> list:
@@ -658,7 +812,8 @@ class PathSimulator:
         from one seed_states pass."""
         return generators(self.seed_states(lo, hi))
 
-    def draw(self, rngs, prehistory: Prehistory | None = None) -> PathBlock:
+    def draw(self, rngs, prehistory: Prehistory | None = None,
+             pool: BufferPool | None = None) -> PathBlock:
         """One path per generator. Each row takes the same calls of its own
         generator in the same order, so it does not depend on the block it
         is drawn in; simulate is the one-row case. The Gaussian cells take
@@ -677,16 +832,25 @@ class PathSimulator:
         NumPy's generator draws each normal from the bit stream alone and
         keeps nothing between calls. A law is refused with InvalidConfig
         when the simulator has explicit jumps, as `prehistory` refuses
-        one."""
+        one.
+
+        A draw without Gaussian cells or drift has no diffuse activity:
+        its diffuse is a read-only view of one 0.0. With pool, the block's
+        jump times and sizes are the pool's buffers (`draw_arrivals`), so
+        the block is valid until the next block is drawn into the pool."""
         if prehistory is not None and self.tail is not None:
             raise InvalidConfig("the pre-history is Gaussian only without "
                                 "explicit jumps")
         cfg = self.config
         n = cfg.n_cells
         dt = cfg.dt
-        diffuse = np.full((len(rngs), n), self.drift_rate * dt)
         sds = [math.sqrt(v * dt) for v in (self.triplet.c, self.small_var_rate)
                if v > 0.0]
+        drift = self.drift_rate * dt
+        if sds or drift:
+            diffuse = np.full((len(rngs), n), drift)
+        else:
+            diffuse = np.broadcast_to(drift, (len(rngs), n))
         cells = len(sds) * n
         rank = 0 if prehistory is None else prehistory.rank
         z = np.empty((len(rngs), cells + rank))
@@ -701,9 +865,9 @@ class PathSimulator:
         jump_times = sizes = np.empty(0)
         if self.tail is not None:
             counts, jump_times, u = draw_arrivals(
-                rngs, self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T)
+                rngs, self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T, pool)
             offsets[1:] = np.cumsum(counts)
-            sizes = self.tail.quantile(u)
+            sizes = self.tail.quantile(u, out=_empty(pool, "marks", len(u)))
         # a copy of eta, so that the block does not keep the whole buffer z
         eta = None if prehistory is None else np.ascontiguousarray(z[:, cells:])
         return PathBlock(self.times, dt, diffuse, jump_times, sizes, offsets, eta)

@@ -44,6 +44,7 @@ from .levy_model import (
     uniform_band,
 )
 from .path_sim import (
+    BufferPool,
     PathSimulator,
     Prehistory,
     SimConfig,
@@ -131,12 +132,14 @@ class Model:
 
     What a run reads and its n_paths and seed cannot change is built when
     first read, at most once per loaded model: the Girsanov kernel (gk),
-    the h2 reach (reach_sd), and the Gaussian battery's pre-history law
-    (prehistory) and simulator of M = 0 (window_simulator). A run on other
+    the h2 reach (reach_sd), the Gaussian battery's pre-history law
+    (prehistory) and simulator of M = 0 (window_simulator), and the pool
+    of the jump batteries' per-block buffers (buffer_pool). A run on other
     paths (`_with_sim`) keeps the loaded model as its base and reads these
     from it, so they are built on the base, once for all its runs; the
     window simulator of a run is a copy with the run's SimConfig. Nothing
-    is kept across models: pool workers rebuild theirs from to_dict()."""
+    is kept across models: each pool worker process builds its own from
+    to_dict()."""
 
     name: str
     triplet: dict
@@ -162,6 +165,10 @@ class Model:
     @functools.cached_property
     def prehistory(self) -> Prehistory:
         return self.base.prehistory if self.base else self.simulator.prehistory(self.kern)
+
+    @functools.cached_property
+    def buffer_pool(self) -> BufferPool:
+        return self.base.buffer_pool if self.base else BufferPool()
 
     @functools.cached_property
     def window_simulator(self) -> PathSimulator:
@@ -590,7 +597,9 @@ def _blocks(sim: PathSimulator, start: int, stop: int):
 
 
 def _weighted_chunk(model: Model, start: int, stop: int) -> dict:
-    """Weighted-P statistics (h1 or h2) of the model's paths [start, stop)."""
+    """Weighted-P statistics (h1 or h2) of the model's paths [start, stop).
+    Each block is drawn into the model's buffer pool, and what the chunk
+    keeps of it goes to arrays of its own."""
     kern, cfg, sim, gk = model.kern, model.cfg, model.simulator, model.gk
     probes = np.array(_probe_times(model))
     # left nodes of the compensator sum on [0, T); none for a mass-preserving alpha
@@ -599,37 +608,51 @@ def _weighted_chunk(model: Model, start: int, stop: int) -> dict:
     z_T = np.empty(stop - start)
     x_probe = np.empty((stop - start, len(probes)))
     counts = np.empty(stop - start, dtype=np.int64)
-    for lo, rngs in _blocks(sim, start, stop):
-        block = sim.draw(rngs)
-        n = len(rngs)
-        out = slice(lo - start, lo - start + n)
-        paths = np.arange(n)
-        win = (block.jump_times > 0.0) & (np.abs(block.jump_sizes) > gk.a)
-        w_rows = block.jump_rows()[win]
-        y_pre, y_left, x = block.responses(
-            (kern.dphi, w_rows, block.jump_times[win], True),
-            (kern.dphi, np.repeat(paths, len(grid)), np.tile(grid, n), True),
-            (kern, np.repeat(paths, len(probes)), np.tile(probes, n), False))
-        factors, comp = girsanov.density_terms(
-            gk, y_pre, block.jump_sizes[win], y_left.reshape(n, len(grid)),
-            cfg.dt)
-        # the factors of each path multiplied in jump order, as math.prod does
-        z = np.ones(n)
-        np.multiply.at(z, w_rows, factors)
-        z_T[out] = z * np.exp(comp[:, -1])
-        x_probe[out] = x.reshape(n, len(probes))
-        counts[out] = np.bincount(w_rows, minlength=n)
+    with model.buffer_pool.lease() as pool:
+        for lo, rngs in _blocks(sim, start, stop):
+            block = sim.draw(rngs, pool=pool)
+            n = len(rngs)
+            # the generators are done with: drop them before the next
+            # block's are built
+            del rngs
+            out = slice(lo - start, lo - start + n)
+            paths = np.arange(n)
+            # the flat tail jumps on (0, T], and the path of each
+            win = block.jumps_beyond(gk.a)
+            w_rows = np.searchsorted(block.offsets, win, side="right") - 1
+            y_pre, y_left, x = block.responses(
+                (kern.dphi, w_rows, block.jump_times[win], True),
+                (kern.dphi, np.repeat(paths, len(grid)), np.tile(grid, n), True),
+                (kern, np.repeat(paths, len(probes)), np.tile(probes, n), False),
+                pool=pool)
+            factors, comp = girsanov.density_terms(
+                gk, y_pre, block.jump_sizes[win], y_left.reshape(n, len(grid)),
+                cfg.dt)
+            # the factors of each path multiplied in jump order, as math.prod does
+            z = np.ones(n)
+            np.multiply.at(z, w_rows, factors)
+            z_T[out] = z * np.exp(comp[:, -1])
+            x_probe[out] = x.reshape(n, len(probes))
+            counts[out] = np.bincount(w_rows, minlength=n)
     return {"z_T": z_T, "x_probe": x_probe, "counts": counts}
 
 
 def _q_chunk(model: Model, start: int, stop: int) -> dict:
     """Direct-Q mark and count statistics of the model's paths [start, stop),
-    in two passes: girsanov.q_arrivals for each block, then one
-    girsanov.q_marks over all the chunk's arrivals, so its rank loop runs
-    once per chunk. The values equal draw_under_q's block by block."""
+    in two passes: girsanov.q_arrivals for each block, drawn into the
+    model's buffer pool, then one girsanov.q_marks over all the chunk's
+    arrivals, so its rank loop runs once per chunk. The values equal
+    draw_under_q's block by block."""
     gk, kern, sim = model.gk, model.kern, model.simulator
-    columns = [list(part) for part in zip(*(
-        girsanov.q_arrivals(gk, kern, sim, rngs) for _, rngs in _blocks(sim, start, stop)))]
+    columns = [[], [], [], []]
+    with model.buffer_pool.lease() as pool:
+        for _, rngs in _blocks(sim, start, stop):
+            for column, part in zip(columns, girsanov.q_arrivals(
+                    gk, kern, sim, rngs, pool)):
+                column.append(part)
+            # the generators are done with: drop them before the next
+            # block's are built
+            del rngs
     # each column's block parts are freed as soon as they are joined
     counts, q_t, q_u, y_pre = (np.concatenate(columns.pop(0)) for _ in range(4))
     marks = girsanov.q_marks(gk, kern, counts, q_t, q_u, y_pre)
@@ -686,16 +709,27 @@ _PATH_WORKERS = {("h1", "weighted"): _weighted_chunk, ("h2", "weighted"): _weigh
                  ("h2", "direct-q"): _q_chunk, ("gaussian", "weighted"): _gaussian_chunk}
 
 
-def _pool_task(worker, scn_dict: dict, start: int, stop: int) -> dict:
-    """worker over [start, stop) in a pool process, on the model rebuilt from
-    scn_dict (kernels hold lambdas that do not pickle)."""
-    return worker(model_from_dict(scn_dict), start, stop)
+# the model of a pool worker process, built once by _init_worker
+_worker_model: Model | None = None
+
+
+def _init_worker(scn_dict: dict) -> None:
+    """Build the model of this pool worker process from scn_dict (kernels
+    hold lambdas that do not pickle), once for all its tasks."""
+    global _worker_model
+    _worker_model = model_from_dict(scn_dict)
+
+
+def _pool_task(worker, start: int, stop: int) -> dict:
+    """worker over [start, stop) on this pool worker's model."""
+    return worker(_worker_model, start, stop)
 
 
 def _run_chunked(worker, model: Model, workers: int) -> dict:
     """Split the model's [0, n_paths) into index blocks and concatenate the
     results in index order, so the ensemble is independent of scheduling.
-    Workers in this process share the model."""
+    Workers in this process share the model; each pool worker process
+    builds its own once (`_init_worker`) for all the spans it runs."""
     n_blocks = max(1, workers) * 4 if workers > 1 else 1
     edges = np.linspace(0, model.cfg.n_paths, n_blocks + 1).astype(int)
     spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
@@ -703,9 +737,10 @@ def _run_chunked(worker, model: Model, workers: int) -> dict:
         parts = [worker(model, a, b) for a, b in spans]
     else:
         scn_dict = model.to_dict()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_pool_task, worker, scn_dict, a, b)
-                    for a, b in spans]
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(scn_dict,)) as pool:
+            futs = [pool.submit(_pool_task, worker, a, b) for a, b in spans]
             parts = [f.result() for f in futs]
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 

@@ -4,6 +4,7 @@ indices are split, and they agree with per-path references."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -855,3 +856,144 @@ def test_carried_jump_read_equals_the_materialised_states():
     empty = np.zeros(3)
     assert np.array_equal(carried.jumps_at(np.ones(3, dtype=int), jt[:3] + 1.0,
                                            strict=False), empty)
+
+
+# ---------------------------------------------------------------------------
+# the buffer pool: a block drawn into it is a fresh draw to the bit
+# ---------------------------------------------------------------------------
+
+
+def _block_fields(block):
+    return (block.diffuse, block.jump_times, block.jump_sizes, block.offsets)
+
+
+def _h2_uniform_band():
+    d = _builtin("h2-two-atom")
+    d["triplet"]["measure"] = {"type": "uniform-band", "a": 0.25, "b": 2.0}
+    return d
+
+
+# a jump-only law, jumps with Gaussian cells, and a grid tail law
+POOL_CASES = {
+    "h2-two-atom": lambda: _builtin("h2-two-atom"),
+    "direct-q-sas-1.5": _direct_q_sas,
+    "uniform-band": _h2_uniform_band,
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_block_drawn_into_a_pool_equals_a_fresh_draw(case):
+    model = pipeline.model_from_dict(POOL_CASES[case]())
+    sim, kern = model.simulator, model.kern
+    pool = path_sim.BufferPool()
+    # a larger block and then a smaller one first, so that the pool's
+    # buffers are reused both larger and of the size asked
+    for lo, hi in ((0, 200), (300, 310), (20, 148)):
+        pooled = sim.draw(sim.rngs(lo, hi), pool=pool)
+    fresh = sim.draw(sim.rngs(20, 148))
+    for got, want in zip(_block_fields(pooled), _block_fields(fresh)):
+        assert np.array_equal(got, want)
+    rows, t = _queries(fresh)
+    queries = [(fn, rows, t, strict) for fn in (kern, kern.dphi)
+               for strict in (True, False)]
+    for got, want in zip(pooled.responses(*queries, pool=pool),
+                         fresh.responses(*queries)):
+        assert np.array_equal(got, want)
+
+
+def test_a_pooled_block_is_valid_until_the_next_draw_into_the_pool():
+    sim = pipeline.builtin_scenario("h2-two-atom").simulator
+    pool = path_sim.BufferPool()
+    first = sim.draw(sim.rngs(0, 128), pool=pool)
+    kept = first.jump_times.copy()
+    sim.draw(sim.rngs(128, 256), pool=pool)
+    # the first block's arrays are the pool's, now the second block's
+    assert not np.array_equal(first.jump_times[:len(kept)], kept)
+    assert np.array_equal(kept, sim.draw(sim.rngs(0, 128)).jump_times)
+
+
+def test_buffer_pool_grows_only():
+    pool = path_sim.BufferPool()
+    a = pool.take("x", (4, 5))
+    assert a.shape == (4, 5) and a.flags.c_contiguous
+    b = pool.take("x", 7)
+    assert b.shape == (7,) and np.shares_memory(a, b)
+    c = pool.take("x", 40)
+    assert not np.shares_memory(a, c)
+    assert np.shares_memory(c, pool.take("x", (2, 3)))
+    assert pool.take("y", 3, dtype=bool).dtype == bool
+    assert pool.take("y", 3).dtype == np.float64
+
+
+def test_buffer_pool_lease_is_for_one_holder():
+    pool = path_sim.BufferPool()
+    with pool.lease() as first:
+        with pool.lease() as second:
+            assert first is pool and second is None
+    with pool.lease() as again:
+        assert again is pool
+
+
+def test_jump_only_draw_has_a_read_only_zero_diffuse():
+    sim = pipeline.builtin_scenario("q-two-atom-zeta05").simulator
+    block = sim.draw(sim.rngs(0, 3))
+    assert block.diffuse.shape == (3, sim.config.n_cells)
+    assert block.diffuse.strides == (0, 0) and not block.diffuse.flags.writeable
+    assert not block.diffuse.any()
+    path = block.path(1)
+    assert np.array_equal(path.increments, sim.simulate_index(1).increments)
+    assert np.array_equal(path.diffuse_increments(),
+                          np.zeros(sim.config.n_cells))
+
+
+def test_pooled_chunks_allocate_no_per_jump_arrays():
+    """After a warm-up, a 1000-path chunk of either jump battery keeps its
+    traced memory within 256 KiB of where it started, peak included: its
+    per-jump arrays are the pool's. Without the pool each 128-path block
+    allocated and freed about 1.9 MB."""
+    for name, worker in (("q-two-atom-zeta05", pipeline._q_chunk),
+                         ("h2-two-atom", pipeline._weighted_chunk)):
+        model = pipeline._with_sim(pipeline.builtin_scenario(name), n_paths=1000)
+        worker(model, 0, 1000)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            worker(model, 0, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 256 * 1024, (name, peak - start)
+
+
+@pytest.mark.parametrize("widths", ["per row", "one"])
+def test_leading_mask_equals_the_comparison(widths):
+    counts = np.array([3, 0, 5, 1, 0])
+    w = 2 * counts if widths == "per row" else 6
+    got = path_sim._leading(counts, w)
+    if widths == "per row":
+        want = np.arange(2 * counts.sum()) < np.repeat(
+            2 * np.cumsum(counts) - counts, 2 * counts)
+    else:
+        want = (np.arange(6) < counts[:, None]).ravel()
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [0, 5, path_sim._COMPRESS_ELEMS,
+                               3 * path_sim._COMPRESS_ELEMS + 7])
+def test_compress_equals_boolean_indexing(n):
+    rng = np.random.default_rng(n)
+    values, mask = rng.normal(size=n), rng.random(n) < 0.7
+    got = path_sim._compress(mask, values, np.empty(mask.sum()))
+    assert np.array_equal(got, values[mask])
+
+
+def test_block_without_jumps_equals_the_masked_block():
+    block = _busy_block()
+    drop = block.jumps_beyond(0.75)
+    assert len(drop) and np.all(block.jump_times[drop] > 0.0)
+    keep = ~((block.jump_times > 0.0) & (np.abs(block.jump_sizes) > 0.75))
+    counts = np.bincount(block.jump_rows()[keep], minlength=len(block.offsets) - 1)
+    got = block.without(drop, path_sim.BufferPool())
+    assert np.array_equal(got.jump_times, block.jump_times[keep])
+    assert np.array_equal(got.jump_sizes, block.jump_sizes[keep])
+    assert np.array_equal(got.offsets, np.concatenate([[0], np.cumsum(counts)]))

@@ -208,6 +208,17 @@ class TestTailLawQuantile:
         np.testing.assert_array_equal(law.quantile(np.array([0.1, 0.6])),
                                       [law.quantile(0.1), law.quantile(0.6)])
 
+    @pytest.mark.parametrize("F", [
+        DiscreteMeasure([(-2.0, 0.3), (-1.0, 1.1), (1.0, 0.7), (3.0, 0.2)]),
+        symmetric_alpha_stable(1.5), uniform_band(0.5, 2.0)],
+        ids=["discrete", "stable", "grid"])
+    def test_quantile_into_out_is_the_quantile(self, F):
+        law = tail_law(F, ball_complement(0.75))
+        u = np.random.default_rng(9).random(50)
+        out = np.full(50, np.nan)
+        assert law.quantile(u, out=out) is out
+        assert np.array_equal(out, law.quantile(u))
+
 
 class TestDriftXi:
     def test_atom_inside_truncation(self):

@@ -7,6 +7,7 @@ every run's manifest names the correlation backend through
 builds a workload's pieces from what `pipeline.builtin_scenario` returns,
 so these checks run with the unit tests."""
 
+import json
 import math
 import subprocess
 import sys
@@ -56,3 +57,16 @@ def test_setup_probe_prints_two_positive_floats():
     values = [float(v) for v in out.stdout.split()]
     assert len(values) == 2
     assert all(math.isfinite(v) and v > 0.0 for v in values), values
+
+
+def test_direct_q_benchmark_run_is_correct():
+    """A one-second direct-q run: every call matches the expected verdicts
+    and repeats to the bit, so a pooled buffer that leaked from one call
+    into the next would count as a failed operation."""
+    root = PERFBENCH.parent
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "direct-q",
+         "--seconds", "1", "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True, timeout=600)
+    last = json.loads(out.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

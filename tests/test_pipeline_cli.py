@@ -1,10 +1,13 @@
 import collections
+import concurrent.futures
 import dataclasses
 import json
 import math
 import os
+import sys
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 
@@ -605,6 +608,53 @@ class TestPipelines:
         one = run_verify(scn, n_paths=2000, workers=1)
         two = run_verify(scn, n_paths=2000, workers=2)
         assert json.dumps(one) == json.dumps(two)
+
+    def test_pool_worker_builds_its_model_once(self, monkeypatch):
+        model = pipeline._with_sim(builtin_scenario("q-two-atom-zeta05"), n_paths=300)
+        built = []
+        build = pipeline.model_from_dict
+        monkeypatch.setattr(pipeline, "model_from_dict",
+                            lambda d: built.append(d) or build(d))
+        monkeypatch.setattr(pipeline, "_worker_model", None)
+        pipeline._init_worker(model.to_dict())
+        parts = [pipeline._pool_task(pipeline._q_chunk, a, b)
+                 for a, b in ((0, 150), (150, 300))]
+        assert len(built) == 1
+        whole = pipeline._q_chunk(model, 0, 300)
+        for key, arr in whole.items():
+            assert np.array_equal(arr, np.concatenate([p[key] for p in parts])), key
+
+    # the buffer pool of a loaded model outlives its runs: runs on other
+    # paths and back again give the documents fresh models give
+    @pytest.mark.parametrize("name", ["h2-two-atom", "h1-two-atom",
+                                      "q-two-atom-zeta05"])
+    def test_runs_on_one_model_share_its_buffer_pool(self, name):
+        calls = ((300, 5), (1000, None), (300, 5))
+        fresh = [json.dumps(run_verify(builtin_scenario(name), n_paths=n, seed=s))
+                 for n, s in calls]
+        model = builtin_scenario(name)
+        got = [json.dumps(run_verify(model, n_paths=n, seed=s)) for n, s in calls]
+        assert got == fresh
+        assert model.buffer_pool._buffers
+
+    def test_threads_on_one_model_give_their_own_documents(self):
+        """Threads running one loaded model: one holds its buffer pool at a
+        time, the others take fresh arrays, and every document is the one
+        a fresh model gives."""
+        seeds = range(1, 9)
+        want = [json.dumps(run_verify(builtin_scenario("h2-two-atom"),
+                                      n_paths=1000, seed=s)) for s in seeds]
+        model = builtin_scenario("h2-two-atom")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
+                futs = [ex.submit(run_verify, model, n_paths=1000, seed=s)
+                        for s in seeds]
+                got = [json.dumps(f.result(timeout=120)) for f in futs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 def _direct_q_on(measure):
