@@ -78,9 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> pipeline.Model:
+    """The scenario's model; then --out is made, before any run starts."""
     if args.builtin:
-        return pipeline.builtin_scenario(args.builtin)
-    return pipeline.load_scenario(args.scenario)
+        model = pipeline.builtin_scenario(args.builtin)
+    else:
+        model = pipeline.load_scenario(args.scenario)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: {exc}") from None
+    return model
 
 
 def _effective_n(model, args):
@@ -158,14 +165,20 @@ def cmd_report(args) -> int:
         if not name.endswith("_verify.json"):
             continue
         path = os.path.join(args.out, name)
-        # no JSON (a ValueError, as is UnicodeError), no mapping or no key
+        # no JSON (a ValueError, as is UnicodeError), no mapping, no key or
+        # a value of another type
         try:
             with open(path) as fh:
                 doc = json.load(fh)
             scenario, verdict = doc["scenario"], doc["overall"]
+            reports = doc.get("reports", [])
+            if not (isinstance(scenario, str) and isinstance(verdict, str)
+                    and isinstance(reports, list)):
+                raise TypeError("scenario and overall must be strings and "
+                                "reports a list")
         except (OSError, ValueError, LookupError, TypeError) as exc:
             raise ConfigError(f"{path}: not a verify report: {exc!r}") from None
-        rows.append((scenario, verdict, len(doc.get("reports", []))))
+        rows.append((scenario, verdict, len(reports)))
         overall_ok = overall_ok and verdict == "pass"
     if not rows:
         print("no verification reports found in", args.out)

@@ -736,9 +736,37 @@ def _halves(d, counts, pool):
 
 
 def generators(states: np.ndarray) -> list:
-    """A PCG64 generator for each row of (n, 4) seed states
-    (`PathSimulator.seed_states`)."""
+    """A PCG64 generator for each row of (n, 4) seed states (`seed_states`)."""
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in states]
+
+
+def seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, 4) PCG64 state words SeedSequence((seed, i)) gives
+    paths i = lo..hi - 1, 32 bytes a path.
+
+    An index takes one entropy word below 2**32 and two from there on, so
+    the range is hashed in one pass per word count; indices from 2**64 on
+    are refused. The first path of each pass is compared with NumPy's
+    SeedSequence, and a mismatch raises RuntimeError."""
+    if hi > 1 << 64:
+        raise ValueError(f"path indices must be below 2**64, not {hi - 1}")
+    seed_words = np.array(_words32(seed), dtype=np.uint64)[:, None]
+    out = [np.empty((0, 4), dtype=np.uint64)]
+    for n_words, a, b in ((1, lo, min(hi, 1 << 32)),
+                          (2, max(lo, 1 << 32), hi)):
+        if a >= b:
+            continue
+        idx = np.arange(a, b, dtype=np.uint64)
+        shifts = np.arange(0, 32 * n_words, 32, dtype=np.uint64)[:, None]
+        state = _seed_state(np.vstack([np.repeat(seed_words, b - a, axis=1),
+                                       idx >> shifts & _MASK32]))
+        want = np.random.SeedSequence((seed, a)).generate_state(4, np.uint64)
+        if not np.array_equal(state[0], want):
+            raise RuntimeError(
+                f"the block seeding of path {a} disagrees with NumPy's "
+                f"SeedSequence ({state[0]} != {want})")
+        out.append(state)
+    return np.concatenate(out)
 
 
 class PathSimulator:
@@ -746,11 +774,12 @@ class PathSimulator:
 
     Path i uses the substream seeded by SeedSequence((seed, i)), so results
     do not depend on scheduling or chunking. rng_for builds that generator
-    for one path. seed_states derives the state words of a whole range of
-    paths at once, by a vectorised pass that reproduces SeedSequence's
-    words and is checked against NumPy's own SeedSequence on the first
-    path of the pass; `generators` builds the generators from any slice of
-    them, and rngs does both for one block.
+    for one path at the config's seed. The module's `seed_states` derives
+    the state words of a whole range of paths at any seed at once, by a
+    vectorised pass that reproduces SeedSequence's words and is checked
+    against NumPy's own SeedSequence on the first path of the pass;
+    `generators` builds the generators from any slice of them, and rngs
+    does both for one block at the config's seed.
     """
 
     def __init__(self, triplet: LevyTriplet, config: SimConfig):
@@ -778,39 +807,10 @@ class PathSimulator:
             np.random.SeedSequence((self.config.seed, path_index))
         )
 
-    def seed_states(self, lo: int, hi: int) -> np.ndarray:
-        """The (hi - lo, 4) PCG64 state words SeedSequence((seed, i))
-        gives paths i = lo..hi - 1, 32 bytes a path.
-
-        An index takes one entropy word below 2**32 and two from there on,
-        so the range is hashed in one pass per word count; indices from
-        2**64 on are refused. The first path of each pass is compared with
-        NumPy's SeedSequence, and a mismatch raises RuntimeError."""
-        if hi > 1 << 64:
-            raise ValueError(f"path indices must be below 2**64, not {hi - 1}")
-        seed_words = np.array(_words32(self.config.seed), dtype=np.uint64)[:, None]
-        out = [np.empty((0, 4), dtype=np.uint64)]
-        for n_words, a, b in ((1, lo, min(hi, 1 << 32)),
-                              (2, max(lo, 1 << 32), hi)):
-            if a >= b:
-                continue
-            idx = np.arange(a, b, dtype=np.uint64)
-            shifts = np.arange(0, 32 * n_words, 32, dtype=np.uint64)[:, None]
-            state = _seed_state(np.vstack([np.repeat(seed_words, b - a, axis=1),
-                                           idx >> shifts & _MASK32]))
-            want = np.random.SeedSequence((self.config.seed, a)).generate_state(
-                4, np.uint64)
-            if not np.array_equal(state[0], want):
-                raise RuntimeError(
-                    f"the block seeding of path {a} disagrees with NumPy's "
-                    f"SeedSequence ({state[0]} != {want})")
-            out.append(state)
-        return np.concatenate(out)
-
     def rngs(self, lo: int, hi: int) -> list:
         """The generators of paths lo..hi - 1, each the one rng_for gives,
         from one seed_states pass."""
-        return generators(self.seed_states(lo, hi))
+        return generators(seed_states(self.config.seed, lo, hi))
 
     def draw(self, rngs, prehistory: Prehistory | None = None,
              pool: BufferPool | None = None) -> PathBlock:

@@ -24,7 +24,7 @@ import math
 import numbers
 import os
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -51,6 +51,7 @@ from .path_sim import (
     _is_multiple,
     generators,
     moving_average,
+    seed_states,
     write_jumps_csv,
     write_path_csv,
 )
@@ -130,15 +131,13 @@ class Model:
     path simulator, which holds the triplet (levy) and the SimConfig (cfg),
     and the battery's tests in order.
 
-    What a run reads and its n_paths and seed cannot change is built when
-    first read, at most once per loaded model: the Girsanov kernel (gk),
-    the h2 reach (reach_sd), the Gaussian battery's pre-history law
+    A run takes its n_paths and seed as arguments and leaves the model as
+    it is, so what a run reads besides them is built when first read, at
+    most once per loaded model, for all its runs: the Girsanov kernel
+    (gk), the h2 reach (reach_sd), the Gaussian battery's pre-history law
     (prehistory) and simulator of M = 0 (window_simulator), and the pool
-    of the jump batteries' per-block buffers (buffer_pool). A run on other
-    paths (`_with_sim`) keeps the loaded model as its base and reads these
-    from it, so they are built on the base, once for all its runs; the
-    window simulator of a run is a copy with the run's SimConfig. Nothing
-    is kept across models: each pool worker process builds its own from
+    of the jump batteries' per-block buffers (buffer_pool). Nothing is
+    kept across models: each pool worker process builds its own from
     to_dict()."""
 
     name: str
@@ -150,33 +149,29 @@ class Model:
     kern: Kernel
     simulator: PathSimulator
     tests: list
-    base: Model | None = field(default=None, repr=False, compare=False)
     levy = property(lambda self: self.simulator.triplet)
     cfg = property(lambda self: self.simulator.config)
 
     @functools.cached_property
     def gk(self):
-        return self.base.gk if self.base else make_girsanov_kernel(self, self.levy)
+        return make_girsanov_kernel(self, self.levy)
 
     @functools.cached_property
     def reach_sd(self) -> float | None:
-        return self.base.reach_sd if self.base else h2_reach_sd(self)
+        return h2_reach_sd(self)
 
     @functools.cached_property
     def prehistory(self) -> Prehistory:
-        return self.base.prehistory if self.base else self.simulator.prehistory(self.kern)
+        return self.simulator.prehistory(self.kern)
 
     @functools.cached_property
     def buffer_pool(self) -> BufferPool:
-        return self.base.buffer_pool if self.base else BufferPool()
+        return BufferPool()
 
     @functools.cached_property
     def window_simulator(self) -> PathSimulator:
         """The simulator of the lattice on [0, T] alone (M = 0)."""
-        cfg = replace(self.cfg, M=0.0)
-        if self.base:
-            return _reconfigured(self.base.window_simulator, cfg)
-        return PathSimulator(self.levy, cfg)
+        return PathSimulator(self.levy, replace(self.cfg, M=0.0))
 
     def to_dict(self) -> dict:
         keys = ("name", "triplet", "kernel", "sim", "emm", "verify")
@@ -256,6 +251,10 @@ def model_from_dict(d: dict) -> Model:
     constructor takes its values. This is the one builder of a model: the
     loaders return it, and pool workers rebuild theirs from to_dict()."""
     _check_keys(d, "scenario", *_SECTIONS["scenario"])
+    # the name is the stem of the files a command writes under --out
+    if any(sep and sep in d["name"] for sep in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"scenario.name must be a single path component, "
+                          f"not {d['name']!r}")
     for section in ("triplet", "sim", "verify"):
         _check_keys(d.get(section, {}), section, *_SECTIONS[section])
     t, sim, emm, ver = d["triplet"], d["sim"], d["emm"], d.get("verify", {})
@@ -406,28 +405,14 @@ def build_sim_config(spec: dict) -> SimConfig:
     return SimConfig(**{k: kind(spec[k]) for k, kind in _SECTIONS["sim"][0].items()})
 
 
-def _reconfigured(sim: PathSimulator, cfg: SimConfig) -> PathSimulator:
-    """A shallow copy of sim on cfg, which may differ from sim's config in
-    n_paths and seed only: nothing sim precomputes reads either."""
-    sim = copy.copy(sim)
-    sim.config = cfg
-    return sim
-
-
-def _with_sim(model: Model, n_paths=None, seed=None) -> Model:
-    """model as is, or a run copy with n_paths and seed (checked as at load)
-    in a new SimConfig. The copy shares the loaded model's triplet, kernel,
-    tail law and tests, and keeps the loaded model as its base, from which
-    it reads the values n_paths and seed cannot change (see Model): each
-    is built on the loaded model when a run first reads it."""
+def _paths_and_seed(model: Model, n_paths=None, seed=None) -> tuple:
+    """A run's (n_paths, seed): the scenario's where not given, and checked
+    as at load."""
     over = {k: v for k, v in (("n_paths", n_paths), ("seed", seed)) if v is not None}
-    if not over:
-        return model
     sim = {**model.sim, **over}
     _check_keys(sim, "sim", *_SECTIONS["sim"])
     cfg = _made("sim", lambda: build_sim_config(sim))
-    return replace(model, sim=sim, simulator=_reconfigured(model.simulator, cfg),
-                   base=model.base or model)
+    return cfg.n_paths, cfg.seed
 
 
 # ---------------------------------------------------------------------------
@@ -583,23 +568,23 @@ def _check_reach(model: Model) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(sim: PathSimulator, start: int, stop: int):
-    """The generators of [start, stop) in blocks of _BLOCK paths, with each
-    block's first index. The seed states of up to _SEED_PASS paths come
-    from one pass of sim.seed_states, checked against NumPy's SeedSequence
-    on the pass's first path; a block's generators are built from its
-    slice of them when the block is drawn. Each is the SeedSequence((seed,
-    i)) generator of path i that sim.rng_for gives."""
+def _blocks(seed: int, start: int, stop: int):
+    """The generators of [start, stop) at seed in blocks of _BLOCK paths,
+    with each block's first index. The seed states of up to _SEED_PASS
+    paths come from one pass of `seed_states`, checked against NumPy's
+    SeedSequence on the pass's first path; a block's generators are built
+    from its slice of them when the block is drawn. Each is the
+    SeedSequence((seed, i)) generator of path i (rng_for at seed)."""
     for first in range(start, stop, _SEED_PASS):
-        states = sim.seed_states(first, min(first + _SEED_PASS, stop))
+        states = seed_states(seed, first, min(first + _SEED_PASS, stop))
         for lo in range(0, len(states), _BLOCK):
             yield first + lo, generators(states[lo:lo + _BLOCK])
 
 
-def _weighted_chunk(model: Model, start: int, stop: int) -> dict:
-    """Weighted-P statistics (h1 or h2) of the model's paths [start, stop).
-    Each block is drawn into the model's buffer pool, and what the chunk
-    keeps of it goes to arrays of its own."""
+def _weighted_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
+    """Weighted-P statistics (h1 or h2) of the model's paths [start, stop)
+    at seed. Each block is drawn into the model's buffer pool, and what the
+    chunk keeps of it goes to arrays of its own."""
     kern, cfg, sim, gk = model.kern, model.cfg, model.simulator, model.gk
     probes = np.array(_probe_times(model))
     # left nodes of the compensator sum on [0, T); none for a mass-preserving alpha
@@ -609,7 +594,7 @@ def _weighted_chunk(model: Model, start: int, stop: int) -> dict:
     x_probe = np.empty((stop - start, len(probes)))
     counts = np.empty(stop - start, dtype=np.int64)
     with model.buffer_pool.lease() as pool:
-        for lo, rngs in _blocks(sim, start, stop):
+        for lo, rngs in _blocks(seed, start, stop):
             block = sim.draw(rngs, pool=pool)
             n = len(rngs)
             # the generators are done with: drop them before the next
@@ -637,16 +622,16 @@ def _weighted_chunk(model: Model, start: int, stop: int) -> dict:
     return {"z_T": z_T, "x_probe": x_probe, "counts": counts}
 
 
-def _q_chunk(model: Model, start: int, stop: int) -> dict:
-    """Direct-Q mark and count statistics of the model's paths [start, stop),
-    in two passes: girsanov.q_arrivals for each block, drawn into the
-    model's buffer pool, then one girsanov.q_marks over all the chunk's
+def _q_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
+    """Direct-Q mark and count statistics of the model's paths [start, stop)
+    at seed, in two passes: girsanov.q_arrivals for each block, drawn into
+    the model's buffer pool, then one girsanov.q_marks over all the chunk's
     arrivals, so its rank loop runs once per chunk. The values equal
     draw_under_q's block by block."""
     gk, kern, sim = model.gk, model.kern, model.simulator
     columns = [[], [], [], []]
     with model.buffer_pool.lease() as pool:
-        for _, rngs in _blocks(sim, start, stop):
+        for _, rngs in _blocks(seed, start, stop):
             for column, part in zip(columns, girsanov.q_arrivals(
                     gk, kern, sim, rngs, pool)):
                 column.append(part)
@@ -659,10 +644,10 @@ def _q_chunk(model: Model, start: int, stop: int) -> dict:
     return {"counts": counts, "y_pre": y_pre, "marks": marks}
 
 
-def _gaussian_chunk(model: Model, start: int, stop: int) -> dict:
-    """Classical-Girsanov statistics of the model's paths [start, stop) for
-    the pure-Gaussian baseline, whose increments are all diffuse (jumps,
-    c = 0 and phi(0) = 0 are refused at load).
+def _gaussian_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
+    """Classical-Girsanov statistics of the model's paths [start, stop) at
+    seed for the pure-Gaussian baseline, whose increments are all diffuse
+    (jumps, c = 0 and phi(0) = 0 are refused at load).
 
     The battery reads X and Y on [0, T] only, where the cells of [-M, 0]
     enter through one Gaussian vector of low rank r. So each path draws
@@ -686,7 +671,7 @@ def _gaussian_chunk(model: Model, start: int, stop: int) -> dict:
     p_idx = [round(t / cfg.dt) for t in _probe_times(model)]
 
     z_parts, x_parts = [], []
-    for _, rngs in _blocks(near, start, stop):
+    for _, rngs in _blocks(seed, start, stop):
         block = near.draw(rngs, law)
         X, Y = block.moving_average(kern, law, p_idx)
         theta = np.add(Y[:, :-1], phi0 * xi)
@@ -704,7 +689,8 @@ def _gaussian_chunk(model: Model, start: int, stop: int) -> dict:
 
 
 # the chunk worker of each path battery, by (hypothesis, verify mode); each
-# takes the run's model, shared in this process, and a range of path indices
+# takes the loaded model, shared in this process, the run's seed and a range
+# of path indices
 _PATH_WORKERS = {("h1", "weighted"): _weighted_chunk, ("h2", "weighted"): _weighted_chunk,
                  ("h2", "direct-q"): _q_chunk, ("gaussian", "weighted"): _gaussian_chunk}
 
@@ -720,27 +706,26 @@ def _init_worker(scn_dict: dict) -> None:
     _worker_model = model_from_dict(scn_dict)
 
 
-def _pool_task(worker, start: int, stop: int) -> dict:
-    """worker over [start, stop) on this pool worker's model."""
-    return worker(_worker_model, start, stop)
+def _pool_task(worker, seed: int, start: int, stop: int) -> dict:
+    """worker over [start, stop) at seed on this pool worker's model."""
+    return worker(_worker_model, seed, start, stop)
 
 
-def _run_chunked(worker, model: Model, workers: int) -> dict:
-    """Split the model's [0, n_paths) into index blocks and concatenate the
-    results in index order, so the ensemble is independent of scheduling.
-    Workers in this process share the model; each pool worker process
-    builds its own once (`_init_worker`) for all the spans it runs."""
-    n_blocks = max(1, workers) * 4 if workers > 1 else 1
-    edges = np.linspace(0, model.cfg.n_paths, n_blocks + 1).astype(int)
+def _run_chunked(worker, model: Model, n_paths: int, seed: int, workers: int) -> dict:
+    """Split [0, n_paths) into index blocks and concatenate the results in
+    index order, so the ensemble is independent of scheduling. Workers in
+    this process share the model; each pool worker process builds its own
+    once (`_init_worker`) for all the spans it runs."""
+    n_blocks = workers * 4 if workers > 1 else 1
+    edges = np.linspace(0, n_paths, n_blocks + 1).astype(int)
     spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
     if workers <= 1 or len(spans) == 1:
-        parts = [worker(model, a, b) for a, b in spans]
+        parts = [worker(model, seed, a, b) for a, b in spans]
     else:
-        scn_dict = model.to_dict()
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
-                initargs=(scn_dict,)) as pool:
-            futs = [pool.submit(_pool_task, worker, a, b) for a, b in spans]
+                initargs=(model.to_dict(),)) as pool:
+            futs = [pool.submit(_pool_task, worker, seed, a, b) for a, b in spans]
             parts = [f.result() for f in futs]
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
@@ -782,22 +767,21 @@ _PATH_TESTS = {
 }
 
 
-def _battery_paths(model: Model, workers: int) -> dict:
-    """Weighted-P (h1, h2, Gaussian) or direct-Q (h2) battery over simulated
-    paths; under direct Q the paths carry no weights and give no plot."""
+def _battery_paths(model: Model, n_paths: int, seed: int, workers: int) -> dict:
+    """Weighted-P (h1, h2, Gaussian) or direct-Q (h2) battery over n_paths
+    simulated paths at seed; under direct Q the paths carry no weights and
+    give no plot."""
     worker = _PATH_WORKERS[(model.emm["hypothesis"],
                             model.verify.get("mode", "weighted"))]
-    data = _run_chunked(worker, model, workers)
-    out = {"reports": [_PATH_TESTS[name](model, data, model.cfg.seed)
-                       for name in model.tests]}
+    data = _run_chunked(worker, model, n_paths, seed, workers)
+    out = {"reports": [_PATH_TESTS[name](model, data, seed) for name in model.tests]}
     if "z_T" in data:
         out["plot"] = _plot_rows(_probe_times(model), data["x_probe"], data["z_T"])
     return out
 
 
-def _battery_lm(model: Model) -> dict:
+def _battery_lm(model: Model, n_paths: int, seed: int) -> dict:
     emm, triplet, cfg, tests = model.emm, model.levy, model.cfg, model.tests
-    n_paths, seed = cfg.n_paths, cfg.seed
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     reports = []
     if emm["style"] == "bremaud":
@@ -844,18 +828,20 @@ def _plot_rows(times, x_probe, z):
 
 
 def run_verify(model: Model, n_paths=None, seed=None, workers: int = 1) -> dict:
-    """The report document of the model's battery, through `_with_sim`."""
-    model = _with_sim(model, n_paths, seed)
+    """The report document of the model's battery over n_paths paths at
+    seed, the scenario's where not given; the model is left as it is."""
+    n_paths, seed = _paths_and_seed(model, n_paths, seed)
     _check_reach(model)
     lm = model.emm["hypothesis"] == "lm"
-    out = _battery_lm(model) if lm else _battery_paths(model, workers)
+    out = (_battery_lm(model, n_paths, seed) if lm
+           else _battery_paths(model, n_paths, seed, workers))
     reports = out["reports"]
     overall = all(r.verdict == "pass" for r in reports)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": model.name,
-        "seed": int(model.sim["seed"]),
-        "n_paths": int(model.sim["n_paths"]),
+        "seed": seed,
+        "n_paths": n_paths,
         "overall": "pass" if overall else "fail",
         "reports": [r.to_dict() for r in reports],
     }
@@ -871,11 +857,11 @@ def run_verify(model: Model, n_paths=None, seed=None, workers: int = 1) -> dict:
 
 def run_simulate(model: Model, out_dir: str, n_paths=None, seed=None) -> dict:
     """The model's paths (n_paths from seed where given) as CSVs under out_dir."""
-    model = _with_sim(model, n_paths, seed)
-    kern, cfg, sim = model.kern, model.cfg, model.simulator
+    n_paths, seed = _paths_and_seed(model, n_paths, seed)
+    kern, sim = model.kern, model.simulator
     os.makedirs(out_dir, exist_ok=True)
     jump_records = []
-    for lo, rngs in _blocks(sim, 0, cfg.n_paths):
+    for lo, rngs in _blocks(seed, 0, n_paths):
         block = sim.draw(rngs)
         for b in range(min(len(rngs), _MAX_PATH_CSV - lo)):
             path = block.path(b)
@@ -891,8 +877,8 @@ def run_simulate(model: Model, out_dir: str, n_paths=None, seed=None) -> dict:
     summary = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "scenario": model.name,
-        "n_paths": cfg.n_paths,
-        "seed": cfg.seed,
+        "n_paths": n_paths,
+        "seed": seed,
         "n_jumps_in_window": len(jump_records),
         "correlation": "fft" if kern.exponential is None else "recursion",
     }
@@ -917,7 +903,7 @@ def dump_json(doc: dict, fh) -> None:
 
 
 def write_report_files(doc: dict, out_dir: str, stem: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """doc, and its plot rows as CSV, under out_dir, which must exist."""
     with open(os.path.join(out_dir, f"{stem}.json"), "w") as fh:
         dump_json(doc, fh)
     if "plot" in doc:

@@ -79,8 +79,9 @@ CHUNK_CASES = {
 def test_chunk_arrays_independent_of_the_split(case):
     worker, build = CHUNK_CASES[case]
     model = pipeline.model_from_dict(build())
-    whole = worker(model, 0, 2000)
-    parts = [worker(model, a, b) for a, b in SPLIT]
+    seed = model.cfg.seed
+    whole = worker(model, seed, 0, 2000)
+    parts = [worker(model, seed, a, b) for a, b in SPLIT]
     if worker is pipeline._gaussian_chunk:
         assert len(whole["z_T"]) == 2000
     else:
@@ -165,7 +166,7 @@ def test_chunk_seeding_equals_rng_for(monkeypatch, start, stop, passes):
     monkeypatch.setattr(path_sim, "_seed_state",
                         lambda e: hashed.append(e.shape) or seed_state(e))
     sim = _seeded_sim(20260823)
-    blocks = list(pipeline._blocks(sim, start, stop))
+    blocks = list(pipeline._blocks(20260823, start, stop))
     assert len(hashed) == passes
     assert [lo for lo, _ in blocks] == list(range(start, stop, pipeline._BLOCK))
     for lo, rngs in blocks:
@@ -176,12 +177,12 @@ def test_chunk_seeding_equals_rng_for(monkeypatch, start, stop, passes):
 
 def test_chunk_is_seeded_in_one_pass(monkeypatch):
     calls = []
-    seed_states = PathSimulator.seed_states
-    monkeypatch.setattr(PathSimulator, "seed_states",
-                        lambda self, lo, hi: calls.append((lo, hi))
-                        or seed_states(self, lo, hi))
-    blocks = list(pipeline._blocks(_seeded_sim(3), 40, 1040))
-    assert calls == [(40, 1040)]
+    seed_states = path_sim.seed_states
+    monkeypatch.setattr(pipeline, "seed_states",
+                        lambda seed, lo, hi: calls.append((seed, lo, hi))
+                        or seed_states(seed, lo, hi))
+    blocks = list(pipeline._blocks(3, 40, 1040))
+    assert calls == [(3, 40, 1040)]
     assert [lo for lo, _ in blocks] == list(range(40, 1040, pipeline._BLOCK))
 
 
@@ -333,7 +334,7 @@ def test_gaussian_chunk_takes_one_generator_call_per_path(name, monkeypatch):
         return made[-len(states):]
 
     monkeypatch.setattr(pipeline, "generators", counting)
-    pipeline._gaussian_chunk(model, 0, 300)
+    pipeline._gaussian_chunk(model, model.cfg.seed, 0, 300)
     assert len(made) == 300
     assert all(rng.calls == ["standard_normal"] for rng in made)
 
@@ -375,7 +376,7 @@ def _gaussian_scaled():
 def test_gaussian_chunk_equals_the_full_grid_reference(name):
     build = _gaussian_scaled if name == "gaussian-scaled" else CHUNK_CASES[name][1]
     model = pipeline.model_from_dict(build())
-    got = pipeline._gaussian_chunk(model, 100, 400)
+    got = pipeline._gaussian_chunk(model, model.cfg.seed, 100, 400)
     want = _gaussian_chunk_reference(model, 100, 400)
     assert got.keys() == want.keys()
     for key in got:
@@ -623,7 +624,7 @@ def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
         marks = girsanov.q_marks(gk, kern, counts, q_t, q_u, y_pre)
         for got, want in zip((counts, q_t, marks, y_pre), zip(*per_block)):
             assert np.array_equal(got, np.concatenate(want))
-    chunk = pipeline._q_chunk(model, 0, 150)
+    chunk = pipeline._q_chunk(model, model.cfg.seed, 0, 150)
     whole = [girsanov.draw_under_q(gk, kern, sim, sim.rngs(lo, hi))
              for lo, hi in ((0, 128), (128, 150))]
     for key, k in (("counts", 0), ("marks", 2), ("y_pre", 3)):
@@ -657,7 +658,7 @@ def test_weighted_block_matches_per_path_reference(name):
     model = pipeline.model_from_dict(_builtin(name))
     scn, triplet, kern, cfg, sim, gk = (model, model.levy, model.kern,
                                         model.cfg, model.simulator, model.gk)
-    got = pipeline._weighted_chunk(model, 0, 150)
+    got = pipeline._weighted_chunk(model, model.cfg.seed, 0, 150)
     refs = [_weighted_reference(scn, triplet, kern, cfg, sim, gk, i)
             for i in range(150)]
     z_ref = np.array([z for z, _ in refs])
@@ -953,12 +954,12 @@ def test_pooled_chunks_allocate_no_per_jump_arrays():
     allocated and freed about 1.9 MB."""
     for name, worker in (("q-two-atom-zeta05", pipeline._q_chunk),
                          ("h2-two-atom", pipeline._weighted_chunk)):
-        model = pipeline._with_sim(pipeline.builtin_scenario(name), n_paths=1000)
-        worker(model, 0, 1000)
+        model = pipeline.builtin_scenario(name)
+        worker(model, model.cfg.seed, 0, 1000)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            worker(model, 0, 1000)
+            worker(model, model.cfg.seed, 0, 1000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -308,6 +308,15 @@ class TestScenarioSchema:
         with pytest.raises(ConfigError, match="unknown builtin"):
             builtin_scenario(name)
 
+    # each ran its command and then wrote outside --out or stopped with
+    # FileNotFoundError (exit 1) before
+    @pytest.mark.parametrize("name", ["sub/dir", "../escaped", "/abs",
+                                      "nul\0byte", f"a{os.sep}b"],
+                             ids=["sub-dir", "parent", "absolute", "nul", "sep"])
+    def test_name_that_is_no_single_path_component_refused(self, name):
+        with pytest.raises(ConfigError, match="scenario.name"):
+            model_from_dict({**_two_atom_dict(), "name": name})
+
     def test_shipped_scenarios_load(self):
         files = [f for f in os.listdir(SCENARIO_DIR) if f.endswith(".yaml")]
         assert len(files) >= 10
@@ -542,23 +551,59 @@ class TestPipelines:
                 assert r["estimate"] != 0.0 and math.isnan(r["stderr"])
                 assert abs(r["estimate"]) == max(abs(p["estimate"]) for p in probes)
 
-    def test_run_on_other_paths_shares_the_loaded_model(self, monkeypatch):
-        model = model_from_dict(_two_atom_dict())
-        runs = []
-        battery = pipeline._battery_paths
-        monkeypatch.setattr(pipeline, "_battery_paths", lambda run, workers:
-                            runs.append(run) or battery(run, workers))
-        run_verify(model)
-        run_verify(model, n_paths=300, seed=5)
-        plain, other = runs
-        assert plain is model
-        assert other.levy is model.levy and other.kern is model.kern
-        assert other.simulator.tail is model.simulator.tail
-        assert other.gk is model.gk
-        assert (other.cfg.n_paths, other.cfg.seed) == (300, 5)
-        assert other.to_dict() == {**model.to_dict(),
-                                   "sim": {**model.sim, "n_paths": 300, "seed": 5}}
-        assert (model.cfg.n_paths, model.cfg.seed) == (500, 12)
+    def test_run_takes_paths_and_seed_and_leaves_the_model(self, tmp_path,
+                                                           monkeypatch):
+        """A run at other n_paths and seed leaves the loaded model and its
+        run invariants as they are and gives the documents and files of a
+        model loaded with those values in its sim section. Pool workers
+        build the loaded model, and the run's seed reaches every task."""
+        model = builtin_scenario("h2-two-atom")
+        loaded, cfg, gk, pool = model.to_dict(), model.cfg, model.gk, model.buffer_pool
+        tasks, inits = [], []
+
+        class InProcess:
+            """ProcessPoolExecutor run in this process, task by task."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                inits.append(initargs)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                tasks.append((fn, args))
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(pipeline, "_worker_model", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        doc = run_verify(model, n_paths=300, seed=5)
+        pooled = run_verify(model, n_paths=300, seed=5, workers=2)
+        run_simulate(model, str(tmp_path / "run"), n_paths=3, seed=4)
+        assert model.to_dict() == loaded and model.cfg is cfg
+        assert model.gk is gk and model.buffer_pool is pool
+        assert inits == [(loaded,)]
+        assert len(tasks) == 8
+        assert all(fn is pipeline._pool_task and args[1] == 5 for fn, args in tasks)
+
+        def fresh(n_paths, seed):
+            d = model.to_dict()
+            d["sim"].update(n_paths=n_paths, seed=seed)
+            return model_from_dict(d)
+
+        want = json.dumps(run_verify(fresh(300, 5)))
+        assert json.dumps(doc) == want and json.dumps(pooled) == want
+        run_simulate(fresh(3, 4), str(tmp_path / "fresh"))
+        files = sorted(os.listdir(tmp_path / "fresh"))
+        assert sorted(os.listdir(tmp_path / "run")) == files
+        for f in files:
+            assert ((tmp_path / "run" / f).read_bytes()
+                    == (tmp_path / "fresh" / f).read_bytes()), f
 
     # what n_paths and seed cannot change is built once per loaded model,
     # not once per run; each document is the one a fresh model gives
@@ -610,17 +655,18 @@ class TestPipelines:
         assert json.dumps(one) == json.dumps(two)
 
     def test_pool_worker_builds_its_model_once(self, monkeypatch):
-        model = pipeline._with_sim(builtin_scenario("q-two-atom-zeta05"), n_paths=300)
+        model = builtin_scenario("q-two-atom-zeta05")
+        seed = model.cfg.seed
         built = []
         build = pipeline.model_from_dict
         monkeypatch.setattr(pipeline, "model_from_dict",
                             lambda d: built.append(d) or build(d))
         monkeypatch.setattr(pipeline, "_worker_model", None)
         pipeline._init_worker(model.to_dict())
-        parts = [pipeline._pool_task(pipeline._q_chunk, a, b)
+        parts = [pipeline._pool_task(pipeline._q_chunk, seed, a, b)
                  for a, b in ((0, 150), (150, 300))]
         assert len(built) == 1
-        whole = pipeline._q_chunk(model, 0, 300)
+        whole = pipeline._q_chunk(model, seed, 0, 300)
         for key, arr in whole.items():
             assert np.array_equal(arr, np.concatenate([p[key] for p in parts])), key
 
@@ -687,10 +733,9 @@ class TestDirectQ:
 
     def test_frozen_zeta_marks_fail_the_live_law(self):
         scn = builtin_scenario("q-two-atom-zeta05")
-        model = pipeline._with_sim(scn, n_paths=500)
-        data = pipeline._run_chunked(pipeline._q_chunk, model, 1)
-        frozen = model.gk
-        live = emm_construct.make_h2_kernel(model.levy, scn.emm["a"])
+        data = pipeline._run_chunked(pipeline._q_chunk, scn, 500, scn.cfg.seed, 1)
+        frozen = scn.gk
+        live = emm_construct.make_h2_kernel(scn.levy, scn.emm["a"])
         law = verify.conditional_jump_law_test
         assert law(data["y_pre"], data["marks"], frozen, seed=1).verdict == "pass"
         assert law(data["y_pre"], data["marks"], live, seed=1).verdict == "fail"
@@ -825,11 +870,13 @@ class TestCli:
         code, _ = self._run(["report", "--out", str(tmp_path)], capsys)
         assert code == cli.EXIT_CONFIG
 
-    # a JSONDecodeError or KeyError traceback before
-    @pytest.mark.parametrize("text", ["{not json", '{"scenario": "x"}',
-                                      '{"overall": "pass"}', "[1, 2]"],
-                             ids=["not-json", "no-overall", "no-scenario",
-                                  "list"])
+    # a JSONDecodeError, KeyError or TypeError traceback before
+    @pytest.mark.parametrize("text", [
+        "{not json", '{"scenario": "x"}', '{"overall": "pass"}', "[1, 2]",
+        '{"scenario": "x", "overall": "pass", "reports": 5}',
+        '{"scenario": ["x"], "overall": "pass", "reports": []}'],
+        ids=["not-json", "no-overall", "no-scenario", "list", "reports-int",
+             "scenario-list"])
     def test_malformed_report_is_config_error(self, text, tmp_path, capsys):
         p = tmp_path / "x_verify.json"
         p.write_text(text)
@@ -992,6 +1039,42 @@ class TestCli:
                          "--out", str(tmp_path), *argv[1:]])
         assert code == cli.EXIT_OK
         assert len(built) == 1
+
+    # check-kernel wrote beside --out and exited 0, and verify ran the
+    # battery and stopped with FileNotFoundError (exit 1), before
+    @pytest.mark.parametrize("command, name", [("check-kernel", "../escaped"),
+                                               ("verify", "sub/dir")])
+    def test_name_escaping_out_is_config_error(self, command, name, tmp_path,
+                                               capsys):
+        d = builtin_scenario("h2-two-atom").to_dict()
+        p = tmp_path / "scn.yaml"
+        p.write_text(yaml.safe_dump({**d, "name": name}))
+        code = cli.main([command, "--scenario", str(p), "--out",
+                         str(tmp_path / "o"), *(["--n-paths", "50"]
+                                                if command == "verify" else [])])
+        assert code == cli.EXIT_CONFIG
+        assert "scenario.name" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["scn.yaml"]
+
+    # each ran and then stopped with FileExistsError or NotADirectoryError
+    # (exit 1) before
+    @pytest.mark.parametrize("argv, out", [
+        (["verify", "--n-paths", "50"], "afile"),
+        (["simulate", "--n-paths", "2"], "afile/x")], ids=["verify", "simulate"])
+    def test_unusable_out_is_config_error(self, argv, out, tmp_path, capsys,
+                                          monkeypatch):
+        (tmp_path / "afile").write_text("kept")
+
+        def no_paths(*args):
+            raise AssertionError("paths drawn")
+
+        monkeypatch.setattr(pipeline, "_blocks", no_paths)
+        code = cli.main([argv[0], "--builtin", "h2-two-atom",
+                         "--out", str(tmp_path / out), *argv[1:]])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --out ")
+        assert os.listdir(tmp_path) == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept"
 
     def test_bad_scenario_schema(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
