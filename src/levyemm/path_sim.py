@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy
 from numpy.random.bit_generator import ISeedSequence
 
 from . import _backend
@@ -261,8 +260,8 @@ class PathBlock:
         exponential and constant kernels), each path carries its sums as
         states: C_l = e^{-kappa dt} C_{l-1} + dL_l from left node to left
         node, and S_j = e^{-kappa (T_j - T_{j-1})} S_{j-1} + Z_j from jump
-        to jump in time order (`_carry`). A query reads the latest of each
-        before it: f0 (e^{-kappa (t_q - l)} C_l + e^{-kappa (t_q - T_j)} S_j).
+        to jump in time order, both by `_carry`. A query reads the latest of
+        each before it: f0 (e^{-kappa (t_q - l)} C_l + e^{-kappa (t_q - T_j)} S_j).
         Every factor is at most 1, so no kappa overflows, and a block costs
         O(cells + jumps) plus one search per query. Any other fn is summed
         per query, cells and then jumps in time order, by a running sum.
@@ -371,11 +370,12 @@ _CHUNK = 16
 
 class _Carried:
     """The sums of a block's paths carried as states for one decay rate
-    kappa (see `PathBlock.response`), each computed when first read. The
-    jump states stay in `_carry`'s (part, prod, entering) form; jumps_at
-    combines them only at the jumps its queries read. Their per-jump
-    arrays are taken from pool, under names of their kappa, when one is
-    given, and are then valid until the pool's next block."""
+    kappa (see `PathBlock.response`), each computed when first read by
+    `_carry`. The cell states are kept row by row; the jump states stay in
+    `_carry`'s (part, prod, entering) form, and jumps_at combines them only
+    at the jumps its queries read. Their layout buffers are taken from
+    pool, under names of their kappa, when one is given, and are then valid
+    until the pool's next block."""
 
     def __init__(self, block: PathBlock, kappa: float,
                  pool: BufferPool | None = None):
@@ -386,13 +386,25 @@ class _Carried:
 
     @cached_property
     def cell_states(self) -> np.ndarray | None:
-        """C_l at every left node of every row; None without diffuse
+        """C_l at every left node of every row, carried in jump_carry's
+        layout with the one decay e^{-kappa dt}; None without diffuse
         activity."""
-        block = self.block
-        if not block.diffuse.any():
+        diffuse = self.block.diffuse
+        if not diffuse.any():
             return None
-        return scipy.signal.lfilter(
-            [1.0], [1.0, -math.exp(-self.kappa * block.dt)], block.diffuse, axis=1)
+        B, N = diffuse.shape
+        n_chunks, tail = divmod(N, _CHUNK)
+        # cell l of row b at (l % _CHUNK, l // _CHUNK, b), the padding 0
+        z = self._empty("cells", (_CHUNK, n_chunks + (tail > 0), B))
+        z[:, -1] = 0.0
+        cells = z.transpose(2, 1, 0)
+        cells[:, :n_chunks] = diffuse[:, : N - tail].reshape(B, n_chunks, _CHUNK)
+        cells[:, -1, :tail] = diffuse[:, N - tail :]
+        decay = np.full((_CHUNK, 1, 1), math.exp(-self.kappa * self.block.dt))
+        part, prod, entering = _carry(decay, z)
+        for k in range(_CHUNK):
+            part[k] += prod[k] * entering
+        return cells.copy().reshape(B, -1)[:, :N]
 
     @cached_property
     def jump_carry(self) -> tuple:
@@ -461,11 +473,13 @@ class _Carried:
         node t_k sees left node t_{k-1}."""
         block, t = self.block, self.block.times
         B, N = block.diffuse.shape
+        # the states first: their layout buffer is freed before out is made
+        states = self.cell_states
         out = np.zeros((B, N + 1 - m))
-        if self.cell_states is not None:
+        if states is not None:
             s = max(m - 1, 0)
             np.multiply(np.exp(-self.kappa * (t[s + 1:] - t[s:-1])),
-                        self.cell_states[:, s:], out=out[:, s + 1 - m:])
+                        states[:, s:], out=out[:, s + 1 - m:])
         if len(block.jump_times):
             rows, tq = np.repeat(np.arange(B), N + 1 - m), np.tile(t[m:], B)
             out += self.jumps_at(rows, tq, strict=False).reshape(out.shape)
@@ -506,9 +520,10 @@ def _carry(r, z):
     with s = part + prod entering: each chunk's carry from 0 and the
     product of its decays, rank by rank for all chunks at once; then the
     state entering each chunk (chunk, row), one chunk after the other.
-    Every factor is at most 1. That takes about 3 _CHUNK + 2 chunks array
-    operations instead of 2 per rank. part and prod are formed in place,
-    in z and r."""
+    r may be broadcast along chunks and rows, as one decay for all cells
+    is, of shape (_CHUNK, 1, 1). Every factor is at most 1. That takes
+    about 3 _CHUNK + 2 chunks array operations instead of 2 per rank.
+    part and prod are formed in place, in z and r."""
     part, prod = z, r
     step = np.empty(z.shape[1:])
     for k in range(1, len(z)):
@@ -517,8 +532,9 @@ def _carry(r, z):
         part[k] += step
         prod[k] *= prod[k - 1]
     entering = np.zeros(z.shape[1:])
+    last = np.broadcast_to(prod[-1], entering.shape)
     for c in range(1, len(entering)):
-        np.multiply(prod[-1, c - 1], entering[c - 1], out=entering[c])
+        np.multiply(last[c - 1], entering[c - 1], out=entering[c])
         entering[c] += part[-1, c - 1]
     return part, prod, entering
 

@@ -295,9 +295,11 @@ def model_from_dict(d: dict) -> Model:
         raise ConfigError("the gaussian battery needs a pure Brownian driver "
                           f"(measure zero and c > 0), not measure "
                           f"{t['measure']['type']!r} with c = {t['c']}")
-    # and its theta = -(Y + phi0 xi) / (phi0 sqrt(c)) divides by phi(0)
-    if hyp == "gaussian" and kern.phi0 == 0.0:
-        raise ConfigError(f"the gaussian battery needs phi(0) != 0, and "
+    # and its theta = -(Y + phi0 xi) / (phi0 sqrt(c)) divides by phi(0); with
+    # phi(0) = 0, dX = Y dt is continuous and of finite variation, so no EMM
+    # exists, and an h1 or h2 verdict would only reflect the sample size
+    if hyp in ("gaussian", "h1", "h2") and kern.phi0 == 0.0:
+        raise ConfigError(f"the {hyp} battery needs phi(0) != 0, and "
                           f"kernel {d['kernel']['type']!r} has phi(0) = 0")
     # check-kernel reads tail_regime for every hypothesis; only the path
     # batteries read probe times, and none has no battery at all

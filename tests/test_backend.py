@@ -1,11 +1,13 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from levyemm import _backend
 from levyemm.kernel import constant_kernel, exponential_kernel, zero_start_kernel
-from levyemm.path_sim import PathBlock, sort_rows
+from levyemm.path_sim import PathBlock, _Carried, sort_rows
 
 _KERNELS = {
     "exponential": exponential_kernel(0.3, 1.7),
@@ -56,6 +58,19 @@ class TestContract:
         inc, w = _case(B, m, n_out, path)
         got = _backend.ma_correlate(inc, w, n_out, m)
         np.testing.assert_allclose(got, _reference(inc, w, n_out, m), atol=1e-12)
+
+    @pytest.mark.parametrize("B,N", [(3, 1000), (2, 4999)])
+    def test_equals_fftconvolve_to_the_bit(self, B, N):
+        # the same transforms at the same length as fftconvolve
+        rng = np.random.default_rng(N)
+        inc = rng.standard_normal((B, N))
+        w = rng.standard_normal(N + 1)
+        m = N // 3
+        w2 = w.copy()
+        w2[0] = 0.0
+        full = scipy.signal.fftconvolve(inc, w2[None, :], axes=1)
+        np.testing.assert_array_equal(_backend.ma_correlate(inc, w, N + 1 - m, m),
+                                      full[:, m : N + 1])
 
     @pytest.mark.parametrize("path", PATHS)
     def test_lag_zero_weight_never_enters(self, path):
@@ -148,6 +163,45 @@ class TestCarriedGrid:
                              block.offsets[r[0]:r[-1] + 2] - lo)
             for got, want in zip(part.moving_average(k), full):
                 np.testing.assert_array_equal(got, want[r])
+
+
+class TestCellStates:
+    """The cells' carried states C_l = e^{-kappa dt} C_{l-1} + dL_l,
+    chunked by `_carry`, against a plain loop, and each row's bits in
+    blocks of any size."""
+
+    DT = 2.0 ** -5
+
+    @staticmethod
+    def _states(diffuse, kappa, dt):
+        B, N = diffuse.shape
+        block = PathBlock((np.arange(N + 1) - N // 2) * dt, dt, diffuse,
+                          np.empty(0), np.empty(0), np.zeros(B + 1, dtype=int))
+        return _Carried(block, kappa).cell_states
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.05, 1.0, 40.0])
+    @pytest.mark.parametrize("N", [1, 15, 16, 17, 244, 256])
+    def test_matches_a_plain_loop(self, N, kappa):
+        diffuse = np.random.default_rng(N).standard_normal((3, N))
+        decay = math.exp(-kappa * self.DT)
+        want = np.empty_like(diffuse)
+        for b, row in enumerate(diffuse.tolist()):
+            c = 0.0
+            for l, dl in enumerate(row):
+                c = decay * c + dl
+                want[b, l] = c
+        got = self._states(diffuse, kappa, self.DT)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("N", [17, 256])
+    def test_row_bits_independent_of_the_block(self, N, kappa):
+        diffuse = np.random.default_rng(7).standard_normal((128, N))
+        full = self._states(diffuse, kappa, self.DT)
+        for rows in (slice(0, 5), slice(3, 4), slice(127, 128)):
+            np.testing.assert_array_equal(
+                self._states(diffuse[rows].copy(), kappa, self.DT), full[rows])
 
 
 class TestValidation:
