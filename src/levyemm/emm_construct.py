@@ -5,6 +5,9 @@ one side of a band a < |x| < b, with the side picked by the sign of the
 drift to absorb; it is affine in x and never below 1. The tail kernel (h2)
 reweights the whole tail |x| > a by a two-level step density f_zeta chosen
 so the reweighted tail keeps its mass and gets a prescribed first moment.
+
+Both absorb the drift Y of X = phi(0) L + int Y dt: Q is an EMM when
+phi(0) (drift of L under Q) + Y = 0, so each kernel reads y / phi(0).
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ def sigma_pm(F: LevyMeasure, a: float, b: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GirsanovKernelH1:
-    """alpha(y, x) = 1 + (y+xi)^- x/s+^2 on (a,b) - (y+xi)^+ x/s-^2 on -(a,b)."""
+    """alpha(y, x) = 1 + d^- x/s+^2 on (a,b) - d^+ x/s-^2 on -(a,b), with
+    d = y/phi0 + xi."""
 
     a: float
     b: float
@@ -65,20 +69,21 @@ class GirsanovKernelH1:
     xi: float
     m_plus: float  # first moments of F on (a, b) and -(a, b)
     m_minus: float
+    phi0: float  # phi(0) of the moving-average kernel
 
     kind = "h1"
 
     def excess_rate(self, y) -> np.ndarray:
         """int (alpha(y, x) - 1) F(dx), elementwise in y; alpha does not
         preserve the band mass, so the density carries a compensator."""
-        d = np.asarray(y, dtype=float) + self.xi
+        d = np.asarray(y, dtype=float) / self.phi0 + self.xi
         return (np.maximum(-d, 0.0) * self.m_plus / self.sigma_plus_sq
                 - np.maximum(d, 0.0) * self.m_minus / self.sigma_minus_sq)
 
     def evaluate(self, y, x) -> np.ndarray:
         """alpha(y, x), elementwise in y paired with x."""
         x = np.asarray(x, dtype=float)
-        d = np.asarray(y, dtype=float) + self.xi
+        d = np.asarray(y, dtype=float) / self.phi0 + self.xi
         pos = np.maximum(d, 0.0)
         neg = np.maximum(-d, 0.0)
         in_pos = (x > self.a) & (x < self.b)
@@ -90,12 +95,14 @@ class GirsanovKernelH1:
         )
 
 
-def make_h1_kernel(triplet: LevyTriplet, a: float, b: float) -> GirsanovKernelH1:
+def make_h1_kernel(triplet: LevyTriplet, a: float, b: float,
+                   phi0: float) -> GirsanovKernelH1:
     s_plus, s_minus = sigma_pm(triplet.F, a, b)
     ident = lambda x: x  # noqa: E731
     m_plus = levy_integrate(triplet.F, ident, [Interval(a, b, True, True)])
     m_minus = levy_integrate(triplet.F, ident, [Interval(-b, -a, True, True)])
-    return GirsanovKernelH1(a, b, s_plus, s_minus, triplet.xi(), m_plus, m_minus)
+    return GirsanovKernelH1(a, b, s_plus, s_minus, triplet.xi(), m_plus, m_minus,
+                            phi0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +141,7 @@ def f_zeta(tail: TailLaw, zeta, x) -> np.ndarray:
 @dataclass(frozen=True)
 class GirsanovKernelH2:
     """alpha(y, x) = f_{zeta(y)}(x) for |x| > a, 1 otherwise, with
-    zeta(y) = -(y + b_h)/lam.
+    zeta(y) = -(y/phi0 + b_h)/lam.
 
     Under Q the tail marks follow alpha(y, .) F^a / lam: the tail law
     conditioned below zeta(y) with weight 1 - lambda(zeta), and at or above
@@ -148,6 +155,7 @@ class GirsanovKernelH2:
     lam: float  # F([-a, a]^c)
     tail: TailLaw
     b_h: float  # drift w.r.t. the inside-a truncation
+    phi0: float  # phi(0) of the moving-average kernel
 
     kind = "h2"
     # alpha keeps the tail mass, so int (alpha - 1) dF is identically zero
@@ -155,7 +163,7 @@ class GirsanovKernelH2:
     excess_rate = None
 
     def zeta(self, y):
-        return -(y + self.b_h) / self.lam
+        return -(y / self.phi0 + self.b_h) / self.lam
 
     def evaluate(self, y, x) -> np.ndarray:
         """alpha(y, x), elementwise in y paired with x; a float for a
@@ -184,7 +192,7 @@ class GirsanovKernelH2:
         return self.tail.quantile(np.clip(g, 0.0, 1.0))
 
 
-def make_h2_kernel(triplet: LevyTriplet, a: float) -> GirsanovKernelH2:
+def make_h2_kernel(triplet: LevyTriplet, a: float, phi0: float) -> GirsanovKernelH2:
     lam = tail_mass(triplet.F, a)
     if lam <= 0.0:
         raise TruncationViolated("no tail mass beyond a")
@@ -194,12 +202,16 @@ def make_h2_kernel(triplet: LevyTriplet, a: float) -> GirsanovKernelH2:
     if math.isnan(tail.mean):
         raise UnsupportedModel("tail law needs a finite first moment beyond a")
     b_h = retriplet(triplet, indicator_inside(a)).b_h
-    return GirsanovKernelH2(a, lam, tail, b_h)
+    return GirsanovKernelH2(a, lam, tail, b_h, phi0)
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+
+
+# the points at which validate_girsanov_kernel probes alpha on an interval
+IV_PROBE_POINTS = 33
 
 
 def _reweight_region(gk):
@@ -210,8 +222,10 @@ def _reweight_region(gk):
 
 def validate_girsanov_kernel(gk, triplet: LevyTriplet, y_values,
                              abs_tol: float = 1e-9) -> dict:
-    """Check positivity, the mass identity (h2) and the drift identity for
-    every sampled y. Report-only; exact sums on discrete measures."""
+    """Check positivity, the mass identity (h2) and the drift identity
+    int x alpha(y, x) F(dx) + b_ref + y/phi(0) = 0 (the region's drift of L
+    under Q cancels Y) for every sampled y. Report-only; exact sums on
+    discrete measures."""
     F = triplet.F
     region = _reweight_region(gk)
     if gk.kind == "h1":
@@ -235,7 +249,7 @@ def validate_girsanov_kernel(gk, triplet: LevyTriplet, y_values,
                 vals = alpha(probe)
             min_alpha = min(min_alpha, float(np.min(vals)))
             drift_int = levy_integrate(F, lambda x: x * alpha(x), region)
-            max_drift = max(max_drift, abs(drift_int + y + drift_ref))
+            max_drift = max(max_drift, abs(drift_int + y / gk.phi0 + drift_ref))
             if gk.kind == "h2":
                 mass_int = levy_integrate(F, alpha, region)
                 max_mass = max(max_mass, abs(mass_int - gk.lam))
@@ -260,8 +274,10 @@ def validate_girsanov_kernel(gk, triplet: LevyTriplet, y_values,
     }
 
 
-def iv_probe(iv: Interval, n: int = 33) -> np.ndarray:
+def iv_probe(iv: Interval) -> np.ndarray:
+    """IV_PROBE_POINTS points spread over iv, 100 wide where it is
+    unbounded."""
     lo = iv.lo if math.isfinite(iv.lo) else (iv.hi - 100.0 if math.isfinite(iv.hi) else -100.0)
     hi = iv.hi if math.isfinite(iv.hi) else (iv.lo + 100.0 if math.isfinite(iv.lo) else 100.0)
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-    return np.linspace(lo + pad, hi - pad, n)
+    return np.linspace(lo + pad, hi - pad, IV_PROBE_POINTS)

@@ -156,18 +156,21 @@ def density_process(
 class QCharacteristics:
     c: float
     alpha: Callable  # Q Levy measure is alpha(x) F(dx)
-    drift_t: float
-    total_q_drift: float  # drift_t + int (x - h(x)) alpha(x) F(dx)
+    drift_t: float  # phi(0) (b_h + int (alpha - 1) h dF) + y_t
+    total_q_drift: float  # drift_t + phi(0) int (x - h(x)) alpha(x) F(dx)
 
 
 def q_characteristics(gk, triplet: LevyTriplet, y_t: float) -> QCharacteristics:
+    """The Q characteristics of L at Y_{t-} = y_t, with the drifts those of
+    X = phi(0) L + int Y dt (phi(0) the kernel's, gk.phi0): total_q_drift
+    is 0 where Q is an EMM."""
     alpha = lambda x: gk.evaluate(y_t, x)  # noqa: E731
     F, h = triplet.F, triplet.h
     region = _reweight_region(gk)
     corr = levy_integrate(F, lambda x: (alpha(x) - 1.0) * h(x), region)
-    drift_t = triplet.b_h + y_t + corr
+    drift_t = gk.phi0 * (triplet.b_h + corr) + y_t
     big = levy_integrate(F, lambda x: (x - h(x)) * alpha(x), h.nonidentity_region())
-    return QCharacteristics(triplet.c, alpha, drift_t, drift_t + big)
+    return QCharacteristics(triplet.c, alpha, drift_t, drift_t + gk.phi0 * big)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +223,10 @@ class LMReport:
         }
 
 
+# how far W may exceed |P| g(x) at a probe before the dominance fails
+DOMINANCE_TOL = 1e-9
+
+
 def lm_criterion_check(
     times: np.ndarray,
     p_paths: np.ndarray,
@@ -228,14 +235,13 @@ def lm_criterion_check(
     *,
     eps: float = 0.05,
     w_fn=None,
-    x_probes=None,
-    dominance_tol: float = 1e-9,
 ) -> LMReport:
     """Exercise the compensator-domination criterion on a sampled ensemble.
 
     p_paths holds |P_t|-dominating path samples, shape (n_paths, n_times).
     g is the jump-size factor of the dominating product W <= |P_t| g(x).
-    When w_fn(p, x) is supplied the dominance itself is spot-checked.
+    When w_fn(p, x) is supplied the dominance itself is spot-checked, to
+    DOMINANCE_TOL, at the atoms of F or at fixed probes.
     """
     F = triplet.F
     cond_b = levy_integrate(
@@ -244,14 +250,12 @@ def lm_criterion_check(
 
     p_abs = np.abs(np.asarray(p_paths, dtype=float))
     if w_fn is not None:
-        probes = np.asarray(
-            x_probes if x_probes is not None else _default_x_probes(F), dtype=float
-        )
+        probes = np.asarray(_x_probes(F), dtype=float)
         p_sample = p_abs[: min(200, p_abs.shape[0])].ravel()
         for x in probes:
             w_vals = np.asarray(w_fn(p_sample, x), dtype=float)
             bound = p_sample * float(g(np.asarray(x)))
-            if np.any(w_vals > bound + dominance_tol):
+            if np.any(w_vals > bound + DOMINANCE_TOL):
                 raise DominanceViolated(
                     f"W exceeds |P| g(x) at x={x}"
                 )
@@ -295,7 +299,7 @@ def lm_criterion_check(
                     cell_reports, w_fn is not None)
 
 
-def _default_x_probes(F):
+def _x_probes(F):
     if isinstance(F, DiscreteMeasure):
         return F.x
     return np.array([-5.0, -1.0, -0.1, 0.1, 1.0, 5.0])
@@ -349,10 +353,10 @@ def q_arrivals(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
                rngs, pool: BufferPool | None = None) -> tuple:
     """draw_under_q's first pass, for one block: each path's P draw, then
     its Q arrivals (`draw_arrivals`), and the response at every arrival of
-    the jumps and cells the paths keep, all but the P tail jumps on (0, T].
-    Returns (counts, times, mark uniforms, that response), arrays of the
-    caller's own; the P block and the kept one take their per-jump arrays
-    from pool when one is given."""
+    the jumps and cells the paths keep: the P draw with its tail jumps on
+    (0, T] set to size 0, in place, so that they add nothing. Returns
+    (counts, times, mark uniforms, that response), arrays of the caller's
+    own; the P block is drawn into pool when one is given."""
     config = sim.config
     if gk.kind != "h2":
         raise UnsupportedModel("direct Q simulation needs the tail kernel")
@@ -363,9 +367,8 @@ def q_arrivals(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
     # each path's arrivals and mark uniforms come after its P draws
     counts, q_t, q_u = draw_arrivals(rngs, gk.lam * config.T, 0.0, config.T)
     q_rows = np.repeat(np.arange(len(rngs)), counts)
-    kept = base.without(base.jumps_beyond(gk.a), pool)
-    return counts, q_t, q_u, kept.responses(
-        (kernel.dphi, q_rows, q_t, True), pool=pool)[0]
+    base.jump_sizes[base.jumps_beyond(gk.a)] = 0.0
+    return counts, q_t, q_u, base.response(kernel.dphi, q_rows, q_t, strict=True)
 
 
 def q_marks(gk: GirsanovKernelH2, kernel: Kernel, counts, q_t, q_u,

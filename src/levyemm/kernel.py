@@ -30,7 +30,10 @@ from .levy_model import (
     levy_integrate,
 )
 
+# integrate_halfline: the head [0, T_INT_DEFAULT] and T_INT_DOUBLINGS windows
 T_INT_DEFAULT = 50.0
+T_INT_DOUBLINGS = 6
+# absolute_continuity_witness: its probe grid and tolerance
 AC_PROBE_POINTS = 256
 AC_PROBE_HORIZON = 10.0
 AC_TOL = 1e-6
@@ -170,17 +173,17 @@ def custom_kernel(phi, phi_prime=None, phi0=None) -> Kernel:
 # ---------------------------------------------------------------------------
 
 
-def integrate_halfline(f, t0: float = T_INT_DEFAULT, doublings: int = 6) -> float:
+def integrate_halfline(f) -> float:
     """int_0^inf f(t) dt for f >= 0, with tail convergence decided from
-    doubling windows [t0 2^k, t0 2^{k+1}].
+    doubling windows [t0 2^k, t0 2^{k+1}], t0 = T_INT_DEFAULT.
 
     Returns the value, math.inf when the windows do not decay, and math.nan
     when the probe is inconclusive.
     """
-    head, _ = scipy.integrate.quad(f, 0.0, t0, limit=200)
+    head, _ = scipy.integrate.quad(f, 0.0, T_INT_DEFAULT, limit=200)
     segs = []
-    lo = t0
-    for _ in range(doublings):
+    lo = T_INT_DEFAULT
+    for _ in range(T_INT_DOUBLINGS):
         hi = 2.0 * lo
         s, _ = scipy.integrate.quad(f, lo, hi, limit=200)
         segs.append(max(s, 0.0))
@@ -326,28 +329,24 @@ def density_condition(kernel: Kernel, triplet: LevyTriplet) -> DensityConditionR
 # ---------------------------------------------------------------------------
 
 
-def absolute_continuity_witness(
-    kernel: Kernel,
-    horizon: float = AC_PROBE_HORIZON,
-    n_points: int = AC_PROBE_POINTS,
-    tol: float = AC_TOL,
-) -> tuple[bool, float]:
-    """Check phi(t) = phi(0) + int_0^t phi' on a probe grid.
+def absolute_continuity_witness(kernel: Kernel) -> tuple[bool, float]:
+    """Check phi(t) = phi(0) + int_0^t phi' to AC_TOL on AC_PROBE_POINTS
+    cells of [0, AC_PROBE_HORIZON].
 
     Returns (holds, max deviation). A witness, not a proof.
     """
     if kernel.phi_prime is None:
         raise MissingDensity("witness requires phi'")
-    ts = np.linspace(0.0, horizon, n_points + 1)
+    ts = np.linspace(0.0, AC_PROBE_HORIZON, AC_PROBE_POINTS + 1)
     dphi = kernel.phi_prime
-    incs = np.empty(n_points)
-    for i in range(n_points):
+    incs = np.empty(AC_PROBE_POINTS)
+    for i in range(AC_PROBE_POINTS):
         incs[i], _ = scipy.integrate.quad(
             lambda t: float(dphi(np.asarray(t))), ts[i], ts[i + 1], limit=100
         )
     cum = kernel.phi0 + np.concatenate([[0.0], np.cumsum(incs)])
     dev = float(np.max(np.abs(kernel(ts) - cum)))
-    return dev <= tol, dev
+    return dev <= AC_TOL, dev
 
 
 @dataclass

@@ -19,7 +19,7 @@ import scipy
 
 from .errors import InvalidRegion, NonIntegrable, UnsupportedModel
 
-# quadrature defaults (see module design notes in README)
+# quadrature tolerances (see module design notes in README)
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 _EPS_IN = 1e-6  # split point for the analytic near-zero correction
@@ -153,6 +153,8 @@ class DiscreteMeasure(LevyMeasure):
         arr = np.asarray(atoms, dtype=float).reshape(-1, 2)
         if arr.size == 0:
             raise ValueError("use ZeroMeasure for an empty measure")
+        if not np.isfinite(arr).all():
+            raise ValueError("atom positions and weights must be finite")
         if np.any(arr[:, 0] == 0.0):
             raise ValueError("atoms at 0 are not allowed")
         if np.any(arr[:, 1] <= 0.0):
@@ -191,7 +193,6 @@ class DensityMeasure(LevyMeasure):
         origin_exponent: float | None = None,
         tail_integrable: bool | None = None,
         support: tuple[float, float] = (-math.inf, math.inf),
-        support_descriptor: str | None = None,
         name: str | None = None,
         params: dict | None = None,
         breakpoints: Sequence[float] = (),
@@ -205,9 +206,7 @@ class DensityMeasure(LevyMeasure):
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
         self.name = name or "density"
         self.params = params or {}
-        if support_descriptor is not None:
-            self.support_descriptor = support_descriptor
-        elif math.isinf(self.support[0]) and math.isinf(self.support[1]):
+        if math.isinf(self.support[0]) and math.isinf(self.support[1]):
             self.support_descriptor = "unbounded-both"
         else:
             self.support_descriptor = "compact"
@@ -267,7 +266,6 @@ def uniform_band(a: float, b: float, height: float = 1.0) -> DensityMeasure:
         origin_exponent=None,
         tail_integrable=True,
         support=(-b, b),
-        support_descriptor="compact",
         name="uniform-band",
         params={"a": a, "b": b, "height": height},
         breakpoints=(-b, -a, a, b),
@@ -291,38 +289,34 @@ def _as_intervals(region) -> list[Interval]:
     return list(region)
 
 
-def _quad_raw(fn, lo, hi, abs_tol, rel_tol):
+def _quad_raw(fn, lo, hi):
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         try:
-            val, err = scipy.integrate.quad(fn, lo, hi, epsabs=abs_tol,
-                                            epsrel=rel_tol, limit=400)
+            val, err = scipy.integrate.quad(fn, lo, hi, epsabs=ABS_TOL,
+                                            epsrel=REL_TOL, limit=400)
         except scipy.integrate.IntegrationWarning as exc:
             raise NonIntegrable(f"quadrature on ({lo}, {hi}) did not converge: {exc}")
     if not math.isfinite(val):
         raise NonIntegrable(f"quadrature on ({lo}, {hi}) returned {val}")
-    if abs(err) > 100 * max(abs_tol, rel_tol * abs(val)):
+    if abs(err) > 100 * max(ABS_TOL, REL_TOL * abs(val)):
         raise NonIntegrable(
             f"quadrature on ({lo}, {hi}) error estimate {err:.2e} exceeds tolerance"
         )
     return val
 
 
-def _quad(fn, lo, hi, abs_tol, rel_tol):
+def _quad(fn, lo, hi):
     try:
-        return _quad_raw(fn, lo, hi, abs_tol, rel_tol)
+        return _quad_raw(fn, lo, hi)
     except NonIntegrable:
         # retry a far semi-infinite tail under x = edge/s; the map pulls a
         # slowly convergent tail into an endpoint singularity quad resolves,
         # while genuinely divergent tails still diverge at s = 0
         if hi == math.inf and lo > 0.0:
-            return _quad_raw(
-                lambda s: fn(lo / s) * lo / (s * s), 0.0, 1.0, abs_tol, rel_tol
-            )
+            return _quad_raw(lambda s: fn(lo / s) * lo / (s * s), 0.0, 1.0)
         if lo == -math.inf and hi < 0.0:
-            return _quad_raw(
-                lambda s: fn(hi / s) * (-hi) / (s * s), 0.0, 1.0, abs_tol, rel_tol
-            )
+            return _quad_raw(lambda s: fn(hi / s) * (-hi) / (s * s), 0.0, 1.0)
         raise
 
 
@@ -332,8 +326,6 @@ def levy_integrate(
     region=None,
     *,
     g_quadratic_near_zero: bool = False,
-    abs_tol: float = ABS_TOL,
-    rel_tol: float = REL_TOL,
 ) -> float:
     """Integral of g against F over the region (default: all of R \\ {0}).
 
@@ -389,13 +381,13 @@ def levy_integrate(
                     if plo == 0.0:
                         edge = integrand(eps)
                         total += edge * eps / (2.0 - p)
-                        total += _quad(integrand, eps, phi, abs_tol, rel_tol)
+                        total += _quad(integrand, eps, phi)
                     else:
                         edge = integrand(-eps)
                         total += edge * eps / (2.0 - p)
-                        total += _quad(integrand, plo, -eps, abs_tol, rel_tol)
+                        total += _quad(integrand, plo, -eps)
                     continue
-            total += _quad(integrand, plo, phi, abs_tol, rel_tol)
+            total += _quad(integrand, plo, phi)
     return total
 
 

@@ -11,7 +11,6 @@ exponential form both sums are carried as states along each path
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import threading
@@ -118,25 +117,26 @@ _RESPONSE_ELEMS = 1 << 13
 _COMPRESS_ELEMS = 1 << 12
 
 
-class BufferPool:
+class BufferPool(threading.local):
     """Grow-only NumPy buffers by name, for the per-block arrays of a run
     that nothing keeps past its block: `PathSimulator.draw`'s jumps and
-    marks, `PathBlock.responses`' carried states (`_Carried`) and
-    `girsanov.q_arrivals`' kept block.
+    marks, and the carried states of a block drawn into the pool
+    (`_Carried`).
 
-    An array taken from the pool is valid until its name is taken again,
-    so a block drawn into the pool, and all that is read from it, is valid
-    until the next block is drawn into the pool; what a caller keeps past
-    its block must be copied into arrays it owns. A buffer that is too
-    small is replaced by one an eighth larger than asked, and none is ever
-    shrunk or freed, so after the first blocks a run allocates no per-jump
-    array. Without the pool each block allocated and freed about 1.9 MB, and
-    between runs the C allocator handed much of it back to the kernel,
-    which faulted it in again page by page on the next run."""
+    Each thread has buffers of its own, so threads that share a pool never
+    share a buffer. An array taken from the pool is valid until its thread
+    takes its name again, so a block drawn into the pool, and all that is
+    read from it, is valid until the thread draws its next block into the
+    pool; what a caller keeps past its block must be copied into arrays it
+    owns. A buffer that is too small is replaced by one an eighth larger
+    than asked, and none is ever shrunk or freed, so after the first blocks
+    a run allocates no per-jump array. Without the pool each block
+    allocated and freed about 1.9 MB, and between runs the C allocator
+    handed much of it back to the kernel, which faulted it in again page by
+    page on the next run."""
 
     def __init__(self):
         self._buffers = {}
-        self._lock = threading.Lock()
 
     def take(self, name, shape, dtype=float) -> np.ndarray:
         """The buffer name as an uninitialised array of shape and dtype."""
@@ -145,18 +145,6 @@ class BufferPool:
         if buf is None or buf.size < n or buf.dtype != dtype:
             buf = self._buffers[name] = np.empty(n + n // 8, dtype)
         return buf[:n].reshape(shape)
-
-    @contextlib.contextmanager
-    def lease(self):
-        """The pool for the caller alone, or None, for fresh arrays, while
-        another thread holds it."""
-        if not self._lock.acquire(blocking=False):
-            yield None
-            return
-        try:
-            yield self
-        finally:
-            self._lock.release()
 
 
 def _empty(pool: BufferPool | None, name, shape, dtype=float) -> np.ndarray:
@@ -196,7 +184,8 @@ class PathBlock:
     embedded. The explicit jumps of all paths sit in one flat array: path
     b's, in increasing time, at offsets[b]:offsets[b + 1]. A block drawn
     with a pre-history law (`PathSimulator.draw`) keeps each path's normals
-    of that law as the rows of eta.
+    of that law as the rows of eta, and one drawn into a buffer pool keeps
+    the pool, from which its carried states take their buffers too.
     """
 
     times: np.ndarray  # nodes -M = t_0 < ... < t_N = T
@@ -206,6 +195,7 @@ class PathBlock:
     jump_sizes: np.ndarray
     offsets: np.ndarray  # (B + 1,)
     eta: np.ndarray | None = None  # (B, rank) pre-history normals, if drawn
+    pool: BufferPool | None = None  # the pool it was drawn into, if any
 
     @classmethod
     def of_path(cls, path: LatticePath, diffuse: np.ndarray | None = None
@@ -226,18 +216,6 @@ class PathBlock:
         """The flat indices of the jumps after 0 of size |Z| > a."""
         late = np.flatnonzero(self.jump_times > 0.0)
         return late[np.abs(self.jump_sizes[late]) > a]
-
-    def without(self, drop: np.ndarray, pool: BufferPool | None = None
-                ) -> PathBlock:
-        """The block without the flat jumps at the sorted indices drop, its
-        jump arrays taken from pool when one is given."""
-        keep = np.ones(len(self.jump_times), dtype=bool)
-        keep[drop] = False
-        n = len(keep) - len(drop)
-        return PathBlock(self.times, self.dt, self.diffuse,
-                         _compress(keep, self.jump_times, _empty(pool, "kept_times", n)),
-                         _compress(keep, self.jump_sizes, _empty(pool, "kept_sizes", n)),
-                         self.offsets - np.searchsorted(drop, self.offsets))
 
     def path(self, b: int) -> LatticePath:
         lo, hi = self.offsets[b], self.offsets[b + 1]
@@ -270,12 +248,12 @@ class PathBlock:
         """
         return self.responses((fn, rows, t, strict))[0]
 
-    def responses(self, *queries, pool: BufferPool | None = None) -> list:
+    def responses(self, *queries) -> list:
         """response(fn, rows, t, strict=strict) for each (fn, rows, t,
         strict) of queries. Functions of exponential form with the same
         kappa, such as a kernel's phi and phi', share one carry, whose
-        per-jump arrays are taken from pool when one is given. The values
-        returned are the caller's own either way."""
+        per-jump arrays are taken from the block's pool when it has one.
+        The values returned are the caller's own either way."""
         carried, out = {}, []
         for fn, rows, t, strict in queries:
             rows = np.asarray(rows, dtype=np.intp)
@@ -285,7 +263,7 @@ class PathBlock:
                 out.append(self._running(fn, rows, t, strict=strict))
                 continue
             f0, kappa = form
-            c = carried.setdefault(kappa, _Carried(self, kappa, pool))
+            c = carried.setdefault(kappa, _Carried(self, kappa))
             out.append(f0 * (c.cells_at(rows, t) + c.jumps_at(rows, t, strict=strict)))
         return out
 
@@ -373,16 +351,15 @@ class _Carried:
     kappa (see `PathBlock.response`), each computed when first read by
     `_carry`. The cell states are kept row by row; the jump states stay in
     `_carry`'s (part, prod, entering) form, and jumps_at combines them only
-    at the jumps its queries read. Their layout buffers are taken from
-    pool, under names of their kappa, when one is given, and are then valid
-    until the pool's next block."""
+    at the jumps its queries read. Their layout buffers are taken from the
+    block's pool, under names of their kappa, when it has one, and are then
+    valid until the thread draws its next block into the pool."""
 
-    def __init__(self, block: PathBlock, kappa: float,
-                 pool: BufferPool | None = None):
-        self.block, self.kappa, self.pool = block, kappa, pool
+    def __init__(self, block: PathBlock, kappa: float):
+        self.block, self.kappa = block, kappa
 
     def _empty(self, name, shape, dtype=float) -> np.ndarray:
-        return _empty(self.pool, (name, self.kappa), shape, dtype)
+        return _empty(self.block.pool, (name, self.kappa), shape, dtype)
 
     @cached_property
     def cell_states(self) -> np.ndarray | None:
@@ -853,7 +830,8 @@ class PathSimulator:
         A draw without Gaussian cells or drift has no diffuse activity:
         its diffuse is a read-only view of one 0.0. With pool, the block's
         jump times and sizes are the pool's buffers (`draw_arrivals`), so
-        the block is valid until the next block is drawn into the pool."""
+        the block is valid until this thread draws its next block into the
+        pool, and the block keeps the pool for its carried states."""
         if prehistory is not None and self.tail is not None:
             raise InvalidConfig("the pre-history is Gaussian only without "
                                 "explicit jumps")
@@ -886,7 +864,8 @@ class PathSimulator:
             sizes = self.tail.quantile(u, out=_empty(pool, "marks", len(u)))
         # a copy of eta, so that the block does not keep the whole buffer z
         eta = None if prehistory is None else np.ascontiguousarray(z[:, cells:])
-        return PathBlock(self.times, dt, diffuse, jump_times, sizes, offsets, eta)
+        return PathBlock(self.times, dt, diffuse, jump_times, sizes, offsets, eta,
+                         pool)
 
     def prehistory(self, kernel: Kernel) -> Prehistory:
         """The law of what the m cells of [-M, 0] add to (X_k, Y_k),

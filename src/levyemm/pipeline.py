@@ -178,15 +178,23 @@ class Model:
         return copy.deepcopy({k: getattr(self, k) for k in keys})
 
 
+def _finite(v) -> bool:
+    """v is finite as a float: an integer too large for one is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _check_kind(where: str, v, kind) -> None:
     """ConfigError unless v is of kind: a type of _KIND_WORDS (a bool is not
     a number) or a tuple of the values allowed."""
     if isinstance(kind, tuple):
         ok, want = v in kind, f"one of {list(kind)}"
     elif kind in (float, int):
-        whole = isinstance(v, numbers.Integral)
         ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and (
-            whole or math.isfinite(v) and (kind is float or float(v).is_integer()))
+            kind is int and isinstance(v, numbers.Integral)
+            or _finite(v) and (kind is float or float(v).is_integer()))
         want = _KIND_WORDS[kind]
     else:
         ok, want = isinstance(v, kind), _KIND_WORDS[kind]
@@ -231,7 +239,7 @@ def _build(table: dict, spec: dict, tag: str, where: str):
     _check_keys(spec, where, {tag: str, **required}, kinds, what)
     try:
         return make(**{k: v for k, v in spec.items() if k != tag})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what}: {exc}") from None
 
 
@@ -482,15 +490,16 @@ class _FrozenZeta(emm_construct.GirsanovKernelH2):
 
 
 def make_girsanov_kernel(model: Model, triplet: LevyTriplet):
-    hyp = model.emm["hypothesis"]
+    hyp, phi0 = model.emm["hypothesis"], model.kern.phi0
     if hyp == "h1":
-        gk = emm_construct.make_h1_kernel(triplet, model.emm["a"], model.emm["b"])
+        gk = emm_construct.make_h1_kernel(triplet, model.emm["a"], model.emm["b"], phi0)
     elif hyp == "h2":
-        gk = emm_construct.make_h2_kernel(triplet, model.emm["a"])
+        gk = emm_construct.make_h2_kernel(triplet, model.emm["a"], phi0)
     else:
         raise ConfigError(f"no Girsanov kernel for hypothesis {hyp!r}")
     if "frozen_zeta" in model.emm:
-        gk = _FrozenZeta(gk.a, gk.lam, gk.tail, gk.b_h, float(model.emm["frozen_zeta"]))
+        gk = _FrozenZeta(gk.a, gk.lam, gk.tail, gk.b_h, gk.phi0,
+                         float(model.emm["frozen_zeta"]))
     if "break_positive_factor" in model.emm:
         gk = _BrokenAlpha(gk, float(model.emm["break_positive_factor"]))
     return gk
@@ -502,12 +511,16 @@ MIN_REACH_SD = 6.0
 
 def h2_reach_sd(model: Model) -> float | None:
     """How far E[Y] lies, in s.d. of Y, from the nearest y at which
-    zeta(y) = -(y + b_h)/lam leaves (tail.zeta_lo, tail.zeta_hi); negative
-    when E[Y] lies outside. Y is the lattice sum at T, sum_k phi'(k dt) dL_k
-    over k = 1..n_cells, so its mean is sum_k phi'(k dt) dt (b_h + lam
-    E[tail]) and its variance sum_k phi'(k dt)^2 dt (c + int x^2 F). None
-    when int x^2 F diverges: Y then has no s.d., and only a tail of
-    unbounded support gives that."""
+    zeta(y) = -(y/phi0 + b_h)/lam leaves (tail.zeta_lo, tail.zeta_hi);
+    negative when E[Y] lies outside. Y is the lattice sum at T, sum_k
+    phi'(k dt) dL_k over k = 1..n_cells, so its mean is sum_k phi'(k dt) dt
+    (b_h + lam E[tail]) and its variance sum_k phi'(k dt)^2 dt (c + int x^2
+    F). None when int x^2 F diverges: Y then has no s.d., and only a tail
+    of unbounded support gives that.
+
+    The distance is taken in u = y/phi0, where zeta's range is the interval
+    (-lam zeta_hi - b_h, -lam zeta_lo - b_h) for either sign of phi0, and
+    scaled back to y by |phi0|."""
     cfg, triplet, gk = model.cfg, model.levy, model.gk
     w = model.kern.dphi(np.arange(1, cfg.n_cells + 1) * cfg.dt)
     try:
@@ -517,8 +530,9 @@ def h2_reach_sd(model: Model) -> float | None:
         return None
     mean = float(np.sum(w)) * cfg.dt * (gk.b_h + gk.lam * gk.tail.mean)
     sd = math.sqrt(float(np.sum(w * w)) * cfg.dt * (triplet.c + second))
-    dist = min(mean + gk.lam * gk.tail.zeta_hi + gk.b_h,
-               -gk.lam * gk.tail.zeta_lo - gk.b_h - mean)
+    u = mean / gk.phi0
+    dist = abs(gk.phi0) * min(u + gk.lam * gk.tail.zeta_hi + gk.b_h,
+                              -gk.lam * gk.tail.zeta_lo - gk.b_h - u)
     return dist / sd if sd > 0.0 else math.copysign(math.inf, dist)
 
 
@@ -560,7 +574,7 @@ def _check_reach(model: Model) -> None:
     if reach is not None and reach < MIN_REACH_SD:
         raise ConfigError(
             f"Y reaches the edge of zeta's range at {reach:.2f} s.d. of its "
-            f"mean, below {MIN_REACH_SD}: zeta(y) = -(y + b_h)/lam leaves "
+            f"mean, below {MIN_REACH_SD}: zeta(y) = -(y/phi0 + b_h)/lam leaves "
             f"the tail law's range on a share of paths, so the run could "
             f"stop with ZetaOutOfRange at a larger n_paths")
 
@@ -595,32 +609,30 @@ def _weighted_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
     z_T = np.empty(stop - start)
     x_probe = np.empty((stop - start, len(probes)))
     counts = np.empty(stop - start, dtype=np.int64)
-    with model.buffer_pool.lease() as pool:
-        for lo, rngs in _blocks(seed, start, stop):
-            block = sim.draw(rngs, pool=pool)
-            n = len(rngs)
-            # the generators are done with: drop them before the next
-            # block's are built
-            del rngs
-            out = slice(lo - start, lo - start + n)
-            paths = np.arange(n)
-            # the flat tail jumps on (0, T], and the path of each
-            win = block.jumps_beyond(gk.a)
-            w_rows = np.searchsorted(block.offsets, win, side="right") - 1
-            y_pre, y_left, x = block.responses(
-                (kern.dphi, w_rows, block.jump_times[win], True),
-                (kern.dphi, np.repeat(paths, len(grid)), np.tile(grid, n), True),
-                (kern, np.repeat(paths, len(probes)), np.tile(probes, n), False),
-                pool=pool)
-            factors, comp = girsanov.density_terms(
-                gk, y_pre, block.jump_sizes[win], y_left.reshape(n, len(grid)),
-                cfg.dt)
-            # the factors of each path multiplied in jump order, as math.prod does
-            z = np.ones(n)
-            np.multiply.at(z, w_rows, factors)
-            z_T[out] = z * np.exp(comp[:, -1])
-            x_probe[out] = x.reshape(n, len(probes))
-            counts[out] = np.bincount(w_rows, minlength=n)
+    for lo, rngs in _blocks(seed, start, stop):
+        block = sim.draw(rngs, pool=model.buffer_pool)
+        n = len(rngs)
+        # the generators are done with: drop them before the next block's
+        # are built
+        del rngs
+        out = slice(lo - start, lo - start + n)
+        paths = np.arange(n)
+        # the flat tail jumps on (0, T], and the path of each
+        win = block.jumps_beyond(gk.a)
+        w_rows = np.searchsorted(block.offsets, win, side="right") - 1
+        y_pre, y_left, x = block.responses(
+            (kern.dphi, w_rows, block.jump_times[win], True),
+            (kern.dphi, np.repeat(paths, len(grid)), np.tile(grid, n), True),
+            (kern, np.repeat(paths, len(probes)), np.tile(probes, n), False))
+        factors, comp = girsanov.density_terms(
+            gk, y_pre, block.jump_sizes[win], y_left.reshape(n, len(grid)),
+            cfg.dt)
+        # the factors of each path multiplied in jump order, as math.prod does
+        z = np.ones(n)
+        np.multiply.at(z, w_rows, factors)
+        z_T[out] = z * np.exp(comp[:, -1])
+        x_probe[out] = x.reshape(n, len(probes))
+        counts[out] = np.bincount(w_rows, minlength=n)
     return {"z_T": z_T, "x_probe": x_probe, "counts": counts}
 
 
@@ -632,14 +644,13 @@ def _q_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
     draw_under_q's block by block."""
     gk, kern, sim = model.gk, model.kern, model.simulator
     columns = [[], [], [], []]
-    with model.buffer_pool.lease() as pool:
-        for _, rngs in _blocks(seed, start, stop):
-            for column, part in zip(columns, girsanov.q_arrivals(
-                    gk, kern, sim, rngs, pool)):
-                column.append(part)
-            # the generators are done with: drop them before the next
-            # block's are built
-            del rngs
+    for _, rngs in _blocks(seed, start, stop):
+        for column, part in zip(columns, girsanov.q_arrivals(
+                gk, kern, sim, rngs, model.buffer_pool)):
+            column.append(part)
+        # the generators are done with: drop them before the next block's
+        # are built
+        del rngs
     # each column's block parts are freed as soon as they are joined
     counts, q_t, q_u, y_pre = (np.concatenate(columns.pop(0)) for _ in range(4))
     marks = girsanov.q_marks(gk, kern, counts, q_t, q_u, y_pre)

@@ -18,6 +18,8 @@ import scipy
 
 CHI2_LEVEL = 0.01
 PIT_MIN_MARKS = 50  # 5 expected per decile
+MIN_BIN_COUNT = 5.0  # expected count of a merged chi-square bin
+DOUBLINGS = 4  # halvings of the sample in the doubling diagnostics
 
 
 def bonferroni_crit(n_probes: int) -> float:
@@ -136,14 +138,14 @@ def q_martingale_test(x_at_probes, x0, z_values, probe_times, seed=None) -> Stat
 # ---------------------------------------------------------------------------
 
 
-def _merge_tail_bins(observed, expected, floor=5.0):
-    """Collapse trailing bins until each expected count is >= floor."""
+def _merge_tail_bins(observed, expected):
+    """Collapse trailing bins until each expected count is >= MIN_BIN_COUNT."""
     obs, exp = [], []
     acc_o = acc_e = 0.0
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= floor:
+        if acc_e >= MIN_BIN_COUNT:
             obs.append(acc_o)
             exp.append(acc_e)
             acc_o = acc_e = 0.0
@@ -263,15 +265,15 @@ def doubling_verdict(estimates) -> str:
     return "inconclusive"
 
 
-def doubling_estimates(stat, doublings: int = 4) -> tuple[list, list]:
-    """Nested prefix sizes n / 2^doublings, ..., n / 2, n (at least 8) of
+def doubling_estimates(stat) -> tuple[list, list]:
+    """Nested prefix sizes n / 2^DOUBLINGS, ..., n / 2, n (at least 8) of
     the samples stat (n,) or (n, k), and the largest column mean on each."""
     n = len(stat)
-    sizes = [max(8, n >> (doublings - k)) for k in range(doublings)] + [n]
+    sizes = [max(8, n >> (DOUBLINGS - k)) for k in range(DOUBLINGS)] + [n]
     return sizes, [float(np.max(np.mean(stat[:s], axis=0))) for s in sizes]
 
 
-def finite_expect(p_ensemble, eps, doublings=4, seed=None) -> StatReport:
+def finite_expect(p_ensemble, eps, seed=None) -> StatReport:
     """Estimate sup_t E[exp(eps |P_t| log(1 + |P_t|))] across doubling
     sample sizes; pass only when the running estimates stabilize."""
     p = np.abs(np.asarray(p_ensemble, dtype=float))
@@ -280,7 +282,7 @@ def finite_expect(p_ensemble, eps, doublings=4, seed=None) -> StatReport:
     n = p.shape[0]
     with np.errstate(over="ignore"):
         stat = np.exp(eps * p * np.log1p(p))
-    sizes, estimates = doubling_estimates(stat, doublings)
+    sizes, estimates = doubling_estimates(stat)
     verdict = doubling_verdict(estimates)
     _, se = mean_se(stat[:, int(np.argmax(np.mean(stat, axis=0)))])
     return StatReport(

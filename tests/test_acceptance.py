@@ -61,7 +61,7 @@ def test_criterion_1_exact_oracles():
     s_plus, s_minus = sigma_pm(F, 1.0, 2.0)
     ok &= abs(s_plus - 1.44 * 3.0) <= EXACT
     ok &= abs(s_minus - 2.25 * 2.0) <= EXACT
-    gk1 = make_h1_kernel(t, 1.0, 2.0)
+    gk1 = make_h1_kernel(t, 1.0, 2.0, 1.0)
     # drift identity: int_band x alpha dF = -(y + b_band) for every y
     from levyemm.levy_model import band_region, indicator_outside_band, retriplet
 
@@ -74,7 +74,7 @@ def test_criterion_1_exact_oracles():
     # lambda(zeta), f_zeta, the h2 alpha, both tail identities
     F2 = DiscreteMeasure([(-1.0, 1.0), (1.0, 1.0)])
     t2 = LevyTriplet(0.0, F2, 0.0, indicator_inside(0.5))
-    gk2 = make_h2_kernel(t2, 0.5)
+    gk2 = make_h2_kernel(t2, 0.5, 1.0)
     ok &= abs(lambda_of_zeta(gk2.tail, 0.0) - 0.5) <= EXACT
     ok &= abs(lambda_of_zeta(gk2.tail, 0.5) - 0.75) <= EXACT
     dens = f_zeta(gk2.tail, 0.5, np.array([-1.0, 1.0]))

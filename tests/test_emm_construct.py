@@ -15,6 +15,7 @@ from levyemm.emm_construct import (
     validate_girsanov_kernel,
 )
 from levyemm.errors import TruncationViolated, UnsupportedModel, ZetaOutOfRange
+from levyemm.girsanov import q_characteristics
 from levyemm.levy_model import (
     DiscreteMeasure,
     DiscreteTailLaw,
@@ -23,6 +24,7 @@ from levyemm.levy_model import (
     indicator_inside,
     symmetric_alpha_stable,
     tail_law,
+    levy_integrate,
     uniform_band,
 )
 
@@ -54,7 +56,7 @@ class TestSigmaPm:
 class TestH1Kernel:
     def _sym(self):
         F = DiscreteMeasure([(-1.5, 1.0), (1.5, 1.0)])
-        return make_h1_kernel(_triplet(F), 1.0, 2.0)
+        return make_h1_kernel(_triplet(F), 1.0, 2.0, 1.0)
 
     def test_alpha_is_one_outside_band(self):
         k = self._sym()
@@ -78,7 +80,7 @@ class TestH1Kernel:
     def test_drift_identity_discrete(self):
         F = DiscreteMeasure([(-1.5, 1.0), (1.5, 1.0), (3.0, 0.5)])
         t = _triplet(F, b=0.2)
-        k = make_h1_kernel(t, 1.0, 2.0)
+        k = make_h1_kernel(t, 1.0, 2.0, 1.0)
         res = validate_girsanov_kernel(k, t, np.linspace(-5, 5, 21))
         assert res["ok"], res
         assert res["max_drift_violation"] < 1e-12
@@ -86,7 +88,7 @@ class TestH1Kernel:
     def test_drift_identity_stable_density(self):
         F = symmetric_alpha_stable(1.5)
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0), integrable=True)
-        k = make_h1_kernel(t, 1.0, 2.0)
+        k = make_h1_kernel(t, 1.0, 2.0, 1.0)
         res = validate_girsanov_kernel(k, t, np.linspace(-2, 2, 9))
         assert res["ok"], res
         assert res["max_drift_violation"] < 1e-6
@@ -94,11 +96,11 @@ class TestH1Kernel:
     def test_excess_rate_is_band_integral(self):
         # int (alpha(y, x) - 1) F(dx) on an asymmetric measure, both signs
         F = DiscreteMeasure([(-1.5, 2.0), (1.2, 3.0), (1.8, 0.5), (3.0, 0.5)])
-        k = make_h1_kernel(_triplet(F, b=0.2), 1.0, 2.0)
+        k = make_h1_kernel(_triplet(F, b=0.2), 1.0, 2.0, 1.0)
         ys = np.array([-3.0, -0.4, 0.0, 0.7, 2.5])
         exact = [float(np.sum((k.evaluate(y, F.x) - 1.0) * F.w)) for y in ys]
         np.testing.assert_allclose(k.excess_rate(ys), exact, atol=1e-12)
-        assert make_h2_kernel(_triplet(F), 1.0).excess_rate is None
+        assert make_h2_kernel(_triplet(F), 1.0, 1.0).excess_rate is None
 
     def test_xi_requires_integrable_tail(self):
         # h1 needs xi; a non-integrable tail cannot supply it
@@ -107,7 +109,7 @@ class TestH1Kernel:
         F = symmetric_alpha_stable(0.9)
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0), integrable=False)
         with pytest.raises(NonIntegrable):
-            make_h1_kernel(t, 1.0, 2.0)
+            make_h1_kernel(t, 1.0, 2.0, 1.0)
 
 
 class TestTailLaw:
@@ -122,7 +124,7 @@ class TestTailLaw:
     def test_one_sided_tail_rejected(self):
         F = DiscreteMeasure([(1.0, 1.0), (0.2, 5.0)])
         with pytest.raises(TruncationViolated):
-            make_h2_kernel(_triplet(F), 0.5)
+            make_h2_kernel(_triplet(F), 0.5, 1.0)
 
     def test_grid_law_matches_uniform_band(self):
         F = uniform_band(1.0, 2.0, 0.3)
@@ -168,7 +170,8 @@ def test_evaluate_pairs_an_array_of_y_with_x(hyp):
     # elementwise equal to the scalar calls, which still give floats
     t = _triplet(DiscreteMeasure([(-1.0, 1.0), (1.0, 1.0)]), b=0.3,
                  a_trunc=0.5)
-    gk = make_h1_kernel(t, 0.5, 1.5) if hyp == "h1" else make_h2_kernel(t, 0.5)
+    gk = (make_h1_kernel(t, 0.5, 1.5, 1.0) if hyp == "h1"
+          else make_h2_kernel(t, 0.5, 1.0))
     ys = np.linspace(-0.8, 0.8, 9)
     xs = np.tile([-1.0, 1.0, 0.3], 3)
     got = gk.evaluate(ys, xs)
@@ -177,11 +180,32 @@ def test_evaluate_pairs_an_array_of_y_with_x(hyp):
     assert isinstance(gk.evaluate(0.1, 1.0), float)
 
 
+@pytest.mark.parametrize("phi0", [-2.0, 0.25, 1.0, 3.0])
+@pytest.mark.parametrize("hyp", ["h1", "h2"])
+def test_q_drift_of_x_vanishes_for_any_phi0(hyp, phi0):
+    """X = phi(0) L + int Y dt, so Q is an EMM when phi(0) (xi + int x
+    (alpha(y, x) - 1) F(dx)) + y = 0: exact on atoms, for y where zeta(y)
+    lies inside the tail law's range."""
+    F = DiscreteMeasure([(-1.5, 1.0), (-0.7, 0.5), (0.2, 3.0), (0.8, 2.0),
+                         (1.6, 1.0)])
+    t = _triplet(F, b=0.3)
+    h2 = make_h2_kernel(t, 0.5, phi0)
+    gk = make_h1_kernel(t, 0.5, 2.0, phi0) if hyp == "h1" else h2
+    lo, hi = h2.tail.zeta_lo, h2.tail.zeta_hi
+    zetas = lo + (hi - lo) * np.array([0.05, 0.2, 0.37, 0.5, 0.63, 0.81, 0.95])
+    ys = -phi0 * (h2.lam * zetas + h2.b_h)
+    for y in ys:
+        mean = levy_integrate(F, lambda x: x * (gk.evaluate(y, x) - 1.0))
+        assert abs(phi0 * (t.xi() + mean) + y) <= 1e-12
+        assert abs(q_characteristics(gk, t, y).total_q_drift) <= 1e-12
+    assert validate_girsanov_kernel(gk, t, ys)["ok"]
+
+
 class TestH2Kernel:
     def _two_atom(self):
         F = DiscreteMeasure([(-1.0, 1.0), (1.0, 1.0)])
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(0.5))
-        return t, make_h2_kernel(t, 0.5)
+        return t, make_h2_kernel(t, 0.5, 1.0)
 
     def test_parameters(self):
         t, k = self._two_atom()
@@ -214,7 +238,7 @@ class TestH2Kernel:
     def test_stable_density_identities(self):
         F = symmetric_alpha_stable(1.5)
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0), integrable=False)
-        k = make_h2_kernel(t, 1.0)
+        k = make_h2_kernel(t, 1.0, 1.0)
         res = validate_girsanov_kernel(k, t, np.linspace(-1.0, 1.0, 9),
                                        abs_tol=1e-4)
         assert res["ok"], res
@@ -224,7 +248,7 @@ class TestH2Kernel:
     def test_stable_closed_form_drift_identity(self):
         F = symmetric_alpha_stable(1.5)
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0), integrable=False)
-        k = make_h2_kernel(t, 1.0)
+        k = make_h2_kernel(t, 1.0, 1.0)
         res = validate_girsanov_kernel(k, t, np.linspace(-1.0, 1.0, 9))
         assert res["max_drift_violation"] < 1e-9
         assert res["max_mass_violation"] < 1e-9
@@ -233,12 +257,12 @@ class TestH2Kernel:
         F = symmetric_alpha_stable(0.9)
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0), integrable=False)
         with pytest.raises(UnsupportedModel):
-            make_h2_kernel(t, 1.0)
+            make_h2_kernel(t, 1.0, 1.0)
 
     def test_uniform_band_tail_below_the_band(self):
         # the first doubling [a, 2a] = [0.25, 0.5] holds no mass
         t = _triplet(uniform_band(0.5, 2.0))
-        k = make_h2_kernel(t, 0.25)
+        k = make_h2_kernel(t, 0.25, 1.0)
         assert k.tail.rate == pytest.approx(3.0, rel=1e-12)
         res = validate_girsanov_kernel(k, t, np.linspace(-0.5, 0.5, 9))
         assert res["ok"], res
@@ -246,7 +270,7 @@ class TestH2Kernel:
 
     def test_uniform_band_grid_mass_exact(self):
         # a breakpoint (b = 2) falls inside a doubling of a = 0.75
-        k = make_h2_kernel(_triplet(uniform_band(0.5, 2.0)), 0.75)
+        k = make_h2_kernel(_triplet(uniform_band(0.5, 2.0)), 0.75, 1.0)
         assert k.lam == pytest.approx(2.5, rel=1e-12)
         assert k.tail.rate == pytest.approx(2.5, rel=1e-12)
         assert k.tail.partial_mean_below(0.0) == pytest.approx(
@@ -256,13 +280,13 @@ class TestH2Kernel:
         F = DiscreteMeasure([(0.2, 1.0), (-0.2, 1.0)])
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0))
         with pytest.raises(TruncationViolated):
-            make_h2_kernel(t, 1.0)
+            make_h2_kernel(t, 1.0, 1.0)
 
     def test_asymmetric_zero_target_still_reweights(self):
         # tail mean != 0, so hitting zeta = 0 needs a nontrivial alpha
         F = DiscreteMeasure([(-1.0, 1.0), (2.0, 1.0)])
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(0.5))
-        k = make_h2_kernel(t, 0.5)
+        k = make_h2_kernel(t, 0.5, 1.0)
         vals = k.evaluate(-k.b_h, np.array([-1.0, 2.0]))
         assert not np.allclose(vals, 1.0)
         drift = float(np.sum(np.array([-1.0, 2.0]) * vals))

@@ -78,7 +78,7 @@ class TestStochExp:
 class TestDensityProcess:
     def test_two_atom_factors(self):
         t = _two_atom_triplet()
-        gk = make_h2_kernel(t, 0.5)
+        gk = make_h2_kernel(t, 0.5, 1.0)
         times = np.linspace(0.0, 1.0, 5)
         jumps = (np.array([0.3, 0.7]), np.array([-1.0, 1.0]))
         dp = density_process(gk, _flat_ma(times), jumps,
@@ -92,7 +92,7 @@ class TestDensityProcess:
     def test_trivial_when_alpha_one(self):
         # y + b_h = 0 and symmetric tail: zeta = 0 gives the flat density
         t = _two_atom_triplet()
-        gk = make_h2_kernel(t, 0.5)
+        gk = make_h2_kernel(t, 0.5, 1.0)
         times = np.linspace(0.0, 1.0, 5)
         jumps = (np.array([0.5]), np.array([1.0]))
         dp = density_process(gk, _flat_ma(times), jumps,
@@ -102,7 +102,7 @@ class TestDensityProcess:
     def test_h1_no_band_jumps_and_zero_drift(self):
         F = DiscreteMeasure([(-1.5, 1.0), (1.5, 1.0)])
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0))
-        gk = make_h1_kernel(t, 1.0, 2.0)
+        gk = make_h1_kernel(t, 1.0, 2.0, 1.0)
         times = np.linspace(0.0, 1.0, 5)
         dp = density_process(gk, _flat_ma(times, y=0.0),
                              (np.empty(0), np.empty(0)))
@@ -111,7 +111,7 @@ class TestDensityProcess:
     def test_h1_compensator_accumulates(self):
         F = DiscreteMeasure([(-1.5, 1.0), (1.5, 1.0)])
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0))
-        gk = make_h1_kernel(t, 1.0, 2.0)
+        gk = make_h1_kernel(t, 1.0, 2.0, 1.0)
         times = np.linspace(0.0, 1.0, 5)
         y = -2.0  # raises the positive band side
         dp = density_process(gk, _flat_ma(times, y=y),
@@ -135,7 +135,7 @@ class TestDensityProcess:
 
     def test_density_terms_evaluates_alpha_once(self):
         # one array call over every jump, equal to the scalar calls
-        gk = make_h2_kernel(_two_atom_triplet(), 0.5)
+        gk = make_h2_kernel(_two_atom_triplet(), 0.5, 1.0)
         calls = []
 
         class Counting:
@@ -153,7 +153,7 @@ class TestDensityProcess:
 
     def test_matches_stoch_exp_route(self):
         t = _two_atom_triplet()
-        gk = make_h2_kernel(t, 0.5)
+        gk = make_h2_kernel(t, 0.5, 1.0)
         times = np.linspace(0.0, 1.0, 9)
         jumps = (np.array([0.25, 0.6]), np.array([1.0, -1.0]))
         y_pre = np.array([-0.4, 0.8])
@@ -170,7 +170,7 @@ class TestDensityProcess:
 class TestQCharacteristics:
     def test_total_drift_vanishes_h2(self):
         t = _two_atom_triplet()
-        gk = make_h2_kernel(t, 0.5)
+        gk = make_h2_kernel(t, 0.5, 1.0)
         for y in (-1.5, -0.3, 0.0, 0.7, 1.5):
             q = q_characteristics(gk, t, y)
             assert q.drift_t == pytest.approx(y, abs=1e-12)
@@ -179,14 +179,14 @@ class TestQCharacteristics:
     def test_total_drift_vanishes_h1(self):
         F = DiscreteMeasure([(-1.5, 1.0), (1.5, 1.0), (0.5, 2.0)])
         t = LevyTriplet(0.0, F, 0.3, indicator_inside(1.0))
-        gk = make_h1_kernel(t, 1.0, 2.0)
+        gk = make_h1_kernel(t, 1.0, 2.0, 1.0)
         for y in (-2.0, 0.0, 1.5):
             q = q_characteristics(gk, t, y)
             assert q.total_q_drift == pytest.approx(0.0, abs=1e-12)
 
     def test_q_measure_is_alpha_reweighted(self):
         t = _two_atom_triplet()
-        gk = make_h2_kernel(t, 0.5)
+        gk = make_h2_kernel(t, 0.5, 1.0)
         q = q_characteristics(gk, t, -1.0)
         np.testing.assert_allclose(q.alpha(np.array([-1.0, 1.0])), [0.5, 1.5],
                                    atol=1e-12)
@@ -261,14 +261,14 @@ class TestLmCriterion:
 class TestSimulateUnderQ:
     def _setup(self):
         t = _two_atom_triplet()
-        gk = make_h2_kernel(t, 0.5)
+        gk = make_h2_kernel(t, 0.5, 1.0)
         cfg = SimConfig(T=2.0, M=1.0, dt=0.25, eps_jump=0.25, n_paths=1, seed=77)
         return t, gk, cfg
 
     def test_requires_h2(self):
         F = DiscreteMeasure([(-1.5, 1.0), (1.5, 1.0)])
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0))
-        gk = make_h1_kernel(t, 1.0, 2.0)
+        gk = make_h1_kernel(t, 1.0, 2.0, 1.0)
         cfg = SimConfig(T=1.0, M=0.0, dt=0.25, eps_jump=0.5, n_paths=1, seed=1)
         with pytest.raises(UnsupportedModel):
             simulate_under_q(gk, exponential_kernel(1.0), PathSimulator(t, cfg), 0)
@@ -304,7 +304,7 @@ class TestSimulateUnderQ:
         # the atoms reweighted by alpha, and leaves the stream where it does
         F = DiscreteMeasure([(-2.0, 0.3), (-1.0, 1.0), (0.7, 0.8), (1.5, 0.6),
                              (3.0, 0.1)])
-        gk = make_h2_kernel(LevyTriplet(0.0, F, 0.0, indicator_inside(0.5)), 0.5)
+        gk = make_h2_kernel(LevyTriplet(0.0, F, 0.0, indicator_inside(0.5)), 0.5, 1.0)
         x, w = gk.tail.x, gk.tail.w
         ys = np.random.default_rng(0).uniform(-1.0, 1.0, 2000)
         for seed, y in enumerate(ys):

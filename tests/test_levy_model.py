@@ -318,3 +318,10 @@ class TestTypesAndProbes:
             DiscreteMeasure([(0.0, 1.0)])
         with pytest.raises(ValueError):
             DiscreteMeasure([(1.0, -1.0)])
+
+    @pytest.mark.parametrize("atom", [(math.nan, 1.0), (1.0, math.nan),
+                                      (math.inf, 1.0), (-math.inf, 1.0),
+                                      (1.0, math.inf)])
+    def test_non_finite_atoms_refused(self, atom):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure([(-1.0, 1.0), atom])

@@ -250,6 +250,22 @@ REFUSED = {
                                           tail_regime="heavy"), "tail_regime"),
     "h2-infinite-T": (lambda: _with(_two_atom_dict, "sim", T=float("inf")),
                       "sim.T"),
+    # an integer too large for a float (an OverflowError traceback before,
+    # or a load that failed mid-run)
+    **{f"{section}-{key}-past-float": (
+        lambda section=section, key=key, v=v: _with(_two_atom_dict, section, **{key: v}),
+        f"{section}.{key}")
+       for section, key, v in (("sim", "T", 10**400), ("triplet", "b_h", 10**400),
+                               ("triplet", "c", 10**400), ("kernel", "kappa", 10**400),
+                               ("emm", "a", 10**400), ("verify", "probe_times", [10**400]))},
+    "atom-weight-past-float": (lambda: _with(_two_atom_dict, "triplet", measure={
+        "type": "discrete", "atoms": [[-1.0, 10**400], [1.0, 1.0]]}), "triplet.measure"),
+    # non-finite atoms (RuntimeWarnings and then UnsupportedModel or NumPy's
+    # ValueError mid-run, before)
+    "atom-nan-weight": (lambda: _with(_two_atom_dict, "triplet", measure={
+        "type": "discrete", "atoms": [[-1.0, math.nan], [1.0, 1.0]]}), "finite"),
+    "atom-inf-position": (lambda: _with(_two_atom_dict, "triplet", measure={
+        "type": "discrete", "atoms": [[-math.inf, 1.0], [1.0, 1.0]]}), "finite"),
     # verify keys that the hypothesis runs nothing to read
     "none-tests": (lambda: _with(_builtin("classify-sas-1.5"), "verify",
                                  tests=["mean_density"]), "verify.tests"),
@@ -391,6 +407,16 @@ class TestPipelines:
         scn = builtin_scenario(name)
         assert run_construct(scn)["reach_sd"] == pytest.approx(9.0, abs=0.05)
         assert run_verify(scn, n_paths=200)["n_paths"] == 200
+
+    @pytest.mark.parametrize("amplitude", [-2.0, -1.0, 0.5, 2.0])
+    def test_h2_reach_does_not_move_with_the_kernel_amplitude(self, amplitude):
+        # Y and phi(0) both scale with the amplitude, so zeta(y) =
+        # -(y/phi0 + b_h)/lam reads the same u = Y/phi(0); a negative phi(0)
+        # swaps the edges of the y-interval
+        d = builtin_scenario("h2-two-atom").to_dict()
+        d["kernel"]["amplitude"] = amplitude
+        want = builtin_scenario("h2-two-atom").reach_sd
+        assert model_from_dict(d).reach_sd == pytest.approx(want, rel=1e-12)
 
     def test_h2_reach_below_six_refused_before_any_path(self, monkeypatch):
         # at kappa = 0.2 this ran at 2000 paths and stopped with
@@ -698,9 +724,9 @@ class TestPipelines:
         assert model.buffer_pool._buffers
 
     def test_threads_on_one_model_give_their_own_documents(self):
-        """Threads running one loaded model: one holds its buffer pool at a
-        time, the others take fresh arrays, and every document is the one
-        a fresh model gives."""
+        """Threads running one loaded model: each draws into buffers of its
+        own in the model's buffer pool, and every document is the one a
+        fresh model gives."""
         seeds = range(1, 9)
         want = [json.dumps(run_verify(builtin_scenario("h2-two-atom"),
                                       n_paths=1000, seed=s)) for s in seeds]
@@ -749,7 +775,7 @@ class TestDirectQ:
         scn = builtin_scenario("q-two-atom-zeta05")
         data = pipeline._run_chunked(pipeline._q_chunk, scn, 500, scn.cfg.seed, 1)
         frozen = scn.gk
-        live = emm_construct.make_h2_kernel(scn.levy, scn.emm["a"])
+        live = emm_construct.make_h2_kernel(scn.levy, scn.emm["a"], scn.kern.phi0)
         law = verify.conditional_jump_law_test
         assert law(data["y_pre"], data["marks"], frozen, seed=1).verdict == "pass"
         assert law(data["y_pre"], data["marks"], live, seed=1).verdict == "fail"
@@ -771,6 +797,15 @@ class TestH1TwoAtom:
         md = {r["name"]: r for r in doc["reports"]}["mean_density"]
         assert md["verdict"] == "fail"
         assert md["estimate"] > 1.0
+
+    def test_kernel_of_half_amplitude_passes_q_martingale(self):
+        """alpha reads y/phi(0): with phi(0) = 0.5 the band absorbs twice
+        the drift Y. Reading y in its place, this seed fails q_martingale
+        (-0.051, s.e. 0.009)."""
+        d = _with(_h1_dict, "kernel", kappa=1.0, amplitude=0.5)
+        doc = run_verify(model_from_dict(d), n_paths=20000, seed=2)
+        verdicts = {r["name"]: r["verdict"] for r in doc["reports"]}
+        assert verdicts == {"mean_density": "pass", "q_martingale": "pass"}
 
 
 class TestCli:
@@ -959,7 +994,10 @@ class TestCli:
         "bremaud-tempered-stable", "bremaud-symmetric-alpha-stable",
         "band-negative-height", "h2-tolerance-zero", "h1-zero-start",
         "h1-zero-amplitude", "h1-power-density-phi0-0", "h2-zero-start",
-        "q-zero-start"])
+        "q-zero-start", "sim-T-past-float", "triplet-b_h-past-float",
+        "triplet-c-past-float", "kernel-kappa-past-float", "emm-a-past-float",
+        "verify-probe_times-past-float", "atom-weight-past-float",
+        "atom-nan-weight", "atom-inf-position"])
     def test_refused_battery_is_config_error(self, case, tmp_path, capsys):
         build, named = REFUSED[case]
         p = tmp_path / "refused.yaml"

@@ -223,13 +223,13 @@ class TestMergeTailBins:
     def test_merges_small_expected(self):
         obs = np.array([50.0, 30.0, 2.0, 1.0, 0.0])
         exp = np.array([48.0, 31.0, 3.0, 1.5, 0.5])
-        o, e = _merge_tail_bins(obs, exp, floor=5.0)
+        o, e = _merge_tail_bins(obs, exp)
         assert np.all(e >= 5.0)
         assert o.sum() == pytest.approx(obs.sum())
         assert e.sum() == pytest.approx(exp.sum())
 
     def test_all_small_collapses_to_one(self):
-        o, e = _merge_tail_bins([1.0, 1.0], [0.5, 0.5], floor=5.0)
+        o, e = _merge_tail_bins([1.0, 1.0], [0.5, 0.5])
         assert len(o) == 1
 
 
@@ -237,7 +237,7 @@ class TestConditionalJumpLaw:
     def _gk(self):
         F = DiscreteMeasure([(-1.0, 1.0), (1.0, 1.0)])
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(0.5))
-        return make_h2_kernel(t, 0.5)
+        return make_h2_kernel(t, 0.5, 1.0)
 
     def test_matching_law_passes(self):
         gk = self._gk()
@@ -299,7 +299,7 @@ class TestConditionalJumpLaw:
         F = symmetric_alpha_stable(1.5) if measure == "stable" \
             else uniform_band(0.25, 2.0)
         gk = make_h2_kernel(LevyTriplet(0.0, F, 0.0, indicator_inside(0.5),
-                                        integrable=measure == "grid"), 0.5)
+                                        integrable=measure == "grid"), 0.5, 1.0)
         rng = np.random.default_rng(13)
         y = rng.uniform(1.5, 2.5, 4000)
         marks = gk.mark_quantile(y, rng.random(4000))
