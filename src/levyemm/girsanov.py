@@ -32,13 +32,12 @@ from .levy_model import (
     levy_integrate,
 )
 from .path_sim import (
+    Arrivals,
     BufferPool,
     MovingAveragePath,
-    PathBlock,
     PathSimulator,
     _running_sum,
     _slices,
-    draw_arrivals,
 )
 from .verify import doubling_estimates, doubling_verdict, finite_expect
 
@@ -351,22 +350,23 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
 
 def q_arrivals(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
                rngs, pool: BufferPool | None = None) -> tuple:
-    """draw_under_q's first pass, for one block: each path's P draw, then
-    its Q arrivals (`draw_arrivals`), and the response at every arrival of
-    the jumps and cells the paths keep: the P draw with its tail jumps on
-    (0, T] set to size 0, in place, so that they add nothing. Returns
-    (counts, times, mark uniforms, that response), arrays of the caller's
-    own; the P block is drawn into pool when one is given."""
+    """draw_under_q's first pass, for one block: each path's P draw and
+    then its Q arrivals (`Arrivals`), in the one pass over the generators
+    of `PathSimulator.draw`, and the response at every arrival of the jumps
+    and cells the paths keep: the P draw with its tail jumps on (0, T] set
+    to size 0, in place, so that they add nothing. Returns (counts, times,
+    mark uniforms, that response), arrays of the caller's own; the P block
+    is drawn into pool when one is given."""
     config = sim.config
     if gk.kind != "h2":
         raise UnsupportedModel("direct Q simulation needs the tail kernel")
     if config.eps_jump > gk.a:
         raise UnsupportedModel("eps_jump must not exceed the tail threshold a")
 
-    base = sim.draw(rngs, pool=pool)
-    # each path's arrivals and mark uniforms come after its P draws
-    counts, q_t, q_u = draw_arrivals(rngs, gk.lam * config.T, 0.0, config.T)
-    q_rows = np.repeat(np.arange(len(rngs)), counts)
+    q = Arrivals(gk.lam * config.T, 0.0, config.T, len(rngs))
+    base = sim.draw(rngs, pool=pool, then=q)
+    counts, q_t, q_u = q.result()
+    q_rows = np.repeat(np.arange(len(counts)), counts)
     base.jump_sizes[base.jumps_beyond(gk.a)] = 0.0
     return counts, q_t, q_u, base.response(kernel.dphi, q_rows, q_t, strict=True)
 

@@ -427,14 +427,15 @@ def first_abs_moment_tail(F: LevyMeasure, r: float = 1.0) -> float:
 _MASS_FLOOR = 1e-12  # least conditional mass an admissible zeta leaves
 _GRID_PTS_PER_DECADE = 512
 _GRID_REL_TOL = 1e-10  # share of the tail a side may leave beyond its grid
+_TAKE_ELEMS = 1 << 12  # uniforms a discrete quantile reads off at a time
 
 
 class TailLaw:
     """Normalized restriction of F to |x| > r (open region) or |x| >= r
     (closed), with its total mass as `rate`.
 
-    quantile(u) inverts the law at u in [0, 1), into out when given, and
-    sample draws marks through it; mass_below(z) = P(X < z) and
+    quantile(u) inverts the law at u in [0, 1), into out when given (which
+    may be u itself), and sample draws marks through it; mass_below(z) = P(X < z) and
     partial_mean_below(z) = E[X 1_{X < z}] are the queries lambda_of_zeta
     needs. All three take arrays. mean is NaN when the tail has no first
     moment. zeta_lo < zeta_hi bound the levels that leave both conditional
@@ -472,6 +473,7 @@ class DiscreteTailLaw(TailLaw):
         # Generator.choice does, so quantile reproduces its draws
         self._below = np.concatenate([[0.0], cum_p])
         self._cdf = cum_p / cum_p[-1]
+        self._x_down = self.x[::-1].copy()
         self._xp_below = np.concatenate([[0.0], np.cumsum(self.x * self.p)])
         self.mean = float(self._xp_below[-1])
         self.zeta_lo = float(self.x[0])
@@ -479,14 +481,20 @@ class DiscreteTailLaw(TailLaw):
 
     def quantile(self, u, out=None):
         """searchsorted(_cdf, u, side="right")'s atom, the last for u = 1.0
-        or NaN: from the last atom down, each atom whose boundary lies
-        above u replaces the one before, one comparison pass per boundary,
-        which beats the search at a few atoms."""
+        or NaN: the atom boundaries above each uniform are counted, one
+        comparison pass per boundary, which beats the search at a few
+        atoms, and the atoms are read off by that count _TAKE_ELEMS at a
+        time, so that np.take's indices stay small. out, which must be
+        contiguous, may be u itself."""
         u = np.asarray(u, dtype=float)
+        above = np.zeros(u.shape, dtype=np.min_scalar_type(len(self.x)))
+        for c in self._cdf[:-1].tolist():
+            above += u < c
         out = np.empty(u.shape) if out is None else out
-        out.fill(self.x[-1])
-        for x, c in zip(self.x[-2::-1].tolist(), self._cdf[-2::-1].tolist()):
-            np.copyto(out, x, where=u < c)
+        at, flat = above.reshape(-1), out.reshape(-1)
+        for lo in range(0, len(flat), _TAKE_ELEMS):
+            hi = lo + _TAKE_ELEMS
+            np.take(self._x_down, at[lo:hi], out=flat[lo:hi])
         return out if out.ndim else out[()]
 
     def mass_below(self, z):

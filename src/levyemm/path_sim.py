@@ -38,6 +38,11 @@ def _is_multiple(x: float, dt: float) -> bool:
     return abs(x - k * dt) <= 1e-9 * max(1.0, abs(x))
 
 
+# the most paths a run takes: its path indices are split into chunks at
+# float edges (`pipeline._run_chunked`), which hold every integer up to 2**53
+MAX_PATHS = 2**53
+
+
 @dataclass(frozen=True)
 class SimConfig:
     T: float
@@ -52,6 +57,8 @@ class SimConfig:
             raise InvalidConfig("need T > 0, M >= 0, dt > 0, eps_jump > 0")
         if self.n_paths < 1:
             raise InvalidConfig("n_paths must be >= 1")
+        if self.n_paths > MAX_PATHS:
+            raise InvalidConfig("n_paths must be at most 2**53")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, not {self.seed}")
         if not (_is_multiple(self.T, self.dt) and _is_multiple(self.M, self.dt)):
@@ -119,8 +126,8 @@ _COMPRESS_ELEMS = 1 << 12
 
 class BufferPool(threading.local):
     """Grow-only NumPy buffers by name, for the per-block arrays of a run
-    that nothing keeps past its block: `PathSimulator.draw`'s jumps and
-    marks, and the carried states of a block drawn into the pool
+    that nothing keeps past its block: `PathSimulator.draw`'s jump rows,
+    times and marks, and the carried states of a block drawn into the pool
     (`_Carried`).
 
     Each thread has buffers of its own, so threads that share a pool never
@@ -130,21 +137,34 @@ class BufferPool(threading.local):
     pool; what a caller keeps past its block must be copied into arrays it
     owns. A buffer that is too small is replaced by one an eighth larger
     than asked, and none is ever shrunk or freed, so after the first blocks
-    a run allocates no per-jump array. Without the pool each block
-    allocated and freed about 1.9 MB, and between runs the C allocator
-    handed much of it back to the kernel, which faulted it in again page by
-    page on the next run."""
+    a run allocates no per-jump array. A 1000-path chunk of h2-two-atom
+    holds about 1.7 MB of them in 256-path blocks; without the pool each
+    block would allocate and free it, and between runs the C allocator
+    handed much of that back to the kernel, which faulted it in again page
+    by page on the next run."""
 
     def __init__(self):
         self._buffers = {}
 
-    def take(self, name, shape, dtype=float) -> np.ndarray:
-        """The buffer name as an uninitialised array of shape and dtype."""
-        n = math.prod(shape) if isinstance(shape, tuple) else shape
+    def _buffer(self, name, n, dtype) -> np.ndarray:
         buf = self._buffers.get(name)
         if buf is None or buf.size < n or buf.dtype != dtype:
             buf = self._buffers[name] = np.empty(n + n // 8, dtype)
-        return buf[:n].reshape(shape)
+        return buf
+
+    def take(self, name, shape, dtype=float) -> np.ndarray:
+        """The buffer name as an uninitialised array of shape and dtype."""
+        n = math.prod(shape) if isinstance(shape, tuple) else shape
+        return self._buffer(name, n, dtype)[:n].reshape(shape)
+
+    def take_rows(self, name, n_rows: int, width: int) -> np.ndarray:
+        """The buffer name as n_rows uninitialised rows of floats, each at
+        least width long and as long as the buffer allows. A buffer too
+        small is replaced, as take replaces one, so rows taken before stay
+        as they were."""
+        buf = self._buffer(name, n_rows * width, float)
+        width = buf.size // n_rows if n_rows else width
+        return buf[:n_rows * width].reshape(n_rows, width)
 
 
 def _empty(pool: BufferPool | None, name, shape, dtype=float) -> np.ndarray:
@@ -154,26 +174,36 @@ def _empty(pool: BufferPool | None, name, shape, dtype=float) -> np.ndarray:
 
 
 def _compress(mask, values, out) -> np.ndarray:
-    """values[mask] written into out, a slice of _COMPRESS_ELEMS at a time,
-    so that no temporary is longer than a slice (np.compress allocates the
-    indices and a copy of the whole result, even with out)."""
-    at = 0
-    for lo in range(0, len(mask), _COMPRESS_ELEMS):
-        m = mask[lo:lo + _COMPRESS_ELEMS]
+    """values[mask] written into out, about _COMPRESS_ELEMS at a time (whole
+    rows of 2-D values, which may be strided), so that no temporary is
+    longer than a slice (np.compress allocates the indices and a copy of
+    the whole result, even with out). out may share the memory of values
+    if no value is written to where a later slice reads."""
+    at, step = 0, max(1, _COMPRESS_ELEMS // max(1, math.prod(mask.shape[1:])))
+    for lo in range(0, len(mask), step):
+        m = mask[lo:lo + step]
         n = np.count_nonzero(m)
-        out[at:at + n] = values[lo:lo + _COMPRESS_ELEMS][m]
+        out[at:at + n] = values[lo:lo + step][m]
         at += n
     return out
 
 
+def _runs(first: bool, *lengths) -> np.ndarray:
+    """Row after row, runs of lengths[0][b], lengths[1][b], ... elements,
+    True and False in turn from first, flat (a length may be one number
+    for all rows): one boolean repeat, which unlike a broadcast comparison
+    takes no iterator buffers."""
+    runs = np.empty((len(lengths[0]), len(lengths)), dtype=np.intp)
+    for k, length in enumerate(lengths):
+        runs[:, k] = length
+    values = np.arange(len(lengths)) % 2 == (not first)
+    return np.repeat(np.tile(values, len(runs)), runs.ravel())
+
+
 def _leading(counts: np.ndarray, widths) -> np.ndarray:
     """Row after row, counts[b] True and then widths[b] - counts[b] False,
-    flat (widths may be one number for all rows): one boolean repeat,
-    which unlike a broadcast comparison takes no iterator buffers."""
-    runs = np.empty(2 * len(counts), dtype=np.intp)
-    runs[0::2] = counts
-    runs[1::2] = widths - counts
-    return np.repeat(np.tile([True, False], len(counts)), runs)
+    flat (widths may be one number for all rows)."""
+    return _runs(True, counts, widths - counts)
 
 
 @dataclass
@@ -207,10 +237,9 @@ class PathBlock:
                    path.jump_times, path.jump_sizes,
                    np.array([0, len(path.jump_times)]))
 
-    def jump_rows(self, dtype=np.intp) -> np.ndarray:
-        """The path of each flat jump, as dtype."""
-        return np.repeat(np.arange(len(self.offsets) - 1, dtype=dtype),
-                         np.diff(self.offsets))
+    def jump_rows(self) -> np.ndarray:
+        """The path of each flat jump."""
+        return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
     def jumps_beyond(self, a: float) -> np.ndarray:
         """The flat indices of the jumps after 0 of size |Z| > a."""
@@ -264,7 +293,11 @@ class PathBlock:
                 continue
             f0, kappa = form
             c = carried.setdefault(kappa, _Carried(self, kappa))
-            out.append(f0 * (c.cells_at(rows, t) + c.jumps_at(rows, t, strict=strict)))
+            # f0 (cells + jumps), in the jumps' array
+            v = c.jumps_at(rows, t, strict=strict)
+            v += c.cells_at(rows, t)
+            v *= f0
+            out.append(v)
         return out
 
     def _running(self, fn, rows, t, *, strict: bool) -> np.ndarray:
@@ -392,45 +425,28 @@ class _Carried:
         block = self.block
         jt = block.jump_times
         counts = np.diff(block.offsets)
+        width = -(-int(counts.max(initial=0)) // _CHUNK) * _CHUNK
+        # (row, rank) of every jump, over whole chunks
+        filled = _leading(counts, width).reshape(len(counts), width)
+        shape = (_CHUNK, width // _CHUNK, len(counts))
+        prod, part = self._empty("prod", shape), self._empty("part", shape)
         starts = block.offsets[:-1][counts > 0]
         # the gaps T_j - T_{j-1}, 0 at each row's first jump, then in place
-        # their decays
-        decay = self._empty("decay", len(jt))
+        # their decays, flat in part's buffer until the sizes are laid out
+        decay = part.reshape(-1)[:len(jt)]
         decay[:1] = jt[:1]
         np.subtract(jt[1:], jt[:-1], out=decay[1:])
         decay[starts] = 0.0
         decay *= -self.kappa
         np.exp(decay, out=decay)
         decay[starts] = 0.0
-        return _carry(self._chunked(decay, "prod"),
-                      self._chunked(block.jump_sizes, "part"))
-
-    @cached_property
-    def _filled(self) -> np.ndarray:
-        """(row, rank) of every jump, as a mask over whole chunks."""
-        counts = np.diff(self.block.offsets)
-        width = -(-int(counts.max(initial=0)) // _CHUNK) * _CHUNK
-        return _leading(counts, width).reshape(len(counts), width)
-
-    def _chunked(self, values, name) -> np.ndarray:
-        """Per-jump values in the (rank in chunk, chunk, row) layout of
-        jump_carry, so that each step of _carry is one contiguous slab."""
-        B, width = self._filled.shape
-        padded = self._empty("padded", (B, width))
-        padded.fill(0.0)
-        padded[self._filled] = values
-        out = self._empty(name, (_CHUNK, width // _CHUNK, B))
-        np.copyto(out, padded.reshape(B, -1, _CHUNK).transpose(2, 1, 0))
-        return out
-
-    @cached_property
-    def jump_keys(self) -> np.ndarray:
-        """The jumps' (row, time) keys (`_row_time_keys`), in flat order."""
-        block, jt = self.block, self.block.jump_times
-        # the rows in the least integer type that holds them: a byte a jump
-        # in a block of up to 256 paths
-        rows = block.jump_rows(np.min_scalar_type(len(block.offsets) - 2))
-        return _row_time_keys(rows, jt, self._empty("keys", len(jt), complex))
+        # each step of _carry reads one contiguous slab of this layout; the
+        # values go straight into its (row, chunk, rank in chunk) view
+        chunked = filled.reshape(len(counts), -1, _CHUNK)
+        for values, out in ((decay, prod), (block.jump_sizes, part)):
+            out.fill(0.0)
+            out.transpose(2, 1, 0)[chunked] = values
+        return _carry(prod, part)
 
     def cells_at(self, rows, t) -> np.ndarray:
         """e^{-kappa (t - l)} C_l at the last left node l < t of each query."""
@@ -471,24 +487,45 @@ class _Carried:
         out = np.zeros(len(t))
         if not (len(block.jump_times) and len(t)):
             return out
-        last = np.searchsorted(self.jump_keys, _row_time_keys(rows, t),
-                               side="left" if strict else "right") - 1
+        # the carry first, so that its temporaries are gone before the
+        # queries' are made
+        part, prod, entering = self.jump_carry
         first = block.offsets[rows]
+        last = _last_before(block.jump_times, first, block.offsets[rows + 1], t,
+                            strict=strict)
         seen = last >= first
         j, r = last[seen], rows[seen]
         chunk, rank = np.divmod(j - first[seen], _CHUNK)
-        part, prod, entering = self.jump_carry
-        out[seen] = np.exp(-self.kappa * (t[seen] - block.jump_times[j])) \
-            * (part[rank, chunk, r] + prod[rank, chunk, r] * entering[chunk, r])
+        del first, last
+        # e^{-kappa (t - T_j)} (part + prod entering), formed in place, so that
+        # few arrays of the queries' length are alive at once
+        s = part[rank, chunk, r]
+        s += prod[rank, chunk, r] * entering[chunk, r]
+        e = t[seen]
+        e -= block.jump_times[j]
+        e *= -self.kappa
+        np.exp(e, out=e)
+        e *= s
+        out[seen] = e
         return out
 
 
-def _row_time_keys(rows, t, out=None):
-    """Complex keys row + i t, which compare (row, time) exactly, in that
-    order (into out when given)."""
-    keys = np.empty(len(t), dtype=complex) if out is None else out
-    keys.real, keys.imag = rows, t
-    return keys
+def _last_before(values, lo, hi, t, *, strict: bool) -> np.ndarray:
+    """For each query q, the last index j of lo[q]..hi[q] - 1 with
+    values[j] < t[q] (values[j] <= t[q] unless strict), or lo[q] - 1 if
+    there is none, where each values[lo[q]:hi[q]] is sorted: the index
+    np.searchsorted(values[lo:hi], t, side) + lo - 1 gives, for all queries
+    at once. A bisection by steps of halving powers of two from the
+    widest range's, each one array operation for every query; a step past
+    hi[q] - 1 tries hi[q] - 1 instead."""
+    before = np.less if strict else np.less_equal
+    last, top = lo - 1, hi - 1
+    at = np.empty_like(last)
+    for k in reversed(range(int(np.max(hi - lo, initial=0)).bit_length())):
+        np.add(last, 1 << k, out=at)
+        np.minimum(at, top, out=at)
+        np.copyto(last, at, where=before(values[at], t))
+    return last
 
 
 def _carry(r, z):
@@ -679,58 +716,78 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def sort_rows(values: np.ndarray, counts: np.ndarray,
-              pool: BufferPool | None = None) -> np.ndarray:
-    """values, row after row with counts[b] in row b, each row sorted: one
-    sort of the rows padded to a (B, width) array with +inf, which only
-    permutes each row's values. The padded rows and the result are taken
-    from pool when one is given."""
-    width = int(counts.max(initial=0))
-    filled = _leading(counts, width).reshape(len(counts), width)
-    padded = _empty(pool, "sort_rows", filled.shape)
-    padded.fill(np.inf)
-    padded[filled] = values
-    padded.sort(axis=1)
-    return _compress(filled.ravel(), padded.ravel(),
-                     _empty(pool, "sorted", len(values)))
+class Arrivals:
+    """Per path, a Poisson(mean) count n_b of arrival times uniform on
+    [lo, hi) and a mark uniform for each, drawn one generator at a time
+    (draw), path b's into row b of one buffer of rows: a poisson call,
+    then one random(2 n_b) call, whose first n_b doubles d give the times
+    as lo + (hi - lo) d, which is NumPy's uniform(lo, hi, n_b) to the bit,
+    and whose last n_b are the uniforms. A row too short for its doubles
+    widens the rows, and those drawn so far are copied over.
+
+    result then takes the uniforms out of the rows, pads each row's times
+    with +inf and sorts the rows in place, once for all of them, and maps
+    the sorted doubles to times: lo + (hi - lo) d does not decrease with d
+    in floating point either, so it keeps them in order. With a pool the
+    rows and the uniforms are its buffers "rows" and "tails", and the times
+    are gathered into the head of the rows; without, all three are arrays
+    of their own."""
+
+    def __init__(self, mean: float, lo: float, hi: float, n_rows: int,
+                 pool: BufferPool | None = None):
+        self.mean, self.lo, self.hi, self.pool = mean, lo, hi, pool
+        self.counts = []
+        self.rows = self._rows(n_rows, 0)
+
+    def _rows(self, n_rows, width) -> np.ndarray:
+        if self.pool is None:
+            return np.empty((n_rows, width + width // 8))
+        return self.pool.take_rows("rows", n_rows, width)
+
+    def draw(self, rng) -> None:
+        """The next path's two calls of rng."""
+        n, b = rng.poisson(self.mean), len(self.counts)
+        if 2 * n > self.rows.shape[1]:
+            old, used = self.rows, 2 * max(self.counts, default=0)
+            self.rows = self._rows(len(old), 2 * n)
+            self.rows[:b, :used] = old[:b, :used]
+        self.counts.append(n)
+        rng.random(out=self.rows[b, :2 * n])
+
+    def result(self) -> tuple:
+        """The counts, the times sorted row by row and the uniforms, the
+        last two flat in row order."""
+        counts = np.array(self.counts, dtype=np.intp)
+        n, width = int(counts.sum()), int(counts.max(initial=0))
+        rows = self.rows[:, :2 * width]
+        u = _compress(_runs(False, counts, counts, 2 * (width - counts)).reshape(
+            rows.shape), rows, _empty(self.pool, "tails", n))
+        head = rows[:, :width]
+        head[_runs(False, counts, width - counts).reshape(head.shape)] = np.inf
+        head.sort(axis=1)
+        # gathered into the head of the rows row after row: row b's times go
+        # to where rows before b lay, never past the rows still to be read
+        into = np.empty(n) if self.pool is None else self.rows.reshape(-1)[:n]
+        times = _compress(_leading(counts, width).reshape(head.shape), head, into)
+        times *= self.hi - self.lo
+        times += self.lo
+        return counts, times, u
 
 
-def draw_arrivals(rngs, mean: float, lo: float, hi: float,
-                  pool: BufferPool | None = None) -> tuple:
-    """Per generator, a Poisson(mean) count n_b of arrival times uniform on
-    [lo, hi) and a mark uniform for each. Each generator makes one poisson
-    call and then one random(2 n_b) call: its first n_b doubles d give the
-    times as lo + (hi - lo) d, which is NumPy's uniform(lo, hi, n_b) to the
-    bit, and the last n_b are the uniforms. Returns the counts, the times
-    sorted row by row (`sort_rows`) and the uniforms, flat in row order;
-    with a pool, the times and uniforms are its buffers."""
-    counts = np.array([rng.poisson(mean) for rng in rngs], dtype=np.intp)
-    n = int(counts.sum())
-    d = _empty(pool, "arrivals", 2 * n)
-    start = 0
-    for rng, end in zip(rngs, (2 * np.cumsum(counts)).tolist()):
-        rng.random(out=d[start:end])
-        start = end
-    times, u = _halves(d, counts, pool)
-    times *= hi - lo
-    times += lo
-    return counts, sort_rows(times, counts, pool), u
+class Generators:
+    """The PCG64 generators of rows of seed states (`seed_states`), each
+    built only when iteration reaches it, so that a block drawn from them
+    holds one at a time; each iteration builds them afresh."""
 
+    def __init__(self, states: np.ndarray):
+        self.states = states
 
-def _halves(d, counts, pool):
-    """The first and the last counts[b] values of each row b of d, whose
-    row b holds 2 counts[b] values, each flat in row order (in the pool's
-    buffers when one is given)."""
-    n = len(d) // 2
-    first = _leading(counts, 2 * counts)
-    head = _compress(first, d, _empty(pool, "heads", n))
-    tail = _compress(np.logical_not(first, out=first), d, _empty(pool, "tails", n))
-    return head, tail
+    def __len__(self) -> int:
+        return len(self.states)
 
-
-def generators(states: np.ndarray) -> list:
-    """A PCG64 generator for each row of (n, 4) seed states (`seed_states`)."""
-    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in states]
+    def __iter__(self):
+        for w in self.states:
+            yield np.random.Generator(np.random.PCG64(_StateWords(w)))
 
 
 def seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
@@ -771,8 +828,8 @@ class PathSimulator:
     the state words of a whole range of paths at any seed at once, by a
     vectorised pass that reproduces SeedSequence's words and is checked
     against NumPy's own SeedSequence on the first path of the pass;
-    `generators` builds the generators from any slice of them, and rngs
-    does both for one block at the config's seed.
+    `Generators` builds the generators from any slice of them one at a
+    time, and rngs builds all of one range at the config's seed.
     """
 
     def __init__(self, triplet: LevyTriplet, config: SimConfig):
@@ -803,20 +860,27 @@ class PathSimulator:
     def rngs(self, lo: int, hi: int) -> list:
         """The generators of paths lo..hi - 1, each the one rng_for gives,
         from one seed_states pass."""
-        return generators(seed_states(self.config.seed, lo, hi))
+        return list(Generators(seed_states(self.config.seed, lo, hi)))
 
     def draw(self, rngs, prehistory: Prehistory | None = None,
-             pool: BufferPool | None = None) -> PathBlock:
-        """One path per generator. Each row takes the same calls of its own
-        generator in the same order, so it does not depend on the block it
-        is drawn in; simulate is the one-row case. The Gaussian cells take
-        one standard_normal call: n normals z for the Brownian part and n
-        more for the small-jump approximation, each when it has variance,
-        so the cells are drift dt + sd_c z[:n] + sd_small z[n:], added in
-        that order, as two normal(0, sd, n) calls gave them. Then come
-        `draw_arrivals`' two calls, the jump count and then the times and
-        mark uniforms together. The uniforms are turned into marks by the
-        tail quantile, once for the whole block.
+             pool: BufferPool | None = None,
+             then: Arrivals | None = None) -> PathBlock:
+        """One path per generator of rngs, a sized iterable that is
+        iterated once: each generator makes all its calls in one pass and
+        is dropped before the next one's, so `Generators` builds one at a
+        time. Each row takes the same calls of its own generator in the
+        same order, so it does not depend on the block it is drawn in;
+        simulate is the one-row case. The Gaussian cells take one
+        standard_normal call: n normals z for the Brownian part and n more
+        for the small-jump approximation, each when it has variance, so the
+        cells are drift dt + sd_c z[:n] + sd_small z[n:], added in that
+        order, as two normal(0, sd, n) calls gave them. Then come the
+        explicit jumps' two calls (`Arrivals`), the jump count and then the
+        times and mark uniforms together, and last then's two calls, when
+        a caller passes arrivals of its own (for n_rows = len(rngs)) to be
+        drawn in the same pass; it reads them from then.result(). The
+        uniforms are turned into marks by the tail quantile, once for the
+        whole block, in their own buffer.
 
         With prehistory, a law from `prehistory`, the one normal call
         draws law.rank more normals after the cells' ones: the row's eta,
@@ -829,8 +893,8 @@ class PathSimulator:
 
         A draw without Gaussian cells or drift has no diffuse activity:
         its diffuse is a read-only view of one 0.0. With pool, the block's
-        jump times and sizes are the pool's buffers (`draw_arrivals`), so
-        the block is valid until this thread draws its next block into the
+        jump times and sizes are the pool's buffers (`Arrivals`), so the
+        block is valid until this thread draws its next block into the
         pool, and the block keeps the pool for its carried states."""
         if prehistory is not None and self.tail is not None:
             raise InvalidConfig("the pre-history is Gaussian only without "
@@ -838,30 +902,35 @@ class PathSimulator:
         cfg = self.config
         n = cfg.n_cells
         dt = cfg.dt
+        n_rows = len(rngs)
         sds = [math.sqrt(v * dt) for v in (self.triplet.c, self.small_var_rate)
                if v > 0.0]
         drift = self.drift_rate * dt
         if sds or drift:
-            diffuse = np.full((len(rngs), n), drift)
+            diffuse = np.full((n_rows, n), drift)
         else:
-            diffuse = np.broadcast_to(drift, (len(rngs), n))
+            diffuse = np.broadcast_to(drift, (n_rows, n))
         cells = len(sds) * n
         rank = 0 if prehistory is None else prehistory.rank
-        z = np.empty((len(rngs), cells + rank))
-        if z.shape[1]:
-            for rng, row in zip(rngs, z):
+        z = np.empty((n_rows, cells + rank))
+        jumps = None if self.tail is None else Arrivals(
+            self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T, n_rows, pool)
+        arrivals = [a for a in (jumps, then) if a is not None]
+        for row, rng in zip(z, rngs):
+            if len(row):
                 rng.standard_normal(out=row)
+            for a in arrivals:
+                a.draw(rng)
         for k, sd in enumerate(sds):
             zk = z[:, k * n:(k + 1) * n]
             zk *= sd
             diffuse += zk
-        offsets = np.zeros(len(rngs) + 1, dtype=np.intp)
+        offsets = np.zeros(n_rows + 1, dtype=np.intp)
         jump_times = sizes = np.empty(0)
-        if self.tail is not None:
-            counts, jump_times, u = draw_arrivals(
-                rngs, self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T, pool)
+        if jumps is not None:
+            counts, jump_times, u = jumps.result()
             offsets[1:] = np.cumsum(counts)
-            sizes = self.tail.quantile(u, out=_empty(pool, "marks", len(u)))
+            sizes = self.tail.quantile(u, out=u)
         # a copy of eta, so that the block does not keep the whole buffer z
         eta = None if prehistory is None else np.ascontiguousarray(z[:, cells:])
         return PathBlock(self.times, dt, diffuse, jump_times, sizes, offsets, eta,

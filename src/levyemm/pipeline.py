@@ -45,11 +45,11 @@ from .levy_model import (
 )
 from .path_sim import (
     BufferPool,
+    Generators,
     PathSimulator,
     Prehistory,
     SimConfig,
     _is_multiple,
-    generators,
     moving_average,
     seed_states,
     write_jumps_csv,
@@ -61,10 +61,10 @@ REPORT_SCHEMA_VERSION = "1"
 # paths drawn and evaluated together by the path workers and run_simulate;
 # results do not depend on it, since every path keeps its own (seed, i)
 # generator and is summed on its own
-_BLOCK = 128
+_BLOCK = 256
 # paths seeded by one hashing pass (_blocks): a whole number of blocks, few
 # enough that the pass's temporaries stay a few MB
-_SEED_PASS = 128 * _BLOCK
+_SEED_PASS = 64 * _BLOCK
 # simulate writes the path CSVs of the first _MAX_PATH_CSV paths; construct
 # checks the kernel at _CONSTRUCT_N_Y values of y over [-y_span, y_span]
 _MAX_PATH_CSV = 5
@@ -588,13 +588,14 @@ def _blocks(seed: int, start: int, stop: int):
     """The generators of [start, stop) at seed in blocks of _BLOCK paths,
     with each block's first index. The seed states of up to _SEED_PASS
     paths come from one pass of `seed_states`, checked against NumPy's
-    SeedSequence on the pass's first path; a block's generators are built
-    from its slice of them when the block is drawn. Each is the
-    SeedSequence((seed, i)) generator of path i (rng_for at seed)."""
+    SeedSequence on the pass's first path; a block's generators are
+    `Generators` of its slice of them, each built only when the block's
+    draw reaches its path. Each is the SeedSequence((seed, i)) generator of
+    path i (rng_for at seed)."""
     for first in range(start, stop, _SEED_PASS):
         states = seed_states(seed, first, min(first + _SEED_PASS, stop))
         for lo in range(0, len(states), _BLOCK):
-            yield first + lo, generators(states[lo:lo + _BLOCK])
+            yield first + lo, Generators(states[lo:lo + _BLOCK])
 
 
 def _weighted_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
@@ -612,9 +613,6 @@ def _weighted_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
     for lo, rngs in _blocks(seed, start, stop):
         block = sim.draw(rngs, pool=model.buffer_pool)
         n = len(rngs)
-        # the generators are done with: drop them before the next block's
-        # are built
-        del rngs
         out = slice(lo - start, lo - start + n)
         paths = np.arange(n)
         # the flat tail jumps on (0, T], and the path of each
@@ -648,9 +646,6 @@ def _q_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
         for column, part in zip(columns, girsanov.q_arrivals(
                 gk, kern, sim, rngs, model.buffer_pool)):
             column.append(part)
-        # the generators are done with: drop them before the next block's
-        # are built
-        del rngs
     # each column's block parts are freed as soon as they are joined
     counts, q_t, q_u, y_pre = (np.concatenate(columns.pop(0)) for _ in range(4))
     marks = girsanov.q_marks(gk, kern, counts, q_t, q_u, y_pre)

@@ -7,7 +7,7 @@ import scipy.signal
 
 from levyemm import _backend
 from levyemm.kernel import constant_kernel, exponential_kernel, zero_start_kernel
-from levyemm.path_sim import PathBlock, _Carried, sort_rows
+from levyemm.path_sim import PathBlock, _Carried
 
 _KERNELS = {
     "exponential": exponential_kernel(0.3, 1.7),
@@ -93,7 +93,7 @@ def _block(B, n_out, m, dt, seed, jumps=3):
     counts = np.full(B, jumps)
     jt = rng.uniform(times[0], times[-1], B * jumps)
     jt[::jumps] = times[rng.integers(1, N + 1, B)]
-    jt = sort_rows(jt, counts)
+    jt = np.sort(jt.reshape(B, jumps), axis=1).ravel()
     return PathBlock(times, dt, rng.standard_normal((B, N)) * dt ** 0.5,
                      jt, rng.standard_normal(B * jumps),
                      np.concatenate([[0], np.cumsum(counts)]))

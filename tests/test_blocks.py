@@ -3,10 +3,12 @@ summed on its own, so the chunk workers do not depend on how the path
 indices are split, and they agree with per-path references."""
 
 import dataclasses
+import json
 import math
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from levyemm.path_sim import (
     SimConfig,
     _cell_index,
     moving_average,
-    sort_rows,
     y_at,
 )
 
@@ -89,6 +90,21 @@ def test_chunk_arrays_independent_of_the_split(case):
         assert len(whole["counts"]) == 2000 and whole["counts"].sum() > 0
     for key, arr in whole.items():
         assert np.array_equal(arr, np.concatenate([p[key] for p in parts])), key
+
+
+@pytest.mark.parametrize("name", ["h2-two-atom", "h1-two-atom", "q-two-atom-zeta05",
+                                  "gaussian-baseline"])
+def test_documents_independent_of_the_block_size(name, monkeypatch):
+    """The battery's document is the same, byte for byte, in blocks of
+    128, 256 or 37 paths, in this process and in two pool workers."""
+    docs = set()
+    for block in (128, 256, 37):
+        monkeypatch.setattr(pipeline, "_BLOCK", block)
+        for workers in (1, 2):
+            doc = pipeline.run_verify(pipeline.builtin_scenario(name), n_paths=600,
+                                      workers=workers)
+            docs.add(json.dumps(doc))
+    assert len(docs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +177,13 @@ def test_sas_direct_q_has_diffuse_cells():
 @pytest.mark.parametrize("start, stop, passes", [
     (5, 250, 1), (100, 700, 3), (2**32 - 200, 2**32 + 50, 2)])
 def test_chunk_seeding_equals_rng_for(monkeypatch, start, stop, passes):
-    monkeypatch.setattr(pipeline, "_SEED_PASS", 2 * pipeline._BLOCK)
+    monkeypatch.setattr(pipeline, "_SEED_PASS", 256)
     hashed = []
     seed_state = path_sim._seed_state
     monkeypatch.setattr(path_sim, "_seed_state",
                         lambda e: hashed.append(e.shape) or seed_state(e))
     sim = _seeded_sim(20260823)
-    blocks = list(pipeline._blocks(20260823, start, stop))
+    blocks = [(lo, list(rngs)) for lo, rngs in pipeline._blocks(20260823, start, stop)]
     assert len(hashed) == passes
     assert [lo for lo, _ in blocks] == list(range(start, stop, pipeline._BLOCK))
     for lo, rngs in blocks:
@@ -195,7 +211,7 @@ def test_chunk_is_seeded_in_one_pass(monkeypatch):
 @pytest.mark.parametrize("lo, hi", [(-64.0, 1.0), (0.0, 1.0), (-3.3, 7.1),
                                     (0.0, 0.37), (2.0, 2.5)])
 def test_numpy_uniform_is_lo_plus_range_times_random(lo, hi):
-    # draw_arrivals turns random doubles into uniform(lo, hi) times by
+    # Arrivals turns random doubles into uniform(lo, hi) times by
     # this identity; a NumPy that fuses the multiply-add must fail here
     got = np.random.default_rng(11).uniform(lo, hi, 20000)
     assert np.array_equal(got, lo + (hi - lo) * np.random.default_rng(11).random(20000))
@@ -210,8 +226,16 @@ def test_numpy_normal_is_sd_times_standard_normal(sd):
     assert np.array_equal(got, np.concatenate([sd * z[:1000], 2 * sd * z[1000:]]))
 
 
+def _arrivals(rngs, mean, lo, hi, pool=None):
+    """Arrivals drawn from each generator of rngs in turn."""
+    arrivals = path_sim.Arrivals(mean, lo, hi, len(rngs), pool)
+    for rng in rngs:
+        arrivals.draw(rng)
+    return arrivals.result()
+
+
 def _arrivals_reference(rngs, mean, lo, hi):
-    """draw_arrivals by three calls per generator: poisson, uniform, random."""
+    """Arrivals by three calls per generator: poisson, uniform, random."""
     counts, times, u = [], [np.empty(0)], [np.empty(0)]
     for rng in rngs:
         counts.append(rng.poisson(mean))
@@ -226,7 +250,7 @@ def _arrivals_reference(rngs, mean, lo, hi):
 def test_draw_arrivals_equals_three_calls_per_generator(window, rows, mean):
     sim = _seeded_sim(77)
     rngs, refs = sim.rngs(100, 100 + rows), sim.rngs(100, 100 + rows)
-    got = path_sim.draw_arrivals(rngs, mean, *window)
+    got = _arrivals(rngs, mean, *window)
     want = _arrivals_reference(refs, mean, *window)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -235,6 +259,57 @@ def test_draw_arrivals_equals_three_calls_per_generator(window, rows, mean):
     assert (got[0].sum() == 0) == (mean == 0.0)
     for rng, ref in zip(rngs, refs):
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _sorted_rows(values, counts):
+    """values, row after row with counts[b] in row b, each row sorted."""
+    ends = np.cumsum(counts)
+    return np.concatenate([np.empty(0)] + [np.sort(values[e - c:e])
+                                           for c, e in zip(counts, ends)])
+
+
+def _flat_split_reference(rngs, mean, lo, hi):
+    """Arrivals as one flat buffer of every generator's random(2 n_b)
+    doubles, split into each row's first and last n_b, the first turned
+    into times and sorted row by row, as a block took them before its
+    doubles were written row by row."""
+    counts = np.array([rng.poisson(mean) for rng in rngs], dtype=np.intp)
+    d = np.concatenate([np.empty(0)] + [rng.random(2 * c)
+                                        for rng, c in zip(rngs, counts)])
+    first = np.repeat(np.tile([True, False], len(counts)), np.repeat(counts, 2))
+    times = d[first] * (hi - lo) + lo
+    return counts, _sorted_rows(times, counts), d[~first]
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pool"])
+def test_row_written_arrivals_equal_the_flat_split_and_sort(pooled):
+    """Each generator's doubles written into its own row, the uniforms
+    taken out and the times sorted in the rows, equal the flat split and
+    sort, bit for bit: blocks without arrivals, with the builtins' mean
+    and window, with a few arrivals a row, and, with a pool, blocks drawn
+    into rows left wider or narrower by the block before. Last, rows of
+    ever more arrivals, after one without, widen the rows at each row."""
+    sim = _seeded_sim(2024)
+    pool = path_sim.BufferPool() if pooled else None
+    cases = [(0.0, 5, -60.0, 1.0), (122.0, 40, -60.0, 1.0), (3.0, 200, 0.0, 1.0),
+             (0.4, 37, -3.3, 7.1), (122.0, 9, -60.0, 1.0)]
+    for mean, rows, lo, hi in cases:
+        rngs, refs = sim.rngs(0, rows), sim.rngs(0, rows)
+        got = _arrivals(rngs, mean, lo, hi, pool)
+        want = _flat_split_reference(refs, mean, lo, hi)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (mean, rows)
+    arrivals = path_sim.Arrivals(1.0, 0.0, 1.0, 4, pool)
+    means = [0.0, 1.0, 30.0, 300.0]
+    for mean, rng in zip(means, sim.rngs(50, 54)):
+        arrivals.mean = mean
+        arrivals.draw(rng)
+    counts, times, u = arrivals.result()
+    refs = sim.rngs(50, 54)
+    want = [_flat_split_reference([r], m, 0.0, 1.0) for r, m in zip(refs, means)]
+    assert counts.tolist() == [int(w[0][0]) for w in want] and counts[0] == 0
+    assert np.array_equal(times, np.concatenate([w[1] for w in want]))
+    assert np.array_equal(u, np.concatenate([w[2] for w in want]))
 
 
 def test_merged_gaussian_cells_equal_two_normal_calls():
@@ -330,14 +405,47 @@ def test_gaussian_chunk_takes_one_generator_call_per_path(name, monkeypatch):
     model = pipeline.model_from_dict(CHUNK_CASES[name][1]())
     made = []
 
-    def counting(states):
-        made.extend(_Counting(rng) for rng in path_sim.generators(states))
-        return made[-len(states):]
+    class Counting(path_sim.Generators):
+        def __iter__(self):
+            for rng in super().__iter__():
+                made.append(_Counting(rng))
+                yield made[-1]
 
-    monkeypatch.setattr(pipeline, "generators", counting)
+    monkeypatch.setattr(pipeline, "Generators", Counting)
     pipeline._gaussian_chunk(model, model.cfg.seed, 0, 300)
     assert len(made) == 300
     assert all(rng.calls == ["standard_normal"] for rng in made)
+
+
+@pytest.mark.parametrize("case", ["h2-two-atom", "q-two-atom-zeta05",
+                                  "direct-q-sas-1.5", "gaussian-baseline"])
+def test_a_block_holds_one_generator_at_a_time(case, monkeypatch):
+    """Each path's generator is built when the block's draw reaches its
+    path and dropped when the draw moves on: when the next one is built,
+    only the one before it (the draw's loop variable) is alive. The
+    generators are watched through wrappers, which take weak references,
+    and their seed states are counted as they are built."""
+    worker, build = CHUNK_CASES[case]
+    model = pipeline.model_from_dict(build())
+    built, alive, made = [], [], []
+    state_words = path_sim._StateWords
+    monkeypatch.setattr(path_sim, "_StateWords",
+                        lambda w: built.append(len(made)) or state_words(w))
+
+    class Watched(path_sim.Generators):
+        def __iter__(self):
+            for rng in super().__iter__():
+                alive.append(sum(r() is not None for r in made))
+                rng = _Counting(rng)
+                made.append(weakref.ref(rng))
+                yield rng
+                del rng
+
+    monkeypatch.setattr(pipeline, "Generators", Watched)
+    worker(model, model.cfg.seed, 0, 600)
+    assert built == list(range(600))
+    assert len(made) == 600 and max(alive) <= 1
+    assert all(r() is None for r in made)
 
 
 def _gaussian_chunk_reference(model, start, stop):
@@ -677,15 +785,30 @@ def test_weighted_block_matches_per_path_reference(name):
 # ---------------------------------------------------------------------------
 
 
-def test_sort_rows_sorts_each_row_on_its_own():
-    rng = np.random.default_rng(4)
-    counts = np.array([0, 5, 1, 0, 17, 3])
-    values = rng.normal(size=counts.sum())
-    got = sort_rows(values, counts)
-    ends = np.cumsum(counts)
-    want = np.concatenate([np.sort(values[e - c:e]) for c, e in zip(counts, ends)])
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "at-or-before"])
+def test_last_before_equals_searchsorted_on_row_time_keys(strict):
+    """The per-row bisection gives the index the search of complex
+    (row, time) keys gave: random rows of 0 to 70 sorted times, some of
+    them tied, queried at random times, exactly at their own jump times,
+    before and after all of them, and in rows without jumps."""
+    rng = np.random.default_rng(17)
+    counts = rng.integers(0, 71, 120)
+    counts[[0, 5, 6, -1]] = 0
+    t = _sorted_rows(np.round(rng.uniform(-5.0, 1.0, counts.sum()), 1), counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    jump_rows = np.repeat(np.arange(len(counts)), counts)
+    rows = np.concatenate([rng.integers(0, len(counts), 3000), jump_rows,
+                           np.arange(len(counts)), np.arange(len(counts))])
+    tq = np.concatenate([rng.uniform(-6.0, 2.0, 3000), t,
+                         np.full(len(counts), -9.0), np.full(len(counts), 9.0)])
+    keys = np.empty(len(t), dtype=complex)
+    keys.real, keys.imag = jump_rows, t
+    queries = np.empty(len(tq), dtype=complex)
+    queries.real, queries.imag = rows, tq
+    want = np.searchsorted(keys, queries, side="left" if strict else "right") - 1
+    got = path_sim._last_before(t, offsets[rows], offsets[rows + 1], tq, strict=strict)
     assert np.array_equal(got, want)
-    assert len(sort_rows(np.empty(0), np.zeros(3, dtype=int))) == 0
+    assert (got < offsets[rows]).any() and (got == offsets[rows + 1] - 1).any()
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +959,7 @@ def test_carried_jump_read_equals_the_materialised_states():
     kappa, width = 0.7, path_sim._CHUNK
     counts = np.array([16, 0, 33, 1, 17, 15])
     rng = np.random.default_rng(5)
-    jt = sort_rows(rng.uniform(-3.0, 1.0, counts.sum()), counts)
+    jt = _sorted_rows(rng.uniform(-3.0, 1.0, counts.sum()), counts)
     times = np.linspace(-3.0, 1.0, 9)
     block = PathBlock(times, 0.5, np.zeros((len(counts), 8)), jt,
                       rng.normal(size=len(jt)),
@@ -971,6 +1094,20 @@ def test_pooled_chunks_allocate_no_per_jump_arrays():
         finally:
             tracemalloc.stop()
         assert peak - start <= 256 * 1024, (name, peak - start)
+
+
+def test_pool_of_a_jump_chunk_holds_at_most_2_mib():
+    """A 1000-path chunk of either jump battery leaves at most 2.0 MiB in
+    the model's pool: each path's doubles in one row buffer, the marks
+    formed in their uniforms, the decays laid out through the carry's own
+    buffers, and no (row, time) keys. At 128-path blocks the pool held
+    1.99 MB before these, 124 bytes a jump."""
+    for name, worker in (("q-two-atom-zeta05", pipeline._q_chunk),
+                         ("h2-two-atom", pipeline._weighted_chunk)):
+        model = pipeline.builtin_scenario(name)
+        worker(model, model.cfg.seed, 0, 1000)
+        held = sum(b.nbytes for b in model.buffer_pool._buffers.values())
+        assert held <= 2 * 2**20, (name, held)
 
 
 @pytest.mark.parametrize("widths", ["per row", "one"])

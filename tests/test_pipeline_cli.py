@@ -158,6 +158,12 @@ REFUSED = {
     "h2-negative-paths": (lambda: _with(_two_atom_dict, "sim", n_paths=-3),
                           "n_paths"),
     "h2-negative-seed": (lambda: _with(_two_atom_dict, "sim", seed=-1), "seed"),
+    # _run_chunked's float edges cannot hold every path index past 2**53 (an
+    # IndexError at 2**63 and a UFuncTypeError from 2**64 on, exit 1, before)
+    **{f"h2-{label}-paths": (lambda n=n: _with(_two_atom_dict, "sim", n_paths=n),
+                             "n_paths must be at most 2**53")
+       for label, n in (("2**53+1", 2**53 + 1), ("2**63", 2**63),
+                        ("2**64", 2**64), ("10**400", 10**400))},
     # Z_T reads every increment as Brownian: with jumps mean_density passed
     # at E[Z_T] = 19.6, and c = 0 divided by zero
     "gaussian-with-jumps": (lambda: _with(
@@ -521,6 +527,18 @@ class TestPipelines:
                 run_verify(scn, **{key: value})
             else:
                 run_simulate(scn, str(tmp_path), **{key: value})
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("n_paths", [2**53 + 1, 2**63, 2**64, 10**400],
+                             ids=["2**53+1", "2**63", "2**64", "10**400"])
+    @pytest.mark.parametrize("run", ["verify", "simulate"])
+    def test_n_paths_past_2_53_refused(self, n_paths, run, tmp_path):
+        scn = builtin_scenario("h2-two-atom")
+        with pytest.raises(ConfigError, match=r"sim: n_paths must be at most 2\*\*53"):
+            if run == "verify":
+                run_verify(scn, n_paths=n_paths)
+            else:
+                run_simulate(scn, str(tmp_path), n_paths=n_paths)
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("tests", [["finite_expect"],
@@ -997,7 +1015,8 @@ class TestCli:
         "q-zero-start", "sim-T-past-float", "triplet-b_h-past-float",
         "triplet-c-past-float", "kernel-kappa-past-float", "emm-a-past-float",
         "verify-probe_times-past-float", "atom-weight-past-float",
-        "atom-nan-weight", "atom-inf-position"])
+        "atom-nan-weight", "atom-inf-position", "h2-2**63-paths",
+        "h2-10**400-paths"])
     def test_refused_battery_is_config_error(self, case, tmp_path, capsys):
         build, named = REFUSED[case]
         p = tmp_path / "refused.yaml"
@@ -1017,8 +1036,9 @@ class TestCli:
         assert code == cli.EXIT_CONFIG == 64
         assert "s.d." in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--n-paths", "0"], ["--n-paths", "-3"],
-                                       ["--seed", "-1"]])
+    @pytest.mark.parametrize("flags", [
+        ["--n-paths", "0"], ["--n-paths", "-3"], ["--seed", "-1"],
+        *(["--n-paths", str(n)] for n in (2**53 + 1, 2**63, 2**64, 10**400))])
     def test_out_of_range_sim_flags_are_config_errors(self, flags, tmp_path,
                                                        capsys):
         code = cli.main(["verify", "--builtin", "h2-two-atom",
