@@ -469,8 +469,9 @@ class DiscreteTailLaw(TailLaw):
         self.rate = float(np.sum(self.w))
         self.p = self.w / np.sum(self.w)
         cum_p = np.cumsum(self.p)
-        # P(X < x_i), and the cumulative mass renormalised the way
-        # Generator.choice does, so quantile reproduces its draws
+        # P(X < x_i), and the cumulative mass renormalised to end at 1.0,
+        # as Generator.choice renormalises it; marks are quantile's of
+        # uniforms, and the renormalised CDF only keeps their stream as it is
         self._below = np.concatenate([[0.0], cum_p])
         self._cdf = cum_p / cum_p[-1]
         self._x_down = self.x[::-1].copy()

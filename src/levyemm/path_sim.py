@@ -125,10 +125,10 @@ _COMPRESS_ELEMS = 1 << 12
 
 
 class BufferPool(threading.local):
-    """Grow-only NumPy buffers by name, for the per-block arrays of a run
-    that nothing keeps past its block: `PathSimulator.draw`'s jump rows,
-    times and marks, and the carried states of a block drawn into the pool
-    (`_Carried`).
+    """Grow-only NumPy buffers of floats by name, for the per-block arrays
+    of a run that nothing keeps past its block: `PathSimulator.draw`'s jump
+    rows, times and marks, and the carried states of a block drawn into
+    the pool (`_Carried`). Each simulator holds one (`PathSimulator.pool`).
 
     Each thread has buffers of its own, so threads that share a pool never
     share a buffer. An array taken from the pool is valid until its thread
@@ -146,31 +146,35 @@ class BufferPool(threading.local):
     def __init__(self):
         self._buffers = {}
 
-    def _buffer(self, name, n, dtype) -> np.ndarray:
+    def __reduce__(self):
+        # a copy, pickled or deep, starts empty: buffers belong to threads
+        return BufferPool, ()
+
+    def _buffer(self, name, n) -> np.ndarray:
         buf = self._buffers.get(name)
-        if buf is None or buf.size < n or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(n + n // 8, dtype)
+        if buf is None or buf.size < n:
+            buf = self._buffers[name] = np.empty(n + n // 8)
         return buf
 
-    def take(self, name, shape, dtype=float) -> np.ndarray:
-        """The buffer name as an uninitialised array of shape and dtype."""
+    def take(self, name, shape) -> np.ndarray:
+        """The buffer name as an uninitialised array of floats of shape."""
         n = math.prod(shape) if isinstance(shape, tuple) else shape
-        return self._buffer(name, n, dtype)[:n].reshape(shape)
+        return self._buffer(name, n)[:n].reshape(shape)
 
     def take_rows(self, name, n_rows: int, width: int) -> np.ndarray:
         """The buffer name as n_rows uninitialised rows of floats, each at
         least width long and as long as the buffer allows. A buffer too
         small is replaced, as take replaces one, so rows taken before stay
         as they were."""
-        buf = self._buffer(name, n_rows * width, float)
+        buf = self._buffer(name, n_rows * width)
         width = buf.size // n_rows if n_rows else width
         return buf[:n_rows * width].reshape(n_rows, width)
 
 
-def _empty(pool: BufferPool | None, name, shape, dtype=float) -> np.ndarray:
-    """pool's buffer name as an array of shape, or a new one without a
-    pool."""
-    return np.empty(shape, dtype) if pool is None else pool.take(name, shape, dtype)
+def _empty(pool: BufferPool | None, name, shape) -> np.ndarray:
+    """pool's buffer name as an array of floats of shape, or a new one
+    without a pool."""
+    return np.empty(shape) if pool is None else pool.take(name, shape)
 
 
 def _compress(mask, values, out) -> np.ndarray:
@@ -213,9 +217,9 @@ class PathBlock:
     diffuse holds every path's cell increments before any explicit jump is
     embedded. The explicit jumps of all paths sit in one flat array: path
     b's, in increasing time, at offsets[b]:offsets[b + 1]. A block drawn
-    with a pre-history law (`PathSimulator.draw`) keeps each path's normals
-    of that law as the rows of eta, and one drawn into a buffer pool keeps
-    the pool, from which its carried states take their buffers too.
+    with a pre-history law (`PathSimulator.draw`) spans [0, T] and keeps
+    its normals of the law as the rows of eta; one drawn into a buffer pool
+    keeps the pool, from which its carried states take their buffers too.
     """
 
     times: np.ndarray  # nodes -M = t_0 < ... < t_N = T
@@ -391,8 +395,8 @@ class _Carried:
     def __init__(self, block: PathBlock, kappa: float):
         self.block, self.kappa = block, kappa
 
-    def _empty(self, name, shape, dtype=float) -> np.ndarray:
-        return _empty(self.block.pool, (name, self.kappa), shape, dtype)
+    def _empty(self, name, shape) -> np.ndarray:
+        return _empty(self.block.pool, (name, self.kappa), shape)
 
     @cached_property
     def cell_states(self) -> np.ndarray | None:
@@ -819,6 +823,29 @@ def seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(out)
 
 
+# paths drawn and evaluated together by the chunk workers and run_simulate
+# (`blocks`); results do not depend on it, since every path keeps its own
+# (seed, i) generator and is summed on its own
+_BLOCK = 256
+# paths seeded by one hashing pass (`blocks`): a whole number of blocks, few
+# enough that the pass's temporaries stay a few MB
+_SEED_PASS = 64 * _BLOCK
+
+
+def blocks(seed: int, start: int, stop: int):
+    """The generators of [start, stop) at seed in blocks of _BLOCK paths,
+    with each block's first index. The seed states of up to _SEED_PASS
+    paths come from one pass of `seed_states`, checked against NumPy's
+    SeedSequence on the pass's first path; a block's generators are
+    `Generators` of its slice of them, each built only when the block's
+    draw reaches its path. Each is the SeedSequence((seed, i)) generator of
+    path i (rng_for at seed)."""
+    for first in range(start, stop, _SEED_PASS):
+        states = seed_states(seed, first, min(first + _SEED_PASS, stop))
+        for lo in range(0, len(states), _BLOCK):
+            yield first + lo, Generators(states[lo:lo + _BLOCK])
+
+
 class PathSimulator:
     """Precomputes model quantities and generates reproducible paths.
 
@@ -829,7 +856,9 @@ class PathSimulator:
     vectorised pass that reproduces SeedSequence's words and is checked
     against NumPy's own SeedSequence on the first path of the pass;
     `Generators` builds the generators from any slice of them one at a
-    time, and rngs builds all of one range at the config's seed.
+    time, `blocks` walks a range in blocks of them, and rngs builds all of
+    one range at the config's seed. pool is the `BufferPool` that the
+    chunk workers draw their jump blocks into.
     """
 
     def __init__(self, triplet: LevyTriplet, config: SimConfig):
@@ -851,6 +880,7 @@ class PathSimulator:
         self.drift_rate = triplet.b_h - comp
 
         self.times = np.linspace(-config.M, config.T, config.n_cells + 1)
+        self.pool = BufferPool()
 
     def rng_for(self, path_index: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -882,14 +912,15 @@ class PathSimulator:
         uniforms are turned into marks by the tail quantile, once for the
         whole block, in their own buffer.
 
-        With prehistory, a law from `prehistory`, the one normal call
-        draws law.rank more normals after the cells' ones: the row's eta,
-        kept on the block for `PathBlock.moving_average`. They are the
-        normals a second standard_normal(rank) call would give, since
-        NumPy's generator draws each normal from the bit stream alone and
-        keeps nothing between calls. A law is refused with InvalidConfig
-        when the simulator has explicit jumps, as `prehistory` refuses
-        one.
+        With prehistory, a law from `prehistory`, the block holds the cells
+        of [0, T] alone, on the nodes of the lattice of M = 0 to the bit,
+        and the one normal call draws law.rank more normals after the
+        cells' ones: the row's eta, kept on the block for
+        `PathBlock.moving_average`. They are the normals a second
+        standard_normal(rank) call would give, since NumPy's generator
+        draws each normal from the bit stream alone and keeps nothing
+        between calls. A law is refused with InvalidConfig when the
+        simulator has explicit jumps, as `prehistory` refuses one.
 
         A draw without Gaussian cells or drift has no diffuse activity:
         its diffuse is a read-only view of one 0.0. With pool, the block's
@@ -900,7 +931,8 @@ class PathSimulator:
             raise InvalidConfig("the pre-history is Gaussian only without "
                                 "explicit jumps")
         cfg = self.config
-        n = cfg.n_cells
+        times, n = ((self.times, cfg.n_cells) if prehistory is None
+                    else (np.linspace(0.0, cfg.T, cfg.n_out), cfg.n_out - 1))
         dt = cfg.dt
         n_rows = len(rngs)
         sds = [math.sqrt(v * dt) for v in (self.triplet.c, self.small_var_rate)
@@ -933,8 +965,7 @@ class PathSimulator:
             sizes = self.tail.quantile(u, out=u)
         # a copy of eta, so that the block does not keep the whole buffer z
         eta = None if prehistory is None else np.ascontiguousarray(z[:, cells:])
-        return PathBlock(self.times, dt, diffuse, jump_times, sizes, offsets, eta,
-                         pool)
+        return PathBlock(times, dt, diffuse, jump_times, sizes, offsets, eta, pool)
 
     def prehistory(self, kernel: Kernel) -> Prehistory:
         """The law of what the m cells of [-M, 0] add to (X_k, Y_k),

@@ -24,7 +24,7 @@ import math
 import numbers
 import os
 import concurrent.futures
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -44,27 +44,18 @@ from .levy_model import (
     uniform_band,
 )
 from .path_sim import (
-    BufferPool,
-    Generators,
     PathSimulator,
     Prehistory,
     SimConfig,
     _is_multiple,
+    blocks,
     moving_average,
-    seed_states,
     write_jumps_csv,
     write_path_csv,
 )
 
 REPORT_SCHEMA_VERSION = "1"
 
-# paths drawn and evaluated together by the path workers and run_simulate;
-# results do not depend on it, since every path keeps its own (seed, i)
-# generator and is summed on its own
-_BLOCK = 256
-# paths seeded by one hashing pass (_blocks): a whole number of blocks, few
-# enough that the pass's temporaries stay a few MB
-_SEED_PASS = 64 * _BLOCK
 # simulate writes the path CSVs of the first _MAX_PATH_CSV paths; construct
 # checks the kernel at _CONSTRUCT_N_Y values of y over [-y_span, y_span]
 _MAX_PATH_CSV = 5
@@ -134,11 +125,10 @@ class Model:
     A run takes its n_paths and seed as arguments and leaves the model as
     it is, so what a run reads besides them is built when first read, at
     most once per loaded model, for all its runs: the Girsanov kernel
-    (gk), the h2 reach (reach_sd), the Gaussian battery's pre-history law
-    (prehistory) and simulator of M = 0 (window_simulator), and the pool
-    of the jump batteries' per-block buffers (buffer_pool). Nothing is
-    kept across models: each pool worker process builds its own from
-    to_dict()."""
+    (gk), the h2 reach (reach_sd) and the Gaussian battery's pre-history
+    law (prehistory). The jump batteries draw their blocks into the
+    simulator's buffer pool (`PathSimulator.pool`). Nothing is kept across
+    models: each pool worker process builds its own from to_dict()."""
 
     name: str
     triplet: dict
@@ -163,15 +153,6 @@ class Model:
     @functools.cached_property
     def prehistory(self) -> Prehistory:
         return self.simulator.prehistory(self.kern)
-
-    @functools.cached_property
-    def buffer_pool(self) -> BufferPool:
-        return BufferPool()
-
-    @functools.cached_property
-    def window_simulator(self) -> PathSimulator:
-        """The simulator of the lattice on [0, T] alone (M = 0)."""
-        return PathSimulator(self.levy, replace(self.cfg, M=0.0))
 
     def to_dict(self) -> dict:
         keys = ("name", "triplet", "kernel", "sim", "emm", "verify")
@@ -584,24 +565,10 @@ def _check_reach(model: Model) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(seed: int, start: int, stop: int):
-    """The generators of [start, stop) at seed in blocks of _BLOCK paths,
-    with each block's first index. The seed states of up to _SEED_PASS
-    paths come from one pass of `seed_states`, checked against NumPy's
-    SeedSequence on the pass's first path; a block's generators are
-    `Generators` of its slice of them, each built only when the block's
-    draw reaches its path. Each is the SeedSequence((seed, i)) generator of
-    path i (rng_for at seed)."""
-    for first in range(start, stop, _SEED_PASS):
-        states = seed_states(seed, first, min(first + _SEED_PASS, stop))
-        for lo in range(0, len(states), _BLOCK):
-            yield first + lo, Generators(states[lo:lo + _BLOCK])
-
-
 def _weighted_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
     """Weighted-P statistics (h1 or h2) of the model's paths [start, stop)
-    at seed. Each block is drawn into the model's buffer pool, and what the
-    chunk keeps of it goes to arrays of its own."""
+    at seed, in `blocks`. Each block is drawn into the simulator's buffer
+    pool, and what the chunk keeps of it goes to arrays of its own."""
     kern, cfg, sim, gk = model.kern, model.cfg, model.simulator, model.gk
     probes = np.array(_probe_times(model))
     # left nodes of the compensator sum on [0, T); none for a mass-preserving alpha
@@ -610,8 +577,8 @@ def _weighted_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
     z_T = np.empty(stop - start)
     x_probe = np.empty((stop - start, len(probes)))
     counts = np.empty(stop - start, dtype=np.int64)
-    for lo, rngs in _blocks(seed, start, stop):
-        block = sim.draw(rngs, pool=model.buffer_pool)
+    for lo, rngs in blocks(seed, start, stop):
+        block = sim.draw(rngs, pool=sim.pool)
         n = len(rngs)
         out = slice(lo - start, lo - start + n)
         paths = np.arange(n)
@@ -636,15 +603,15 @@ def _weighted_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
 
 def _q_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
     """Direct-Q mark and count statistics of the model's paths [start, stop)
-    at seed, in two passes: girsanov.q_arrivals for each block, drawn into
-    the model's buffer pool, then one girsanov.q_marks over all the chunk's
-    arrivals, so its rank loop runs once per chunk. The values equal
-    draw_under_q's block by block."""
+    at seed, in two passes: girsanov.q_arrivals for each of its `blocks`,
+    drawn into the simulator's buffer pool, then one girsanov.q_marks over
+    all the chunk's arrivals, so its rank loop runs once per chunk. The
+    values equal draw_under_q's block by block."""
     gk, kern, sim = model.gk, model.kern, model.simulator
     columns = [[], [], [], []]
-    for _, rngs in _blocks(seed, start, stop):
+    for _, rngs in blocks(seed, start, stop):
         for column, part in zip(columns, girsanov.q_arrivals(
-                gk, kern, sim, rngs, model.buffer_pool)):
+                gk, kern, sim, rngs, sim.pool)):
             column.append(part)
     # each column's block parts are freed as soon as they are joined
     counts, q_t, q_u, y_pre = (np.concatenate(columns.pop(0)) for _ in range(4))
@@ -658,20 +625,19 @@ def _gaussian_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
     (jumps, c = 0 and phi(0) = 0 are refused at load).
 
     The battery reads X and Y on [0, T] only, where the cells of [-M, 0]
-    enter through one Gaussian vector of low rank r. So each path draws
-    its cells on [0, T] (the simulator of M = 0, with the same (seed, i)
-    generators) and then r normals, which give that vector exactly in law
-    (`PathSimulator.prehistory`): one standard_normal call of 256 + r
-    normals per path at the builtin lattice instead of its 5376 (`draw`
-    with the law). This changed the battery's random stream against the
-    whole lattice's. X is formed at the probe nodes only; Y, and with it
-    theta = -(Y + phi0 xi) / (phi0 sqrt(c)), theta dB and theta^2 on the
-    left nodes of [0, T), at every node, each in place, and dB in the
-    block's own buffer of increments. The law and the simulator of M = 0
-    are the model's (`Model.prehistory`, `Model.window_simulator`), built
-    once per loaded model."""
-    triplet, kern, cfg = model.levy, model.kern, model.cfg
-    law, near = model.prehistory, model.window_simulator
+    enter through one Gaussian vector of low rank r. So each path, in
+    `blocks`, draws its cells on [0, T] and then r normals, which give
+    that vector exactly in law (`PathSimulator.prehistory`): one
+    standard_normal call of 256 + r normals per path at the builtin
+    lattice instead of its 5376 (`draw` with the law, which draws the
+    window [0, T] of the lattice). This changed the battery's random
+    stream against the whole lattice's. X is formed at the probe nodes
+    only; Y, and with it theta = -(Y + phi0 xi) / (phi0 sqrt(c)), theta dB
+    and theta^2 on the left nodes of [0, T), at every node, each in place,
+    and dB in the block's own buffer of increments. The law is the
+    model's (`Model.prehistory`), built once per loaded model."""
+    triplet, kern, cfg, sim = model.levy, model.kern, model.cfg, model.simulator
+    law = model.prehistory
     sqc = math.sqrt(triplet.c)
     phi0 = kern.phi0
     xi = triplet.xi()
@@ -679,14 +645,14 @@ def _gaussian_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
     p_idx = [round(t / cfg.dt) for t in _probe_times(model)]
 
     z_parts, x_parts = [], []
-    for _, rngs in _blocks(seed, start, stop):
-        block = near.draw(rngs, law)
+    for _, rngs in blocks(seed, start, stop):
+        block = sim.draw(rngs, law)
         X, Y = block.moving_average(kern, law, p_idx)
         theta = np.add(Y[:, :-1], phi0 * xi)
         # IEEE division is sign-symmetric, so these are the bits of negating first
         theta /= -(phi0 * sqc)
         # nothing reads the block's increments after this
-        dB = np.subtract(block.diffuse, near.drift_rate * cfg.dt, out=block.diffuse)
+        dB = np.subtract(block.diffuse, sim.drift_rate * cfg.dt, out=block.diffuse)
         dB /= sqc
         dB *= theta
         np.square(theta, out=theta)
@@ -869,7 +835,7 @@ def run_simulate(model: Model, out_dir: str, n_paths=None, seed=None) -> dict:
     kern, sim = model.kern, model.simulator
     os.makedirs(out_dir, exist_ok=True)
     jump_records = []
-    for lo, rngs in _blocks(seed, 0, n_paths):
+    for lo, rngs in blocks(seed, 0, n_paths):
         block = sim.draw(rngs)
         for b in range(min(len(rngs), _MAX_PATH_CSV - lo)):
             path = block.path(b)

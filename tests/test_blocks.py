@@ -2,9 +2,11 @@
 summed on its own, so the chunk workers do not depend on how the path
 indices are split, and they agree with per-path references."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import threading
 import tracemalloc
 import warnings
@@ -99,7 +101,7 @@ def test_documents_independent_of_the_block_size(name, monkeypatch):
     128, 256 or 37 paths, in this process and in two pool workers."""
     docs = set()
     for block in (128, 256, 37):
-        monkeypatch.setattr(pipeline, "_BLOCK", block)
+        monkeypatch.setattr(path_sim, "_BLOCK", block)
         for workers in (1, 2):
             doc = pipeline.run_verify(pipeline.builtin_scenario(name), n_paths=600,
                                       workers=workers)
@@ -177,17 +179,17 @@ def test_sas_direct_q_has_diffuse_cells():
 @pytest.mark.parametrize("start, stop, passes", [
     (5, 250, 1), (100, 700, 3), (2**32 - 200, 2**32 + 50, 2)])
 def test_chunk_seeding_equals_rng_for(monkeypatch, start, stop, passes):
-    monkeypatch.setattr(pipeline, "_SEED_PASS", 256)
+    monkeypatch.setattr(path_sim, "_SEED_PASS", 256)
     hashed = []
     seed_state = path_sim._seed_state
     monkeypatch.setattr(path_sim, "_seed_state",
                         lambda e: hashed.append(e.shape) or seed_state(e))
     sim = _seeded_sim(20260823)
-    blocks = [(lo, list(rngs)) for lo, rngs in pipeline._blocks(20260823, start, stop)]
+    blocks = [(lo, list(rngs)) for lo, rngs in path_sim.blocks(20260823, start, stop)]
     assert len(hashed) == passes
-    assert [lo for lo, _ in blocks] == list(range(start, stop, pipeline._BLOCK))
+    assert [lo for lo, _ in blocks] == list(range(start, stop, path_sim._BLOCK))
     for lo, rngs in blocks:
-        assert len(rngs) == min(pipeline._BLOCK, stop - lo)
+        assert len(rngs) == min(path_sim._BLOCK, stop - lo)
         for i, rng in zip(range(lo, lo + len(rngs)), rngs):
             assert rng.bit_generator.state == sim.rng_for(i).bit_generator.state, i
 
@@ -195,12 +197,12 @@ def test_chunk_seeding_equals_rng_for(monkeypatch, start, stop, passes):
 def test_chunk_is_seeded_in_one_pass(monkeypatch):
     calls = []
     seed_states = path_sim.seed_states
-    monkeypatch.setattr(pipeline, "seed_states",
+    monkeypatch.setattr(path_sim, "seed_states",
                         lambda seed, lo, hi: calls.append((seed, lo, hi))
                         or seed_states(seed, lo, hi))
-    blocks = list(pipeline._blocks(3, 40, 1040))
+    blocks = list(path_sim.blocks(3, 40, 1040))
     assert calls == [(3, 40, 1040)]
-    assert [lo for lo, _ in blocks] == list(range(40, 1040, pipeline._BLOCK))
+    assert [lo for lo, _ in blocks] == list(range(40, 1040, path_sim._BLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +395,24 @@ def test_draw_with_a_law_equals_two_normal_calls_per_path(cfg, kernel, rank):
         assert np.array_equal(block.eta[i], ref.standard_normal(rank)), i
 
 
+@pytest.mark.parametrize("kernel", [exponential_kernel(1.0), power_kernel(2.5)],
+                         ids=["exponential", "power-2.5"])
+def test_draw_with_a_law_equals_the_draw_of_m_zero(kernel):
+    """A draw with a law takes the window [0, T] of the simulator's own
+    lattice: its nodes, cells and eta are those the simulator of M = 0
+    draws with the same law, to the bit, its first node +0.0 included."""
+    sim = PathSimulator(_gauss_triplet(), _GAUSS_CFG)
+    near = PathSimulator(_gauss_triplet(), _NEAR_CFG)
+    law = sim.prehistory(kernel)
+    assert law.rank > 0
+    got, want = sim.draw(sim.rngs(0, 30), law), near.draw(near.rngs(0, 30), law)
+    assert got.dt == want.dt
+    for field in ("times", "diffuse", "eta"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), field
+    assert math.copysign(1.0, got.times[0]) == 1.0
+
+
 def test_draw_refuses_a_law_with_explicit_jumps():
     sim = _sas_gauss_sim()
     law = PathSimulator(_gauss_triplet(), _GAUSS_CFG).prehistory(exponential_kernel(1.0))
@@ -411,7 +431,7 @@ def test_gaussian_chunk_takes_one_generator_call_per_path(name, monkeypatch):
                 made.append(_Counting(rng))
                 yield made[-1]
 
-    monkeypatch.setattr(pipeline, "Generators", Counting)
+    monkeypatch.setattr(path_sim, "Generators", Counting)
     pipeline._gaussian_chunk(model, model.cfg.seed, 0, 300)
     assert len(made) == 300
     assert all(rng.calls == ["standard_normal"] for rng in made)
@@ -441,7 +461,7 @@ def test_a_block_holds_one_generator_at_a_time(case, monkeypatch):
                 yield rng
                 del rng
 
-    monkeypatch.setattr(pipeline, "Generators", Watched)
+    monkeypatch.setattr(path_sim, "Generators", Watched)
     worker(model, model.cfg.seed, 0, 600)
     assert built == list(range(600))
     assert len(made) == 600 and max(alive) <= 1
@@ -1047,7 +1067,8 @@ def test_buffer_pool_grows_only():
     c = pool.take("x", 40)
     assert not np.shares_memory(a, c)
     assert np.shares_memory(c, pool.take("x", (2, 3)))
-    assert pool.take("y", 3, dtype=bool).dtype == bool
+    with pytest.raises(TypeError):
+        pool.take("y", 3, dtype=bool)
     assert pool.take("y", 3).dtype == np.float64
 
 
@@ -1063,6 +1084,16 @@ def test_buffer_pool_keeps_buffers_per_thread():
     assert np.shares_memory(mine, pool.take("x", 10))
     assert np.shares_memory(*theirs)
     assert not np.shares_memory(mine, theirs[0])
+
+
+def test_a_simulator_copies_with_an_empty_pool():
+    sim = pipeline.builtin_scenario("h2-two-atom").simulator
+    sim.draw(sim.rngs(0, 4), pool=sim.pool)
+    assert sim.pool._buffers
+    for copied in (pickle.loads(pickle.dumps(sim)), copy.deepcopy(sim)):
+        assert isinstance(copied.pool, path_sim.BufferPool)
+        assert not copied.pool._buffers
+        assert np.array_equal(copied.times, sim.times)
 
 
 def test_jump_only_draw_has_a_read_only_zero_diffuse():
@@ -1098,7 +1129,7 @@ def test_pooled_chunks_allocate_no_per_jump_arrays():
 
 def test_pool_of_a_jump_chunk_holds_at_most_2_mib():
     """A 1000-path chunk of either jump battery leaves at most 2.0 MiB in
-    the model's pool: each path's doubles in one row buffer, the marks
+    the simulator's pool: each path's doubles in one row buffer, the marks
     formed in their uniforms, the decays laid out through the carry's own
     buffers, and no (row, time) keys. At 128-path blocks the pool held
     1.99 MB before these, 124 bytes a jump."""
@@ -1106,7 +1137,7 @@ def test_pool_of_a_jump_chunk_holds_at_most_2_mib():
                          ("h2-two-atom", pipeline._weighted_chunk)):
         model = pipeline.builtin_scenario(name)
         worker(model, model.cfg.seed, 0, 1000)
-        held = sum(b.nbytes for b in model.buffer_pool._buffers.values())
+        held = sum(b.nbytes for b in model.simulator.pool._buffers.values())
         assert held <= 2 * 2**20, (name, held)
 
 

@@ -13,11 +13,21 @@ and every h1/h2 builtin's `run_construct` document. Neither draws a random
 number, so only a change to what they compute re-records it:
 
     PYTHONPATH=src python tests/test_golden_reports.py documents
+
+golden_simulate.json holds every file `run_simulate` writes at
+SIMULATE_PATHS paths for the models of _SIMULATED, the CSVs as numbers. It
+is re-recorded as the verify reports are:
+
+    PYTHONPATH=src python tests/test_golden_reports.py simulate
 """
 
+import csv
 import json
+import os
 import pathlib
+import re
 import sys
+import tempfile
 
 import pytest
 
@@ -27,6 +37,12 @@ N_PATHS = 512
 RTOL = 1e-12
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports_512.json")
 DOCUMENTS = pathlib.Path(__file__).with_name("golden_documents.json")
+SIMULATE = pathlib.Path(__file__).with_name("golden_simulate.json")
+SIMULATE_PATHS = 300
+# the simulated models: builtins, and gaussian-baseline under a power
+# kernel, whose moving average takes the FFT correlation
+_SIMULATED = ["h2-two-atom", "h1-two-atom", "q-two-atom-zeta05",
+              "gaussian-baseline", "gaussian-baseline-power"]
 
 
 def _battery_builtins() -> list:
@@ -65,6 +81,39 @@ def _document(command: str, name: str):
     return _strict(_RUNS[command](pipeline.builtin_scenario(name)))
 
 
+def _simulate_model(name: str):
+    if not name.endswith("-power"):
+        return pipeline.builtin_scenario(name)
+    d = pipeline.builtin_scenario(name[:-len("-power")]).to_dict()
+    d["name"], d["kernel"] = name, {"type": "power", "gamma": 2.5}
+    return pipeline.model_from_dict(d)
+
+
+def _simulated(name: str, out_dir) -> dict:
+    """Every file run_simulate writes for name at the pinned seed, by file
+    name: simulate.json as read back, and each CSV as its header and then
+    its rows, as numbers (path ids as integers)."""
+    pipeline.run_simulate(_simulate_model(name), str(out_dir), n_paths=SIMULATE_PATHS)
+    out = {}
+    for f in sorted(os.listdir(out_dir)):
+        text = pathlib.Path(out_dir, f).read_text()
+        if f.endswith(".json"):
+            out[f] = json.loads(text)
+            continue
+        header, *rows = csv.reader(text.splitlines())
+        first = int if f == "jumps.csv" else float
+        out[f] = [header, *([first(r[0]), *map(float, r[1:])] for r in rows)]
+    return out
+
+
+def _dumps(doc) -> str:
+    """doc as JSON, indented, with each innermost list on one line."""
+    text = json.dumps(doc, indent=1, allow_nan=False)
+    return re.sub(r"\[\n\s*([^\[\]{}]*?)\n\s*\]",
+                  lambda m: "[" + re.sub(r",\n\s*", ", ", m.group(1)) + "]",
+                  text) + "\n"
+
+
 def _assert_matches(got, want, where: str) -> None:
     if isinstance(want, dict):
         assert isinstance(got, dict) and got.keys() == want.keys(), where
@@ -92,6 +141,11 @@ def documents() -> dict:
     return json.loads(DOCUMENTS.read_text())
 
 
+@pytest.fixture(scope="module")
+def simulated() -> dict:
+    return json.loads(SIMULATE.read_text())
+
+
 @pytest.mark.parametrize("name", _battery_builtins())
 def test_report_matches_the_recorded_one(name, golden):
     assert name in golden, f"no recorded report of {name}; re-record {GOLDEN.name}"
@@ -109,6 +163,13 @@ def test_document_matches_the_recorded_one(command, name, documents):
     _assert_matches(_document(command, name), want, f"{command} {name}")
 
 
+@pytest.mark.parametrize("name", _SIMULATED)
+def test_simulate_files_match_the_recorded_ones(name, simulated, tmp_path):
+    assert name in simulated, \
+        f"no recorded simulate files of {name}; re-record {SIMULATE.name}"
+    _assert_matches(_simulated(name, tmp_path), simulated[name], f"simulate {name}")
+
+
 if __name__ == "__main__":
     which = sys.argv[1:] or ["verify"]
     if "verify" in which:
@@ -119,3 +180,9 @@ if __name__ == "__main__":
         for command, name in _document_cases():
             docs[command][name] = _document(command, name)
         DOCUMENTS.write_text(json.dumps(docs, indent=1, allow_nan=False) + "\n")
+    if "simulate" in which:
+        files = {}
+        for name in _SIMULATED:
+            with tempfile.TemporaryDirectory() as out_dir:
+                files[name] = _simulated(name, out_dir)
+        SIMULATE.write_text(_dumps(files))

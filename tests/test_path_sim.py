@@ -443,8 +443,12 @@ class TestPrehistory:
         sim = PathSimulator(_gauss_triplet(), _cfg())
         kernel = exponential_kernel(1.0)
         law = sim.prehistory(kernel)
+        # a draw with the law spans [0, T], so the block from -M gets its
+        # eta by hand
+        block = dataclasses.replace(sim.draw(sim.rngs(0, 2)),
+                                    eta=np.zeros((2, law.rank)))
         with pytest.raises(ValueError):
-            sim.draw(sim.rngs(0, 2), law).moving_average(kernel, law)
+            block.moving_average(kernel, law)
 
     def test_law_needs_a_block_drawn_with_it(self):
         kernel = exponential_kernel(1.0)

@@ -473,10 +473,10 @@ class TestPipelines:
     # built the kernel 3 times and the triplet 6 times per call before, and
     # a run with n_paths or seed rebuilt the whole model; now it shares the
     # loaded triplet and simulator, the h2 kernel builds its own triplet,
-    # and only the Gaussian battery builds a simulator, the one of M = 0
+    # and no battery builds a simulator of its own
     @pytest.mark.parametrize("name, want", [
         ("h2-two-atom", (1, 1, 0)), ("q-two-atom-zeta05", (1, 1, 0)),
-        ("gaussian-baseline", (0, 0, 1))])
+        ("gaussian-baseline", (0, 0, 0))])
     def test_run_builds_its_model_once(self, name, want, monkeypatch):
         scn = builtin_scenario(name)
         built = collections.Counter()
@@ -616,7 +616,8 @@ class TestPipelines:
         model loaded with those values in its sim section. Pool workers
         build the loaded model, and the run's seed reaches every task."""
         model = builtin_scenario("h2-two-atom")
-        loaded, cfg, gk, pool = model.to_dict(), model.cfg, model.gk, model.buffer_pool
+        loaded, cfg, gk = model.to_dict(), model.cfg, model.gk
+        pool = model.simulator.pool
         tasks, inits = [], []
 
         class InProcess:
@@ -644,7 +645,7 @@ class TestPipelines:
         pooled = run_verify(model, n_paths=300, seed=5, workers=2)
         run_simulate(model, str(tmp_path / "run"), n_paths=3, seed=4)
         assert model.to_dict() == loaded and model.cfg is cfg
-        assert model.gk is gk and model.buffer_pool is pool
+        assert model.gk is gk and model.simulator.pool is pool
         assert inits == [(loaded,)]
         assert len(tasks) == 8
         assert all(fn is pipeline._pool_task and args[1] == 5 for fn, args in tasks)
@@ -728,8 +729,8 @@ class TestPipelines:
         for key, arr in whole.items():
             assert np.array_equal(arr, np.concatenate([p[key] for p in parts])), key
 
-    # the buffer pool of a loaded model outlives its runs: runs on other
-    # paths and back again give the documents fresh models give
+    # the buffer pool of a loaded model's simulator outlives its runs: runs
+    # on other paths and back again give the documents fresh models give
     @pytest.mark.parametrize("name", ["h2-two-atom", "h1-two-atom",
                                       "q-two-atom-zeta05"])
     def test_runs_on_one_model_share_its_buffer_pool(self, name):
@@ -739,12 +740,12 @@ class TestPipelines:
         model = builtin_scenario(name)
         got = [json.dumps(run_verify(model, n_paths=n, seed=s)) for n, s in calls]
         assert got == fresh
-        assert model.buffer_pool._buffers
+        assert model.simulator.pool._buffers
 
     def test_threads_on_one_model_give_their_own_documents(self):
         """Threads running one loaded model: each draws into buffers of its
-        own in the model's buffer pool, and every document is the one a
-        fresh model gives."""
+        own in the simulator's buffer pool, and every document is the one
+        a fresh model gives."""
         seeds = range(1, 9)
         want = [json.dumps(run_verify(builtin_scenario("h2-two-atom"),
                                       n_paths=1000, seed=s)) for s in seeds]
@@ -1142,7 +1143,7 @@ class TestCli:
         def no_paths(*args):
             raise AssertionError("paths drawn")
 
-        monkeypatch.setattr(pipeline, "_blocks", no_paths)
+        monkeypatch.setattr(pipeline, "blocks", no_paths)
         code = cli.main([argv[0], "--builtin", "h2-two-atom",
                          "--out", str(tmp_path / out), *argv[1:]])
         assert code == cli.EXIT_CONFIG
