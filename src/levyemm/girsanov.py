@@ -336,9 +336,9 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
     Q: per path, the number of Q tail jumps, and flat over all paths (path
     by path, in time) their times, marks and Y_{T_n-}.
 
-    This is the one-block case of the two passes a chunk of blocks takes
-    (`pipeline._q_chunk`): q_arrivals for the block, then q_marks over its
-    arrivals. Arrivals stay Poisson with the P-intensity lam = F([-a,a]^c);
+    This is the one-block case of the two passes a span of blocks takes
+    under the direct-Q battery (`pipeline._span`): q_arrivals for each
+    block, then q_marks over the span's arrivals. Arrivals stay Poisson with the P-intensity lam = F([-a,a]^c);
     each mark on (0, T] is drawn from alpha(Y_{T_n-}, .) F^a / lam, as
     gk.mark_quantile at one uniform. The Gaussian part, the sub-threshold
     approximation and all pre-0 jumps keep their P-law. Requires

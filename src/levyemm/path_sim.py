@@ -38,8 +38,8 @@ def _is_multiple(x: float, dt: float) -> bool:
     return abs(x - k * dt) <= 1e-9 * max(1.0, abs(x))
 
 
-# the most paths a run takes: its path indices are split into chunks at
-# float edges (`pipeline._run_chunked`), which hold every integer up to 2**53
+# the most paths a run takes: every path index and count up to it is exact
+# as a float
 MAX_PATHS = 2**53
 
 
@@ -823,8 +823,8 @@ def seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-# paths drawn and evaluated together by the chunk workers and run_simulate
-# (`blocks`); results do not depend on it, since every path keeps its own
+# paths drawn and evaluated together by the path batteries (`pipeline._span`)
+# and run_simulate (`blocks`); results do not depend on it, since every path keeps its own
 # (seed, i) generator and is summed on its own
 _BLOCK = 256
 # paths seeded by one hashing pass (`blocks`): a whole number of blocks, few
@@ -858,7 +858,7 @@ class PathSimulator:
     `Generators` builds the generators from any slice of them one at a
     time, `blocks` walks a range in blocks of them, and rngs builds all of
     one range at the config's seed. pool is the `BufferPool` that the
-    chunk workers draw their jump blocks into.
+    jump batteries draw their blocks into.
     """
 
     def __init__(self, triplet: LevyTriplet, config: SimConfig):

@@ -15,6 +15,7 @@ key that no section declares or a value that a constructor refuses.
 
 from __future__ import annotations
 
+import collections
 import copy
 import csv
 import functools
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from . import emm_construct, girsanov, kernel as kernel_mod, verify
+from . import emm_construct, girsanov, kernel as kernel_mod, path_sim, verify
 from .errors import ConfigError, LevyEmmError, NonIntegrable, ZetaOutOfRange
 from .kernel import Kernel, emm_classify
 from .levy_model import (
@@ -100,18 +101,6 @@ _SECTIONS = {
                                     "other")}),
 }
 
-# the required and the optional emm keys of each hypothesis (and lm style),
-# all numbers; the optional ones are the knobs its battery and construct read
-_EMM = {
-    "h1": (("a", "b", "tolerance"), ("y_span", "break_positive_factor")),
-    "h2": (("a", "tolerance"), ("y_span", "frozen_zeta", "break_positive_factor",
-                                "declared_intensity_factor")),
-    "gaussian": ((), ("declared_phi0",)),
-    "none": ((), ()),
-    "lm": {"bremaud": (("K1", "K2", "gamma", "eps"), ()),
-           "lmrelax": (("eps",), ("cp_rate",))},
-}
-
 _KIND_WORDS = {float: "a finite number", int: "an integer", bool: "true or false",
                str: "a string", list: "a list", dict: "a mapping"}
 
@@ -120,7 +109,7 @@ _KIND_WORDS = {float: "a finite number", int: "an integer", bool: "true or false
 class Model:
     """A loaded scenario: its sections as given (to_dict), the kernel, the
     path simulator, which holds the triplet (levy) and the SimConfig (cfg),
-    and the battery's tests in order.
+    the battery's tests in order and its key in _BATTERIES (battery).
 
     A run takes its n_paths and seed as arguments and leaves the model as
     it is, so what a run reads besides them is built when first read, at
@@ -139,6 +128,7 @@ class Model:
     kern: Kernel
     simulator: PathSimulator
     tests: list
+    battery: tuple
     levy = property(lambda self: self.simulator.triplet)
     cfg = property(lambda self: self.simulator.config)
 
@@ -254,14 +244,17 @@ def model_from_dict(d: dict) -> Model:
     simulator = _made("sim", lambda: PathSimulator(triplet, build_sim_config(sim)))
 
     hyp = emm.get("hypothesis")
-    _check_kind("emm.hypothesis", hyp, tuple(_EMM))
-    keys, tags, what = _EMM[hyp], {"hypothesis": str}, f"emm of hypothesis {hyp}"
+    _check_kind("emm.hypothesis", hyp, tuple(dict.fromkeys(k[0] for k in _BATTERIES)))
+    key, tags = (hyp, ver.get("mode", "weighted")), {"hypothesis": str}
     if hyp == "lm":
-        _check_kind("emm.style", emm.get("style"), tuple(keys))
-        keys, tags = keys[emm["style"]], {**tags, "style": str}
-        what = f"emm of lm style {emm['style']}"
-    _check_keys(emm, "emm", {**tags, **dict.fromkeys(keys[0], float)},
-                dict.fromkeys(keys[1], float), what)
+        _check_kind("emm.style", emm.get("style"),
+                    tuple(k[2] for k in _BATTERIES if k[0] == "lm"))
+        key, tags = (*key, emm["style"]), {**tags, "style": str}
+    if key not in _BATTERIES:
+        raise ConfigError(f"there is no {' '.join(key)!r} battery")
+    battery, what = _BATTERIES[key], f"emm of the {' '.join(key)} battery"
+    _check_keys(emm, "emm", {**tags, **dict.fromkeys(battery.required, float)},
+                dict.fromkeys(battery.optional, float), what)
     if hyp in ("h1", "h2") and not 0 < emm["a"] < emm.get("b", math.inf):
         raise ConfigError(f"{what} needs 0 < a, and a < b for h1; not "
                           f"a = {emm['a']}, b = {emm.get('b')}")
@@ -290,57 +283,32 @@ def model_from_dict(d: dict) -> Model:
     if hyp in ("gaussian", "h1", "h2") and kern.phi0 == 0.0:
         raise ConfigError(f"the {hyp} battery needs phi(0) != 0, and "
                           f"kernel {d['kernel']['type']!r} has phi(0) = 0")
-    # check-kernel reads tail_regime for every hypothesis; only the path
-    # batteries read probe times, and none has no battery at all
-    read = {"none": (), "lm": ("tests", "mode")}.get(
-        hyp, ("tests", "mode", "probe_times"))
-    unread = sorted(set(ver) - {"tail_regime", *read})
+    # check-kernel reads tail_regime for every hypothesis; a battery with
+    # tests reads them and the mode, one that draws paths the probe times
+    read = {"tail_regime", *(("tests", "mode") if battery.accepted else ()),
+            *(("probe_times",) if battery.block else ())}
+    unread = sorted(set(ver) - read)
     if unread:
         raise ConfigError(f"verify.{unread[0]} is not read for hypothesis {hyp}")
     if "probe_times" in ver:
         _check_probe_times(ver["probe_times"], sim)
-    if ver.get("mode") == "direct-q" and "break_positive_factor" in emm:
-        raise ConfigError("emm.break_positive_factor changes alpha, which "
-                          "direct-q marks are not drawn from")
-    tests = _battery_tests(emm, ver) if hyp != "none" else []
     sections = copy.deepcopy((t, d["kernel"], sim, emm, ver))
-    return Model(d["name"], *sections, kern, simulator, tests)
+    return Model(d["name"], *sections, kern, simulator, _battery_tests(key, ver), key)
 
 
-# the tests each battery computes correctly, by hypothesis and verify mode
-# (and emm.style for lm), and the ones it runs when the scenario names none
-_BATTERIES = {
-    ("h1", "weighted"): (("mean_density", "q_martingale"), ["mean_density"]),
-    ("h2", "weighted"): (("mean_density", "q_martingale", "jump_intensity"),
-                         ["mean_density"]),
-    ("h2", "direct-q"): (("jump_intensity", "conditional_jump_law"), []),
-    ("gaussian", "weighted"): (("mean_density", "brownian_invariance"),
-                               ["brownian_invariance"]),
-    ("lm", "weighted", "bremaud"): (("lm_criterion", "finite_expect"),
-                                    ["lm_criterion"]),
-    ("lm", "weighted", "lmrelax"): (("finite_expect",), ["finite_expect"]),
-}
-
-
-def _battery_tests(emm: dict, ver: dict) -> list:
-    """The scenario's tests in the battery's accepted order; ConfigError when
-    the list is empty or names a test its battery has no correct
-    implementation of."""
-    hyp = emm["hypothesis"]
-    mode = ver.get("mode", "weighted")
-    key = (hyp, mode, emm.get("style")) if hyp == "lm" else (hyp, mode)
-    battery = " ".join(map(str, key))
-    if key not in _BATTERIES:
-        raise ConfigError(f"there is no {battery!r} battery")
-    accepted, default = _BATTERIES[key]
-    tests = list(ver.get("tests", default))
-    if not tests:
-        raise ConfigError(f"the {battery} battery needs at least one test")
+def _battery_tests(key: tuple, ver: dict) -> list:
+    """The scenario's tests in the battery's accepted order, none for a
+    battery without tests; ConfigError when the list is empty or names a
+    test its battery has no correct implementation of."""
+    battery, label = _BATTERIES[key], " ".join(key)
+    tests = list(ver.get("tests", battery.default))
+    if battery.accepted and not tests:
+        raise ConfigError(f"the {label} battery needs at least one test")
     for name in tests:
-        if name not in accepted:
-            raise ConfigError(f"the {battery} battery has no test {name!r}; "
-                              f"it runs {list(accepted)}")
-    return [name for name in accepted if name in tests]
+        if name not in battery.accepted:
+            raise ConfigError(f"the {label} battery has no test {name!r}; "
+                              f"it runs {list(battery.accepted)}")
+    return [name for name in battery.accepted if name in tests]
 
 
 def _check_probe_times(probes, sim: dict) -> None:
@@ -534,13 +502,20 @@ def run_construct(model: Model) -> dict:
     return doc
 
 
-def _check_reach(model: Model) -> None:
-    """ConfigError for an h2 battery that would stop with ZetaOutOfRange:
-    one with a frozen zeta outside the tail law's range, at its first
-    block, and one whose zeta follows Y when Y reaches the edge of zeta's
-    range within MIN_REACH_SD s.d., once enough paths are drawn."""
-    emm = model.emm
-    if emm["hypothesis"] != "h2":
+def _check_runnable(model: Model) -> None:
+    """ConfigError, before any path is drawn, for a run that could not give
+    its report: hypothesis none, which has no battery; h1 and h2 without a
+    Girsanov kernel; and an h2 battery that would stop with ZetaOutOfRange:
+    a frozen zeta outside the tail law's range, at its first block, or a
+    zeta that follows Y when Y reaches the edge of zeta's range within
+    MIN_REACH_SD s.d., once enough paths are drawn."""
+    emm, hyp = model.emm, model.emm["hypothesis"]
+    if hyp == "none":
+        raise ConfigError("hypothesis none has no battery to verify; "
+                          "check-kernel classifies its kernel")
+    if hyp in ("h1", "h2"):
+        _made(f"the {hyp} Girsanov kernel", lambda: model.gk)
+    if hyp != "h2":
         return
     if "frozen_zeta" in emm:
         tail = model.gk.tail
@@ -561,112 +536,132 @@ def _check_reach(model: Model) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-block workers (exact jump responses, no full-grid pass)
+# path batteries: statistics of a block of paths (exact jump responses, no
+# full-grid pass), joined span by span
 # ---------------------------------------------------------------------------
 
 
-def _weighted_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
-    """Weighted-P statistics (h1 or h2) of the model's paths [start, stop)
-    at seed, in `blocks`. Each block is drawn into the simulator's buffer
-    pool, and what the chunk keeps of it goes to arrays of its own."""
+def _weighted_block(model: Model, rngs) -> dict:
+    """Weighted-P statistics (h1 or h2) of a block drawn into the
+    simulator's buffer pool: each path's Z_T, X at the probe times and
+    number of tail jumps on (0, T]."""
     kern, cfg, sim, gk = model.kern, model.cfg, model.simulator, model.gk
     probes = np.array(_probe_times(model))
     # left nodes of the compensator sum on [0, T); none for a mass-preserving alpha
     grid = sim.times[cfg.m_cells:-1] if gk.excess_rate is not None else np.empty(0)
-
-    z_T = np.empty(stop - start)
-    x_probe = np.empty((stop - start, len(probes)))
-    counts = np.empty(stop - start, dtype=np.int64)
-    for lo, rngs in blocks(seed, start, stop):
-        block = sim.draw(rngs, pool=sim.pool)
-        n = len(rngs)
-        out = slice(lo - start, lo - start + n)
-        paths = np.arange(n)
-        # the flat tail jumps on (0, T], and the path of each
-        win = block.jumps_beyond(gk.a)
-        w_rows = np.searchsorted(block.offsets, win, side="right") - 1
-        y_pre, y_left, x = block.responses(
-            (kern.dphi, w_rows, block.jump_times[win], True),
-            (kern.dphi, np.repeat(paths, len(grid)), np.tile(grid, n), True),
-            (kern, np.repeat(paths, len(probes)), np.tile(probes, n), False))
-        factors, comp = girsanov.density_terms(
-            gk, y_pre, block.jump_sizes[win], y_left.reshape(n, len(grid)),
-            cfg.dt)
-        # the factors of each path multiplied in jump order, as math.prod does
-        z = np.ones(n)
-        np.multiply.at(z, w_rows, factors)
-        z_T[out] = z * np.exp(comp[:, -1])
-        x_probe[out] = x.reshape(n, len(probes))
-        counts[out] = np.bincount(w_rows, minlength=n)
-    return {"z_T": z_T, "x_probe": x_probe, "counts": counts}
+    block = sim.draw(rngs, pool=sim.pool)
+    n, paths = len(rngs), np.arange(len(rngs))
+    # the flat tail jumps on (0, T], and the path of each
+    win = block.jumps_beyond(gk.a)
+    w_rows = np.searchsorted(block.offsets, win, side="right") - 1
+    y_pre, y_left, x = block.responses(
+        (kern.dphi, w_rows, block.jump_times[win], True),
+        (kern.dphi, np.repeat(paths, len(grid)), np.tile(grid, n), True),
+        (kern, np.repeat(paths, len(probes)), np.tile(probes, n), False))
+    factors, comp = girsanov.density_terms(
+        gk, y_pre, block.jump_sizes[win], y_left.reshape(n, len(grid)), cfg.dt)
+    # the factors of each path multiplied in jump order, as math.prod does
+    z = np.ones(n)
+    np.multiply.at(z, w_rows, factors)
+    z *= np.exp(comp[:, -1])
+    return {"z_T": z, "x_probe": x.reshape(n, len(probes)),
+            "counts": np.bincount(w_rows, minlength=n)}
 
 
-def _q_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
-    """Direct-Q mark and count statistics of the model's paths [start, stop)
-    at seed, in two passes: girsanov.q_arrivals for each of its `blocks`,
-    drawn into the simulator's buffer pool, then one girsanov.q_marks over
-    all the chunk's arrivals, so its rank loop runs once per chunk. The
-    values equal draw_under_q's block by block."""
-    gk, kern, sim = model.gk, model.kern, model.simulator
-    columns = [[], [], [], []]
-    for _, rngs in blocks(seed, start, stop):
-        for column, part in zip(columns, girsanov.q_arrivals(
-                gk, kern, sim, rngs, sim.pool)):
-            column.append(part)
-    # each column's block parts are freed as soon as they are joined
-    counts, q_t, q_u, y_pre = (np.concatenate(columns.pop(0)) for _ in range(4))
-    marks = girsanov.q_marks(gk, kern, counts, q_t, q_u, y_pre)
-    return {"counts": counts, "y_pre": y_pre, "marks": marks}
+def _q_block(model: Model, rngs) -> dict:
+    """girsanov.q_arrivals of a block drawn into the simulator's buffer pool."""
+    sim = model.simulator
+    return dict(zip(("counts", "q_t", "q_u", "y_pre"), girsanov.q_arrivals(
+        model.gk, model.kern, sim, rngs, sim.pool)))
 
 
-def _gaussian_chunk(model: Model, seed: int, start: int, stop: int) -> dict:
-    """Classical-Girsanov statistics of the model's paths [start, stop) at
-    seed for the pure-Gaussian baseline, whose increments are all diffuse
-    (jumps, c = 0 and phi(0) = 0 are refused at load).
+def _q_marks(model: Model, data: dict) -> dict:
+    """A span's joined arrivals with their marks, by one girsanov.q_marks (one
+    rank loop per span); the values equal draw_under_q's block by block."""
+    q_t, q_u = data.pop("q_t"), data.pop("q_u")
+    data["marks"] = girsanov.q_marks(model.gk, model.kern, data["counts"],
+                                     q_t, q_u, data["y_pre"])
+    return data
+
+
+def _gaussian_block(model: Model, rngs) -> dict:
+    """Classical-Girsanov statistics, each path's Z_T and X at the probe
+    times, of a block of the pure-Gaussian baseline, whose increments are
+    all diffuse (jumps, c = 0 and phi(0) = 0 are refused at load).
 
     The battery reads X and Y on [0, T] only, where the cells of [-M, 0]
-    enter through one Gaussian vector of low rank r. So each path, in
-    `blocks`, draws its cells on [0, T] and then r normals, which give
-    that vector exactly in law (`PathSimulator.prehistory`): one
-    standard_normal call of 256 + r normals per path at the builtin
-    lattice instead of its 5376 (`draw` with the law, which draws the
-    window [0, T] of the lattice). This changed the battery's random
-    stream against the whole lattice's. X is formed at the probe nodes
-    only; Y, and with it theta = -(Y + phi0 xi) / (phi0 sqrt(c)), theta dB
-    and theta^2 on the left nodes of [0, T), at every node, each in place,
-    and dB in the block's own buffer of increments. The law is the
-    model's (`Model.prehistory`), built once per loaded model."""
+    enter through one Gaussian vector of low rank r, drawn exactly in law
+    (`Model.prehistory`, built once per loaded model): each path draws its
+    cells on [0, T] and then r normals in one standard_normal call, 256 + r
+    at the builtin lattice instead of its 5376. X is formed at the probe
+    nodes only; Y, theta = -(Y + phi0 xi) / (phi0 sqrt(c)), theta dB and
+    theta^2 at every left node of [0, T), each in place, and dB in the
+    block's own buffer of increments."""
     triplet, kern, cfg, sim = model.levy, model.kern, model.cfg, model.simulator
-    law = model.prehistory
-    sqc = math.sqrt(triplet.c)
-    phi0 = kern.phi0
-    xi = triplet.xi()
+    law, sqc, phi0 = model.prehistory, math.sqrt(triplet.c), kern.phi0
     # probe times are lattice multiples (checked at load)
     p_idx = [round(t / cfg.dt) for t in _probe_times(model)]
-
-    z_parts, x_parts = [], []
-    for _, rngs in blocks(seed, start, stop):
-        block = sim.draw(rngs, law)
-        X, Y = block.moving_average(kern, law, p_idx)
-        theta = np.add(Y[:, :-1], phi0 * xi)
-        # IEEE division is sign-symmetric, so these are the bits of negating first
-        theta /= -(phi0 * sqc)
-        # nothing reads the block's increments after this
-        dB = np.subtract(block.diffuse, sim.drift_rate * cfg.dt, out=block.diffuse)
-        dB /= sqc
-        dB *= theta
-        np.square(theta, out=theta)
-        log_z = np.sum(dB, axis=1) - 0.5 * np.sum(theta, axis=1) * cfg.dt
-        z_parts.append(np.exp(log_z))
-        x_parts.append(X)
-    return {"z_T": np.concatenate(z_parts), "x_probe": np.vstack(x_parts)}
+    block = sim.draw(rngs, law)
+    X, Y = block.moving_average(kern, law, p_idx)
+    theta = np.add(Y[:, :-1], phi0 * triplet.xi())
+    # IEEE division is sign-symmetric, so these are the bits of negating first
+    theta /= -(phi0 * sqc)
+    # nothing reads the block's increments after this
+    dB = np.subtract(block.diffuse, sim.drift_rate * cfg.dt, out=block.diffuse)
+    dB /= sqc
+    dB *= theta
+    np.square(theta, out=theta)
+    log_z = np.sum(dB, axis=1) - 0.5 * np.sum(theta, axis=1) * cfg.dt
+    return {"z_T": np.exp(log_z), "x_probe": X}
 
 
-# the chunk worker of each path battery, by (hypothesis, verify mode); each
-# takes the loaded model, shared in this process, the run's seed and a range
-# of path indices
-_PATH_WORKERS = {("h1", "weighted"): _weighted_chunk, ("h2", "weighted"): _weighted_chunk,
-                 ("h2", "direct-q"): _q_chunk, ("gaussian", "weighted"): _gaussian_chunk}
+# a battery: its required and optional emm keys, all numbers, which it and
+# construct read; the tests it computes correctly and those it runs when the
+# scenario names none; and, if it draws paths, its statistic of a block,
+# (model, rngs) -> dict of arrays of its own, and any walk over a span's
+# joined arrays, (model, data) -> data
+_Battery = collections.namedtuple(
+    "_Battery", "required optional accepted default block walk",
+    defaults=((), (), None, None))
+
+# each battery by hypothesis and verify mode (and emm.style for lm)
+_BATTERIES = {
+    ("h1", "weighted"): _Battery(
+        ("a", "b", "tolerance"), ("y_span", "break_positive_factor"),
+        ("mean_density", "q_martingale"), ("mean_density",), _weighted_block),
+    ("h2", "weighted"): _Battery(
+        ("a", "tolerance"), ("y_span", "frozen_zeta", "break_positive_factor",
+                             "declared_intensity_factor"),
+        ("mean_density", "q_martingale", "jump_intensity"), ("mean_density",),
+        _weighted_block),
+    # direct-Q marks are not drawn from alpha, which break_positive_factor changes
+    ("h2", "direct-q"): _Battery(
+        ("a", "tolerance"), ("y_span", "frozen_zeta", "declared_intensity_factor"),
+        ("jump_intensity", "conditional_jump_law"), (), _q_block, _q_marks),
+    ("gaussian", "weighted"): _Battery(
+        (), ("declared_phi0",), ("mean_density", "brownian_invariance"),
+        ("brownian_invariance",), _gaussian_block),
+    ("none", "weighted"): _Battery((), ()),
+    ("lm", "weighted", "bremaud"): _Battery(
+        ("K1", "K2", "gamma", "eps"), (), ("lm_criterion", "finite_expect"),
+        ("lm_criterion",)),
+    ("lm", "weighted", "lmrelax"): _Battery(
+        ("eps",), ("cp_rate",), ("finite_expect",), ("finite_expect",)),
+}
+
+
+def _joined(parts: list) -> dict:
+    """Each key of the parts' dicts with its arrays joined in order, each
+    part's arrays dropped as soon as they are joined."""
+    return {k: np.concatenate([p.pop(k) for p in parts]) for k in list(parts[0])}
+
+
+def _span(key: tuple, model: Model, seed: int, start: int, stop: int) -> dict:
+    """Battery key's statistic of each of the `blocks` of the model's paths
+    [start, stop) at seed, joined in index order, then its walk if any."""
+    battery = _BATTERIES[key]
+    data = _joined([battery.block(model, rngs) for _, rngs in blocks(seed, start, stop)])
+    return battery.walk(model, data) if battery.walk else data
 
 
 # the model of a pool worker process, built once by _init_worker
@@ -680,28 +675,31 @@ def _init_worker(scn_dict: dict) -> None:
     _worker_model = model_from_dict(scn_dict)
 
 
-def _pool_task(worker, seed: int, start: int, stop: int) -> dict:
-    """worker over [start, stop) at seed on this pool worker's model."""
-    return worker(_worker_model, seed, start, stop)
+def _pool_task(key: tuple, seed: int, start: int, stop: int) -> dict:
+    """_span of key over [start, stop) at seed on this pool worker's model."""
+    return _span(key, _worker_model, seed, start, stop)
 
 
-def _run_chunked(worker, model: Model, n_paths: int, seed: int, workers: int) -> dict:
-    """Split [0, n_paths) into index blocks and concatenate the results in
-    index order, so the ensemble is independent of scheduling. Workers in
-    this process share the model; each pool worker process builds its own
-    once (`_init_worker`) for all the spans it runs."""
-    n_blocks = workers * 4 if workers > 1 else 1
-    edges = np.linspace(0, n_paths, n_blocks + 1).astype(int)
-    spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    if workers <= 1 or len(spans) == 1:
-        parts = [worker(model, seed, a, b) for a, b in spans]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(model.to_dict(),)) as pool:
-            futs = [pool.submit(_pool_task, worker, seed, a, b) for a, b in spans]
-            parts = [f.result() for f in futs]
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+def _run_chunked(key, model: Model, n_paths: int, seed: int, workers: int) -> dict:
+    """_span of key over [0, n_paths) at seed, in spans of whole blocks
+    (`path_sim._BLOCK`) joined in index order, so that neither the blocks
+    nor the ensemble depend on workers or scheduling. At most min(workers,
+    CPUs) pool worker processes run at most four spans each, never more
+    spans than blocks; each builds its model once (`_init_worker`) for all
+    its spans. Workers in this process share the model."""
+    size = path_sim._BLOCK
+    n_blocks = -(-n_paths // size)
+    procs = min(workers, os.cpu_count() or 1, n_blocks)
+    if procs <= 1:
+        return _span(key, model, seed, 0, n_paths)
+    n_spans = min(4 * procs, n_blocks)
+    edges = [min(n_paths, k * n_blocks // n_spans * size) for k in range(n_spans + 1)]
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=procs, initializer=_init_worker,
+            initargs=(model.to_dict(),)) as pool:
+        futs = [pool.submit(_pool_task, key, seed, a, b)
+                for a, b in zip(edges[:-1], edges[1:])]
+        return _joined([f.result() for f in futs])
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +743,7 @@ def _battery_paths(model: Model, n_paths: int, seed: int, workers: int) -> dict:
     """Weighted-P (h1, h2, Gaussian) or direct-Q (h2) battery over n_paths
     simulated paths at seed; under direct Q the paths carry no weights and
     give no plot."""
-    worker = _PATH_WORKERS[(model.emm["hypothesis"],
-                            model.verify.get("mode", "weighted"))]
-    data = _run_chunked(worker, model, n_paths, seed, workers)
+    data = _run_chunked(model.battery, model, n_paths, seed, workers)
     out = {"reports": [_PATH_TESTS[name](model, data, seed) for name in model.tests]}
     if "z_T" in data:
         out["plot"] = _plot_rows(_probe_times(model), data["x_probe"], data["z_T"])
@@ -805,10 +801,9 @@ def run_verify(model: Model, n_paths=None, seed=None, workers: int = 1) -> dict:
     """The report document of the model's battery over n_paths paths at
     seed, the scenario's where not given; the model is left as it is."""
     n_paths, seed = _paths_and_seed(model, n_paths, seed)
-    _check_reach(model)
-    lm = model.emm["hypothesis"] == "lm"
-    out = (_battery_lm(model, n_paths, seed) if lm
-           else _battery_paths(model, n_paths, seed, workers))
+    _check_runnable(model)
+    out = (_battery_paths(model, n_paths, seed, workers)
+           if _BATTERIES[model.battery].block else _battery_lm(model, n_paths, seed))
     reports = out["reports"]
     overall = all(r.verdict == "pass" for r in reports)
     doc = {

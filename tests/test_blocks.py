@@ -1,6 +1,6 @@
 """Block-level paths: each path keeps its own (seed, i) generator and is
-summed on its own, so the chunk workers do not depend on how the path
-indices are split, and they agree with per-path references."""
+summed on its own, so a battery's span of paths does not depend on how the
+path indices are split, and it agrees with per-path references."""
 
 import copy
 import dataclasses
@@ -64,29 +64,30 @@ def _live_two_atom_q():
 
 
 CHUNK_CASES = {
-    "h2-two-atom": (pipeline._weighted_chunk, lambda: _builtin("h2-two-atom")),
-    "h1-two-atom": (pipeline._weighted_chunk, lambda: _builtin("h1-two-atom")),
-    "q-two-atom-zeta05": (pipeline._q_chunk,
-                          lambda: _builtin("q-two-atom-zeta05")),
-    "direct-q-sas-1.5": (pipeline._q_chunk, _direct_q_sas),
+    "h2-two-atom": lambda: _builtin("h2-two-atom"),
+    "h1-two-atom": lambda: _builtin("h1-two-atom"),
+    "q-two-atom-zeta05": lambda: _builtin("q-two-atom-zeta05"),
+    "direct-q-sas-1.5": _direct_q_sas,
     # every part of SPLIT starts inside a block of the whole
-    "gaussian-baseline": (pipeline._gaussian_chunk,
-                          lambda: _builtin("gaussian-baseline")),
+    "gaussian-baseline": lambda: _builtin("gaussian-baseline"),
     # a kernel without exponential form: the FFT on [0, T] and a rank-6 factor
-    "gaussian-power-2.5": (pipeline._gaussian_chunk, lambda: {
+    "gaussian-power-2.5": lambda: {
         **_builtin("gaussian-baseline"),
-        "kernel": {"type": "power", "gamma": 2.5}}),
+        "kernel": {"type": "power", "gamma": 2.5}},
 }
+
+
+def _span(model, start, stop):
+    """The arrays of the model's battery for paths [start, stop) at its seed."""
+    return pipeline._span(model.battery, model, model.cfg.seed, start, stop)
 
 
 @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
 def test_chunk_arrays_independent_of_the_split(case):
-    worker, build = CHUNK_CASES[case]
-    model = pipeline.model_from_dict(build())
-    seed = model.cfg.seed
-    whole = worker(model, seed, 0, 2000)
-    parts = [worker(model, seed, a, b) for a, b in SPLIT]
-    if worker is pipeline._gaussian_chunk:
+    model = pipeline.model_from_dict(CHUNK_CASES[case]())
+    whole = _span(model, 0, 2000)
+    parts = [_span(model, a, b) for a, b in SPLIT]
+    if model.battery == ("gaussian", "weighted"):
         assert len(whole["z_T"]) == 2000
     else:
         assert len(whole["counts"]) == 2000 and whole["counts"].sum() > 0
@@ -422,7 +423,7 @@ def test_draw_refuses_a_law_with_explicit_jumps():
 
 @pytest.mark.parametrize("name", ["gaussian-baseline", "gaussian-power-2.5"])
 def test_gaussian_chunk_takes_one_generator_call_per_path(name, monkeypatch):
-    model = pipeline.model_from_dict(CHUNK_CASES[name][1]())
+    model = pipeline.model_from_dict(CHUNK_CASES[name]())
     made = []
 
     class Counting(path_sim.Generators):
@@ -432,7 +433,7 @@ def test_gaussian_chunk_takes_one_generator_call_per_path(name, monkeypatch):
                 yield made[-1]
 
     monkeypatch.setattr(path_sim, "Generators", Counting)
-    pipeline._gaussian_chunk(model, model.cfg.seed, 0, 300)
+    _span(model, 0, 300)
     assert len(made) == 300
     assert all(rng.calls == ["standard_normal"] for rng in made)
 
@@ -445,8 +446,7 @@ def test_a_block_holds_one_generator_at_a_time(case, monkeypatch):
     only the one before it (the draw's loop variable) is alive. The
     generators are watched through wrappers, which take weak references,
     and their seed states are counted as they are built."""
-    worker, build = CHUNK_CASES[case]
-    model = pipeline.model_from_dict(build())
+    model = pipeline.model_from_dict(CHUNK_CASES[case]())
     built, alive, made = [], [], []
     state_words = path_sim._StateWords
     monkeypatch.setattr(path_sim, "_StateWords",
@@ -462,14 +462,14 @@ def test_a_block_holds_one_generator_at_a_time(case, monkeypatch):
                 del rng
 
     monkeypatch.setattr(path_sim, "Generators", Watched)
-    worker(model, model.cfg.seed, 0, 600)
+    _span(model, 0, 600)
     assert built == list(range(600))
     assert len(made) == 600 and max(alive) <= 1
     assert all(r() is None for r in made)
 
 
 def _gaussian_chunk_reference(model, start, stop):
-    """_gaussian_chunk formed the long way: the cells and then eta by a
+    """_gaussian_block's span formed the long way: the cells and then eta by a
     second standard_normal call per path, X and Y on every node with the
     pre-history term added as mean + einsum, and theta over every node."""
     triplet, kern, cfg, sim = model.levy, model.kern, model.cfg, model.simulator
@@ -503,9 +503,9 @@ def _gaussian_scaled():
 @pytest.mark.parametrize("name", ["gaussian-baseline", "gaussian-power-2.5",
                                   "gaussian-scaled"])
 def test_gaussian_chunk_equals_the_full_grid_reference(name):
-    build = _gaussian_scaled if name == "gaussian-scaled" else CHUNK_CASES[name][1]
+    build = _gaussian_scaled if name == "gaussian-scaled" else CHUNK_CASES[name]
     model = pipeline.model_from_dict(build())
-    got = pipeline._gaussian_chunk(model, model.cfg.seed, 100, 400)
+    got = _span(model, 100, 400)
     want = _gaussian_chunk_reference(model, 100, 400)
     assert got.keys() == want.keys()
     for key in got:
@@ -727,7 +727,7 @@ def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
     other two. The rows are paths 0..149, as in the sequential reference
     test (the power kernel's Y leaves the two atoms' reach on later
     paths), some drawn more than once. The rank loop gives the same bits
-    in slices of 7 elements; _q_chunk agrees too."""
+    in slices of 7 elements; the battery's span agrees too."""
     d = _builtin("q-two-atom-zeta05") if case == "frozen-zeta" else Q_CASES[case]()
     model = pipeline.model_from_dict(d)
     kern, sim, gk = model.kern, model.simulator, model.gk
@@ -754,7 +754,7 @@ def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
         marks = girsanov.q_marks(gk, kern, counts, q_t, q_u, y_pre)
         for got, want in zip((counts, q_t, marks, y_pre), zip(*per_block)):
             assert np.array_equal(got, np.concatenate(want))
-    chunk = pipeline._q_chunk(model, model.cfg.seed, 0, 150)
+    chunk = _span(model, 0, 150)
     whole = [girsanov.draw_under_q(gk, kern, sim, sim.rngs(lo, hi))
              for lo, hi in ((0, 128), (128, 150))]
     for key, k in (("counts", 0), ("marks", 2), ("y_pre", 3)):
@@ -788,7 +788,7 @@ def test_weighted_block_matches_per_path_reference(name):
     model = pipeline.model_from_dict(_builtin(name))
     scn, triplet, kern, cfg, sim, gk = (model, model.levy, model.kern,
                                         model.cfg, model.simulator, model.gk)
-    got = pipeline._weighted_chunk(model, model.cfg.seed, 0, 150)
+    got = _span(model, 0, 150)
     refs = [_weighted_reference(scn, triplet, kern, cfg, sim, gk, i)
             for i in range(150)]
     z_ref = np.array([z for z, _ in refs])
@@ -1113,14 +1113,13 @@ def test_pooled_chunks_allocate_no_per_jump_arrays():
     traced memory within 256 KiB of where it started, peak included: its
     per-jump arrays are the pool's. Without the pool each 128-path block
     allocated and freed about 1.9 MB."""
-    for name, worker in (("q-two-atom-zeta05", pipeline._q_chunk),
-                         ("h2-two-atom", pipeline._weighted_chunk)):
+    for name in ("q-two-atom-zeta05", "h2-two-atom"):
         model = pipeline.builtin_scenario(name)
-        worker(model, model.cfg.seed, 0, 1000)
+        _span(model, 0, 1000)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            worker(model, model.cfg.seed, 0, 1000)
+            _span(model, 0, 1000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1133,10 +1132,9 @@ def test_pool_of_a_jump_chunk_holds_at_most_2_mib():
     formed in their uniforms, the decays laid out through the carry's own
     buffers, and no (row, time) keys. At 128-path blocks the pool held
     1.99 MB before these, 124 bytes a jump."""
-    for name, worker in (("q-two-atom-zeta05", pipeline._q_chunk),
-                         ("h2-two-atom", pipeline._weighted_chunk)):
+    for name in ("q-two-atom-zeta05", "h2-two-atom"):
         model = pipeline.builtin_scenario(name)
-        worker(model, model.cfg.seed, 0, 1000)
+        _span(model, 0, 1000)
         held = sum(b.nbytes for b in model.simulator.pool._buffers.values())
         assert held <= 2 * 2**20, (name, held)
 

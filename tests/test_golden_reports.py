@@ -4,7 +4,8 @@ and verdicts, and every finite float within 1e-12 relative.
 golden_reports_512.json holds every battery builtin's `run_verify`
 document at 512 paths. It holds a change that leaves the random streams
 alone to the reports of the code before it; a change that moves a stream
-on purpose re-records it and says so:
+on purpose re-records it and says so. Each recorder below keeps every
+recorded entry that still matches, and writes only new or changed ones:
 
     PYTHONPATH=src python tests/test_golden_reports.py verify
 
@@ -131,6 +132,16 @@ def _assert_matches(got, want, where: str) -> None:
             f"{where}: {got!r} != {want!r}"
 
 
+def _kept(recorded: dict, key: str, got, where: str):
+    """recorded[key] where got still matches it, else got: a re-recording
+    leaves alone what no change moved."""
+    try:
+        _assert_matches(got, recorded.get(key), where)
+    except AssertionError:
+        return got
+    return recorded[key]
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -173,16 +184,22 @@ def test_simulate_files_match_the_recorded_ones(name, simulated, tmp_path):
 if __name__ == "__main__":
     which = sys.argv[1:] or ["verify"]
     if "verify" in which:
-        GOLDEN.write_text(json.dumps({name: _report(name) for name in _battery_builtins()},
+        old = json.loads(GOLDEN.read_text())
+        GOLDEN.write_text(json.dumps({name: _kept(old, name, _report(name), name)
+                                      for name in _battery_builtins()},
                                      indent=1, allow_nan=False) + "\n")
     if "documents" in which:
+        old = json.loads(DOCUMENTS.read_text())
         docs = {command: {} for command in _RUNS}
         for command, name in _document_cases():
-            docs[command][name] = _document(command, name)
+            docs[command][name] = _kept(old.get(command, {}), name,
+                                        _document(command, name), f"{command} {name}")
         DOCUMENTS.write_text(json.dumps(docs, indent=1, allow_nan=False) + "\n")
     if "simulate" in which:
+        old = json.loads(SIMULATE.read_text())
         files = {}
         for name in _SIMULATED:
             with tempfile.TemporaryDirectory() as out_dir:
-                files[name] = _simulated(name, out_dir)
+                files[name] = _kept(old, name, _simulated(name, out_dir),
+                                    f"simulate {name}")
         SIMULATE.write_text(_dumps(files))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from levyemm import cli, emm_construct, pipeline, verify
+from levyemm import cli, emm_construct, path_sim, pipeline, verify
 from levyemm.errors import ConfigError
 from levyemm.levy_model import LevyTriplet
 from levyemm.path_sim import PathSimulator, SimConfig
@@ -62,6 +62,10 @@ def _renamed(base, section, key, new):
     d = base()
     d[section][new] = d[section].pop(key)
     return d
+
+
+def _no_paths(*args):
+    raise AssertionError("paths drawn")
 
 
 def _eps_past_a(base):
@@ -386,6 +390,36 @@ class TestScenarioSchema:
         assert scn.verify["tests"] == tests
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """ProcessPoolExecutor run in this process, task by task, on 2 CPUs: it
+    starts no process, and records each pool's (max_workers, initargs) and
+    each task's (fn, args)."""
+    pools, tasks = [], []
+
+    class InProcess:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append((max_workers, initargs))
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            tasks.append((fn, args))
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(pipeline, "_worker_model", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return pools, tasks
+
+
 class TestPipelines:
     def test_check_kernel_admissible(self):
         doc = run_check_kernel(builtin_scenario("classify-sas-1.5"))
@@ -432,10 +466,7 @@ class TestPipelines:
         scn = model_from_dict(d)
         assert run_construct(scn)["reach_sd"] == pytest.approx(4.13, abs=0.01)
 
-        def no_paths(*args):
-            raise AssertionError("paths drawn")
-
-        monkeypatch.setattr(pipeline, "_run_chunked", no_paths)
+        monkeypatch.setattr(pipeline, "_run_chunked", _no_paths)
         with pytest.raises(ConfigError, match="4.13 s.d."):
             run_verify(scn, n_paths=200)
 
@@ -456,10 +487,7 @@ class TestPipelines:
         d["emm"]["frozen_zeta"] = zeta
         scn = model_from_dict(d)
 
-        def no_paths(*args):
-            raise AssertionError("paths drawn")
-
-        monkeypatch.setattr(pipeline, "_run_chunked", no_paths)
+        monkeypatch.setattr(pipeline, "_run_chunked", _no_paths)
         with pytest.raises(ConfigError, match="emm.frozen_zeta"):
             run_verify(scn, n_paths=200)
 
@@ -610,7 +638,7 @@ class TestPipelines:
                 assert abs(r["estimate"]) == max(abs(p["estimate"]) for p in probes)
 
     def test_run_takes_paths_and_seed_and_leaves_the_model(self, tmp_path,
-                                                           monkeypatch):
+                                                           inline_pool):
         """A run at other n_paths and seed leaves the loaded model and its
         run invariants as they are and gives the documents and files of a
         model loaded with those values in its sim section. Pool workers
@@ -618,36 +646,15 @@ class TestPipelines:
         model = builtin_scenario("h2-two-atom")
         loaded, cfg, gk = model.to_dict(), model.cfg, model.gk
         pool = model.simulator.pool
-        tasks, inits = [], []
-
-        class InProcess:
-            """ProcessPoolExecutor run in this process, task by task."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                inits.append(initargs)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                tasks.append((fn, args))
-                fut = concurrent.futures.Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(pipeline, "_worker_model", None)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        pools, tasks = inline_pool
         doc = run_verify(model, n_paths=300, seed=5)
         pooled = run_verify(model, n_paths=300, seed=5, workers=2)
         run_simulate(model, str(tmp_path / "run"), n_paths=3, seed=4)
         assert model.to_dict() == loaded and model.cfg is cfg
         assert model.gk is gk and model.simulator.pool is pool
-        assert inits == [(loaded,)]
-        assert len(tasks) == 8
+        assert pools == [(2, (loaded,))]
+        # one span per block of 256 paths
+        assert len(tasks) == 2
         assert all(fn is pipeline._pool_task and args[1] == 5 for fn, args in tasks)
 
         def fresh(n_paths, seed):
@@ -713,6 +720,24 @@ class TestPipelines:
         two = run_verify(scn, n_paths=2000, workers=2)
         assert json.dumps(one) == json.dumps(two)
 
+    # a pool of workers processes, each started at the first submit, and
+    # 4 * workers + 1 float edges, whatever the path count, before
+    @pytest.mark.parametrize("n_paths, n_spans", [(300, 2), (3000, 8)])
+    def test_pool_is_bounded_by_cpus_and_blocks(self, n_paths, n_spans,
+                                                inline_pool):
+        """workers = 10**9 on 2 CPUs: 2 processes, at most four spans each
+        and no more spans than blocks, every span starting on a block; the
+        document is the one of workers = 1."""
+        model = builtin_scenario("h2-two-atom")
+        pools, tasks = inline_pool
+        pooled = run_verify(model, n_paths=n_paths, workers=10**9)
+        assert json.dumps(pooled) == json.dumps(run_verify(model, n_paths=n_paths))
+        assert [size for size, _ in pools] == [2]
+        edges = [args[2] for _, args in tasks] + [n_paths]
+        assert [args[2:] for _, args in tasks] == list(zip(edges[:-1], edges[1:]))
+        assert len(tasks) == n_spans
+        assert all(a % path_sim._BLOCK == 0 for a in edges[:-1])
+
     def test_pool_worker_builds_its_model_once(self, monkeypatch):
         model = builtin_scenario("q-two-atom-zeta05")
         seed = model.cfg.seed
@@ -722,10 +747,10 @@ class TestPipelines:
                             lambda d: built.append(d) or build(d))
         monkeypatch.setattr(pipeline, "_worker_model", None)
         pipeline._init_worker(model.to_dict())
-        parts = [pipeline._pool_task(pipeline._q_chunk, seed, a, b)
+        parts = [pipeline._pool_task(model.battery, seed, a, b)
                  for a, b in ((0, 150), (150, 300))]
         assert len(built) == 1
-        whole = pipeline._q_chunk(model, seed, 0, 300)
+        whole = pipeline._span(model.battery, model, seed, 0, 300)
         for key, arr in whole.items():
             assert np.array_equal(arr, np.concatenate([p[key] for p in parts])), key
 
@@ -792,7 +817,7 @@ class TestDirectQ:
 
     def test_frozen_zeta_marks_fail_the_live_law(self):
         scn = builtin_scenario("q-two-atom-zeta05")
-        data = pipeline._run_chunked(pipeline._q_chunk, scn, 500, scn.cfg.seed, 1)
+        data = pipeline._run_chunked(scn.battery, scn, 500, scn.cfg.seed, 1)
         frozen = scn.gk
         live = emm_construct.make_h2_kernel(scn.levy, scn.emm["a"], scn.kern.phi0)
         law = verify.conditional_jump_law_test
@@ -984,6 +1009,40 @@ class TestCli:
         validation = json.loads(out)["validation"]
         assert not validation["ok"] and validation["failures"]
 
+    # a KeyError traceback, exit 1, before
+    @pytest.mark.parametrize("name", [n for n in builtin_names()
+                                      if n.startswith("classify-")])
+    def test_verify_of_hypothesis_none_is_config_error(self, name, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "blocks", _no_paths)
+        code = cli.main(["verify", "--builtin", name, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "hypothesis none has no battery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["h1-two-atom", "h2-two-atom"])
+    def test_one_sided_tail(self, name, tmp_path, capsys, monkeypatch):
+        """Atoms at -0.3 and 1 leave no mass below -a, so no Girsanov kernel
+        exists. verify refuses the battery before any path, under either
+        workers (TruncationViolated, exit 2, before, raised in a pool
+        process for h1); construct writes its error document, exit 2."""
+        d = builtin_scenario(name).to_dict()
+        d["triplet"]["measure"]["atoms"] = [[-0.3, 1.0], [1.0, 1.0]]
+        p = tmp_path / "one-sided.yaml"
+        p.write_text(yaml.safe_dump(d))
+        monkeypatch.setattr(pipeline, "blocks", _no_paths)
+        for workers in ("1", "2"):
+            code = cli.main(["verify", "--scenario", str(p), "--n-paths", "600",
+                             "--workers", workers, "--out", str(tmp_path)])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"the {d['emm']['hypothesis']} Girsanov kernel" in err
+        code, out = self._run(["construct", "--scenario", str(p),
+                               "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_NOT_ADMISSIBLE
+        doc = json.loads(out)
+        assert doc["error"] == "TruncationViolated" and doc["scenario"] == name
+        assert json.loads((tmp_path / f"{name}_construct.json").read_text()) == doc
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = cli.main(["verify", "--scenario", str(tmp_path / "nope.yaml"),
                          "--out", str(tmp_path)])
@@ -1140,10 +1199,7 @@ class TestCli:
                                           monkeypatch):
         (tmp_path / "afile").write_text("kept")
 
-        def no_paths(*args):
-            raise AssertionError("paths drawn")
-
-        monkeypatch.setattr(pipeline, "blocks", no_paths)
+        monkeypatch.setattr(pipeline, "blocks", _no_paths)
         code = cli.main([argv[0], "--builtin", "h2-two-atom",
                          "--out", str(tmp_path / out), *argv[1:]])
         assert code == cli.EXIT_CONFIG
