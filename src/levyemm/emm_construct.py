@@ -33,7 +33,6 @@ from .levy_model import (
     levy_integrate,
     retriplet,
     tail_law,
-    tail_mass,
 )
 
 
@@ -193,16 +192,13 @@ class GirsanovKernelH2:
 
 
 def make_h2_kernel(triplet: LevyTriplet, a: float, phi0: float) -> GirsanovKernelH2:
-    lam = tail_mass(triplet.F, a)
-    if lam <= 0.0:
-        raise TruncationViolated("no tail mass beyond a")
     tail = tail_law(triplet.F, ball_complement(a))
     if tail is None or not tail.zeta_lo < 0.0 < tail.zeta_hi:
-        raise TruncationViolated("tail beyond a must be two-sided")
+        raise TruncationViolated("tail beyond a must hold mass on both sides")
     if math.isnan(tail.mean):
         raise UnsupportedModel("tail law needs a finite first moment beyond a")
     b_h = retriplet(triplet, indicator_inside(a)).b_h
-    return GirsanovKernelH2(a, lam, tail, b_h, phi0)
+    return GirsanovKernelH2(a, tail.rate, tail, b_h, phi0)
 
 
 # ---------------------------------------------------------------------------

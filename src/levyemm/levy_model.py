@@ -4,7 +4,9 @@ Measures come in three representations: a finite atom list (the canonical
 exact-arithmetic test representation), an evaluable density on R \\ {0},
 and the zero measure (pure Gaussian models). All integrals against a
 measure go through :func:`levy_integrate`, which is an exact sum for atoms
-and adaptive quadrature for densities.
+and adaptive quadrature for densities, except in :func:`tail_law`: F
+beyond a threshold is read from the atoms, or from the closed forms of a
+density's upper tail that its constructor supplies (none, no tail law).
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .errors import InvalidRegion, NonIntegrable, UnsupportedModel
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 _EPS_IN = 1e-6  # split point for the analytic near-zero correction
+_NEWTON_TOL = 1e-12  # Newton stops once every step is below this share of its mark
+_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,11 @@ class DensityMeasure(LevyMeasure):
     with p = origin_exponent as x -> 0 (None means bounded near 0). The
     tail flags declare what the user asserts about large-jump integrability;
     they are not inferred.
+
+    upper_tail = (mass, moment, inverse), for a density symmetric about 0,
+    gives its tail law (`tail_law` refuses a density without it): S(m) =
+    F([m, inf)), int_{x >= m} x F(dx) (inf if it diverges) and the m >= r
+    with S(m) = q S(r) (inf at q = 0), each on an array m or q.
     """
 
     def __init__(
@@ -196,6 +205,7 @@ class DensityMeasure(LevyMeasure):
         name: str | None = None,
         params: dict | None = None,
         breakpoints: Sequence[float] = (),
+        upper_tail: tuple[Callable, Callable, Callable] | None = None,
     ):
         if origin_exponent is not None and origin_exponent >= 2.0:
             raise ValueError("origin exponent must be < 2 for a Levy measure")
@@ -206,6 +216,7 @@ class DensityMeasure(LevyMeasure):
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
         self.name = name or "density"
         self.params = params or {}
+        self.upper_tail = upper_tail
         if math.isinf(self.support[0]) and math.isinf(self.support[1]):
             self.support_descriptor = "unbounded-both"
         else:
@@ -223,17 +234,47 @@ def symmetric_alpha_stable(alpha: float, scale: float = 1.0) -> DensityMeasure:
     def dens(x):
         return scale * np.abs(x) ** (-alpha - 1.0)
 
+    def mass(m):
+        return scale * m ** -alpha / alpha
+
+    def moment(m):  # infinite for alpha <= 1
+        return (scale / (alpha - 1.0) if alpha > 1.0 else math.inf) * m ** (1.0 - alpha)
+
+    def inverse(q, r):
+        return r * q ** (-1.0 / alpha)
+
     return DensityMeasure(
         dens,
         origin_exponent=alpha,
         tail_integrable=alpha > 1.0,
         name="symmetric-alpha-stable",
         params={"alpha": alpha, "scale": scale},
+        upper_tail=(mass, moment, inverse),
     )
 
 
+def _upper_gamma(s: float, z):
+    """Gamma(s, z) = int_z^inf t^{s-1} e^{-t} dt for s in (-2, 1), z > 0:
+    gammaincc (exp1 at 0) at top = s + n in [0, 1), then n steps down by
+    Gamma(s, z) = (Gamma(s + 1, z) - z^s e^{-z}) / s, each of which loses
+    about a factor z of relative precision for large z."""
+    n = math.ceil(-s)
+    top = s + n
+    z = np.asarray(z, dtype=float)
+    if top == 0.0:
+        out = scipy.special.exp1(z)
+    else:
+        out = scipy.special.gammaincc(top, z) * math.gamma(top)
+    decay = np.exp(-z)
+    for k in range(1, n + 1):
+        out = (out - z ** (top - k) * decay) / (top - k)
+    return out
+
+
 def tempered_stable(eta: float, lam: float, alpha: float) -> DensityMeasure:
-    """F(dx) = eta |x|^{-alpha-1} e^{-lam |x|} dx."""
+    """F(dx) = eta |x|^{-alpha-1} e^{-lam |x|} dx. Beyond m its mass is
+    eta lam^alpha Gamma(-alpha, lam m) and its first moment
+    eta lam^{alpha-1} Gamma(1 - alpha, lam m)."""
     if not (eta > 0 and lam > 0 and 0 < alpha < 2):
         raise ValueError("need eta, lam > 0 and alpha in (0, 2)")
 
@@ -241,12 +282,39 @@ def tempered_stable(eta: float, lam: float, alpha: float) -> DensityMeasure:
         ax = np.abs(x)
         return eta * ax ** (-alpha - 1.0) * np.exp(-lam * ax)
 
+    def mass(m):
+        return eta * lam ** alpha * _upper_gamma(-alpha, lam * m)
+
+    def moment(m):
+        return eta * lam ** (alpha - 1.0) * _upper_gamma(1.0 - alpha, lam * m)
+
+    def inverse(q, r):
+        # Newton on log S from m = r (S and the density read once there):
+        # S is log-convex, as the density is, so the iterates rise to the
+        # root, below r - log(q) / lam since S(m) <= S(r) e^{-lam (m - r)}
+        with np.errstate(divide="ignore"):  # q = 0 gives m = inf
+            log_q = np.log(q).reshape(-1)
+        s_r = float(mass(r))
+        target, top = log_q + math.log(s_r), r - log_q / lam
+        m = r - log_q * (s_r / dens(r))
+        todo = np.flatnonzero(m < math.inf)  # the marks still moving
+        for _ in range(_NEWTON_STEPS):
+            at = m[todo]
+            s = mass(at)
+            step = (np.log(s) - target[todo]) * s / dens(at)
+            m[todo] = np.minimum(at + step, top[todo])
+            todo = todo[np.abs(step) > _NEWTON_TOL * at]
+            if not todo.size:
+                break
+        return m.reshape(np.shape(q))
+
     return DensityMeasure(
         dens,
         origin_exponent=alpha,
         tail_integrable=True,
         name="tempered-stable",
         params={"eta": eta, "lam": lam, "alpha": alpha},
+        upper_tail=(mass, moment, inverse),
     )
 
 
@@ -261,6 +329,15 @@ def uniform_band(a: float, b: float, height: float = 1.0) -> DensityMeasure:
         ax = np.abs(x)
         return np.where((ax > a) & (ax < b), height, 0.0)
 
+    def mass(m):
+        return height * (b - np.clip(m, a, b))
+
+    def moment(m):
+        return 0.5 * height * (b * b - np.clip(m, a, b) ** 2)
+
+    def inverse(q, r):
+        return b - q * (b - min(max(r, a), b))
+
     return DensityMeasure(
         dens,
         origin_exponent=None,
@@ -269,6 +346,7 @@ def uniform_band(a: float, b: float, height: float = 1.0) -> DensityMeasure:
         name="uniform-band",
         params={"a": a, "b": b, "height": height},
         breakpoints=(-b, -a, a, b),
+        upper_tail=(mass, moment, inverse),
     )
 
 
@@ -425,8 +503,6 @@ def first_abs_moment_tail(F: LevyMeasure, r: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 _MASS_FLOOR = 1e-12  # least conditional mass an admissible zeta leaves
-_GRID_PTS_PER_DECADE = 512
-_GRID_REL_TOL = 1e-10  # share of the tail a side may leave beyond its grid
 _TAKE_ELEMS = 1 << 12  # uniforms a discrete quantile reads off at a time
 
 
@@ -440,6 +516,9 @@ class TailLaw:
     needs. All three take arrays. mean is NaN when the tail has no first
     moment. zeta_lo < zeta_hi bound the levels that leave both conditional
     masses above _MASS_FLOOR.
+
+    Atoms give a DiscreteTailLaw, a density a SymmetricTailLaw in closed
+    form; `tail_law` refuses a density without them (UnsupportedModel).
     """
 
     rate: float
@@ -505,130 +584,47 @@ class DiscreteTailLaw(TailLaw):
         return self._xp_below[np.searchsorted(self.x, z, side="left")]
 
 
-class StableTailLaw(TailLaw):
-    """F(dx) = scale |x|^{-alpha-1} dx beyond r in closed form: each side
-    holds half the mass, |X| = r U^{-1/alpha} is Pareto, and the partial
-    first moments exist for alpha > 1."""
+class SymmetricTailLaw(TailLaw):
+    """F beyond r from the closed forms (S, M, S^-1) of a symmetric
+    density's upper side (DensityMeasure.upper_tail): P(X < -m) =
+    P(X >= m) = S(m) / (2 S(r)) for m >= r, and E[X 1_{X < z}] =
+    -M(max(|z|, r)) / (2 S(r)) on either side of 0."""
 
-    def __init__(self, alpha: float, scale: float, r: float):
-        self.alpha = alpha
+    def __init__(self, upper, r: float):
+        self._mass, self._moment, self._inverse = upper
         self.r = r
-        self.rate = 2.0 * scale * r ** (-alpha) / alpha
-        # E[X 1_{X < -r}] = -c; NaN when the tail has no first moment
-        self._c = alpha * r / (2.0 * (alpha - 1.0)) if alpha > 1.0 else math.nan
-        self.mean = 0.0 if alpha > 1.0 else math.nan
-        self.zeta_hi = r * (2.0 * _MASS_FLOOR) ** (-1.0 / alpha)
+        self.rate = 2.0 * float(self._mass(r))
+        self.mean = 0.0 if math.isfinite(self._moment(r)) else math.nan
+        self.zeta_hi = float(self._inverse(2.0 * _MASS_FLOOR, r))
         self.zeta_lo = -self.zeta_hi
 
     def quantile(self, u, out=None):
         u = np.asarray(u, dtype=float)
-        side = np.minimum(u, 1.0 - u)  # P(|X| >= |x|) / 2 on x's side
-        return np.multiply(np.where(u < 0.5, -self.r, self.r),
-                           (2.0 * side) ** (-1.0 / self.alpha), out=out)
+        size = self._inverse(2.0 * np.minimum(u, 1.0 - u), self.r)
+        return np.multiply(np.where(u < 0.5, -1.0, 1.0), size, out=out)
 
     def mass_below(self, z):
-        # half of P(|X| >= max(|z|, r)) on the side of z
-        share = 0.5 * (np.maximum(np.abs(z), self.r) / self.r) ** (-self.alpha)
+        share = self._mass(np.maximum(np.abs(z), self.r)) / self.rate
         return np.where(np.asarray(z) < 0.0, share, 1.0 - share)
 
     def partial_mean_below(self, z):
-        return -self._c * (np.maximum(np.abs(z), self.r) / self.r) ** (1.0 - self.alpha)
-
-
-class GridTailLaw(TailLaw):
-    """Simpson cumulative mass and first moment on one two-sided,
-    log-spaced grid; marks by inverse-CDF interpolation.
-
-    Every breakpoint of F beyond r is a node, and the density is taken as
-    its one-sided limit at each node, so a piecewise-constant density is
-    integrated exactly.
-    """
-
-    def __init__(self, F: DensityMeasure, r: float):
-        moment = F.tail_integrable is not False
-        sides = []
-        for sgn in (-1.0, 1.0):
-            top = _tail_extent(F, r, sgn, moment)
-            n = 1 if top <= r else max(
-                64, int(_GRID_PTS_PER_DECADE * math.log10(top / r)))
-            bps = [sgn * b for b in F.breakpoints if r < sgn * b < top]
-            sides.append(np.union1d(np.geomspace(r, top, n), bps))
-        x = np.concatenate([-sides[0][::-1], sides[1]])
-        gap = len(sides[0]) - 1  # the segment (-r, r) holds no mass
-        mid = 0.5 * (x[:-1] + x[1:])
-        mid[gap] = r  # keeps the density away from 0
-        d_lo, d_mid, d_hi = (np.asarray(F.density(v), dtype=float) for v in (
-            np.nextafter(x[:-1], math.inf), mid, np.nextafter(x[1:], -math.inf)))
-        dx = np.diff(x) / 6.0
-        mass = (d_lo + 4.0 * d_mid + d_hi) * dx
-        first = (x[:-1] * d_lo + 4.0 * mid * d_mid + x[1:] * d_hi) * dx
-        mass[gap] = first[gap] = 0.0
-        cum = np.concatenate([[0.0], np.cumsum(mass)])
-        self.x = x
-        self.rate = float(cum[-1])
-        if self.rate <= 0.0:
-            return
-        self.cum_p = cum / self.rate
-        self.cum_xp = np.concatenate([[0.0], np.cumsum(first)]) / self.rate
-        self.mean = float(self.cum_xp[-1]) if moment else math.nan
-        lo_q = np.searchsorted(self.cum_p, _MASS_FLOOR)
-        hi_q = np.searchsorted(self.cum_p, 1.0 - _MASS_FLOOR)
-        self.zeta_lo = float(x[min(lo_q, len(x) - 1)])
-        self.zeta_hi = float(x[min(hi_q, len(x) - 1)])
-
-    def quantile(self, u, out=None):
-        q = np.interp(u, self.cum_p, self.x)
-        if out is None:
-            return q
-        out[...] = q
-        return out
-
-    def mass_below(self, z):
-        return np.interp(z, self.x, self.cum_p, left=0.0, right=1.0)
-
-    def partial_mean_below(self, z):
-        return np.interp(z, self.x, self.cum_xp, left=0.0, right=self.mean)
-
-
-def _tail_extent(F: DensityMeasure, r: float, sgn: float, moment: bool) -> float:
-    """Magnitude past which one side of the tail beyond r is negligible.
-
-    Doubles [lo, 2 lo] from lo = r. Stops at the edge of the support, or
-    once the side has mass, its last breakpoint is passed and a step adds
-    less than _GRID_REL_TOL of the first moment (of the mass when the tail
-    is not integrable).
-    """
-    edge = F.support[1] if sgn > 0 else -F.support[0]
-    last = max([sgn * b for b in F.breakpoints], default=r)
-    weight = (lambda x: np.abs(x)) if moment else 1.0
-    lo, total = r, 0.0
-    for _ in range(200):
-        if lo >= edge:
-            return max(r, edge)
-        hi = 2.0 * lo
-        seg = Interval(lo, hi) if sgn > 0 else Interval(-hi, -lo)
-        step = levy_integrate(F, weight, [seg])
-        total += step
-        lo = hi
-        if total > 0.0 and lo >= last and step < _GRID_REL_TOL * total:
-            return lo
-    raise UnsupportedModel("the tail beyond the threshold did not localize")
+        return -self._moment(np.maximum(np.abs(z), self.r)) / self.rate
 
 
 def tail_law(F: LevyMeasure, region: list[Interval]) -> TailLaw | None:
     """Law of the jumps of F in region = ball_complement(r, open_ends=...);
     None when the region holds no mass. Interval.contains decides whether
-    atoms at +-r belong to it."""
+    atoms at +-r belong to it. A density measure without upper_tail is
+    refused with UnsupportedModel."""
     if F.is_zero:
         return None
     if isinstance(F, DiscreteMeasure):
         mask = np.any([iv.contains(F.x) for iv in region], axis=0)
         return DiscreteTailLaw(F.x[mask], F.w[mask]) if mask.any() else None
+    if F.upper_tail is None:
+        raise UnsupportedModel(f"density {F.name!r} has no closed-form tail law")
     r = region[-1].lo
-    if F.name == "symmetric-alpha-stable":
-        return StableTailLaw(F.params["alpha"], F.params["scale"], r)
-    law = GridTailLaw(F, r)
-    return law if law.rate > 0.0 else None
+    return SymmetricTailLaw(F.upper_tail, r) if F.upper_tail[0](r) > 0.0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -1019,7 +1019,7 @@ def _h2_uniform_band():
     return d
 
 
-# a jump-only law, jumps with Gaussian cells, and a grid tail law
+# a jump-only law, jumps with Gaussian cells, and a uniform-band tail law
 POOL_CASES = {
     "h2-two-atom": lambda: _builtin("h2-two-atom"),
     "direct-q-sas-1.5": _direct_q_sas,

@@ -24,6 +24,8 @@ from levyemm.levy_model import (
     indicator_inside,
     symmetric_alpha_stable,
     tail_law,
+    tail_mass,
+    tempered_stable,
     levy_integrate,
     uniform_band,
 )
@@ -126,13 +128,13 @@ class TestTailLaw:
         with pytest.raises(TruncationViolated):
             make_h2_kernel(_triplet(F), 0.5, 1.0)
 
-    def test_grid_law_matches_uniform_band(self):
+    def test_closed_form_law_matches_uniform_band(self):
         F = uniform_band(1.0, 2.0, 0.3)
         law = tail_law(F, ball_complement(1.0))
-        assert law.mean == pytest.approx(0.0, abs=1e-9)
-        assert law.mass_below(0.0) == pytest.approx(0.5, abs=1e-6)
+        assert law.mean == pytest.approx(0.0, abs=1e-12)
+        assert law.mass_below(0.0) == pytest.approx(0.5, abs=1e-12)
         # E[X 1_{X<0}] = -0.3 * (2^2-1)/2 normalized by mass 0.6
-        assert law.partial_mean_below(0.0) == pytest.approx(-0.45 / 0.6, rel=2e-3)
+        assert law.partial_mean_below(0.0) == pytest.approx(-0.45 / 0.6, rel=1e-12)
 
 
 class TestLambdaOfZeta:
@@ -253,6 +255,14 @@ class TestH2Kernel:
         assert res["max_drift_violation"] < 1e-9
         assert res["max_mass_violation"] < 1e-9
 
+    @pytest.mark.parametrize("a", [1.0, 2.0, 3.0])
+    def test_tempered_stable_drift_identity(self, a):
+        t = _triplet(tempered_stable(1.0, 1.0, 1.5))
+        k = make_h2_kernel(t, a, 1.0)
+        assert k.lam == k.tail.rate == pytest.approx(tail_mass(t.F, a), rel=1e-12)
+        res = validate_girsanov_kernel(k, t, np.linspace(-0.1, 0.1, 9))
+        assert res["ok"], res
+
     def test_stable_without_first_moment_refused(self):
         F = symmetric_alpha_stable(0.9)
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0), integrable=False)
@@ -260,7 +270,7 @@ class TestH2Kernel:
             make_h2_kernel(t, 1.0, 1.0)
 
     def test_uniform_band_tail_below_the_band(self):
-        # the first doubling [a, 2a] = [0.25, 0.5] holds no mass
+        # (a, 0.5) = (0.25, 0.5) holds no mass
         t = _triplet(uniform_band(0.5, 2.0))
         k = make_h2_kernel(t, 0.25, 1.0)
         assert k.tail.rate == pytest.approx(3.0, rel=1e-12)
@@ -268,8 +278,7 @@ class TestH2Kernel:
         assert res["ok"], res
         assert res["max_drift_violation"] < 1e-12
 
-    def test_uniform_band_grid_mass_exact(self):
-        # a breakpoint (b = 2) falls inside a doubling of a = 0.75
+    def test_uniform_band_mass_exact(self):
         k = make_h2_kernel(_triplet(uniform_band(0.5, 2.0)), 0.75, 1.0)
         assert k.lam == pytest.approx(2.5, rel=1e-12)
         assert k.tail.rate == pytest.approx(2.5, rel=1e-12)

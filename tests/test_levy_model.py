@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyemm.errors import InvalidRegion, NonIntegrable
+from levyemm.errors import InvalidRegion, NonIntegrable, UnsupportedModel
 from levyemm.levy_model import (
     DensityMeasure,
     DiscreteMeasure,
@@ -13,6 +14,7 @@ from levyemm.levy_model import (
     Interval,
     LevyTriplet,
     ZeroMeasure,
+    _MASS_FLOOR,
     ball_complement,
     band_masses,
     first_abs_moment_tail,
@@ -148,12 +150,28 @@ class TestTailLawQuantile:
             want = np.random.default_rng(seed).choice(law.x, size=500, p=law.p)
             np.testing.assert_array_equal(got, want)
 
-    def test_grid_sample_is_interpolated_inverse(self):
-        law = tail_law(tempered_stable(1.0, 1.0, 1.5), ball_complement(0.5))
+    def test_tempered_stable_sample_is_the_inverse_of_its_mass(self):
+        """Each mark x of u leaves twice min(u, 1 - u) of one side's mass
+        above |x|, on u's side of 0, by quadrature and a root search."""
+        F = tempered_stable(1.0, 1.0, 1.5)
+        law = tail_law(F, ball_complement(0.5))
+
+        def upper(m):
+            return scipy.integrate.quad(F.density, m, math.inf, epsabs=0.0,
+                                        epsrel=1e-13, limit=200)[0]
+
+        side = upper(0.5)
         for seed in range(5):
             got = law.sample(500, np.random.default_rng(seed))
             u = np.random.default_rng(seed).uniform(size=500)
-            np.testing.assert_array_equal(got, np.interp(u, law.cum_p, law.x))
+            np.testing.assert_array_equal(got, law.quantile(u))
+            for x, v in zip(got[:4], u[:4]):
+                share = 2.0 * min(v, 1.0 - v)
+                want = scipy.optimize.brentq(
+                    lambda m: math.log(upper(m) / side / share), 0.5, 60.0,
+                    xtol=1e-14, rtol=1e-14)
+                assert abs(x) == pytest.approx(want, rel=1e-12)
+                assert (x < 0.0) == (v < 0.5)
 
     @pytest.mark.parametrize("w", [
         [0.7], [1.0, 1.0], [0.3, 1.1, 0.7, 0.2, 0.05, 2.0, 0.4], [0.1] * 10,
@@ -188,8 +206,9 @@ class TestTailLawQuantile:
                               [law.x[-1], search(0.0)])
 
     @pytest.mark.parametrize("F", [symmetric_alpha_stable(1.5, 2.0),
-                                   uniform_band(0.5, 2.0)],
-                             ids=["stable", "grid"])
+                                   uniform_band(0.5, 2.0),
+                                   tempered_stable(1.0, 1.0, 1.5)],
+                             ids=["stable", "uniform-band", "tempered-stable"])
     def test_quantile_inverts_mass_below(self, F):
         law = tail_law(F, ball_complement(0.75))
         u = np.linspace(0.001, 0.999, 99)
@@ -198,8 +217,9 @@ class TestTailLawQuantile:
 
     @pytest.mark.parametrize("F", [
         DiscreteMeasure([(-2.0, 0.3), (-1.0, 1.1), (1.0, 0.7), (3.0, 0.2)]),
-        symmetric_alpha_stable(1.5), uniform_band(0.5, 2.0)],
-        ids=["discrete", "stable", "grid"])
+        symmetric_alpha_stable(1.5), uniform_band(0.5, 2.0),
+        tempered_stable(1.0, 1.0, 1.5)],
+        ids=["discrete", "stable", "uniform-band", "tempered-stable"])
     def test_array_queries_match_scalar(self, F):
         law = tail_law(F, ball_complement(0.75))
         z = np.array([-3.0, -1.0, -0.8, 0.0, 0.9, 1.0, 2.5])
@@ -210,14 +230,64 @@ class TestTailLawQuantile:
 
     @pytest.mark.parametrize("F", [
         DiscreteMeasure([(-2.0, 0.3), (-1.0, 1.1), (1.0, 0.7), (3.0, 0.2)]),
-        symmetric_alpha_stable(1.5), uniform_band(0.5, 2.0)],
-        ids=["discrete", "stable", "grid"])
+        symmetric_alpha_stable(1.5), uniform_band(0.5, 2.0),
+        tempered_stable(1.0, 1.0, 1.5)],
+        ids=["discrete", "stable", "uniform-band", "tempered-stable"])
     def test_quantile_into_out_is_the_quantile(self, F):
         law = tail_law(F, ball_complement(0.75))
         u = np.random.default_rng(9).random(50)
         out = np.full(50, np.nan)
         assert law.quantile(u, out=out) is out
         assert np.array_equal(out, law.quantile(u))
+
+
+def _quad_beyond(F, g, m):
+    """int_m^inf g(x) F(dx) by quadrature at epsrel 1e-13."""
+    return scipy.integrate.quad(lambda x: g(x) * F.density(x), m, math.inf,
+                                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+class TestClosedFormTails:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 0.9999, 1.9999])
+    def test_tempered_stable_matches_quadrature(self, alpha):
+        """rate, mass_below and partial_mean_below at every z where one
+        side keeps a conditional mass of at least _MASS_FLOOR; alpha = 1
+        takes exp1, and alpha near 1 or 2 puts gammaincc's order near 0."""
+        F, r = tempered_stable(1.0, 1.0, alpha), 0.5
+        law = tail_law(F, ball_complement(r))
+        rate = 2.0 * _quad_beyond(F, np.ones_like, r)
+        assert law.rate == pytest.approx(rate, rel=1e-12)
+        assert law.mass_below(law.zeta_lo) == pytest.approx(_MASS_FLOOR, rel=1e-9)
+        for z in [-r, r, *np.linspace(law.zeta_lo, law.zeta_hi, 41)]:
+            m = max(abs(z), r)
+            share = _quad_beyond(F, np.ones_like, m) / rate
+            assert law.mass_below(z) == pytest.approx(
+                share if z < 0.0 else 1.0 - share, rel=1e-12)
+            assert law.partial_mean_below(z) == pytest.approx(
+                -_quad_beyond(F, lambda x: x, m) / rate, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.25, 1.0, 2.0, 2.5],
+                             ids=["below", "inside", "at-the-edge", "beyond"])
+    def test_uniform_band_matches_its_integrals(self, r):
+        F = uniform_band(0.5, 2.0, 0.3)
+        law = tail_law(F, ball_complement(r))
+        if r >= 2.0:
+            assert law is None
+            return
+        assert law.rate == pytest.approx(tail_mass(F, r), rel=1e-12)
+        for z in (-1.9, -1.2, -0.4, 0.0, 0.7, 1.5, 2.5):
+            m = max(abs(z), r)
+            share = levy_integrate(F, 1.0, [Interval(m, math.inf)]) / law.rate
+            first = levy_integrate(F, lambda x: x, [Interval(m, math.inf)])
+            assert law.mass_below(z) == pytest.approx(
+                share if z < 0.0 else 1.0 - share, rel=1e-12, abs=1e-15)
+            assert law.partial_mean_below(z) == pytest.approx(
+                -first / law.rate, rel=1e-12, abs=1e-15)
+
+    def test_density_without_closed_forms_is_refused(self):
+        F = DensityMeasure(lambda x: np.exp(-np.abs(x)), tail_integrable=True)
+        with pytest.raises(UnsupportedModel, match="closed-form"):
+            tail_law(F, ball_complement(1.0))
 
 
 class TestDriftXi:

@@ -279,7 +279,8 @@ class TestMovingAverage:
 
 
 class TestDensityTails:
-    """Explicit jumps of density measures drawn from the grid tail law."""
+    """Explicit jumps of density measures drawn from their closed-form
+    tail laws."""
 
     @pytest.mark.parametrize("F", [tempered_stable(1.0, 1.0, 1.5),
                                    uniform_band(0.5, 2.0)],
@@ -296,8 +297,8 @@ class TestDensityTails:
         target /= sim.jump_rate
         assert abs(z.mean() - target) < 4 * z.std(ddof=1) / math.sqrt(len(z))
 
-    def test_zero_mass_first_doubling(self):
-        # [eps, 2 eps] = [0.25, 0.5] holds no mass; the grid must go on
+    def test_band_beyond_eps(self):
+        # (eps, a) = (0.25, 0.5) holds no mass
         F = uniform_band(0.5, 2.0)
         t = LevyTriplet(0.0, F, 0.0, indicator_inside(1.0))
         sim = PathSimulator(t, _cfg(eps_jump=0.25))
