@@ -253,14 +253,29 @@ def symmetric_alpha_stable(alpha: float, scale: float = 1.0) -> DensityMeasure:
     )
 
 
+# Gamma(s, z) is taken from Legendre's continued fraction from this z on,
+# where it needs at most about 45 terms, and from the recurrence below it
+_FRACTION_FROM = 3.0
+
+
 def _upper_gamma(s: float, z):
     """Gamma(s, z) = int_z^inf t^{s-1} e^{-t} dt for s in (-2, 1), z > 0:
-    gammaincc (exp1 at 0) at top = s + n in [0, 1), then n steps down by
-    Gamma(s, z) = (Gamma(s + 1, z) - z^s e^{-z}) / s, each of which loses
-    about a factor z of relative precision for large z."""
+    `_gamma_fraction` from z = _FRACTION_FROM on, `_gamma_recurrence`
+    below it."""
+    z = np.asarray(z, dtype=float)
+    far = z >= _FRACTION_FROM
+    out = np.empty(z.shape)
+    out[far] = _gamma_fraction(s, z[far])
+    out[~far] = _gamma_recurrence(s, z[~far])
+    return out
+
+
+def _gamma_recurrence(s: float, z: np.ndarray) -> np.ndarray:
+    """Gamma(s, z): gammaincc (exp1 at 0) at top = s + n in [0, 1), then
+    n steps down by Gamma(s, z) = (Gamma(s + 1, z) - z^s e^{-z}) / s, each
+    of which loses about a factor z of relative precision."""
     n = math.ceil(-s)
     top = s + n
-    z = np.asarray(z, dtype=float)
     if top == 0.0:
         out = scipy.special.exp1(z)
     else:
@@ -268,6 +283,35 @@ def _upper_gamma(s: float, z):
     decay = np.exp(-z)
     for k in range(1, n + 1):
         out = (out - z ** (top - k) * decay) / (top - k)
+    return out
+
+
+def _gamma_fraction(s: float, z: np.ndarray) -> np.ndarray:
+    """Gamma(s, z) by Legendre's continued fraction, e^{-z} z^s / (z + 1 - s
+    - 1 (1 - s) / (z + 3 - s - 2 (2 - s) / (z + 5 - s - ...))), evaluated
+    by the modified Lentz method (Numerical Recipes, gcf) until every
+    factor is 1 to an ulp; for z >= _FRACTION_FROM, where every partial
+    denominator stays positive. 0 at z = inf."""
+    out = np.zeros(z.shape)
+    live = z < math.inf
+    z = z[live]
+    b = z + (1.0 - s)
+    d = 1.0 / b
+    c, h = np.full(z.shape, math.inf), d.copy()
+    for i in range(1, 200):
+        a = -i * (i - s)
+        b += 2.0
+        d *= a
+        d += b
+        np.reciprocal(d, out=d)
+        c = b + a / c
+        step = c * d
+        h *= step
+        if np.all(np.abs(step - 1.0) <= 2.0 ** -52):
+            break
+    else:
+        raise FloatingPointError(f"Gamma({s}, z) did not converge")
+    out[live] = np.exp(-z) * z ** s * h
     return out
 
 

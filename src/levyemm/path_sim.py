@@ -12,13 +12,13 @@ exponential form both sums are carried as states along each path
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import _backend
 from .errors import InvalidConfig, KernelDomain
@@ -706,23 +706,121 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
     return out
 
 
-class _StateWords(ISeedSequence):
-    """A seed sequence whose PCG64 state words are already generated."""
+_MASK64 = (1 << 64) - 1
+# PCG64's multiplier (PCG_DEFAULT_MULTIPLIER_128), high and low word
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
 
-    __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+def _mul64(a, b) -> tuple:
+    """The 128-bit products a b of uint64 values, as (high, low) words, by
+    32-bit halves, whose products do not wrap."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    low, cross, mid = a0 * b0, a1 * b0, a0 * b1
+    carry = (low >> 32) + (cross & _MASK32) + (mid & _MASK32)
+    return (a1 * b1 + (cross >> 32) + (mid >> 32) + (carry >> 32),
+            (carry << 32) | (low & _MASK32))
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("holds only PCG64's four uint64 state words")
-        return self.words
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    """(a + b) mod 2**128 of (high, low) uint64 words."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_seeded(words: np.ndarray) -> np.ndarray:
+    """The PCG64 (state, inc) that PCG64 makes of SeedSequence words (n, 4)
+    (initstate high and low, then initseq high and low), as (n, 4) words:
+    state high and low, then inc high and low, the order of NumPy's
+    bit_generator.state. PCG64's seeding step, vectorised: inc =
+    2 initseq + 1, then state = (initstate + inc) MULT + inc mod 2**128."""
+    s_hi, s_lo, q_hi, q_lo = words.T
+    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+    hi, lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
+    m_hi, m_lo = _PCG_MULT
+    prod_hi, prod_lo = _mul64(lo, m_lo)
+    prod_hi += hi * m_lo + lo * m_hi
+    return np.stack(_add128(prod_hi, prod_lo, inc_hi, inc_lo) + (inc_hi, inc_lo),
+                    axis=1)
+
+
+def _numpy_words(seed: int, i: int) -> list:
+    """The words of `_pcg64_seeded` for path i at seed, by NumPy's own
+    SeedSequence and PCG64."""
+    state = np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"]
+    return [w >> s & _MASK64 for w in (state["state"], state["inc"])
+            for s in (64, 0)]
+
+
+class _PCG64Struct(ctypes.Structure):
+    """NumPy's pcg64_state, at a PCG64's ctypes.state_address: the address
+    of its (state, inc) pair of 128-bit words, and the half of a 64-bit
+    output it keeps for the next 32-bit draw."""
+
+    _fields_ = [("pcg_state", ctypes.c_void_p), ("has_uint32", ctypes.c_int),
+                ("uinteger", ctypes.c_uint32)]
+
+
+# written through bit_generator.state to find where the words lie: state
+# high and low, inc high and low, and a kept 32-bit half
+_SENTINELS = (0x0123456789ABCDEF, 0x1122334455667788,
+              0x8877665544332211, 0xFEDCBA9876543211)
+_SENTINEL_32 = 0xDEADBEEF
+# where NumPy's pcg128_t lays out the words of `_pcg64_seeded`, as indices
+# into them: native __uint128_t on a little-endian machine (low word
+# first), or the {high, low} struct of its emulated 128-bit arithmetic
+_WORD_ORDERS = ((1, 0, 3, 2), (0, 1, 2, 3))
+
+
+def _word_order(read) -> tuple:
+    """The `_WORD_ORDERS` entry by which the four words read at a PCG64's
+    (state, inc) hold _SENTINELS; RuntimeError when none does."""
+    read = [int(w) for w in read]
+    for order in _WORD_ORDERS:
+        if read == [_SENTINELS[k] for k in order]:
+            return order
+    raise RuntimeError(f"NumPy's PCG64 state has a layout the reseat does not "
+                       f"know: words {[hex(w) for w in read]} after "
+                       f"{[hex(w) for w in _SENTINELS]} were written")
+
+
+class _Seat:
+    """A thread's one PCG64 and its Generator, which `Generators` reseats
+    for each path: its (state, inc) words are written in place through the
+    bit generator's ctypes.state_address, in the order found when the seat
+    is made by writing _SENTINELS through the public state setter and
+    reading them back. busy while an iteration of `Generators` holds it."""
+
+    def __init__(self):
+        bit_generator = np.random.PCG64(0)
+        self.generator = np.random.Generator(bit_generator)
+        self.struct = _PCG64Struct.from_address(bit_generator.ctypes.state_address)
+        state, inc = (_SENTINELS[k] << 64 | _SENTINELS[k + 1] for k in (0, 2))
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 1, "uinteger": _SENTINEL_32}
+        if (self.struct.has_uint32, self.struct.uinteger) != (1, _SENTINEL_32):
+            raise RuntimeError("NumPy's pcg64_state does not have the layout "
+                               "the reseat reads")
+        words = (ctypes.c_uint64 * 4).from_address(self.struct.pcg_state)
+        self.order = _word_order(words)
+        self.words = np.ctypeslib.as_array(words)
+        self.busy = False
+
+
+_SEATS = threading.local()
+
+
+def _seat() -> _Seat:
+    """This thread's seat, made when the thread first asks for it."""
+    seat = getattr(_SEATS, "seat", None)
+    if seat is None:
+        seat = _SEATS.seat = _Seat()
+    return seat
 
 
 class Arrivals:
     """Per path, a Poisson(mean) count n_b of arrival times uniform on
-    [lo, hi) and a mark uniform for each, drawn one generator at a time
+    [lo, hi) and a mark uniform for each, drawn one path at a time
     (draw), path b's into row b of one buffer of rows: a poisson call,
     then one random(2 n_b) call, whose first n_b doubles d give the times
     as lo + (hi - lo) d, which is NumPy's uniform(lo, hi, n_b) to the bit,
@@ -748,15 +846,16 @@ class Arrivals:
             return np.empty((n_rows, width + width // 8))
         return self.pool.take_rows("rows", n_rows, width)
 
-    def draw(self, rng) -> None:
-        """The next path's two calls of rng."""
-        n, b = rng.poisson(self.mean), len(self.counts)
+    def draw(self, poisson, random) -> None:
+        """The next path's two calls, of its generator's poisson and random
+        methods, which a caller binds once for the paths of one generator."""
+        n, b = poisson(self.mean), len(self.counts)
         if 2 * n > self.rows.shape[1]:
             old, used = self.rows, 2 * max(self.counts, default=0)
             self.rows = self._rows(len(old), 2 * n)
             self.rows[:b, :used] = old[:b, :used]
         self.counts.append(n)
-        rng.random(out=self.rows[b, :2 * n])
+        random(out=self.rows[b, :2 * n])
 
     def result(self) -> tuple:
         """The counts, the times sorted row by row and the uniforms, the
@@ -779,9 +878,13 @@ class Arrivals:
 
 
 class Generators:
-    """The PCG64 generators of rows of seed states (`seed_states`), each
-    built only when iteration reaches it, so that a block drawn from them
-    holds one at a time; each iteration builds them afresh."""
+    """The PCG64 streams of rows of seed states (`seed_states`), one path
+    after the other from this thread's one Generator (`_Seat`): before
+    iteration yields it for a path, its state is that path's words and no
+    32-bit half is kept, so it draws what NumPy's own generator of the
+    path draws, to the bit, and no generator is built per path. What a
+    path draws must be drawn before iteration moves on; two iterations in
+    one thread at once are refused with RuntimeError."""
 
     def __init__(self, states: np.ndarray):
         self.states = states
@@ -790,18 +893,31 @@ class Generators:
         return len(self.states)
 
     def __iter__(self):
-        for w in self.states:
-            yield np.random.Generator(np.random.PCG64(_StateWords(w)))
+        seat = _seat()
+        if seat.busy:
+            raise RuntimeError("another iteration of Generators holds this "
+                               "thread's generator")
+        seat.busy = True
+        try:
+            words, struct, rng = seat.words, seat.struct, seat.generator
+            for w in self.states[:, seat.order]:
+                words[...] = w
+                struct.has_uint32 = 0
+                struct.uinteger = 0
+                yield rng
+        finally:
+            seat.busy = False
 
 
 def seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
-    """The (hi - lo, 4) PCG64 state words SeedSequence((seed, i)) gives
-    paths i = lo..hi - 1, 32 bytes a path.
+    """The (hi - lo, 4) PCG64 words that PCG64(SeedSequence((seed, i)))
+    starts from for paths i = lo..hi - 1, 32 bytes a path: state high and
+    low, then inc high and low (`_pcg64_seeded`).
 
     An index takes one entropy word below 2**32 and two from there on, so
     the range is hashed in one pass per word count; indices from 2**64 on
-    are refused. The first path of each pass is compared with NumPy's
-    SeedSequence, and a mismatch raises RuntimeError."""
+    are refused. The first path of each pass is compared with NumPy's own
+    SeedSequence and PCG64, and a mismatch raises RuntimeError."""
     if hi > 1 << 64:
         raise ValueError(f"path indices must be below 2**64, not {hi - 1}")
     seed_words = np.array(_words32(seed), dtype=np.uint64)[:, None]
@@ -812,20 +928,20 @@ def seed_states(seed: int, lo: int, hi: int) -> np.ndarray:
             continue
         idx = np.arange(a, b, dtype=np.uint64)
         shifts = np.arange(0, 32 * n_words, 32, dtype=np.uint64)[:, None]
-        state = _seed_state(np.vstack([np.repeat(seed_words, b - a, axis=1),
-                                       idx >> shifts & _MASK32]))
-        want = np.random.SeedSequence((seed, a)).generate_state(4, np.uint64)
-        if not np.array_equal(state[0], want):
+        state = _pcg64_seeded(_seed_state(np.vstack(
+            [np.repeat(seed_words, b - a, axis=1), idx >> shifts & _MASK32])))
+        want = _numpy_words(seed, a)
+        if state[0].tolist() != want:
             raise RuntimeError(
                 f"the block seeding of path {a} disagrees with NumPy's "
-                f"SeedSequence ({state[0]} != {want})")
+                f"SeedSequence and PCG64 ({state[0]} != {want})")
         out.append(state)
     return np.concatenate(out)
 
 
 # paths drawn and evaluated together by the path batteries (`pipeline._span`)
 # and run_simulate (`blocks`); results do not depend on it, since every path keeps its own
-# (seed, i) generator and is summed on its own
+# (seed, i) stream and is summed on its own
 _BLOCK = 256
 # paths seeded by one hashing pass (`blocks`): a whole number of blocks, few
 # enough that the pass's temporaries stay a few MB
@@ -833,13 +949,13 @@ _SEED_PASS = 64 * _BLOCK
 
 
 def blocks(seed: int, start: int, stop: int):
-    """The generators of [start, stop) at seed in blocks of _BLOCK paths,
+    """The streams of [start, stop) at seed in blocks of _BLOCK paths,
     with each block's first index. The seed states of up to _SEED_PASS
     paths come from one pass of `seed_states`, checked against NumPy's
-    SeedSequence on the pass's first path; a block's generators are
-    `Generators` of its slice of them, each built only when the block's
-    draw reaches its path. Each is the SeedSequence((seed, i)) generator of
-    path i (rng_for at seed)."""
+    SeedSequence and PCG64 on the pass's first path; a block's streams are
+    `Generators` of its slice of them, drawn from this thread's one
+    reseated generator. Path i's is the stream of its SeedSequence((seed,
+    i)) generator (rng_for at seed), to the bit."""
     for first in range(start, stop, _SEED_PASS):
         states = seed_states(seed, first, min(first + _SEED_PASS, stop))
         for lo in range(0, len(states), _BLOCK):
@@ -850,15 +966,17 @@ class PathSimulator:
     """Precomputes model quantities and generates reproducible paths.
 
     Path i uses the substream seeded by SeedSequence((seed, i)), so results
-    do not depend on scheduling or chunking. rng_for builds that generator
-    for one path at the config's seed. The module's `seed_states` derives
-    the state words of a whole range of paths at any seed at once, by a
-    vectorised pass that reproduces SeedSequence's words and is checked
-    against NumPy's own SeedSequence on the first path of the pass;
-    `Generators` builds the generators from any slice of them one at a
-    time, `blocks` walks a range in blocks of them, and rngs builds all of
-    one range at the config's seed. pool is the `BufferPool` that the
-    jump batteries draw their blocks into.
+    do not depend on scheduling or chunking. rng_for builds NumPy's own
+    generator of it for one path at the config's seed, and rngs those of a
+    range; they are the references the block draw is checked against. The
+    module's `seed_states` derives the PCG64 words of a whole range of
+    paths at any seed at once, by a vectorised pass that reproduces
+    SeedSequence's hash and PCG64's seeding step and is checked against
+    NumPy's own on the first path of the pass; `Generators` draws the paths
+    of any slice of them from one generator per thread, its state written
+    in place before each path, and `blocks` walks a range in blocks of
+    them. pool is the `BufferPool` that the jump batteries draw their
+    blocks into.
     """
 
     def __init__(self, triplet: LevyTriplet, config: SimConfig):
@@ -888,19 +1006,20 @@ class PathSimulator:
         )
 
     def rngs(self, lo: int, hi: int) -> list:
-        """The generators of paths lo..hi - 1, each the one rng_for gives,
-        from one seed_states pass."""
-        return list(Generators(seed_states(self.config.seed, lo, hi)))
+        """NumPy's own generators of paths lo..hi - 1 (rng_for's), each a
+        generator of its own."""
+        return [self.rng_for(i) for i in range(lo, hi)]
 
     def draw(self, rngs, prehistory: Prehistory | None = None,
              pool: BufferPool | None = None,
              then: Arrivals | None = None) -> PathBlock:
         """One path per generator of rngs, a sized iterable that is
-        iterated once: each generator makes all its calls in one pass and
-        is dropped before the next one's, so `Generators` builds one at a
-        time. Each row takes the same calls of its own generator in the
-        same order, so it does not depend on the block it is drawn in;
-        simulate is the one-row case. The Gaussian cells take one
+        iterated once: each path makes all its calls before iteration moves
+        on, as `Generators`, which reseats one generator for every path,
+        needs, and a generator's methods are bound once for the paths it
+        draws. Each row takes the same calls of its own stream in the same
+        order, so it does not depend on the block it is drawn in; simulate
+        is the one-row case. The Gaussian cells take one
         standard_normal call: n normals z for the Brownian part and n more
         for the small-jump approximation, each when it has variance, so the
         cells are drift dt + sd_c z[:n] + sd_small z[n:], added in that
@@ -948,11 +1067,17 @@ class PathSimulator:
         jumps = None if self.tail is None else Arrivals(
             self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T, n_rows, pool)
         arrivals = [a for a in (jumps, then) if a is not None]
-        for row, rng in zip(z, rngs):
-            if len(row):
-                rng.standard_normal(out=row)
+        bound = None
+        # rngs first, so that an iteration of `Generators` runs to its end
+        for rng, row in zip(rngs, z):
+            if rng is not bound:
+                # once a block for `Generators`, whose paths share one
+                bound, normal, poisson, random = (rng, rng.standard_normal,
+                                                  rng.poisson, rng.random)
+            if cells + rank:
+                normal(out=row)
             for a in arrivals:
-                a.draw(rng)
+                a.draw(poisson, random)
         for k, sd in enumerate(sds):
             zk = z[:, k * n:(k + 1) * n]
             zk *= sd

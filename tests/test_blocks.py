@@ -2,15 +2,16 @@
 summed on its own, so a battery's span of paths does not depend on how the
 path indices are split, and it agrees with per-path references."""
 
+import collections
 import copy
 import dataclasses
+import functools
 import json
 import math
 import pickle
 import threading
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_documents_independent_of_the_block_size(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# block seeding: rngs(lo, hi) gives the generators rng_for gives
+# block seeding: seed_states and Generators give the streams rng_for gives
 # ---------------------------------------------------------------------------
 
 
@@ -121,49 +122,116 @@ def _seeded_sim(seed):
                                      indicator_inside(1.0)), cfg)
 
 
+def _pcg64_words(seed, i):
+    """The PCG64 words NumPy's own generator of path i starts from: state
+    high and low, then inc high and low."""
+    state = np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"]
+    return [w >> s & (2**64 - 1) for w in (state["state"], state["inc"])
+            for s in (64, 0)]
+
+
+def _reseated(seed, lo, hi):
+    """The reseated generator of paths lo..hi - 1 at seed, path by path."""
+    return path_sim.Generators(path_sim.seed_states(seed, lo, hi))
+
+
 # multi-word seeds (2**32 and 2**64 + 5 take two and three entropy words),
 # and indices on both sides of 2**32, where an index takes a second word
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize("lo, hi", [(0, 2), (2**32 - 1, 2**32 + 1),
                                     (2**64 - 2, 2**64)])
-def test_block_seeding_words_equal_seed_sequence(seed, lo, hi):
-    sim = _seeded_sim(seed)
+def test_block_seeding_words_equal_numpy_pcg64(seed, lo, hi):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rngs = sim.rngs(lo, hi)
-    assert len(rngs) == hi - lo
-    for i, rng in zip(range(lo, hi), rngs):
-        want = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
-        assert np.array_equal(rng.bit_generator.seed_seq.words, want), i
-        assert rng.bit_generator.state == sim.rng_for(i).bit_generator.state
+        states = path_sim.seed_states(seed, lo, hi)
+    assert states.shape == (hi - lo, 4) and states.dtype == np.uint64
+    for i, words in zip(range(lo, hi), states):
+        assert words.tolist() == _pcg64_words(seed, i), i
 
 
 def test_block_seeding_refuses_indices_from_2_64():
     with pytest.raises(ValueError, match="2\\*\\*64"):
-        _seeded_sim(3).rngs(2**64 - 1, 2**64 + 1)
+        path_sim.seed_states(3, 2**64 - 1, 2**64 + 1)
 
 
-def test_block_seeding_mismatch_raises(monkeypatch):
-    # a hash that no longer matches NumPy's SeedSequence must not pass
-    monkeypatch.setattr(path_sim, "_INIT_B", path_sim._INIT_B ^ 1)
+@pytest.mark.parametrize("name, broken", [
+    # the SeedSequence hash, and PCG64's seeding step after it
+    ("_INIT_B", path_sim._INIT_B ^ 1),
+    ("_PCG_MULT", (path_sim._PCG_MULT[0], path_sim._PCG_MULT[1] ^ np.uint64(2)))],
+    ids=["hash", "seeding-step"])
+def test_block_seeding_mismatch_raises(monkeypatch, name, broken):
+    # seeding that no longer matches NumPy's own must not pass
+    monkeypatch.setattr(path_sim, name, broken)
     with pytest.raises(RuntimeError, match="SeedSequence"):
-        _seeded_sim(3).rngs(0, 4)
+        path_sim.seed_states(3, 0, 4)
 
 
-@pytest.mark.parametrize("lo", [0, 4000, 123456])
-def test_block_seeding_streams_equal_rng_for(lo):
-    sim = _seeded_sim(20260823)
-    for i, rng in zip(range(lo, lo + 128), sim.rngs(lo, lo + 128)):
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("lo", [0, 123456, 2**32 - 64])
+def test_block_seeding_streams_equal_rng_for(seed, lo):
+    """The reseated generator draws, path after path, what NumPy's own
+    generator of each path draws: its state is that generator's, and so
+    are its normal, poisson, uniform and random draws."""
+    sim = _seeded_sim(seed)
+    draws = (lambda g: g.normal(0.0, 1.0, 5), lambda g: g.poisson(3.0, 5),
+             lambda g: g.uniform(-1.0, 2.0, 5), lambda g: g.random(5))
+    for i, rng in zip(range(lo, lo + 128), _reseated(seed, lo, lo + 128)):
         ref = sim.rng_for(i)
-        for draw in (lambda g: g.normal(0.0, 1.0, 5), lambda g: g.poisson(3.0, 5),
-                     lambda g: g.uniform(-1.0, 2.0, 5), lambda g: g.random(5)):
+        assert rng.bit_generator.state == ref.bit_generator.state, i
+        for draw in draws:
             assert np.array_equal(draw(rng), draw(ref)), i
+
+
+def test_a_reseat_drops_the_kept_32_bit_half():
+    """A path after one that left half of a 64-bit output for the next
+    32-bit draw starts from no kept half, as its own generator does."""
+    for i, rng in zip(range(2), _reseated(8, 0, 2)):
+        ref = np.random.default_rng(np.random.SeedSequence((8, i)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.integers(0, 2**32, 1, dtype=np.uint32),
+                              ref.integers(0, 2**32, 1, dtype=np.uint32))
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("order", path_sim._WORD_ORDERS,
+                         ids=["native-uint128", "emulated-high-low"])
+def test_word_order_is_found_from_the_sentinels(order):
+    read = [path_sim._SENTINELS[k] for k in order]
+    assert path_sim._word_order(np.array(read, dtype=np.uint64)) == order
+
+
+@pytest.mark.parametrize("read", [
+    # words swapped across the pair, a big-endian native pair, a lost word
+    [1, 0, 2, 3], [3, 2, 1, 0], [1, 0, 3, 3]])
+def test_an_unknown_word_order_raises(read):
+    with pytest.raises(RuntimeError, match="layout"):
+        path_sim._word_order([path_sim._SENTINELS[k] for k in read])
+
+
+def test_a_seat_of_an_unknown_layout_raises_before_a_path(monkeypatch):
+    monkeypatch.setattr(path_sim, "_WORD_ORDERS", ((0, 1, 3, 2),))
+    monkeypatch.setattr(path_sim, "_SEATS", threading.local())
+    it = iter(_reseated(3, 0, 4))
+    with pytest.raises(RuntimeError, match="layout"):
+        next(it)
+
+
+def test_interleaved_iterations_in_one_thread_are_refused():
+    first = iter(_reseated(3, 0, 4))
+    rng = next(first)
+    with pytest.raises(RuntimeError, match="another iteration"):
+        next(iter(_reseated(3, 10, 14)))
+    # the refused iteration left the first one's path as it was
+    assert rng.bit_generator.state == np.random.default_rng(
+        np.random.SeedSequence((3, 0))).bit_generator.state
+    assert len(list(first)) == 3
+    assert len(list(_reseated(3, 10, 14))) == 4
 
 
 @pytest.mark.parametrize("name", ["h2-two-atom", "gaussian-baseline"])
 def test_draw_from_block_seeding_equals_rng_for(name):
     sim = pipeline.model_from_dict(_builtin(name)).simulator
-    block = sim.draw(sim.rngs(300, 428))
+    block = sim.draw(_reseated(sim.config.seed, 300, 428))
     ref = sim.draw([sim.rng_for(i) for i in range(300, 428)])
     for field in ("diffuse", "jump_times", "jump_sizes", "offsets"):
         assert np.array_equal(getattr(block, field), getattr(ref, field)), field
@@ -186,7 +254,7 @@ def test_chunk_seeding_equals_rng_for(monkeypatch, start, stop, passes):
     monkeypatch.setattr(path_sim, "_seed_state",
                         lambda e: hashed.append(e.shape) or seed_state(e))
     sim = _seeded_sim(20260823)
-    blocks = [(lo, list(rngs)) for lo, rngs in path_sim.blocks(20260823, start, stop)]
+    blocks = list(path_sim.blocks(20260823, start, stop))
     assert len(hashed) == passes
     assert [lo for lo, _ in blocks] == list(range(start, stop, path_sim._BLOCK))
     for lo, rngs in blocks:
@@ -233,7 +301,7 @@ def _arrivals(rngs, mean, lo, hi, pool=None):
     """Arrivals drawn from each generator of rngs in turn."""
     arrivals = path_sim.Arrivals(mean, lo, hi, len(rngs), pool)
     for rng in rngs:
-        arrivals.draw(rng)
+        arrivals.draw(rng.poisson, rng.random)
     return arrivals.result()
 
 
@@ -306,7 +374,7 @@ def test_row_written_arrivals_equal_the_flat_split_and_sort(pooled):
     means = [0.0, 1.0, 30.0, 300.0]
     for mean, rng in zip(means, sim.rngs(50, 54)):
         arrivals.mean = mean
-        arrivals.draw(rng)
+        arrivals.draw(rng.poisson, rng.random)
     counts, times, u = arrivals.result()
     refs = sim.rngs(50, 54)
     want = [_flat_split_reference([r], m, 0.0, 1.0) for r, m in zip(refs, means)]
@@ -329,14 +397,18 @@ def test_merged_gaussian_cells_equal_two_normal_calls():
 
 
 class _Counting:
-    """A generator that records the name of each method taken from it."""
+    """A generator that records the name of each of its methods called."""
 
     def __init__(self, rng):
         self._rng, self.calls = rng, []
 
     def __getattr__(self, name):
-        self.calls.append(name)
-        return getattr(self._rng, name)
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+        return call
 
 
 def _counting(sim, n):
@@ -438,34 +510,20 @@ def test_gaussian_chunk_takes_one_generator_call_per_path(name, monkeypatch):
     assert all(rng.calls == ["standard_normal"] for rng in made)
 
 
-@pytest.mark.parametrize("case", ["h2-two-atom", "q-two-atom-zeta05",
-                                  "direct-q-sas-1.5", "gaussian-baseline"])
-def test_a_block_holds_one_generator_at_a_time(case, monkeypatch):
-    """Each path's generator is built when the block's draw reaches its
-    path and dropped when the draw moves on: when the next one is built,
-    only the one before it (the draw's loop variable) is alive. The
-    generators are watched through wrappers, which take weak references,
-    and their seed states are counted as they are built."""
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_a_span_builds_no_generator_per_path(case, monkeypatch):
+    """Once this thread's reseated generator exists, a 600-path span of a
+    battery builds no Generator and one PCG64: NumPy's own generator of
+    the first path of its seeding pass, which checks the pass."""
     model = pipeline.model_from_dict(CHUNK_CASES[case]())
-    built, alive, made = [], [], []
-    state_words = path_sim._StateWords
-    monkeypatch.setattr(path_sim, "_StateWords",
-                        lambda w: built.append(len(made)) or state_words(w))
-
-    class Watched(path_sim.Generators):
-        def __iter__(self):
-            for rng in super().__iter__():
-                alive.append(sum(r() is not None for r in made))
-                rng = _Counting(rng)
-                made.append(weakref.ref(rng))
-                yield rng
-                del rng
-
-    monkeypatch.setattr(path_sim, "Generators", Watched)
+    _span(model, 0, 10)
+    built = collections.Counter()
+    for name in ("Generator", "PCG64"):
+        monkeypatch.setattr(np.random, name, functools.partial(
+            lambda made, name, *args: built.update([name]) or made(*args),
+            getattr(np.random, name), name))
     _span(model, 0, 600)
-    assert built == list(range(600))
-    assert len(made) == 600 and max(alive) <= 1
-    assert all(r() is None for r in made)
+    assert built == {"PCG64": 1}
 
 
 def _gaussian_chunk_reference(model, start, stop):

@@ -6,6 +6,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyemm import levy_model
 from levyemm.errors import InvalidRegion, NonIntegrable, UnsupportedModel
 from levyemm.levy_model import (
     DensityMeasure,
@@ -241,6 +242,41 @@ class TestTailLawQuantile:
         assert np.array_equal(out, law.quantile(u))
 
 
+# Gamma(-3/2, z) and Gamma(-1/2, z) to 21 digits: 2 e^{-z} / sqrt(z) -
+# 2 sqrt(pi) erfc(sqrt(z)) for -1/2 and (2/3) (e^{-z} z^{-3/2} - Gamma(-1/2,
+# z)) for -3/2, summed at 260 digits with Python's decimal module
+_UPPER_GAMMA = {
+    20.0: (1.02891356411881301818e-12, 2.15010277130345362347e-11),
+    25.0: (4.05271428456715570390e-15, 1.05024479492861431201e-13),
+    40.0: (3.95656435093609775688e-22, 1.61996100398469149833e-20),
+    100.0: (3.63019023396182811559e-49, 3.66562312251140854123e-47),
+}
+
+
+@pytest.mark.parametrize("z", sorted(_UPPER_GAMMA))
+def test_upper_gamma_holds_a_few_ulps_at_large_z(z):
+    for s, want in zip((-1.5, -0.5), _UPPER_GAMMA[z]):
+        assert levy_model._upper_gamma(s, z) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 0.9999, 1.9, 1.9999])
+def test_upper_gamma_branches_agree_at_the_switch(alpha):
+    z = np.array([levy_model._FRACTION_FROM])
+    for s in (-alpha, 1.0 - alpha):
+        fraction = levy_model._gamma_fraction(s, z)[0]
+        assert fraction == pytest.approx(levy_model._gamma_recurrence(s, z)[0],
+                                         rel=1e-13, abs=0.0)
+        assert levy_model._upper_gamma(s, z) == fraction
+
+
+def test_upper_gamma_keeps_the_shape_of_z():
+    z = np.array([[0.5, 3.0], [10.0, math.inf]])
+    got = levy_model._upper_gamma(-1.5, z)
+    assert got.shape == z.shape and got[1, 1] == 0.0
+    assert got[0, 0] == levy_model._upper_gamma(-1.5, 0.5)
+    assert np.ndim(levy_model._upper_gamma(-1.5, 0.5)) == 0
+
+
 def _quad_beyond(F, g, m):
     """int_m^inf g(x) F(dx) by quadrature at epsrel 1e-13."""
     return scipy.integrate.quad(lambda x: g(x) * F.density(x), m, math.inf,
@@ -253,18 +289,28 @@ class TestClosedFormTails:
         """rate, mass_below and partial_mean_below at every z where one
         side keeps a conditional mass of at least _MASS_FLOOR; alpha = 1
         takes exp1, and alpha near 1 or 2 puts gammaincc's order near 0."""
-        F, r = tempered_stable(1.0, 1.0, alpha), 0.5
+        self._check_tempered_stable(alpha, 0.5)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.9])
+    def test_tempered_stable_far_tail_matches_quadrature(self, alpha):
+        """From r = 3 on, every Gamma(s, z) is the continued fraction's:
+        the recurrence's two steps down missed quadrature by 1.4e-12."""
+        self._check_tempered_stable(alpha, 3.0)
+
+    @staticmethod
+    def _check_tempered_stable(alpha, r):
+        F = tempered_stable(1.0, 1.0, alpha)
         law = tail_law(F, ball_complement(r))
         rate = 2.0 * _quad_beyond(F, np.ones_like, r)
-        assert law.rate == pytest.approx(rate, rel=1e-12)
+        assert law.rate == pytest.approx(rate, rel=1e-12, abs=0.0)
         assert law.mass_below(law.zeta_lo) == pytest.approx(_MASS_FLOOR, rel=1e-9)
         for z in [-r, r, *np.linspace(law.zeta_lo, law.zeta_hi, 41)]:
             m = max(abs(z), r)
             share = _quad_beyond(F, np.ones_like, m) / rate
             assert law.mass_below(z) == pytest.approx(
-                share if z < 0.0 else 1.0 - share, rel=1e-12)
+                share if z < 0.0 else 1.0 - share, rel=1e-12, abs=0.0)
             assert law.partial_mean_below(z) == pytest.approx(
-                -_quad_beyond(F, lambda x: x, m) / rate, rel=1e-12)
+                -_quad_beyond(F, lambda x: x, m) / rate, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("r", [0.25, 1.0, 2.0, 2.5],
                              ids=["below", "inside", "at-the-edge", "beyond"])

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -767,24 +768,35 @@ class TestPipelines:
         assert got == fresh
         assert model.simulator.pool._buffers
 
-    def test_threads_on_one_model_give_their_own_documents(self):
+    @pytest.mark.parametrize("name", ["h2-two-atom", "q-two-atom-zeta05",
+                                      "gaussian-baseline"])
+    def test_threads_on_one_model_give_their_own_documents(self, name):
         """Threads running one loaded model: each draws into buffers of its
-        own in the simulator's buffer pool, and every document is the one
-        a fresh model gives."""
+        own in the simulator's buffer pool, from a reseated generator of
+        its own, and every document is the one a fresh model gives."""
         seeds = range(1, 9)
-        want = [json.dumps(run_verify(builtin_scenario("h2-two-atom"),
+        want = [json.dumps(run_verify(builtin_scenario(name),
                                       n_paths=1000, seed=s)) for s in seeds]
-        model = builtin_scenario("h2-two-atom")
+        model = builtin_scenario(name)
+        seats = {}
+
+        def run(seed):
+            doc = run_verify(model, n_paths=1000, seed=seed)
+            seats.setdefault(threading.get_ident(), path_sim._seat())
+            return doc
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
-                futs = [ex.submit(run_verify, model, n_paths=1000, seed=s)
-                        for s in seeds]
+                futs = [ex.submit(run, s) for s in seeds]
                 got = [json.dumps(f.result(timeout=120)) for f in futs]
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+        generators = {id(seat.generator) for seat in seats.values()}
+        assert len(generators) == len(seats)
+        assert id(path_sim._seat().generator) not in generators
 
 
 def _direct_q_on(measure):
