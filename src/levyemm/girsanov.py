@@ -351,12 +351,13 @@ def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
 def q_arrivals(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
                rngs, pool: BufferPool | None = None) -> tuple:
     """draw_under_q's first pass, for one block: each path's P draw and
-    then its Q arrivals (`Arrivals`), in the one pass over the generators
-    of `PathSimulator.draw`, and the response at every arrival of the jumps
-    and cells the paths keep: the P draw with its tail jumps on (0, T] set
-    to size 0, in place, so that they add nothing. Returns (counts, times,
-    mark uniforms, that response), arrays of the caller's own; the P block
-    is drawn into pool when one is given."""
+    then its Q arrivals (`Arrivals`), which `PathSimulator.draw` reads from
+    the tail of the path's P draw below a mean lam T of 10 and draws by
+    calls of their own from 10 on, and the response at every arrival of
+    the jumps and cells the paths keep: the P draw with its tail jumps on
+    (0, T] set to size 0, in place, so that they add nothing. Returns
+    (counts, times, mark uniforms, that response), arrays of the caller's
+    own; the P block is drawn into pool when one is given."""
     config = sim.config
     if gk.kind != "h2":
         raise UnsupportedModel("direct Q simulation needs the tail kernel")

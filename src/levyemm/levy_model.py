@@ -270,13 +270,24 @@ def _upper_gamma(s: float, z):
     return out
 
 
+# a recurrence top within this of 1 starts one step lower (`_gamma_recurrence`)
+_NEAR_ONE = 1.0 / 16
+
+
 def _gamma_recurrence(s: float, z: np.ndarray) -> np.ndarray:
     """Gamma(s, z): gammaincc (exp1 at 0) at top = s + n in [0, 1), then
     n steps down by Gamma(s, z) = (Gamma(s + 1, z) - z^s e^{-z}) / s, each
-    of which loses about a factor z of relative precision."""
+    of which loses about a factor z of relative precision. From a top
+    within _NEAR_ONE of 1 the first step would divide by top - 1, near 0,
+    and lose about eps / |top - 1| to cancellation; the steps then start
+    one lower, from `_gamma_near_zero` at top - 1."""
     n = math.ceil(-s)
     top = s + n
-    if top == 0.0:
+    if n and 1.0 - top <= _NEAR_ONE:
+        n -= 1
+        top = s + n  # exact: s, or s + 1 for s in [-1 - _NEAR_ONE, -1)
+        out = _gamma_near_zero(top, z)
+    elif top == 0.0:
         out = scipy.special.exp1(z)
     else:
         out = scipy.special.gammaincc(top, z) * math.gamma(top)
@@ -284,6 +295,29 @@ def _gamma_recurrence(s: float, z: np.ndarray) -> np.ndarray:
     for k in range(1, n + 1):
         out = (out - z ** (top - k) * decay) / (top - k)
     return out
+
+
+def _gamma_near_zero(s: float, z: np.ndarray) -> np.ndarray:
+    """Gamma(s, z) for s in [-_NEAR_ONE, 0) and z below _FRACTION_FROM:
+    E1(z) = Gamma(0, z) plus the difference of the lower series of the two,
+    (Gamma(1 + s) - 1) / s + euler - ((z^s - 1) / s - log z)
+    - sum_{k>=1} (-z)^k / k! (k (z^s - 1) - s) / (k (s + k)),
+    whose terms are each O(s) and formed without cancelling: z^s - 1 by
+    expm1, and Gamma(1 + s) from log Gamma(1 + s) = s (c - euler) with
+    c = sum_{k>=2} zeta(k) (-s)^k / (k s)."""
+    j = np.arange(2, 32)
+    c = math.fsum(scipy.special.zeta(j) * (-s) ** j / (j * s))
+    ell = s * (c - np.euler_gamma)
+    log_z = np.log(z)
+    em = np.expm1(s * log_z)
+    d = (math.expm1(ell) - ell) / s + c - (em - s * log_z) / s
+    p = np.ones(z.shape)
+    for k in range(1, 200):
+        p *= -z / k
+        d -= p * (k * em - s) / (k * (s + k))
+        if not np.any(np.abs(p) > 2.0 ** -60):
+            break
+    return scipy.special.exp1(z) + d
 
 
 def _gamma_fraction(s: float, z: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -822,9 +823,10 @@ class Arrivals:
     """Per path, a Poisson(mean) count n_b of arrival times uniform on
     [lo, hi) and a mark uniform for each, drawn one path at a time
     (draw), path b's into row b of one buffer of rows: a poisson call,
-    then one random(2 n_b) call, whose first n_b doubles d give the times
-    as lo + (hi - lo) d, which is NumPy's uniform(lo, hi, n_b) to the bit,
-    and whose last n_b are the uniforms. A row too short for its doubles
+    then one random(2 n_b + tail) call, whose first n_b doubles d give the
+    times as lo + (hi - lo) d, which is NumPy's uniform(lo, hi, n_b) to the
+    bit, and whose next n_b are the uniforms. The tail more doubles are
+    the next arrivals' to read (`read`). A row too short for its doubles
     widens the rows, and those drawn so far are copied over.
 
     result then takes the uniforms out of the rows, pads each row's times
@@ -836,8 +838,9 @@ class Arrivals:
     of their own."""
 
     def __init__(self, mean: float, lo: float, hi: float, n_rows: int,
-                 pool: BufferPool | None = None):
+                 pool: BufferPool | None = None, tail: int = 0):
         self.mean, self.lo, self.hi, self.pool = mean, lo, hi, pool
+        self.tail = tail
         self.counts = []
         self.rows = self._rows(n_rows, 0)
 
@@ -850,12 +853,53 @@ class Arrivals:
         """The next path's two calls, of its generator's poisson and random
         methods, which a caller binds once for the paths of one generator."""
         n, b = poisson(self.mean), len(self.counts)
-        if 2 * n > self.rows.shape[1]:
-            old, used = self.rows, 2 * max(self.counts, default=0)
-            self.rows = self._rows(len(old), 2 * n)
-            self.rows[:b, :used] = old[:b, :used]
+        width = 2 * n + self.tail
+        if width > self.rows.shape[1]:
+            old = self.rows
+            self.rows = self._rows(len(old), width)
+            self.rows[:b, :old.shape[1]] = old[:b]
         self.counts.append(n)
-        random(out=self.rows[b, :2 * n])
+        random(out=self.rows[b, :width])
+
+    def read(self, source: Arrivals, again) -> None:
+        """These arrivals read from the tails of source's rows, as their own
+        poisson(mean) and random(2 X) calls would have drawn them after
+        source's, for a mean below _MULTIPLICATION_BELOW: there NumPy counts
+        by Knuth's multiplication method, so X is the number of leading
+        doubles whose running product stays above e^{-mean}, and the 2 X
+        doubles after the first that does not are the row's. The running
+        products of every row's first x_max + 1 tail doubles (source.tail =
+        3 x_max + 1) are formed at once, and the rows whose count is at most
+        x_max take their doubles from their tails in one gather. The other
+        rows draw on (`_poisson_doubles`) from the generators that
+        again(rows) yields, each where the block's draw left it."""
+        n_rows, width = source.rows.shape
+        x_max, enlam = (source.tail - 1) // 3, math.exp(-self.mean)
+        flat = source.rows.reshape(-1)
+        # where each row's tail starts in the flat buffer
+        starts = np.arange(0, n_rows * width, width)
+        starts += 2 * np.array(source.counts, dtype=np.intp)
+        # tail double k of row b at [k, b], so that each step of the running
+        # product is one pass over all rows
+        lead = flat.take(np.arange(x_max + 1)[:, None] + starts)
+        np.multiply.accumulate(lead, axis=0, out=lead)
+        # no product exceeds the one before it, so those above e^{-mean} lead
+        x = np.add.reduce(lead > enlam, axis=0, dtype=np.intp)
+        del lead
+        short = np.flatnonzero(x > x_max)
+        drawn = [_poisson_doubles(flat[s:s + source.tail], enlam, rng.random)
+                 for s, rng in zip(starts[short], again(short))]
+        x[short] = 0
+        starts += x + 1
+        self.rows = flat.take(starts[:, None] + np.arange(2 * int(x.max(initial=0))))
+        if drawn:
+            x[short] = [len(d) // 2 for d in drawn]
+            rows = np.empty((n_rows, 2 * int(x.max())))
+            rows[:, :self.rows.shape[1]] = self.rows
+            for b, d in zip(short, drawn):
+                rows[b, :len(d)] = d
+            self.rows = rows
+        self.counts = x
 
     def result(self) -> tuple:
         """The counts, the times sorted row by row and the uniforms, the
@@ -875,6 +919,75 @@ class Arrivals:
         times *= self.hi - self.lo
         times += self.lo
         return counts, times, u
+
+
+# NumPy's Generator.poisson counts by the multiplication method below this
+# mean, and by Hörmann's PTRS, which no read of its doubles can follow,
+# from it on
+_MULTIPLICATION_BELOW = 10.0
+# the chance that a path's count passes its tail's bound (`_count_bound`)
+_TAIL_MISS = 1e-8
+
+
+def _count_bound(mean: float) -> int:
+    """The least x with P(X > x) <= _TAIL_MISS for X ~ Poisson(mean)."""
+    x = 0
+    term = below = math.exp(-mean)
+    while 1.0 - below > _TAIL_MISS:
+        x += 1
+        term *= mean / x
+        below += term
+    return x
+
+
+def _poisson_doubles(tail, enlam: float, random) -> np.ndarray:
+    """NumPy's multiplication-method poisson call and the random(2 X) call
+    after it, over the doubles of tail and then those random() returns:
+    the 2 X doubles after the X leading ones whose running product stays
+    above enlam and the first that does not."""
+    doubles = itertools.chain(tail.tolist(), iter(random, None))
+    x, prod = 0, 1.0
+    for u in doubles:
+        prod *= u
+        if not prod > enlam:
+            break
+        x += 1
+    return np.fromiter(itertools.islice(doubles, 2 * x), float, 2 * x)
+
+
+def _read_tails(rngs, jumps: Arrivals, then: Arrivals, normals: int) -> None:
+    """then read from the tails of jumps' rows (`Arrivals.read`), for the
+    paths of rngs: a `Generators`, or a sequence of generators, each of
+    which made a standard_normal(normals) call (none for 0) and then
+    jumps' two calls. A row whose count runs past its tail draws on from
+    its generator where the draw left it: a sequence's own generator, or
+    a `Generators` path replayed from its seed state. NumPy's own
+    generators cannot be replayed, so only a `Generators` block is
+    checked: its first path is replayed to the start of its tail and
+    makes then's poisson and random calls itself, and a count or double
+    that differs from the read raises RuntimeError."""
+    seated = isinstance(rngs, Generators)
+
+    def replay(rows, tail):
+        # the paths of rows from their seed states, tail doubles into
+        # their tails
+        for rng in Generators(rngs.states[rows]):
+            if normals:
+                rng.standard_normal(normals)
+            rng.random(2 * rng.poisson(jumps.mean) + tail)
+            yield rng
+
+    then.read(jumps, (lambda rows: replay(rows, jumps.tail)) if seated
+              else (lambda rows: (rngs[b] for b in rows)))
+    if not seated:
+        return
+    for rng in replay([0], 0):
+        n = rng.poisson(then.mean)
+        want = rng.random(2 * n)
+    if n != then.counts[0] or not np.array_equal(want, then.rows[0, :2 * n]):
+        raise RuntimeError(
+            f"the tail read of a block's first path disagrees with NumPy's "
+            f"poisson({then.mean}): count {then.counts[0]}, NumPy's {n}")
 
 
 class Generators:
@@ -1025,11 +1138,15 @@ class PathSimulator:
         cells are drift dt + sd_c z[:n] + sd_small z[n:], added in that
         order, as two normal(0, sd, n) calls gave them. Then come the
         explicit jumps' two calls (`Arrivals`), the jump count and then the
-        times and mark uniforms together, and last then's two calls, when
-        a caller passes arrivals of its own (for n_rows = len(rngs)) to be
-        drawn in the same pass; it reads them from then.result(). The
-        uniforms are turned into marks by the tail quantile, once for the
-        whole block, in their own buffer.
+        times and mark uniforms together. A caller may pass arrivals of its
+        own as then (for n_rows = len(rngs)), to come after the path's in
+        its stream, and reads them from then.result(). Below a mean of
+        _MULTIPLICATION_BELOW they take no call: the jumps' random call
+        draws 3 x_max + 1 more doubles (x_max = `_count_bound`), and then
+        reads its counts and doubles from those tails (`_read_tails`). From
+        that mean on, and without explicit jumps, then makes its two calls
+        last. The uniforms are turned into marks by the tail quantile, once
+        for the whole block, in their own buffer.
 
         With prehistory, a law from `prehistory`, the block holds the cells
         of [0, T] alone, on the nodes of the lattice of M = 0 to the bit,
@@ -1064,9 +1181,13 @@ class PathSimulator:
         cells = len(sds) * n
         rank = 0 if prehistory is None else prehistory.rank
         z = np.empty((n_rows, cells + rank))
+        # then read from the tails of the P rows, or drawn by calls of its own
+        reads = (then is not None and self.tail is not None and n_rows > 0
+                 and 0.0 < then.mean < _MULTIPLICATION_BELOW)
         jumps = None if self.tail is None else Arrivals(
-            self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T, n_rows, pool)
-        arrivals = [a for a in (jumps, then) if a is not None]
+            self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T, n_rows, pool,
+            3 * _count_bound(then.mean) + 1 if reads else 0)
+        arrivals = [a for a in (jumps, None if reads else then) if a is not None]
         bound = None
         # rngs first, so that an iteration of `Generators` runs to its end
         for rng, row in zip(rngs, z):
@@ -1078,6 +1199,8 @@ class PathSimulator:
                 normal(out=row)
             for a in arrivals:
                 a.draw(poisson, random)
+        if reads:
+            _read_tails(rngs, jumps, then, cells + rank)
         for k, sd in enumerate(sds):
             zk = z[:, k * n:(k + 1) * n]
             zk *= sd

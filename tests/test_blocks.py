@@ -427,13 +427,19 @@ def test_draw_calls_per_path(which, want):
     assert all(rng.calls == want for rng in rngs)
 
 
-def test_direct_q_calls_per_path():
-    model = pipeline.model_from_dict(_builtin("q-two-atom-zeta05"))
+@pytest.mark.parametrize("case, want", [
+    ("frozen-zeta", ["poisson", "random"]),
+    ("two-atom-lam-T-10", ["poisson", "random"] * 2)])
+def test_direct_q_calls_per_path(case, want):
+    """Below lam T = 10 the Q arrivals are read from the tail of the P
+    draw's random call; from 10 on they take their own two calls."""
+    d = _builtin("q-two-atom-zeta05") if case == "frozen-zeta" else Q_CASES[case]()
+    model = pipeline.model_from_dict(d)
     gk, kern, sim = model.gk, model.kern, model.simulator
     rngs = _counting(sim, 40)
     counts = girsanov.draw_under_q(gk, kern, sim, rngs)[0]
-    assert (counts == 0).any() and counts.max() > 1
-    assert all(rng.calls == ["poisson", "random"] * 2 for rng in rngs)
+    assert counts.max() > 1 and ((counts == 0).any() or len(want) == 4)
+    assert all(rng.calls == want for rng in rngs)
 
 
 # the lattice of the Gaussian builtins, from -M and from 0
@@ -739,10 +745,23 @@ def _direct_q_sas_kernel(kernel):
     return d
 
 
+def _two_atom_q(lam_t):
+    """The live two-atom case with atoms of mass lam_t / 2, so that its Q
+    arrivals have mean lam T = lam_t."""
+    d = _live_two_atom_q()
+    d["triplet"]["measure"]["atoms"] = [[-1.0, lam_t / 2], [1.0, lam_t / 2]]
+    assert d["sim"]["T"] == 1.0
+    return d
+
+
 # Y_{T_n-} is the response of the P block with its tail jumps on (0, T] at
 # size 0, plus a running sum over the earlier marks, for every kernel; the
-# reference inserts each mark as a jump
+# reference inserts each mark as a jump. Q arrivals of mean lam T below 10
+# are read from the tail of the P draw (lam T = 9.99 has the longest
+# tail); from 10 on they take calls of their own.
 Q_CASES = {
+    "two-atom-lam-T-9.99": lambda: _two_atom_q(9.99),
+    "two-atom-lam-T-10": lambda: _two_atom_q(10.0),
     "two-atom": _live_two_atom_q,
     "sas-1.5": _direct_q_sas,
     "two-atom-power": _live_q_power,
@@ -776,7 +795,10 @@ def test_direct_q_block_matches_sequential_reference(case):
     assert np.array_equal(one.jump_sizes, marks[lo:lo + counts[7]])
 
 
-@pytest.mark.parametrize("case", sorted(Q_CASES) + ["frozen-zeta"])
+# every block of the two-pass test needs a path without arrivals, which
+# the lam T = 10 cases all but never draw
+@pytest.mark.parametrize("case", sorted(c for c in Q_CASES if "lam-T" not in c)
+                         + ["frozen-zeta"])
 def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
     """q_arrivals per block and one q_marks over a chunk of 128 + 128 + 44
     rows equal draw_under_q block by block, bit for bit. Every block has a
@@ -817,6 +839,66 @@ def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
              for lo, hi in ((0, 128), (128, 150))]
     for key, k in (("counts", 0), ("marks", 2), ("y_pre", 3)):
         assert np.array_equal(chunk[key], np.concatenate([w[k] for w in whole]))
+
+
+@pytest.mark.parametrize("case", ["two-atom", "sas-1.5", "two-atom-lam-T-9.99"])
+def test_direct_q_redraw_past_the_tail_equals_the_sequential_reference(
+        case, monkeypatch):
+    """With a tail of 4 doubles (a count bound of 1) most paths run past
+    it: NumPy's own generators draw on where the draw left them, and a
+    span's reseated paths are replayed from their seed states. Both give
+    the arrivals of the full tail, and the reference's, bit for bit."""
+    model = pipeline.model_from_dict(Q_CASES[case]())
+    kern, sim, gk = model.kern, model.simulator, model.gk
+    refs = [_q_reference(gk, kern, sim, i) for i in range(150)]
+    span = _span(model, 0, 300)
+    monkeypatch.setattr(path_sim, "_count_bound", lambda mean: 1)
+    counts, _, marks, y_pre = girsanov.draw_under_q(gk, kern, sim, sim.rngs(0, 150))
+    assert (counts > 1).sum() > 30
+    assert counts.tolist() == [len(m) for m, _ in refs]
+    want = np.concatenate([m for m, _ in refs])
+    if isinstance(model.levy.F, DiscreteMeasure):
+        assert np.array_equal(marks, want)
+    else:
+        np.testing.assert_allclose(marks, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(y_pre, np.concatenate([y for _, y in refs]),
+                               rtol=1e-12, atol=1e-12)
+    redrawn = _span(model, 0, 300)
+    for key, arr in span.items():
+        assert np.array_equal(redrawn[key], arr), key
+
+
+def test_direct_q_redraw_past_the_tail_keeps_the_documents(monkeypatch):
+    docs = []
+    for bound in (path_sim._count_bound, lambda mean: 1):
+        monkeypatch.setattr(path_sim, "_count_bound", bound)
+        docs.append([json.dumps(pipeline.run_verify(
+            pipeline.builtin_scenario(name), n_paths=600, workers=workers))
+            for name in ("q-two-atom-zeta05", "q-two-atom-state")
+            for workers in (1, 2)])
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("what", ["count", "double"])
+def test_direct_q_tail_read_that_disagrees_with_numpy_raises(what, monkeypatch):
+    """Each block's first path is drawn again by NumPy's own poisson and
+    random calls, and a read that differs stops the run."""
+    read = path_sim.Arrivals.read
+
+    def off(self, source, again):
+        read(self, source, again)
+        if what == "count":
+            self.counts[0] += 1
+        else:
+            self.rows[0, 0] = np.nextafter(self.rows[0, 0], 2.0)
+
+    model = pipeline.builtin_scenario("q-two-atom-zeta05")
+    # a first path with arrivals, so that it has a double to differ in
+    assert girsanov.draw_under_q(model.gk, model.kern, model.simulator,
+                                 model.simulator.rngs(0, 1))[0][0] > 0
+    monkeypatch.setattr(path_sim.Arrivals, "read", off)
+    with pytest.raises(RuntimeError, match="tail read"):
+        _span(model, 0, 300)
 
 
 def _weighted_reference(scn, triplet, kern, cfg, sim, gk, i):

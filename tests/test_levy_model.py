@@ -269,6 +269,17 @@ def test_upper_gamma_branches_agree_at_the_switch(alpha):
         assert levy_model._upper_gamma(s, z) == fraction
 
 
+@pytest.mark.parametrize("s", [-1e-4, -1e-6, -1e-8])
+def test_upper_gamma_just_below_0_matches_quadrature(s):
+    """s just below 0 puts the recurrence's top near 1, where its step
+    divided by s and lost eps / |s|: 3.6e-7 relative at s = -1e-8."""
+    for z in (0.5, 2.0):
+        want = scipy.integrate.quad(lambda t: t ** (s - 1.0) * math.exp(-t), z,
+                                    math.inf, epsabs=0.0, epsrel=1e-13,
+                                    limit=200)[0]
+        assert levy_model._upper_gamma(s, z) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_upper_gamma_keeps_the_shape_of_z():
     z = np.array([[0.5, 3.0], [10.0, math.inf]])
     got = levy_model._upper_gamma(-1.5, z)
@@ -284,11 +295,14 @@ def _quad_beyond(F, g, m):
 
 
 class TestClosedFormTails:
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 0.9999, 1.9999])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 0.9999, 1.9999, 1.0001,
+                                       1.0 + 1e-8])
     def test_tempered_stable_matches_quadrature(self, alpha):
         """rate, mass_below and partial_mean_below at every z where one
         side keeps a conditional mass of at least _MASS_FLOOR; alpha = 1
-        takes exp1, and alpha near 1 or 2 puts gammaincc's order near 0."""
+        takes exp1, alpha just below 1 or 2 puts gammaincc's order near 0,
+        and alpha just above 1 puts the recurrence's top near 1 for both
+        the mass and the first moment."""
         self._check_tempered_stable(alpha, 0.5)
 
     @pytest.mark.parametrize("alpha", [1.5, 1.9])
