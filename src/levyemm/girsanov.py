@@ -332,9 +332,10 @@ def simulate_under_q(
 
 def draw_under_q(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
                  rngs) -> tuple:
-    """One path per generator with the tail jumps on (0, T] resampled under
-    Q: per path, the number of Q tail jumps, and flat over all paths (path
-    by path, in time) their times, marks and Y_{T_n-}.
+    """One path per generator (NumPy's own or reseated, to the same bits)
+    with the tail jumps on (0, T] resampled under Q: per path, the number
+    of Q tail jumps, and flat over all paths (path by path, in time) their
+    times, marks and Y_{T_n-}.
 
     This is the one-block case of the two passes a span of blocks takes
     under the direct-Q battery (`pipeline._span`): q_arrivals for each
@@ -352,12 +353,13 @@ def q_arrivals(gk: GirsanovKernelH2, kernel: Kernel, sim: PathSimulator,
                rngs, pool: BufferPool | None = None) -> tuple:
     """draw_under_q's first pass, for one block: each path's P draw and
     then its Q arrivals (`Arrivals`), which `PathSimulator.draw` reads from
-    the tail of the path's P draw below a mean lam T of 10 and draws by
-    calls of their own from 10 on, and the response at every arrival of
-    the jumps and cells the paths keep: the P draw with its tail jumps on
-    (0, T] set to size 0, in place, so that they add nothing. Returns
-    (counts, times, mark uniforms, that response), arrays of the caller's
-    own; the P block is drawn into pool when one is given."""
+    the tail of a reseated path's P draw below a mean lam T of 10 and
+    draws by NumPy's own two calls otherwise, to the same bits, and the
+    response at every arrival of the jumps and cells the paths keep: the
+    P draw with its tail jumps on (0, T] set to size 0, in place, so that
+    they add nothing. Returns (counts, times, mark uniforms, that
+    response), arrays of the caller's own; the P block is drawn into pool
+    when one is given."""
     config = sim.config
     if gk.kind != "h2":
         raise UnsupportedModel("direct Q simulation needs the tail kernel")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -826,7 +825,8 @@ class Arrivals:
     then one random(2 n_b + tail) call, whose first n_b doubles d give the
     times as lo + (hi - lo) d, which is NumPy's uniform(lo, hi, n_b) to the
     bit, and whose next n_b are the uniforms. The tail more doubles are
-    the next arrivals' to read (`read`). A row too short for its doubles
+    the next arrivals' to read (`read`), and a row they do not cover takes
+    its doubles from its own calls (`put`). A row too short for its doubles
     widens the rows, and those drawn so far are copied over.
 
     result then takes the uniforms out of the rows, pads each row's times
@@ -842,26 +842,27 @@ class Arrivals:
         self.mean, self.lo, self.hi, self.pool = mean, lo, hi, pool
         self.tail = tail
         self.counts = []
-        self.rows = self._rows(n_rows, 0)
+        self.rows = np.empty((n_rows, 0))
 
-    def _rows(self, n_rows, width) -> np.ndarray:
-        if self.pool is None:
-            return np.empty((n_rows, width + width // 8))
-        return self.pool.take_rows("rows", n_rows, width)
+    def _widen(self, width: int, kept: int) -> None:
+        """Rows at least width wide, the pool's as wide as it allows, with
+        the first kept rows' doubles copied over."""
+        old = self.rows
+        if width > old.shape[1]:
+            self.rows = (np.empty((len(old), width + width // 8)) if self.pool is None
+                         else self.pool.take_rows("rows", len(old), width))
+            self.rows[:kept, :old.shape[1]] = old[:kept]
 
     def draw(self, poisson, random) -> None:
         """The next path's two calls, of its generator's poisson and random
         methods, which a caller binds once for the paths of one generator."""
         n, b = poisson(self.mean), len(self.counts)
         width = 2 * n + self.tail
-        if width > self.rows.shape[1]:
-            old = self.rows
-            self.rows = self._rows(len(old), width)
-            self.rows[:b, :old.shape[1]] = old[:b]
+        self._widen(width, b)
         self.counts.append(n)
         random(out=self.rows[b, :width])
 
-    def read(self, source: Arrivals, again) -> None:
+    def read(self, source: Arrivals) -> np.ndarray:
         """These arrivals read from the tails of source's rows, as their own
         poisson(mean) and random(2 X) calls would have drawn them after
         source's, for a mean below _MULTIPLICATION_BELOW: there NumPy counts
@@ -870,14 +871,14 @@ class Arrivals:
         doubles after the first that does not are the row's. The running
         products of every row's first x_max + 1 tail doubles (source.tail =
         3 x_max + 1) are formed at once, and the rows whose count is at most
-        x_max take their doubles from their tails in one gather. The other
-        rows draw on (`_poisson_doubles`) from the generators that
-        again(rows) yields, each where the block's draw left it."""
+        x_max take their doubles from their tails in one gather. Returns the
+        other rows, the ones past the tail, which are left with count 0 for
+        `put`."""
         n_rows, width = source.rows.shape
         x_max, enlam = (source.tail - 1) // 3, math.exp(-self.mean)
         flat = source.rows.reshape(-1)
         # where each row's tail starts in the flat buffer
-        starts = np.arange(0, n_rows * width, width)
+        starts = np.arange(n_rows) * width
         starts += 2 * np.array(source.counts, dtype=np.intp)
         # tail double k of row b at [k, b], so that each step of the running
         # product is one pass over all rows
@@ -886,20 +887,18 @@ class Arrivals:
         # no product exceeds the one before it, so those above e^{-mean} lead
         x = np.add.reduce(lead > enlam, axis=0, dtype=np.intp)
         del lead
-        short = np.flatnonzero(x > x_max)
-        drawn = [_poisson_doubles(flat[s:s + source.tail], enlam, rng.random)
-                 for s, rng in zip(starts[short], again(short))]
-        x[short] = 0
+        past = np.flatnonzero(x > x_max)
+        x[past] = 0
         starts += x + 1
         self.rows = flat.take(starts[:, None] + np.arange(2 * int(x.max(initial=0))))
-        if drawn:
-            x[short] = [len(d) // 2 for d in drawn]
-            rows = np.empty((n_rows, 2 * int(x.max())))
-            rows[:, :self.rows.shape[1]] = self.rows
-            for b, d in zip(short, drawn):
-                rows[b, :len(d)] = d
-            self.rows = rows
         self.counts = x
+        return past
+
+    def put(self, b: int, doubles: np.ndarray) -> None:
+        """Row b's 2 X doubles, from its own random(2 X) call."""
+        self._widen(len(doubles), len(self.rows))
+        self.counts[b] = len(doubles) // 2
+        self.rows[b, :len(doubles)] = doubles
 
     def result(self) -> tuple:
         """The counts, the times sorted row by row and the uniforms, the
@@ -940,54 +939,31 @@ def _count_bound(mean: float) -> int:
     return x
 
 
-def _poisson_doubles(tail, enlam: float, random) -> np.ndarray:
-    """NumPy's multiplication-method poisson call and the random(2 X) call
-    after it, over the doubles of tail and then those random() returns:
-    the 2 X doubles after the X leading ones whose running product stays
-    above enlam and the first that does not."""
-    doubles = itertools.chain(tail.tolist(), iter(random, None))
-    x, prod = 0, 1.0
-    for u in doubles:
-        prod *= u
-        if not prod > enlam:
-            break
-        x += 1
-    return np.fromiter(itertools.islice(doubles, 2 * x), float, 2 * x)
-
-
-def _read_tails(rngs, jumps: Arrivals, then: Arrivals, normals: int) -> None:
-    """then read from the tails of jumps' rows (`Arrivals.read`), for the
-    paths of rngs: a `Generators`, or a sequence of generators, each of
-    which made a standard_normal(normals) call (none for 0) and then
-    jumps' two calls. A row whose count runs past its tail draws on from
-    its generator where the draw left it: a sequence's own generator, or
-    a `Generators` path replayed from its seed state. NumPy's own
-    generators cannot be replayed, so only a `Generators` block is
-    checked: its first path is replayed to the start of its tail and
-    makes then's poisson and random calls itself, and a count or double
-    that differs from the read raises RuntimeError."""
-    seated = isinstance(rngs, Generators)
-
-    def replay(rows, tail):
-        # the paths of rows from their seed states, tail doubles into
-        # their tails
-        for rng in Generators(rngs.states[rows]):
-            if normals:
-                rng.standard_normal(normals)
-            rng.random(2 * rng.poisson(jumps.mean) + tail)
-            yield rng
-
-    then.read(jumps, (lambda rows: replay(rows, jumps.tail)) if seated
-              else (lambda rows: (rngs[b] for b in rows)))
-    if not seated:
-        return
-    for rng in replay([0], 0):
+def _read_tails(rngs: Generators, jumps: Arrivals, then: Arrivals,
+                normals: int) -> None:
+    """then read from the tails of jumps' rows (`Arrivals.read`) for a
+    `Generators` block, whose paths each made a standard_normal(normals)
+    call (none for 0) and then jumps' two calls. The rows past their tails
+    and the first row read are replayed from their seed states without the
+    tail, to make then's poisson and random calls: a row past its tail
+    takes their doubles (`put`), and a count or double of the first row
+    read that differs from them raises RuntimeError."""
+    past = then.read(jumps)
+    read = np.ones(len(rngs), dtype=bool)
+    read[past] = False
+    rows = np.concatenate([past, np.flatnonzero(read)[:1]])
+    for b, rng in zip(rows, Generators(rngs.states[rows])):
+        if normals:
+            rng.standard_normal(normals)
+        rng.random(2 * rng.poisson(jumps.mean))
         n = rng.poisson(then.mean)
-        want = rng.random(2 * n)
-    if n != then.counts[0] or not np.array_equal(want, then.rows[0, :2 * n]):
-        raise RuntimeError(
-            f"the tail read of a block's first path disagrees with NumPy's "
-            f"poisson({then.mean}): count {then.counts[0]}, NumPy's {n}")
+        doubles = rng.random(2 * n)
+        if not read[b]:
+            then.put(b, doubles)
+        elif n != then.counts[b] or not np.array_equal(doubles, then.rows[b, :2 * n]):
+            raise RuntimeError(
+                f"the tail read of a block's row {b} disagrees with NumPy's "
+                f"poisson({then.mean}): count {then.counts[b]}, NumPy's {n}")
 
 
 class Generators:
@@ -1140,13 +1116,14 @@ class PathSimulator:
         explicit jumps' two calls (`Arrivals`), the jump count and then the
         times and mark uniforms together. A caller may pass arrivals of its
         own as then (for n_rows = len(rngs)), to come after the path's in
-        its stream, and reads them from then.result(). Below a mean of
-        _MULTIPLICATION_BELOW they take no call: the jumps' random call
-        draws 3 x_max + 1 more doubles (x_max = `_count_bound`), and then
-        reads its counts and doubles from those tails (`_read_tails`). From
-        that mean on, and without explicit jumps, then makes its two calls
-        last. The uniforms are turned into marks by the tail quantile, once
-        for the whole block, in their own buffer.
+        its stream, and reads them from then.result(). On a `Generators`
+        block below a mean of _MULTIPLICATION_BELOW they take no call: the
+        jumps' random call draws 3 x_max + 1 more doubles (x_max =
+        `_count_bound`), and then reads its counts and doubles from those
+        tails (`_read_tails`). Otherwise (NumPy's own generators, a mean
+        from _MULTIPLICATION_BELOW on, or no explicit jumps) then makes its
+        two calls last. The uniforms are turned into marks by the tail
+        quantile, once for the whole block, in their own buffer.
 
         With prehistory, a law from `prehistory`, the block holds the cells
         of [0, T] alone, on the nodes of the lattice of M = 0 to the bit,
@@ -1181,8 +1158,9 @@ class PathSimulator:
         cells = len(sds) * n
         rank = 0 if prehistory is None else prehistory.rank
         z = np.empty((n_rows, cells + rank))
-        # then read from the tails of the P rows, or drawn by calls of its own
-        reads = (then is not None and self.tail is not None and n_rows > 0
+        # then read from the P rows' tails of reseated paths, or by its own calls
+        reads = (isinstance(rngs, Generators) and then is not None
+                 and self.tail is not None
                  and 0.0 < then.mean < _MULTIPLICATION_BELOW)
         jumps = None if self.tail is None else Arrivals(
             self.jump_rate * (cfg.T + cfg.M), -cfg.M, cfg.T, n_rows, pool,

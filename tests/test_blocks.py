@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from levyemm import girsanov, path_sim, pipeline
 from levyemm.errors import InvalidConfig
@@ -415,6 +416,21 @@ def _counting(sim, n):
     return [_Counting(rng) for rng in sim.rngs(0, n)]
 
 
+def _counting_seats(monkeypatch) -> list:
+    """The generator of every path that an iteration of `Generators` seats
+    from now on, as a _Counting, in order."""
+    made = []
+
+    class Counting(path_sim.Generators):
+        def __iter__(self):
+            for rng in super().__iter__():
+                made.append(_Counting(rng))
+                yield made[-1]
+
+    monkeypatch.setattr(path_sim, "Generators", Counting)
+    return made
+
+
 @pytest.mark.parametrize("which, want", [
     ("h2-two-atom", ["poisson", "random"]),
     ("gaussian-baseline", ["standard_normal"]),
@@ -430,16 +446,23 @@ def test_draw_calls_per_path(which, want):
 @pytest.mark.parametrize("case, want", [
     ("frozen-zeta", ["poisson", "random"]),
     ("two-atom-lam-T-10", ["poisson", "random"] * 2)])
-def test_direct_q_calls_per_path(case, want):
-    """Below lam T = 10 the Q arrivals are read from the tail of the P
-    draw's random call; from 10 on they take their own two calls."""
+def test_direct_q_calls_per_path(case, want, monkeypatch):
+    """On a block of reseated paths below lam T = 10 the Q arrivals are
+    read from the tail of the P draw's random call, and the block's first
+    path is replayed once to check the read; from 10 on they take their
+    own two calls, as they do on NumPy's own generators at every lam T."""
     d = _builtin("q-two-atom-zeta05") if case == "frozen-zeta" else Q_CASES[case]()
     model = pipeline.model_from_dict(d)
     gk, kern, sim = model.gk, model.kern, model.simulator
-    rngs = _counting(sim, 40)
-    counts = girsanov.draw_under_q(gk, kern, sim, rngs)[0]
+    made = _counting_seats(monkeypatch)
+    counts = girsanov.draw_under_q(gk, kern, sim, _reseated(sim.config.seed, 0, 40))[0]
     assert counts.max() > 1 and ((counts == 0).any() or len(want) == 4)
-    assert all(rng.calls == want for rng in rngs)
+    assert all(rng.calls == want for rng in made[:40])
+    replays = [] if len(want) == 4 else [["poisson", "random"] * 2]
+    assert [rng.calls for rng in made[40:]] == replays
+    rngs = _counting(sim, 40)
+    assert np.array_equal(girsanov.draw_under_q(gk, kern, sim, rngs)[0], counts)
+    assert all(rng.calls == ["poisson", "random"] * 2 for rng in rngs)
 
 
 # the lattice of the Gaussian builtins, from -M and from 0
@@ -502,15 +525,7 @@ def test_draw_refuses_a_law_with_explicit_jumps():
 @pytest.mark.parametrize("name", ["gaussian-baseline", "gaussian-power-2.5"])
 def test_gaussian_chunk_takes_one_generator_call_per_path(name, monkeypatch):
     model = pipeline.model_from_dict(CHUNK_CASES[name]())
-    made = []
-
-    class Counting(path_sim.Generators):
-        def __iter__(self):
-            for rng in super().__iter__():
-                made.append(_Counting(rng))
-                yield made[-1]
-
-    monkeypatch.setattr(path_sim, "Generators", Counting)
+    made = _counting_seats(monkeypatch)
     _span(model, 0, 300)
     assert len(made) == 300
     assert all(rng.calls == ["standard_normal"] for rng in made)
@@ -772,12 +787,17 @@ Q_CASES = {
 }
 
 
+@pytest.mark.parametrize("streams", ["numpy", "reseated"])
 @pytest.mark.parametrize("case", sorted(Q_CASES))
-def test_direct_q_block_matches_sequential_reference(case):
+def test_direct_q_block_matches_sequential_reference(case, streams):
+    """NumPy's own generators, which draw the Q arrivals by their own
+    calls, and a block of reseated paths, which reads them from the P
+    tails below lam T = 10, both against the per-path reference."""
     model = pipeline.model_from_dict(Q_CASES[case]())
     triplet, kern, sim, gk = model.levy, model.kern, model.simulator, model.gk
-    counts, _, marks, y_pre = girsanov.draw_under_q(
-        gk, kern, sim, [sim.rng_for(i) for i in range(150)])
+    rngs = (sim.rngs(0, 150) if streams == "numpy"
+            else _reseated(sim.config.seed, 0, 150))
+    counts, _, marks, y_pre = girsanov.draw_under_q(gk, kern, sim, rngs)
     assert sim.draw([sim.rng_for(0)]).diffuse.any() == case.startswith("sas")
     refs = [_q_reference(gk, kern, sim, i) for i in range(150)]
     assert counts.tolist() == [len(m) for m, _ in refs] and counts.max() > 2
@@ -845,15 +865,16 @@ def test_direct_q_two_passes_equal_blocks_concatenated(case, monkeypatch):
 def test_direct_q_redraw_past_the_tail_equals_the_sequential_reference(
         case, monkeypatch):
     """With a tail of 4 doubles (a count bound of 1) most paths run past
-    it: NumPy's own generators draw on where the draw left them, and a
-    span's reseated paths are replayed from their seed states. Both give
-    the arrivals of the full tail, and the reference's, bit for bit."""
+    it, and are replayed from their seed states to take NumPy's own
+    calls: a block of 150 reseated paths and a span's give the arrivals of
+    the full tail, and the reference's, bit for bit."""
     model = pipeline.model_from_dict(Q_CASES[case]())
     kern, sim, gk = model.kern, model.simulator, model.gk
     refs = [_q_reference(gk, kern, sim, i) for i in range(150)]
     span = _span(model, 0, 300)
     monkeypatch.setattr(path_sim, "_count_bound", lambda mean: 1)
-    counts, _, marks, y_pre = girsanov.draw_under_q(gk, kern, sim, sim.rngs(0, 150))
+    counts, _, marks, y_pre = girsanov.draw_under_q(
+        gk, kern, sim, _reseated(sim.config.seed, 0, 150))
     assert (counts > 1).sum() > 30
     assert counts.tolist() == [len(m) for m, _ in refs]
     want = np.concatenate([m for m, _ in refs])
@@ -879,26 +900,68 @@ def test_direct_q_redraw_past_the_tail_keeps_the_documents(monkeypatch):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("first", ["row-0-read", "row-0-past"])
 @pytest.mark.parametrize("what", ["count", "double"])
-def test_direct_q_tail_read_that_disagrees_with_numpy_raises(what, monkeypatch):
-    """Each block's first path is drawn again by NumPy's own poisson and
-    random calls, and a read that differs stops the run."""
-    read = path_sim.Arrivals.read
+def test_direct_q_tail_read_that_disagrees_with_numpy_raises(what, first,
+                                                             monkeypatch):
+    """Each block's first row read is drawn again by NumPy's own poisson
+    and random calls, and a read that differs stops the run: row 0, or,
+    under a count bound of 1, row 1 after a row 0 past its tail."""
+    read, changed = path_sim.Arrivals.read, []
 
-    def off(self, source, again):
-        read(self, source, again)
+    def off(self, source):
+        past = read(self, source)
+        b = np.setdiff1d(np.arange(len(self.counts)), past)[0]
+        changed.append(b)
         if what == "count":
-            self.counts[0] += 1
+            self.counts[b] += 1
         else:
-            self.rows[0, 0] = np.nextafter(self.rows[0, 0], 2.0)
+            self.rows[b, 0] = np.nextafter(self.rows[b, 0], 2.0)
+        return past
 
     model = pipeline.builtin_scenario("q-two-atom-zeta05")
-    # a first path with arrivals, so that it has a double to differ in
+    # paths 6 and 7 have 2 and 1 arrivals: past a tail of 4 doubles and
+    # not, and each has a double to differ in
     assert girsanov.draw_under_q(model.gk, model.kern, model.simulator,
-                                 model.simulator.rngs(0, 1))[0][0] > 0
+                                 model.simulator.rngs(6, 8))[0].tolist() == [2, 1]
+    if first == "row-0-past":
+        monkeypatch.setattr(path_sim, "_count_bound", lambda mean: 1)
     monkeypatch.setattr(path_sim.Arrivals, "read", off)
     with pytest.raises(RuntimeError, match="tail read"):
-        _span(model, 0, 300)
+        _span(model, 6, 306)
+    assert changed == [0 if first == "row-0-read" else 1]
+
+
+@pytest.mark.parametrize("bound", ["count-bound", "bound-1"])
+@pytest.mark.parametrize("case", sorted(Q_CASES) + ["frozen-zeta"])
+def test_direct_q_reseated_block_equals_numpy_generators(case, bound, monkeypatch):
+    """draw_under_q on a block of reseated paths, which reads the Q
+    arrivals from the P tails below lam T = 10, equals draw_under_q on
+    NumPy's own generators, which make their own poisson and random
+    calls, bit for bit; also under a count bound of 1, past which most
+    rows are replayed."""
+    d = _builtin("q-two-atom-zeta05") if case == "frozen-zeta" else Q_CASES[case]()
+    model = pipeline.model_from_dict(d)
+    kern, sim, gk = model.kern, model.simulator, model.gk
+    if bound == "bound-1":
+        monkeypatch.setattr(path_sim, "_count_bound", lambda mean: 1)
+    seated = girsanov.draw_under_q(gk, kern, sim, _reseated(sim.config.seed, 0, 150))
+    own = girsanov.draw_under_q(gk, kern, sim, sim.rngs(0, 150))
+    assert (seated[0] > 1).sum() > 30
+    for got, want in zip(seated, own):
+        assert np.array_equal(got, want)
+
+
+def test_direct_q_count_bound_is_the_poisson_quantile():
+    """_count_bound(m) is the least x with P(X > x) <= _TAIL_MISS for X ~
+    Poisson(m), which SciPy's pdtrc gives, over 402 means in (0, 10)."""
+    means = np.concatenate([np.geomspace(1e-6, 0.1, 41, endpoint=False),
+                            np.linspace(0.1, 9.99, 361)])
+    x = np.arange(64)
+    for m in means:
+        want = int(np.argmax(scipy.special.pdtrc(x, m) <= path_sim._TAIL_MISS))
+        assert path_sim._count_bound(m) == want, m
+    assert path_sim._count_bound(2.0) == 14 and path_sim._count_bound(9.99) == 32
 
 
 def _weighted_reference(scn, triplet, kern, cfg, sim, gk, i):
