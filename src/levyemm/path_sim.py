@@ -138,7 +138,7 @@ class BufferPool(threading.local):
     owns. A buffer that is too small is replaced by one an eighth larger
     than asked, and none is ever shrunk or freed, so after the first blocks
     a run allocates no per-jump array. A 1000-path chunk of h2-two-atom
-    holds about 1.7 MB of them in 256-path blocks; without the pool each
+    holds about 1.35 MB of them in 256-path blocks; without the pool each
     block would allocate and free it, and between runs the C allocator
     handed much of that back to the kernel, which faulted it in again page
     by page on the next run."""
@@ -245,9 +245,21 @@ class PathBlock:
         """The path of each flat jump."""
         return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
+    @cached_property
+    def window(self) -> tuple:
+        """Each row's window: the flat index c0 of its first jump at or
+        after 0 (offsets[b + 1] when it has none), by one bisection over
+        the rows, and the flat indices of the jumps from c0 on, row by
+        row."""
+        lo, hi = self.offsets[:-1], self.offsets[1:]
+        c0 = _last_before(self.jump_times, lo, hi, np.zeros(len(lo)), strict=True) + 1
+        n = hi - c0
+        return c0, np.arange(int(n.sum())) + np.repeat(c0 - (np.cumsum(n) - n), n)
+
     def jumps_beyond(self, a: float) -> np.ndarray:
         """The flat indices of the jumps after 0 of size |Z| > a."""
-        late = np.flatnonzero(self.jump_times > 0.0)
+        late = self.window[1]
+        late = late[self.jump_times[late] > 0.0]
         return late[np.abs(self.jump_sizes[late]) > a]
 
     def path(self, b: int) -> LatticePath:
@@ -269,15 +281,19 @@ class PathBlock:
 
         When fn is f0 e^{-kappa s} (`exponential_form`: phi or phi' of the
         exponential and constant kernels), each path carries its sums as
-        states: C_l = e^{-kappa dt} C_{l-1} + dL_l from left node to left
-        node, and S_j = e^{-kappa (T_j - T_{j-1})} S_{j-1} + Z_j from jump
-        to jump in time order, both by `_carry`. A query reads the latest of
-        each before it: f0 (e^{-kappa (t_q - l)} C_l + e^{-kappa (t_q - T_j)} S_j).
-        Every factor is at most 1, so no kappa overflows, and a block costs
-        O(cells + jumps) plus one search per query. Any other fn is summed
-        per query, cells and then jumps in time order, by a running sum.
-        Either way a value depends only on its path and t_q: not on the
-        block, nor on the other queries.
+        states, both by `_carry`: C_l = e^{-kappa dt} C_{l-1} + dL_l from
+        left node to left node, and for the jumps first the state at 0,
+        S_0 = sum_{T_j < 0} e^{kappa T_j} Z_j, one sum per path, and then
+        S_j = e^{-kappa (T_j - T_{j-1})} S_{j-1} + Z_j over its window, the
+        jumps at or after 0 in time order, the first decaying from 0. A
+        query at t_q >= 0 reads the latest of each before it: f0 (e^{-kappa
+        (t_q - l)} C_l + e^{-kappa (t_q - T_j)} S_j), with T = 0 at S_0; one
+        before 0 adds its jumps by the running sum. Every factor is at most
+        1, so no kappa overflows, and a block costs O(cells + jumps) plus
+        one search of a path's window per query. Any other fn is summed per
+        query, cells and then jumps in time order, by a running sum. Either
+        way a value depends only on its path and t_q: not on the block, nor
+        on the other queries.
         """
         return self.responses((fn, rows, t, strict))[0]
 
@@ -386,11 +402,13 @@ _CHUNK = 16
 class _Carried:
     """The sums of a block's paths carried as states for one decay rate
     kappa (see `PathBlock.response`), each computed when first read by
-    `_carry`. The cell states are kept row by row; the jump states stay in
-    `_carry`'s (part, prod, entering) form, and jumps_at combines them only
-    at the jumps its queries read. Their layout buffers are taken from the
-    block's pool, under names of their kappa, when it has one, and are then
-    valid until the thread draws its next block into the pool."""
+    `_carry`. The cell states are kept row by row. The jump states start
+    from each row's state at 0 (`state_at_0`), which stands for all its
+    jumps before 0, and run over its window, its jumps at or after 0; they
+    stay in `_carry`'s (part, prod, entering) form, and jumps_at combines
+    them only at the ranks its queries read. Their buffers are taken from
+    the block's pool, under names of their kappa, when it has one, and are
+    then valid until the thread draws its next block into the pool."""
 
     def __init__(self, block: PathBlock, kappa: float):
         self.block, self.kappa = block, kappa
@@ -420,36 +438,53 @@ class _Carried:
             part[k] += prod[k] * entering
         return cells.copy().reshape(B, -1)[:, :N]
 
+    def state_at_0(self) -> np.ndarray:
+        """Each row's S_0 = sum of e^{kappa T_j} Z_j over its jumps before 0,
+        0 for a row without any: one np.add.reduceat over the row's own
+        segment of the flat jumps, which sums a segment by its length alone
+        (pairwise past 8 terms), so the bits depend on the row and on no
+        other. The terms are formed in a buffer one longer than the jumps,
+        whose last 0.0 makes every bound, up to len(jumps), an index; no
+        row's segment reaches it."""
+        block = self.block
+        jt, lo, c0 = block.jump_times, block.offsets[:-1], block.window[0]
+        terms = self._empty("terms", len(jt) + 1)
+        # e^{kappa min(T_j, 0)} Z_j: a jump at or after 0 gives Z_j, which no
+        # segment sums, and no exponent is positive
+        head = np.minimum(jt, 0.0, out=terms[:-1])
+        head *= self.kappa
+        np.exp(head, out=head)
+        head *= block.jump_sizes
+        terms[-1] = 0.0
+        s0 = np.add.reduceat(terms, np.stack([lo, c0], axis=1).reshape(-1))[::2]
+        s0[c0 == lo] = 0.0
+        return s0
+
     @cached_property
     def jump_carry(self) -> tuple:
-        """`_carry` of S along every row's jumps: (part, prod, entering)
-        in its layout, with each row's ranks padded to whole chunks of
-        _CHUNK: jump rank k of row b sits at (k % _CHUNK, k // _CHUNK, b),
-        and the padding has decay and size 0."""
+        """`_carry` of S along every row's window: (part, prod, entering) in
+        its layout, with rank 0 the row's state at 0 (`state_at_0`) with
+        decay 0, and ranks 1, 2, ... its jumps at or after 0 in time order,
+        the first decaying from 0 and each other from the jump before.
+        Rank k of row b sits at (k % _CHUNK, k // _CHUNK, b); each row is
+        padded to whole chunks of _CHUNK with decay and size 0."""
         block = self.block
         jt = block.jump_times
-        counts = np.diff(block.offsets)
-        width = -(-int(counts.max(initial=0)) // _CHUNK) * _CHUNK
-        # (row, rank) of every jump, over whole chunks
-        filled = _leading(counts, width).reshape(len(counts), width)
-        shape = (_CHUNK, width // _CHUNK, len(counts))
+        c0, win = block.window
+        n = block.offsets[1:] - c0
+        rows = np.repeat(np.arange(len(n)), n)
+        rank = win - np.repeat(c0 - 1, n)
+        shape = (_CHUNK, -(-(int(n.max(initial=0)) + 1) // _CHUNK), len(n))
         prod, part = self._empty("prod", shape), self._empty("part", shape)
-        starts = block.offsets[:-1][counts > 0]
-        # the gaps T_j - T_{j-1}, 0 at each row's first jump, then in place
-        # their decays, flat in part's buffer until the sizes are laid out
-        decay = part.reshape(-1)[:len(jt)]
-        decay[:1] = jt[:1]
-        np.subtract(jt[1:], jt[:-1], out=decay[1:])
-        decay[starts] = 0.0
-        decay *= -self.kappa
-        np.exp(decay, out=decay)
-        decay[starts] = 0.0
-        # each step of _carry reads one contiguous slab of this layout; the
-        # values go straight into its (row, chunk, rank in chunk) view
-        chunked = filled.reshape(len(counts), -1, _CHUNK)
-        for values, out in ((decay, prod), (block.jump_sizes, part)):
-            out.fill(0.0)
-            out.transpose(2, 1, 0)[chunked] = values
+        prod.fill(0.0)
+        part.fill(0.0)
+        part[0, 0] = self.state_at_0()
+        # the gaps T_j - T_{j-1}, from 0 at rank 1 (jt[win - 1] is read there
+        # and dropped)
+        gap = jt[win] - np.where(rank > 1, jt[win - 1], 0.0)
+        chunk, k = np.divmod(rank, _CHUNK)
+        prod[k, chunk, rows] = np.exp(-self.kappa * gap)
+        part[k, chunk, rows] = block.jump_sizes[win]
         return _carry(prod, part)
 
     def cells_at(self, rows, t) -> np.ndarray:
@@ -483,35 +518,44 @@ class _Carried:
         return out
 
     def jumps_at(self, rows, t, *, strict: bool) -> np.ndarray:
-        """e^{-kappa (t - T_j)} S_j at the last jump T_j of each query's row
-        it sees (T_j < t when strict, T_j <= t otherwise), 0 before any.
-        S_j = part + prod entering (`_carry`) is formed only at the jumps
-        the queries read, at their (rank in chunk, chunk, row)."""
+        """e^{-kappa (t - T_k)} S_k at the last rank k of each query's row
+        it sees (T_k < t when strict, T_k <= t otherwise), where rank 0, at
+        T = 0, is seen by every query at or after 0: a bisection of the
+        row's window alone. S_k = part + prod entering (`_carry`) is formed
+        only at the ranks the queries read, at their (rank in chunk, chunk,
+        row). A query before 0, which the state at 0 cannot answer, takes
+        the running sum of e^{-kappa (t - T_j)} Z_j over the row's jumps
+        (`PathBlock._add_jumps`)."""
         block = self.block
-        out = np.zeros(len(t))
         if not (len(block.jump_times) and len(t)):
+            return np.zeros(len(t))
+        early = t < 0.0
+        if early.any():
+            out, e = np.zeros(len(t)), np.zeros(np.count_nonzero(early))
+            block._add_jumps(lambda s: np.exp(-self.kappa * s), rows[early], t[early],
+                             e, strict=strict)
+            out[early] = e
+            out[~early] = self.jumps_at(rows[~early], t[~early], strict=strict)
             return out
         # the carry first, so that its temporaries are gone before the
         # queries' are made
         part, prod, entering = self.jump_carry
-        first = block.offsets[rows]
+        first = block.window[0][rows]
         last = _last_before(block.jump_times, first, block.offsets[rows + 1], t,
                             strict=strict)
-        seen = last >= first
-        j, r = last[seen], rows[seen]
-        chunk, rank = np.divmod(j - first[seen], _CHUNK)
+        chunk, rank = np.divmod(last - first + 1, _CHUNK)
+        # T_k, 0 at rank 0 (where jump_times[last] is read and dropped)
+        e = np.where(last >= first, block.jump_times[last], 0.0)
         del first, last
-        # e^{-kappa (t - T_j)} (part + prod entering), formed in place, so that
+        # e^{-kappa (t - T_k)} (part + prod entering), formed in place, so that
         # few arrays of the queries' length are alive at once
-        s = part[rank, chunk, r]
-        s += prod[rank, chunk, r] * entering[chunk, r]
-        e = t[seen]
-        e -= block.jump_times[j]
+        s = part[rank, chunk, rows]
+        s += prod[rank, chunk, rows] * entering[chunk, rows]
+        np.subtract(t, e, out=e)
         e *= -self.kappa
         np.exp(e, out=e)
         e *= s
-        out[seen] = e
-        return out
+        return e
 
 
 def _last_before(values, lo, hi, t, *, strict: bool) -> np.ndarray:

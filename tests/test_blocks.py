@@ -1173,38 +1173,173 @@ def test_carried_rows_are_the_same_alone_in_a_block_and_permuted():
             assert np.array_equal(one_by_one, whole[mine]), b
 
 
+def _sequential_states(jt, z, kappa):
+    """A row's jump states by a plain loop over all its jumps in time
+    order, S_j = e^{-kappa (T_j - T_{j-1})} S_{j-1} + Z_j: the state at 0
+    (the last state before 0 decayed to 0, or 0.0) and then the states at
+    its jumps at or after 0."""
+    s, at, s0, window = 0.0, 0.0, 0.0, []
+    for t, zj in zip(jt, z):
+        s = math.exp(-kappa * (t - at)) * s + zj
+        at = t
+        if t < 0.0:
+            s0 = s * math.exp(kappa * t)
+        else:
+            window.append(s)
+    return [s0], window
+
+
 def test_carried_jump_read_equals_the_materialised_states():
-    """jumps_at forms part + prod entering only where a query reads; it
-    equals the states materialised at every jump, decayed to the query,
-    bit for bit. Rows of 0, 1, 15, 16, 17 and 33 jumps straddle the chunk
-    edges; each jump is queried at its time, strictly and not, and
-    halfway to the row's next jump (a quarter past its last)."""
+    """A row's carry holds its state at 0, S_0 = sum_{T_j < 0} e^{kappa T_j}
+    Z_j, at rank 0 and its jumps at or after 0 from rank 1 on. The states
+    equal those of a plain sequential loop over all the row's jumps to
+    1e-13 of the row's largest; from the carried S_0, the loop over the
+    window gives the first chunk's bit for bit. jumps_at forms part + prod
+    entering only where a query reads, and equals the states materialised
+    at every rank, decayed to the query, bit for bit. Rows of 0, 1, 15,
+    16, 17 and 33 window jumps straddle the chunk edges; one row has no
+    jump before 0, one has every jump before 0, one its window jump at
+    exactly 0 and one no jump at all. Each window jump is queried at its
+    time, strictly and not, and halfway to the next (a quarter past the
+    last), every row at 0 strictly and not; queries before 0 take the
+    running sum."""
     kappa, width = 0.7, path_sim._CHUNK
-    counts = np.array([16, 0, 33, 1, 17, 15])
+    window = np.array([16, 0, 33, 1, 17, 15, 0])
+    # row 4 has no jump before 0, row 6 only jumps before it
+    before = np.array([9, 0, 40, 5, 0, 3, 12])
     rng = np.random.default_rng(5)
-    jt = _sorted_rows(rng.uniform(-3.0, 1.0, counts.sum()), counts)
-    times = np.linspace(-3.0, 1.0, 9)
-    block = PathBlock(times, 0.5, np.zeros((len(counts), 8)), jt,
-                      rng.normal(size=len(jt)),
-                      np.concatenate([[0], np.cumsum(counts)]))
+    jt = np.concatenate([np.empty(0)] + [
+        np.concatenate([np.sort(rng.uniform(-3.0, 0.0, nb)),
+                        np.sort(rng.uniform(0.0, 1.0, nw))])
+        for nb, nw in zip(before, window)])
+    offsets = np.concatenate([[0], np.cumsum(before + window)])
+    jt[offsets[3] + before[3]] = 0.0
+    z = rng.normal(size=len(jt))
+    n_rows = len(window)
+    block = PathBlock(np.linspace(-3.0, 1.0, 9), 0.5, np.zeros((n_rows, 8)), jt, z,
+                      offsets)
     carried = path_sim._Carried(block, kappa)
+    c0, win = block.window
+    assert np.array_equal(c0, offsets[:-1] + before)
+    assert np.array_equal(win, np.flatnonzero(jt >= 0.0))
     part, prod, entering = carried.jump_carry
-    assert part.shape == (width, 3, len(counts))
-    filled = np.arange(3 * width) < counts[:, None]
-    states = (part + prod * entering).transpose(2, 1, 0).reshape(len(counts), -1)[filled]
-    rows = block.jump_rows()
+    assert part.shape == (width, 3, n_rows)
+    filled = np.arange(3 * width) < window[:, None] + 1
+    states = (part + prod * entering).transpose(2, 1, 0).reshape(n_rows, -1)[filled]
+    first = np.cumsum(window + 1) - (window + 1)  # each row's rank 0 in states
+    assert np.array_equal(states[first], carried.state_at_0())
+    assert states[first[1]] == 0.0 and states[first[4]] == 0.0
+    for b in range(n_rows):
+        lo, hi = offsets[b], offsets[b + 1]
+        s0, loop = _sequential_states(jt[lo:hi], z[lo:hi], kappa)
+        mine = states[first[b]:first[b] + window[b] + 1]
+        want = np.array(s0 + loop)
+        np.testing.assert_allclose(mine, want, rtol=0,
+                                   atol=1e-13 * max(np.max(np.abs(want)), 1.0))
+        # the window from the carried S_0, with the carry's decays
+        gaps = np.diff(np.concatenate([[0.0], jt[c0[b]:hi]]))
+        s, again = mine[0], [mine[0]]
+        for r, zj in zip(np.exp(-kappa * gaps), z[c0[b]:hi]):
+            s = r * s + zj
+            again.append(s)
+        assert np.array_equal(mine[:width], again[:width]), b
+
+    rows = np.repeat(np.arange(n_rows), window)
+    wt = jt[win]
     last = np.append(rows[1:] != rows[:-1], True)
-    mid = np.where(last, jt + 0.25, (jt + np.append(jt[1:], 0.0)) / 2)
-    for t, strict, shift in ((jt, False, 0), (jt, True, 1), (mid, False, 0)):
-        j = np.arange(len(jt)) - shift
-        seen = j >= block.offsets[rows]
-        want = np.zeros(len(t))
-        want[seen] = np.exp(-kappa * (t[seen] - jt[j[seen]])) * states[j[seen]]
-        got = carried.jumps_at(rows, t, strict=strict)
-        assert np.array_equal(got, want) and (got != 0).sum() == seen.sum()
-    empty = np.zeros(3)
-    assert np.array_equal(carried.jumps_at(np.ones(3, dtype=int), jt[:3] + 1.0,
-                                           strict=False), empty)
+    mid = np.where(last, wt + 0.25, (wt + np.append(wt[1:], 0.0)) / 2)
+    for t, strict, shift in ((wt, False, 0), (wt, True, 1), (mid, False, 0)):
+        # rank of the read: the window jump's own, or the one before
+        k = np.arange(len(wt)) - (np.cumsum(window) - window)[rows] + 1 - shift
+        at = np.where(k > 0, jt[win - shift], 0.0)
+        want = np.exp((t - at) * -kappa) * states[first[rows] + k]
+        assert np.array_equal(carried.jumps_at(rows, t, strict=strict), want)
+    # at 0 every row reads its S_0, and row 3 its jump at 0 when not strict
+    zero, every = np.zeros(n_rows), np.arange(n_rows)
+    assert np.array_equal(carried.jumps_at(every, zero, strict=True), states[first])
+    at_0 = carried.jumps_at(every, zero, strict=False)
+    assert at_0[3] == states[first[3] + 1] == states[first[3]] + z[c0[3]]
+    assert np.array_equal(np.delete(at_0, 3), np.delete(states[first], 3))
+    # before 0, the running sum of the jumps before the query
+    t = np.concatenate([jt[jt < 0.0], jt[jt < 0.0] + 1e-3 * rng.random(), [-5.0]])
+    q_rows = np.concatenate([np.repeat(every, before), np.repeat(every, before), [2]])
+    t = np.minimum(t, -1e-9)
+    for strict in (True, False):
+        got = carried.jumps_at(q_rows, t, strict=strict)
+        see = np.less if strict else np.less_equal
+        for g, b, tq in zip(got, q_rows, t):
+            lo, hi = offsets[b], offsets[b + 1]
+            m = see(jt[lo:hi], tq)
+            want = sum(math.exp(-kappa * (tq - tj)) * zj
+                       for tj, zj in zip(jt[lo:hi][m], z[lo:hi][m]))
+            assert abs(g - want) <= 1e-13 * max(abs(want), 1.0)
+    assert np.array_equal(carried.jumps_at(np.ones(3, dtype=int),
+                                           np.array([-1.0, 0.0, 2.0]), strict=False),
+                          np.zeros(3))
+
+
+def _rows_block(block, rows, empty_after=0):
+    """The block of the given rows of block, in that order, with
+    empty_after rows without jumps after them."""
+    parts = [np.arange(block.offsets[b], block.offsets[b + 1]) for b in rows]
+    counts = [len(p) for p in parts] + [0] * empty_after
+    flat = np.concatenate([np.empty(0, dtype=np.intp)] + parts)
+    diffuse = block.diffuse[list(rows) + [rows[-1]] * empty_after]
+    return PathBlock(block.times, block.dt, diffuse, block.jump_times[flat],
+                     block.jump_sizes[flat], np.concatenate([[0], np.cumsum(counts)]))
+
+
+@pytest.mark.parametrize("name", ["h2-two-atom", "q-two-atom-zeta05"])
+def test_carried_state_at_0_and_responses_do_not_depend_on_the_block(name):
+    """A row's state at 0 and its responses are the same bits drawn alone,
+    as the last row of a block, before an empty trailing row, and with its
+    queries permuted: each S_0 sums the row's own segment of the flat jumps
+    and nothing past it. A sum over one term more groups its terms
+    differently for about one segment length in eight, so every row of
+    the block is checked in each place."""
+    model = pipeline.builtin_scenario(name)
+    sim, kern = model.simulator, model.kern
+    kappa = kern.exponential[1]
+    n_rows = 64
+    block = sim.draw(sim.rngs(0, n_rows))
+    s0 = path_sim._Carried(block, kappa).state_at_0()
+    rows, t = _queries(block, seed=4, per_row=4)
+    queries = [(fn, rows, t, strict) for fn in (kern, kern.dphi)
+               for strict in (True, False)]
+    whole = block.responses(*queries)
+    perm = np.random.default_rng(3).permutation(len(t))
+    for got, want in zip(block.responses(*[(fn, r[perm], tq[perm], strict)
+                                           for fn, r, tq, strict in queries]),
+                         whole):
+        assert np.array_equal(got, want[perm])
+    for b in range(n_rows):
+        mine = rows == b
+        for other, at in ((sim.draw(sim.rngs(b, b + 1)), 0),
+                          (_rows_block(block, [(b + 1) % n_rows, b]), 1),
+                          (_rows_block(block, [b], empty_after=1), 0)):
+            assert path_sim._Carried(other, kappa).state_at_0()[at] == s0[b], b
+            got = other.responses(*[(fn, np.full(mine.sum(), at), t[mine], strict)
+                                    for fn, _, _, strict in queries])
+            for g, w in zip(got, whole):
+                assert np.array_equal(g, w[mine]), (b, at)
+
+
+def test_carried_window_without_a_prehistory_matches_running_sum():
+    """With M = 0 every jump lies in the window and the state at 0 is 0:
+    the carry then runs over all of a row's jumps, more than a chunk of
+    them, and stays O(cells + jumps), to 1e-12 of the running sum."""
+    F = DiscreteMeasure([(-1.0, 1.5), (0.5, 0.5), (2.0, 2.0)])
+    triplet = LevyTriplet(0.4, F, 0.3, indicator_inside(0.25))
+    cfg = SimConfig(T=10.0, M=0.0, dt=0.125, eps_jump=0.25, n_paths=1, seed=8)
+    sim = PathSimulator(triplet, cfg)
+    block = sim.draw(sim.rngs(0, 30))
+    counts = np.diff(block.offsets)
+    assert counts.min() > path_sim._CHUNK and counts.max() > 3 * path_sim._CHUNK
+    carried = path_sim._Carried(block, 0.7)
+    assert np.array_equal(block.window[0], block.offsets[:-1])
+    assert not carried.state_at_0().any()
+    rows, t = _queries(block, seed=6)
+    _assert_carried_matches_running(block, exponential_kernel(0.7, 1.3), rows, t)
 
 
 # ---------------------------------------------------------------------------
@@ -1329,17 +1464,20 @@ def test_pooled_chunks_allocate_no_per_jump_arrays():
         assert peak - start <= 256 * 1024, (name, peak - start)
 
 
-def test_pool_of_a_jump_chunk_holds_at_most_2_mib():
-    """A 1000-path chunk of either jump battery leaves at most 2.0 MiB in
+def test_pool_of_a_jump_chunk_holds_at_most_1_5_mib():
+    """A 1000-path chunk of either jump battery leaves at most 1.5 MiB in
     the simulator's pool: each path's doubles in one row buffer, the marks
-    formed in their uniforms, the decays laid out through the carry's own
-    buffers, and no (row, time) keys. At 128-path blocks the pool held
-    1.99 MB before these, 124 bytes a jump."""
+    formed in their uniforms, the terms of the states at 0, and a carry
+    laid out over the window (0, T] alone. It holds 1.29 MiB at
+    h2-two-atom and 1.43 MiB at q-two-atom-zeta05, whose rows also keep
+    the Q arrivals' tail doubles; with every jump in the carry it held
+    1.65 and 1.79 MiB, and at 128-path blocks before the row buffer and
+    the in-place marks 1.99 MB, 124 bytes a jump."""
     for name in ("q-two-atom-zeta05", "h2-two-atom"):
         model = pipeline.builtin_scenario(name)
         _span(model, 0, 1000)
         held = sum(b.nbytes for b in model.simulator.pool._buffers.values())
-        assert held <= 2 * 2**20, (name, held)
+        assert held <= 1.5 * 2**20, (name, held)
 
 
 @pytest.mark.parametrize("widths", ["per row", "one"])
