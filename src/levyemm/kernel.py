@@ -1,9 +1,9 @@
 """Moving-average kernels phi and the EMM admissibility classification.
 
-A kernel carries phi, optionally its density phi', and (for named shapes)
-closed-form L^p tails so that half-line integrals do not rely on blind
-truncation. Admissibility follows the if-and-only-if characterization:
-phi(0) != 0, absolute continuity, and finiteness of
+A kernel carries phi, optionally its density phi', and the closed forms
+its constructor declares (`Kernel`), so that half-line integrals do not
+rely on blind truncation. Admissibility follows the if-and-only-if
+characterization: phi(0) != 0, absolute continuity, and finiteness of
 
     c * int phi'^2 + int int |x phi'(t)| ^ (x phi'(t))^2 F(dx) dt.
 
@@ -14,7 +14,7 @@ int_0^t phi' on a probe grid); it is a witness, not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,6 @@ import scipy
 
 from .errors import MissingDensity, NonIntegrable
 from .levy_model import (
-    DensityMeasure,
     Interval,
     LevyMeasure,
     LevyTriplet,
@@ -41,21 +40,25 @@ AC_TOL = 1e-6
 
 @dataclass
 class Kernel:
-    """phi with its density phi' and what is known of its shape.
+    """phi with its density phi' and what is known of its shape; name is a
+    label that nothing computed reads.
 
-    exponential = (A, kappa) declares phi(s) = A e^{-kappa s}, so that
-    phi'(s) = -kappa A e^{-kappa s} (kappa = 0 for a constant phi):
-    exponential_form reads that off phi or phi', and a path's sums of
-    such a function, on the grid (`PathBlock.moving_average`) or at any
-    time (`PathBlock.response`), are states carried along its cells and
-    its jumps. Other kernels declare none.
+    closed_forms = (lp, tail) declares lp(p) = int_0^inf |phi'|^p dt and a
+    bound tail(M) >= int_M^inf |phi| dt, either None when it has no closed
+    form (`lp_norm`, `truncation_bias_bound`). exponential = (A, kappa)
+    declares phi(s) = A e^{-kappa s}, so that phi'(s) = -kappa A e^{-kappa
+    s} (kappa = 0 for a constant phi), and implies both in place of
+    closed_forms: exponential_form reads it off phi or phi', and a path's
+    sums of such a function, on the grid (`PathBlock.moving_average`) or
+    at any time (`PathBlock.response`), are states carried along its cells
+    and its jumps.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     phi_prime: Callable[[np.ndarray], np.ndarray] | None
     phi0: float
     name: str = "custom"
-    params: dict = field(default_factory=dict)
+    closed_forms: tuple[Callable | None, Callable | None] = (None, None)
     exponential: tuple[float, float] | None = None
 
     def __call__(self, t):
@@ -66,17 +69,21 @@ class Kernel:
             raise MissingDensity("kernel has no phi' attached")
         return np.asarray(self.phi_prime(np.asarray(t, dtype=float)), dtype=float)
 
+    def _forms(self) -> tuple:
+        """(lp, tail) of the exponential form when one is declared, else
+        closed_forms."""
+        if self.exponential is None:
+            return self.closed_forms
+        amp, kap = abs(self.exponential[0]), self.exponential[1]
+        if kap == 0.0:  # phi' = 0, and phi has no finite tail
+            return (lambda p: 0.0), None
+        return ((lambda p: (amp * kap) ** p / (p * kap)),
+                lambda M: amp * math.exp(-kap * M) / kap)
+
     def truncation_bias_bound(self, M: float) -> float | None:
-        """Analytic bound on the mass of phi beyond lag M (named kernels)."""
-        if self.name == "exponential":
-            kap = self.params["kappa"]
-            amp = abs(self.params.get("amplitude", 1.0))
-            return amp * math.exp(-kap * M) / kap
-        if self.name == "power":
-            g = self.params["gamma"]
-            if g > 1:
-                return (1.0 + M) ** (1.0 - g) / (g - 1.0)
-        return None
+        """The declared bound on the mass of |phi| beyond lag M, or None."""
+        tail = self._forms()[1]
+        return None if tail is None else tail(M)
 
 
 def exponential_kernel(kappa: float, amplitude: float = 1.0) -> Kernel:
@@ -88,7 +95,6 @@ def exponential_kernel(kappa: float, amplitude: float = 1.0) -> Kernel:
         phi_prime=lambda t: -amplitude * kappa * np.exp(-kappa * t),
         phi0=amplitude,
         name="exponential",
-        params={"kappa": kappa, "amplitude": amplitude},
         exponential=(amplitude, kappa),
     )
 
@@ -97,12 +103,14 @@ def power_kernel(gamma: float) -> Kernel:
     """phi(t) = (1+t)^{-gamma}."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
+    tail = lambda M: (1.0 + M) ** (1.0 - gamma) / (gamma - 1.0)  # noqa: E731
     return Kernel(
         phi=lambda t: (1.0 + t) ** (-gamma),
         phi_prime=lambda t: -gamma * (1.0 + t) ** (-gamma - 1.0),
         phi0=1.0,
         name="power",
-        params={"gamma": gamma},
+        closed_forms=(lambda p: _power_integral(gamma**p, p * (gamma + 1.0)),
+                      tail if gamma > 1 else None),
     )
 
 
@@ -119,8 +127,13 @@ def power_density_kernel(q: float, phi0: float = 1.0) -> Kernel:
         phi_prime=lambda t: (1.0 + t) ** (-q),
         phi0=phi0,
         name="power-density",
-        params={"q": q, "phi0": phi0},
+        closed_forms=(lambda p: _power_integral(1.0, p * q), None),
     )
+
+
+def _power_integral(c: float, e: float) -> float:
+    """c int_0^inf (1+t)^{-e} dt."""
+    return c / (e - 1.0) if e > 1.0 else math.inf
 
 
 def zero_start_kernel(kappa: float = 1.0) -> Kernel:
@@ -130,7 +143,6 @@ def zero_start_kernel(kappa: float = 1.0) -> Kernel:
         phi_prime=lambda t: (1.0 - kappa * t) * np.exp(-kappa * t),
         phi0=0.0,
         name="zero-start",
-        params={"kappa": kappa},
     )
 
 
@@ -141,7 +153,6 @@ def constant_kernel(value: float = 1.0) -> Kernel:
         phi_prime=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         phi0=value,
         name="constant",
-        params={"value": value},
         exponential=(value, 0.0),
     )
 
@@ -165,7 +176,7 @@ def exponential_form(fn) -> tuple[float, float] | None:
 def custom_kernel(phi, phi_prime=None, phi0=None) -> Kernel:
     if phi0 is None:
         phi0 = float(phi(np.asarray(0.0)))
-    return Kernel(phi=phi, phi_prime=phi_prime, phi0=phi0, name="custom")
+    return Kernel(phi=phi, phi_prime=phi_prime, phi0=phi0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +216,15 @@ def integrate_halfline(f) -> float:
 
 
 def lp_norm(kernel: Kernel, p: float) -> float:
-    """int_0^inf |phi'(t)|^p dt; closed form for named kernels, numeric with
-    a tail probe otherwise (nan = inconclusive)."""
+    """int_0^inf |phi'(t)|^p dt; the kernel's declared closed form (see
+    `Kernel`), else numeric with a tail probe (nan = inconclusive)."""
     if kernel.phi_prime is None:
         raise MissingDensity("lp_norm requires phi'")
     if p <= 0:
         raise ValueError("p must be > 0")
-    if kernel.name == "exponential":
-        kap = kernel.params["kappa"]
-        amp = abs(kernel.params.get("amplitude", 1.0))
-        return (amp * kap) ** p / (p * kap)
-    if kernel.name == "power":
-        g = kernel.params["gamma"]
-        e = p * (g + 1.0)
-        return g**p / (e - 1.0) if e > 1.0 else math.inf
-    if kernel.name == "power-density":
-        q = kernel.params["q"]
-        e = p * q
-        return 1.0 / (e - 1.0) if e > 1.0 else math.inf
-    if kernel.name == "constant":
-        return 0.0
+    lp = kernel._forms()[0]
+    if lp is not None:
+        return lp(p)
     dphi = kernel.phi_prime
     return integrate_halfline(lambda t: abs(float(dphi(np.asarray(t)))) ** p)
 
@@ -262,10 +262,11 @@ def _jump_kernel_integral(F: LevyMeasure, u: float) -> float:
 def density_condition(kernel: Kernel, triplet: LevyTriplet) -> DensityConditionResult:
     """Evaluate c int phi'^2 + int int |x phi'| ^ (x phi')^2 dF dt.
 
-    For a symmetric alpha-stable measure the jump part scales exactly like
-    the L^alpha norm of phi', which is used as a fast path. Divergence of
-    any part yields finite=False; an inconclusive tail probe on a custom
-    kernel yields finite=None.
+    For a measure that declares power_law = (alpha, scale), F(dx) = scale
+    |x|^{-alpha-1} dx, the jump part is exactly scale c_alpha times the
+    L^alpha norm of phi', which is used as a fast path. Divergence of
+    any part yields finite=False; an inconclusive tail probe on a kernel
+    without closed forms yields finite=None.
     """
     if kernel.phi_prime is None:
         raise MissingDensity("density_condition requires phi'")
@@ -285,26 +286,23 @@ def density_condition(kernel: Kernel, triplet: LevyTriplet) -> DensityConditionR
     if F.is_zero:
         return DensityConditionResult(True, gaussian, gaussian, 0.0)
 
-    if isinstance(F, DensityMeasure) and F.name == "symmetric-alpha-stable":
-        alpha = F.params["alpha"]
-        scale = F.params["scale"]
+    if F.power_law is not None:
+        alpha, scale = F.power_law
+        la = lp_norm(kernel, alpha)
+        if la == 0.0:
+            return DensityConditionResult(True, gaussian, gaussian, 0.0)
         if alpha <= 1.0:
             # the |x| branch is not F-integrable at infinity for any u > 0
-            la = lp_norm(kernel, alpha)
-            if la == 0.0:
-                return DensityConditionResult(True, gaussian, gaussian, 0.0)
             return DensityConditionResult(False, math.inf, gaussian, math.inf,
                                           "stable tail index <= 1")
-        c_alpha = 2.0 * (1.0 / (2.0 - alpha) + 1.0 / (alpha - 1.0))
-        la = lp_norm(kernel, alpha)
         if math.isnan(la):
             return DensityConditionResult(None, math.nan, gaussian, math.nan,
                                           "L^alpha tail probe inconclusive")
+        c_alpha = 2.0 * (1.0 / (2.0 - alpha) + 1.0 / (alpha - 1.0))
         jump = scale * c_alpha * la
         finite = not math.isinf(jump)
-        value = gaussian + jump
         return DensityConditionResult(
-            finite, value, gaussian, jump,
+            finite, gaussian + jump, gaussian, jump,
             "" if finite else "phi' not in L^alpha",
         )
 
@@ -376,11 +374,8 @@ class Classification:
 
 
 def _phi_prime_bounded(kernel: Kernel) -> bool:
-    if kernel.name in ("exponential", "power", "power-density", "constant",
-                       "zero-start"):
-        return True
-    ts = np.linspace(0.0, 200.0, 4001)
-    vals = kernel.dphi(ts)
+    with np.errstate(divide="ignore"):  # a pole of phi' probes as inf
+        vals = kernel.dphi(np.linspace(0.0, 200.0, 4001))
     return bool(np.all(np.isfinite(vals)))
 
 

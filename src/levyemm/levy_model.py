@@ -125,11 +125,12 @@ def indicator_outside_band(a: float, b: float) -> TruncationFunction:
 
 class LevyMeasure:
     """Base class; see :class:`DiscreteMeasure`, :class:`DensityMeasure`,
-    :class:`ZeroMeasure`."""
+    :class:`ZeroMeasure`. name is a label for reports; power_law is
+    declared by a density measure (see there)."""
 
     support_descriptor: str = "unbounded-both"
     name: str | None = None
-    params: dict = {}
+    power_law: tuple[float, float] | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -167,7 +168,6 @@ class DiscreteMeasure(LevyMeasure):
         self.x = arr[order, 0].copy()
         self.w = arr[order, 1].copy()
         self.name = "discrete"
-        self.params = {"atoms": [(float(a), float(b)) for a, b in zip(self.x, self.w)]}
         has_pos = bool(np.any(self.x > 0))
         has_neg = bool(np.any(self.x < 0))
         if has_pos and has_neg:
@@ -193,6 +193,9 @@ class DensityMeasure(LevyMeasure):
     gives its tail law (`tail_law` refuses a density without it): S(m) =
     F([m, inf)), int_{x >= m} x F(dx) (inf if it diverges) and the m >= r
     with S(m) = q S(r) (inf at q = 0), each on an array m or q.
+    power_law = (alpha, scale) declares the symmetric alpha-stable density
+    scale |x|^{-alpha-1}, whose density condition is a closed form in
+    ||phi'||_alpha^alpha (`kernel.density_condition`).
     """
 
     def __init__(
@@ -203,7 +206,7 @@ class DensityMeasure(LevyMeasure):
         tail_integrable: bool | None = None,
         support: tuple[float, float] = (-math.inf, math.inf),
         name: str | None = None,
-        params: dict | None = None,
+        power_law: tuple[float, float] | None = None,
         breakpoints: Sequence[float] = (),
         upper_tail: tuple[Callable, Callable, Callable] | None = None,
     ):
@@ -215,7 +218,7 @@ class DensityMeasure(LevyMeasure):
         self.support = (float(support[0]), float(support[1]))
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
         self.name = name or "density"
-        self.params = params or {}
+        self.power_law = power_law
         self.upper_tail = upper_tail
         if math.isinf(self.support[0]) and math.isinf(self.support[1]):
             self.support_descriptor = "unbounded-both"
@@ -223,7 +226,7 @@ class DensityMeasure(LevyMeasure):
             self.support_descriptor = "compact"
 
     def __repr__(self):
-        return f"DensityMeasure(name={self.name!r}, params={self.params})"
+        return f"DensityMeasure(name={self.name!r}, power_law={self.power_law})"
 
 
 def symmetric_alpha_stable(alpha: float, scale: float = 1.0) -> DensityMeasure:
@@ -248,7 +251,7 @@ def symmetric_alpha_stable(alpha: float, scale: float = 1.0) -> DensityMeasure:
         origin_exponent=alpha,
         tail_integrable=alpha > 1.0,
         name="symmetric-alpha-stable",
-        params={"alpha": alpha, "scale": scale},
+        power_law=(alpha, scale),
         upper_tail=(mass, moment, inverse),
     )
 
@@ -391,7 +394,6 @@ def tempered_stable(eta: float, lam: float, alpha: float) -> DensityMeasure:
         origin_exponent=alpha,
         tail_integrable=True,
         name="tempered-stable",
-        params={"eta": eta, "lam": lam, "alpha": alpha},
         upper_tail=(mass, moment, inverse),
     )
 
@@ -422,7 +424,6 @@ def uniform_band(a: float, b: float, height: float = 1.0) -> DensityMeasure:
         tail_integrable=True,
         support=(-b, b),
         name="uniform-band",
-        params={"a": a, "b": b, "height": height},
         breakpoints=(-b, -a, a, b),
         upper_tail=(mass, moment, inverse),
     )

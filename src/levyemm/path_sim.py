@@ -355,9 +355,10 @@ class PathBlock:
             raise ValueError("a pre-history in law needs a block drawn from 0 "
                              "with the law")
         fns = (kernel, kernel.dphi)
-        if kernel.exponential is not None:
-            s = _Carried(self, kernel.exponential[1]).on_grid(m)
-            (fx, _), (fy, _) = (exponential_form(fn) for fn in fns)
+        forms = [exponential_form(fn) for fn in fns]
+        if forms[0] is not None:
+            (fx, kappa), (fy, _) = forms
+            s = _Carried(self, kappa).on_grid(m)
             X, Y = fx * s[:, x_nodes], np.multiply(s, fy, out=s)  # Y reuses s's buffer
         else:
             grid = self.times[m:]

@@ -32,7 +32,7 @@ import yaml
 
 from . import emm_construct, girsanov, kernel as kernel_mod, path_sim, verify
 from .errors import ConfigError, LevyEmmError, NonIntegrable, ZetaOutOfRange
-from .kernel import Kernel, emm_classify
+from .kernel import Kernel, emm_classify, exponential_form
 from .levy_model import (
     DiscreteMeasure,
     LevyTriplet,
@@ -849,7 +849,7 @@ def run_simulate(model: Model, out_dir: str, n_paths=None, seed=None) -> dict:
         "n_paths": n_paths,
         "seed": seed,
         "n_jumps_in_window": len(jump_records),
-        "correlation": "fft" if kern.exponential is None else "recursion",
+        "correlation": "fft" if exponential_form(kern) is None else "recursion",
     }
     with open(os.path.join(out_dir, "simulate.json"), "w") as fh:
         dump_json(summary, fh)

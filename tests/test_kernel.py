@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
+from levyemm import pipeline
 from levyemm.errors import MissingDensity
 from levyemm.kernel import (
     Kernel,
@@ -20,6 +22,7 @@ from levyemm.kernel import (
     zero_start_kernel,
 )
 from levyemm.levy_model import (
+    DensityMeasure,
     DiscreteMeasure,
     LevyTriplet,
     gaussian_only,
@@ -63,7 +66,7 @@ class TestLpNorm:
         assert numeric == pytest.approx(lp_norm(k, p), rel=1e-6)
 
     # each closed form against integrate_halfline of |phi'|^p, which is
-    # what lp_norm takes for a kernel of any other name; the worst agreed
+    # what lp_norm takes for a kernel that declares none; the worst agreed
     # to 5e-8 (power 0.5 at p 1.5), and power-density 0.4 diverges
     @pytest.mark.parametrize("p", [1.5, 2.0])
     @pytest.mark.parametrize("kernel", [
@@ -74,7 +77,9 @@ class TestLpNorm:
     def test_closed_form_equals_the_numeric_integral(self, kernel, p):
         numeric = integrate_halfline(
             lambda t: abs(float(kernel.dphi(np.asarray(t)))) ** p)
-        assert lp_norm(dataclasses.replace(kernel, name="custom"), p) == numeric
+        undeclared = dataclasses.replace(kernel, exponential=None,
+                                         closed_forms=(None, None))
+        assert lp_norm(undeclared, p) == numeric
         if math.isinf(numeric):
             assert lp_norm(kernel, p) == math.inf
         else:
@@ -237,3 +242,88 @@ class TestTruncationBias:
     def test_power_bound(self):
         k = power_kernel(2.0)
         assert k.truncation_bias_bound(9.0) == pytest.approx(0.1, rel=1e-12)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of what it raises."""
+    try:
+        return f(*args)
+    except Exception as e:  # noqa: BLE001
+        return type(e)
+
+
+class TestDeclarations:
+    """Closed forms come from what a constructor declares; a kernel's or a
+    measure's name is a label that changes nothing computed."""
+
+    # the expressions lp_norm and truncation_bias_bound held for the named
+    # kernels, before each constructor declared its own
+    @pytest.mark.parametrize("kernel, lp, tail", [
+        (exponential_kernel(0.7, -1.3),
+         lambda p: (1.3 * 0.7) ** p / (p * 0.7),
+         lambda M: 1.3 * math.exp(-0.7 * M) / 0.7),
+        (power_kernel(2.5),
+         lambda p: 2.5**p / (p * 3.5 - 1.0) if p * 3.5 > 1.0 else math.inf,
+         lambda M: (1.0 + M) ** (1.0 - 2.5) / (2.5 - 1.0)),
+        (power_kernel(0.8),
+         lambda p: 0.8**p / (p * 1.8 - 1.0) if p * 1.8 > 1.0 else math.inf,
+         None),
+        (power_density_kernel(1.5),
+         lambda p: 1.0 / (p * 1.5 - 1.0) if p * 1.5 > 1.0 else math.inf, None),
+        (power_density_kernel(0.4),
+         lambda p: 1.0 / (p * 0.4 - 1.0) if p * 0.4 > 1.0 else math.inf, None),
+        (constant_kernel(1.0), lambda p: 0.0, None),
+        (zero_start_kernel(), None, None)],
+        ids=["exponential", "power-2.5", "power-0.8", "power-density-1.5",
+             "power-density-0.4", "constant", "zero-start"])
+    def test_closed_forms_are_the_named_expressions_to_the_bit(self, kernel,
+                                                               lp, tail):
+        for p in (0.5, 1, 1.5, 2, 3):
+            want = lp(p) if lp else integrate_halfline(
+                lambda t: abs(float(kernel.dphi(np.asarray(t)))) ** p)
+            assert lp_norm(kernel, p) == want
+        for M in (0, 5, 60):
+            assert kernel.truncation_bias_bound(M) == (tail(M) if tail else None)
+
+    @pytest.mark.parametrize("name", ["classify-sas-1.2", "classify-sas-1.5",
+                                      "classify-sas-1.9"])
+    def test_stable_density_condition_to_the_bit(self, name):
+        model = pipeline.builtin_scenario(name)
+        F, kern = model.triplet["measure"], model.kernel
+        alpha, scale, kappa = F["alpha"], F["scale"], kern["kappa"]
+        amp = abs(kern.get("amplitude", 1.0))
+        c_alpha = 2.0 * (1.0 / (2.0 - alpha) + 1.0 / (alpha - 1.0))
+        jump = scale * c_alpha * ((amp * kappa) ** alpha / (alpha * kappa))
+        res = density_condition(model.kern, model.levy)
+        assert (res.finite, res.value, res.gaussian_part, res.jump_part,
+                res.reason) == (True, 0.0 + jump, 0.0, jump, "")
+
+    def test_a_label_does_not_bound_phi_prime(self):
+        # phi'(t) = t^{-1/4} e^{-t} has a pole at 0; phi = 1 + gamma(3/4, t)
+        model = pipeline.builtin_scenario("h2-two-atom")
+        got = set()
+        for name in ("zero-start", "custom"):
+            kern = Kernel(
+                phi=lambda t: 1.0 + scipy.special.gammainc(0.75, t) * math.gamma(0.75),
+                phi_prime=lambda t: t ** -0.25 * np.exp(-t), phi0=1.0, name=name)
+            cls = emm_classify(kern, model.levy, model.verify["tail_regime"])
+            got.add((cls.status, cls.reason))
+        assert got == {("indeterminate", "compact support but phi' unbounded")}
+
+    @pytest.mark.parametrize("name", ["exponential", "power", "power-density"])
+    def test_an_undeclared_kernel_of_any_label_is_numeric(self, name):
+        k = exponential_kernel(0.7, 2.0)
+        kern = Kernel(phi=k.phi, phi_prime=k.phi_prime, phi0=k.phi0, name=name)
+        for p in (1.5, 2.0):
+            assert lp_norm(kern, p) == integrate_halfline(
+                lambda t: abs(float(kern.dphi(np.asarray(t)))) ** p)
+        assert kern.truncation_bias_bound(5.0) is None
+
+    def test_a_stable_label_without_power_law_is_the_general_route(self):
+        kern = custom_kernel(lambda t: 1.0 + 0.1 * np.exp(-t),
+                             lambda t: -0.1 * np.exp(-t))
+        got = [_outcome(density_condition, kern, _triplet(DensityMeasure(
+            lambda x: 1.5 * np.abs(x) ** -2.5, origin_exponent=1.5,
+            tail_integrable=True, name=name)))
+            for name in ("density", "symmetric-alpha-stable")]
+        assert got[0] == got[1]
